@@ -5,11 +5,13 @@ Usage, from the repository root::
     python3 perfbench/run.py --workload batch-census --seed 1 --seconds 12 --trace 0
 
 Prints a details object (environment, ops per kind, output checks, carried
-metrics, and for ``--trace 1`` the layer report) and, as the last line, the
-result object ``{"correct", "attempted", "failed", "metrics"}``: every
-``end_to_end`` metric of ``BENCHMARK.json`` with ``--trace 0``, every
-``per_layer`` metric with ``--trace 1``.  Exits 2 without a result when the
-program under test (``src/repro``) is not next to it.
+metrics, host speed and raw metrics, and for ``--trace 1`` the layer report)
+and, as the last line, the result object ``{"correct", "attempted",
+"failed", "metrics"}``: every ``end_to_end`` metric of ``BENCHMARK.json``,
+times and rates at the reference host speed (see ``harness.HostSpeed``),
+with ``--trace 0``; every ``per_layer`` metric with ``--trace 1``.  Exits 2
+without a result when the program under test (``src/repro``) is not next to
+it.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ from harness import (
     SCALES,
     BenchError,
     Context,
+    HostSpeed,
+    at_reference_speed,
     end_to_end,
     environment,
     layer_report,
     load_declaration,
     op_counts,
+    peak_rss_mb,
     result_line,
     scratch_dir,
     tracing_overhead,
@@ -49,28 +54,42 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def run_load(workload, ctx: Context, declared: dict[str, str]) -> tuple[dict, dict]:
+    ctx.host.burst()  # the host speed of the set-up
     begin = time.perf_counter()
     workload.setup()
     setup_s = time.perf_counter() - begin
     ops, wall = workload.load()
+    # Stop and wait for any server before reading peak memory, so that it
+    # counts; the checks build their own references and must not.
+    workload.close()
+    rss_mb = peak_rss_mb()
     checks = workload.check(ops)
     values = end_to_end(
         ops=ops,
         wall=wall,
         setup_s=setup_s,
+        rss_mb=rss_mb,
         main_kind=workload.main_kind,
         rows_per_op=workload.rows_per_op,
     )
     failed = sum(1 for op in ops if not op.ok)
+    factor = ctx.host.factor()
     details = {
         "ops": op_counts(ops),
+        "main_op_s": [op.seconds for op in ops if op.kind == workload.main_kind],
         "load_wall_s": wall,
         "checks": checks,
         "carried": [name for name in declared if name not in workload.native],
         "errors": sorted({op.error for op in ops if op.error})[:5],
+        "host_speed": {"factor": factor, "width": ctx.host.width, "samples": ctx.host.samples},
+        "raw_metrics": values,
     }
     result = result_line(
-        declared, values, correct=failed == 0, attempted=len(ops), failed=failed
+        declared,
+        at_reference_speed(values, declared, factor),
+        correct=failed == 0,
+        attempted=len(ops),
+        failed=failed,
     )
     return result, details
 
@@ -120,12 +139,14 @@ def main(argv: list[str] | None = None) -> int:
             out=out,
         )
         workload = WORKLOADS[args.workload](ctx)
+        ctx.host = HostSpeed(workload.cores)
         try:
             env = environment(ctx, workload.load_shape)
             runner = run_trace if args.trace else run_load
             result, details = runner(workload, ctx, declared)
         finally:
             workload.close()
+            ctx.host.close()
             shutil.rmtree(work, ignore_errors=True)
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,17 +3,20 @@
 Usage, from the repository root::
 
     python3 perfbench/steady.py                      # 2 sets x 10 runs, every workload
-    python3 perfbench/steady.py --workloads stream-census --runs 5 --sets 1
+    python3 perfbench/steady.py --workloads serve-mixed --runs 5
 
-Each run is ``perfbench/run.py`` with its own seed.  For every workload and
-end-to-end metric this prints each set's median and quartile spread (the
-distance between the first and third quartile of
-``statistics.quantiles(values, n=4)``, as a share of the median) and whether
-the sets agree within the metric's bound from ``BENCHMARK.json``:
+Each run is ``perfbench/run.py`` with its own seed, at the declared
+``run_seconds``.  The two sets alternate seed by seed (set 1, set 2, set 1,
+...), so a host that speeds up or slows down during the check moves both
+sets alike.  For every workload and end-to-end metric this prints each
+set's median and quartile spread (the distance between the first and third
+quartile of ``statistics.quantiles(values, n=4)``, as a share of the
+median) and whether the sets agree within the metric's bound from
+``BENCHMARK.json``:
 
 * ``spread``: every set's spread is within the bound (``setup_s`` exempt);
-* ``medians``: the second set's median is not worse than the first's by
-  more than the bound;
+* ``medians``: the two sets' medians differ by at most the bound, as a
+  share of the first, in either direction;
 * ``target``: every spread is below a third of the bound (the margin the
   benchmark is tuned to).
 
@@ -37,10 +40,19 @@ def spread(values: list[float]) -> float:
     return (q3 - q1) / statistics.median(values)
 
 
-def worse_by(first: float, second: float, better: str) -> float:
-    """How much worse ``second`` is than ``first``, as a share of ``first``."""
-    change = (second - first) / first
-    return change if better == "lower" else -change
+def disagreement(first: float, second: float) -> float:
+    """How far ``second`` lies from ``first``, either way, as a share of ``first``."""
+    return abs(second - first) / first
+
+
+def verdicts(name: str, bound: float, sets: list[list[float]]) -> dict[str, bool]:
+    """The checks of one metric over its two sets of values (see above)."""
+    spreads = [spread(values) for values in sets]
+    return {
+        "spread": name == "setup_s" or all(s <= bound for s in spreads),
+        "medians": disagreement(*(statistics.median(values) for values in sets)) <= bound,
+        "target": all(s < bound / 3 for s in spreads),
+    }
 
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
@@ -65,9 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+", default=names, choices=names)
     parser.add_argument("--runs", type=int, default=10, help="runs per set (distinct seeds)")
-    parser.add_argument("--sets", type=int, default=2)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=declaration["run_seconds"])
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2 (quartiles need two values)")
@@ -76,43 +86,28 @@ def main(argv: list[str] | None = None) -> int:
     raw: dict[str, list[list[dict]]] = {}
     ok = True
     for workload in args.workloads:
-        raw[workload] = []
-        for s in range(args.sets):
-            runs = []
-            for r in range(args.runs):
+        raw[workload] = [[], []]
+        for r in range(args.runs):
+            for s, runs in enumerate(raw[workload]):
                 seed = args.first_seed + s * args.runs + r
-                result = run_once(workload, seed, args.seconds)
+                result = run_once(workload, seed, declaration["run_seconds"])
                 runs.append(result)
                 status = "ok" if result["correct"] and result["failed"] == 0 else "FAILED"
                 print(f"{workload} set {s + 1} seed {seed}: {status} in {result['run_s']:.1f}s", flush=True)
                 ok &= status == "ok"
-            raw[workload].append(runs)
 
     header = f"{'workload':<14} {'metric':<14} {'bound':>5}  " + "  ".join(
-        f"{'median' + str(s + 1):>12} {'spread' + str(s + 1):>8}" for s in range(args.sets)
+        f"{'median' + str(s):>12} {'spread' + str(s):>8}" for s in (1, 2)
     ) + "  verdict"
     print(header)
     for workload, sets in raw.items():
         for name, meta in metrics.items():
             bound = meta["bound"]
-            columns = []
-            medians = []
-            spreads = []
-            for runs in sets:
-                values = [run["metrics"][name]["value"] for run in runs]
-                medians.append(statistics.median(values))
-                spreads.append(spread(values))
-                columns.append(f"{medians[-1]:>12.6g} {spreads[-1]:>8.3f}")
-            spread_ok = name == "setup_s" or all(s <= bound for s in spreads)
-            medians_ok = all(
-                worse_by(medians[0], m, meta["better"]) <= bound for m in medians[1:]
-            )
-            target = all(s < bound / 3 for s in spreads)
-            verdict = ",".join(
-                f"{label}={'ok' if good else 'NO'}"
-                for label, good in (("spread", spread_ok), ("medians", medians_ok), ("target", target))
-            )
-            ok &= spread_ok and medians_ok
+            values = [[run["metrics"][name]["value"] for run in runs] for runs in sets]
+            columns = [f"{statistics.median(v):>12.6g} {spread(v):>8.3f}" for v in values]
+            checks = verdicts(name, bound, values)
+            verdict = ",".join(f"{label}={'ok' if good else 'NO'}" for label, good in checks.items())
+            ok &= checks["spread"] and checks["medians"]
             print(f"{workload:<14} {name:<14} {bound:>5}  " + "  ".join(columns) + f"  {verdict}")
     out = Path(".perfbench") / f"steady-{int(time.time())}.json"
     out.parent.mkdir(exist_ok=True)

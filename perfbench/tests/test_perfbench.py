@@ -9,6 +9,7 @@ program under test.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import shutil
 import statistics
 import subprocess
@@ -25,7 +26,7 @@ import harness  # noqa: E402
 import steady  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 from workloads.delta import copied_rows  # noqa: E402
-from workloads.serve import BLOCK, op_sequence  # noqa: E402
+from workloads.serve import BLOCK, MIN_AUDITS, op_sequence  # noqa: E402
 
 DECLARATION = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -128,16 +129,73 @@ def test_tail_percentile_needs_ten_samples_beyond_it() -> None:
 
 def test_end_to_end_carries_kinds_the_workload_does_not_run() -> None:
     ops = [harness.Op("audit", 0.001 * (i + 1)) for i in range(5)] + [harness.Op("publish", 0.2)]
-    metrics = harness.end_to_end(ops=ops, wall=1.0, setup_s=1.0, main_kind="publish", rows_per_op=10)
+    metrics = harness.end_to_end(
+        ops=ops, wall=1.0, setup_s=1.0, rss_mb=1.0, main_kind="publish", rows_per_op=10
+    )
     assert metrics["audit_p50_s"] == pytest.approx(0.003)
     assert metrics["append_p50_s"] == metrics["csv_p50_s"] == pytest.approx(0.2)
     assert metrics["rows_per_s"] == pytest.approx(50.0)
 
 
+def test_times_and_rates_are_reported_at_the_reference_host_speed() -> None:
+    units = {"setup_s": "s", "rows_per_s": "1/s", "peak_rss_mb": "MB"}
+    values = {"setup_s": 2.0, "rows_per_s": 100.0, "peak_rss_mb": 300.0}
+    # A host twice as slow as the reference: times halve, rates double.
+    scaled = harness.at_reference_speed(values, units, 0.5)
+    assert scaled == {"setup_s": 1.0, "rows_per_s": 200.0, "peak_rss_mb": 300.0}
+    host = harness.HostSpeed()
+    host.samples = [2 * harness.REFERENCE_CALIBRATION_S] * 3
+    assert host.factor() == pytest.approx(0.5)
+
+
+def test_a_wide_host_speed_sample_runs_on_every_core_then_stops() -> None:
+    host = harness.HostSpeed(width=2)
+    try:
+        assert host.sample() > 0
+        assert len(multiprocessing.active_children()) == 1
+    finally:
+        host.close()
+    assert multiprocessing.active_children() == []
+    host.close()  # idempotent
+
+
+def test_untraced_runs_record_their_host_speed(tiny_runs) -> None:
+    for workload in WORKLOADS:
+        details, result = tiny_runs[workload, 0]
+        factor = details["host_speed"]["factor"]
+        assert details["host_speed"]["width"] == WORKLOADS[workload].cores
+        assert len(details["host_speed"]["samples"]) > harness.BURST and factor > 0
+        raw = details["raw_metrics"]["setup_s"]
+        assert result["metrics"]["setup_s"]["value"] == pytest.approx(raw * factor)
+
+
+def test_block_median_averages_the_medians_of_blocks() -> None:
+    ops = [harness.Op("publish", s) for s in (1.0, 2.0, 9.0)]
+    assert harness.block_median(ops) == pytest.approx(2.0)
+    ops += [harness.Op("publish", s, block=1) for s in (4.0, 5.0, 6.0)]
+    assert harness.block_median(ops) == pytest.approx(3.5)
+    ops.append(harness.Op("publish", 0.0, block=2))
+    assert harness.block_median(ops) == pytest.approx((3 * 2.0 + 3 * 5.0 + 0.0) / 7)
+
+
 def test_serve_run_collects_enough_audits_for_its_p90(tiny_runs) -> None:
     details, _ = tiny_runs["serve-mixed", 0]
-    assert details["ops"]["audit"]["attempted"] >= 100
+    assert MIN_AUDITS == 10 * harness.TAIL_SAMPLES
+    assert details["ops"]["audit"]["attempted"] >= MIN_AUDITS
     assert details["checks"]["audit_p90_s"] > details["checks"]["audit_hit_p50_s"]
+
+
+def test_medians_come_from_enough_ops(tiny_runs) -> None:
+    for workload, cls in WORKLOADS.items():
+        details, _ = tiny_runs[workload, 0]
+        assert details["ops"][cls.main_kind]["attempted"] >= harness.MEDIAN_SAMPLES, workload
+
+
+def test_serve_peak_rss_includes_the_server(tiny_runs) -> None:
+    details, result = tiny_runs["serve-mixed", 0]
+    server = details["checks"]["server_peak_rss_mb"]
+    assert server > 0
+    assert result["metrics"]["peak_rss_mb"]["value"] >= server
 
 
 # ---------------------------------------------------------------------- #
@@ -188,5 +246,17 @@ def test_spread_is_the_quartile_distance_over_the_median() -> None:
     values = [1.0, 1.1, 0.9, 1.2, 1.05, 0.95, 1.0, 1.02, 0.98, 1.01]
     q1, _, q3 = statistics.quantiles(values, n=4)
     assert steady.spread(values) == pytest.approx((q3 - q1) / statistics.median(values))
-    assert steady.worse_by(1.0, 1.2, "lower") == pytest.approx(0.2)
-    assert steady.worse_by(1.0, 1.2, "higher") == pytest.approx(-0.2)
+    assert steady.disagreement(1.0, 1.2) == pytest.approx(0.2)
+    assert steady.disagreement(1.0, 0.8) == pytest.approx(0.2)
+
+
+def test_sets_must_agree_in_either_direction() -> None:
+    first = [1.0, 1.1, 0.9, 1.2, 1.05, 0.95, 1.0, 1.02, 0.98, 1.01]
+    assert steady.verdicts("publish_p50_s", 0.25, [first, first])["medians"]
+    for factor in (0.5, 2.0):  # set 2 twice as fast, then twice as slow
+        second = [v * factor for v in first]
+        checks = steady.verdicts("publish_p50_s", 0.25, [first, second])
+        assert checks["spread"] and not checks["medians"]
+    wide = [1.0, 2.0, 0.5, 1.5, 1.0, 0.7, 1.2, 1.8, 0.6, 1.1]
+    assert not steady.verdicts("publish_p50_s", 0.25, [wide, wide])["spread"]
+    assert steady.verdicts("setup_s", 0.25, [wide, wide])["spread"]

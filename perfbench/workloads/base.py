@@ -25,6 +25,8 @@ class Workload:
     layers: ClassVar[tuple[str, ...]]
     #: Layer span name -> the end-to-end metric it moves.
     maps_to: ClassVar[dict[str, str]]
+    #: Cores the timed op keeps busy: the width of its host-speed samples.
+    cores: ClassVar[int] = 1
 
     def __init__(self, ctx: Context) -> None:
         self.ctx = ctx
@@ -48,7 +50,7 @@ class Workload:
         raise NotImplementedError
 
     def load(self) -> tuple[list[Op], float]:
-        return closed_loop(self.ctx.seconds, self.step)
+        return closed_loop(self.ctx.seconds, self.step, self.ctx.host)
 
     def check(self, ops: list[Op]) -> dict[str, Any]:
         """Verify outputs outside the timed region; fail the ops that miss."""

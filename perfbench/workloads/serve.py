@@ -22,6 +22,9 @@ requests, and each latency depended on which other request it overlapped;
 audit, publish and append medians then moved by more than the bounds
 between runs.  Client and server share one core because a ping-pong between
 two cores ran in a fast or a slow mode, 25% apart, depending on placement.
+Each core of this kind of host also drifts in speed on its own, over
+seconds, so the pair moves to the next core every block of ops: a run
+samples every core alike.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from harness import DATASET_SEED, BenchError, Op, TracedOp, median, op_seed, tail_percentile
+from harness import DATASET_SEED, TAIL_SAMPLES, BenchError, Op, TracedOp, median, op_seed, tail_percentile
 from workloads.base import Workload
 from workloads.delta import copied_rows
 
@@ -50,6 +53,8 @@ from workloads.delta import copied_rows
 BLOCK = (("audit", 120), ("register", 1), ("publish", 6), ("csv", 6), ("append", 3))
 GRID = tuple((lam, delta) for lam in (0.1, 0.2, 0.3, 0.4) for delta in (0.1, 0.2, 0.3, 0.4))
 SERVER_WORKERS = 2
+#: Audits the load needs before it may stop: its p90 needs TAIL_SAMPLES beyond it.
+MIN_AUDITS = TAIL_SAMPLES * 10
 SENSITIVE = "Income"
 DATASET = "adult"
 LIVING = "living"
@@ -75,6 +80,19 @@ def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return int(sock.getsockname()[1])
+
+
+def server_peak_mb(pid: int) -> float | None:
+    """The server's own peak resident set (``VmHWM``), while it still runs."""
+    try:
+        with open(f"/proc/{pid}/status") as handle:
+            status = handle.read()
+    except OSError:
+        return None
+    for line in status.splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0
+    return None
 
 
 class Client:
@@ -142,6 +160,7 @@ class ServeMixed(Workload):
         self.log: Any = None
         self.jobs: dict[str, int] = {}
         self.latest_job = ""
+        self.server_peak_mb: float | None = None
 
     @property
     def load_shape(self) -> dict[str, int]:
@@ -173,10 +192,8 @@ class ServeMixed(Workload):
             stdout=subprocess.DEVNULL,
             stderr=self.log,
         )
-        # Client and server share one core (see the module docstring).
-        core = {min(os.sched_getaffinity(0))}
-        os.sched_setaffinity(self.proc.pid, core)
-        os.sched_setaffinity(0, core)
+        self.cores = sorted(os.sched_getaffinity(0))
+        self.pin(0)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             if self.proc.poll() is not None:
@@ -188,9 +205,21 @@ class ServeMixed(Workload):
                 time.sleep(0.05)
         raise BenchError("repro-serve did not start within 60 s")
 
+    def pin(self, block: int) -> None:
+        """Put client and every server thread on the block's core (see above)."""
+        core = {self.cores[block % len(self.cores)]}
+        assert self.proc is not None
+        for tid in os.listdir(f"/proc/{self.proc.pid}/task"):
+            try:
+                os.sched_setaffinity(int(tid), core)
+            except ProcessLookupError:
+                pass  # a thread that just ended
+        os.sched_setaffinity(0, core)
+
     def close(self) -> None:
         proc, self.proc = self.proc, None
         if proc is not None and proc.poll() is None:
+            self.server_peak_mb = server_peak_mb(proc.pid)
             proc.send_signal(signal.SIGINT)
             try:
                 proc.wait(timeout=30)
@@ -277,22 +306,29 @@ class ServeMixed(Workload):
         ops: list[Op] = []
         audits = 0
         client = Client(self.port)
+        block = sum(count for _, count in BLOCK)
+        calibrating = 0.0
         start = time.perf_counter()
         try:
-            for kind, arg in op_sequence(self.ctx.seed_for("ops"), 1 << 16):
+            for index, (kind, arg) in enumerate(op_sequence(self.ctx.seed_for("ops"), 1 << 16)):
+                if index % block == 0:
+                    self.pin(index // block)
+                    calibrating += self.ctx.host.sample()
                 # Past the deadline the client still finishes its first block
                 # (every op kind once) and its minimum number of audits.
                 if (
                     time.perf_counter() - start >= self.ctx.seconds
-                    and len(ops) >= sum(count for _, count in BLOCK)
-                    and audits >= self.scale.min_audits
+                    and len(ops) >= block
+                    and audits >= MIN_AUDITS
                 ):
                     break
-                ops.append(self.run_op(client, kind, arg))
+                op = self.run_op(client, kind, arg)
+                op.block = index // block
+                ops.append(op)
                 audits += kind == "audit"
         finally:
             client.close()
-        return ops, time.perf_counter() - start
+        return ops, time.perf_counter() - start - calibrating
 
     def reference_audits(self) -> list[bytes]:
         """Uncached recompute of every grid point on an in-process service."""
@@ -346,6 +382,7 @@ class ServeMixed(Workload):
             "audit_mismatches": mismatched,
             "csv_checked": csv_checked,
             "csv_mismatches": csv_mismatched,
+            "server_peak_rss_mb": self.server_peak_mb,
         }
 
     # -- traced run --------------------------------------------------------- #

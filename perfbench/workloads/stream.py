@@ -21,6 +21,7 @@ WORKERS = 2
 class StreamCensus(Workload):
     name = "stream-census"
     main_kind = "publish"
+    cores = WORKERS
     native = ("setup_s", "peak_rss_mb", "rows_per_s", "ops_per_s")
     layers = (
         "stream.read_s",
