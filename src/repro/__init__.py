@@ -33,9 +33,10 @@ algorithm, together with every substrate the evaluation depends on:
   byte-identical to a full re-publish of the combined data;
 * durable pluggable storage (:mod:`repro.store`) behind the service and
   delta layers: a transactional, optimistically-versioned connector
-  contract with SQLite (durable default), in-memory and legacy
-  JSON-snapshot backends — every mutation commits write-through, so
-  ``kill -9`` loses nothing and a restart resumes where the process died.
+  contract with SQLite (durable default) and in-memory backends (legacy
+  JSON snapshots migrate to SQLite on open) — every mutation commits
+  write-through, so ``kill -9`` loses nothing and a restart resumes where
+  the process died.
 
 Quickstart::
 
@@ -47,7 +48,6 @@ Quickstart::
 """
 
 from repro.core.criterion import PrivacySpec, max_group_size, value_is_private, group_is_private
-from repro.core.publisher import PublishResult, ReconstructionPrivacyPublisher
 from repro.core.sps import SPSResult, sps_publish
 from repro.core.testing import PrivacyAudit, audit_table
 from repro.dataset.adult import generate_adult
@@ -81,15 +81,13 @@ from repro.delta import (
 from repro.queries.workload import WorkloadConfig, generate_workload
 from repro.queries.count_query import CountQuery, answer_on_perturbed, answer_on_raw
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "PrivacySpec",
     "max_group_size",
     "value_is_private",
     "group_is_private",
-    "PublishResult",
-    "ReconstructionPrivacyPublisher",
     "SPSResult",
     "sps_publish",
     "PrivacyAudit",

@@ -9,9 +9,10 @@
 * :mod:`repro.core.testing` — data-set level auditing: which personal groups
   violate the criterion, and the violation rates ``v_g`` / ``v_r``;
 * :mod:`repro.core.sps` — the Sampling-Perturbing-Scaling enforcement
-  algorithm of Section 5;
-* :mod:`repro.core.publisher` — the end-to-end publishing pipeline
-  (generalise NA values, audit, enforce, publish).
+  algorithm of Section 5.
+
+The end-to-end workflow (generalise NA values, audit, enforce, publish) is
+:func:`repro.publish` with ``strategy="generalize+sps"``.
 """
 
 from repro.core.bounds import (
@@ -31,7 +32,6 @@ from repro.core.criterion import (
 )
 from repro.core.testing import GroupAudit, PrivacyAudit, audit_table
 from repro.core.sps import SPSResult, sps_group, sps_publish
-from repro.core.publisher import PublishResult, ReconstructionPrivacyPublisher
 
 __all__ = [
     "chernoff_lower_bound",
@@ -51,6 +51,4 @@ __all__ = [
     "SPSResult",
     "sps_group",
     "sps_publish",
-    "PublishResult",
-    "ReconstructionPrivacyPublisher",
 ]

@@ -55,7 +55,7 @@ RAW_TIMER_CALLS = frozenset({
 #: sanctioned import-time side effect: populating a process-local registry
 #: with objects the module itself defines).
 SANCTIONED_IMPORT_CALLS = frozenset({
-    "register_strategy", "register_rule", "register_backend",
+    "register_strategy", "register_rule",
     "register_scenario", "_register",
 })
 

@@ -134,7 +134,7 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     Fork keeps worker start-up in the low milliseconds — no re-import of
     numpy per job — and makes strategies registered at runtime visible to
     workers even before pickling.  But forking a *multithreaded* process
-    (e.g. a publish request handled inside the ``ThreadingHTTPServer``) can
+    (e.g. a publish request handled on a serving worker thread) can
     deadlock the child on a lock some other thread held at fork time, so
     with threads active we switch to ``forkserver`` (children fork from a
     clean single-threaded server process; slower first start, never

@@ -2,9 +2,9 @@
 
 One composable pipeline (prepare → generalize → audit → enforce → report)
 behind one registry of named strategies, shared by the library
-(:func:`repro.publish`), the service backends, the CLI/HTTP front ends and
-the experiment harness.  Registering a :class:`PublishStrategy` once makes it
-available everywhere.
+(:func:`repro.publish`), the service (whose ``backend`` request field names a
+strategy), the CLI/HTTP front ends and the experiment harness.  Registering a
+:class:`PublishStrategy` once makes it available everywhere.
 """
 
 from repro.pipeline.execution import (

@@ -11,10 +11,11 @@ holds because
 3. chunk outputs are concatenated in chunk order, whatever order the chunks
    were actually processed in.
 
-The library runs chunks inline through :func:`run_chunks_serial`; the service
-substitutes the shared scheduler's runner (:func:`repro.service.parallel.run_chunked`)
-through the same :data:`ChunkRunner` signature, which is why the library and
-the service produce byte-identical output for the same seed.
+The library runs chunks inline through :func:`run_chunks_serial`;
+``PublishPipeline.with_workers`` (which the service uses) substitutes the
+shared scheduler's :func:`repro.parallel.run_chunks` through the same
+:data:`ChunkRunner` signature, which is why the library and the service
+produce byte-identical output for the same seed.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """The unified result of one publishing run.
 
-:class:`PublishReport` subsumes the legacy ``PublishResult`` (library) and
-``BackendResult`` (service) bundles: whichever entry point ran the pipeline,
-the caller gets the published table together with the audit, the per-group
-SPS bookkeeping, the generalisation decisions, per-stage wall-clock timings
-and the strategy's own metadata.
+Whichever entry point ran the pipeline — the library or the service — the
+caller gets one :class:`PublishReport`: the published table together with
+the audit, the per-group SPS bookkeeping, the generalisation decisions,
+per-stage wall-clock timings and the strategy's own metadata.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A :class:`PublishStrategy` is the unit of extension of the publishing stack:
 declare a name, typed parameter specs and an ``enforce`` step, register one
 instance, and the strategy becomes available to the library
-(:func:`repro.publish`), the service backends, the CLI and the HTTP API —
+(:func:`repro.publish`), the service, the CLI and the HTTP API —
 without touching any of them.
 
 Built-in strategies

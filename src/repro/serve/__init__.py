@@ -1,8 +1,8 @@
-"""repro.serve — the high-concurrency serving front end.
+"""repro.serve — the anonymization service's HTTP front end.
 
-Wraps the anonymization service's routing table
-(:class:`~repro.serve.router.ServiceRouter`, shared with the stdlib
-threading server) in an asyncio front end with three scale controls:
+Wraps the service's routing table
+(:class:`~repro.serve.router.ServiceRouter`) in an asyncio front end with
+three scale controls:
 
 - :class:`~repro.serve.queue.BoundedDispatcher` — a fixed worker pool fed
   by a bounded queue; overload answers ``429`` + ``Retry-After`` instead
@@ -15,7 +15,8 @@ threading server) in an asyncio front end with three scale controls:
   ``repro_serve_queue_depth``, ``repro_serve_cache_hits_total``) exported
   by the ``/metrics`` endpoint it serves.
 
-Run it with ``repro-serve`` or embed :class:`ServingFrontend` directly;
+Run it with ``repro-serve`` (or ``repro-service serve``) or embed
+:class:`ServingFrontend` directly;
 ``repro-bench run --suite serve`` measures it under concurrent load.
 """
 

@@ -1,10 +1,12 @@
-"""``repro-serve``: run the asyncio serving front end from the shell.
+"""``repro-serve``: run the service's HTTP front end from the shell.
 
-The scale-out counterpart of ``repro-service serve``: the same API and
-state files, plus the bounded job queue, worker pool and persisted
-response cache of :class:`~repro.serve.frontend.ServingFrontend`::
+Starts :class:`~repro.serve.frontend.ServingFrontend` — asyncio
+connections, a bounded job queue and worker pool, and a persisted response
+cache — over the service state in ``--store``::
 
     repro-serve --store state.db --port 8080 --workers 8 --queue-limit 128
+
+``repro-service serve`` runs the same front end through :func:`serve`.
 
 Human-facing output (the listen banner, errors) goes to stderr through
 stdlib logging; ``--verbose``/``--quiet`` set the level.
@@ -53,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "state file: SQLite store (durable default) or legacy *.json "
-            "snapshot; datasets, jobs and cached responses persist write-through"
+            "SQLite state file (a legacy JSON snapshot migrates in place); "
+            "datasets, jobs and cached responses persist write-through"
         ),
     )
     parser.add_argument(
@@ -86,22 +88,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    configure_cli_logging(verbose=args.verbose, quiet=args.quiet)
+def serve(
+    store: str | None,
+    host: str = "127.0.0.1",
+    port: int = 8080,
+    *,
+    workers: int = DEFAULT_WORKERS,
+    queue_limit: int = DEFAULT_QUEUE_LIMIT,
+    retry_after: int = DEFAULT_RETRY_AFTER,
+    enable_cache: bool = True,
+) -> int:
+    """Serve the service state in ``store`` until interrupted; returns an exit code.
+
+    Every mutation is persisted write-through as it happens, so shutdown
+    only closes the store.
+    """
     try:
-        service = AnonymizationService(snapshot_path=args.store)
+        service = AnonymizationService(snapshot_path=store)
     except ServiceError as exc:
         _log.error("error: %s", exc)
         return 2
     frontend = ServingFrontend(
         service,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        retry_after=args.retry_after,
-        enable_cache=not args.no_cache,
+        host=host,
+        port=port,
+        workers=workers,
+        queue_limit=queue_limit,
+        retry_after=retry_after,
+        enable_cache=enable_cache,
     )
     try:
         frontend.serve_forever()
@@ -109,14 +123,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         _log.error("error: %s", exc)
         return 2
     finally:
-        if service.snapshot_path is not None:
-            # Every mutation was persisted write-through as it happened; this
-            # is a final checkpoint (a flush for the JSON backend, a no-op
-            # for SQLite) before the store closes.
-            path = service.save()
-            _log.info("state saved to %s", path)
         service.close()
     return 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    configure_cli_logging(verbose=args.verbose, quiet=args.quiet)
+    return serve(
+        args.store,
+        args.host,
+        args.port,
+        workers=args.workers,
+        queue_limit=args.queue_limit,
+        retry_after=args.retry_after,
+        enable_cache=not args.no_cache,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,8 @@
 """The asyncio serving front end: bounded concurrency over the service API.
 
-:class:`ServingFrontend` serves the same routing table as the stdlib
-threading front end (:mod:`repro.service.http_api`) — both delegate to
-:class:`repro.serve.router.ServiceRouter` — but with the scale controls the
-threading server lacks:
+:class:`ServingFrontend` is the service's one HTTP front end (``repro-serve``
+and ``repro-service serve`` both run it).  It delegates routing to
+:class:`repro.serve.router.ServiceRouter` and adds the scale controls:
 
 - **Connection handling is asyncio.**  One event loop owns every socket,
   so ten thousand idle keep-alive connections cost file descriptors, not
@@ -44,7 +43,7 @@ from repro.serve.queue import (
     BoundedDispatcher,
     QueueFullError,
 )
-from repro.serve.router import JSON_TYPE, RouteResult, ServiceRouter
+from repro.serve.router import JSON_TYPE, RouteResult, ServiceRouter, error_result
 from repro.service.engine import AnonymizationService
 
 _log = logging.getLogger("repro.serve")
@@ -57,6 +56,10 @@ _BYPASS_PATHS = {"/health", "/healthz", "/metrics"}
 _ENDPOINT_LABELS = {
     "health", "healthz", "metrics", "stats", "datasets", "jobs", "publish", "audit",
 }
+
+
+class _BadRequest(Exception):
+    """Malformed request framing: answered ``400``, then the connection closes."""
 
 
 def _endpoint_label(target: str) -> str:
@@ -219,19 +222,17 @@ class ServingFrontend:
                     )
                 except (asyncio.TimeoutError, asyncio.IncompleteReadError):
                     break
+                except _BadRequest as exc:
+                    self._write_result(writer, error_result(str(exc), 400), keep_alive=False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, version, headers, body = request
                 if method in ("GET", "POST"):
                     result = await self._respond(method, target, body)
                 else:
-                    result = RouteResult(
-                        status=405,
-                        body=json.dumps(
-                            {"error": f"method {method} not allowed"}
-                        ).encode("utf-8"),
-                        close=True,
-                    )
+                    result = error_result(f"method {method} not allowed", 405)
                 keep_alive = (
                     version != "HTTP/1.0"
                     and headers.get("connection", "").lower() != "close"
@@ -268,7 +269,10 @@ class ServingFrontend:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BadRequest(f"invalid Content-Length {declared!r}")
+        length = int(declared)
         body = await reader.readexactly(length) if length > 0 else b""
         return method, target, version, headers, body
 
@@ -315,7 +319,8 @@ class ServingFrontend:
         writer: asyncio.StreamWriter, result: RouteResult, keep_alive: bool
     ) -> None:
         reason = {200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 429: "Too Many Requests"}.get(
+                  405: "Method Not Allowed", 429: "Too Many Requests",
+                  500: "Internal Server Error"}.get(
             result.status, "Response"
         )
         lines = [

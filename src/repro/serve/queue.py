@@ -5,8 +5,7 @@ worker threads fed by a bounded :class:`queue.Queue`.  When the queue is
 full, :meth:`submit` raises :class:`QueueFullError` *immediately* instead
 of blocking — the front end turns that into ``429 Too Many Requests`` with
 a ``Retry-After`` header, so overload sheds load at the door rather than
-piling up threads (the failure mode of the unbounded
-``ThreadingHTTPServer`` front end).
+piling up one thread per request.
 
 Two gauges/counters feed the ``/metrics`` endpoint:
 ``repro_serve_queue_depth`` tracks requests waiting for a worker and

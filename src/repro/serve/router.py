@@ -1,12 +1,10 @@
 """Transport-agnostic routing for the anonymization service's HTTP API.
 
-:class:`ServiceRouter` is the single routing table behind *both* front ends:
-the stdlib ``ThreadingHTTPServer`` handler
-(:mod:`repro.service.http_api`) and the asyncio serving front end
-(:mod:`repro.serve.frontend`).  A request comes in as
+:class:`ServiceRouter` is the routing table behind the asyncio serving
+front end (:mod:`repro.serve.frontend`).  A request comes in as
 ``(method, target, body)`` and goes out as a :class:`RouteResult` — status,
 rendered body bytes, content type, extra headers and a connection-close
-flag — so the transports only move bytes.
+flag — so the transport only moves bytes.
 
 The router is also where the serving layer's
 :class:`~repro.serve.cache.ResponseCache` plugs in.  Two read endpoints are
@@ -37,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any
@@ -46,9 +45,11 @@ from repro import __version__
 from repro.obs.environment import record_build_info
 from repro.obs.export import render_prometheus
 from repro.service.engine import AnonymizationService
-from repro.service.parallel import DEFAULT_CHUNK_SIZE
+from repro.pipeline.execution import DEFAULT_CHUNK_SIZE
 from repro.service.registry import NotFoundError, ServiceError
 from repro.serve.cache import CachedResponse, ResponseCache
+
+_log = logging.getLogger("repro.serve")
 
 JSON_TYPE = "application/json"
 CSV_TYPE = "text/csv"
@@ -129,7 +130,7 @@ def _json_result(
     )
 
 
-def _error_result(message: str, status: int) -> RouteResult:
+def error_result(message: str, status: int) -> RouteResult:
     # An error can fire before the request body was consumed (e.g. a CSV
     # upload rejected on its query parameters); a reused keep-alive
     # connection would then parse the leftover body as the next request
@@ -168,9 +169,9 @@ class ServiceRouter:
         """Route one request; every outcome (including errors) is a result.
 
         ``body`` is a binary stream holding the request body;
-        ``content_length`` bounds how much of it belongs to this request
-        (the threading front end hands the socket file straight in, so CSV
-        uploads stream instead of buffering).  A front end that already ran
+        ``content_length`` bounds how much of it belongs to this request.
+        A handler failure outside the client-error classes is logged with
+        its traceback and answered ``500``.  A front end that already ran
         :meth:`probe` passes ``read_cache=False`` so the miss it counted is
         not counted twice; cache *fills* still happen.
         """
@@ -180,13 +181,16 @@ class ServiceRouter:
         try:
             result = self._route(method, parts, query, body, content_length, read_cache)
         except NotFoundError as exc:
-            return _error_result(str(exc), 404)
+            return error_result(str(exc), 404)
         except ServiceError as exc:
-            return _error_result(str(exc), 400)
+            return error_result(str(exc), 400)
         except ValueError as exc:
-            return _error_result(str(exc), 400)
+            return error_result(str(exc), 400)
+        except Exception:
+            _log.exception("unhandled error serving %s %s", method, url.path)
+            return error_result("internal server error", 500)
         if result is None:
-            return _error_result(f"no route for {method} {url.path}", 404)
+            return error_result(f"no route for {method} {url.path}", 404)
         return result
 
     def probe(self, method: str, target: str, body: bytes = b"") -> RouteResult | None:

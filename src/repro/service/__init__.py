@@ -3,32 +3,21 @@
 The service layer turns the one-shot publishing API into a long-lived
 register-once/publish-many system:
 
-* :mod:`repro.service.backends` — thin :class:`StrategyBackend` adapters
-  exposing every :mod:`repro.pipeline` strategy (``sps``, ``uniform``,
-  ``dp-laplace``, ``dp-gaussian``, ``generalize+sps``, and any strategy
-  registered later) behind the service's name-based registry;
 * :mod:`repro.service.registry` — the dataset registry (with cached
-  personal-group indexes) and the job store, with JSON snapshot persistence;
-* :mod:`repro.service.parallel` — deterministic chunked fan-out over
-  ``concurrent.futures`` (same seed ⇒ identical output at any worker count);
+  personal-group indexes) and the job store, persisted write-through over
+  a :mod:`repro.store` connector;
 * :mod:`repro.service.engine` — :class:`AnonymizationService`, the facade
-  executing publish/audit jobs;
-* :mod:`repro.service.http_api` — the stdlib ``ThreadingHTTPServer`` JSON
-  API;
+  executing publish/audit jobs.  A request's ``backend`` names any
+  registered :mod:`repro.pipeline` strategy (``sps``, ``uniform``,
+  ``dp-laplace``, ``dp-gaussian``, ``generalize+sps``, and any strategy
+  registered later), and every job runs under one lifecycle;
 * :mod:`repro.service.cli` — ``python -m repro.service`` / ``repro-service``.
+
+The HTTP front end is :mod:`repro.serve` (``repro-serve``, or
+``repro-service serve``).
 """
 
-from repro.service.backends import (
-    AnonymizerBackend,
-    BackendResult,
-    StrategyBackend,
-    available_backends,
-    backend_descriptions,
-    get_backend,
-    register_backend,
-)
-from repro.service.engine import AnonymizationService
-from repro.service.http_api import make_server, serve
+from repro.service.engine import AnonymizationService, backend_defaults
 from repro.service.models import AuditSummary, JobRecord, JobSpec, JobTimings
 from repro.service.registry import (
     DatasetEntry,
@@ -40,9 +29,7 @@ from repro.service.registry import (
 
 __all__ = [
     "AnonymizationService",
-    "AnonymizerBackend",
     "AuditSummary",
-    "BackendResult",
     "DatasetEntry",
     "DatasetRegistry",
     "JobRecord",
@@ -51,11 +38,5 @@ __all__ = [
     "JobTimings",
     "NotFoundError",
     "ServiceError",
-    "StrategyBackend",
-    "available_backends",
-    "backend_descriptions",
-    "get_backend",
-    "make_server",
-    "register_backend",
-    "serve",
+    "backend_defaults",
 ]

@@ -1,8 +1,8 @@
 """Command-line front end: the same verbs as the HTTP API.
 
 State persists between invocations through ``--store PATH`` — a durable
-SQLite store by default, or the legacy JSON snapshot for ``*.json`` paths
-(see ``docs/storage.md``) — so a shell session can register once and publish
+SQLite store; a legacy JSON snapshot there migrates in place (see
+``docs/storage.md``) — so a shell session can register once and publish
 many times, mirroring the service's register-once/publish-many lifecycle
 without a running server::
 
@@ -12,10 +12,11 @@ without a running server::
     repro-service audit --dataset demo --store state.db
     repro-service serve --store state.db --port 8080
 
-Human-facing output (errors, the serve banner) goes to stderr through stdlib
-logging — ``--verbose``/``--quiet`` set the level — while command results
-stay JSON-on-stdout.  ``publish --trace PATH`` records the job's span tree
-as a JSONL trace.
+``serve`` runs the same HTTP front end as ``repro-serve``
+(:func:`repro.serve.cli.serve`).  Human-facing output (errors, the serve
+banner) goes to stderr through stdlib logging — ``--verbose``/``--quiet``
+set the level — while command results stay JSON-on-stdout.
+``publish --trace PATH`` records the job's span tree as a JSONL trace.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from typing import Any
 from repro import __version__
 from repro.dataset.loaders import write_csv
 from repro.obs import Tracer, configure_cli_logging, export
-from repro.service.backends import backend_descriptions
-from repro.service.engine import AnonymizationService
-from repro.service.http_api import serve
-from repro.service.parallel import DEFAULT_CHUNK_SIZE
+from repro.pipeline.execution import DEFAULT_CHUNK_SIZE
+from repro.serve.cli import serve
+from repro.service.engine import AnonymizationService, backend_defaults
 from repro.service.registry import ServiceError
 
 _log = logging.getLogger("repro.service")
@@ -63,8 +63,8 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         default=None,
         help=(
-            "state file: SQLite store (durable default) or legacy *.json "
-            "snapshot; every mutation persists write-through"
+            "SQLite state file (a legacy JSON snapshot migrates in place); "
+            "every mutation persists write-through"
         ),
     )
 
@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080)
-    p_serve.add_argument("--quiet", action="store_true", help="suppress request logging")
 
     p_register = sub.add_parser("register", help="register a dataset")
     _add_store(p_register)
@@ -173,15 +172,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "backends":
-        _emit(backend_descriptions())
+        _emit(backend_defaults())
         return 0
+    if args.command == "serve":
+        return serve(args.store, args.host, args.port)
 
     service = AnonymizationService(snapshot_path=args.store)
-
-    if args.command == "serve":
-        serve(service, host=args.host, port=args.port, verbose=not args.quiet)
-        return 0
-
     try:
         return _run_command(service, args)
     finally:
@@ -204,28 +200,20 @@ def _run_command(service: AnonymizationService, args: argparse.Namespace) -> int
                 seed=args.seed,
                 replace=args.replace,
             )
-        if args.store:
-            service.save()
         _emit(entry.to_json())
         return 0
 
     if args.command == "publish":
         tracer = Tracer() if args.trace else None
-        try:
-            with tracer if tracer is not None else contextlib.nullcontext():
-                record = service.publish(
-                    dataset=args.dataset,
-                    backend=args.backend,
-                    params=_collect_params(args),
-                    seed=args.seed,
-                    chunk_size=args.chunk_size,
-                    max_workers=args.workers,
-                )
-        except ServiceError:
-            # Persist the failed job record too, so `jobs --store` shows it.
-            if args.store:
-                service.save()
-            raise
+        with tracer if tracer is not None else contextlib.nullcontext():
+            record = service.publish(
+                dataset=args.dataset,
+                backend=args.backend,
+                params=_collect_params(args),
+                seed=args.seed,
+                chunk_size=args.chunk_size,
+                max_workers=args.workers,
+            )
         if tracer is not None:
             export.write_trace(tracer, args.trace)
             _log.info(
@@ -233,8 +221,6 @@ def _run_command(service: AnonymizationService, args: argparse.Namespace) -> int
             )
         if args.output:
             write_csv(record.published, args.output)
-        if args.store:
-            service.save()
         _emit(record.to_json())
         return 0
 

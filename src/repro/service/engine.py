@@ -2,9 +2,15 @@
 
 :class:`AnonymizationService` is the facade shared by the HTTP front end and
 the CLI: it owns the dataset registry, job store and delta registry, executes
-publish jobs through the named backend (fanning group work out over the
-shared process-pool scheduler of :mod:`repro.parallel` with per-chunk seeded
+publish jobs through the :mod:`repro.pipeline` strategy named by the
+request's ``backend`` field (fanning group work out over the shared
+process-pool scheduler of :mod:`repro.parallel` with per-chunk seeded
 streams), and runs audits against the cached group indexes.
+
+Every job kind — in-memory, stream, delta base and delta append — runs
+under one lifecycle (:meth:`AnonymizationService._job`): the record is
+stored ``running`` first, progress is written through, and any failure
+leaves exactly one ``failed`` record.
 
 All state persists write-through over one
 :class:`~repro.store.base.StorageConnector` (:mod:`repro.store`): dataset
@@ -19,8 +25,9 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from pathlib import Path
-from collections.abc import Mapping
 from typing import IO, TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,15 +36,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro import __version__
 from repro.core.criterion import PrivacySpec
 from repro.core.testing import audit_table
-from repro.delta.state import DeltaState, DeltaStateStore
+from repro.delta.state import DeltaStateStore
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
 from repro.dataset.loaders import read_csv
 from repro.dataset.table import Table
+from repro.generalization.chi_square import DEFAULT_SIGNIFICANCE
 from repro.pipeline import strategy_descriptions
-from repro.service.backends import available_backends, backend_descriptions, get_backend
+from repro.pipeline.execution import DEFAULT_CHUNK_SIZE
+from repro.pipeline.pipeline import PublishPipeline
+from repro.pipeline.strategy import (
+    PublishStrategy,
+    UnknownStrategyError,
+    available_strategies,
+    get_strategy,
+)
 from repro.service.models import AuditSummary, JobRecord, JobSpec, JobTimings
-from repro.service.parallel import DEFAULT_CHUNK_SIZE
 from repro.service.registry import (
     DatasetEntry,
     DatasetRegistry,
@@ -45,13 +59,7 @@ from repro.service.registry import (
     NotFoundError,
     ServiceError,
 )
-from repro.store import (
-    JsonSnapshotConnector,
-    StorageConnector,
-    VersionConflictError,
-    copy_store,
-    open_store,
-)
+from repro.store import StorageConnector, VersionConflictError, copy_store, open_store
 
 _SYNTHETIC_GENERATORS = {
     "adult": generate_adult,
@@ -77,17 +85,121 @@ def _mark_event(
         events.append(event)
 
 
+def _strategy(backend: str) -> PublishStrategy:
+    """The registered strategy a request's ``backend`` field names."""
+    try:
+        return get_strategy(backend)
+    except UnknownStrategyError as exc:
+        raise ServiceError(f"unknown backend {backend!r}: {exc}") from None
+
+
+def backend_defaults() -> dict[str, dict[str, Any]]:
+    """Backend (strategy) name → its default parameters, for ``/stats`` and the CLI."""
+    return {
+        name: {param.name: param.default for param in get_strategy(name).params}
+        for name in available_strategies()
+    }
+
+
+def _checked(spec: JobSpec) -> JobSpec:
+    """Reject non-positive job sizes before any record exists."""
+    for name, value in (
+        ("chunk_size", spec.chunk_size),
+        ("chunk_rows", spec.chunk_rows),
+        ("workers", spec.max_workers),
+    ):
+        if value is not None and value <= 0:
+            raise ServiceError(f"{name} must be positive")
+    return spec
+
+
+def _chunk_rows(spec: JobSpec) -> dict[str, int]:
+    """The ``chunk_rows`` keyword for the stream engines, when the job set one."""
+    return {} if spec.chunk_rows is None else {"chunk_rows": spec.chunk_rows}
+
+
+def _report_metadata(report: Any, **fields: Any) -> dict[str, Any]:
+    """Job metadata from a pipeline or stream report."""
+    metadata = {"params": dict(report.params), **fields, **report.metadata}
+    if report.groups:
+        metadata.update(
+            n_groups=len(report.groups),
+            n_sampled_groups=report.n_sampled_groups,
+            sampled_fraction=report.sampled_fraction,
+        )
+    return metadata
+
+
+class _JobRun:
+    """One executing job's record (see :meth:`AnonymizationService._job`)."""
+
+    def __init__(self, jobs: JobStore, spec: JobSpec) -> None:
+        self._jobs = jobs
+        self.record = JobRecord(job_id=jobs.new_job_id(), spec=spec, status="running")
+        self.start = time.perf_counter()
+        _mark_event(self.record.events, "started", self.start, backend=spec.backend)
+        jobs.add(self.record)
+
+    def progress(self, event: Mapping[str, Any]) -> None:
+        """Engine progress callback: record the phase and write it through."""
+        self.record.progress = dict(event)
+        data = dict(event)
+        phase = str(data.pop("phase", "progress"))
+        _mark_event(self.record.events, phase, self.start, **data)
+        # Write-through: a concurrent GET /jobs/<id> served by another
+        # process sharing the store sees live progress, and a crash leaves
+        # the record honest up to the last chunk boundary.
+        self._jobs.update(self.record)
+
+    def complete(
+        self,
+        published_records: int,
+        *,
+        index_seconds: float = 0.0,
+        index_cached: bool = False,
+    ) -> JobRecord:
+        """Mark the record ``completed`` and store it (tracking its table)."""
+        record = self.record
+        total = time.perf_counter() - self.start
+        _mark_event(
+            record.events, "completed", self.start, published_records=published_records
+        )
+        record.status = "completed"
+        record.published_records = published_records
+        record.timings = JobTimings(
+            group_index_seconds=index_seconds,
+            publish_seconds=total - index_seconds,
+            total_seconds=total,
+            group_index_cached=index_cached,
+        )
+        self._jobs.add(record)
+        return record
+
+    def fail(self, exc: BaseException) -> None:
+        """Mark the record ``failed`` with the error and store it."""
+        record = self.record
+        total = time.perf_counter() - self.start
+        record.status = "failed"
+        record.error = str(exc) or type(exc).__name__
+        _mark_event(record.events, "failed", self.start, error=record.error)
+        record.timings = JobTimings(
+            group_index_seconds=0.0,
+            publish_seconds=total,
+            total_seconds=total,
+            group_index_cached=False,
+        )
+        self._jobs.add(record)
+
+
 class AnonymizationService:
     """Registry + engine + job history behind one object.
 
     Parameters
     ----------
     snapshot_path:
-        Optional store path.  ``*.json`` paths use the legacy JSON-snapshot
-        backend (loaded at start, rewritten on every commit); any other path
-        gets the durable SQLite backend; a legacy JSON file handed to a
-        non-JSON path migrates in place on first open.  ``None`` keeps all
-        state in memory.
+        Optional store path, opened as a durable SQLite store; a legacy
+        JSON snapshot found there migrates to SQLite in place on first open.
+        ``None`` keeps all state in memory.
     store:
         An already-constructed connector; overrides ``snapshot_path``-based
         backend resolution (used by tests and embedders).
@@ -198,6 +310,25 @@ class AnonymizationService:
     # ------------------------------------------------------------------ #
     # Jobs
     # ------------------------------------------------------------------ #
+    @contextmanager
+    def _job(self, spec: JobSpec) -> Iterator[_JobRun]:
+        """Run one job under the single lifecycle policy.
+
+        The record is stored as ``running`` before execution and progress is
+        written through, so a concurrent reader (or a crash) always sees an
+        honest record.  Any exception marks it ``failed`` and stores it;
+        client-level errors (``ValueError``, ``OSError``, a version conflict)
+        re-raise as :class:`ServiceError`, everything else unchanged.
+        """
+        job = _JobRun(self.jobs, spec)
+        try:
+            yield job
+        except BaseException as exc:
+            job.fail(exc)
+            if isinstance(exc, (ValueError, OSError, VersionConflictError)):
+                raise ServiceError(f"job {job.record.job_id} failed: {exc}") from exc
+            raise
+
     def publish(
         self,
         dataset: str,
@@ -209,60 +340,47 @@ class AnonymizationService:
     ) -> JobRecord:
         """Execute one publish job and record it in the job store.
 
-        The job is synchronous: the record returned is already completed (or
-        failed, with ``status == "failed"`` and the error message recorded).
+        ``backend`` names a registered :mod:`repro.pipeline` strategy, looked
+        up on every call so a replaced or unregistered strategy takes effect
+        immediately.  The pipeline reuses the dataset's cached group index
+        (and, for generalizing strategies, its cached generalisation) and
+        fans the enforce stage out over ``max_workers``; for a fixed
+        ``(seed, chunk_size)`` the bytes equal :func:`repro.publish`'s.  The
+        job is synchronous: the record returned is already completed.
         """
-        spec = JobSpec(
+        spec = _checked(JobSpec(
             dataset=dataset,
             backend=backend,
             params=dict(params or {}),
             seed=int(seed),
             chunk_size=int(chunk_size),
             max_workers=int(max_workers),
-        )
-        if spec.chunk_size <= 0:
-            raise ServiceError("chunk_size must be positive")
-        if spec.max_workers <= 0:
-            raise ServiceError("max_workers must be positive")
+        ))
         entry = self.datasets.get(dataset)
-        backend_impl = get_backend(backend)
-        record = JobRecord(job_id=self.jobs.new_job_id(), spec=spec, status="running")
-        start = time.perf_counter()
-        _mark_event(record.events, "started", start, backend=spec.backend)
-        try:
-            result = backend_impl.publish(
-                entry, spec.params, spec.seed, spec.chunk_size, spec.max_workers
+        strategy = _strategy(backend)
+        with self._job(spec) as job:
+            resolved = strategy.resolve(spec.params)
+            pipeline = (
+                PublishPipeline(strategy, **resolved)
+                .with_rng(spec.seed)
+                .with_chunk_size(spec.chunk_size)
+                .with_workers(spec.max_workers)
             )
-        except ValueError as exc:
-            total = time.perf_counter() - start
-            record.status = "failed"
-            record.error = str(exc)
-            _mark_event(record.events, "failed", start, error=str(exc))
-            record.timings = JobTimings(
-                group_index_seconds=0.0,
-                publish_seconds=total,
-                total_seconds=total,
-                group_index_cached=False,
+            if strategy.generalizes:
+                generalization, index, index_seconds, cached = entry.generalized(
+                    resolved.get("significance", DEFAULT_SIGNIFICANCE)
+                )
+                pipeline.with_generalization(generalization)
+            else:
+                index, index_seconds, cached = entry.groups()
+            report = pipeline.with_groups(index).run(entry.table)
+            record = job.record
+            record.published = report.published
+            record.metadata = _report_metadata(report)
+            record.audit = AuditSummary.from_audit(report.audit) if report.audit else None
+            return job.complete(
+                len(report.published), index_seconds=index_seconds, index_cached=cached
             )
-            self.jobs.add(record)
-            raise ServiceError(f"job {record.job_id} failed: {exc}") from exc
-        total = time.perf_counter() - start
-        _mark_event(
-            record.events, "completed", start, published_records=len(result.published)
-        )
-        record.status = "completed"
-        record.published = result.published
-        record.published_records = len(result.published)
-        record.metadata = dict(result.metadata)
-        record.audit = AuditSummary.from_audit(result.audit) if result.audit else None
-        record.timings = JobTimings(
-            group_index_seconds=result.group_index_seconds,
-            publish_seconds=total - result.group_index_seconds,
-            total_seconds=total,
-            group_index_cached=result.group_index_cached,
-        )
-        self.jobs.add(record)
-        return record
 
     def publish_stream(
         self,
@@ -281,23 +399,19 @@ class AnonymizationService:
         Unlike :meth:`publish`, the source is never registered as a dataset
         and never fully loaded: the job streams it through
         :func:`repro.stream.stream_publish` in bounded-memory chunks of
-        ``chunk_rows`` records.  The job record is added to the store *before*
-        execution with ``status == "running"`` and its ``progress`` field is
-        updated as chunks flow, so concurrent ``GET /jobs/<id>`` requests (and
-        snapshots) see rows-read / records-published counters mid-flight.
+        ``chunk_rows`` records, and its record's ``progress`` field is
+        updated as chunks flow, so concurrent ``GET /jobs/<id>`` requests
+        see rows-read / records-published counters mid-flight.
 
         When ``output`` is given the published rows stream to that CSV and
         the record holds no table; without it the published table stays in
         memory like a regular job's.  For a fixed ``(seed, chunk_size)`` the
-        published bytes equal the in-memory backend's — at any ``workers``
-        count (the enforce stage fans out over the shared process-pool
-        scheduler; the spec records it as ``max_workers``).
+        published bytes equal the in-memory path's — at any ``workers``
+        count (the spec records it as ``max_workers``).
         """
-        from repro.pipeline.params import ParamError
-        from repro.pipeline.strategy import UnknownStrategyError, get_strategy
         from repro.stream.engine import stream_publish
 
-        spec = JobSpec(
+        spec = _checked(JobSpec(
             dataset=str(source),
             backend=backend,
             params=dict(params or {}),
@@ -309,13 +423,7 @@ class AnonymizationService:
             sensitive=str(sensitive),
             chunk_rows=int(chunk_rows) if chunk_rows is not None else None,
             output=str(output) if output is not None else None,
-        )
-        if spec.chunk_size <= 0:
-            raise ServiceError("chunk_size must be positive")
-        if spec.chunk_rows is not None and spec.chunk_rows <= 0:
-            raise ServiceError("chunk_rows must be positive")
-        if spec.max_workers <= 0:
-            raise ServiceError("workers must be positive")
+        ))
         # Engine/job options are top-level fields; a params key with one of
         # their names would silently bind (or collide with) a stream_publish
         # keyword instead of reaching the strategy's typed validation.
@@ -330,29 +438,8 @@ class AnonymizationService:
                 f"{collisions} are stream-job options, not strategy parameters; "
                 "pass them as top-level request fields"
             )
-        try:
-            strategy = get_strategy(backend)
-        except UnknownStrategyError as exc:
-            raise ServiceError(str(exc)) from None
-        record = JobRecord(job_id=self.jobs.new_job_id(), spec=spec, status="running")
-        self.jobs.add(record)
-        start = time.perf_counter()
-        _mark_event(record.events, "started", start, backend=spec.backend)
-
-        def on_progress(event: Mapping[str, Any]) -> None:
-            record.progress = dict(event)
-            data = dict(event)
-            phase = str(data.pop("phase", "progress"))
-            _mark_event(record.events, phase, start, **data)
-            # Write-through: a concurrent GET /jobs/<id> served by another
-            # process sharing the store sees live progress, and a crash
-            # leaves the record honest up to the last chunk boundary.
-            self.jobs.update(record)
-
-        extra: dict[str, Any] = {}
-        if spec.chunk_rows is not None:
-            extra["chunk_rows"] = spec.chunk_rows
-        try:
+        strategy = _strategy(backend)
+        with self._job(spec) as job:
             report = stream_publish(
                 source,
                 sensitive=sensitive,
@@ -364,61 +451,24 @@ class AnonymizationService:
                 # mode "x": never clobber an existing server-side file, even
                 # when two concurrent jobs race to the same output path.
                 overwrite=False,
-                progress=on_progress,
-                **extra,
+                progress=job.progress,
+                **_chunk_rows(spec),
                 **spec.params,
             )
-        except BaseException as exc:
-            # The record was added as "running" before execution; whatever
-            # went wrong (client error, MemoryError, interrupt), never leave
-            # it in that state — the store and its snapshots must stay
-            # truthful.
-            total = time.perf_counter() - start
-            record.status = "failed"
-            record.error = str(exc) or type(exc).__name__
-            _mark_event(record.events, "failed", start, error=record.error)
-            record.timings = JobTimings(
-                group_index_seconds=0.0,
-                publish_seconds=total,
-                total_seconds=total,
-                group_index_cached=False,
+            record = job.record
+            record.published = report.published
+            record.metadata = _report_metadata(
+                report,
+                rows_read=report.n_rows,
+                chunks_read=report.n_chunks,
+                chunk_rows=report.chunk_rows,
+                output=report.output,
             )
-            if isinstance(exc, (ValueError, ParamError, OSError)):
-                raise ServiceError(f"job {record.job_id} failed: {exc}") from exc
-            raise
-        total = time.perf_counter() - start
-        _mark_event(
-            record.events, "completed", start,
-            published_records=report.published_records,
-        )
-        record.status = "completed"
-        record.published = report.published
-        record.published_records = report.published_records
-        record.metadata = {
-            "params": dict(report.params),
-            "rows_read": report.n_rows,
-            "chunks_read": report.n_chunks,
-            "chunk_rows": report.chunk_rows,
-            "output": report.output,
-            **report.metadata,
-        }
-        if report.groups:
-            record.metadata.update(
-                n_groups=len(report.groups),
-                n_sampled_groups=report.n_sampled_groups,
-                sampled_fraction=report.sampled_fraction,
+            record.audit = AuditSummary.from_audit(report.audit) if report.audit else None
+            return job.complete(
+                report.published_records,
+                index_seconds=report.timings.get("group_index", 0.0),
             )
-        record.audit = AuditSummary.from_audit(report.audit) if report.audit else None
-        index_seconds = report.timings.get("group_index", 0.0)
-        record.timings = JobTimings(
-            group_index_seconds=index_seconds,
-            publish_seconds=total - index_seconds,
-            total_seconds=total,
-            group_index_cached=False,
-        )
-        # Re-add so the store tracks (and caps) the resident published table.
-        self.jobs.add(record)
-        return record
 
     def publish_delta_base(
         self,
@@ -444,43 +494,9 @@ class AnonymizationService:
         :class:`~repro.service.registry.ServiceError` for strategies that
         declare no delta support (``delta_capable = False``).
         """
-        with self._delta_lock(name):
-            return self._publish_delta_base(
-                name,
-                source,
-                sensitive,
-                backend,
-                output,
-                params=params,
-                seed=seed,
-                chunk_size=chunk_size,
-                chunk_rows=chunk_rows,
-                workers=workers,
-                replace=replace,
-            )
-
-    def _publish_delta_base(
-        self,
-        name: str,
-        source: str | Path,
-        sensitive: str,
-        backend: str,
-        output: str | Path,
-        params: Mapping[str, Any] | None,
-        seed: int,
-        chunk_size: int,
-        chunk_rows: int | None,
-        workers: int,
-        replace: bool,
-    ) -> JobRecord:
         from repro.delta.engine import publish_base
 
-        state_version = self.deltas.version(name)
-        if not replace and state_version:
-            raise ServiceError(
-                f"delta dataset {name!r} already exists; pass replace=true to overwrite"
-            )
-        spec = JobSpec(
+        spec = _checked(JobSpec(
             dataset=name,
             backend=backend,
             params=dict(params or {}),
@@ -493,103 +509,34 @@ class AnonymizationService:
             chunk_rows=int(chunk_rows) if chunk_rows is not None else None,
             output=str(output),
             rows_appended=0,
-        )
-        if spec.chunk_size <= 0:
-            raise ServiceError("chunk_size must be positive")
-        if spec.chunk_rows is not None and spec.chunk_rows <= 0:
-            raise ServiceError("chunk_rows must be positive")
-        if spec.max_workers <= 0:
-            raise ServiceError("workers must be positive")
-        record = JobRecord(job_id=self.jobs.new_job_id(), spec=spec, status="running")
-        self.jobs.add(record)
-        start = time.perf_counter()
-        _mark_event(record.events, "started", start, backend=spec.backend)
-
-        def on_progress(event: Mapping[str, Any]) -> None:
-            record.progress = dict(event)
-            data = dict(event)
-            phase = str(data.pop("phase", "progress"))
-            _mark_event(record.events, phase, start, **data)
-            # Write-through: a concurrent GET /jobs/<id> served by another
-            # process sharing the store sees live progress, and a crash
-            # leaves the record honest up to the last chunk boundary.
-            self.jobs.update(record)
-
-        extra: dict[str, Any] = {}
-        if spec.chunk_rows is not None:
-            extra["chunk_rows"] = spec.chunk_rows
-        try:
-            report = publish_base(
-                source,
-                sensitive=str(sensitive),
-                output=output,
-                strategy=backend,
-                rng=spec.seed,
-                chunk_size=spec.chunk_size,
-                workers=spec.max_workers,
-                # Never clobber an existing server-side file: the splice path
-                # later rewrites `output` in place, but the *base* publish
-                # must not truncate an arbitrary path a client named.
-                overwrite=False,
-                progress=on_progress,
-                **extra,
-                **spec.params,
-            )
-        except BaseException as exc:
-            total = time.perf_counter() - start
-            record.status = "failed"
-            record.error = str(exc) or type(exc).__name__
-            _mark_event(record.events, "failed", start, error=record.error)
-            record.timings = JobTimings(
-                group_index_seconds=0.0,
-                publish_seconds=total,
-                total_seconds=total,
-                group_index_cached=False,
-            )
-            if isinstance(exc, (ValueError, OSError)):
-                raise ServiceError(f"job {record.job_id} failed: {exc}") from exc
-            raise
-        assert report.state is not None
-        # Persist the state *before* the record claims completion: a crash
-        # between the two leaves an appendable dataset and an honest
-        # "running"→"interrupted" record, never the reverse.
-        self._advance_delta_state(name, report.state, state_version, record, start)
-        self._finish_delta_job(record, report, start)
+        ))
+        with self._delta_lock(name):
+            state_version = self.deltas.version(name)
+            if not replace and state_version:
+                raise ServiceError(
+                    f"delta dataset {name!r} already exists; pass replace=true to overwrite"
+                )
+            with self._job(spec) as job:
+                report = publish_base(
+                    source,
+                    sensitive=str(sensitive),
+                    output=output,
+                    strategy=backend,
+                    rng=spec.seed,
+                    chunk_size=spec.chunk_size,
+                    workers=spec.max_workers,
+                    # Never clobber an existing server-side file: the splice
+                    # path later rewrites `output` in place, but the *base*
+                    # publish must not truncate an arbitrary path a client
+                    # named.
+                    overwrite=False,
+                    progress=job.progress,
+                    **_chunk_rows(spec),
+                    **spec.params,
+                )
+                record = self._finish_delta_job(job, name, report, state_version)
         self._notify_dataset_changed(name)
         return record
-
-    def _advance_delta_state(
-        self,
-        name: str,
-        state: DeltaState,
-        expected_version: int,
-        record: JobRecord,
-        start: float,
-    ) -> None:
-        """Persist a delta state at the version the job read, or fail the job.
-
-        A conflict means another writer (through a shared store) advanced the
-        dataset while this job ran; applying our state would silently drop
-        their group counts, so the job fails with a typed error instead.
-        """
-        try:
-            self.deltas.put(name, state, expected_version=expected_version)
-        except VersionConflictError as exc:
-            total = time.perf_counter() - start
-            record.status = "failed"
-            record.error = str(exc)
-            _mark_event(record.events, "failed", start, error=record.error)
-            record.timings = JobTimings(
-                group_index_seconds=0.0,
-                publish_seconds=total,
-                total_seconds=total,
-                group_index_cached=False,
-            )
-            self.jobs.add(record)
-            raise ServiceError(
-                f"job {record.job_id} failed: delta dataset {name!r} was modified "
-                f"concurrently ({exc}); re-read and retry the operation"
-            ) from exc
 
     def append_rows(
         self,
@@ -609,104 +556,67 @@ class AnonymizationService:
         splice → done``), and the delta registry advances to the successor
         state — at the store version this job read, so a concurrent append
         through a shared store fails typed instead of losing updates — only
-        when the job completes.
+        when the job completes.  On failure the published file and the
+        stored state are both untouched (the splice writes a temp file), so
+        the dataset stays appendable.
         """
-        with self._delta_lock(name):
-            return self._append_rows(name, rows=rows, source=source, workers=workers)
-
-    def _append_rows(
-        self,
-        name: str,
-        rows: list[list[str]] | None,
-        source: str | Path | None,
-        workers: int,
-    ) -> JobRecord:
         from repro.delta.engine import delta_publish
 
-        found = self.deltas.entry(name)
-        if found is None:
-            raise NotFoundError(
-                f"no delta dataset named {name!r}; create one with a "
-                "delta base publish first"
-            )
-        state, state_version = found
-        if (rows is None) == (source is None):
-            raise ServiceError("pass exactly one of rows= or source=")
-        if workers <= 0:
-            raise ServiceError("workers must be positive")
-        spec = JobSpec(
-            dataset=name,
-            backend=state.strategy,
-            params=dict(state.params),
-            seed=state.seed,
-            chunk_size=state.chunk_size,
-            max_workers=int(workers),
-            delta=True,
-            source=str(source) if source is not None else "<rows>",
-            sensitive=state.sensitive,
-            chunk_rows=state.chunk_rows,
-            output=state.output,
-            rows_appended=len(rows) if rows is not None else None,
-        )
-        record = JobRecord(job_id=self.jobs.new_job_id(), spec=spec, status="running")
-        self.jobs.add(record)
-        start = time.perf_counter()
-        _mark_event(record.events, "started", start, backend=spec.backend)
-
-        def on_progress(event: Mapping[str, Any]) -> None:
-            record.progress = dict(event)
-            data = dict(event)
-            phase = str(data.pop("phase", "progress"))
-            _mark_event(record.events, phase, start, **data)
-            # Write-through: a concurrent GET /jobs/<id> served by another
-            # process sharing the store sees live progress, and a crash
-            # leaves the record honest up to the last chunk boundary.
-            self.jobs.update(record)
-
-        try:
-            report = delta_publish(
-                state,
-                rows if rows is not None else source,
-                workers=int(workers),
-                progress=on_progress,
-            )
-        except BaseException as exc:
-            total = time.perf_counter() - start
-            record.status = "failed"
-            record.error = str(exc) or type(exc).__name__
-            _mark_event(record.events, "failed", start, error=record.error)
-            record.timings = JobTimings(
-                group_index_seconds=0.0,
-                publish_seconds=total,
-                total_seconds=total,
-                group_index_cached=False,
-            )
-            # The published file and the stored state are both untouched on
-            # failure (the splice writes a temp file), so the dataset stays
-            # appendable.
-            if isinstance(exc, (ValueError, OSError)):
-                raise ServiceError(f"job {record.job_id} failed: {exc}") from exc
-            raise
-        assert report.state is not None
-        self._advance_delta_state(name, report.state, state_version, record, start)
-        self._finish_delta_job(record, report, start)
+        with self._delta_lock(name):
+            found = self.deltas.entry(name)
+            if found is None:
+                raise NotFoundError(
+                    f"no delta dataset named {name!r}; create one with a "
+                    "delta base publish first"
+                )
+            state, state_version = found
+            if (rows is None) == (source is None):
+                raise ServiceError("pass exactly one of rows= or source=")
+            spec = _checked(JobSpec(
+                dataset=name,
+                backend=state.strategy,
+                params=dict(state.params),
+                seed=state.seed,
+                chunk_size=state.chunk_size,
+                max_workers=int(workers),
+                delta=True,
+                source=str(source) if source is not None else "<rows>",
+                sensitive=state.sensitive,
+                chunk_rows=state.chunk_rows,
+                output=state.output,
+                rows_appended=len(rows) if rows is not None else None,
+            ))
+            with self._job(spec) as job:
+                report = delta_publish(
+                    state,
+                    rows if rows is not None else source,
+                    workers=spec.max_workers,
+                    progress=job.progress,
+                )
+                record = self._finish_delta_job(job, name, report, state_version)
         self._notify_dataset_changed(name)
         return record
 
-    def _finish_delta_job(self, record: JobRecord, report: Any, start: float) -> None:
-        """Complete a delta job record from the engine's report."""
-        total = time.perf_counter() - start
+    def _finish_delta_job(
+        self, job: _JobRun, name: str, report: Any, state_version: int
+    ) -> JobRecord:
+        """Advance the delta state, then complete the job from the report.
+
+        The state is persisted at the version the job read *before* the
+        record claims completion: a crash between the two leaves an
+        appendable dataset and an honest "running"→"interrupted" record,
+        never the reverse.  A version conflict means another writer (through
+        a shared store) advanced the dataset while this job ran; applying
+        our state would drop their group counts, so the job fails instead.
+        """
+        assert report.state is not None
+        self.deltas.put(name, report.state, expected_version=state_version)
+        record = job.record
         if record.spec.rows_appended is None:
             # A source-path append only knows its row count after the read.
             record.spec = dataclasses.replace(
                 record.spec, rows_appended=report.rows_appended
             )
-        _mark_event(
-            record.events, "completed", start,
-            published_records=report.published_records,
-        )
-        record.status = "completed"
-        record.published_records = report.published_records
         record.metadata = {
             "mode": report.mode,
             "params": dict(report.params),
@@ -720,13 +630,10 @@ class AnonymizationService:
             "output": report.output,
         }
         record.audit = AuditSummary.from_audit(report.audit) if report.audit else None
-        record.timings = JobTimings(
-            group_index_seconds=report.timings.get("group_index", 0.0),
-            publish_seconds=total - report.timings.get("group_index", 0.0),
-            total_seconds=total,
-            group_index_cached=False,
+        return job.complete(
+            report.published_records,
+            index_seconds=report.timings.get("group_index", 0.0),
         )
-        self.jobs.add(record)
 
     def job(self, job_id: str) -> JobRecord:
         """Look one job record up by id."""
@@ -819,7 +726,7 @@ class AnonymizationService:
                 "backend": self._store.backend,
                 "location": self._store.location,
             },
-            "backends": backend_descriptions(),
+            "backends": backend_defaults(),
             "strategies": strategy_descriptions(),
         }
         if self._response_cache is not None:
@@ -834,7 +741,7 @@ class AnonymizationService:
         return {
             "datasets": [entry.to_json() for entry in self.datasets.entries()],
             "jobs": [record.to_json() for record in self.jobs.records()],
-            "backends": available_backends(),
+            "backends": available_strategies(),
         }
 
     # ------------------------------------------------------------------ #
@@ -843,19 +750,15 @@ class AnonymizationService:
     def save(self, path: str | Path | None = None) -> Path:
         """Ensure all state is on disk at ``path``; returns the path written.
 
-        With no ``path``, the configured store path is used: the JSON
-        backend flushes its snapshot, the SQLite backend is already durable
-        (every mutation committed write-through), so this is a checkpoint
-        no-op.  An explicit *different* ``path`` exports a full copy of the
-        store there — documents, versions and counters — with the backend
-        chosen from the path exactly as at construction.
+        With no ``path``, the configured store path is used; every mutation
+        was already committed write-through, so this is a no-op.  An
+        explicit *different* ``path`` exports a full copy of the store there
+        — documents, versions and counters — as a SQLite store.
         """
         target = Path(path) if path else self._snapshot_path
         if target is None:
             raise ServiceError("no snapshot path configured")
-        if self._snapshot_path is not None and target == self._snapshot_path:
-            if isinstance(self._store, JsonSnapshotConnector):
-                self._store.flush()
+        if target == self._snapshot_path:
             return target
         exported = open_store(target)
         try:

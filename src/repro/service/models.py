@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.testing import PrivacyAudit
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
-from repro.service.parallel import DEFAULT_CHUNK_SIZE
+from repro.pipeline.execution import DEFAULT_CHUNK_SIZE
 
 
 def schema_to_json(schema: Schema) -> dict[str, Any]:

@@ -19,8 +19,8 @@ sharing one SQLite store; duplicate-register races surface as
 :class:`ServiceError` via the store's optimistic versioning, never as a lost
 update.
 
-Both registries are thread-safe: the HTTP front end is a
-``ThreadingHTTPServer`` and the engine fans publish work out over threads.
+Both registries are thread-safe: the HTTP front end executes requests on a
+pool of worker threads and the engine fans publish work out over threads.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.store.base import (
     StoreError,
     VersionConflictError,
 )
-from repro.store.legacy import load_snapshot, save_snapshot  # noqa: F401  (compat re-export)
 from repro.store.memory import MemoryConnector
 
 #: Group indexes over tables larger than this are rebuilt on restart rather

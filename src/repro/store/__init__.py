@@ -3,7 +3,7 @@
 The service and delta subsystems persist through one abstract interface —
 :class:`~repro.store.base.StorageConnector`: transactional get/put/delete/
 list per namespace, optimistic versioning, and named monotonic counters.
-Three backends implement it:
+Two backends implement it:
 
 ========== ==================================================================
 ``sqlite`` :class:`~repro.store.sqlite.SqliteConnector` — the durable
@@ -12,14 +12,12 @@ Three backends implement it:
            writers (see ``docs/storage.md``).
 ``memory`` :class:`~repro.store.memory.MemoryConnector` — process-local,
            for tests and store-less services.
-``json``   :class:`~repro.store.legacy.JsonSnapshotConnector` — the legacy
-           ``--store state.json`` snapshot format, kept fully readable and
-           writable; version-1 files migrate forward on load.
 ========== ==================================================================
 
-:func:`open_store` picks the backend from the path (SQLite magic bytes, JSON
-sniffing, file suffix) and handles the one-time migration of a legacy JSON
-snapshot into a SQLite store.
+:func:`open_store` opens SQLite for any path (memory for none).  A legacy
+JSON snapshot found at the path — whatever its suffix — migrates to SQLite
+in place on first open (:mod:`repro.store.legacy` reads it; the original is
+kept as ``<name>.pre-store.json``).
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from repro.store.base import (
     VersionedValue,
     copy_store,
 )
-from repro.store.legacy import JsonSnapshotConnector, is_json_snapshot
+from repro.store.legacy import is_json_snapshot, load_snapshot_store
 from repro.store.memory import MemoryConnector
 from repro.store.sqlite import SqliteConnector, is_sqlite_file
 
@@ -50,7 +48,6 @@ __all__ = [
     "NS_DATASET_CACHES",
     "NS_DELTAS",
     "NS_JOBS",
-    "JsonSnapshotConnector",
     "MemoryConnector",
     "SqliteConnector",
     "StorageConnector",
@@ -85,8 +82,7 @@ def migrate_json_to_sqlite(
         if in_place
         else target_path
     )
-    source = JsonSnapshotConnector(source_path)
-    source.open()
+    source = load_snapshot_store(source_path)
     try:
         if build_path.exists():
             build_path.unlink()
@@ -112,45 +108,22 @@ def open_store(
 ) -> StorageConnector:
     """Open a storage connector for ``path``; returns it already opened.
 
-    Backend resolution, in order:
-
-    * ``path is None`` — a fresh in-memory store.
-    * ``backend`` given — that backend, explicitly (``"sqlite"`` on an
-      existing JSON snapshot migrates it in place first).
-    * existing file — sniffed: SQLite magic bytes → SQLite; JSON object →
-      the JSON connector for ``*.json`` paths (full backwards
-      compatibility), or a transparent in-place migration to SQLite for any
-      other suffix (a legacy snapshot handed to a database path).
-    * new file — ``*.json`` paths get the JSON snapshot backend, everything
-      else the durable SQLite default.
+    ``path is None`` (or ``backend="memory"``) gives a fresh in-memory
+    store; any path gives SQLite.  An existing file is sniffed: a SQLite
+    database opens as is, a legacy JSON snapshot migrates to SQLite in
+    place first, anything else is rejected.
     """
+    if backend not in (None, "memory", "sqlite"):
+        raise StoreError(f"unknown store backend {backend!r}; choose sqlite or memory")
+    if backend == "memory":
+        return MemoryConnector().open()
     if path is None:
-        if backend not in (None, "memory"):
+        if backend is not None:
             raise StoreError(f"backend {backend!r} requires a path")
         return MemoryConnector().open()
     target = Path(path)
-    if backend == "memory":
-        return MemoryConnector().open()
-    if backend == "json":
-        return JsonSnapshotConnector(target).open()
-    if backend == "sqlite":
-        if is_json_snapshot(target):
-            return migrate_json_to_sqlite(target)
-        return SqliteConnector(target).open()
-    if backend is not None:
-        raise StoreError(
-            f"unknown store backend {backend!r}; choose sqlite, json or memory"
-        )
-    if target.exists():
-        if is_sqlite_file(target):
-            return SqliteConnector(target).open()
-        if is_json_snapshot(target):
-            if target.suffix == ".json":
-                return JsonSnapshotConnector(target).open()
-            return migrate_json_to_sqlite(target)
-        raise StoreError(
-            f"{target} is neither a SQLite store nor a JSON snapshot"
-        )
-    if target.suffix == ".json":
-        return JsonSnapshotConnector(target).open()
+    if is_json_snapshot(target):
+        return migrate_json_to_sqlite(target)
+    if target.exists() and not is_sqlite_file(target):
+        raise StoreError(f"{target} is neither a SQLite store nor a JSON snapshot")
     return SqliteConnector(target).open()

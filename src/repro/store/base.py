@@ -192,9 +192,8 @@ class StorageConnector(abc.ABC):
     """Abstract durable key/value store with namespaces and versions.
 
     Concrete backends: :class:`~repro.store.sqlite.SqliteConnector` (the
-    durable default), :class:`~repro.store.memory.MemoryConnector` (tests,
-    store-less services) and :class:`~repro.store.legacy.JsonSnapshotConnector`
-    (the pre-store ``--store state.json`` format, kept writable).
+    durable default) and :class:`~repro.store.memory.MemoryConnector`
+    (tests, store-less services).
     """
 
     #: Short backend name used as the metrics label.

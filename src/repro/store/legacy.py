@@ -1,50 +1,26 @@
-"""Legacy JSON-snapshot adapter: reads old ``--store`` files, migrates forward.
+"""Legacy JSON snapshots: read-only, for migration to SQLite.
 
-Before :mod:`repro.store` existed, the service persisted everything as one
-JSON document (``{"version": 1, "datasets": ..., "jobs": ...,
-"next_job_id": ...}``) written by ``save_snapshot``.  This module keeps
-those files working:
-
-* :class:`JsonSnapshotConnector` is a full
-  :class:`~repro.store.base.StorageConnector` whose backing file is a JSON
-  snapshot.  Opening a **legacy** (version-1) file migrates its payload into
-  the namespaced layout in memory; every committed write transaction
-  rewrites the file atomically (tmp file + ``os.replace``) in the new
-  namespaced format, so the first mutation migrates the file forward on
-  disk too.
-* :func:`save_snapshot` / :func:`load_snapshot` are the legacy module-level
-  entry points, kept for backwards compatibility.  Nothing outside this
-  module may call them — the ``repro-lint`` contract rule **RPR008**
-  enforces that every other caller goes through a connector.
-
-Durability here is inherited from the atomic-rename pattern only: a crash
-can lose at most the *latest* uncommitted rewrite, never corrupt the file.
-For real transactional durability use the SQLite backend
-(:func:`repro.store.open_store` migrates a JSON file to it on request).
+Before SQLite became the only file store, the service persisted everything
+as one JSON document — the version-1 layout (``{"version": 1, "datasets":
+..., "jobs": ..., "next_job_id": ...}``) or the namespaced version-2 layout
+(``{"store_version": 2, "namespaces": ..., "counters": ...}``).  This module
+only reads those files: :func:`load_snapshot_store` parses one into a
+:class:`~repro.store.memory.MemoryConnector`, which
+:func:`repro.store.migrate_json_to_sqlite` then copies into a SQLite store
+with :func:`~repro.store.base.copy_store`.  Nothing writes JSON snapshots
+any more.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from pathlib import Path
-from collections.abc import Iterator
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.store.base import (
-    COUNTER_JOB_IDS,
-    NS_DATASETS,
-    NS_JOBS,
-    StorageConnector,
-    StoreError,
-    StoreTransaction,
-)
+from repro.store.base import COUNTER_JOB_IDS, NS_DATASETS, NS_JOBS, StoreError
 from repro.store.memory import MemoryConnector
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.service.registry import DatasetRegistry, JobStore
-
-#: Format version of the namespaced snapshot document this module writes.
+#: Format version of the namespaced snapshot document.
 SNAPSHOT_VERSION = 2
 
 
@@ -93,78 +69,27 @@ def parse_snapshot(
     )
 
 
-class JsonSnapshotConnector(StorageConnector):
-    """A :class:`StorageConnector` whose backing file is a JSON snapshot.
+def load_snapshot_store(path: str | Path) -> MemoryConnector:
+    """Read a JSON snapshot into a new, open in-memory connector.
 
-    State lives in an in-memory connector; every committed write
-    transaction rewrites the snapshot atomically.  Legacy version-1 files
-    load transparently and are rewritten in the namespaced layout on the
-    first mutation.
+    Documents keep their stored versions and counters their values, so a
+    :func:`~repro.store.base.copy_store` of the result is an exact
+    migration.
     """
-
-    backend = "json"
-
-    def __init__(self, path: str | Path) -> None:
-        super().__init__()
-        self._path = Path(path)
-        self._memory = MemoryConnector()
-        # The inner transactions label metrics with this adapter's backend.
-        self._memory.backend = self.backend
-
-    @property
-    def location(self) -> str:
-        """Path of the snapshot file."""
-        return str(self._path)
-
-    def _open_backend(self) -> None:
-        self._memory.open()
-        if not self._path.exists():
-            return
-        try:
-            payload = json.loads(self._path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(f"cannot read snapshot {self._path}: {exc}") from exc
-        namespaces, counters = parse_snapshot(payload)
-        with self._memory.transaction(write=True) as txn:
-            for namespace, bucket in namespaces.items():
-                for key, (version, value) in bucket.items():
-                    txn.restore(namespace, key, value, version)
-            for name, value in counters.items():
-                txn.set_counter(name, value)
-
-    def _close_backend(self) -> None:
-        self._memory.close()
-
-    @contextmanager
-    def _transact(self, write: bool) -> Iterator[StoreTransaction]:
-        # Hold the memory lock across commit *and* flush so two writers
-        # cannot interleave a stale rewrite between each other.
-        with self._memory._lock:
-            with self._memory._transact(write) as txn:
-                yield txn
-            if write:
-                self._flush()
-
-    def _flush(self) -> None:
-        payload: dict[str, Any] = {"store_version": SNAPSHOT_VERSION, "namespaces": {}}
-        data = self._memory._data
-        for namespace in sorted(data):
-            payload["namespaces"][namespace] = {
-                key: {"version": version, "value": json.loads(text)}
-                for key, (version, text) in sorted(data[namespace].items())
-            }
-        if self._memory._counters:
-            payload["counters"] = dict(sorted(self._memory._counters.items()))
-        tmp = self._path.with_suffix(self._path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        tmp.replace(self._path)
-
-    def flush(self) -> Path:
-        """Force a rewrite of the snapshot file; returns its path."""
-        self._check_open()
-        with self._memory._lock:
-            self._flush()
-        return self._path
+    target = Path(path)
+    try:
+        payload = json.loads(target.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise StoreError(f"cannot read snapshot {target}: {exc}") from exc
+    namespaces, counters = parse_snapshot(payload)
+    memory = MemoryConnector().open()
+    with memory.transaction(write=True) as txn:
+        for namespace, bucket in namespaces.items():
+            for key, (version, value) in bucket.items():
+                txn.restore(namespace, key, value, version)
+        for name, value in counters.items():
+            txn.set_counter(name, value)
+    return memory
 
 
 def is_json_snapshot(path: str | Path) -> bool:
@@ -178,52 +103,3 @@ def is_json_snapshot(path: str | Path) -> bool:
     except OSError:
         return False
     return head.startswith(b"{")
-
-
-# --------------------------------------------------------------------- #
-# Legacy module-level snapshot API (compat only; see RPR008)
-# --------------------------------------------------------------------- #
-
-def save_snapshot(
-    path: str | Path, datasets: "DatasetRegistry", jobs: "JobStore"
-) -> None:
-    """Write a snapshot of the registries (legacy entry point).
-
-    Kept for backwards compatibility with the pre-connector API; writes the
-    namespaced format.  New code opens a connector instead
-    (:func:`repro.store.open_store`) — RPR008 flags any caller outside this
-    module.
-    """
-    from repro.service.models import table_to_json
-
-    connector = JsonSnapshotConnector(path)
-    connector.open()
-    try:
-        with connector.transaction(write=True) as txn:
-            for entry in datasets.entries():
-                txn.put(NS_DATASETS, entry.name, table_to_json(entry.table))
-            for record in jobs.records():
-                txn.put(NS_JOBS, record.job_id, record.to_json())
-            txn.set_counter(COUNTER_JOB_IDS, jobs.last_job_number)
-    finally:
-        connector.close()
-
-
-def load_snapshot(path: str | Path) -> tuple["DatasetRegistry", "JobStore"]:
-    """Rebuild detached in-memory registries from a snapshot (legacy entry point).
-
-    The returned registries are backed by a private
-    :class:`~repro.store.memory.MemoryConnector` — mutations do **not**
-    rewrite the file, exactly as with the pre-connector API.
-    """
-    from repro.service.registry import DatasetRegistry, JobStore
-    from repro.store.base import copy_store
-
-    source = JsonSnapshotConnector(path)
-    source.open()
-    detached = MemoryConnector().open()
-    try:
-        copy_store(source, detached)
-    finally:
-        source.close()
-    return DatasetRegistry(store=detached), JobStore(store=detached)

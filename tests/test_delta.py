@@ -691,21 +691,12 @@ class TestServiceDelta:
 class TestServiceDeltaHttp:
     @pytest.fixture()
     def server(self, tmp_path):
-        import threading
-
+        from repro.serve import ServingFrontend
         from repro.service.engine import AnonymizationService
-        from repro.service.http_api import make_server
 
         service = AnonymizationService()
-        server = make_server(service, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield f"http://127.0.0.1:{server.server_address[1]}", tmp_path
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+        with ServingFrontend(service, port=0) as frontend:
+            yield frontend.base_url, tmp_path
 
     @staticmethod
     def _post_json(url, payload):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import publish
 from repro.analysis.utility import compare_up_and_sps
 from repro.core.criterion import PrivacySpec
-from repro.core.publisher import ReconstructionPrivacyPublisher
 from repro.core.sps import sps_publish
 from repro.core.testing import audit_table
 from repro.dataset.adult import generate_adult
@@ -24,8 +24,10 @@ class TestAdultEndToEnd:
         return generate_adult(15_000, seed=20150323)
 
     def test_full_pipeline_produces_consistent_artifacts(self, adult):
-        publisher = ReconstructionPrivacyPublisher(lam=0.3, delta=0.3, retention_probability=0.5)
-        result = publisher.publish(adult, rng=0)
+        result = publish(
+            adult, strategy="generalize+sps",
+            lam=0.3, delta=0.3, retention_probability=0.5, rng=0,
+        )
 
         # 1. Generalisation shrank the schema but kept every record.
         assert len(result.prepared) == len(adult)
@@ -48,9 +50,12 @@ class TestAdultEndToEnd:
 
     def test_aggregate_utility_survives_while_personal_risk_is_bounded(self, adult):
         """The paper's headline claim on a medium-size ADULT sample."""
-        publisher = ReconstructionPrivacyPublisher(lam=0.3, delta=0.3, retention_probability=0.5)
-        prepared, generalization = publisher.prepare(adult)
-        spec = publisher.spec_for(prepared)
+        generalization = generalize_table(adult)
+        prepared = generalization.table
+        spec = PrivacySpec(
+            lam=0.3, delta=0.3, retention_probability=0.5,
+            domain_size=prepared.schema.sensitive_domain_size,
+        )
 
         queries = generate_workload(
             adult, prepared, WorkloadConfig(n_queries=100), generalization=generalization, rng=1
@@ -64,8 +69,10 @@ class TestAdultEndToEnd:
         p_max = max_retention_for_rho_privacy(2, rho1=0.4, rho2=0.8)
         assert 0 < p_max < 1
         assert satisfies_rho_privacy(p_max, 2, 0.4, 0.8)
-        publisher = ReconstructionPrivacyPublisher(lam=0.3, delta=0.3, retention_probability=p_max)
-        result = publisher.publish(adult, rng=3)
+        result = publish(
+            adult, strategy="generalize+sps",
+            lam=0.3, delta=0.3, retention_probability=p_max, rng=3,
+        )
         assert len(result.published) > 0
 
 

@@ -8,7 +8,6 @@ exposes the same data through ``GET /metrics`` and per-job event timelines.
 
 import io
 import json
-import threading
 import urllib.request
 
 import pytest
@@ -23,8 +22,8 @@ from repro.obs.metrics import (
     ROWS_PUBLISHED,
 )
 from repro.pipeline import available_strategies, publish
+from repro.serve import ServingFrontend
 from repro.service.engine import AnonymizationService
-from repro.service.http_api import make_server
 from repro.service.models import JobRecord
 from repro.stream import stream_publish
 
@@ -238,15 +237,8 @@ def service():
 
 @pytest.fixture()
 def server_url(service):
-    server = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    with ServingFrontend(service, port=0) as frontend:
+        yield frontend.base_url
 
 
 class TestServiceObservability:

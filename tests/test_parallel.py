@@ -461,20 +461,16 @@ class TestServiceWorkers:
 
     def test_http_workers_field_both_job_modes(self, adult_csv, tmp_path):
         import json as json_module
-        import threading
         import urllib.request
 
-        from repro.service.http_api import make_server
+        from repro.serve import ServingFrontend
 
         source = tmp_path / "input.csv"
         source.write_text(adult_csv, newline="")
         service = AnonymizationService()
         service.register_synthetic("smoke", "adult", n_records=500, seed=1)
-        server = make_server(service, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base = f"http://127.0.0.1:{server.server_address[1]}"
+        with ServingFrontend(service, port=0) as frontend:
+            base = frontend.base_url
 
             def post(payload):
                 request = urllib.request.Request(
@@ -495,10 +491,6 @@ class TestServiceWorkers:
             })
             assert stream_job["status"] == "completed"
             assert stream_job["spec"]["max_workers"] == 2
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
 
 # --------------------------------------------------------------------- #

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro
 from repro.core.testing import audit_table
 from repro.dataset.groups import personal_groups
 from repro.pipeline import (
@@ -294,9 +293,6 @@ class TestCustomStrategy:
             assert job.spec.backend == "test-top-k"
         finally:
             unregister_strategy("test-top-k")
-            from repro.service import backends as backends_module
-
-            backends_module._BACKENDS.pop("test-top-k", None)
 
     def test_generalizing_strategy_without_significance_param(self, skewed_binary_table):
         """A custom generalizing strategy need not declare 'significance'."""
@@ -315,76 +311,44 @@ class TestCustomStrategy:
             assert service.publish("skewed", "test-generalizing").status == "completed"
         finally:
             unregister_strategy("test-generalizing")
-            from repro.service import backends as backends_module
-
-            backends_module._BACKENDS.pop("test-generalizing", None)
 
     def test_replaced_strategy_reaches_the_service(self, skewed_binary_table):
-        """register_strategy(replace=True) must not leave a stale service adapter."""
-        from repro.pipeline.strategy import SPSStrategy
-        from repro.service.backends import get_backend
+        """register_strategy(replace=True) takes effect on the next service job."""
+        import dataclasses
 
+        from repro.pipeline.strategy import SPSStrategy
+
+        class Marked(SPSStrategy):
+            def enforce(self, *args, **kwargs):
+                outcome = super().enforce(*args, **kwargs)
+                return dataclasses.replace(outcome, metadata={"marker": "replacement"})
+
+        service = AnonymizationService()
+        service.register_table("skewed", skewed_binary_table)
         original = get_strategy("sps")
-        assert get_backend("sps").strategy is original
-        replacement = SPSStrategy()
+        assert "marker" not in service.publish("skewed", "sps").metadata
         try:
-            register_strategy(replacement, replace=True)
-            assert get_backend("sps").strategy is replacement
+            register_strategy(Marked(), replace=True)
+            assert service.publish("skewed", "sps").metadata["marker"] == "replacement"
         finally:
             register_strategy(original, replace=True)
-            assert get_backend("sps").strategy is original
+        assert "marker" not in service.publish("skewed", "sps").metadata
 
-    def test_unregistered_strategy_disappears_from_the_service(self):
-        """unregister_strategy must also retire the cached service adapter."""
+    def test_unregistered_strategy_disappears_from_the_service(self, skewed_binary_table):
+        """unregister_strategy retires the name from the service too."""
         from repro.pipeline.strategy import SPSStrategy
-        from repro.service.backends import available_backends, get_backend
         from repro.service.registry import ServiceError
 
         class Ephemeral(SPSStrategy):
             name = "test-ephemeral"
 
+        service = AnonymizationService()
+        service.register_table("skewed", skewed_binary_table)
         register_strategy(Ephemeral())
-        assert get_backend("test-ephemeral").strategy.name == "test-ephemeral"
-        assert "test-ephemeral" in available_backends()
+        assert service.publish("skewed", "test-ephemeral").status == "completed"
+        assert "test-ephemeral" in service.describe()["backends"]
         unregister_strategy("test-ephemeral")
-        assert "test-ephemeral" not in available_backends()
+        assert "test-ephemeral" not in service.describe()["backends"]
+        assert "test-ephemeral" not in service.stats()["backends"]
         with pytest.raises(ServiceError, match="unknown backend"):
-            get_backend("test-ephemeral")
-
-
-class TestDeprecatedPublisherShim:
-    def test_constructor_warns_but_old_signature_works(self, skewed_binary_table):
-        with pytest.warns(DeprecationWarning, match="repro.publish"):
-            publisher = repro.ReconstructionPrivacyPublisher(
-                lam=0.3, delta=0.3, retention_probability=0.5
-            )
-        result = publisher.publish(skewed_binary_table, rng=0)
-        assert isinstance(result, repro.PublishResult)
-        assert result.generalization is not None
-        assert result.audit is not None
-        assert len(result.published) > 0
-        assert result.sps.spec == result.spec
-
-    def test_shim_matches_pipeline_output(self, skewed_binary_table):
-        with pytest.warns(DeprecationWarning):
-            publisher = repro.ReconstructionPrivacyPublisher(
-                lam=0.3, delta=0.3, retention_probability=0.5, generalize=False
-            )
-        old_style = publisher.publish(skewed_binary_table, rng=13)
-        new_style = publish(
-            skewed_binary_table, strategy="sps",
-            lam=0.3, delta=0.3, retention_probability=0.5, rng=13,
-        )
-        assert np.array_equal(
-            old_style.published.codes, new_style.published.codes
-        )
-
-    def test_audit_and_baseline_signatures_still_work(self, skewed_binary_table):
-        with pytest.warns(DeprecationWarning):
-            publisher = repro.ReconstructionPrivacyPublisher(
-                lam=0.3, delta=0.3, retention_probability=0.5, generalize=False
-            )
-        audit = publisher.audit(skewed_binary_table)
-        assert audit.n_groups == 3
-        baseline = publisher.publish_uniform_baseline(skewed_binary_table, rng=0)
-        assert len(baseline) == len(skewed_binary_table)
+            service.publish("skewed", "test-ephemeral")

@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import logging
+import socket
 import threading
 import time
 import urllib.error
@@ -313,3 +315,44 @@ class TestConnectionHandling:
     def test_server_header_names_the_front_end(self, frontend):
         _, headers, _ = get(f"{frontend.base_url}/healthz")
         assert headers["Server"].startswith("repro-serve/")
+
+    @staticmethod
+    def _raw_exchange(frontend, request: bytes) -> tuple[bytes, bytes]:
+        """Send raw request bytes; return the reply's head and body."""
+        with socket.create_connection((frontend.host, frontend.port), timeout=30) as sock:
+            sock.sendall(request)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        return head, body
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_is_400_and_closes(self, frontend, length):
+        head, body = self._raw_exchange(
+            frontend,
+            b"POST /audit HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_unexpected_route_error_is_500_and_logged(self, frontend, monkeypatch):
+        def broken_stats():
+            raise KeyError("boom")
+
+        monkeypatch.setattr(frontend.service, "stats", broken_stats)
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler(level=logging.ERROR)
+        handler.emit = records.append  # type: ignore[method-assign]
+        logger = logging.getLogger("repro.serve")
+        logger.addHandler(handler)
+        try:
+            head, body = self._raw_exchange(
+                frontend, b"GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            )
+        finally:
+            logger.removeHandler(handler)
+        assert head.startswith(b"HTTP/1.1 500 ")
+        assert json.loads(body) == {"error": "internal server error"}
+        assert [record.exc_info[0] for record in records if record.exc_info] == [KeyError]

@@ -1,4 +1,4 @@
-"""Tests for the service's pluggable backend registry and adapters."""
+"""Tests for the service's backends: every registered strategy, selected by name."""
 
 import numpy as np
 import pytest
@@ -6,122 +6,114 @@ import pytest
 from repro.core.criterion import PrivacySpec
 from repro.core.testing import audit_table
 from repro.dataset.groups import personal_groups
-from repro.service.backends import (
-    AnonymizerBackend,
-    available_backends,
-    backend_descriptions,
-    get_backend,
-    register_backend,
-)
-from repro.service.registry import DatasetEntry, ServiceError
+from repro.pipeline import register_strategy, unregister_strategy
+from repro.pipeline.strategy import PublishStrategy, StrategyOutcome
+from repro.service.engine import AnonymizationService, backend_defaults
+from repro.service.registry import ServiceError
 
 BUILTIN_BACKENDS = {"sps", "uniform", "dp-laplace", "dp-gaussian", "generalize+sps"}
 
 
 @pytest.fixture()
-def entry(skewed_binary_table) -> DatasetEntry:
-    return DatasetEntry("skewed", skewed_binary_table)
+def service(skewed_binary_table) -> AnonymizationService:
+    svc = AnonymizationService()
+    svc.register_table("skewed", skewed_binary_table)
+    return svc
 
 
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert BUILTIN_BACKENDS <= set(available_backends())
+    def test_builtin_backends_registered(self, service):
+        assert BUILTIN_BACKENDS <= set(service.describe()["backends"])
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, service):
         with pytest.raises(ServiceError, match="unknown backend"):
-            get_backend("no-such-backend")
+            service.publish("skewed", "no-such-backend")
 
-    def test_descriptions_expose_defaults(self):
-        descriptions = backend_descriptions()
+    def test_descriptions_expose_defaults(self, service):
+        descriptions = service.stats()["backends"]
+        assert descriptions == backend_defaults()
         assert descriptions["sps"]["lam"] == 0.3
         assert descriptions["dp-laplace"]["epsilon"] == 1.0
 
-    def test_custom_backend_is_one_registration_away(self, entry):
-        class IdentityBackend(AnonymizerBackend):
+    def test_custom_backend_is_one_registration_away(self, service, skewed_binary_table):
+        class IdentityStrategy(PublishStrategy):
             name = "identity-test"
-            defaults = {}
+            streamable = False
 
-            def publish(self, entry, params, seed, chunk_size, max_workers):
-                from repro.service.backends import BackendResult
-
-                return BackendResult(published=entry.table, audit=None)
+            def enforce(self, table, groups, spec, resolved, seed, runner, chunk_size):
+                return StrategyOutcome(published=table)
 
         try:
-            register_backend(IdentityBackend())
-            result = get_backend("identity-test").publish(entry, {}, 0, 256, 1)
-            assert result.published == entry.table
-            with pytest.raises(ServiceError, match="already registered"):
-                register_backend(IdentityBackend())
+            register_strategy(IdentityStrategy())
+            record = service.publish("skewed", "identity-test")
+            assert record.published == skewed_binary_table
+            assert "identity-test" in service.stats()["backends"]
+            with pytest.raises(ValueError, match="already registered"):
+                register_strategy(IdentityStrategy())
         finally:
-            from repro.service import backends as backends_module
+            unregister_strategy("identity-test")
 
-            backends_module._BACKENDS.pop("identity-test", None)
-
-    def test_unknown_parameter_rejected(self, entry):
+    def test_unknown_parameter_rejected(self, service):
         with pytest.raises(ServiceError, match="does not accept parameters"):
-            get_backend("sps").publish(entry, {"typo": 1.0}, 0, 256, 1)
+            service.publish("skewed", "sps", params={"typo": 1.0})
 
 
 class TestSPSBackend:
-    def test_matches_audit_and_preserves_keys(self, entry, skewed_binary_table):
-        result = get_backend("sps").publish(entry, {}, seed=5, chunk_size=2, max_workers=1)
+    def test_matches_audit_and_preserves_keys(self, service, skewed_binary_table):
+        record = service.publish("skewed", "sps", seed=5, chunk_size=2)
         original_keys = {g.key for g in personal_groups(skewed_binary_table)}
-        published_keys = {g.key for g in personal_groups(result.published)}
+        published_keys = {g.key for g in personal_groups(record.published)}
         assert published_keys == original_keys
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
         reference = audit_table(skewed_binary_table, spec)
-        assert result.audit.group_violation_rate == reference.group_violation_rate
-        assert result.metadata["n_sampled_groups"] == len(reference.violating_groups)
+        assert record.audit.group_violation_rate == reference.group_violation_rate
+        assert record.metadata["n_sampled_groups"] == len(reference.violating_groups)
 
-    def test_deterministic_for_fixed_seed(self, entry):
-        backend = get_backend("sps")
-        a = backend.publish(entry, {}, seed=9, chunk_size=2, max_workers=1)
-        b = backend.publish(entry, {}, seed=9, chunk_size=2, max_workers=1)
+    def test_deterministic_for_fixed_seed(self, service):
+        a = service.publish("skewed", "sps", seed=9, chunk_size=2)
+        b = service.publish("skewed", "sps", seed=9, chunk_size=2)
         assert np.array_equal(a.published.codes, b.published.codes)
 
-    def test_uses_cached_group_index_on_second_publish(self, entry):
-        backend = get_backend("sps")
-        first = backend.publish(entry, {}, seed=1, chunk_size=64, max_workers=1)
-        second = backend.publish(entry, {}, seed=2, chunk_size=64, max_workers=1)
-        assert not first.group_index_cached
-        assert second.group_index_cached
-        assert second.group_index_seconds == 0.0
+    def test_uses_cached_group_index_on_second_publish(self, service):
+        first = service.publish("skewed", "sps", seed=1, chunk_size=64)
+        second = service.publish("skewed", "sps", seed=2, chunk_size=64)
+        assert not first.timings.group_index_cached
+        assert second.timings.group_index_cached
+        assert second.timings.group_index_seconds == 0.0
 
 
 class TestUniformBackend:
-    def test_preserves_size_and_public_columns(self, entry, skewed_binary_table):
-        result = get_backend("uniform").publish(entry, {}, seed=3, chunk_size=256, max_workers=1)
-        assert len(result.published) == len(skewed_binary_table)
+    def test_preserves_size_and_public_columns(self, service, skewed_binary_table):
+        record = service.publish("skewed", "uniform", seed=3, chunk_size=256)
+        assert len(record.published) == len(skewed_binary_table)
         assert np.array_equal(
-            result.published.public_codes, skewed_binary_table.public_codes
+            record.published.public_codes, skewed_binary_table.public_codes
         )
 
 
 class TestDPBackends:
     @pytest.mark.parametrize("name", ["dp-laplace", "dp-gaussian"])
-    def test_publishes_valid_table_with_metadata(self, name, entry, skewed_binary_table):
-        result = get_backend(name).publish(entry, {}, seed=4, chunk_size=2, max_workers=1)
-        assert result.published.schema == skewed_binary_table.schema
-        assert result.audit is None
-        assert result.metadata["noise_variance"] > 0
+    def test_publishes_valid_table_with_metadata(self, name, service, skewed_binary_table):
+        record = service.publish("skewed", name, seed=4, chunk_size=2)
+        assert record.published.schema == skewed_binary_table.schema
+        assert record.audit is None
+        assert record.metadata["noise_variance"] > 0
         # Published group keys must be a subset of the original NA keys.
         original_keys = {g.key for g in personal_groups(skewed_binary_table)}
-        published_keys = {g.key for g in personal_groups(result.published)}
+        published_keys = {g.key for g in personal_groups(record.published)}
         assert published_keys <= original_keys
 
-    def test_low_noise_preserves_histograms_approximately(self, entry, skewed_binary_table):
-        result = get_backend("dp-laplace").publish(
-            entry, {"epsilon": 100.0}, seed=4, chunk_size=2, max_workers=1
+    def test_low_noise_preserves_histograms_approximately(self, service, skewed_binary_table):
+        record = service.publish(
+            "skewed", "dp-laplace", params={"epsilon": 100.0}, seed=4, chunk_size=2
         )
-        assert abs(len(result.published) - len(skewed_binary_table)) <= 5
+        assert abs(len(record.published) - len(skewed_binary_table)) <= 5
 
 
 class TestGeneralizeSPSBackend:
-    def test_reports_domain_collapse(self, entry):
-        result = get_backend("generalize+sps").publish(
-            entry, {}, seed=6, chunk_size=2, max_workers=1
-        )
-        domains = result.metadata["generalized_domains"]
+    def test_reports_domain_collapse(self, service):
+        record = service.publish("skewed", "generalize+sps", seed=6, chunk_size=2)
+        domains = record.metadata["generalized_domains"]
         assert domains["Group"]["before"] == 3
         assert domains["Group"]["after"] <= 3
-        assert result.audit is not None
+        assert record.audit is not None

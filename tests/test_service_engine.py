@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.dataset.adult import generate_adult
+from repro.dataset.loaders import write_csv
+from repro.parallel import run_chunks
+from repro.pipeline import register_strategy, unregister_strategy
+from repro.pipeline.execution import chunk_items, chunk_rngs
+from repro.pipeline.strategy import SPSStrategy
 from repro.service.engine import AnonymizationService
-from repro.service.parallel import chunk_items, chunk_rngs, run_chunked
 from repro.service.registry import NotFoundError, ServiceError
+from repro.store import NS_JOBS
 
 
 @pytest.fixture()
@@ -32,8 +37,8 @@ class TestParallelPrimitives:
         def chunk_fn(chunk, rng):
             return [x + rng.integers(0, 1000) for x in chunk]
 
-        sequential = run_chunked(items, chunk_fn, seed=1, chunk_size=7, max_workers=1)
-        parallel = run_chunked(items, chunk_fn, seed=1, chunk_size=7, max_workers=8)
+        sequential = run_chunks(items, chunk_fn, seed=1, chunk_size=7, workers=1)
+        parallel = run_chunks(items, chunk_fn, seed=1, chunk_size=7, workers=8)
         assert sequential == parallel
 
     def test_bad_chunk_size_rejected(self):
@@ -120,6 +125,104 @@ class TestJobsAndCaching:
         assert third.published is not None
         with pytest.raises(ServiceError, match="evicted|no published table"):
             svc.published_table(first.job_id)
+
+
+class _RaisingSPS(SPSStrategy):
+    """An SPS strategy whose enforce stage fails with a non-client error."""
+
+    name = "test-raising"
+
+    def enforce(self, *args, **kwargs):
+        raise RuntimeError("strategy exploded")
+
+
+#: The engine call each job kind delegates its execution to.
+_JOB_ENGINES = {
+    "publish": "repro.pipeline.pipeline.PublishPipeline.run",
+    "stream": "repro.stream.engine.stream_publish",
+    "delta-base": "repro.delta.engine.publish_base",
+    "append": "repro.delta.engine.delta_publish",
+}
+
+
+class TestJobLifecycle:
+    """Every job kind fails the same way: one stored ``failed`` record."""
+
+    @pytest.fixture()
+    def lifecycle(self, tmp_path, skewed_binary_table):
+        source = tmp_path / "base.csv"
+        write_csv(skewed_binary_table, source)
+        service = AnonymizationService()
+        service.register_table("skewed", skewed_binary_table)
+        service.publish_delta_base(
+            "living", source, "Income", "sps", tmp_path / "living.csv", seed=1
+        )
+        yield service, source, tmp_path
+        service.close()
+
+    @staticmethod
+    def _run(kind, service, source, tmp_path):
+        if kind == "publish":
+            return service.publish("skewed", "sps", seed=1)
+        if kind == "stream":
+            return service.publish_stream(source, "Income", "sps", seed=1)
+        if kind == "delta-base":
+            return service.publish_delta_base(
+                "fresh", source, "Income", "sps", tmp_path / "fresh.csv"
+            )
+        return service.append_rows("living", rows=[["a", "high"]])
+
+    @staticmethod
+    def _stored_failure(service, before):
+        records = service.jobs.records()
+        assert len(records) == before + 1
+        stored = [
+            service.store.get(NS_JOBS, key).value
+            for key in service.store.keys(NS_JOBS)
+        ]
+        assert len(stored) == before + 1
+        record = stored[-1]
+        assert record["status"] == "failed"
+        assert record["events"][-1]["event"] == "failed"
+        assert records[-1].status == "failed"
+        return record
+
+    @pytest.mark.parametrize("kind", list(_JOB_ENGINES))
+    @pytest.mark.parametrize(
+        ("error", "surfaces_as"),
+        [
+            (ValueError("bad input"), ServiceError),
+            (OSError("disk gone"), ServiceError),
+            (RuntimeError("engine bug"), RuntimeError),
+        ],
+    )
+    def test_failed_job_leaves_one_failed_record(
+        self, lifecycle, monkeypatch, kind, error, surfaces_as
+    ):
+        service, source, tmp_path = lifecycle
+        before = len(service.jobs)
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(_JOB_ENGINES[kind], fail)
+        with pytest.raises(surfaces_as, match=str(error)):
+            self._run(kind, service, source, tmp_path)
+        record = self._stored_failure(service, before)
+        assert record["error"] == str(error)
+
+    def test_strategy_runtime_error_is_recorded(self, lifecycle):
+        service, _, _ = lifecycle
+        before = len(service.jobs)
+        register_strategy(_RaisingSPS())
+        try:
+            with pytest.raises(RuntimeError, match="strategy exploded"):
+                service.publish("skewed", "test-raising", seed=1)
+        finally:
+            unregister_strategy("test-raising")
+        record = self._stored_failure(service, before)
+        assert record["spec"]["backend"] == "test-raising"
+        assert record["error"] == "strategy exploded"
 
 
 class TestAuditEndpointLogic:

@@ -1,14 +1,15 @@
 """End-to-end test of the HTTP JSON API on an ephemeral port."""
 
+import io
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import publish, read_csv, write_csv
+from repro.serve import ServingFrontend
 from repro.service.engine import AnonymizationService
-from repro.service.http_api import make_server
 
 CSV_BODY = "Job,City,Income\n" + "\n".join(
     f"{'eng' if i % 2 else 'artist'},c{i % 3},{'high' if i % 4 == 0 else 'low'}"
@@ -19,15 +20,9 @@ CSV_BODY = "Job,City,Income\n" + "\n".join(
 @pytest.fixture()
 def server_url():
     service = AnonymizationService()
-    server = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    with ServingFrontend(service, port=0) as frontend:
+        yield frontend.base_url
+    service.close()
 
 
 def get_json(url: str):
@@ -45,6 +40,44 @@ def post(url: str, data: bytes, content_type: str):
 
 def post_json(url: str, payload: dict):
     return post(url, json.dumps(payload).encode(), "application/json")
+
+
+class TestCrossPathIdentity:
+    """Library, service and HTTP publish the same bytes for a fixed seed."""
+
+    @pytest.mark.parametrize("backend", ["sps", "generalize+sps", "dp-laplace"])
+    def test_library_service_and_http_bytes_agree(self, server_url, backend):
+        table = read_csv(io.StringIO(CSV_BODY), sensitive="Income")
+        library = io.StringIO()
+        write_csv(publish(table, strategy=backend, rng=11, chunk_size=2).published, library)
+        expected = library.getvalue().encode()
+
+        service = AnonymizationService()
+        service.register_table("t", table)
+        post(
+            f"{server_url}/datasets?name=t&sensitive=Income",
+            CSV_BODY.encode(),
+            "text/csv",
+        )
+        for workers in (1, 2):
+            in_process = io.StringIO()
+            write_csv(
+                service.publish(
+                    "t", backend, seed=11, chunk_size=2, max_workers=workers
+                ).published,
+                in_process,
+            )
+            assert in_process.getvalue().encode() == expected
+            job = post_json(
+                f"{server_url}/publish",
+                {"dataset": "t", "backend": backend, "seed": 11,
+                 "chunk_size": 2, "workers": workers},
+            )
+            with urllib.request.urlopen(
+                f"{server_url}/jobs/{job['job_id']}/table.csv"
+            ) as response:
+                assert response.read() == expected
+        service.close()
 
 
 class TestEndToEnd:

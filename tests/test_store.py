@@ -1,8 +1,8 @@
 """Unit and concurrency tests of the ``repro.store`` connectors.
 
 Covers the connector contract (transactions, optimistic versioning, typed
-conflicts, counters) uniformly across the SQLite, memory and JSON-snapshot
-backends; SQLite-specific concurrency (threads and processes hammering one
+conflicts, counters) uniformly across the SQLite and memory backends and a
+store migrated from a legacy JSON snapshot; SQLite-specific concurrency (threads and processes hammering one
 database file with no lost updates); backend resolution and the legacy
 JSON→SQLite migration; and service-level restart persistence (datasets,
 jobs, group-index caches and delta states reloading from one store).
@@ -20,7 +20,6 @@ import pytest
 from repro.store import (
     COUNTER_JOB_IDS,
     NS_DATASETS,
-    JsonSnapshotConnector,
     MemoryConnector,
     SqliteConnector,
     StoreError,
@@ -33,13 +32,18 @@ from repro.store import (
 
 @pytest.fixture(params=["memory", "sqlite", "json"])
 def store(request, tmp_path):
-    """One open connector per backend; closed after the test."""
+    """One open connector per backend; closed after the test.
+
+    ``json`` is the store a legacy (empty) JSON snapshot migrates into.
+    """
     if request.param == "memory":
         connector = MemoryConnector()
     elif request.param == "sqlite":
         connector = SqliteConnector(tmp_path / "store.db")
     else:
-        connector = JsonSnapshotConnector(tmp_path / "store.json")
+        snapshot = tmp_path / "store.json"
+        snapshot.write_text(json.dumps({"store_version": 2, "namespaces": {}}))
+        connector = open_store(snapshot)
     connector.open()
     yield connector
     connector.close()
@@ -149,6 +153,7 @@ class TestConnectorContract:
 class TestDurabilityAcrossReopen:
     @pytest.mark.parametrize("backend", ["sqlite", "json"])
     def test_file_backends_survive_close_and_reopen(self, tmp_path, backend):
+        # A *.json path is a SQLite store like any other.
         path = tmp_path / ("s.db" if backend == "sqlite" else "s.json")
         first = open_store(path)
         first.put("ns", "k", {"x": 1})
@@ -156,7 +161,7 @@ class TestDurabilityAcrossReopen:
         first.close()
         second = open_store(path)
         try:
-            assert second.backend == backend
+            assert second.backend == "sqlite"
             assert second.get("ns", "k").value == {"x": 1}
             assert second.peek(COUNTER_JOB_IDS) == 1
         finally:
@@ -169,9 +174,9 @@ class TestOpenStoreResolution:
         assert store.backend == "memory"
         store.close()
 
-    def test_json_suffix_gets_json_backend(self, tmp_path):
+    def test_json_suffix_gets_sqlite_backend(self, tmp_path):
         store = open_store(tmp_path / "state.json")
-        assert store.backend == "json"
+        assert store.backend == "sqlite"
         store.close()
 
     def test_other_suffix_gets_sqlite(self, tmp_path):
@@ -222,12 +227,14 @@ class TestLegacyMigration:
         path.write_text(json.dumps(_legacy_v1_payload()))
         store = open_store(path)
         try:
-            assert store.backend == "json"
+            # A *.json snapshot migrates in place like any other suffix.
+            assert store.backend == "sqlite"
             assert store.keys(NS_DATASETS) == ["demo"]
             # next_job_id 5 means ids 1..4 were issued: the counter resumes at 5.
             assert store.next_value(COUNTER_JOB_IDS) == 5
         finally:
             store.close()
+        assert (tmp_path / "state.json.pre-store.json").exists()
 
     def test_v1_json_at_db_path_migrates_in_place(self, tmp_path):
         path = tmp_path / "state.db"

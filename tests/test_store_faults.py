@@ -34,13 +34,14 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 _LAUNCHER = """
 import sys
+import threading
+from repro.serve import ServingFrontend
 from repro.service.engine import AnonymizationService
-from repro.service.http_api import make_server
 
 service = AnonymizationService(snapshot_path=sys.argv[1])
-server = make_server(service, host="127.0.0.1", port=0, verbose=False)
-print(server.server_address[1], flush=True)
-server.serve_forever()
+frontend = ServingFrontend(service, port=0).start()
+print(frontend.port, flush=True)
+threading.Event().wait()
 """
 
 BASE_CSV = "City,Disease\n" + "\n".join(

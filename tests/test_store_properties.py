@@ -2,11 +2,11 @@
 
 For arbitrary JSON documents, tables, job records and delta states,
 hypothesis asserts the value read back from a connector equals the value
-written — across the memory, SQLite and JSON-snapshot backends, and across
-the legacy JSON→SQLite migration (which must also reproduce versions and
-counters exactly).  Because :func:`repro.store.base.encode_value` canonises
-at the transaction boundary, all backends are held to the *same* round-trip,
-not three backend-specific ones.
+written — across the memory and SQLite backends, and across the legacy
+JSON→SQLite migration (which must also reproduce versions and counters
+exactly).  Because :func:`repro.store.base.encode_value` canonises at the
+transaction boundary, all backends are held to the *same* round-trip, not
+backend-specific ones.
 
 Profiles mirror ``tests/test_delta_properties.py``: CI runs the
 ``derandomize=True`` profile for reproducible runs; locally hypothesis keeps
@@ -35,7 +35,6 @@ from repro.service.models import (  # noqa: E402
     table_to_json,
 )
 from repro.store import (  # noqa: E402
-    JsonSnapshotConnector,
     MemoryConnector,
     SqliteConnector,
     migrate_json_to_sqlite,
@@ -80,7 +79,6 @@ def _fresh_backends():
         yield [
             MemoryConnector(),
             SqliteConnector(base / "prop.db"),
-            JsonSnapshotConnector(base / "prop.json"),
         ]
 
 

@@ -531,17 +531,14 @@ class TestServiceStreamJobs:
         assert "unexpected" in record.error
 
     def test_http_stream_publish(self, csv_path):
-        import threading
         import urllib.request
 
+        from repro.serve import ServingFrontend
         from repro.service import AnonymizationService
-        from repro.service.http_api import make_server
 
         service = AnonymizationService()
-        server = make_server(service, port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            base = f"http://127.0.0.1:{server.server_address[1]}"
+        with ServingFrontend(service, port=0) as frontend:
+            base = frontend.base_url
             body = json.dumps({
                 "stream": True, "source": str(csv_path), "sensitive": "Income",
                 "backend": "sps", "seed": 7, "chunk_rows": 500,
@@ -566,8 +563,6 @@ class TestServiceStreamJobs:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 400
             assert "already exists" in json.load(excinfo.value)["error"]
-        finally:
-            server.shutdown()
 
 
 # --------------------------------------------------------------------- #
