@@ -610,7 +610,13 @@ class AnonymizationService:
         our state would drop their group counts, so the job fails instead.
         """
         assert report.state is not None
-        self.deltas.put(name, report.state, expected_version=state_version)
+        try:
+            self.deltas.put(name, report.state, expected_version=state_version)
+        except VersionConflictError as exc:
+            raise ServiceError(
+                f"delta dataset {name!r} was modified concurrently ({exc}); "
+                "re-read and retry the operation"
+            ) from exc
         record = job.record
         if record.spec.rows_appended is None:
             # A source-path append only knows its row count after the read.

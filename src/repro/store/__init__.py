@@ -103,23 +103,15 @@ def migrate_json_to_sqlite(
     return migrated
 
 
-def open_store(
-    path: str | Path | None = None, backend: str | None = None
-) -> StorageConnector:
+def open_store(path: str | Path | None = None) -> StorageConnector:
     """Open a storage connector for ``path``; returns it already opened.
 
-    ``path is None`` (or ``backend="memory"``) gives a fresh in-memory
-    store; any path gives SQLite.  An existing file is sniffed: a SQLite
-    database opens as is, a legacy JSON snapshot migrates to SQLite in
-    place first, anything else is rejected.
+    ``path is None`` gives a fresh in-memory store; any path gives SQLite.
+    An existing file is sniffed: a SQLite database opens as is, a legacy
+    JSON snapshot migrates to SQLite in place first, anything else is
+    rejected.
     """
-    if backend not in (None, "memory", "sqlite"):
-        raise StoreError(f"unknown store backend {backend!r}; choose sqlite or memory")
-    if backend == "memory":
-        return MemoryConnector().open()
     if path is None:
-        if backend is not None:
-            raise StoreError(f"backend {backend!r} requires a path")
         return MemoryConnector().open()
     target = Path(path)
     if is_json_snapshot(target):

@@ -11,7 +11,7 @@ from repro.pipeline.execution import chunk_items, chunk_rngs
 from repro.pipeline.strategy import SPSStrategy
 from repro.service.engine import AnonymizationService
 from repro.service.registry import NotFoundError, ServiceError
-from repro.store import NS_JOBS
+from repro.store import NS_JOBS, VersionConflictError
 
 
 @pytest.fixture()
@@ -223,6 +223,29 @@ class TestJobLifecycle:
         record = self._stored_failure(service, before)
         assert record["spec"]["backend"] == "test-raising"
         assert record["error"] == "strategy exploded"
+
+    @pytest.mark.parametrize(("kind", "name"), [("delta-base", "fresh"), ("append", "living")])
+    def test_delta_version_conflict_fails_with_retry_hint(
+        self, lifecycle, monkeypatch, kind, name
+    ):
+        service, source, tmp_path = lifecycle
+        before = len(service.jobs)
+        state_before = service.deltas.entry(name)
+
+        def conflict(key, state, expected_version):
+            raise VersionConflictError("deltas", key, expected_version, expected_version + 1)
+
+        monkeypatch.setattr(service.deltas, "put", conflict)
+        with pytest.raises(ServiceError) as raised:
+            self._run(kind, service, source, tmp_path)
+        message = str(raised.value)
+        assert f"delta dataset {name!r} was modified concurrently" in message
+        assert "re-read and retry" in message
+        assert isinstance(raised.value.__cause__.__cause__, VersionConflictError)
+        record = self._stored_failure(service, before)
+        assert "modified concurrently" in record["error"]
+        monkeypatch.undo()
+        assert service.deltas.entry(name) == state_before
 
 
 class TestAuditEndpointLogic:

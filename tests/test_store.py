@@ -196,12 +196,6 @@ class TestOpenStoreResolution:
         finally:
             store.close()
 
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="unknown store backend"):
-            open_store(tmp_path / "x.db", backend="postgres")
-        with pytest.raises(StoreError, match="requires a path"):
-            open_store(None, backend="sqlite")
-
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.db"
         path.write_bytes(b"\x00\x01 not a store")
