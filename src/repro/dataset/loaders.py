@@ -4,17 +4,29 @@ The experiments in this repository run on the synthetic ADULT/CENSUS
 generators, but a downstream user who has the real files (or any other
 categorical table) can load them with :func:`read_csv`, naming which column is
 the sensitive attribute.  Domains are inferred from the observed values.
+
+Every writer of published rows renders them through one :class:`CsvCodec`
+(:func:`csv_codec`), so all CSV outputs share the exact bytes of the stdlib
+``csv`` writer.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 from pathlib import Path
 from collections.abc import Iterable, Sequence
 from typing import IO
 
+import numpy as np
+
 from repro.dataset.schema import Attribute, Schema, SchemaError
 from repro.dataset.table import Table
+
+#: Rows rendered per slice by :func:`write_csv`, so writing a large table
+#: never builds its whole CSV text as one string.
+WRITE_SLICE_ROWS = 65_536
 
 
 def infer_schema(
@@ -208,11 +220,83 @@ def read_csv(source: str | Path | IO[str], sensitive: str, delimiter: str = ",")
         return _read_csv_stream(handle, str(path), sensitive, delimiter)
 
 
+def _quote_field(value: str, delimiter: str) -> str:
+    """``value`` exactly as :func:`csv.writer` renders it inside a record.
+
+    The value is rendered as the first field of a two-field record, so the
+    writer's single-empty-field special case (a lone ``""`` is quoted) can
+    never apply: a schema always has at least two columns.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer, delimiter=delimiter).writerow((value, ""))
+    return buffer.getvalue().removesuffix(delimiter + "\r\n")
+
+
+class CsvCodec:
+    """Render coded blocks to the exact text :func:`csv.writer` writes for them.
+
+    Every domain value of every column is quoted once, by the stdlib writer
+    itself.  Encoding a block then indexes each column's quoted values with
+    the block's codes and joins them column-wise: no per-row decode.  Build
+    one through :func:`csv_codec`, which caches it per ``(schema, delimiter)``.
+
+    >>> from repro.dataset.schema import Attribute, Schema
+    >>> schema = Schema([Attribute("City", ("Oslo", "St. Paul, MN"))],
+    ...                 Attribute("Disease", ("Flu", "Cold")))
+    >>> codec = csv_codec(schema)
+    >>> codec.header + codec.encode(np.array([[1, 0], [0, 1]]))
+    'City,Disease\\r\\n"St. Paul, MN",Flu\\r\\nOslo,Cold\\r\\n'
+    """
+
+    def __init__(self, schema: Schema, delimiter: str = ",") -> None:
+        attributes = (*schema.public, schema.sensitive)
+        self.delimiter = delimiter
+        self.header = (
+            delimiter.join(_quote_field(attr.name, delimiter) for attr in attributes)
+            + "\r\n"
+        )
+        self._names = tuple(attr.name for attr in attributes)
+        self._columns = tuple(
+            np.array([_quote_field(value, delimiter) for value in attr.values], dtype=object)
+            for attr in attributes
+        )
+
+    def encode(self, block: np.ndarray) -> str:
+        """The CSV lines of a ``(rows, columns)`` codes block (``""`` for no rows).
+
+        Raises :class:`~repro.dataset.schema.SchemaError` for a block of the
+        wrong width or a code outside its column's domain, as
+        :meth:`~repro.dataset.schema.Schema.decode_record` does.
+        """
+        codes = np.asarray(block)
+        if codes.shape[0] == 0:
+            return ""
+        if codes.ndim != 2 or codes.shape[1] != len(self._columns):
+            raise SchemaError(
+                f"record has {codes.shape[-1]} fields, expected {len(self._columns)}"
+            )
+        columns: list[list[str]] = []
+        for name, values, column in zip(self._names, self._columns, codes.T, strict=True):
+            low, high = int(column.min()), int(column.max())
+            if low < 0 or high >= len(values):
+                bad = low if low < 0 else high
+                raise SchemaError(f"code {bad} out of range for attribute {name!r}")
+            columns.append(values[column].tolist())
+        return "\r\n".join(map(self.delimiter.join, zip(*columns, strict=True))) + "\r\n"
+
+
+@functools.lru_cache(maxsize=64)
+def csv_codec(schema: Schema, delimiter: str = ",") -> CsvCodec:
+    """The :class:`CsvCodec` of ``(schema, delimiter)``, built once and cached."""
+    return CsvCodec(schema, delimiter)
+
+
 def _write_csv_stream(table: Table, handle: IO[str], delimiter: str) -> None:
-    writer = csv.writer(handle, delimiter=delimiter)
-    writer.writerow(list(table.schema.public_names) + [table.schema.sensitive_name])
-    for record in table.records():
-        writer.writerow(record)
+    codec = csv_codec(table.schema, delimiter)
+    handle.write(codec.header)
+    codes = table.codes
+    for start in range(0, codes.shape[0], WRITE_SLICE_ROWS):
+        handle.write(codec.encode(codes[start:start + WRITE_SLICE_ROWS]))
 
 
 def write_csv(table: Table, destination: str | Path | IO[str], delimiter: str = ",") -> None:

@@ -41,7 +41,10 @@ from contextlib import closing
 from pathlib import Path
 from typing import IO, Any, cast
 
+import numpy as np
+
 from repro.core.testing import PrivacyAudit, audit_group
+from repro.dataset.loaders import csv_codec
 from repro.dataset.schema import Schema, SchemaError
 from repro.delta.report import DeltaReport
 from repro.delta.state import (
@@ -57,12 +60,7 @@ from repro.obs.metrics import (
     ROWS_PUBLISHED,
 )
 from repro.obs.trace import span
-from repro.parallel.kernels import (
-    CsvChunkKernel,
-    EncodedBlock,
-    MissingChunkPublisher,
-    StrategyKernel,
-)
+from repro.parallel.kernels import MissingChunkPublisher, StrategyKernel
 from repro.parallel.scheduler import (
     DEFAULT_BACKEND,
     iter_chunk_results,
@@ -112,26 +110,27 @@ class _SpliceWriter:
     published file exactly as it was (:meth:`abort` removes the temp).
     """
 
-    def __init__(self, target: Path, header: Sequence[str]) -> None:
+    def __init__(self, target: Path, schema: Schema) -> None:
         self.target = target
         fd, name = tempfile.mkstemp(
             dir=target.parent, prefix=target.name + ".", suffix=".tmp"
         )
         self._temp = Path(name)
         self._handle: IO[str] = os.fdopen(fd, "w", newline="", encoding="utf-8")
+        self._codec = csv_codec(schema)
+        self._handle.write(self._codec.header)
         self._writer = csv.writer(self._handle)
-        self._writer.writerow(list(header))
         self.records_written = 0
 
     def write_rows(self, rows: Sequence[Sequence[str]]) -> None:
-        """Append decoded rows (the clean-chunk copy path)."""
+        """Append parsed base rows (the clean-chunk copy path)."""
         self._writer.writerows(rows)
         self.records_written += len(rows)
 
-    def write_encoded(self, encoded: EncodedBlock) -> None:
-        """Append worker-rendered CSV text (the regenerated-chunk path)."""
-        self._handle.write(encoded.text)
-        self.records_written += encoded.n_rows
+    def write_block(self, block: np.ndarray) -> None:
+        """Append a regenerated codes block through the CSV codec."""
+        self._handle.write(self._codec.encode(block))
+        self.records_written += block.shape[0]
 
     def close(self) -> None:
         """Flush and atomically move the temp file over the target."""
@@ -183,7 +182,7 @@ def _value_groups(schema: Schema, groups: Sequence[Any]) -> ValueGroups:
 
 def _build_kernel(
     strategy: PublishStrategy, schema: Schema, spec: Any, resolved: dict[str, Any]
-) -> CsvChunkKernel:
+) -> StrategyKernel:
     kernel = StrategyKernel(strategy, schema, spec, dict(resolved))
     try:
         kernel.build()  # fail fast in the parent; workers rebuild their copy
@@ -193,7 +192,7 @@ def _build_kernel(
             "configuration; it cannot publish in chunks, so it cannot be "
             "delta-published either"
         ) from None
-    return CsvChunkKernel(kernel)
+    return kernel
 
 
 def publish_base(
@@ -282,9 +281,7 @@ def publish_base(
 
         with span("enforce", kind="stage") as sp:
             chunk_fn = _build_kernel(strategy, schema, spec, resolved)
-            writer = _SpliceWriter(
-                target, list(schema.public_names) + [schema.sensitive_name]
-            )
+            writer = _SpliceWriter(target, schema)
             chunk_counts: list[int] = []
             records: list[Any] = []
             try:
@@ -292,9 +289,9 @@ def publish_base(
                     groups, chunk_fn, seed, chunk_size,
                     workers=workers, backend=parallel_backend,
                 )
-                for encoded, chunk_records in results:
-                    writer.write_encoded(encoded)
-                    chunk_counts.append(encoded.n_rows)
+                for block, chunk_records in results:
+                    writer.write_block(block)
+                    chunk_counts.append(block.shape[0])
                     records.extend(chunk_records)
                     notify({
                         "phase": "enforce",
@@ -578,7 +575,7 @@ def delta_publish(
                 n_tasks=len(dirty_order),
             )
             header_row = list(new_schema.public_names) + [new_schema.sensitive_name]
-            writer = _SpliceWriter(target, header_row)
+            writer = _SpliceWriter(target, new_schema)
             new_chunk_counts: list[int] = []
             records: list[Any] = []
             try:
@@ -606,9 +603,9 @@ def delta_publish(
                                         "rows than the delta state records; was "
                                         "it modified outside the delta engine?"
                                     )
-                            encoded, chunk_records = next(regen)
-                            writer.write_encoded(encoded)
-                            new_chunk_counts.append(encoded.n_rows)
+                            block, chunk_records = next(regen)
+                            writer.write_block(block)
+                            new_chunk_counts.append(block.shape[0])
                             records.extend(chunk_records)
                         else:
                             rows = []

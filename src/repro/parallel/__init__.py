@@ -36,7 +36,6 @@ kernel proves picklable and the job is big enough to matter, falling back to
 """
 
 from repro.parallel.kernels import (
-    CsvChunkKernel,
     EncodedBlock,
     MissingChunkPublisher,
     StrategyKernel,
@@ -54,7 +53,6 @@ from repro.parallel.scheduler import (
 )
 
 __all__ = [
-    "CsvChunkKernel",
     "DEFAULT_BACKEND",
     "EncodedBlock",
     "MissingChunkPublisher",

@@ -14,13 +14,13 @@ from the per-chunk generator handed in with the payload.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+
+from repro.dataset.loaders import csv_codec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.criterion import PrivacySpec
@@ -54,12 +54,10 @@ def remap_columns(block: np.ndarray, remaps: Sequence[np.ndarray]) -> np.ndarray
 
 @dataclass(frozen=True)
 class EncodedBlock:
-    """A published block already rendered to CSV text by a worker.
+    """A published block rendered to CSV text.
 
-    ``text`` is exactly what the parent's CSV sink would have written for the
-    block (one ``\\r\\n``-terminated line per record, stdlib ``csv`` dialect),
-    so the parent only concatenates in chunk order — the per-row decode loop,
-    the hot path of a CSV publish, runs in the workers.
+    ``text`` is exactly what a CSV sink writes for the block (one
+    ``\\r\\n``-terminated line per record, stdlib ``csv`` dialect).
     """
 
     text: str
@@ -68,11 +66,7 @@ class EncodedBlock:
 
 def encode_block_csv(schema: "Schema", block: np.ndarray) -> EncodedBlock:
     """Render a codes block to the exact CSV text ``_CsvSink`` would write."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    decode = schema.decode_record
-    writer.writerows(decode(row) for row in block)
-    return EncodedBlock(text=buffer.getvalue(), n_rows=int(block.shape[0]))
+    return EncodedBlock(text=csv_codec(schema).encode(block), n_rows=int(block.shape[0]))
 
 
 @dataclass
@@ -125,26 +119,6 @@ class StrategyKernel:
 
 
 @dataclass
-class CsvChunkKernel:
-    """Wrap a chunk kernel so workers also render their block to CSV text.
-
-    Returns ``(EncodedBlock, records)`` instead of ``(block, records)``; the
-    parent writes the text straight to the sink in chunk order.  Used by the
-    streaming engine when the sink is a CSV and ``workers > 1`` — it moves
-    the per-row decode loop (the dominant serial cost of a CSV publish) into
-    the workers without changing a single output byte.
-    """
-
-    kernel: StrategyKernel
-
-    def __call__(
-        self, chunk: Sequence[Any], rng: np.random.Generator
-    ) -> tuple[EncodedBlock, Sequence[Any]]:
-        block, records = self.kernel(chunk, rng)
-        return encode_block_csv(self.kernel.schema, block), records
-
-
-@dataclass
 class UniformRowKernel:
     """Per-spool-block finishing of the uniform row-stream path.
 
@@ -152,24 +126,19 @@ class UniformRowKernel:
     stay **sequential in the parent** — they are cheap vectorised generator
     calls whose order defines the byte contract — and workers get pure
     deterministic payloads: ``(provisional block, retain bits, replacement
-    codes)``.  The kernel remaps the block onto the finalized schema codes,
-    applies the perturbation, and (for CSV sinks) renders the rows — the
-    actually expensive parts of the uniform path.
+    codes)``.  The kernel remaps the block onto the finalized schema codes
+    and applies the perturbation.
 
     ``remaps`` are the per-column provisional→final code tables the
     incremental index produced at finalize time.
     """
 
     remaps: tuple[np.ndarray, ...]
-    schema: "Schema"
-    encode: bool = False
 
     def __call__(
         self, payload: tuple[np.ndarray, np.ndarray, np.ndarray], rng: Any = None
-    ) -> np.ndarray | EncodedBlock:
+    ) -> np.ndarray:
         block, retain, replacements = payload
         final = remap_columns(block, self.remaps)
         final[:, -1] = np.where(retain, final[:, -1], replacements)
-        if self.encode:
-            return encode_block_csv(self.schema, final)
         return final

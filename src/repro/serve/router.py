@@ -32,7 +32,6 @@ keys make stale entries unreachable even without the active invalidation.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import logging
@@ -42,6 +41,7 @@ from typing import IO, Any
 from urllib.parse import parse_qs, urlparse
 
 from repro import __version__
+from repro.dataset.loaders import write_csv
 from repro.obs.environment import record_build_info
 from repro.obs.export import render_prometheus
 from repro.service.engine import AnonymizationService
@@ -486,11 +486,8 @@ class ServiceRouter:
         )
 
     def _published_csv(self, job_id: str) -> RouteResult:
-        table = self.service.published_table(job_id)
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(list(table.schema.public_names) + [table.schema.sensitive_name])
-        writer.writerows(table.records())
+        write_csv(self.service.published_table(job_id), buffer)
         return RouteResult(
             status=200,
             body=buffer.getvalue().encode("utf-8"),

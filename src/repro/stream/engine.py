@@ -25,7 +25,6 @@ consumption — for every registered strategy.  This holds because
 
 from __future__ import annotations
 
-import csv
 import tempfile
 import tracemalloc
 from collections.abc import Callable, Iterator
@@ -37,7 +36,7 @@ import numpy as np
 from repro.core.criterion import PrivacySpec
 from repro.core.sps import GroupPublication
 from repro.core.testing import PrivacyAudit, audit_group
-from repro.dataset.loaders import source_label
+from repro.dataset.loaders import csv_codec, source_label
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.generalization.chi_square import DEFAULT_SIGNIFICANCE
@@ -51,8 +50,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import span
 from repro.parallel.kernels import (
-    CsvChunkKernel,
-    EncodedBlock,
     MissingChunkPublisher,
     StrategyKernel,
     UniformRowKernel,
@@ -136,17 +133,19 @@ class _NullSink:
 
 
 class _CsvSink:
-    """Stream published blocks to a CSV destination, decoding as they arrive.
+    """Stream published blocks to a CSV destination, encoding as they arrive.
 
     Produces exactly the bytes :func:`repro.dataset.loaders.write_csv` writes
-    for the equivalent in-memory table (header, then one decoded row per
-    published record, in publish order).
+    for the equivalent in-memory table (header, then one row per published
+    record, in publish order), through the same
+    :class:`~repro.dataset.loaders.CsvCodec`.  Path outputs are opened with
+    ``newline=""``, so the codec's ``\\r\\n`` terminators pass through
+    untranslated.
     """
 
     def __init__(
         self, destination: str | Path | IO[str], schema: Schema, overwrite: bool = True
     ) -> None:
-        self._schema = schema
         if hasattr(destination, "write"):
             self._handle: IO[str] = destination  # type: ignore[assignment]
             self._owned = False
@@ -159,24 +158,13 @@ class _CsvSink:
             self._handle = path.open("w" if overwrite else "x", newline="", encoding="utf-8")
             self._owned = True
             self.path = path
-        self._writer = csv.writer(self._handle)
-        self._writer.writerow(list(schema.public_names) + [schema.sensitive_name])
+        self._codec = csv_codec(schema)
+        self._handle.write(self._codec.header)
         self.records_written = 0
 
     def write_block(self, block: np.ndarray) -> None:
-        decode = self._schema.decode_record
-        self._writer.writerows(decode(row) for row in block)
+        self._handle.write(self._codec.encode(block))
         self.records_written += block.shape[0]
-
-    def write_encoded(self, encoded: EncodedBlock) -> None:
-        """Append CSV text a worker already rendered (same bytes as write_block).
-
-        The handle was opened with ``newline=""``, so the worker-rendered
-        ``\\r\\n`` terminators pass through untranslated — the file is
-        byte-identical to the per-row ``csv.writer`` path.
-        """
-        self._handle.write(encoded.text)
-        self.records_written += encoded.n_rows
 
     def close(self) -> None:
         if self._owned:
@@ -501,7 +489,7 @@ def _run(
                 records: list[GroupPublication] = []
                 if spool is not None:
                     _enforce_rows(
-                        strategy, prepared_schema, spec, index, spool, seed,
+                        strategy, spec, index, spool, seed,
                         workers, parallel_backend, sink, notify,
                     )
                 else:
@@ -580,10 +568,9 @@ def _enforce_groups(
     """Drive the strategy's group-batch kernel over seeded chunks, in chunk order.
 
     With ``workers > 1`` the chunks are dispatched through the shared
-    scheduler (process pool by default) and, when the sink is a CSV, each
-    worker also renders its block to CSV text — the ordered emitter inside
-    the scheduler guarantees blocks reach the sink in chunk order, so the
-    output bytes never depend on the worker count.
+    scheduler (process pool by default); the ordered emitter inside the
+    scheduler guarantees blocks reach the sink in chunk order, so the output
+    bytes never depend on the worker count.
     """
     kernel = StrategyKernel(strategy, schema, spec, dict(resolved))
     try:
@@ -595,17 +582,12 @@ def _enforce_groups(
             f"strategy {strategy.name!r} returned no chunk publisher for this "
             "configuration; it cannot publish out-of-core"
         ) from None
-    encode = workers > 1 and isinstance(sink, _CsvSink)
-    chunk_fn = CsvChunkKernel(kernel) if encode else kernel
     results = iter_chunk_results(
-        groups, chunk_fn, seed, chunk_size, workers=workers, backend=backend
+        groups, kernel, seed, chunk_size, workers=workers, backend=backend
     )
     done = 0
-    for payload, chunk_records in results:
-        if encode:
-            sink.write_encoded(payload)
-        else:
-            sink.write_block(payload)
+    for block, chunk_records in results:
+        sink.write_block(block)
         records.extend(chunk_records)
         done = min(done + chunk_size, len(groups))
         notify({
@@ -618,7 +600,6 @@ def _enforce_groups(
 
 def _enforce_rows(
     strategy: PublishStrategy,
-    schema: Schema,
     spec: PrivacySpec | None,
     index: IncrementalGroupIndex,
     spool: _RowSpool,
@@ -637,11 +618,11 @@ def _enforce_rows(
 
     With ``workers > 1`` the draws **stay sequential in the parent** (they
     define the byte contract and are cheap vectorised generator calls); the
-    spool is partitioned block-wise across the pool, whose workers do the
-    expensive parts — code remapping, perturbation apply and, for CSV sinks,
-    the per-row render — and the ordered scheduler flushes their results in
-    spool order.  The scheduler's submission backpressure caps in-flight
-    blocks, so memory stays bounded by ``O(workers * chunk_rows)``.
+    spool is partitioned block-wise across the pool, whose workers remap the
+    codes and apply the perturbation, and the ordered scheduler flushes
+    their results in spool order.  The scheduler's submission backpressure
+    caps in-flight blocks, so memory stays bounded by
+    ``O(workers * chunk_rows)``.
     """
     if spec is None:  # pragma: no cover - uniform always has a spec
         raise ValueError(f"strategy {strategy.name!r} has no spec for row streaming")
@@ -653,8 +634,7 @@ def _enforce_rows(
         RNG_DRAWS.inc(block.shape[0])
     total = sum(spool.chunk_lengths)
 
-    encode = workers > 1 and isinstance(sink, _CsvSink)
-    kernel = UniformRowKernel(remaps=tuple(index.remaps), schema=schema, encode=encode)
+    kernel = UniformRowKernel(remaps=tuple(index.remaps))
 
     def payloads() -> Iterator[tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray]]]:
         # Pulled lazily by the scheduler, so the phase-two draws happen in
@@ -669,12 +649,8 @@ def _enforce_rows(
         kernel, payloads(), workers=workers, backend=backend,
         n_tasks=len(spool.chunk_lengths),
     ):
-        if encode:
-            sink.write_encoded(result)
-            done += result.n_rows
-        else:
-            sink.write_block(result)
-            done += result.shape[0]
+        sink.write_block(result)
+        done += result.shape[0]
         notify({
             "phase": "enforce",
             "rows_done": done,

@@ -448,11 +448,11 @@ class TestFaultInjection:
 
         from repro.delta import engine as engine_module
 
-        def exploding_write(self, encoded):
+        def exploding_write(self, block):
             raise OSError("sink write failed")
 
         monkeypatch.setattr(
-            engine_module._SpliceWriter, "write_encoded", exploding_write
+            engine_module._SpliceWriter, "write_block", exploding_write
         )
         with pytest.raises(OSError, match="sink write failed"):
             delta_publish(report.state, [["h", "flu"]])

@@ -9,6 +9,7 @@ resolution/fallback, worker-failure cleanup (the spool and partial-output
 bugfix) and the perf-gate script's comparison logic.
 """
 
+import csv
 import importlib.util
 import io
 import os
@@ -42,6 +43,34 @@ ALL_STRATEGIES = ("sps", "uniform", "dp-laplace", "dp-gaussian", "generalize+sps
 def _csv_text(table):
     buffer = io.StringIO()
     write_csv(table, buffer)
+    return buffer.getvalue()
+
+
+def _per_row_csv(table, delimiter=","):
+    """The per-row rendering (csv.writer over decode_record) the codec replaced."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter)
+    writer.writerow(list(table.schema.public_names) + [table.schema.sensitive_name])
+    writer.writerows(table.schema.decode_record(row) for row in table.codes)
+    return buffer.getvalue()
+
+
+@pytest.fixture(scope="module")
+def quoting_csv():
+    """A source whose values need every kind of CSV quoting."""
+    cities = ["Oslo, NO", 'say "hi"', "two\nlines", " padded ", "Zürich", ""]
+    jobs = ["eng", "nurse; night", "tab\there"]
+    diseases = ["flu", "cold", "héпатит", "zika|x"]
+    rng = np.random.default_rng(5)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["City", "Job", "Disease"])
+    for _ in range(600):
+        writer.writerow([
+            cities[rng.integers(len(cities))],
+            jobs[rng.integers(len(jobs))],
+            diseases[rng.integers(len(diseases))],
+        ])
     return buffer.getvalue()
 
 
@@ -322,6 +351,40 @@ class TestKernels:
         ).split("\r\n", 1)[1]  # drop the header line
         assert encoded.text == expected
         assert encoded.n_rows == 50
+        assert encoded.text == _per_row_csv(
+            type(table)(table.schema, table.codes[:50])
+        ).split("\r\n", 1)[1]
+
+    def test_write_csv_with_delimiter_matches_per_row_rendering(self, quoting_csv):
+        table = read_csv(io.StringIO(quoting_csv), sensitive="Disease")
+        out = io.StringIO()
+        write_csv(table, out, delimiter=";")
+        assert out.getvalue() == _per_row_csv(table, delimiter=";")
+
+    def test_table_csv_route_matches_per_row_rendering(self, quoting_csv):
+        from repro.serve.router import ServiceRouter
+
+        service = AnonymizationService()
+        service.register_csv("quoting", io.StringIO(quoting_csv), sensitive="Disease")
+        job = service.publish("quoting", "sps", seed=7)
+        result = ServiceRouter(service).handle("GET", f"/jobs/{job.job_id}/table.csv")
+        assert result.status == 200
+        expected = _per_row_csv(service.published_table(job.job_id))
+        assert result.body == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("strategy", ["sps", "uniform"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csv_sink_matches_per_row_rendering(
+        self, quoting_csv, tmp_path, strategy, workers
+    ):
+        common = dict(sensitive="Disease", strategy=strategy, rng=7, chunk_rows=128, chunk_size=8)
+        published = stream_publish(io.StringIO(quoting_csv), **common).published
+        output = tmp_path / "out.csv"
+        stream_publish(
+            io.StringIO(quoting_csv), output=output, workers=workers,
+            parallel_backend="process" if workers > 1 else "serial", **common,
+        )
+        assert output.read_bytes() == _per_row_csv(published).encode("utf-8")
 
     def test_builder_errors_propagate_unmasked(self, adult_csv):
         # A real ValueError from a strategy's chunk_publisher builder must
@@ -343,7 +406,7 @@ class TestKernels:
         block = np.array([[0, 2], [1, 1], [0, 0]])
         retain = np.array([True, False, True])
         replacements = np.array([9, 9, 9])
-        kernel = UniformRowKernel(remaps=remaps, schema=None, encode=False)
+        kernel = UniformRowKernel(remaps=remaps)
         out = kernel((block, retain, replacements))
         assert out.tolist() == [[1, 1], [0, 9], [1, 0]]
 
