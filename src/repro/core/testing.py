@@ -13,6 +13,7 @@ the ``s_g`` thresholds, in one pass over the personal groups of a table.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.core.criterion import PrivacySpec, group_is_private, max_group_size
@@ -86,6 +87,18 @@ def audit_group(spec: PrivacySpec, group: PersonalGroup) -> GroupAudit:
     return GroupAudit(group=group, max_group_size=threshold, is_private=group_is_private(spec, group))
 
 
+def audit_groups(
+    spec: PrivacySpec, groups: Iterable[PersonalGroup], total_records: int
+) -> PrivacyAudit:
+    """Audit every group of an already-built group list against ``spec``.
+
+    The one audit loop: :func:`audit_table`, the streaming engine and the
+    delta engine all call it, whatever produced their groups.
+    """
+    audits = tuple(audit_group(spec, group) for group in groups)
+    return PrivacyAudit(spec=spec, groups=audits, total_records=total_records)
+
+
 def audit_table(
     table: Table,
     spec: PrivacySpec,
@@ -111,5 +124,4 @@ def audit_table(
     if spec.domain_size != table.schema.sensitive_domain_size:
         raise ValueError("spec.domain_size does not match the table's sensitive domain size")
     index = groups if groups is not None else personal_groups(table)
-    audits = tuple(audit_group(spec, group) for group in index)
-    return PrivacyAudit(spec=spec, groups=audits, total_records=len(table))
+    return audit_groups(spec, index, len(table))

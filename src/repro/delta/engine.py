@@ -8,7 +8,7 @@ So when rows are appended, only the chunks whose group slice actually
 changed need their kernels re-run — every other chunk's bytes are already
 sitting in the published CSV and are copied, not recomputed.
 
-:func:`publish_base` publishes a source once and captures a
+:func:`publish_base` runs the streaming engine once and captures a
 :class:`~repro.delta.state.DeltaState`; :func:`delta_publish` merges
 appended rows into the stored counts (via an
 :class:`~repro.stream.index.IncrementalGroupIndex` over the *appended rows
@@ -34,18 +34,14 @@ from __future__ import annotations
 
 import csv
 import logging
-import os
-import tempfile
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import closing
+from itertools import islice
 from pathlib import Path
 from typing import IO, Any, cast
 
-import numpy as np
-
-from repro.core.testing import PrivacyAudit, audit_group
-from repro.dataset.loaders import csv_codec
-from repro.dataset.schema import Schema, SchemaError
+from repro.core.testing import PrivacyAudit, audit_groups
+from repro.dataset.schema import Schema
 from repro.delta.report import DeltaReport
 from repro.delta.state import (
     DeltaState,
@@ -60,21 +56,15 @@ from repro.obs.metrics import (
     ROWS_PUBLISHED,
 )
 from repro.obs.trace import span
-from repro.parallel.kernels import MissingChunkPublisher, StrategyKernel
-from repro.parallel.scheduler import (
-    DEFAULT_BACKEND,
-    iter_chunk_results,
-    iter_ordered_map,
-)
+from repro.parallel.scheduler import DEFAULT_BACKEND, iter_ordered_map
 from repro.pipeline.execution import (
     DEFAULT_CHUNK_ROWS,
     DEFAULT_CHUNK_SIZE,
     chunk_items,
     chunk_rngs,
-    coerce_seed,
 )
 from repro.pipeline.strategy import PublishStrategy, get_strategy
-from repro.stream.index import IncrementalGroupIndex
+from repro.stream.engine import _chunk_kernel, _CsvSink, _index_source, _run, _spec_for
 from repro.stream.reader import ChunkedReader
 
 _log = logging.getLogger("repro.delta")
@@ -92,57 +82,6 @@ class DeltaUnsupportedError(ValueError):
     appended row can re-key every group.  Use a full re-publish
     (:func:`repro.publish` / :func:`repro.stream.stream_publish`) instead.
     """
-
-
-class _SchemaHolder:
-    """Minimal table stand-in for ``strategy.spec_for`` (schema access only)."""
-
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
-
-
-class _SpliceWriter:
-    """Atomic CSV writer: temp file in the target's directory + ``os.replace``.
-
-    Every byte goes to the temp file; :meth:`close` renames it over the
-    target in one atomic step, so a failure anywhere before that — a worker
-    dying mid-regeneration, a disk error mid-copy — leaves the previously
-    published file exactly as it was (:meth:`abort` removes the temp).
-    """
-
-    def __init__(self, target: Path, schema: Schema) -> None:
-        self.target = target
-        fd, name = tempfile.mkstemp(
-            dir=target.parent, prefix=target.name + ".", suffix=".tmp"
-        )
-        self._temp = Path(name)
-        self._handle: IO[str] = os.fdopen(fd, "w", newline="", encoding="utf-8")
-        self._codec = csv_codec(schema)
-        self._handle.write(self._codec.header)
-        self._writer = csv.writer(self._handle)
-        self.records_written = 0
-
-    def write_rows(self, rows: Sequence[Sequence[str]]) -> None:
-        """Append parsed base rows (the clean-chunk copy path)."""
-        self._writer.writerows(rows)
-        self.records_written += len(rows)
-
-    def write_block(self, block: np.ndarray) -> None:
-        """Append a regenerated codes block through the CSV codec."""
-        self._handle.write(self._codec.encode(block))
-        self.records_written += block.shape[0]
-
-    def close(self) -> None:
-        """Flush and atomically move the temp file over the target."""
-        self._handle.close()
-        os.replace(self._temp, self.target)
-
-    def abort(self) -> None:
-        """Discard the temp file; the target is untouched by construction."""
-        try:
-            self._handle.close()
-        finally:
-            self._temp.unlink(missing_ok=True)
 
 
 def _require_delta_capable(strategy: PublishStrategy) -> None:
@@ -180,21 +119,6 @@ def _value_groups(schema: Schema, groups: Sequence[Any]) -> ValueGroups:
     return tuple(out)
 
 
-def _build_kernel(
-    strategy: PublishStrategy, schema: Schema, spec: Any, resolved: dict[str, Any]
-) -> StrategyKernel:
-    kernel = StrategyKernel(strategy, schema, spec, dict(resolved))
-    try:
-        kernel.build()  # fail fast in the parent; workers rebuild their copy
-    except MissingChunkPublisher:
-        raise DeltaUnsupportedError(
-            f"strategy {strategy.name!r} returned no chunk publisher for this "
-            "configuration; it cannot publish in chunks, so it cannot be "
-            "delta-published either"
-        ) from None
-    return kernel
-
-
 def publish_base(
     source: str | Path | IO[str],
     *,
@@ -214,11 +138,14 @@ def publish_base(
 ) -> DeltaReport:
     """Publish ``source`` once and capture the state future appends need.
 
-    The published CSV is byte-identical to
-    :func:`repro.stream.stream_publish` (and hence to :func:`repro.publish`)
-    for the same ``(seed, chunk_size)``; on top of that, the returned
-    report's ``state`` records the value-keyed group counts and per-chunk
-    published row counts that make :func:`delta_publish` possible.
+    This *is* a :func:`repro.stream.stream_publish` run (so its CSV is
+    byte-identical to it, and hence to :func:`repro.publish`, for the same
+    ``(seed, chunk_size)``), labelled ``delta_base`` on the delta path.  On
+    top of it, the returned report's ``state`` records the value-keyed
+    group counts and the per-chunk published row counts the sink saw, which
+    make :func:`delta_publish` possible.  ``overwrite=False`` refuses, with
+    :class:`FileExistsError`, to replace a file that exists when the output
+    is moved into place.
 
     Raises :class:`DeltaUnsupportedError` for strategies that declare
     ``delta_capable = False``.
@@ -228,125 +155,47 @@ def publish_base(
     target = _require_output_path(output)
     if workers <= 0:
         raise ValueError("workers must be positive")
-    timings: dict[str, float] = {}
-    notify = progress or (lambda event: None)
-
-    with span(
-        "delta_base", kind="publish", path="delta", strategy=strategy.name
-    ) as root:
-        with span("prepare", kind="stage") as sp:
-            resolved = strategy.resolve(params)
-            seed = coerce_seed(rng)
-            if chunk_size <= 0:
-                raise ValueError("chunk_size must be positive")
-            if not overwrite and target.exists():
-                raise FileExistsError(f"output {target} exists and overwrite=False")
-        timings["prepare"] = sp.duration
-        root.set(seed=seed, chunk_size=chunk_size, chunk_rows=chunk_rows,
-                 workers=workers)
-
-        with span("read", kind="stage") as sp:
-            reader = ChunkedReader(
-                source, sensitive, chunk_rows=chunk_rows, delimiter=delimiter
-            )
-            index: IncrementalGroupIndex | None = None
-            for chunk in reader.chunks():
-                if index is None:
-                    index = IncrementalGroupIndex(reader.public_names or [], sensitive)
-                index.update(chunk)
-                notify({
-                    "phase": "read",
-                    "rows_read": reader.rows_read,
-                    "chunks_read": reader.chunks_read,
-                })
-            assert index is not None  # reader raises on empty input
-            sp.set(rows=reader.rows_read)
-        timings["read"] = sp.duration
-
-        with span("group_index", kind="stage") as sp:
-            schema, groups = index.finalize()
-        timings["group_index"] = sp.duration
-        notify({"phase": "group_index", "n_groups": len(groups)})
-
-        spec = strategy.spec_for(cast(Any, _SchemaHolder(schema)), resolved)
-
-        with span("audit", kind="stage", ran=audit and strategy.audits) as sp:
-            privacy_audit: PrivacyAudit | None = None
-            if audit and strategy.audits and spec is not None:
-                audits = tuple(audit_group(spec, cast(Any, group)) for group in groups)
-                privacy_audit = PrivacyAudit(
-                    spec=spec, groups=audits, total_records=index.n_rows
-                )
-        timings["audit"] = sp.duration
-
-        with span("enforce", kind="stage") as sp:
-            chunk_fn = _build_kernel(strategy, schema, spec, resolved)
-            writer = _SpliceWriter(target, schema)
-            chunk_counts: list[int] = []
-            records: list[Any] = []
-            try:
-                results = iter_chunk_results(
-                    groups, chunk_fn, seed, chunk_size,
-                    workers=workers, backend=parallel_backend,
-                )
-                for block, chunk_records in results:
-                    writer.write_block(block)
-                    chunk_counts.append(block.shape[0])
-                    records.extend(chunk_records)
-                    notify({
-                        "phase": "enforce",
-                        "groups_done": min(len(chunk_counts) * chunk_size, len(groups)),
-                        "n_groups": len(groups),
-                        "published_records": writer.records_written,
-                    })
-            except BaseException:
-                writer.abort()
-                raise
-        timings["enforce"] = sp.duration
-
-        with span("flush", kind="stage") as sp:
-            writer.close()
-        timings["flush"] = sp.duration
-        notify({"phase": "done", "published_records": writer.records_written})
-
-        timings["finalize"] = max(0.0, root.elapsed() - sum(timings.values()))
-        root.set(rows=index.n_rows, published_records=writer.records_written)
-
-    PUBLISH_RUNS.inc(path="delta", strategy=strategy.name)
-    ROWS_PUBLISHED.inc(writer.records_written, strategy=strategy.name)
+    run = _run(
+        strategy, source, sensitive, rng, chunk_size, chunk_rows, int(workers),
+        parallel_backend, audit, target, False, overwrite, delimiter, progress,
+        False, params,
+        root_name="delta_base", path="delta", unsupported=DeltaUnsupportedError,
+    )
+    report = run.report
+    chunk_counts = tuple(run.sink.chunk_counts)
     state = DeltaState(
         strategy=strategy.name,
-        params=dict(resolved),
-        seed=seed,
+        params=dict(report.params),
+        seed=report.seed,
         chunk_size=int(chunk_size),
         chunk_rows=int(chunk_rows),
-        n_rows=index.n_rows,
+        n_rows=report.n_rows,
         sensitive=sensitive,
-        header=tuple(reader.header or []),
-        groups=_value_groups(schema, groups),
-        chunk_row_counts=tuple(chunk_counts),
+        header=tuple(run.header),
+        groups=_value_groups(report.schema, run.groups),
+        chunk_row_counts=chunk_counts,
         output=str(target),
     )
     return DeltaReport(
         mode="base",
         strategy=strategy.name,
-        params=dict(resolved),
-        seed=seed,
+        params=dict(report.params),
+        seed=report.seed,
         chunk_size=int(chunk_size),
         chunk_rows=int(chunk_rows),
         workers=int(workers),
-        n_rows=index.n_rows,
+        n_rows=report.n_rows,
         rows_appended=0,
-        n_groups=len(groups),
+        n_groups=report.n_groups,
         groups_touched=0,
         n_chunks=len(chunk_counts),
         n_chunks_dirty=len(chunk_counts),
-        published_records=writer.records_written,
-        schema=schema,
-        spec=spec,
-        audit=privacy_audit,
-        groups=tuple(records),
-        timings=timings,
+        published_records=report.published_records,
+        schema=report.schema,
+        spec=report.spec,
+        audit=report.audit,
+        groups=report.groups,
+        timings=report.timings,
         output=str(target),
         state=state,
     )
@@ -383,22 +232,9 @@ def _read_appended(
             cast(Sequence[Sequence[str]], appended), state.header,
             state.sensitive, chunk_rows=state.chunk_rows,
         )
-    index: IncrementalGroupIndex | None = None
-    for chunk in reader.chunks():
-        if index is None:
-            if list(reader.header or []) != list(state.header):
-                raise SchemaError(
-                    f"{reader.label}: appended header {reader.header} does not "
-                    f"match the published dataset's header {list(state.header)}"
-                )
-            index = IncrementalGroupIndex(state.public_names, state.sensitive)
-        index.update(chunk)
-        notify({
-            "phase": "append_read",
-            "rows_read": reader.rows_read,
-            "chunks_read": reader.chunks_read,
-        })
-    assert index is not None  # reader raises on an empty source
+    index, _, _ = _index_source(
+        reader, notify, phase="append_read", header=state.header
+    )
     appended_schema, appended_groups = index.finalize()
     return _value_groups(appended_schema, appended_groups), index.n_rows
 
@@ -546,24 +382,21 @@ def delta_publish(
             "n_chunks_dirty": len(dirty),
         })
 
-        spec = strategy.spec_for(cast(Any, _SchemaHolder(new_schema)), resolved)
+        spec = _spec_for(strategy, new_schema, resolved)
         new_groups = coded_groups(new_schema, merged)
 
         with span("audit", kind="stage", ran=audit and strategy.audits) as sp:
             privacy_audit: PrivacyAudit | None = None
             if audit and strategy.audits and spec is not None:
-                audits = tuple(
-                    audit_group(spec, cast(Any, group)) for group in new_groups
-                )
-                privacy_audit = PrivacyAudit(
-                    spec=spec,
-                    groups=audits,
-                    total_records=state.n_rows + rows_appended,
+                privacy_audit = audit_groups(
+                    spec, cast(Any, new_groups), state.n_rows + rows_appended
                 )
         timings["audit"] = sp.duration
 
         with span("splice", kind="stage") as sp:
-            chunk_fn = _build_kernel(strategy, new_schema, spec, resolved)
+            chunk_fn = _chunk_kernel(
+                strategy, new_schema, spec, resolved, DeltaUnsupportedError
+            )
             chunks = chunk_items(new_groups, state.chunk_size)
             rngs = chunk_rngs(state.seed, n_chunks_new)
             dirty_order = sorted(dirty)
@@ -575,8 +408,7 @@ def delta_publish(
                 n_tasks=len(dirty_order),
             )
             header_row = list(new_schema.public_names) + [new_schema.sensitive_name]
-            writer = _SpliceWriter(target, new_schema)
-            new_chunk_counts: list[int] = []
+            writer = _CsvSink(target, new_schema)
             records: list[Any] = []
             try:
                 with closing(regen), base_path.open(
@@ -595,31 +427,19 @@ def delta_publish(
                         base_count = (
                             state.chunk_row_counts[i] if i < n_chunks_base else 0
                         )
+                        rows = list(islice(base_rows, base_count))
+                        if len(rows) < base_count:
+                            raise ValueError(
+                                f"published base {base_path} has fewer rows "
+                                "than the delta state records; was it "
+                                "modified outside the delta engine?"
+                            )
                         if i in dirty:
-                            for _ in range(base_count):
-                                if next(base_rows, None) is None:
-                                    raise ValueError(
-                                        f"published base {base_path} has fewer "
-                                        "rows than the delta state records; was "
-                                        "it modified outside the delta engine?"
-                                    )
                             block, chunk_records = next(regen)
                             writer.write_block(block)
-                            new_chunk_counts.append(block.shape[0])
                             records.extend(chunk_records)
                         else:
-                            rows = []
-                            for _ in range(base_count):
-                                row = next(base_rows, None)
-                                if row is None:
-                                    raise ValueError(
-                                        f"published base {base_path} has fewer "
-                                        "rows than the delta state records; was "
-                                        "it modified outside the delta engine?"
-                                    )
-                                rows.append(row)
                             writer.write_rows(rows)
-                            new_chunk_counts.append(base_count)
                         notify({
                             "phase": "splice",
                             "chunks_done": i + 1,
@@ -663,7 +483,7 @@ def delta_publish(
         sensitive=state.sensitive,
         header=state.header,
         groups=merged,
-        chunk_row_counts=tuple(new_chunk_counts),
+        chunk_row_counts=tuple(writer.chunk_counts),
         output=str(target),
     )
     return DeltaReport(

@@ -12,10 +12,10 @@ holds because
    were actually processed in.
 
 The library runs chunks inline through :func:`run_chunks_serial`;
-``PublishPipeline.with_workers`` (which the service uses) substitutes the
-shared scheduler's :func:`repro.parallel.run_chunks` through the same
-:data:`ChunkRunner` signature, which is why the library and the service
-produce byte-identical output for the same seed.
+``PublishPipeline.with_workers`` substitutes the shared scheduler's
+:func:`repro.parallel.run_chunks` through the same :data:`ChunkRunner`
+signature, which is why a publish produces byte-identical output for the
+same seed at any worker count.
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ def run_chunks_serial(
     """Apply ``chunk_fn(chunk, rng)`` to every chunk inline, in chunk order.
 
     This is both the library's default executor and the sequential reference
-    the service's pool runner is tested against.
+    the shared scheduler's :func:`repro.parallel.run_chunks` is tested
+    against.
 
     >>> run_chunks_serial([1, 2, 3], lambda chunk, rng: sum(chunk), seed=0, chunk_size=2)
     [3, 3]

@@ -15,15 +15,16 @@ harness — is the same sequence of explicit stages:
 * **report** assembles everything into one :class:`PublishReport`.
 
 :class:`PublishPipeline` is a fluent builder over those stages; callers that
-hold pre-built artifacts (a cached group index, a cached generalisation, a
-pool chunk runner) inject them and the corresponding stage is skipped
-or delegated.  :func:`publish` is the one-call convenience wrapper exported
+hold pre-built artifacts (a cached group index, a cached generalisation)
+inject them and the corresponding stage is skipped, and
+:meth:`PublishPipeline.with_workers` fans the enforce stage out over the
+shared scheduler.  :func:`publish` is the one-call convenience wrapper exported
 as ``repro.publish``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -106,18 +107,13 @@ class PublishPipeline:
         self._chunk_size = int(chunk_size)
         return self
 
-    def with_runner(self, runner: ChunkRunner) -> "PublishPipeline":
-        """Substitute the chunk executor (e.g. the service's pool runner)."""
-        self._runner = runner
-        return self
-
     def with_workers(self, workers: int, backend: str = "auto") -> "PublishPipeline":
         """Fan the enforce stage out over ``workers`` via the shared scheduler.
 
-        A convenience over :meth:`with_runner`: installs
-        :func:`repro.parallel.run_chunks` with the worker count and backend
-        bound.  The published bytes are identical at any worker count (the
-        scheduler's determinism contract); only wall-clock changes.
+        Installs :func:`repro.parallel.run_chunks` with the worker count and
+        backend bound as the chunk executor.  The published bytes are
+        identical at any worker count (the scheduler's determinism
+        contract); only wall-clock changes.
         """
         if workers <= 0:
             raise ValueError("workers must be positive")
@@ -125,17 +121,8 @@ class PublishPipeline:
         self._parallel_backend = backend
         from repro.parallel import run_chunks
 
-        def runner(
-            items: Sequence[Any],
-            chunk_fn: Callable[[Sequence[Any], np.random.Generator], Any],
-            seed: int,
-            chunk_size: int,
-        ) -> list[Any]:
-            return run_chunks(
-                items, chunk_fn, seed, chunk_size, workers=int(workers), backend=backend
-            )
-
-        return self.with_runner(runner)
+        self._runner = partial(run_chunks, workers=int(workers), backend=backend)
+        return self
 
     def with_groups(self, groups: GroupIndex) -> "PublishPipeline":
         """Reuse a pre-built personal-group index of the *prepared* table."""
@@ -338,7 +325,6 @@ def publish(
     audit: bool = True,
     groups: GroupIndex | None = None,
     generalization: GeneralizationResult | None = None,
-    runner: ChunkRunner | None = None,
     **params: Any,
 ) -> "PublishReport | StreamReport | DeltaReport":
     """Publish a table or a CSV source with a named strategy — the front door.
@@ -398,10 +384,9 @@ def publish(
         byte-identical at any worker count; only wall-clock changes.
     audit:
         Set ``False`` to skip the pre-publication audit stage.
-    groups, generalization, runner:
-        Pre-built artifacts / custom chunk executor (see
-        :class:`PublishPipeline`); in-memory path only.  ``runner`` is
-        mutually exclusive with ``workers > 1``.
+    groups, generalization:
+        Pre-built artifacts (see :class:`PublishPipeline`); in-memory path
+        only.
     """
     if source is not None and table is not None:
         raise ValueError("pass either table or source, not both")
@@ -419,9 +404,9 @@ def publish(
                 "append= re-publishes the dataset the delta state describes; "
                 "don't pass table/source/streaming alongside"
             )
-        if groups is not None or generalization is not None or runner is not None:
+        if groups is not None or generalization is not None:
             raise ValueError(
-                "groups/generalization/runner are in-memory pipeline "
+                "groups/generalization are in-memory pipeline "
                 "artifacts; the delta engine builds its own"
             )
         if params:
@@ -443,28 +428,22 @@ def publish(
             workers=workers,
             audit=audit,
         )
-    if runner is not None and workers > 1:
-        raise ValueError("pass either workers or a custom runner, not both")
     if streaming:
         if source is None:
             raise ValueError("streaming=True requires source=")
         if sensitive is None:
             raise ValueError("source= requires sensitive= (the SA column name)")
-        if groups is not None or generalization is not None or runner is not None:
+        if groups is not None or generalization is not None:
             raise ValueError(
-                "groups/generalization/runner are in-memory artifacts; "
+                "groups/generalization are in-memory artifacts; "
                 "the streaming engine builds its own"
             )
-        from repro.stream.engine import stream_publish
+        from repro.stream.engine import ENGINE_OPTIONS, stream_publish
 
         # Engine-only keywords are not exposed here; a name collision in
         # **params would silently bind them instead of reaching the
         # strategy's typed parameter validation — fail loudly instead.
-        engine_only = {
-            "materialize", "overwrite", "delimiter", "progress", "track_memory",
-            "parallel_backend",
-        }
-        collisions = sorted(engine_only & params.keys())
+        collisions = sorted(ENGINE_OPTIONS & params.keys())
         if collisions:
             raise ValueError(
                 f"{collisions} are streaming-engine options, not strategy "
@@ -505,8 +484,6 @@ def publish(
         pipeline.with_groups(groups)
     if generalization is not None:
         pipeline.with_generalization(generalization)
-    if runner is not None:
-        pipeline.with_runner(runner)
-    elif workers > 1:
+    if workers > 1:
         pipeline.with_workers(workers)
     return pipeline.run(table)

@@ -113,6 +113,26 @@ def _checked(spec: JobSpec) -> JobSpec:
     return spec
 
 
+def _reject_engine_options(spec: JobSpec) -> None:
+    """Refuse an out-of-core job whose params name a stream-engine keyword.
+
+    The stream and delta-base jobs forward ``params`` as ``**kwargs`` to the
+    stream engine, so a key named like one of its own keywords
+    (``audit``, ``workers``, ``delimiter``, ...) would silently bind it —
+    or collide with the job's own value — instead of reaching the
+    strategy's typed validation.  Rejected before any record exists.
+    """
+    from repro.stream.engine import ENGINE_OPTIONS
+
+    collisions = sorted(ENGINE_OPTIONS & spec.params.keys())
+    if collisions:
+        raise ServiceError(
+            f"{collisions} are stream-job options, not strategy parameters; "
+            "a job sets seed, chunk_size, chunk_rows, workers and output as "
+            "top-level request fields"
+        )
+
+
 def _chunk_rows(spec: JobSpec) -> dict[str, int]:
     """The ``chunk_rows`` keyword for the stream engines, when the job set one."""
     return {} if spec.chunk_rows is None else {"chunk_rows": spec.chunk_rows}
@@ -424,20 +444,7 @@ class AnonymizationService:
             chunk_rows=int(chunk_rows) if chunk_rows is not None else None,
             output=str(output) if output is not None else None,
         ))
-        # Engine/job options are top-level fields; a params key with one of
-        # their names would silently bind (or collide with) a stream_publish
-        # keyword instead of reaching the strategy's typed validation.
-        reserved = {
-            "source", "sensitive", "strategy", "rng", "chunk_size", "chunk_rows",
-            "workers", "parallel_backend", "audit", "output", "materialize",
-            "overwrite", "delimiter", "progress", "track_memory",
-        }
-        collisions = sorted(reserved & spec.params.keys())
-        if collisions:
-            raise ServiceError(
-                f"{collisions} are stream-job options, not strategy parameters; "
-                "pass them as top-level request fields"
-            )
+        _reject_engine_options(spec)
         strategy = _strategy(backend)
         with self._job(spec) as job:
             report = stream_publish(
@@ -448,8 +455,8 @@ class AnonymizationService:
                 chunk_size=spec.chunk_size,
                 workers=spec.max_workers,
                 output=output,
-                # mode "x": never clobber an existing server-side file, even
-                # when two concurrent jobs race to the same output path.
+                # Never clobber an existing server-side file, even one
+                # another job creates at the same path while this one runs.
                 overwrite=False,
                 progress=job.progress,
                 **_chunk_rows(spec),
@@ -510,6 +517,7 @@ class AnonymizationService:
             output=str(output),
             rows_appended=0,
         ))
+        _reject_engine_options(spec)
         with self._delta_lock(name):
             state_version = self.deltas.version(name)
             if not replace and state_version:

@@ -25,19 +25,24 @@ consumption — for every registered strategy.  This holds because
 
 from __future__ import annotations
 
+import csv
+import inspect
+import os
+import secrets
 import tempfile
 import tracemalloc
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
-from typing import IO, Any
+from types import SimpleNamespace
+from typing import IO, Any, NamedTuple, cast
 
 import numpy as np
 
 from repro.core.criterion import PrivacySpec
 from repro.core.sps import GroupPublication
-from repro.core.testing import PrivacyAudit, audit_group
+from repro.core.testing import PrivacyAudit, audit_groups
 from repro.dataset.loaders import csv_codec, source_label
-from repro.dataset.schema import Schema
+from repro.dataset.schema import Schema, SchemaError
 from repro.dataset.table import Table
 from repro.generalization.chi_square import DEFAULT_SIGNIFICANCE
 from repro.generalization.merging import AttributeMerge, merge_attribute_from_counts
@@ -80,11 +85,11 @@ from repro.stream.report import StreamReport
 ProgressCallback = Callable[[dict[str, Any]], None]
 
 
-class _SchemaHolder:
-    """Minimal table stand-in for ``strategy.spec_for`` (schema access only)."""
-
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
+def _spec_for(
+    strategy: PublishStrategy, schema: Schema, resolved: dict[str, Any]
+) -> PrivacySpec | None:
+    """``strategy.spec_for`` from a bare schema: the out-of-core paths hold no table."""
+    return strategy.spec_for(cast(Any, SimpleNamespace(schema=schema)), resolved)
 
 
 class _TableSink:
@@ -133,55 +138,78 @@ class _NullSink:
 
 
 class _CsvSink:
-    """Stream published blocks to a CSV destination, encoding as they arrive.
+    """Write published blocks as CSV: the one file sink of the stream and delta paths.
 
     Produces exactly the bytes :func:`repro.dataset.loaders.write_csv` writes
-    for the equivalent in-memory table (header, then one row per published
-    record, in publish order), through the same
-    :class:`~repro.dataset.loaders.CsvCodec`.  Path outputs are opened with
-    ``newline=""``, so the codec's ``\\r\\n`` terminators pass through
-    untranslated.
+    for the equivalent in-memory table, through the same
+    :class:`~repro.dataset.loaders.CsvCodec`.  Caller-provided streams are
+    written directly.  A path output is written to a temp file in the
+    target's directory and moved into place by :meth:`close`, so the target
+    never holds a partial file and any failure before that leaves it
+    untouched (:meth:`abort` removes the temp).  With ``overwrite=False``
+    the move is a hard link, which the filesystem refuses atomically with
+    :class:`FileExistsError` if the name exists by then — two jobs racing
+    to one output cannot clobber each other or a file created mid-run.
+
+    ``chunk_counts`` records the row count of every write, empty ones
+    included: one entry per kernel chunk on the group path, which is what a
+    delta state stores.
     """
 
     def __init__(
         self, destination: str | Path | IO[str], schema: Schema, overwrite: bool = True
     ) -> None:
+        self.path: Path | None = None
+        self._temp: Path | None = None
         if hasattr(destination, "write"):
             self._handle: IO[str] = destination  # type: ignore[assignment]
-            self._owned = False
-            self.path = None
         else:
-            path = Path(destination)
-            # "x" makes no-overwrite atomic (two concurrent jobs naming the
-            # same output: one wins, the other fails cleanly); UTF-8 mirrors
-            # read_csv's decoding so round-trips work on any locale.
-            self._handle = path.open("w" if overwrite else "x", newline="", encoding="utf-8")
-            self._owned = True
-            self.path = path
+            self.path = Path(destination)
+            self._temp = self.path.with_name(
+                f"{self.path.name}.{secrets.token_hex(8)}.tmp"
+            )
+            # UTF-8 mirrors read_csv's decoding so round-trips work on any
+            # locale; newline="" lets the codec's \r\n pass untranslated.
+            self._handle = self._temp.open("x", newline="", encoding="utf-8")
+        self._overwrite = overwrite
         self._codec = csv_codec(schema)
         self._handle.write(self._codec.header)
+        self._rows = csv.writer(self._handle)
         self.records_written = 0
+        self.chunk_counts: list[int] = []
 
     def write_block(self, block: np.ndarray) -> None:
+        """Append a published codes block through the CSV codec."""
         self._handle.write(self._codec.encode(block))
-        self.records_written += block.shape[0]
+        self._count(block.shape[0])
+
+    def write_rows(self, rows: Sequence[Sequence[str]]) -> None:
+        """Append already-rendered rows (the delta splice's clean-chunk copy)."""
+        self._rows.writerows(rows)
+        self._count(len(rows))
+
+    def _count(self, n_rows: int) -> None:
+        self.records_written += n_rows
+        self.chunk_counts.append(n_rows)
 
     def close(self) -> None:
-        if self._owned:
-            self._handle.close()
-        return None
+        """Flush a path output and move it into place (streams stay open)."""
+        if self._temp is None or self.path is None:
+            return
+        self._handle.close()
+        if self._overwrite:
+            os.replace(self._temp, self.path)
+        else:
+            try:
+                os.link(self._temp, self.path)
+            finally:
+                self._temp.unlink()
 
     def abort(self) -> None:
-        """Close and remove an owned partial file after a mid-publish failure.
-
-        Deleting the partial keeps stream jobs retryable: the service's
-        "only write new files" guard would otherwise block a retry on the
-        broken output the failed job itself left behind.  Caller-provided
-        streams are only closed-by-not-touched (we don't own them).
-        """
-        self.close()
-        if self._owned and self.path is not None:
-            self.path.unlink(missing_ok=True)
+        """Discard an unpublished temp file; the target is untouched."""
+        if self._temp is not None:
+            self._handle.close()
+            self._temp.unlink(missing_ok=True)
 
 
 class _RowSpool:
@@ -290,16 +318,20 @@ def stream_publish(
     output:
         CSV path or text stream for the published rows.  When given, rows
         stream to it and ``report.published`` is ``None``; when omitted the
-        published table is materialised on the report.
+        published table is materialised on the report.  A path output is
+        written to a temp file beside it and renamed into place at the end,
+        so a failed run never leaves a partial file.
     materialize:
         Only consulted when ``output`` is ``None``: pass ``False`` to count
         published records without keeping them (bounded memory for
         stats-only runs, e.g. ``repro-stream`` without ``--output``);
         ``report.published`` is then ``None``.
     overwrite:
-        Only consulted for path outputs: pass ``False`` to open the sink
-        with mode ``"x"``, atomically refusing to clobber an existing file
-        (the service's stream jobs do).
+        Only consulted for path outputs: pass ``False`` to refuse, with
+        :class:`FileExistsError`, to replace a file that exists when the
+        output is moved into place — decided atomically by a hard link, so
+        a file created while the run was going is never clobbered either
+        (the service's stream jobs do this).
     delimiter:
         Field delimiter of the source.
     progress:
@@ -346,10 +378,81 @@ def stream_publish(
             strategy, source, sensitive, rng, chunk_size, chunk_rows,
             int(workers), parallel_backend, audit,
             output, materialize, overwrite, delimiter, progress, track_memory, params,
-        )
+        ).report
     finally:
         if started_tracing:
             tracemalloc.stop()
+
+
+#: Keywords :func:`stream_publish` binds itself (everything but ``**params``).
+#: A strategy parameter can never use one of these names; the front ends
+#: that forward a params mapping reject them instead of letting them bind.
+ENGINE_OPTIONS = frozenset(
+    name
+    for name, parameter in inspect.signature(stream_publish).parameters.items()
+    if parameter.kind is not inspect.Parameter.VAR_KEYWORD
+)
+
+
+class _Run(NamedTuple):
+    """What one engine run returns: the report plus the delta-state inputs."""
+
+    report: StreamReport
+    header: list[str]
+    groups: list[StreamGroup]
+    sink: Any
+
+
+def _index_source(
+    reader: ChunkedReader,
+    notify: ProgressCallback,
+    phase: str = "read",
+    header: Sequence[str] | None = None,
+    spool_rows: bool = False,
+) -> tuple[IncrementalGroupIndex, _RowSpool | None, float]:
+    """One bounded-memory pass indexing every chunk of ``reader``, in order.
+
+    The one read-and-index loop of the out-of-core paths: a stream publish
+    reads its source with it, a delta append its appended rows.  ``header``
+    pins the header the source must carry.  With ``spool_rows`` (row-stream
+    strategies) each chunk's provisional codes also go to a
+    :class:`_RowSpool`, which is closed here if the read fails.  Returns the
+    index, the spool (or ``None``) and the seconds spent writing the spool,
+    so the read timing stays pure parse+index work.
+    """
+    index: IncrementalGroupIndex | None = None
+    spool: _RowSpool | None = None
+    spool_seconds = 0.0
+    try:
+        for chunk in reader.chunks():
+            if index is None:
+                if header is not None and reader.header != list(header):
+                    raise SchemaError(
+                        f"{reader.label}: header {reader.header} does not match "
+                        f"the published dataset's header {list(header)}"
+                    )
+                public_names = reader.public_names or []
+                index = IncrementalGroupIndex(public_names, reader.sensitive)
+                if spool_rows:
+                    spool = _RowSpool(len(public_names) + 1)
+            if spool is not None:
+                encoded = index.update_encoded(chunk)
+                with span("spool", kind="io") as spool_sp:
+                    spool.append(encoded)
+                spool_seconds += spool_sp.duration
+            else:
+                index.update(chunk)
+            notify({
+                "phase": phase,
+                "rows_read": reader.rows_read,
+                "chunks_read": reader.chunks_read,
+            })
+    except BaseException:
+        if spool is not None:
+            spool.close()
+        raise
+    assert index is not None  # reader raises on empty input
+    return index, spool, spool_seconds
 
 
 def _run(
@@ -369,13 +472,21 @@ def _run(
     progress: ProgressCallback | None,
     track_memory: bool,
     params: dict[str, Any],
-) -> StreamReport:
+    *,
+    root_name: str = "stream_publish",
+    path: str = "stream",
+    unsupported: type[ValueError] = ValueError,
+) -> _Run:
+    """The engine behind :func:`stream_publish` and the delta base publish.
+
+    ``root_name`` and ``path`` label the root span and the
+    ``PUBLISH_RUNS`` counter; ``unsupported`` is the error raised when the
+    strategy returns no chunk kernel.
+    """
     timings: dict[str, float] = {}
     notify = progress or (lambda event: None)
 
-    with span(
-        "stream_publish", kind="publish", path="stream", strategy=strategy.name
-    ) as root:
+    with span(root_name, kind="publish", path=path, strategy=strategy.name) as root:
         # prepare: typed parameter resolution + seed normalisation.
         with span("prepare", kind="stage") as sp:
             resolved = strategy.resolve(params)
@@ -387,41 +498,22 @@ def _run(
             seed=seed, chunk_size=chunk_size, chunk_rows=chunk_rows, workers=workers
         )
 
-        # Everything that owns on-disk state (the row spool, the CSV sink)
-        # lives inside this one try: whatever fails — a bad row mid-read, a
-        # strategy exception, a worker process dying mid-enforce — the
-        # spool's temp files are closed and any owned partial output is
+        # Everything that owns on-disk state (the row spool, the CSV sink's
+        # temp file) is released inside this one try: whatever fails — a bad
+        # row mid-read, a strategy exception, a worker process dying
+        # mid-enforce — the spool is closed and the unpublished temp output
         # removed before the error propagates.
         spool: _RowSpool | None = None
         sink: Any = None
         try:
-            # read: one bounded-memory pass over the source.  Time spent
-            # writing the row spool is booked separately ("spool"), so the
-            # read timing is pure parse+index work.
-            spool_seconds = 0.0
+            # read: one bounded-memory pass over the source.
             with span("read", kind="stage") as sp:
                 reader = ChunkedReader(
                     source, sensitive, chunk_rows=chunk_rows, delimiter=delimiter
                 )
-                index: IncrementalGroupIndex | None = None
-                for chunk in reader.chunks():
-                    if index is None:
-                        index = IncrementalGroupIndex(reader.public_names or [], sensitive)
-                        if strategy.streams_rows:
-                            spool = _RowSpool(len(reader.public_names or []) + 1)
-                    if spool is not None:
-                        encoded = index.update_encoded(chunk)
-                        with span("spool", kind="io") as spool_sp:
-                            spool.append(encoded)
-                        spool_seconds += spool_sp.duration
-                    else:
-                        index.update(chunk)
-                    notify({
-                        "phase": "read",
-                        "rows_read": reader.rows_read,
-                        "chunks_read": reader.chunks_read,
-                    })
-                assert index is not None  # reader raises on empty input
+                index, spool, spool_seconds = _index_source(
+                    reader, notify, spool_rows=strategy.streams_rows
+                )
                 sp.set(rows=reader.rows_read, chunks=reader.chunks_read)
             timings["read"] = max(0.0, sp.duration - spool_seconds)
             timings["spool"] = spool_seconds
@@ -463,16 +555,13 @@ def _run(
                     }
             timings["generalize"] = sp.duration
 
-            spec = strategy.spec_for(_SchemaHolder(prepared_schema), resolved)
+            spec = _spec_for(strategy, prepared_schema, resolved)
 
             # audit: Corollary 4 over the incremental groups (no table required).
             with span("audit", kind="stage", ran=audit and strategy.audits) as sp:
                 privacy_audit: PrivacyAudit | None = None
                 if audit and strategy.audits and spec is not None:
-                    audits = tuple(audit_group(spec, group) for group in groups)
-                    privacy_audit = PrivacyAudit(
-                        spec=spec, groups=audits, total_records=index.n_rows
-                    )
+                    privacy_audit = audit_groups(spec, cast(Any, groups), index.n_rows)
             timings["audit"] = sp.duration
 
             # enforce: drive the kernel per group batch (or replay the row
@@ -493,16 +582,19 @@ def _run(
                         workers, parallel_backend, sink, notify,
                     )
                 else:
+                    kernel = _chunk_kernel(
+                        strategy, prepared_schema, spec, resolved, unsupported
+                    )
                     _enforce_groups(
-                        strategy, prepared_schema, spec, resolved, groups,
-                        seed, chunk_size, workers, parallel_backend, sink, records, notify,
+                        kernel, groups, seed, chunk_size, workers,
+                        parallel_backend, sink, records, notify,
                     )
             timings["enforce"] = sp.duration
             if sp.duration > 0.0:
                 STREAM_ROWS_PER_SECOND.set(sink.records_written / sp.duration)
 
-            # flush: close the sink — for CSV outputs this is the final
-            # buffer flush to disk, previously invisible inside enforce.
+            # flush: close the sink — for a path output this flushes the temp
+            # file and moves it into place.
             with span("flush", kind="stage") as sp:
                 published = sink.close()
             timings["flush"] = sp.duration
@@ -525,9 +617,9 @@ def _run(
         timings["finalize"] = max(0.0, root.elapsed() - sum(timings.values()))
         root.set(rows=index.n_rows, published_records=sink.records_written)
 
-    PUBLISH_RUNS.inc(path="stream", strategy=strategy.name)
+    PUBLISH_RUNS.inc(path=path, strategy=strategy.name)
     ROWS_PUBLISHED.inc(sink.records_written, strategy=strategy.name)
-    return StreamReport(
+    report = StreamReport(
         strategy=strategy.name,
         params=resolved,
         seed=seed,
@@ -549,13 +641,36 @@ def _run(
         published=published if output is None else None,
         peak_tracked_bytes=peak,
     )
+    return _Run(report, reader.header or [], groups, sink)
 
 
-def _enforce_groups(
+def _chunk_kernel(
     strategy: PublishStrategy,
     schema: Schema,
     spec: PrivacySpec | None,
     resolved: dict[str, Any],
+    unsupported: type[ValueError] = ValueError,
+) -> StrategyKernel:
+    """Build the strategy's group-batch kernel, failing fast in the parent.
+
+    The one kernel-build site of the out-of-core paths.  A strategy that
+    returns no kernel raises ``unsupported``; a :class:`ValueError` from the
+    strategy's own builder propagates verbatim.  Workers rebuild their own
+    copy after unpickling; the parent's built closure serves the serial path.
+    """
+    kernel = StrategyKernel(strategy, schema, spec, dict(resolved))
+    try:
+        kernel.build()
+    except MissingChunkPublisher as exc:
+        raise unsupported(
+            f"{exc}, so it can neither publish out-of-core nor be "
+            "delta-published"
+        ) from None
+    return kernel
+
+
+def _enforce_groups(
+    kernel: StrategyKernel,
     groups: list[StreamGroup],
     seed: int,
     chunk_size: int,
@@ -565,23 +680,13 @@ def _enforce_groups(
     records: list[GroupPublication],
     notify: ProgressCallback,
 ) -> None:
-    """Drive the strategy's group-batch kernel over seeded chunks, in chunk order.
+    """Drive the group-batch kernel over seeded chunks, in chunk order.
 
     With ``workers > 1`` the chunks are dispatched through the shared
     scheduler (process pool by default); the ordered emitter inside the
     scheduler guarantees blocks reach the sink in chunk order, so the output
     bytes never depend on the worker count.
     """
-    kernel = StrategyKernel(strategy, schema, spec, dict(resolved))
-    try:
-        # Fail fast in the parent (and cache the closure for the serial
-        # path); workers rebuild their own copy after unpickling.
-        kernel.build()
-    except MissingChunkPublisher:
-        raise ValueError(
-            f"strategy {strategy.name!r} returned no chunk publisher for this "
-            "configuration; it cannot publish out-of-core"
-        ) from None
     results = iter_chunk_results(
         groups, kernel, seed, chunk_size, workers=workers, backend=backend
     )

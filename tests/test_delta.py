@@ -452,7 +452,7 @@ class TestFaultInjection:
             raise OSError("sink write failed")
 
         monkeypatch.setattr(
-            engine_module._SpliceWriter, "write_block", exploding_write
+            engine_module._CsvSink, "write_block", exploding_write
         )
         with pytest.raises(OSError, match="sink write failed"):
             delta_publish(report.state, [["h", "flu"]])
@@ -471,6 +471,93 @@ class TestFaultInjection:
             delta_publish(report.state, [["a", "flu"], ["ragged"]])
         assert Path(report.state.output).read_bytes() == base_bytes
         assert _no_temp_leftovers(tmp_path)
+
+    def test_overwrite_false_never_clobbers_a_file_created_mid_run(self, tmp_path):
+        # The no-clobber decision is made when the output is moved into
+        # place, not by an exists() check up front: a file that appears
+        # while the base publish is reading must survive, byte for byte.
+        base_csv = tmp_path / "base.csv"
+        _write_csv(base_csv, _TINY_HEADER, _tiny_rows("abcd", ["flu", "cold"]))
+        out = tmp_path / "published.csv"
+        foreign = b"someone else's file\n"
+
+        def create_target(event):
+            if event["phase"] == "read" and not out.exists():
+                out.write_bytes(foreign)
+
+        with pytest.raises(FileExistsError):
+            publish_base(
+                base_csv, sensitive="Disease", output=out, rng=3,
+                overwrite=False, progress=create_target,
+            )
+        assert out.read_bytes() == foreign
+        assert _no_temp_leftovers(tmp_path)
+
+
+# --------------------------------------------------------------------- #
+# Base publish observability: one stream run under the delta labels
+# --------------------------------------------------------------------- #
+
+
+class TestBaseObservability:
+    def _publish(self, tmp_path, **kwargs):
+        base_csv = tmp_path / "base.csv"
+        _write_csv(base_csv, _TINY_HEADER, _tiny_rows("abcdefgh", ["flu", "cold"]))
+        return publish_base(
+            base_csv, sensitive="Disease", output=tmp_path / "published.csv",
+            rng=3, **kwargs,
+        )
+
+    def test_root_span_is_delta_base_on_the_delta_path(self, tmp_path):
+        from repro.obs import Tracer
+
+        with Tracer() as tracer:
+            self._publish(tmp_path)
+        roots = [r for r in tracer.spans if r.attributes.get("kind") == "publish"]
+        assert [r.name for r in roots] == ["delta_base"]
+        assert roots[0].attributes["path"] == "delta"
+
+    def test_counts_one_delta_run_and_no_stream_run(self, tmp_path):
+        from repro.obs.metrics import PUBLISH_RUNS
+
+        before = {
+            path: PUBLISH_RUNS.value(path=path, strategy="sps")
+            for path in ("delta", "stream")
+        }
+        self._publish(tmp_path)
+        assert PUBLISH_RUNS.value(path="delta", strategy="sps") == before["delta"] + 1
+        assert PUBLISH_RUNS.value(path="stream", strategy="sps") == before["stream"]
+
+    def test_timings_sum_to_total_seconds(self, tmp_path):
+        report = self._publish(tmp_path)
+        assert all(value >= 0.0 for value in report.timings.values())
+        assert report.total_seconds == pytest.approx(sum(report.timings.values()))
+        assert report.summary()["total_seconds"] == report.total_seconds
+
+    def test_n_chunks_counts_kernel_chunks_not_ingestion_chunks(self, tmp_path):
+        # 64 rows in 16-row ingestion chunks = 4 reads; 8 groups at 3 per
+        # kernel chunk = 3 kernel chunks.
+        events = []
+        report = self._publish(
+            tmp_path, chunk_rows=16, chunk_size=3, progress=events.append
+        )
+        assert max(e["chunks_read"] for e in events if e["phase"] == "read") == 4
+        assert report.n_groups == 8
+        assert report.n_chunks == report.n_chunks_dirty == 3
+        assert len(report.state.chunk_row_counts) == 3
+        assert sum(report.state.chunk_row_counts) == report.published_records
+
+    def test_every_base_keyword_is_a_reserved_engine_option(self):
+        import inspect
+
+        from repro.stream.engine import ENGINE_OPTIONS
+
+        named = {
+            name
+            for name, parameter in inspect.signature(publish_base).parameters.items()
+            if parameter.kind is not inspect.Parameter.VAR_KEYWORD
+        }
+        assert named <= ENGINE_OPTIONS
 
 
 # --------------------------------------------------------------------- #
@@ -664,6 +751,45 @@ class TestServiceDelta:
             service.publish_delta_base(
                 "living", base_csv, "Disease", "sps", tmp_path / "out2.csv"
             )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"audit": False},
+            {"parallel_backend": "thread"},
+            {"delimiter": ";"},
+            {"workers": 3},
+        ],
+    )
+    def test_engine_option_in_params_rejected(self, service_base, tmp_path, params):
+        # Each of these used to bind a publish_base keyword (or, for
+        # workers, collide into a TypeError and a 500) instead of reaching
+        # the strategy's parameter validation.
+        from repro.serve.router import ServiceRouter
+        from repro.service.registry import ServiceError
+
+        service, _, _ = service_base
+        base_csv = tmp_path / "base2.csv"
+        _write_csv(base_csv, _TINY_HEADER, _tiny_rows("ab", ["flu", "cold"]))
+        out = tmp_path / "out2.csv"
+        n_jobs = len(service.jobs)
+        with pytest.raises(ServiceError, match="stream-job options"):
+            service.publish_delta_base(
+                "other", base_csv, "Disease", "sps", out, params=params
+            )
+        body = json.dumps({
+            "delta": True, "name": "other", "source": str(base_csv),
+            "sensitive": "Disease", "backend": "sps", "output": str(out),
+            "params": params,
+        }).encode()
+        result = ServiceRouter(service).handle(
+            "POST", "/publish", io.BytesIO(body), len(body)
+        )
+        assert result.status == 400
+        assert "stream-job options" in json.loads(result.body)["error"]
+        assert "other" not in service.deltas
+        assert len(service.jobs) == n_jobs
+        assert not out.exists()
 
     def test_failed_append_marks_job_failed(self, service_base):
         from repro.service.registry import ServiceError

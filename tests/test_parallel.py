@@ -314,11 +314,6 @@ class TestWorkerCountEquivalence:
         with pytest.raises(ValueError, match="workers must be positive"):
             publish(repro.generate_adult(100, seed=0), workers=0)
 
-    def test_workers_and_custom_runner_conflict(self):
-        table = repro.generate_adult(100, seed=0)
-        with pytest.raises(ValueError, match="not both"):
-            publish(table, workers=2, runner=run_chunks_serial)
-
 
 # --------------------------------------------------------------------- #
 # Kernels
