@@ -52,11 +52,11 @@ def violation_report(
     """
     if audit is None:
         audit = audit_table(table, spec, groups=groups)
-    violating = audit.violating_groups
+    violating = ~audit.private
     return ViolationReport(
         spec=spec,
         total_groups=audit.n_groups,
-        violating_groups=len(violating),
+        violating_groups=int(violating.sum()),
         total_records=audit.total_records,
-        violating_records=sum(v.size for v in violating),
+        violating_records=int(audit.sizes[violating].sum()),
     )

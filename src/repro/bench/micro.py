@@ -16,7 +16,7 @@ here as *reference baselines* so every ``repro-bench run --suite core``:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -65,10 +65,6 @@ def _reference_group_index(table: Table) -> dict[tuple[int, ...], "PersonalGroup
         counts = np.bincount(sensitive[indices], minlength=m).astype(np.int64)
         groups[key] = PersonalGroup(key=key, indices=indices, sensitive_counts=counts)
     return groups
-
-
-def _counts_of(groups: Iterable["PersonalGroup"]) -> np.ndarray:
-    return np.vstack([group.sensitive_counts for group in groups])
 
 
 # --------------------------------------------------------------------- #
@@ -139,8 +135,8 @@ def run_micro_benchmarks(
     table = generate_adult(table_rows, seed=seed)
     ref_groups, base_time = time_callable(lambda: _reference_group_index(table), timing)
     new_index, vec_time = time_callable(lambda: personal_groups(table), timing)
-    baseline = _counts_of(ref_groups.values())
-    vectorized = _counts_of(new_index)
+    baseline = np.vstack([group.sensitive_counts for group in ref_groups.values()])
+    vectorized = new_index.groups.counts
     entries.append(
         _entry(
             "group-index-build",

@@ -23,12 +23,11 @@ frequencies in expectation (Theorem 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.criterion import PrivacySpec, max_group_size
-from repro.dataset.groups import GroupIndex, PersonalGroup, personal_groups
+from repro.dataset.groups import GroupCounts, GroupIndex, personal_groups
 from repro.dataset.table import Table
 from repro.perturbation.uniform import UniformPerturbation
 from repro.utils.rng import default_rng
@@ -120,34 +119,36 @@ def _scale_codes(codes: np.ndarray, target_size: int, rng: np.random.Generator) 
 
 
 def sps_group(
-    group: PersonalGroup,
+    key: tuple[int, ...],
+    counts: np.ndarray,
     spec: PrivacySpec,
     perturbation: UniformPerturbation,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, GroupPublication]:
-    """Run SPS on one personal group.
+    """Run SPS on one personal group: NA ``key`` with SA count vector ``counts``.
 
     Returns the published SA codes for the group (the NA key is unchanged by
     construction) and the bookkeeping record.
     """
-    threshold = max_group_size(spec, group.max_frequency)
-    counts = group.sensitive_counts
+    size = int(counts.sum())
+    max_frequency = float(counts.max() / counts.sum()) if size else 0.0
+    threshold = max_group_size(spec, max_frequency)
 
-    if group.size <= threshold:
+    if size <= threshold:
         # No sampling needed: perturb every record of the group.
         original_codes = np.repeat(np.arange(counts.size), counts)
         published = perturbation.perturb_codes(original_codes, rng)
         record = GroupPublication(
-            key=group.key,
-            original_size=group.size,
+            key=key,
+            original_size=size,
             max_group_size=threshold,
             sampled=False,
-            sample_size=group.size,
+            sample_size=size,
             published_size=int(published.size),
         )
         return published, record
 
-    sampling_rate = threshold / group.size
+    sampling_rate = threshold / size
     sampled_counts = _sample_counts(counts, sampling_rate, rng)
     if sampled_counts.sum() == 0:
         # Degenerate corner (s_g < 1): keep one record of the dominant value so
@@ -155,10 +156,10 @@ def sps_group(
         sampled_counts[int(np.argmax(counts))] = 1
     sample_codes = np.repeat(np.arange(sampled_counts.size), sampled_counts)
     perturbed = perturbation.perturb_codes(sample_codes, rng)
-    published = _scale_codes(perturbed, group.size, rng)
+    published = _scale_codes(perturbed, size, rng)
     record = GroupPublication(
-        key=group.key,
-        original_size=group.size,
+        key=key,
+        original_size=size,
         max_group_size=threshold,
         sampled=True,
         sample_size=int(sample_codes.size),
@@ -168,7 +169,7 @@ def sps_group(
 
 
 def sps_publish_groups(
-    groups: Sequence[PersonalGroup],
+    groups: GroupCounts,
     spec: PrivacySpec,
     rng: int | np.random.Generator | None,
     n_public: int,
@@ -177,7 +178,7 @@ def sps_publish_groups(
     """Run SPS over a chunk of personal groups and return its published block.
 
     This is the reusable unit of work behind :func:`sps_publish`: callers that
-    partition a :class:`GroupIndex` into chunks (e.g. the service engine's
+    partition a :class:`GroupCounts` into chunks (e.g. the service engine's
     parallel executor) hand each chunk its own seeded generator and
     concatenate the returned blocks, so the full published table is
     deterministic for a fixed chunking regardless of execution order.
@@ -190,25 +191,18 @@ def sps_publish_groups(
     if perturbation is None:
         perturbation = UniformPerturbation(spec.retention_probability, spec.domain_size)
     code_blocks: list[np.ndarray] = []
-    keys: list[tuple[int, ...]] = []
     records: list[GroupPublication] = []
-    for group in groups:
-        published_codes, record = sps_group(group, spec, perturbation, rng)
+    for key, counts in zip(groups.keys.tolist(), groups.counts, strict=True):
+        published_codes, record = sps_group(tuple(key), counts, spec, perturbation, rng)
         records.append(record)
-        if published_codes.size == 0:
-            continue
         code_blocks.append(published_codes)
-        keys.append(group.key)
     if not code_blocks:
         return np.empty((0, n_public + 1), dtype=np.int64), records
     # Assemble the chunk's block in two bulk operations (repeat the NA keys,
-    # concatenate the SA codes) instead of one allocation per group; the row
-    # order — and therefore the published bytes — is unchanged.
+    # concatenate the SA codes) instead of one allocation per group.
     sizes = np.fromiter((block.size for block in code_blocks), dtype=np.int64, count=len(code_blocks))
     codes = np.empty((int(sizes.sum()), n_public + 1), dtype=np.int64)
-    codes[:, :n_public] = np.repeat(
-        np.asarray(keys, dtype=np.int64).reshape(len(keys), n_public), sizes, axis=0
-    )
+    codes[:, :n_public] = np.repeat(groups.keys, sizes, axis=0)
     codes[:, n_public] = np.concatenate(code_blocks)
     return codes, records
 
@@ -238,7 +232,7 @@ def sps_publish(
     rng = default_rng(rng)
     index = groups if groups is not None else personal_groups(table)
     codes, records = sps_publish_groups(
-        list(index), spec, rng, n_public=len(table.schema.public)
+        index.groups, spec, rng, n_public=len(table.schema.public)
     )
     published_table = Table(table.schema, codes)
     return SPSResult(published=published_table, groups=tuple(records), spec=spec)

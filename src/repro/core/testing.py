@@ -13,11 +13,13 @@ the ``s_g`` thresholds, in one pass over the personal groups of a table.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.core.criterion import PrivacySpec, group_is_private, max_group_size
-from repro.dataset.groups import GroupIndex, PersonalGroup, personal_groups
+import numpy as np
+
+from repro.core.criterion import PrivacySpec, max_group_size
+from repro.dataset.groups import GroupCounts, GroupIndex, personal_groups
 from repro.dataset.table import Table
 
 
@@ -25,78 +27,104 @@ from repro.dataset.table import Table
 class GroupAudit:
     """The audit verdict for one personal group."""
 
-    group: PersonalGroup
+    key: tuple[int, ...]
+    size: int
     max_group_size: float
     is_private: bool
 
     @property
-    def size(self) -> int:
-        """``|g|``, the group's record count."""
-        return self.group.size
-
-    @property
     def sampling_rate(self) -> float:
         """``tau = s_g / |g|`` — the sampling rate SPS would apply (capped at 1)."""
-        if self.group.size == 0:
+        if self.size == 0:
             return 1.0
-        return min(1.0, self.max_group_size / self.group.size)
+        return min(1.0, self.max_group_size / self.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrivacyAudit:
-    """Audit of a whole table against a :class:`PrivacySpec`."""
+    """Audit of a whole table against a :class:`PrivacySpec`.
+
+    The verdicts are stored as arrays aligned with the audited groups:
+    ``sizes`` (``|g|``), ``thresholds`` (``s_g``) and ``private``.
+    """
 
     spec: PrivacySpec
-    groups: tuple[GroupAudit, ...]
+    keys: np.ndarray
+    sizes: np.ndarray
+    thresholds: np.ndarray
+    private: np.ndarray
     total_records: int
+
+    def _views(self, positions: np.ndarray) -> tuple[GroupAudit, ...]:
+        keys = self.keys[positions].tolist()
+        sizes = self.sizes[positions].tolist()
+        thresholds = self.thresholds[positions].tolist()
+        private = self.private[positions].tolist()
+        return tuple(
+            GroupAudit(tuple(key), size, threshold, verdict)
+            for key, size, threshold, verdict in zip(keys, sizes, thresholds, private, strict=True)
+        )
+
+    @cached_property
+    def groups(self) -> tuple[GroupAudit, ...]:
+        """Per-group audit views, in group order."""
+        return self._views(np.arange(self.n_groups))
+
+    @cached_property
+    def violating_groups(self) -> tuple[GroupAudit, ...]:
+        """Audits of the groups that violate the criterion."""
+        return self._views(np.flatnonzero(~self.private))
 
     @property
     def n_groups(self) -> int:
         """``|G|``: number of personal groups."""
-        return len(self.groups)
-
-    @property
-    def violating_groups(self) -> tuple[GroupAudit, ...]:
-        """Audits of the groups that violate the criterion."""
-        return tuple(audit for audit in self.groups if not audit.is_private)
+        return int(self.sizes.size)
 
     @property
     def group_violation_rate(self) -> float:
         """``v_g``: fraction of personal groups violating reconstruction privacy."""
-        if not self.groups:
+        if not self.n_groups:
             return 0.0
-        return len(self.violating_groups) / len(self.groups)
+        return int(np.count_nonzero(~self.private)) / self.n_groups
 
     @property
     def record_violation_rate(self) -> float:
         """``v_r``: fraction of records contained in a violating group."""
         if self.total_records == 0:
             return 0.0
-        covered = sum(audit.size for audit in self.violating_groups)
-        return covered / self.total_records
+        return int(self.sizes[~self.private].sum()) / self.total_records
 
     @property
     def is_private(self) -> bool:
         """Whether every personal group satisfies the criterion."""
-        return not self.violating_groups
+        return bool(self.private.all())
 
 
-def audit_group(spec: PrivacySpec, group: PersonalGroup) -> GroupAudit:
-    """Audit a single personal group against ``spec``."""
-    threshold = max_group_size(spec, group.max_frequency)
-    return GroupAudit(group=group, max_group_size=threshold, is_private=group_is_private(spec, group))
+def audit_groups(spec: PrivacySpec, groups: GroupCounts, total_records: int) -> PrivacyAudit:
+    """Audit every group of ``groups`` against ``spec``: Equation (10) over the counts.
 
-
-def audit_groups(
-    spec: PrivacySpec, groups: Iterable[PersonalGroup], total_records: int
-) -> PrivacyAudit:
-    """Audit every group of an already-built group list against ``spec``.
-
-    The one audit loop: :func:`audit_table`, the streaming engine and the
-    delta engine all call it, whatever produced their groups.
+    The one audit: :func:`audit_table`, the streaming engine and the delta
+    engine all call it, whatever produced their groups.  A group is private
+    when ``|g| <= s_g`` (Corollary 4); an empty group has ``f = 0`` and
+    ``s_g = inf``.
     """
-    audits = tuple(audit_group(spec, group) for group in groups)
-    return PrivacyAudit(spec=spec, groups=audits, total_records=total_records)
+    sizes = groups.sizes()
+    frequencies = groups.counts.max(axis=1, initial=0) / np.maximum(sizes, 1)
+    # Equation (10) once per distinct frequency, through the scalar form
+    # itself: libm's pow(x, 2) and numpy's x * x differ in the last bit for
+    # a small share of inputs, and s_g also drives SPS's sampling rate.
+    distinct, inverse = np.unique(frequencies, return_inverse=True)
+    thresholds = np.array(
+        [max_group_size(spec, f) for f in distinct.tolist()], dtype=float
+    )[inverse]
+    return PrivacyAudit(
+        spec=spec,
+        keys=groups.keys,
+        sizes=sizes,
+        thresholds=thresholds,
+        private=sizes <= thresholds,
+        total_records=total_records,
+    )
 
 
 def audit_table(
@@ -124,4 +152,4 @@ def audit_table(
     if spec.domain_size != table.schema.sensitive_domain_size:
         raise ValueError("spec.domain_size does not match the table's sensitive domain size")
     index = groups if groups is not None else personal_groups(table)
-    return audit_groups(spec, index, len(table))
+    return audit_groups(spec, index.groups, len(table))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dataset.groups import GroupIndex, PersonalGroup, personal_groups
+from repro.dataset.groups import GroupIndex, personal_groups
 from repro.dataset.table import Table
 
 
@@ -71,16 +71,23 @@ def _report(
     parameters: dict[str, float],
     table: Table,
     index: GroupIndex,
-    failing: list[PersonalGroup],
+    failing: np.ndarray,
 ) -> CriterionReport:
+    """Report the groups of ``index`` flagged by the boolean mask ``failing``."""
     return CriterionReport(
         criterion=criterion,
         parameters=parameters,
         total_groups=len(index),
-        failing_groups=tuple(group.key for group in failing),
+        failing_groups=tuple(map(tuple, index.groups.keys[failing].tolist())),
         total_records=len(table),
-        failing_records=sum(group.size for group in failing),
+        failing_records=int(index.sizes()[failing].sum()),
     )
+
+
+def _frequencies(index: GroupIndex) -> np.ndarray:
+    """Each group's SA frequency vector, one row per group."""
+    counts = index.groups.counts
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -115,14 +122,10 @@ def l_diversity_report(
     if variant not in {"distinct", "entropy"}:
         raise ValueError("variant must be 'distinct' or 'entropy'")
     index = groups if groups is not None else personal_groups(table)
-    failing = []
-    for group in index:
-        if variant == "distinct":
-            diverse = int((group.sensitive_counts > 0).sum()) >= l
-        else:
-            diverse = _entropy(group.frequencies) >= math.log(l)
-        if not diverse:
-            failing.append(group)
+    if variant == "distinct":
+        failing = (index.groups.counts > 0).sum(axis=1) < l
+    else:
+        failing = np.array([_entropy(row) < math.log(l) for row in _frequencies(index)], dtype=bool)
     return _report(f"{variant}-l-diversity", {"l": float(l)}, table, index, failing)
 
 
@@ -153,11 +156,10 @@ def t_closeness_report(
         raise ValueError("t must lie in [0, 1]")
     index = groups if groups is not None else personal_groups(table)
     global_distribution = table.sensitive_frequencies()
-    failing = [
-        group
-        for group in index
-        if total_variation_distance(group.frequencies, global_distribution) > t
-    ]
+    failing = np.array(
+        [total_variation_distance(row, global_distribution) > t for row in _frequencies(index)],
+        dtype=bool,
+    )
     return _report("t-closeness", {"t": t}, table, index, failing)
 
 
@@ -178,15 +180,10 @@ def beta_likeness_report(
     if beta <= 0:
         raise ValueError("beta must be positive")
     index = groups if groups is not None else personal_groups(table)
-    global_distribution = table.sensitive_frequencies()
-    failing = []
-    for group in index:
-        frequencies = group.frequencies
-        gains = np.zeros_like(frequencies)
-        positive = global_distribution > 0
-        gains[positive] = (frequencies[positive] - global_distribution[positive]) / global_distribution[positive]
-        if gains.max(initial=0.0) > beta:
-            failing.append(group)
+    prior = table.sensitive_frequencies()
+    positive = prior > 0
+    gains = (_frequencies(index)[:, positive] - prior[positive]) / prior[positive]
+    failing = gains.max(axis=1, initial=0.0) > beta
     return _report("beta-likeness", {"beta": beta}, table, index, failing)
 
 
@@ -209,10 +206,6 @@ def small_count_report(
     if k < 1:
         raise ValueError("k must be at least 1")
     index = groups if groups is not None else personal_groups(table)
-    failing = []
-    for group in index:
-        counts = group.sensitive_counts
-        nonzero = counts[counts > 0]
-        if nonzero.size and nonzero.min() < k:
-            failing.append(group)
+    counts = index.groups.counts
+    failing = ((counts > 0) & (counts < k)).any(axis=1)
     return _report("small-count", {"k": float(k)}, table, index, failing)

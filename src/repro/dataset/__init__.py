@@ -14,7 +14,8 @@ one sensitive attribute ``SA`` (Section 3.1).  This package provides:
 
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
-from repro.dataset.groups import GroupIndex, PersonalGroup, aggregate_group, personal_groups
+from repro.dataset.groups import GroupCounts, GroupIndex, PersonalGroup
+from repro.dataset.groups import aggregate_group, personal_groups
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
 from repro.dataset.loaders import read_csv, write_csv
@@ -23,6 +24,7 @@ __all__ = [
     "Attribute",
     "Schema",
     "Table",
+    "GroupCounts",
     "GroupIndex",
     "PersonalGroup",
     "personal_groups",

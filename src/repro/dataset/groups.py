@@ -7,25 +7,145 @@ least one public attribute as a wildcard.  Personal reconstruction (privacy
 risk) operates on personal groups; aggregate reconstruction (utility) on
 aggregate groups.
 
-The :class:`GroupIndex` partitions a table into its personal groups in a
-single vectorised pass, mirroring the paper's "sort by NA then SA"
-preprocessing used by both the privacy test (Corollary 4) and the SPS
-algorithm (Section 5).
+The audit (Corollary 4) and SPS read only each personal group's NA key and
+SA count vector, so :class:`GroupCounts` holds exactly that, as two aligned
+integer matrices; every engine (in-memory, streaming, delta) produces and
+consumes it.  :class:`GroupIndex` partitions a materialised table into its
+personal groups in a single vectorised pass — the paper's "sort by NA then
+SA" preprocessing — and adds the row order that the paper-analysis code
+reads through on-demand :class:`PersonalGroup` views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.dataset.table import Table
 
 
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographic row order of ``keys`` and the start of each run of equal keys."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    change = np.any(ordered[1:] != ordered[:-1], axis=1)
+    # The first row starts a run; no rows, no runs.
+    return order, np.flatnonzero(np.concatenate(([True], change)))[: len(keys)]
+
+
+class GroupCounts:
+    """Personal groups as two aligned integer matrices.
+
+    ``keys`` (``G x k``) holds each group's NA codes, unique and sorted
+    lexicographically — the published group order; ``counts`` (``G x m``)
+    holds its SA count vector.  Slicing returns a :class:`GroupCounts`, so
+    the chunk runners hand kernels columnar chunks.
+
+    >>> import numpy as np
+    >>> groups = GroupCounts.aggregate(
+    ...     GroupCounts(np.array([[1, 0], [0, 2]]), np.array([[1, 0], [0, 3]])),
+    ...     GroupCounts(np.array([[1, 0]]), np.array([[2, 1]])),
+    ... )
+    >>> groups.keys.tolist(), groups.counts.tolist()
+    ([[0, 2], [1, 0]], [[0, 3], [3, 1]])
+    >>> len(groups), groups.sizes().tolist(), groups[1:].keys.tolist()
+    (2, [3, 4], [[1, 0]])
+    """
+
+    __slots__ = ("keys", "counts")
+
+    def __init__(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        self.keys = np.asarray(keys, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        if self.keys.ndim != 2 or self.counts.ndim != 2 or len(self.keys) != len(self.counts):
+            raise ValueError("keys and counts must be matrices with one row per group")
+
+    @classmethod
+    def aggregate(cls, *parts: "GroupCounts") -> "GroupCounts":
+        """Sum the count rows that share a key across ``parts``; sort the keys.
+
+        Every part must have the same key and count widths.  Counts are
+        added in place into the result, so no part is copied.
+        """
+        keys = np.vstack([part.keys for part in parts])
+        order, starts = _sorted_runs(keys)
+        run_of_row = np.empty(len(keys), dtype=np.intp)
+        run_of_row[order] = np.searchsorted(starts, np.arange(len(keys)), side="right") - 1
+        counts = np.zeros((starts.size, parts[0].counts.shape[1]), dtype=np.int64)
+        first = 0
+        for part in parts:
+            np.add.at(counts, run_of_row[first : first + len(part)], part.counts)
+            first += len(part)
+        return cls(keys[order[starts]], counts)
+
+    @classmethod
+    def tabulate(
+        cls,
+        keys: np.ndarray,
+        sensitive: np.ndarray,
+        m: int,
+        weights: np.ndarray | None = None,
+    ) -> tuple["GroupCounts", np.ndarray, np.ndarray]:
+        """Group rows of NA ``keys`` with SA codes ``sensitive`` (optionally weighted).
+
+        Returns the groups plus the row ``order`` (stable lexicographic sort
+        of the keys) and the ``bounds`` that slice it into groups: group
+        ``g`` holds rows ``order[bounds[g]:bounds[g + 1]]``.
+        """
+        order, starts = _sorted_runs(keys)
+        bounds = np.append(starts, len(keys))
+        group_ids = np.repeat(np.arange(starts.size), np.diff(bounds))
+        counts = np.zeros((starts.size, m), dtype=np.int64)
+        np.add.at(counts, (group_ids, sensitive[order]), 1 if weights is None else weights[order])
+        return cls(keys[order[starts]], counts), order, bounds
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index: slice) -> "GroupCounts":
+        if not isinstance(index, slice):
+            raise TypeError("GroupCounts supports slicing only")
+        return GroupCounts(self.keys[index], self.counts[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupCounts):
+            return NotImplemented
+        return np.array_equal(self.keys, other.keys) and np.array_equal(
+            self.counts, other.counts
+        )
+
+    def sizes(self) -> np.ndarray:
+        """``|g|`` of every group."""
+        return self.counts.sum(axis=1)
+
+    def column_totals(self, column: int) -> dict[int, np.ndarray]:
+        """SA count vectors summed per observed value code of public ``column``.
+
+        A personal group fixes every public attribute, so this is exactly the
+        per-attribute contingency table of the underlying rows.
+        """
+        values, inverse = np.unique(self.keys[:, column], return_inverse=True)
+        totals = np.zeros((values.size, self.counts.shape[1]), dtype=np.int64)
+        np.add.at(totals, inverse, self.counts)
+        return dict(zip(values.tolist(), totals, strict=True))
+
+    def recode(self, key_maps: Sequence[np.ndarray]) -> "GroupCounts":
+        """Re-key through per-column code maps, merging groups whose keys collide."""
+        keys = np.empty_like(self.keys)
+        for column, code_map in enumerate(key_maps):
+            keys[:, column] = np.asarray(code_map, dtype=np.int64)[self.keys[:, column]]
+        return GroupCounts.aggregate(GroupCounts(keys, self.counts))
+
+
 @dataclass(frozen=True)
 class PersonalGroup:
-    """One personal group: a fixed NA key and the row indices carrying it.
+    """One personal group of a table: its NA key, rows and SA counts.
+
+    A view :class:`GroupIndex` builds on demand for the paper-analysis code;
+    the engines read :class:`GroupCounts` directly.
 
     Attributes
     ----------
@@ -70,48 +190,23 @@ class PersonalGroup:
 
 
 class GroupIndex:
-    """Partition of a table into personal groups keyed by the full NA tuple."""
+    """Partition of a table into personal groups keyed by the full NA tuple.
+
+    ``groups`` is the table's :class:`GroupCounts`; group ``g`` holds the rows
+    ``order[bounds[g]:bounds[g + 1]]``.
+    """
 
     def __init__(
         self,
         table: Table,
-        _prebuilt: dict[tuple[int, ...], PersonalGroup] | None = None,
+        _parts: tuple[GroupCounts, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self._table = table
-        self._groups: dict[tuple[int, ...], PersonalGroup] = {}
-        if _prebuilt is not None:
-            self._groups = _prebuilt
-        else:
-            self._build()
-
-    def _build(self) -> None:
-        table = self._table
-        if len(table) == 0:
-            return
-        public = table.public_codes
-        # Lexicographic sort on the NA columns groups identical keys together.
-        order = np.lexsort(public.T[::-1])
-        sorted_public = public[order]
-        change = np.any(np.diff(sorted_public, axis=0) != 0, axis=1)
-        boundaries = np.concatenate(([0], np.flatnonzero(change) + 1, [len(table)]))
-        m = table.schema.sensitive_domain_size
-        n_groups = boundaries.size - 1
-        starts = boundaries[:-1]
-        # One global bincount over (group id, SA code) pairs replaces one
-        # bincount call per group; each row of the reshaped result is exactly
-        # np.bincount(sensitive[indices], minlength=m) for that group.
-        group_ids = np.repeat(np.arange(n_groups), np.diff(boundaries))
-        sensitive_sorted = table.sensitive_codes[order]
-        counts_matrix = np.bincount(
-            group_ids * m + sensitive_sorted, minlength=n_groups * m
-        ).reshape(n_groups, m).astype(np.int64)
-        for gid, key_row in enumerate(sorted_public[starts].tolist()):
-            key = tuple(key_row)
-            self._groups[key] = PersonalGroup(
-                key=key,
-                indices=order[starts[gid] : boundaries[gid + 1]],
-                sensitive_counts=counts_matrix[gid],
+        if _parts is None:
+            _parts = GroupCounts.tabulate(
+                table.public_codes, table.sensitive_codes, table.schema.sensitive_domain_size
             )
+        self.groups, self.order, self.bounds = _parts
 
     # ------------------------------------------------------------------ #
     @property
@@ -120,22 +215,33 @@ class GroupIndex:
         return self._table
 
     def __len__(self) -> int:
-        return len(self._groups)
+        return len(self.groups)
+
+    def _view(self, position: int, key: tuple[int, ...]) -> PersonalGroup:
+        return PersonalGroup(
+            key=key,
+            indices=self.order[self.bounds[position] : self.bounds[position + 1]],
+            sensitive_counts=self.groups.counts[position],
+        )
 
     def __iter__(self) -> Iterator[PersonalGroup]:
-        return iter(self._groups.values())
+        for position, key in enumerate(self.groups.keys.tolist()):
+            yield self._view(position, tuple(key))
 
     def __contains__(self, key: tuple[int, ...]) -> bool:
-        return tuple(key) in self._groups
+        return self.get(key) is not None
 
     def get(self, key: Sequence[int]) -> PersonalGroup | None:
         """Return the personal group with the given NA key, or ``None``."""
-        return self._groups.get(tuple(int(k) for k in key))
+        codes = tuple(int(k) for k in key)
+        if len(codes) != self.groups.keys.shape[1]:
+            return None
+        matches = np.flatnonzero((self.groups.keys == codes).all(axis=1))
+        return self._view(int(matches[0]), codes) if matches.size else None
 
     def group_of_record(self, row: int) -> PersonalGroup:
         """Return the personal group containing table row ``row``."""
-        key = tuple(int(c) for c in self._table.public_codes[row])
-        group = self._groups.get(key)
+        group = self.get(self._table.public_codes[row].tolist())
         if group is None:
             raise KeyError(f"row {row} not indexed")
         return group
@@ -148,58 +254,61 @@ class GroupIndex:
                 "a personal group requires a value for every public attribute; "
                 "use aggregate_group() for partial conditions"
             )
-        key = tuple(
-            schema.public_attribute(name).encode(conditions[name])
-            for name in schema.public_names
+        return self.get(
+            [schema.public_attribute(name).encode(conditions[name]) for name in schema.public_names]
         )
-        return self._groups.get(key)
 
     def sizes(self) -> np.ndarray:
         """Array of group sizes ``|g|`` in iteration order."""
-        return np.array([g.size for g in self], dtype=np.int64)
+        return np.diff(self.bounds)
 
-    def to_parts(self) -> dict[str, list[list[int]]]:
+    def to_parts(self) -> dict[str, list[list[int]] | list[int]]:
         """Serialise the index into plain lists (for the derived-cache store)."""
-        keys: list[list[int]] = []
-        indices: list[list[int]] = []
-        counts: list[list[int]] = []
-        for group in self:
-            keys.append([int(k) for k in group.key])
-            indices.append(group.indices.tolist())
-            counts.append(group.sensitive_counts.tolist())
-        return {"keys": keys, "indices": indices, "counts": counts}
+        return {
+            "keys": self.groups.keys.tolist(),
+            "counts": self.groups.counts.tolist(),
+            "order": self.order.tolist(),
+        }
 
     @classmethod
-    def from_parts(cls, table: Table, parts: Mapping[str, list[list[int]]]) -> "GroupIndex":
+    def from_parts(cls, table: Table, parts: Mapping[str, Any]) -> "GroupIndex":
         """Rebuild an index from :meth:`to_parts` output, validating against ``table``.
 
-        Raises :class:`ValueError` when the parts do not cover the table
-        exactly (wrong row count, wrong key width, wrong SA domain size) —
-        the caller should fall back to a fresh :meth:`_build`.
+        The parts are accepted only if they are exactly what a fresh build
+        over ``table`` produces: ``order`` is a permutation of the rows, each
+        group's rows carry its key (in ascending row order), the keys are
+        strictly sorted, and every count vector is the group's SA histogram.
+        Anything else raises :class:`ValueError` — the caller should fall
+        back to a fresh build.
         """
-        m = table.schema.sensitive_domain_size
-        n_public = len(table.schema.public)
-        groups: dict[tuple[int, ...], PersonalGroup] = {}
-        total = 0
-        for key_row, idx, cnt in zip(
-            parts["keys"], parts["indices"], parts["counts"], strict=True
+        n, m = len(table), table.schema.sensitive_domain_size
+        keys = np.asarray(parts["keys"], dtype=np.int64).reshape(-1, len(table.schema.public))
+        counts = np.asarray(parts["counts"], dtype=np.int64).reshape(-1, m)
+        order = np.asarray(parts["order"], dtype=np.int64)
+        sizes = counts.sum(axis=1)
+        if len(keys) != len(counts) or order.shape != (n,) or sizes.sum() != n:
+            raise ValueError("cached group index does not cover the table")
+        if (sizes <= 0).any():
+            raise ValueError("cached group index holds an empty group")
+        if n and (order.min() < 0 or order.max() >= n or np.bincount(order).max() != 1):
+            raise ValueError("cached row order is not a permutation of the table rows")
+        group_ids = np.repeat(np.arange(len(keys)), sizes)
+        same_group = group_ids[1:] == group_ids[:-1]
+        if (
+            not np.array_equal(table.public_codes[order], keys[group_ids])
+            or (np.diff(order)[same_group] <= 0).any()
         ):
-            key = tuple(int(k) for k in key_row)
-            if len(key) != n_public:
-                raise ValueError("cached group key does not match the table schema")
-            indices = np.asarray(idx, dtype=np.int64)
-            counts = np.asarray(cnt, dtype=np.int64)
-            if counts.shape != (m,):
-                raise ValueError("cached sensitive counts do not match the SA domain")
-            if indices.size and int(indices.max()) >= len(table):
-                raise ValueError("cached group indices fall outside the table")
-            total += int(indices.size)
-            groups[key] = PersonalGroup(key=key, indices=indices, sensitive_counts=counts)
-        if total != len(table):
-            raise ValueError(
-                f"cached group index covers {total} rows but the table has {len(table)}"
-            )
-        return cls(table, _prebuilt=groups)
+            raise ValueError("cached groups do not hold the rows carrying their keys")
+        key_order, runs = _sorted_runs(keys)
+        if (key_order != np.arange(len(keys))).any() or len(runs) != len(keys):
+            raise ValueError("cached group keys are not unique and sorted")
+        recount = np.bincount(
+            group_ids * m + table.sensitive_codes[order], minlength=len(keys) * m
+        )
+        if not np.array_equal(recount.reshape(len(keys), m), counts):
+            raise ValueError("cached sensitive counts disagree with the table")
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        return cls(table, _parts=(GroupCounts(keys, counts), order, bounds))
 
     def average_group_size(self) -> float:
         """``|D| / |G|`` as reported in Tables 4 and 5."""

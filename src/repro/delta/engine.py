@@ -40,15 +40,13 @@ from itertools import islice
 from pathlib import Path
 from typing import IO, Any, cast
 
+import numpy as np
+
 from repro.core.testing import PrivacyAudit, audit_groups
-from repro.dataset.schema import Schema
+from repro.dataset.groups import GroupCounts
+from repro.dataset.schema import Attribute, Schema
 from repro.delta.report import DeltaReport
-from repro.delta.state import (
-    DeltaState,
-    ValueGroups,
-    coded_groups,
-    schema_from_value_groups,
-)
+from repro.delta.state import DeltaState
 from repro.obs.metrics import (
     DELTA_GROUPS_TOUCHED,
     DELTA_ROWS_APPENDED,
@@ -103,22 +101,6 @@ def _require_output_path(output: Any) -> Path:
     return Path(output)
 
 
-def _value_groups(schema: Schema, groups: Sequence[Any]) -> ValueGroups:
-    """Decode coded groups to value-keyed counts (the stored representation)."""
-    publics = [attr.values for attr in schema.public]
-    sa_values = schema.sensitive.values
-    out: list[tuple[tuple[str, ...], dict[str, int]]] = []
-    for group in groups:
-        key = tuple(publics[i][code] for i, code in enumerate(group.key))
-        counts = {
-            sa_values[j]: int(n)
-            for j, n in enumerate(group.sensitive_counts)
-            if n
-        }
-        out.append((key, counts))
-    return tuple(out)
-
-
 def publish_base(
     source: str | Path | IO[str],
     *,
@@ -141,7 +123,7 @@ def publish_base(
     This *is* a :func:`repro.stream.stream_publish` run (so its CSV is
     byte-identical to it, and hence to :func:`repro.publish`, for the same
     ``(seed, chunk_size)``), labelled ``delta_base`` on the delta path.  On
-    top of it, the returned report's ``state`` records the value-keyed
+    top of it, the returned report's ``state`` records the schema, the
     group counts and the per-chunk published row counts the sink saw, which
     make :func:`delta_publish` possible.  ``overwrite=False`` refuses, with
     :class:`FileExistsError`, to replace a file that exists when the output
@@ -172,7 +154,8 @@ def publish_base(
         n_rows=report.n_rows,
         sensitive=sensitive,
         header=tuple(run.header),
-        groups=_value_groups(report.schema, run.groups),
+        schema=report.schema,
+        groups=run.groups,
         chunk_row_counts=chunk_counts,
         output=str(target),
     )
@@ -206,8 +189,8 @@ def _read_appended(
     appended: Any,
     delimiter: str,
     notify: ProgressCallback,
-) -> tuple[ValueGroups, int]:
-    """Index the appended rows (only them) and return value-keyed counts.
+) -> tuple[Schema, GroupCounts, int]:
+    """Index the appended rows (only them): their schema, groups and row count.
 
     Raises :class:`~repro.dataset.schema.SchemaError` naming the source and
     line for ragged rows, a missing sensitive column, an empty batch, or a
@@ -236,40 +219,68 @@ def _read_appended(
         reader, notify, phase="append_read", header=state.header
     )
     appended_schema, appended_groups = index.finalize()
-    return _value_groups(appended_schema, appended_groups), index.n_rows
+    return appended_schema, appended_groups, index.n_rows
 
 
-def _merge_groups(base: ValueGroups, appended: ValueGroups) -> ValueGroups:
-    """Fold appended per-group counts into the base groups; re-sort by key."""
-    merged: dict[tuple[str, ...], dict[str, int]] = {
-        key: dict(counts) for key, counts in base
-    }
-    for key, counts in appended:
-        into = merged.setdefault(key, {})
-        for value, count in counts.items():
-            into[value] = into.get(value, 0) + count
-    return tuple((key, merged[key]) for key in sorted(merged))
+def _merge(
+    base_schema: Schema,
+    base: GroupCounts,
+    appended_schema: Schema,
+    appended: GroupCounts,
+) -> tuple[Schema, GroupCounts, GroupCounts]:
+    """Fold appended groups into the base groups.
+
+    Returns the union schema (each column's sorted union domain: what a full
+    publish of all rows infers), the base groups re-coded onto it and the
+    merged groups: both sides' codes are mapped onto the union's domains
+    with ``np.searchsorted``, then one sort sums the count rows of equal keys.
+    """
+    pairs = list(zip(
+        (*base_schema.public, base_schema.sensitive),
+        (*appended_schema.public, appended_schema.sensitive),
+        strict=True,
+    ))
+    domains = [np.array(sorted({*a.values, *b.values}), dtype=object) for a, b in pairs]
+    attributes = [Attribute(a.name, tuple(d)) for (a, _), d in zip(pairs, domains, strict=True)]
+    union = Schema(public=attributes[:-1], sensitive=attributes[-1])
+
+    def onto(schema: Schema, groups: GroupCounts) -> GroupCounts:
+        # Both domains are sorted, so the maps are increasing: keys stay
+        # unique and sorted without a re-sort.
+        *key_maps, sa_map = (
+            np.searchsorted(domain, np.array(attr.values, dtype=object))
+            for attr, domain in zip((*schema.public, schema.sensitive), domains, strict=True)
+        )
+        keys = np.stack(
+            [code_map[column] for code_map, column in zip(key_maps, groups.keys.T, strict=True)],
+            axis=1,
+        )
+        counts = groups.counts
+        if schema.sensitive != union.sensitive:
+            counts = np.zeros((len(groups), union.sensitive_domain_size), dtype=np.int64)
+            counts[:, sa_map] = groups.counts
+        return GroupCounts(keys, counts)
+
+    base, appended = onto(base_schema, base), onto(appended_schema, appended)
+    merged = GroupCounts.aggregate(base, appended)
+    return union, base, merged
 
 
-def _dirty_chunks(
-    base: ValueGroups, merged: ValueGroups, chunk_size: int, n_chunks: int
-) -> set[int]:
+def _changed_chunks(base: GroupCounts, merged: GroupCounts, chunk_size: int) -> set[int]:
     """Chunk indices whose merged group slice differs from the base slice.
 
-    Position-wise comparison is exactly right for sorted group lists: a
-    count change dirties only its own chunk, while an insertion shifts every
-    later position and therefore (correctly) dirties everything after it —
-    those chunks' kernel inputs really did change.
+    Both sides are coded over the same schema.  Position-wise comparison is
+    exactly right for sorted group lists: a count change dirties only its
+    own chunk, while an insertion shifts every later position and therefore
+    (correctly) dirties everything after it — those chunks' kernel inputs
+    really did change.
     """
-    dirty: set[int] = set()
-    for i in range(n_chunks):
-        lo = i * chunk_size
-        hi = min(lo + chunk_size, len(merged))
-        for p in range(lo, hi):
-            if p >= len(base) or merged[p] != base[p]:
-                dirty.add(i)
-                break
-    return dirty
+    n = len(base)  # merged only ever adds groups
+    changed = np.ones(len(merged), dtype=bool)
+    changed[:n] = (merged.keys[:n] != base.keys).any(axis=1) | (
+        merged.counts[:n] != base.counts
+    ).any(axis=1)
+    return set((np.flatnonzero(changed) // chunk_size).tolist())
 
 
 def delta_publish(
@@ -321,7 +332,7 @@ def delta_publish(
     if workers <= 0:
         raise ValueError("workers must be positive")
     n_chunks_base = len(state.chunk_row_counts)
-    expected = -(-len(state.groups) // state.chunk_size) if state.groups else 0
+    expected = -(-len(state.groups) // state.chunk_size)
     if n_chunks_base != expected:
         raise ValueError(
             f"delta state is inconsistent: {len(state.groups)} groups at "
@@ -342,17 +353,16 @@ def delta_publish(
         root.set(seed=state.seed, chunk_size=state.chunk_size, workers=workers)
 
         with span("append_read", kind="stage") as sp:
-            appended_groups, rows_appended = _read_appended(
+            appended_schema, appended_groups, rows_appended = _read_appended(
                 state, appended, delimiter, notify
             )
         timings["append_read"] = sp.duration
 
         with span("diff", kind="stage") as sp:
-            merged = _merge_groups(state.groups, appended_groups)
-            new_schema = schema_from_value_groups(
-                state.public_names, state.sensitive, merged
+            base_schema = state.schema
+            new_schema, base_groups, merged = _merge(
+                base_schema, state.groups, appended_schema, appended_groups
             )
-            base_schema = state.schema()
             n_chunks_new = -(-len(merged) // state.chunk_size)
             sa_grew = new_schema.sensitive.values != base_schema.sensitive.values
             if sa_grew:
@@ -370,9 +380,7 @@ def delta_publish(
                 )
             else:
                 mode = "delta"
-                dirty = _dirty_chunks(
-                    state.groups, merged, state.chunk_size, n_chunks_new
-                )
+                dirty = _changed_chunks(base_groups, merged, state.chunk_size)
             sp.set(n_chunks=n_chunks_new, n_chunks_dirty=len(dirty), mode=mode)
         timings["diff"] = sp.duration
         notify({
@@ -383,21 +391,18 @@ def delta_publish(
         })
 
         spec = _spec_for(strategy, new_schema, resolved)
-        new_groups = coded_groups(new_schema, merged)
 
         with span("audit", kind="stage", ran=audit and strategy.audits) as sp:
             privacy_audit: PrivacyAudit | None = None
             if audit and strategy.audits and spec is not None:
-                privacy_audit = audit_groups(
-                    spec, cast(Any, new_groups), state.n_rows + rows_appended
-                )
+                privacy_audit = audit_groups(spec, merged, state.n_rows + rows_appended)
         timings["audit"] = sp.duration
 
         with span("splice", kind="stage") as sp:
             chunk_fn = _chunk_kernel(
                 strategy, new_schema, spec, resolved, DeltaUnsupportedError
             )
-            chunks = chunk_items(new_groups, state.chunk_size)
+            chunks = chunk_items(merged, state.chunk_size)
             rngs = chunk_rngs(state.seed, n_chunks_new)
             dirty_order = sorted(dirty)
             regen = iter_ordered_map(
@@ -482,6 +487,7 @@ def delta_publish(
         n_rows=state.n_rows + rows_appended,
         sensitive=state.sensitive,
         header=state.header,
+        schema=new_schema,
         groups=merged,
         chunk_row_counts=tuple(writer.chunk_counts),
         output=str(target),

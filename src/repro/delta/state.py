@@ -3,17 +3,19 @@
 A base publish (:func:`repro.delta.publish_base`) captures everything a
 later append needs, so the base source never has to be re-read:
 
-* the per-group counts, keyed by **decoded value strings** rather than
-  schema codes — appended rows can then be merged even when they introduce
-  new attribute values (which would shift every code);
+* the per-group counts as a :class:`~repro.dataset.groups.GroupCounts`
+  over the schema of the rows folded in so far; an append that introduces
+  new attribute values re-codes them onto the grown domains;
 * the per-chunk published row counts — clean chunks can then be copied out
   of the published CSV without re-running their kernels (the row count of a
   chunk depends on the kernel's draws and is unrecoverable after the fact);
 * the ``(strategy, params, seed, chunk_size)`` tuple that pins the bytes.
 
 The state is a plain JSON document (:meth:`DeltaState.save` /
-:meth:`DeltaState.load`), so a publish made by one process can be appended
-to by another — the ``repro-delta`` CLI round-trips it through a file and
+:meth:`DeltaState.load`) whose groups are keyed by **decoded value
+strings**, not codes — values are decoded only in :meth:`DeltaState.to_json`
+and encoded only in :meth:`DeltaState.from_json` — so a publish made by one
+process can be appended to by another — the ``repro-delta`` CLI round-trips it through a file and
 the service persists it per dataset through a storage connector
 (:class:`DeltaStateStore`), so a restarted service resumes appending where
 it left off.
@@ -22,76 +24,73 @@ it left off.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro.dataset.groups import GroupCounts
 from repro.dataset.schema import Attribute, Schema
 from repro.store.base import NS_DELTAS, StorageConnector
 from repro.store.memory import MemoryConnector
-from repro.stream.index import StreamGroup
-
-#: Value-keyed personal groups: decoded NA key -> {SA value: count}, sorted
-#: lexicographically by key (the published group order, since schema domains
-#: are sorted).
-ValueGroups = tuple[tuple[tuple[str, ...], dict[str, int]], ...]
 
 #: Version of the serialised state document.
 STATE_VERSION = 1
 
 
-def schema_from_value_groups(
-    public_names: list[str], sensitive: str, groups: ValueGroups
-) -> Schema:
-    """The schema the stored groups imply (sorted domains, sensitive last).
+def _decode_groups(schema: Schema, groups: GroupCounts) -> list[list[Any]]:
+    """Value-keyed ``[[NA values...], {SA value: count}]`` pairs, in group order."""
+    keys = zip(*(
+        np.array(attr.values, dtype=object)[groups.keys[:, i]].tolist()
+        for i, attr in enumerate(schema.public)
+    ), strict=True)
+    # Only the non-zero counts are stored, row by row.
+    rows, columns = np.nonzero(groups.counts)
+    values = np.array(schema.sensitive.values, dtype=object)[columns].tolist()
+    counts = groups.counts[rows, columns].tolist()
+    bounds = np.searchsorted(rows, np.arange(len(groups) + 1)).tolist()
+    return [
+        [list(key), dict(zip(values[lo:hi], counts[lo:hi], strict=True))]
+        for key, lo, hi in zip(keys, bounds[:-1], bounds[1:], strict=True)
+    ]
+
+
+def _encode_groups(
+    header: Sequence[str], sensitive: str, stored: Sequence[Any]
+) -> tuple[Schema, GroupCounts]:
+    """The schema the value-keyed groups imply (sorted domains) and their counts.
 
     Every row lives in exactly one personal group, so the observed domain of
     a column is the set of values that column takes across the group keys —
     the same domains :meth:`repro.stream.index.IncrementalGroupIndex.finalize`
     infers from the rows themselves.
     """
-    domains: list[set[str]] = [set() for _ in public_names]
-    sa_domain: set[str] = set()
-    for key, counts in groups:
-        for i, value in enumerate(key):
-            domains[i].add(value)
-        sa_domain.update(counts)
-    return Schema(
-        public=tuple(
-            Attribute(name, tuple(sorted(domain)))
-            for name, domain in zip(public_names, domains, strict=True)
-        ),
-        sensitive=Attribute(sensitive, tuple(sorted(sa_domain))),
-    )
-
-
-def coded_groups(schema: Schema, groups: ValueGroups) -> list[StreamGroup]:
-    """Translate value-keyed groups onto ``schema``'s codes, preserving order.
-
-    The stored order (sorted by decoded key) equals the coded lexicographic
-    order because the schema's domains are sorted — so the returned list is
-    exactly what the incremental index would finalize over the same rows.
-    """
-    codes = [
-        {value: code for code, value in enumerate(attr.values)}
-        for attr in schema.public
+    # One (NA values..., SA value, count) entry per stored count.
+    entries = [
+        (*map(str, key), str(value), int(n))
+        for key, counts in stored
+        for value, n in counts.items()
     ]
-    sa_codes = {value: code for code, value in enumerate(schema.sensitive.values)}
-    m = len(schema.sensitive.values)
-    out: list[StreamGroup] = []
-    for key, counts in groups:
-        vector = np.zeros(m, dtype=np.int64)
-        for value, count in counts.items():
-            vector[sa_codes[value]] = count
-        out.append(
-            StreamGroup(
-                key=tuple(codes[i][value] for i, value in enumerate(key)),
-                sensitive_counts=vector,
-            )
-        )
-    return out
+    if not entries:
+        raise ValueError("a delta state holds at least one group")
+    *columns, weights = zip(*entries, strict=True)
+    # Public columns in file order, then the sensitive column.
+    names = [*(name for name in header if name != sensitive), sensitive]
+    attributes = [
+        Attribute(name, tuple(sorted(set(column))))
+        for name, column in zip(names, columns, strict=True)
+    ]
+    codes = np.empty((len(attributes), len(entries)), dtype=np.int64)
+    for row, (attr, column) in enumerate(zip(attributes, columns, strict=True)):
+        lookup = {value: code for code, value in enumerate(attr.values)}
+        codes[row] = [lookup[value] for value in column]
+    schema = Schema(public=attributes[:-1], sensitive=attributes[-1])
+    groups, _, _ = GroupCounts.tabulate(
+        codes[:-1].T, codes[-1], schema.sensitive_domain_size, np.array(weights, dtype=np.int64)
+    )
+    return schema, groups
 
 
 @dataclass(frozen=True)
@@ -120,26 +119,20 @@ class DeltaState:
     sensitive: str
     #: Source file column order (appends must match it).
     header: tuple[str, ...]
-    #: Value-keyed per-group SA counts, sorted by key.
-    groups: ValueGroups
+    #: The schema the groups are coded over: every domain is the sorted set
+    #: of values the rows folded in so far take.
+    schema: Schema
+    #: Per-group SA counts over ``schema``, in published group order.
+    groups: GroupCounts
     #: Published rows per kernel chunk, in chunk order.
     chunk_row_counts: tuple[int, ...]
     #: Path of the published CSV the splice step rewrites.
     output: str
 
     @property
-    def public_names(self) -> list[str]:
-        """Public column names in file order (header minus the SA column)."""
-        return [name for name in self.header if name != self.sensitive]
-
-    @property
     def n_groups(self) -> int:
         """Number of distinct personal groups."""
         return len(self.groups)
-
-    def schema(self) -> Schema:
-        """The schema implied by the stored groups (sorted domains)."""
-        return schema_from_value_groups(self.public_names, self.sensitive, self.groups)
 
     def with_output(self, output: str) -> "DeltaState":
         """A copy of the state pointing at a different published file."""
@@ -157,7 +150,7 @@ class DeltaState:
             "n_rows": self.n_rows,
             "sensitive": self.sensitive,
             "header": list(self.header),
-            "groups": [[list(key), dict(counts)] for key, counts in self.groups],
+            "groups": _decode_groups(self.schema, self.groups),
             "chunk_row_counts": list(self.chunk_row_counts),
             "output": self.output,
         }
@@ -170,6 +163,9 @@ class DeltaState:
             raise ValueError(
                 f"unsupported delta state version {version!r} (expected {STATE_VERSION})"
             )
+        header = tuple(str(name) for name in data["header"])
+        sensitive = str(data["sensitive"])
+        schema, groups = _encode_groups(header, sensitive, data["groups"])
         return cls(
             strategy=str(data["strategy"]),
             params=dict(data["params"]),
@@ -177,12 +173,10 @@ class DeltaState:
             chunk_size=int(data["chunk_size"]),
             chunk_rows=int(data["chunk_rows"]),
             n_rows=int(data["n_rows"]),
-            sensitive=str(data["sensitive"]),
-            header=tuple(str(name) for name in data["header"]),
-            groups=tuple(
-                (tuple(str(v) for v in key), {str(k): int(n) for k, n in counts.items()})
-                for key, counts in data["groups"]
-            ),
+            sensitive=sensitive,
+            header=header,
+            schema=schema,
+            groups=groups,
             chunk_row_counts=tuple(int(n) for n in data["chunk_row_counts"]),
             output=str(data["output"]),
         )

@@ -789,15 +789,16 @@ class DeltaDeterminismRule(Rule):
     """RPR007: the delta engine must never rebuild a full-table group index.
 
     The whole point of :mod:`repro.delta` is that an append costs work
-    proportional to the appended rows and the dirty chunks — the stored
-    value-keyed group counts replace a re-read of the base.  Calling
+    proportional to the appended rows and the dirty chunks — the state's
+    stored :class:`~repro.dataset.groups.GroupCounts` replace a re-read of
+    the base.  Calling
     :func:`repro.dataset.groups.personal_groups` (or constructing a
     :class:`~repro.dataset.groups.GroupIndex`) inside a delta-engine module
     reintroduces the full-table pass the subsystem exists to avoid, and
     worse, does so silently: the output bytes stay identical, so only the
-    wall-clock betrays the regression.  Merge appended counts into the
-    stored state and feed an :class:`~repro.stream.index.IncrementalGroupIndex`
-    the *appended rows only*.
+    wall-clock betrays the regression.  Feed an
+    :class:`~repro.stream.index.IncrementalGroupIndex` the *appended rows
+    only* and merge its groups into the stored ``GroupCounts``.
     """
 
     code = "RPR007"
@@ -805,7 +806,7 @@ class DeltaDeterminismRule(Rule):
     description = (
         "delta-engine modules must not rebuild a group index over the full "
         "table (personal_groups/GroupIndex); index appended rows only and "
-        "merge into the stored per-group counts"
+        "merge into the stored GroupCounts"
     )
 
     _FORBIDDEN = frozenset({"personal_groups", "GroupIndex"})
@@ -822,8 +823,8 @@ class DeltaDeterminismRule(Rule):
                 yield self.finding(
                     module, node.lineno, node.col_offset,
                     f"delta engine calls {last}(), a full-table group-index "
-                    "rebuild; merge appended counts into the stored state "
-                    "via IncrementalGroupIndex over the appended rows only",
+                    "rebuild; index the appended rows only with "
+                    "IncrementalGroupIndex and merge into the stored GroupCounts",
                 )
 
 

@@ -270,12 +270,6 @@ CHUNK_SECONDS = REGISTRY.histogram(
     labelnames=("backend",),
 )
 
-#: Random draws consumed by instrumented perturbation paths.
-RNG_DRAWS = REGISTRY.counter(
-    "repro_rng_draws_total",
-    "Random draws consumed by instrumented perturbation paths.",
-)
-
 #: Published-row throughput of the most recent streaming enforce stage.
 STREAM_ROWS_PER_SECOND = REGISTRY.gauge(
     "repro_stream_rows_per_second",

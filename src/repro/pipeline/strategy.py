@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.criterion import PrivacySpec
 from repro.core.sps import GroupPublication, sps_publish_groups
-from repro.dataset.groups import GroupIndex, PersonalGroup
+from repro.dataset.groups import GroupCounts, GroupIndex
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
@@ -40,7 +40,7 @@ from repro.pipeline.params import ParamSpec, resolve_params
 #: Signature of a group-batch publishing kernel: ``fn(chunk_of_groups, rng)``
 #: returns the published code block plus the per-group publication records.
 GroupChunkFn = Callable[
-    [Sequence[PersonalGroup], np.random.Generator],
+    [GroupCounts, np.random.Generator],
     tuple[np.ndarray, Sequence[GroupPublication]],
 ]
 
@@ -258,7 +258,7 @@ def _run_chunk_publisher(
     chunk_fn = StrategyKernel(strategy, table.schema, spec, dict(resolved))
     chunk_fn.build()  # fail fast on a kernel-less strategy; caches the closure
     n_public = len(table.schema.public)
-    results = runner(list(groups), chunk_fn, seed, chunk_size)
+    results = runner(groups.groups, chunk_fn, seed, chunk_size)
     blocks = [codes for codes, _ in results if codes.size]
     records = [record for _, chunk_records in results for record in chunk_records]
     if blocks:
@@ -297,7 +297,7 @@ class SPSStrategy(PublishStrategy):
         n_public = len(schema.public)
 
         def chunk_fn(
-            chunk: Sequence[PersonalGroup], rng: np.random.Generator
+            chunk: GroupCounts, rng: np.random.Generator
         ) -> tuple[np.ndarray, list[GroupPublication]]:
             return sps_publish_groups(chunk, spec, rng, n_public, perturbation)
 
@@ -414,19 +414,17 @@ class _DPHistogramStrategy(PublishStrategy):
         n_public = len(schema.public)
 
         def chunk_fn(
-            chunk: Sequence[PersonalGroup], rng: np.random.Generator
+            chunk: GroupCounts, rng: np.random.Generator
         ) -> tuple[np.ndarray, tuple[GroupPublication, ...]]:
             blocks: list[np.ndarray] = []
-            for group in chunk:
-                noisy = np.asarray(
-                    mechanism.add_noise(group.sensitive_counts.astype(float), rng)
-                )
+            for key, group_counts in zip(chunk.keys, chunk.counts, strict=True):
+                noisy = np.asarray(mechanism.add_noise(group_counts.astype(float), rng))
                 counts = np.maximum(0, np.rint(noisy)).astype(np.int64)
                 codes = np.repeat(np.arange(m, dtype=np.int64), counts)
                 if codes.size == 0:
                     continue
                 block = np.empty((codes.size, n_public + 1), dtype=np.int64)
-                block[:, :n_public] = np.asarray(group.key, dtype=np.int64)
+                block[:, :n_public] = key
                 block[:, n_public] = codes
                 blocks.append(block)
             if blocks:

@@ -705,8 +705,11 @@ class AnonymizationService:
             "group_index_cached": cached,
             "worst_violations": [
                 {
-                    "key": [int(k) for k in a.group.key],
-                    "values": list(a.group.decoded_key(entry.table)),
+                    "key": list(a.key),
+                    "values": [
+                        attr.decode(code)
+                        for attr, code in zip(entry.table.schema.public, a.key, strict=True)
+                    ],
                     "size": a.size,
                     "max_group_size": float(a.max_group_size),
                     "sampling_rate": float(a.sampling_rate),

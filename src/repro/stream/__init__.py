@@ -7,8 +7,9 @@ groups, not of the materialised table.  This package exploits that:
 * :class:`~repro.stream.reader.ChunkedReader` walks a CSV source in
   bounded-size row chunks;
 * :class:`~repro.stream.index.IncrementalGroupIndex` merges per-chunk
-  ``(NA key, SA value)`` counts into the exact schema and group order the
-  in-memory :class:`~repro.dataset.groups.GroupIndex` would produce;
+  ``(NA key, SA value)`` counts into the exact schema and
+  :class:`~repro.dataset.groups.GroupCounts` the in-memory
+  :class:`~repro.dataset.groups.GroupIndex` would produce;
 * :func:`~repro.stream.engine.stream_publish` drives the strategies' own
   chunk kernels over the finalized groups and streams the published rows to
   a CSV sink, so a dataset larger than RAM publishes with peak memory
@@ -24,12 +25,7 @@ front end; ``repro.publish(source=..., streaming=True)`` and the service's
 
 from repro.pipeline.execution import DEFAULT_CHUNK_ROWS
 from repro.stream.engine import ProgressCallback, stream_publish
-from repro.stream.index import (
-    IncrementalGroupIndex,
-    StreamGroup,
-    apply_code_maps,
-    conditional_sa_counts,
-)
+from repro.stream.index import IncrementalGroupIndex
 from repro.stream.reader import ChunkedReader
 from repro.stream.report import StreamReport
 
@@ -38,9 +34,6 @@ __all__ = [
     "ChunkedReader",
     "IncrementalGroupIndex",
     "ProgressCallback",
-    "StreamGroup",
     "StreamReport",
-    "apply_code_maps",
-    "conditional_sa_counts",
     "stream_publish",
 ]

@@ -41,6 +41,7 @@ import numpy as np
 from repro.core.criterion import PrivacySpec
 from repro.core.sps import GroupPublication
 from repro.core.testing import PrivacyAudit, audit_groups
+from repro.dataset.groups import GroupCounts
 from repro.dataset.loaders import csv_codec, source_label
 from repro.dataset.schema import Schema, SchemaError
 from repro.dataset.table import Table
@@ -48,7 +49,6 @@ from repro.generalization.chi_square import DEFAULT_SIGNIFICANCE
 from repro.generalization.merging import AttributeMerge, merge_attribute_from_counts
 from repro.obs.metrics import (
     PUBLISH_RUNS,
-    RNG_DRAWS,
     ROWS_PUBLISHED,
     STREAM_ROWS_PER_SECOND,
     TRACEMALLOC_PEAK,
@@ -71,12 +71,7 @@ from repro.pipeline.execution import (
     seeded_rng,
 )
 from repro.pipeline.strategy import PublishStrategy, get_strategy
-from repro.stream.index import (
-    IncrementalGroupIndex,
-    StreamGroup,
-    apply_code_maps,
-    conditional_sa_counts,
-)
+from repro.stream.index import IncrementalGroupIndex
 from repro.stream.reader import ChunkedReader
 from repro.stream.report import StreamReport
 
@@ -399,7 +394,7 @@ class _Run(NamedTuple):
 
     report: StreamReport
     header: list[str]
-    groups: list[StreamGroup]
+    groups: GroupCounts
     sink: Any
 
 
@@ -535,7 +530,7 @@ def _run(
                     merges = tuple(
                         merge_attribute_from_counts(
                             attribute,
-                            conditional_sa_counts(groups, column, m),
+                            groups.column_totals(column),
                             m,
                             significance=significance,
                         )
@@ -545,7 +540,7 @@ def _run(
                         public=tuple(merge.generalized for merge in merges),
                         sensitive=schema.sensitive,
                     )
-                    groups = apply_code_maps(groups, [merge.code_map() for merge in merges])
+                    groups = groups.recode([merge.code_map() for merge in merges])
                     metadata["generalized_domains"] = {
                         merge.original.name: {
                             "before": merge.original_domain_size,
@@ -561,7 +556,7 @@ def _run(
             with span("audit", kind="stage", ran=audit and strategy.audits) as sp:
                 privacy_audit: PrivacyAudit | None = None
                 if audit and strategy.audits and spec is not None:
-                    privacy_audit = audit_groups(spec, cast(Any, groups), index.n_rows)
+                    privacy_audit = audit_groups(spec, groups, index.n_rows)
             timings["audit"] = sp.duration
 
             # enforce: drive the kernel per group batch (or replay the row
@@ -671,7 +666,7 @@ def _chunk_kernel(
 
 def _enforce_groups(
     kernel: StrategyKernel,
-    groups: list[StreamGroup],
+    groups: GroupCounts,
     seed: int,
     chunk_size: int,
     workers: int,
@@ -736,7 +731,6 @@ def _enforce_rows(
     generator = seeded_rng(seed)
     for block, _ in spool.replay():
         spool.append_retain(generator.random(block.shape[0]) < p)
-        RNG_DRAWS.inc(block.shape[0])
     total = sum(spool.chunk_lengths)
 
     kernel = UniformRowKernel(remaps=tuple(index.remaps))
@@ -746,7 +740,6 @@ def _enforce_rows(
         # spool order regardless of which worker finishes first.
         for block, retain in spool.replay(with_retain=True):
             replacements = generator.integers(0, m, size=block.shape[0])
-            RNG_DRAWS.inc(block.shape[0])
             yield ((block, retain, replacements),)
 
     done = 0

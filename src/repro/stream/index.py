@@ -5,11 +5,12 @@ every group-based strategy: the published bytes are a pure function of the
 ordered list of personal groups — their NA keys and SA count vectors — plus
 the seed and chunk size.  :class:`IncrementalGroupIndex` accumulates exactly
 that from bounded row chunks: each chunk updates per-column value
-dictionaries and per-group SA counters, and :meth:`finalize` emits the same
-schema :func:`repro.dataset.loaders.infer_schema` would infer and the same
-group order :class:`repro.dataset.groups.GroupIndex` would iterate
-(lexicographic in the NA key codes), so downstream enforcement is
-byte-identical to the in-memory path.
+dictionaries and per-(NA key, SA value) counters, and :meth:`finalize` emits
+the same schema :func:`repro.dataset.loaders.infer_schema` would infer and
+the same :class:`~repro.dataset.groups.GroupCounts`
+:class:`repro.dataset.groups.GroupIndex` would build (lexicographic in the
+NA key codes), so downstream enforcement is byte-identical to the in-memory
+path.
 
 Memory is ``O(chunk_rows + G * m + total domain size)`` where ``G`` is the
 number of distinct personal groups and ``m`` the SA domain size — never
@@ -18,53 +19,12 @@ number of distinct personal groups and ``m`` the SA domain size — never
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
+from repro.dataset.groups import GroupCounts
 from repro.dataset.schema import Attribute, Schema
-
-
-@dataclass(frozen=True)
-class StreamGroup:
-    """One personal group reconstructed from streamed counts.
-
-    Duck-compatible with :class:`repro.dataset.groups.PersonalGroup` for
-    everything the publishing strategies and the audit read (``key``,
-    ``size``, ``sensitive_counts``, ``max_frequency``); it only lacks the
-    row ``indices``, which no enforcement path consumes.
-
-    Example:
-
-    >>> import numpy as np
-    >>> g = StreamGroup(key=(0, 2), sensitive_counts=np.array([3, 1]))
-    >>> g.size, g.max_frequency
-    (4, 0.75)
-    """
-
-    key: tuple[int, ...]
-    sensitive_counts: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """``|g|``, the number of records in the group."""
-        return int(self.sensitive_counts.sum())
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Fractional SA frequencies inside the group."""
-        total = self.sensitive_counts.sum()
-        if total == 0:
-            return np.zeros_like(self.sensitive_counts, dtype=float)
-        return self.sensitive_counts / total
-
-    @property
-    def max_frequency(self) -> float:
-        """``f`` in Equation (10): the largest SA frequency in the group."""
-        if self.size == 0:
-            return 0.0
-        return float(self.sensitive_counts.max() / self.sensitive_counts.sum())
 
 
 class IncrementalGroupIndex:
@@ -81,8 +41,8 @@ class IncrementalGroupIndex:
     >>> index.update([["Oslo", "Flu"], ["Bergen", "Flu"]])
     >>> index.update([["Oslo", "Cold"]])
     >>> schema, groups = index.finalize()
-    >>> [(g.key, g.sensitive_counts.tolist()) for g in groups]
-    [((0,), [0, 1]), ((1,), [1, 1])]
+    >>> groups.keys.tolist(), groups.counts.tolist()
+    ([[0], [1]], [[0, 1], [1, 1]])
     >>> schema.public[0].values, index.n_rows
     (('Bergen', 'Oslo'), 3)
     """
@@ -94,15 +54,10 @@ class IncrementalGroupIndex:
         self._codebooks: list[dict[str, int]] = [
             {} for _ in range(len(self._public_names) + 1)
         ]
-        # provisional NA key -> {provisional SA code: count}
-        self._counts: dict[tuple[int, ...], dict[int, int]] = {}
+        # provisional (NA key..., SA code) -> count
+        self._counts: dict[tuple[int, ...], int] = {}
         self._remaps: list[np.ndarray] | None = None
         self.n_rows = 0
-
-    @property
-    def n_groups(self) -> int:
-        """Number of distinct personal groups seen so far."""
-        return len(self._counts)
 
     def update(self, rows: Sequence[Sequence[str]]) -> None:
         """Fold one chunk of records (NA values then SA value) into the index."""
@@ -119,22 +74,17 @@ class IncrementalGroupIndex:
         """
         codebooks = self._codebooks
         counts = self._counts
-        n_public = len(self._public_names)
-        block = np.empty((len(rows), n_public + 1), dtype=np.int64)
+        width = len(codebooks)
+        block = np.empty((len(rows), width), dtype=np.int64)
         for r, row in enumerate(rows):
-            if len(row) != n_public + 1:
-                raise ValueError(
-                    f"record has {len(row)} fields, expected {n_public + 1}"
-                )
-            for i in range(n_public + 1):
-                block[r, i] = codebooks[i].setdefault(row[i], len(codebooks[i]))
-            key = tuple(int(c) for c in block[r, :n_public])
-            sa = int(block[r, n_public])
-            group = counts.get(key)
-            if group is None:
-                counts[key] = {sa: 1}
-            else:
-                group[sa] = group.get(sa, 0) + 1
+            if len(row) != width:
+                raise ValueError(f"record has {len(row)} fields, expected {width}")
+            codes = tuple(
+                book.setdefault(value, len(book))
+                for book, value in zip(codebooks, row, strict=True)
+            )
+            block[r] = codes
+            counts[codes] = counts.get(codes, 0) + 1
         self.n_rows += len(rows)
         return block
 
@@ -157,13 +107,13 @@ class IncrementalGroupIndex:
 
         return remap_columns(block, self._remaps)
 
-    def finalize(self) -> tuple[Schema, list[StreamGroup]]:
+    def finalize(self) -> tuple[Schema, GroupCounts]:
         """Build the inferred schema and the lexicographically ordered groups.
 
         The schema is exactly what :func:`repro.dataset.loaders.infer_schema`
         infers from the same rows (sorted domains, sensitive column last);
-        the group list iterates in the same order as
-        :class:`repro.dataset.groups.GroupIndex` over the materialised table.
+        the groups are exactly what :class:`repro.dataset.groups.GroupIndex`
+        builds over the materialised table.
         """
         if self.n_rows == 0:
             raise ValueError("cannot finalize an index that saw no rows")
@@ -172,76 +122,16 @@ class IncrementalGroupIndex:
         attributes: list[Attribute] = []
         for name, book in zip(self._public_names + [self._sensitive], self._codebooks, strict=True):
             values = sorted(book)
-            final = {value: code for code, value in enumerate(values)}
             remap = np.empty(len(book), dtype=np.int64)
-            for value, provisional in book.items():
-                remap[provisional] = final[value]
+            remap[[book[value] for value in values]] = np.arange(len(values))
             remaps.append(remap)
             attributes.append(Attribute(name, tuple(values)))
         self._remaps = remaps
         schema = Schema(public=tuple(attributes[:-1]), sensitive=attributes[-1])
 
-        m = schema.sensitive_domain_size
-        sa_remap = remaps[-1]
-        groups: list[StreamGroup] = []
-        for key, sa_counts in self._counts.items():
-            final_key = tuple(int(remaps[i][code]) for i, code in enumerate(key))
-            vector = np.zeros(m, dtype=np.int64)
-            for sa, count in sa_counts.items():
-                vector[sa_remap[sa]] = count
-            groups.append(StreamGroup(key=final_key, sensitive_counts=vector))
-        groups.sort(key=lambda g: g.key)
+        pairs = self.remap_block(np.array(list(self._counts), dtype=np.int64))
+        weights = np.fromiter(self._counts.values(), dtype=np.int64, count=len(self._counts))
+        groups, _, _ = GroupCounts.tabulate(
+            pairs[:, :-1], pairs[:, -1], schema.sensitive_domain_size, weights
+        )
         return schema, groups
-
-
-def conditional_sa_counts(
-    groups: Sequence[StreamGroup], column: int, m: int
-) -> dict[int, np.ndarray]:
-    """SA count vectors conditioned on each observed value of public ``column``.
-
-    This is the streaming equivalent of the per-attribute contingency scan
-    the chi-square generalisation performs on a materialised table: because a
-    personal group fixes every public attribute, summing group count vectors
-    by ``key[column]`` reproduces it exactly.
-
-    >>> import numpy as np
-    >>> groups = [StreamGroup((0, 0), np.array([2, 0])), StreamGroup((0, 1), np.array([0, 1]))]
-    >>> {k: v.tolist() for k, v in conditional_sa_counts(groups, 0, 2).items()}
-    {0: [2, 1]}
-    """
-    counts: dict[int, np.ndarray] = {}
-    for group in groups:
-        value = int(group.key[column])
-        if value not in counts:
-            counts[value] = np.zeros(m, dtype=np.int64)
-        counts[value] += group.sensitive_counts
-    return counts
-
-
-def apply_code_maps(
-    groups: Sequence[StreamGroup], code_maps: Sequence[np.ndarray]
-) -> list[StreamGroup]:
-    """Re-key groups through per-column generalisation code maps and re-merge.
-
-    Groups whose keys collide after mapping are aggregated (their SA counts
-    added) and the result is re-sorted lexicographically — the same group
-    list :class:`repro.dataset.groups.GroupIndex` builds over the re-encoded
-    (generalised) table.
-
-    >>> import numpy as np
-    >>> groups = [StreamGroup((0,), np.array([1, 0])), StreamGroup((1,), np.array([0, 2]))]
-    >>> merged = apply_code_maps(groups, [np.array([0, 0])])
-    >>> [(g.key, g.sensitive_counts.tolist()) for g in merged]
-    [((0,), [1, 2])]
-    """
-    merged: dict[tuple[int, ...], np.ndarray] = {}
-    for group in groups:
-        key = tuple(int(code_maps[i][c]) for i, c in enumerate(group.key))
-        vector = merged.get(key)
-        if vector is None:
-            merged[key] = group.sensitive_counts.copy()
-        else:
-            vector += group.sensitive_counts
-    return [
-        StreamGroup(key=key, sensitive_counts=merged[key]) for key in sorted(merged)
-    ]

@@ -6,7 +6,7 @@ import pytest
 from repro.core.criterion import PrivacySpec, max_group_size
 from repro.core.sps import sps_group, sps_publish, sps_publish_groups
 from repro.core.testing import audit_table
-from repro.dataset.groups import personal_groups
+from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
 from repro.perturbation.uniform import UniformPerturbation
 from repro.reconstruction.mle import mle_frequencies
@@ -23,7 +23,9 @@ class TestSpsGroup:
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=10)
         group = next(iter(personal_groups(small_table)))
         perturbation = UniformPerturbation(0.5, 10)
-        codes, record = sps_group(group, spec, perturbation, default_rng(0))
+        codes, record = sps_group(
+            group.key, group.sensitive_counts, spec, perturbation, default_rng(0)
+        )
         assert not record.sampled
         assert record.sample_size == group.size
         assert codes.size == group.size
@@ -34,7 +36,9 @@ class TestSpsGroup:
         threshold = max_group_size(binary_spec, group.max_frequency)
         assert group.size > threshold  # precondition for the test
         perturbation = UniformPerturbation(0.5, 2)
-        codes, record = sps_group(group, binary_spec, perturbation, default_rng(1))
+        codes, record = sps_group(
+            group.key, group.sensitive_counts, binary_spec, perturbation, default_rng(1)
+        )
         assert record.sampled
         # The sample size equals s_g up to the stochastic rounding of each value.
         assert abs(record.sample_size - threshold) <= 2
@@ -45,7 +49,7 @@ class TestSpsGroup:
         perturbation = UniformPerturbation(0.5, 2)
         rng = default_rng(3)
         for group in personal_groups(skewed_binary_table):
-            codes, _ = sps_group(group, binary_spec, perturbation, rng)
+            codes, _ = sps_group(group.key, group.sensitive_counts, binary_spec, perturbation, rng)
             assert codes.min() >= 0 and codes.max() < 2
 
 
@@ -63,7 +67,7 @@ class TestSpsPublish:
     def test_only_violating_groups_sampled(self, skewed_binary_table, binary_spec):
         audit = audit_table(skewed_binary_table, binary_spec)
         result = sps_publish(skewed_binary_table, binary_spec, rng=0)
-        expected_sampled = {a.group.key for a in audit.violating_groups}
+        expected_sampled = {a.key for a in audit.violating_groups}
         actual_sampled = {g.key for g in result.groups if g.sampled}
         assert actual_sampled == expected_sampled
         assert result.n_sampled_groups == len(expected_sampled)
@@ -95,17 +99,18 @@ class TestSpsPublishGroups:
     def test_chunked_union_covers_all_groups(self, skewed_binary_table, binary_spec):
         """The chunk entry point partitions cleanly: publishing the group list
         in two chunks yields exactly the per-chunk groups' records."""
-        groups = list(personal_groups(skewed_binary_table))
+        index = personal_groups(skewed_binary_table)
+        groups = list(index)
         n_public = len(skewed_binary_table.schema.public)
-        codes_a, records_a = sps_publish_groups(groups[:2], binary_spec, 1, n_public)
-        codes_b, records_b = sps_publish_groups(groups[2:], binary_spec, 2, n_public)
+        codes_a, records_a = sps_publish_groups(index.groups[:2], binary_spec, 1, n_public)
+        codes_b, records_b = sps_publish_groups(index.groups[2:], binary_spec, 2, n_public)
         assert [r.key for r in records_a + records_b] == [g.key for g in groups]
         combined = Table(skewed_binary_table.schema, np.vstack([codes_a, codes_b]))
         published_keys = {g.key for g in personal_groups(combined)}
         assert published_keys == {g.key for g in groups}
 
     def test_matches_sps_publish_for_single_chunk(self, skewed_binary_table, binary_spec):
-        groups = list(personal_groups(skewed_binary_table))
+        groups = personal_groups(skewed_binary_table).groups
         n_public = len(skewed_binary_table.schema.public)
         codes, records = sps_publish_groups(
             groups, binary_spec, default_rng(17), n_public
@@ -115,7 +120,8 @@ class TestSpsPublishGroups:
         assert tuple(records) == reference.groups
 
     def test_empty_chunk(self, binary_spec):
-        codes, records = sps_publish_groups([], binary_spec, 0, n_public=1)
+        empty = GroupCounts(np.empty((0, 1)), np.empty((0, 2)))
+        codes, records = sps_publish_groups(empty, binary_spec, 0, n_public=1)
         assert codes.shape == (0, 2)
         assert records == []
 

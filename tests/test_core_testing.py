@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.violation import violation_report
 from repro.core.criterion import PrivacySpec
-from repro.core.testing import audit_group, audit_table
+from repro.core.testing import audit_table
 from repro.dataset.groups import personal_groups
 from repro.dataset.table import Table
 
@@ -53,14 +53,11 @@ class TestAuditTable:
 class TestGroupAudit:
     def test_sampling_rate_capped_at_one(self, small_table):
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=10)
-        index = personal_groups(small_table)
-        for group in index:
-            audit = audit_group(spec, group)
+        for audit in audit_table(small_table, spec).groups:
             assert audit.sampling_rate == 1.0
 
     def test_sampling_rate_below_one_for_violating_group(self, skewed_binary_table, binary_spec):
-        index = personal_groups(skewed_binary_table)
-        audits = [audit_group(binary_spec, group) for group in index]
+        audits = audit_table(skewed_binary_table, binary_spec).groups
         violating = [a for a in audits if not a.is_private]
         assert violating
         for audit in violating:

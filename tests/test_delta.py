@@ -195,6 +195,68 @@ class TestByteIdentity:
 
 
 # --------------------------------------------------------------------- #
+# A state written by release 4.0.0 stays appendable
+# --------------------------------------------------------------------- #
+
+#: ``publish_base`` output of release 4.0.0 (seed 11, chunk_size 4) over
+#: ``base.csv``: the state documents plus the published CSVs they describe.
+STATE_4_0_0 = Path(__file__).parent / "data" / "delta_state_4_0_0"
+
+
+class TestStateFrom400:
+    @pytest.mark.parametrize("strategy", ["sps", "dp-laplace"])
+    @pytest.mark.parametrize(
+        "appended, mode",
+        [
+            # New public values (a new city, a new job) plus grown groups.
+            (
+                [
+                    ["athens", "clerk", "flu"],
+                    ["oslo", "clerk", "cold"],
+                    ["bergen", "welder", "flu"],
+                ],
+                "delta",
+            ),
+            # A new sensitive value: the loud full regeneration.
+            ([["cairo", "nurse", "asthma"], ["athens", "pilot", "cold"]], "full"),
+        ],
+    )
+    def test_loads_appends_and_reserialises(self, tmp_path, strategy, appended, mode):
+        document = json.loads((STATE_4_0_0 / f"state_{strategy}.json").read_text())
+        state = DeltaState.from_json(document)
+        assert state.to_json()["groups"] == document["groups"]
+        assert state.n_rows == sum(sum(counts.values()) for _, counts in document["groups"])
+
+        published = tmp_path / "published.csv"
+        published.write_bytes((STATE_4_0_0 / f"published_{strategy}.csv").read_bytes())
+        report = delta_publish(state.with_output(str(published)), appended)
+        assert report.mode == mode
+
+        with (STATE_4_0_0 / "base.csv").open(newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        full_csv = tmp_path / "full.csv"
+        _write_csv(full_csv, header, rows + appended)
+        expected = tmp_path / "expected.csv"
+        stream_publish(
+            full_csv, sensitive=state.sensitive, strategy=strategy, rng=state.seed,
+            chunk_size=state.chunk_size, output=expected,
+        )
+        assert published.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["sps", "dp-laplace"])
+    def test_base_bytes_unchanged_since_400(self, tmp_path, strategy):
+        state = DeltaState.load(STATE_4_0_0 / f"state_{strategy}.json")
+        output = tmp_path / "published.csv"
+        report = publish_base(
+            STATE_4_0_0 / "base.csv", sensitive=state.sensitive, output=output,
+            strategy=strategy, rng=state.seed, chunk_size=state.chunk_size,
+            chunk_rows=state.chunk_rows,
+        )
+        assert output.read_bytes() == (STATE_4_0_0 / f"published_{strategy}.csv").read_bytes()
+        assert report.state.with_output(state.output) == state
+
+
+# --------------------------------------------------------------------- #
 # Dirty-chunk resolution and the loud full fallback
 # --------------------------------------------------------------------- #
 

@@ -39,7 +39,7 @@ class TestAdultEndToEnd:
         assert result.audit.record_violation_rate > 0.5
 
         # 3. Every violating group was sampled; compliant groups were not.
-        violating_keys = {a.group.key for a in result.audit.violating_groups}
+        violating_keys = {a.key for a in result.audit.violating_groups}
         sampled_keys = {g.key for g in result.sps.groups if g.sampled}
         assert sampled_keys == violating_keys
 

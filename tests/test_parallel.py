@@ -330,7 +330,7 @@ class TestKernels:
         clone = pickle.loads(pickle.dumps(kernel))
         from repro.dataset.groups import personal_groups
 
-        groups = list(personal_groups(table))[:5]
+        groups = personal_groups(table).groups[:5]
         direct = strategy.chunk_publisher(table.schema, spec, resolved)
         a = kernel(groups, np.random.default_rng(3))
         b = clone(groups, np.random.default_rng(3))
@@ -420,7 +420,7 @@ class _ExplodingWorkerStrategy(SPSStrategy):
         inner = super().chunk_publisher(schema, spec, resolved)
 
         def chunk_fn(chunk, rng):
-            if chunk[0].key[0] > 0:  # not the very first chunk
+            if chunk.keys[0, 0] > 0:  # not the very first chunk
                 os._exit(13)  # simulate a hard worker crash (OOM-killer style)
             return inner(chunk, rng)
 

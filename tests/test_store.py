@@ -371,6 +371,22 @@ class TestSqliteConcurrency:
 # Service over a store: restart resumes with everything intact
 # --------------------------------------------------------------------- #
 
+def _shift_one_count(parts):
+    row = parts["counts"][0]
+    top = row.index(max(row))
+    row[top] -= 1
+    row[(top + 1) % len(row)] += 1
+
+
+#: Ways a persisted group index can be corrupt while still covering the
+#: table's row count (so only a real consistency check catches them).
+_INDEX_CORRUPTIONS = {
+    "negative_row_index": lambda parts: parts["order"].__setitem__(0, -1),
+    "row_in_two_groups": lambda parts: parts["order"].__setitem__(-1, parts["order"][0]),
+    "counts_disagree_with_table": _shift_one_count,
+}
+
+
 class TestServiceRestartPersistence:
     def test_datasets_jobs_and_caches_survive_restart(self, tmp_path, skewed_binary_table):
         from repro.service.engine import AnonymizationService
@@ -395,6 +411,36 @@ class TestServiceRestartPersistence:
             assert loaded.status == "completed"
             next_record = restored.publish("skewed", "uniform", seed=0)
             assert next_record.job_id > record.job_id  # ids continue
+        finally:
+            restored.close()
+
+    @pytest.mark.parametrize("corruption", sorted(_INDEX_CORRUPTIONS))
+    def test_corrupted_group_index_cache_is_rebuilt(self, tmp_path, corruption):
+        from repro.dataset.adult import generate_adult
+        from repro.service.engine import AnonymizationService
+        from repro.store.base import NS_DATASET_CACHES
+
+        path = tmp_path / "service.db"
+        svc = AnonymizationService(snapshot_path=path)
+        svc.register_table("adult", generate_adult(500, seed=0))
+        fresh = svc.audit("adult")
+        svc.close()
+
+        store = SqliteConnector(path).open()
+        payload = store.get(NS_DATASET_CACHES, "adult").value
+        _INDEX_CORRUPTIONS[corruption](payload["group_index"])
+        store.put(NS_DATASET_CACHES, "adult", payload)
+        store.close()
+
+        restored = AnonymizationService(snapshot_path=path)
+        try:
+            audit = restored.audit("adult")
+            entry = restored.datasets.get("adult")
+            # The corrupt cache is refused: a miss and a rebuild, not a hit.
+            assert audit["group_index_cached"] is False
+            assert (entry.group_index_hits, entry.group_index_misses) == (0, 1)
+            assert audit["summary"] == fresh["summary"]
+            assert audit["worst_violations"] == fresh["worst_violations"]
         finally:
             restored.close()
 

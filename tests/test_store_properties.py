@@ -128,17 +128,19 @@ def test_job_records_round_trip_through_every_backend(spec, status):
             connector.close()
 
 
-delta_states = st.builds(
-    DeltaState,
-    strategy=st.sampled_from(["sps", "dp-laplace"]),
-    params=st.dictionaries(names, st.floats(0.01, 1.0, allow_nan=False), max_size=2),
-    seed=st.integers(0, 2**31),
-    chunk_size=st.integers(1, 500),
-    chunk_rows=st.integers(1, 500),
-    n_rows=st.integers(1, 10_000),
-    sensitive=st.just("Disease"),
-    header=st.just(("City", "Disease")),
-    groups=st.lists(
+# States are built from their JSON documents, as a reader of a stored state
+# does; a published dataset always holds at least one group.
+delta_states = st.fixed_dictionaries({
+    "state_version": st.just(1),
+    "strategy": st.sampled_from(["sps", "dp-laplace"]),
+    "params": st.dictionaries(names, st.floats(0.01, 1.0, allow_nan=False), max_size=2),
+    "seed": st.integers(0, 2**31),
+    "chunk_size": st.integers(1, 500),
+    "chunk_rows": st.integers(1, 500),
+    "n_rows": st.integers(1, 10_000),
+    "sensitive": st.just("Disease"),
+    "header": st.just(["City", "Disease"]),
+    "groups": st.lists(
         st.tuples(
             st.tuples(st.sampled_from(["athens", "bergen", "cairo"])),
             st.dictionaries(
@@ -146,11 +148,12 @@ delta_states = st.builds(
                 min_size=1, max_size=2,
             ),
         ),
+        min_size=1,
         max_size=4,
-    ).map(tuple),
-    chunk_row_counts=st.lists(st.integers(0, 50), max_size=6).map(tuple),
-    output=st.just("published.csv"),
-)
+    ),
+    "chunk_row_counts": st.lists(st.integers(0, 50), max_size=6),
+    "output": st.just("published.csv"),
+}).map(DeltaState.from_json)
 
 
 @given(state=delta_states)

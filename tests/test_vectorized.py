@@ -9,14 +9,26 @@ the ones :mod:`repro.bench.micro` ships (imported, not duplicated, so the
 micro-benchmarks and this suite always pin the same reference).  The batched
 EM is the one documented exception — reassociated matrix products agree to
 machine precision, not bit-for-bit.
+
+The columnar :class:`~repro.dataset.groups.GroupCounts` paths (the audit's
+Equation (10), the streaming generalize stage's contingency sums and
+re-keying, the delta merge and dirty-chunk diff) are pinned the same way,
+against the per-group loops they replaced, kept below as test-local oracles
+and driven with hypothesis-generated count matrices.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.micro import _reference_group_index, _reference_sample_counts
-from repro.core.criterion import PrivacySpec
-from repro.core.sps import _sample_counts, sps_publish
+from repro.core.criterion import PrivacySpec, max_group_size, value_is_private
+from repro.core.sps import _sample_counts, sps_publish, sps_publish_groups
+from repro.core.testing import audit_groups
+from repro.dataset.groups import GroupCounts
+from repro.delta.engine import _changed_chunks, _merge
+from repro.delta.state import _decode_groups, _encode_groups
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
 from repro.dataset.groups import personal_groups
@@ -168,3 +180,210 @@ class TestNaiveBayesVectorizedFit:
             column_totals = likelihood.sum(axis=0, keepdims=True)
             likelihood = (likelihood + 1.0) / (column_totals + 1.0 * attribute.size)
             assert np.array_equal(model._conditionals[column], likelihood)
+
+
+# --------------------------------------------------------------------- #
+# Columnar group paths vs the per-group loops they replaced
+# --------------------------------------------------------------------- #
+
+MAX_CODE = 3  # public codes are drawn from 0..MAX_CODE
+
+
+def _reference_audit(spec, groups):
+    """The per-group ``audit_group`` loop: (|g|, s_g, verdict) per group."""
+    verdicts = []
+    for counts in groups.counts:
+        size = int(counts.sum())
+        frequency = float(counts.max() / counts.sum()) if size else 0.0
+        verdicts.append(
+            (size, max_group_size(spec, frequency), value_is_private(spec, size, frequency))
+        )
+    return verdicts
+
+
+def _reference_conditional_sa_counts(groups, column, m):
+    """``conditional_sa_counts``: SA vectors summed per observed value of ``column``."""
+    counts = {}
+    for key, vector in zip(groups.keys.tolist(), groups.counts, strict=True):
+        value = key[column]
+        if value not in counts:
+            counts[value] = np.zeros(m, dtype=np.int64)
+        counts[value] += vector
+    return counts
+
+
+def _reference_apply_code_maps(groups, code_maps):
+    """``apply_code_maps``: re-key every group, merge collisions, sort by key."""
+    merged = {}
+    for key, vector in zip(groups.keys.tolist(), groups.counts, strict=True):
+        mapped = tuple(int(code_maps[i][code]) for i, code in enumerate(key))
+        merged[mapped] = merged[mapped] + vector if mapped in merged else vector.copy()
+    return sorted(merged.items())
+
+
+def _reference_merge_groups(base, appended):
+    """The delta ``_merge_groups`` over value-keyed groups."""
+    merged = {key: dict(counts) for key, counts in base}
+    for key, counts in appended:
+        into = merged.setdefault(key, {})
+        for value, count in counts.items():
+            into[value] = into.get(value, 0) + count
+    return tuple((key, merged[key]) for key in sorted(merged))
+
+
+def _reference_dirty_chunks(base, merged, chunk_size, n_chunks):
+    """The delta ``_dirty_chunks``: position-wise diff of value-keyed groups."""
+    dirty = set()
+    for i in range(n_chunks):
+        lo = i * chunk_size
+        hi = min(lo + chunk_size, len(merged))
+        for p in range(lo, hi):
+            if p >= len(base) or merged[p] != base[p]:
+                dirty.add(i)
+                break
+    return dirty
+
+
+@st.composite
+def group_counts(draw, k=2):
+    """Sorted unique keys with non-empty count rows; SA columns may be all zero."""
+    m = draw(st.integers(2, 4))
+    keys = sorted(draw(st.lists(
+        st.tuples(*[st.integers(0, MAX_CODE)] * k), unique=True, max_size=10,
+    )))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, 40), min_size=m, max_size=m).filter(any),
+        min_size=len(keys), max_size=len(keys),
+    ))
+    return GroupCounts(
+        np.array(keys, dtype=np.int64).reshape(len(keys), k),
+        np.array(rows, dtype=np.int64).reshape(len(keys), m),
+    )
+
+
+def specs(m):
+    return st.builds(
+        PrivacySpec,
+        lam=st.floats(0.05, 1.5),
+        delta=st.floats(0.05, 0.95),
+        retention_probability=st.floats(0.05, 1.0),
+        domain_size=st.just(m),
+    )
+
+
+def _assert_audit_matches_reference(spec, groups):
+    audit = audit_groups(spec, groups, int(groups.counts.sum()))
+    reference = _reference_audit(spec, groups)
+    assert audit.sizes.tolist() == [size for size, _, _ in reference]
+    # s_g bit-identical (float ==, infinities included), same verdicts.
+    assert audit.thresholds.tolist() == [threshold for _, threshold, _ in reference]
+    assert audit.private.tolist() == [verdict for _, _, verdict in reference]
+    assert [(a.key, a.size, a.max_group_size, a.is_private) for a in audit.groups] == [
+        (tuple(key), size, threshold, verdict)
+        for key, (size, threshold, verdict) in zip(groups.keys.tolist(), reference, strict=True)
+    ]
+    return audit
+
+
+class TestColumnarAudit:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_group_loop(self, data):
+        groups = data.draw(group_counts())
+        spec = data.draw(specs(groups.counts.shape[1]))
+        _assert_audit_matches_reference(spec, groups)
+
+    def test_boundary_sizes_and_zero_sa_column(self):
+        # Every two-value split of every size up to 250, plus an SA column no
+        # group uses: crosses |g| == floor(s_g) and floor(s_g) + 1.
+        spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=3)
+        counts = np.array(
+            [[a, n - a, 0] for n in range(1, 251) for a in range(n + 1)], dtype=np.int64
+        )
+        groups = GroupCounts(np.arange(len(counts)).reshape(-1, 1), counts)
+        audit = _assert_audit_matches_reference(spec, groups)
+        floors = np.floor(audit.thresholds)
+        assert (audit.sizes == floors).any() and (audit.sizes == floors + 1).any()
+        assert audit.private[audit.sizes == floors].all()
+        assert not audit.private[audit.sizes == floors + 1].any()
+
+    def test_empty_chunk_slice(self):
+        groups = GroupCounts(np.array([[0, 1], [2, 0]]), np.array([[3, 1], [0, 2]]))
+        empty = groups[1:1]
+        assert len(empty) == 0 and empty.keys.shape == (0, 2) and empty.counts.shape == (0, 2)
+        spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
+        audit = audit_groups(spec, empty, 0)
+        assert audit.n_groups == 0 and audit.is_private and audit.groups == ()
+        codes, records = sps_publish_groups(empty, spec, 0, n_public=2)
+        assert codes.shape == (0, 3) and records == []
+
+
+class TestColumnarGeneralize:
+    @settings(max_examples=60, deadline=None)
+    @given(groups=group_counts())
+    def test_column_totals_match_conditional_sa_counts(self, groups):
+        m = groups.counts.shape[1]
+        for column in range(groups.keys.shape[1]):
+            totals = groups.column_totals(column)
+            reference = _reference_conditional_sa_counts(groups, column, m)
+            assert {v: c.tolist() for v, c in totals.items()} == {
+                v: c.tolist() for v, c in reference.items()
+            }
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups=group_counts(), data=st.data())
+    def test_recode_matches_apply_code_maps(self, groups, data):
+        code_maps = [
+            data.draw(st.lists(st.integers(0, 2), min_size=MAX_CODE + 1, max_size=MAX_CODE + 1))
+            for _ in range(groups.keys.shape[1])
+        ]
+        recoded = groups.recode([np.array(code_map) for code_map in code_maps])
+        reference = _reference_apply_code_maps(groups, code_maps)
+        assert recoded.keys.tolist() == [list(key) for key, _ in reference]
+        assert recoded.counts.tolist() == [vector.tolist() for _, vector in reference]
+
+
+BASE_CITIES = ["athens", "bergen", "cairo"]
+BASE_JOBS = ["eng", "nurse"]
+BASE_DISEASES = ["cold", "flu"]
+
+
+def value_groups(cities, jobs, diseases):
+    """Value-keyed groups sorted by key, as a delta state stores them."""
+    return st.dictionaries(
+        st.tuples(st.sampled_from(cities), st.sampled_from(jobs)),
+        st.dictionaries(st.sampled_from(diseases), st.integers(1, 9), min_size=1),
+        min_size=1,
+        max_size=8,
+    ).map(lambda groups: tuple(sorted(groups.items())))
+
+
+def _decoded(schema, groups):
+    return tuple((tuple(key), counts) for key, counts in _decode_groups(schema, groups))
+
+
+class TestColumnarDeltaMerge:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        base=value_groups(BASE_CITIES, BASE_JOBS, BASE_DISEASES),
+        # Appends may introduce new public values and new sensitive values.
+        appended=value_groups(BASE_CITIES + ["aachen", "zagreb"], BASE_JOBS + ["pilot"],
+                              BASE_DISEASES + ["asthma", "zika"]),
+        chunk_size=st.integers(1, 4),
+    )
+    def test_merge_and_dirty_chunks_match_value_keyed_loops(self, base, appended, chunk_size):
+        header = ["City", "Job", "Disease"]
+        base_schema, base_groups = _encode_groups(header, "Disease", base)
+        appended_schema, appended_groups = _encode_groups(header, "Disease", appended)
+        assert _decoded(base_schema, base_groups) == base
+
+        union, base_on_union, merged = _merge(
+            base_schema, base_groups, appended_schema, appended_groups
+        )
+        reference = _reference_merge_groups(base, appended)
+        assert _decoded(union, merged) == reference
+        assert _decoded(union, base_on_union) == base
+        n_chunks = -(-len(reference) // chunk_size)
+        assert _changed_chunks(base_on_union, merged, chunk_size) == _reference_dirty_chunks(
+            base, reference, chunk_size, n_chunks
+        )
