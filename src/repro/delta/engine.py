@@ -6,7 +6,8 @@ the chunk size, and each kernel chunk draws from its own spawned generator
 (``SeedSequence(seed).spawn(n)[i]`` depends only on ``i``, never on ``n``).
 So when rows are appended, only the chunks whose group slice actually
 changed need their kernels re-run — every other chunk's bytes are already
-sitting in the published CSV and are copied, not recomputed.
+sitting in the published CSV and are copied as byte ranges, each checked
+against the CRC32 the state recorded for it, not recomputed.
 
 :func:`publish_base` runs the streaming engine once and captures a
 :class:`~repro.delta.state.DeltaState`; :func:`delta_publish` merges
@@ -32,11 +33,11 @@ back to regenerating all chunks — loudly, via a warning log and
 
 from __future__ import annotations
 
-import csv
 import logging
+import os
+import zlib
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import closing
-from itertools import islice
 from pathlib import Path
 from typing import IO, Any, cast
 
@@ -46,7 +47,7 @@ from repro.core.testing import PrivacyAudit, audit_groups
 from repro.dataset.groups import GroupCounts
 from repro.dataset.schema import Attribute, Schema
 from repro.delta.report import DeltaReport
-from repro.delta.state import DeltaState
+from repro.delta.state import DeltaState, _tampered
 from repro.obs.metrics import (
     DELTA_GROUPS_TOUCHED,
     DELTA_ROWS_APPENDED,
@@ -124,8 +125,8 @@ def publish_base(
     byte-identical to it, and hence to :func:`repro.publish`, for the same
     ``(seed, chunk_size)``), labelled ``delta_base`` on the delta path.  On
     top of it, the returned report's ``state`` records the schema, the
-    group counts and the per-chunk published row counts the sink saw, which
-    make :func:`delta_publish` possible.  ``overwrite=False`` refuses, with
+    group counts and the chunk index the sink recorded (row count, byte
+    length and CRC32 per chunk), which make :func:`delta_publish` possible.  ``overwrite=False`` refuses, with
     :class:`FileExistsError`, to replace a file that exists when the output
     is moved into place.
 
@@ -144,7 +145,8 @@ def publish_base(
         root_name="delta_base", path="delta", unsupported=DeltaUnsupportedError,
     )
     report = run.report
-    chunk_counts = tuple(run.sink.chunk_counts)
+    sink = run.sink
+    chunk_counts = tuple(sink.chunk_counts)
     state = DeltaState(
         strategy=strategy.name,
         params=dict(report.params),
@@ -158,6 +160,8 @@ def publish_base(
         groups=run.groups,
         chunk_row_counts=chunk_counts,
         output=str(target),
+        chunk_bytes=tuple(sink.chunk_bytes),
+        chunk_crc32=tuple(sink.chunk_crc32),
     )
     return DeltaReport(
         mode="base",
@@ -283,6 +287,21 @@ def _changed_chunks(base: GroupCounts, merged: GroupCounts, chunk_size: int) -> 
     return set((np.flatnonzero(changed) // chunk_size).tolist())
 
 
+def _check_base(base: IO[bytes], path: Path, header: bytes, chunk_bytes: int) -> None:
+    """Check the published base's total size and header bytes.
+
+    Leaves ``base`` positioned at the first chunk.  Together with the CRC32
+    of each clean chunk the splice copies, this refuses a base file that was
+    truncated, extended or edited since its delta state recorded it.
+    """
+    expected = len(header) + chunk_bytes
+    size = os.fstat(base.fileno()).st_size
+    if size != expected:
+        raise _tampered(path, f"has {size} bytes, the delta state records {expected}")
+    if base.read(len(header)) != header:
+        raise _tampered(path, "has a header the delta state does not record")
+
+
 def delta_publish(
     state: DeltaState,
     appended: Any,
@@ -331,13 +350,17 @@ def delta_publish(
     _require_delta_capable(strategy)
     if workers <= 0:
         raise ValueError("workers must be positive")
-    n_chunks_base = len(state.chunk_row_counts)
-    expected = -(-len(state.groups) // state.chunk_size)
-    if n_chunks_base != expected:
+    n_chunks_base = -(-len(state.groups) // state.chunk_size)
+    recorded = {
+        len(index)
+        for index in (state.chunk_row_counts, state.chunk_bytes, state.chunk_crc32)
+        if index is not None
+    }
+    if recorded != {n_chunks_base}:
         raise ValueError(
             f"delta state is inconsistent: {len(state.groups)} groups at "
-            f"chunk_size {state.chunk_size} imply {expected} chunks, but "
-            f"{n_chunks_base} chunk row counts are recorded"
+            f"chunk_size {state.chunk_size} imply {n_chunks_base} chunks, but "
+            f"the chunk index records {sorted(recorded)}"
         )
     timings: dict[str, float] = {}
     notify = progress or (lambda event: None)
@@ -348,6 +371,7 @@ def delta_publish(
         with span("prepare", kind="stage") as sp:
             resolved = strategy.resolve(state.params)
             base_path = Path(state.output)
+            chunk_bytes, chunk_crc32 = state.chunk_index()
             target = base_path if output is None else _require_output_path(output)
         timings["prepare"] = sp.duration
         root.set(seed=state.seed, chunk_size=state.chunk_size, workers=workers)
@@ -412,51 +436,32 @@ def delta_publish(
                 backend=parallel_backend,
                 n_tasks=len(dirty_order),
             )
-            header_row = list(new_schema.public_names) + [new_schema.sensitive_name]
             writer = _CsvSink(target, new_schema)
             records: list[Any] = []
             try:
-                with closing(regen), base_path.open(
-                    newline="", encoding="utf-8"
-                ) as base_handle:
-                    base_rows = csv.reader(base_handle)
-                    base_header = next(base_rows, None)
-                    if base_header != header_row:
-                        raise ValueError(
-                            f"published base {base_path}: header {base_header} "
-                            f"does not match the delta state (expected "
-                            f"{header_row}); was the file modified outside the "
-                            "delta engine?"
-                        )
+                with closing(regen), base_path.open("rb") as base:
+                    _check_base(base, base_path, writer.header, sum(chunk_bytes))
                     for i in range(n_chunks_new):
-                        base_count = (
-                            state.chunk_row_counts[i] if i < n_chunks_base else 0
-                        )
-                        rows = list(islice(base_rows, base_count))
-                        if len(rows) < base_count:
-                            raise ValueError(
-                                f"published base {base_path} has fewer rows "
-                                "than the delta state records; was it "
-                                "modified outside the delta engine?"
-                            )
+                        size = chunk_bytes[i] if i < n_chunks_base else 0
                         if i in dirty:
+                            base.seek(size, os.SEEK_CUR)
                             block, chunk_records = next(regen)
                             writer.write_block(block)
                             records.extend(chunk_records)
                         else:
-                            writer.write_rows(rows)
+                            data = base.read(size)
+                            crc32 = chunk_crc32[i]
+                            if zlib.crc32(data) != crc32:
+                                raise _tampered(
+                                    base_path, f"chunk {i} fails its CRC32 check"
+                                )
+                            writer.write_chunk(data, state.chunk_row_counts[i], crc32)
                         notify({
                             "phase": "splice",
                             "chunks_done": i + 1,
                             "n_chunks": n_chunks_new,
                             "published_records": writer.records_written,
                         })
-                    if next(base_rows, None) is not None:
-                        raise ValueError(
-                            f"published base {base_path} has more rows than the "
-                            "delta state records; was it modified outside the "
-                            "delta engine?"
-                        )
             except BaseException:
                 writer.abort()
                 raise
@@ -491,6 +496,8 @@ def delta_publish(
         groups=merged,
         chunk_row_counts=tuple(writer.chunk_counts),
         output=str(target),
+        chunk_bytes=tuple(writer.chunk_bytes),
+        chunk_crc32=tuple(writer.chunk_crc32),
     )
     return DeltaReport(
         mode=mode,

@@ -6,26 +6,36 @@ later append needs, so the base source never has to be re-read:
 * the per-group counts as a :class:`~repro.dataset.groups.GroupCounts`
   over the schema of the rows folded in so far; an append that introduces
   new attribute values re-codes them onto the grown domains;
-* the per-chunk published row counts — clean chunks can then be copied out
-  of the published CSV without re-running their kernels (the row count of a
-  chunk depends on the kernel's draws and is unrecoverable after the fact);
+* the chunk index of the published CSV: each kernel chunk's row count,
+  byte length and CRC32.  A clean chunk is then copied out of the
+  published file as a checksum-verified byte range without re-running its
+  kernel (its row count depends on the kernel's draws and is unrecoverable
+  after the fact);
 * the ``(strategy, params, seed, chunk_size)`` tuple that pins the bytes.
 
 The state is a plain JSON document (:meth:`DeltaState.save` /
-:meth:`DeltaState.load`) whose groups are keyed by **decoded value
-strings**, not codes — values are decoded only in :meth:`DeltaState.to_json`
-and encoded only in :meth:`DeltaState.from_json` — so a publish made by one
-process can be appended to by another — the ``repro-delta`` CLI round-trips it through a file and
+:meth:`DeltaState.load`), so a publish made by one process can be appended
+to by another — the ``repro-delta`` CLI round-trips it through a file and
 the service persists it per dataset through a storage connector
 (:class:`DeltaStateStore`), so a restarted service resumes appending where
-it left off.
+it left off.  ``state_version`` 2 stores the groups column-wise: each
+column's sorted domain once, one key-code list per public column and the
+non-zero counts as ``(group, SA code, n)`` lists.  ``state_version`` 1
+documents (value-keyed groups, row counts only) still load; their chunk
+index is rebuilt once from the published file (:meth:`DeltaState.chunk_index`).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import os
+import secrets
+import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -36,34 +46,80 @@ from repro.dataset.schema import Attribute, Schema
 from repro.store.base import NS_DELTAS, StorageConnector
 from repro.store.memory import MemoryConnector
 
-#: Version of the serialised state document.
-STATE_VERSION = 1
+#: Version of the serialised state document :meth:`DeltaState.to_json` writes.
+STATE_VERSION = 2
 
 
-def _decode_groups(schema: Schema, groups: GroupCounts) -> list[list[Any]]:
-    """Value-keyed ``[[NA values...], {SA value: count}]`` pairs, in group order."""
-    keys = zip(*(
-        np.array(attr.values, dtype=object)[groups.keys[:, i]].tolist()
-        for i, attr in enumerate(schema.public)
-    ), strict=True)
-    # Only the non-zero counts are stored, row by row.
-    rows, columns = np.nonzero(groups.counts)
-    values = np.array(schema.sensitive.values, dtype=object)[columns].tolist()
-    counts = groups.counts[rows, columns].tolist()
-    bounds = np.searchsorted(rows, np.arange(len(groups) + 1)).tolist()
-    return [
-        [list(key), dict(zip(values[lo:hi], counts[lo:hi], strict=True))]
-        for key, lo, hi in zip(keys, bounds[:-1], bounds[1:], strict=True)
+def _columnar_groups(schema: Schema, groups: GroupCounts) -> dict[str, Any]:
+    """The groups as column lists: domains, key codes and non-zero counts."""
+    group, code = np.nonzero(groups.counts)
+    return {
+        "domains": [list(attr.values) for attr in (*schema.public, schema.sensitive)],
+        "keys": groups.keys.T.tolist(),
+        "counts": {
+            "group": group.tolist(),
+            "code": code.tolist(),
+            "n": groups.counts[group, code].tolist(),
+        },
+    }
+
+
+def _corrupt(detail: str) -> ValueError:
+    return ValueError(f"corrupt delta state: {detail}")
+
+
+def _decode_columnar(
+    header: Sequence[str], sensitive: str, data: dict[str, Any]
+) -> tuple[Schema, GroupCounts]:
+    """Inverse of :func:`_columnar_groups`; refuses what a publish never writes.
+
+    The domains are sorted, every code lies in its column's domain, every
+    group holds at least one row and the keys are unique and sorted — the
+    invariants the append merge, the dirty-chunk diff and the kernels rely on.
+    """
+    names = [*(name for name in header if name != sensitive), sensitive]
+    domains = data["domains"]
+    if len(domains) != len(names):
+        raise _corrupt(f"{len(domains)} domains for {len(names)} columns")
+    attributes = [
+        Attribute(name, tuple(values)) for name, values in zip(names, domains, strict=True)
     ]
+    if any(list(attr.values) != sorted(attr.values) for attr in attributes):
+        raise _corrupt("a domain is not sorted")
+    schema = Schema(public=attributes[:-1], sensitive=attributes[-1])
+
+    counts = data["counts"]
+    group, code, n = (np.array(counts[key], dtype=np.int64) for key in ("group", "code", "n"))
+    if len(group) == 0 or not len(group) == len(code) == len(n):
+        raise _corrupt("the count lists are empty or of unequal lengths")
+    n_groups, m = int(group.max()) + 1, schema.sensitive_domain_size
+    if group.min() < 0 or code.min() < 0 or code.max() >= m or n.min() <= 0:
+        raise _corrupt("a count lies outside the groups or the sensitive domain")
+    if (np.diff(group * m + code) <= 0).any() or not np.bincount(group).all():
+        raise _corrupt("the counts are not one sorted entry per non-empty cell")
+    matrix = np.zeros((n_groups, m), dtype=np.int64)
+    matrix[group, code] = n
+
+    keys = np.array(data["keys"], dtype=np.int64)
+    if keys.shape != (len(schema.public), n_groups):
+        raise _corrupt(f"key lists of shape {keys.shape} for {n_groups} groups")
+    sizes = np.array([attr.size for attr in schema.public], dtype=np.int64)
+    if (keys < 0).any() or (keys.T >= sizes).any():
+        raise _corrupt("a key code lies outside its column's domain")
+    groups = GroupCounts(keys.T, matrix)
+    if GroupCounts.aggregate(groups) != groups:
+        raise _corrupt("the group keys are not unique and sorted")
+    return schema, groups
 
 
-def _encode_groups(
+def _decode_value_keyed(
     header: Sequence[str], sensitive: str, stored: Sequence[Any]
 ) -> tuple[Schema, GroupCounts]:
-    """The schema the value-keyed groups imply (sorted domains) and their counts.
+    """The schema a ``state_version`` 1 document's groups imply, and their counts.
 
-    Every row lives in exactly one personal group, so the observed domain of
-    a column is the set of values that column takes across the group keys —
+    Those groups are ``[[NA values...], {SA value: count}]`` pairs.  Every
+    row lives in exactly one personal group, so the observed domain of a
+    column is the set of values that column takes across the group keys —
     the same domains :meth:`repro.stream.index.IncrementalGroupIndex.finalize`
     infers from the rows themselves.
     """
@@ -91,6 +147,12 @@ def _encode_groups(
         codes[:-1].T, codes[-1], schema.sensitive_domain_size, np.array(weights, dtype=np.int64)
     )
     return schema, groups
+
+
+def _tampered(path: Path, detail: str) -> ValueError:
+    return ValueError(
+        f"published base {path} {detail}; was it modified outside the delta engine?"
+    )
 
 
 @dataclass(frozen=True)
@@ -128,6 +190,12 @@ class DeltaState:
     chunk_row_counts: tuple[int, ...]
     #: Path of the published CSV the splice step rewrites.
     output: str
+    #: Published UTF-8 bytes per kernel chunk, in chunk order; ``None`` for a
+    #: state read from a ``state_version`` 1 document, which recorded row
+    #: counts only (see :meth:`chunk_index`).
+    chunk_bytes: tuple[int, ...] | None = None
+    #: :func:`zlib.crc32` of each chunk's published bytes (``None`` as above).
+    chunk_crc32: tuple[int, ...] | None = None
 
     @property
     def n_groups(self) -> int:
@@ -138,8 +206,42 @@ class DeltaState:
         """A copy of the state pointing at a different published file."""
         return replace(self, output=output)
 
+    def chunk_index(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The byte length and the CRC32 of every published chunk.
+
+        A state read from a ``state_version`` 1 document knows each chunk's
+        row count only.  Its index is rebuilt from the published file in one
+        pass, with the checks a v1 splice made (the header, then exactly the
+        recorded number of rows): each chunk's rows are re-rendered to
+        recover its exact bytes.  The successor state of an append records
+        the index, so this pass runs once per v1 state.
+        """
+        if self.chunk_bytes is not None and self.chunk_crc32 is not None:
+            return self.chunk_bytes, self.chunk_crc32
+        path = Path(self.output)
+        header_row = [*self.schema.public_names, self.schema.sensitive_name]
+        sizes: list[int] = []
+        crcs: list[int] = []
+        with path.open(newline="", encoding="utf-8") as handle:
+            rows = csv.reader(handle)
+            found = next(rows, None)
+            if found != header_row:
+                raise _tampered(path, f"has header {found}, the delta state {header_row}")
+            for n_rows in self.chunk_row_counts:
+                chunk = list(islice(rows, n_rows))
+                if len(chunk) < n_rows:
+                    raise _tampered(path, "has fewer rows than the delta state records")
+                text = io.StringIO()
+                csv.writer(text).writerows(chunk)
+                data = text.getvalue().encode("utf-8")
+                sizes.append(len(data))
+                crcs.append(zlib.crc32(data))
+            if next(rows, None) is not None:
+                raise _tampered(path, "has more rows than the delta state records")
+        return tuple(sizes), tuple(crcs)
+
     def to_json(self) -> dict[str, Any]:
-        """JSON-ready dict (inverse of :meth:`from_json`)."""
+        """JSON-ready ``state_version`` 2 dict (inverse of :meth:`from_json`)."""
         return {
             "state_version": STATE_VERSION,
             "strategy": self.strategy,
@@ -150,22 +252,33 @@ class DeltaState:
             "n_rows": self.n_rows,
             "sensitive": self.sensitive,
             "header": list(self.header),
-            "groups": _decode_groups(self.schema, self.groups),
-            "chunk_row_counts": list(self.chunk_row_counts),
+            "groups": _columnar_groups(self.schema, self.groups),
+            "chunks": {
+                "rows": list(self.chunk_row_counts),
+                "bytes": None if self.chunk_bytes is None else list(self.chunk_bytes),
+                "crc32": None if self.chunk_crc32 is None else list(self.chunk_crc32),
+            },
             "output": self.output,
         }
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "DeltaState":
-        """Rebuild a state from :meth:`to_json` output."""
+        """Rebuild a state from a ``state_version`` 2 or 1 document."""
         version = data.get("state_version")
-        if version != STATE_VERSION:
-            raise ValueError(
-                f"unsupported delta state version {version!r} (expected {STATE_VERSION})"
-            )
         header = tuple(str(name) for name in data["header"])
         sensitive = str(data["sensitive"])
-        schema, groups = _encode_groups(header, sensitive, data["groups"])
+        if version == STATE_VERSION:
+            schema, groups = _decode_columnar(header, sensitive, data["groups"])
+            chunks = data["chunks"]
+            rows, sizes, crcs = chunks["rows"], chunks["bytes"], chunks["crc32"]
+        elif version == 1:
+            schema, groups = _decode_value_keyed(header, sensitive, data["groups"])
+            rows, sizes, crcs = data["chunk_row_counts"], None, None
+        else:
+            raise ValueError(
+                f"unsupported delta state version {version!r} "
+                f"(expected {STATE_VERSION}, or 1)"
+            )
         return cls(
             strategy=str(data["strategy"]),
             params=dict(data["params"]),
@@ -177,19 +290,33 @@ class DeltaState:
             header=header,
             schema=schema,
             groups=groups,
-            chunk_row_counts=tuple(int(n) for n in data["chunk_row_counts"]),
+            chunk_row_counts=tuple(int(n) for n in rows),
             output=str(data["output"]),
+            chunk_bytes=None if sizes is None else tuple(int(n) for n in sizes),
+            chunk_crc32=None if crcs is None else tuple(int(n) for n in crcs),
         )
 
     def save(self, path: str | Path) -> None:
-        """Write the state as a JSON document."""
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
+        """Write the state as a JSON document, atomically.
+
+        The document goes to a temp file beside ``path`` that replaces it
+        only once fully written, so a failure part way leaves the previous
+        state file as it was.
+        """
+        target = Path(path)
+        data = json.dumps(self.to_json(), separators=(",", ":")).encode("utf-8") + b"\n"
+        temp = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
+        try:
+            with temp.open("xb") as handle:
+                handle.write(data)
+            os.replace(temp, target)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "DeltaState":
-        """Read a state written by :meth:`save`."""
+        """Read a state written by :meth:`save` (or by a release writing v1)."""
         return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 

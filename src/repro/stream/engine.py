@@ -25,12 +25,12 @@ consumption — for every registered strategy.  This holds because
 
 from __future__ import annotations
 
-import csv
 import inspect
 import os
 import secrets
 import tempfile
 import tracemalloc
+import zlib
 from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
 from types import SimpleNamespace
@@ -147,8 +147,11 @@ class _CsvSink:
     to one output cannot clobber each other or a file created mid-run.
 
     ``chunk_counts`` records the row count of every write, empty ones
-    included: one entry per kernel chunk on the group path, which is what a
-    delta state stores.
+    included: one entry per kernel chunk on the group path.  Next to it,
+    ``chunk_bytes`` and ``chunk_crc32`` record the UTF-8 byte length and
+    the :func:`zlib.crc32` of what each write published.  Together they are
+    the chunk index a delta state stores: a later splice copies a clean
+    chunk as a verified byte range of the published file.
     """
 
     def __init__(
@@ -156,36 +159,50 @@ class _CsvSink:
     ) -> None:
         self.path: Path | None = None
         self._temp: Path | None = None
+        self._text: IO[str] | None = None
         if hasattr(destination, "write"):
-            self._handle: IO[str] = destination  # type: ignore[assignment]
+            self._text = destination  # type: ignore[assignment]
         else:
             self.path = Path(destination)
             self._temp = self.path.with_name(
                 f"{self.path.name}.{secrets.token_hex(8)}.tmp"
             )
-            # UTF-8 mirrors read_csv's decoding so round-trips work on any
-            # locale; newline="" lets the codec's \r\n pass untranslated.
-            self._handle = self._temp.open("x", newline="", encoding="utf-8")
+            # Published bytes are UTF-8, which read_csv decodes, so
+            # round-trips work on any locale; a binary file lets the codec's
+            # \r\n pass untranslated.
+            self._handle: IO[bytes] = self._temp.open("xb")
         self._overwrite = overwrite
         self._codec = csv_codec(schema)
-        self._handle.write(self._codec.header)
-        self._rows = csv.writer(self._handle)
+        #: The encoded header line every output starts with.
+        self.header = self._codec.header.encode("utf-8")
+        self._write(self.header)
         self.records_written = 0
         self.chunk_counts: list[int] = []
+        self.chunk_bytes: list[int] = []
+        self.chunk_crc32: list[int] = []
 
     def write_block(self, block: np.ndarray) -> None:
         """Append a published codes block through the CSV codec."""
-        self._handle.write(self._codec.encode(block))
-        self._count(block.shape[0])
+        data = self._codec.encode(block).encode("utf-8")
+        self.write_chunk(data, block.shape[0], zlib.crc32(data))
 
-    def write_rows(self, rows: Sequence[Sequence[str]]) -> None:
-        """Append already-rendered rows (the delta splice's clean-chunk copy)."""
-        self._rows.writerows(rows)
-        self._count(len(rows))
+    def write_chunk(self, data: bytes, n_rows: int, crc32: int) -> None:
+        """Append one chunk's published bytes, whose CRC32 the caller knows.
 
-    def _count(self, n_rows: int) -> None:
+        The delta splice copies a clean chunk this way, after checking
+        ``crc32`` against the range it read from the published base.
+        """
+        self._write(data)
         self.records_written += n_rows
         self.chunk_counts.append(n_rows)
+        self.chunk_bytes.append(len(data))
+        self.chunk_crc32.append(crc32)
+
+    def _write(self, data: bytes) -> None:
+        if self._text is not None:
+            self._text.write(data.decode("utf-8"))
+        else:
+            self._handle.write(data)
 
     def close(self) -> None:
         """Flush a path output and move it into place (streams stay open)."""

@@ -12,6 +12,7 @@ any point of the splice leaves the previously published file untouched.
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import logging
@@ -198,6 +199,18 @@ class TestByteIdentity:
 # A state written by release 4.0.0 stays appendable
 # --------------------------------------------------------------------- #
 
+def _value_keyed_groups(state):
+    """A state's groups in the ``state_version`` 1 form: ``[[NA values], {SA value: n}]``."""
+    public, sensitive = state.schema.public, state.schema.sensitive
+    return [
+        [
+            [attr.values[code] for attr, code in zip(public, key)],
+            {sensitive.values[code]: n for code, n in enumerate(counts) if n},
+        ]
+        for key, counts in zip(state.groups.keys.tolist(), state.groups.counts.tolist())
+    ]
+
+
 #: ``publish_base`` output of release 4.0.0 (seed 11, chunk_size 4) over
 #: ``base.csv``: the state documents plus the published CSVs they describe.
 STATE_4_0_0 = Path(__file__).parent / "data" / "delta_state_4_0_0"
@@ -223,8 +236,11 @@ class TestStateFrom400:
     )
     def test_loads_appends_and_reserialises(self, tmp_path, strategy, appended, mode):
         document = json.loads((STATE_4_0_0 / f"state_{strategy}.json").read_text())
+        assert document["state_version"] == 1
         state = DeltaState.from_json(document)
-        assert state.to_json()["groups"] == document["groups"]
+        # The v2 document of the loaded state reloads to the v1 groups.
+        reloaded = DeltaState.from_json(json.loads(json.dumps(state.to_json())))
+        assert _value_keyed_groups(reloaded) == document["groups"]
         assert state.n_rows == sum(sum(counts.values()) for _, counts in document["groups"])
 
         published = tmp_path / "published.csv"
@@ -243,6 +259,12 @@ class TestStateFrom400:
         )
         assert published.read_bytes() == expected.read_bytes()
 
+        # The successor state records the chunk index and saves as v2.
+        saved = tmp_path / "state.json"
+        report.state.save(saved)
+        assert json.loads(saved.read_text())["state_version"] == 2
+        assert DeltaState.load(saved) == report.state
+
     @pytest.mark.parametrize("strategy", ["sps", "dp-laplace"])
     def test_base_bytes_unchanged_since_400(self, tmp_path, strategy):
         state = DeltaState.load(STATE_4_0_0 / f"state_{strategy}.json")
@@ -253,7 +275,57 @@ class TestStateFrom400:
             chunk_rows=state.chunk_rows,
         )
         assert output.read_bytes() == (STATE_4_0_0 / f"published_{strategy}.csv").read_bytes()
-        assert report.state.with_output(state.output) == state
+        # A v1 state records no chunk index; the one it rebuilds from the
+        # published file is the index the sink records.
+        assert state.chunk_bytes is None and state.chunk_crc32 is None
+        fresh = report.state.with_output(state.output)
+        assert fresh == dataclasses.replace(
+            state, chunk_bytes=fresh.chunk_bytes, chunk_crc32=fresh.chunk_crc32
+        )
+        assert state.with_output(str(output)).chunk_index() == (
+            fresh.chunk_bytes, fresh.chunk_crc32,
+        )
+
+    def test_v1_state_in_sqlite_store_appends_through_service(self, tmp_path):
+        from repro.service.engine import AnonymizationService
+        from repro.store import SqliteConnector
+        from repro.store.base import NS_DELTAS
+
+        published = tmp_path / "published.csv"
+        published.write_bytes((STATE_4_0_0 / "published_sps.csv").read_bytes())
+        document = json.loads((STATE_4_0_0 / "state_sps.json").read_text())
+        document["output"] = str(published)
+        path = tmp_path / "service.db"
+        store = SqliteConnector(path).open()
+        store.put(NS_DELTAS, "living", document)
+        store.close()
+
+        appended = [["athens", "clerk", "flu"], ["oslo", "clerk", "cold"]]
+        service = AnonymizationService(snapshot_path=path)
+        try:
+            record = service.append_rows("living", rows=appended)
+            assert record.status == "completed"
+            assert record.metadata["mode"] == "delta"
+            state = service.deltas["living"]
+        finally:
+            service.close()
+
+        store = SqliteConnector(path).open()
+        stored = store.get(NS_DELTAS, "living").value
+        store.close()
+        assert stored["state_version"] == 2
+        assert stored["chunks"]["crc32"] == list(state.chunk_crc32)
+
+        with (STATE_4_0_0 / "base.csv").open(newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        full_csv = tmp_path / "full.csv"
+        _write_csv(full_csv, header, rows + appended)
+        expected = tmp_path / "expected.csv"
+        stream_publish(
+            full_csv, sensitive=state.sensitive, strategy="sps", rng=state.seed,
+            chunk_size=state.chunk_size, output=expected,
+        )
+        assert published.read_bytes() == expected.read_bytes()
 
 
 # --------------------------------------------------------------------- #
@@ -354,6 +426,30 @@ class TestStanceAndErrors:
         with pytest.raises(ValueError, match="version"):
             DeltaState.from_json(payload)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda groups: groups["domains"][0].reverse(),  # unsorted domain
+            lambda groups: groups["keys"][0].__setitem__(0, 99),  # code off the domain
+            lambda groups: groups["keys"][0].__setitem__(1, groups["keys"][0][0]),  # repeated key
+            lambda groups: groups["counts"]["n"].__setitem__(0, 0),  # an empty cell
+            lambda groups: groups["counts"]["code"].__setitem__(0, 7),  # SA code off the domain
+            lambda groups: groups["counts"]["group"].pop(),  # ragged count lists
+        ],
+        ids=["domain", "key-code", "duplicate-key", "zero-count", "sa-code", "ragged"],
+    )
+    def test_corrupt_v2_groups_rejected(self, tmp_path, corrupt):
+        base_csv = tmp_path / "base.csv"
+        _write_csv(base_csv, _TINY_HEADER, _tiny_rows("abcd", ["flu", "cold"]))
+        report = publish_base(
+            base_csv, sensitive="Disease", output=tmp_path / "out.csv", rng=1
+        )
+        payload = report.state.to_json()
+        assert DeltaState.from_json(payload) == report.state
+        corrupt(payload["groups"])
+        with pytest.raises(ValueError, match="corrupt delta state"):
+            DeltaState.from_json(payload)
+
     def test_inconsistent_state_rejected(self, tmp_path):
         base_csv = tmp_path / "base.csv"
         _write_csv(base_csv, _TINY_HEADER, _tiny_rows("abcd", ["flu", "cold"]))
@@ -379,6 +475,75 @@ class TestStanceAndErrors:
         published.write_bytes(b"".join(lines[:-2]))  # drop two published rows
         with pytest.raises(ValueError, match="modified outside the delta engine"):
             delta_publish(report.state, [["a", "flu"]])
+
+    def _dp_base(self, tmp_path):
+        """A 24-row dp-laplace base, one group per chunk: (state, published path)."""
+        base_csv = tmp_path / "base.csv"
+        _write_csv(base_csv, _TINY_HEADER, _tiny_rows("abc", ["flu", "cold"]))
+        report = publish_base(
+            base_csv, sensitive="Disease", output=tmp_path / "out.csv",
+            strategy="dp-laplace", rng=1, chunk_size=1,
+        )
+        return report.state, Path(report.state.output)
+
+    def test_tampered_clean_chunk_detected(self, tmp_path):
+        # A same-length edit keeps every row count and the file size; only
+        # the checksum of the clean chunk it lands in can tell.
+        state, published = self._dp_base(tmp_path)
+        original = published.read_bytes()
+        assert b"a,flu" in original
+        forged = original.replace(b"a,flu", b"a,hiv", 1)
+        published.write_bytes(forged)
+        with pytest.raises(ValueError, match="modified outside the delta engine"):
+            delta_publish(state, [["c", "flu"]])  # dirties chunk 2, not chunk 0
+        assert published.read_bytes() == forged
+        assert _no_temp_leftovers(tmp_path)
+
+    def test_bytes_appended_to_base_file_detected(self, tmp_path):
+        state, published = self._dp_base(tmp_path)
+        extended = published.read_bytes() + b"a,flu\r\n"
+        published.write_bytes(extended)
+        with pytest.raises(ValueError, match="modified outside the delta engine"):
+            delta_publish(state, [["c", "flu"]])
+        assert published.read_bytes() == extended
+        assert _no_temp_leftovers(tmp_path)
+
+    def test_failed_state_save_keeps_previous_state_file(self, tmp_path, monkeypatch):
+        state, _ = self._dp_base(tmp_path)
+        path = tmp_path / "state.json"
+        state.save(path)
+        previous = path.read_bytes()
+        successor = delta_publish(state, [["c", "flu"]]).state
+
+        class HalfWrite:
+            """A file handle whose write stores half its data, then fails."""
+
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, data):
+                self._handle.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = Path.open
+
+        def open_failing_writes(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            return handle if "r" in mode else HalfWrite(handle)
+
+        monkeypatch.setattr(Path, "open", open_failing_writes)
+        with pytest.raises(OSError, match="No space left"):
+            successor.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == previous
+        assert DeltaState.load(path) == state
+        assert _no_temp_leftovers(tmp_path)
 
     def test_appended_header_mismatch_detected(self, tmp_path):
         base_csv = tmp_path / "base.csv"

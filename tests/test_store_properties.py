@@ -13,6 +13,7 @@ Profiles mirror ``tests/test_delta_properties.py``: CI runs the
 its randomized search.
 """
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -158,6 +159,55 @@ delta_states = st.fixed_dictionaries({
 
 @given(state=delta_states)
 def test_delta_states_round_trip_through_every_backend(state):
+    with _fresh_backends() as backends:
+        for connector in backends:
+            connector.open()
+            connector.put("deltas", "living", state.to_json())
+            restored = DeltaState.from_json(connector.get("deltas", "living").value)
+            assert restored == state
+            connector.close()
+
+
+def _with_chunk_index(document):
+    """A ``DeltaState`` of ``document`` plus a chunk index of matching length."""
+    state = DeltaState.from_json(document)
+    n = len(state.chunk_row_counts)
+    return st.tuples(
+        st.lists(st.integers(0, 2**40), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n),
+    ).map(lambda index: dataclasses.replace(
+        state, chunk_bytes=tuple(index[0]), chunk_crc32=tuple(index[1])
+    ))
+
+
+# Any text values (commas, quotes, non-ASCII, empty) over two public columns.
+values = st.text(max_size=6)
+v2_delta_states = st.fixed_dictionaries({
+    "state_version": st.just(1),
+    "strategy": st.sampled_from(["sps", "dp-laplace"]),
+    "params": st.just({}),
+    "seed": st.integers(0, 2**31),
+    "chunk_size": st.integers(1, 500),
+    "chunk_rows": st.integers(1, 500),
+    "n_rows": st.integers(1, 10_000),
+    "sensitive": st.just("Disease"),
+    "header": st.just(["City", "Disease", "Job"]),
+    "groups": st.dictionaries(
+        st.tuples(values, values),
+        st.dictionaries(values, st.integers(1, 10**6), min_size=1, max_size=3),
+        min_size=1,
+        max_size=8,
+    ).map(lambda groups: [[list(key), counts] for key, counts in groups.items()]),
+    "chunk_row_counts": st.lists(st.integers(0, 10**6), max_size=6),
+    "output": st.just("published.csv"),
+}).flatmap(_with_chunk_index)
+
+
+@given(state=v2_delta_states)
+def test_v2_delta_states_round_trip_through_json_and_every_backend(state):
+    document = json.loads(json.dumps(state.to_json()))
+    assert document["state_version"] == 2
+    assert DeltaState.from_json(document) == state
     with _fresh_backends() as backends:
         for connector in backends:
             connector.open()

@@ -28,7 +28,7 @@ from repro.core.sps import _sample_counts, sps_publish, sps_publish_groups
 from repro.core.testing import audit_groups
 from repro.dataset.groups import GroupCounts
 from repro.delta.engine import _changed_chunks, _merge
-from repro.delta.state import _decode_groups, _encode_groups
+from repro.delta.state import _decode_value_keyed
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
 from repro.dataset.groups import personal_groups
@@ -359,7 +359,15 @@ def value_groups(cities, jobs, diseases):
 
 
 def _decoded(schema, groups):
-    return tuple((tuple(key), counts) for key, counts in _decode_groups(schema, groups))
+    """Value-keyed ``((NA values...), {SA value: count})`` pairs, in group order."""
+    sensitive = schema.sensitive.values
+    return tuple(
+        (
+            tuple(attr.values[code] for attr, code in zip(schema.public, key)),
+            {sensitive[code]: n for code, n in enumerate(counts) if n},
+        )
+        for key, counts in zip(groups.keys.tolist(), groups.counts.tolist())
+    )
 
 
 class TestColumnarDeltaMerge:
@@ -373,8 +381,8 @@ class TestColumnarDeltaMerge:
     )
     def test_merge_and_dirty_chunks_match_value_keyed_loops(self, base, appended, chunk_size):
         header = ["City", "Job", "Disease"]
-        base_schema, base_groups = _encode_groups(header, "Disease", base)
-        appended_schema, appended_groups = _encode_groups(header, "Disease", appended)
+        base_schema, base_groups = _decode_value_keyed(header, "Disease", base)
+        appended_schema, appended_groups = _decode_value_keyed(header, "Disease", appended)
         assert _decoded(base_schema, base_groups) == base
 
         union, base_on_union, merged = _merge(
