@@ -115,7 +115,7 @@ def run_core_scenario(
     ops: dict[str, Any] = {
         "published_records": len(report.published),
         "prepared_records": len(report.prepared),
-        "n_group_records": len(report.groups),
+        "n_group_records": len(report.records) if report.records else 0,
         "n_sampled_groups": report.n_sampled_groups,
     }
     if report.audit is not None:

@@ -140,6 +140,28 @@ class GroupCounts:
         return GroupCounts.aggregate(GroupCounts(keys, self.counts))
 
 
+def expand_counts(counts: np.ndarray) -> np.ndarray:
+    """One SA code per record of a ``G x m`` count matrix, group by group.
+
+    >>> expand_counts(np.array([[2, 0, 1], [0, 1, 0]])).tolist()
+    [0, 0, 2, 1]
+    """
+    n_groups, m = counts.shape
+    return np.repeat(np.tile(np.arange(m, dtype=np.int64), n_groups), counts.ravel())
+
+
+def group_block(keys: np.ndarray, sizes: np.ndarray, sensitive: np.ndarray) -> np.ndarray:
+    """A published code block: each NA key repeated ``sizes`` times, then the SA codes.
+
+    >>> group_block(np.array([[4, 5], [6, 7]]), np.array([1, 2]), np.array([0, 1, 2])).tolist()
+    [[4, 5, 0], [6, 7, 1], [6, 7, 2]]
+    """
+    block = np.empty((sensitive.size, keys.shape[1] + 1), dtype=np.int64)
+    block[:, :-1] = np.repeat(keys, sizes, axis=0)
+    block[:, -1] = sensitive
+    return block
+
+
 @dataclass(frozen=True)
 class PersonalGroup:
     """One personal group of a table: its NA key, rows and SA counts.

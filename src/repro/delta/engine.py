@@ -43,6 +43,7 @@ from typing import IO, Any, cast
 
 import numpy as np
 
+from repro.core.sps import SPSRecords
 from repro.core.testing import PrivacyAudit, audit_groups
 from repro.dataset.groups import GroupCounts
 from repro.dataset.schema import Attribute, Schema
@@ -181,7 +182,7 @@ def publish_base(
         schema=report.schema,
         spec=report.spec,
         audit=report.audit,
-        groups=report.groups,
+        records=report.records,
         timings=report.timings,
         output=str(target),
         state=state,
@@ -437,7 +438,7 @@ def delta_publish(
                 n_tasks=len(dirty_order),
             )
             writer = _CsvSink(target, new_schema)
-            records: list[Any] = []
+            records: list[SPSRecords | None] = []
             try:
                 with closing(regen), base_path.open("rb") as base:
                     _check_base(base, base_path, writer.header, sum(chunk_bytes))
@@ -447,7 +448,7 @@ def delta_publish(
                             base.seek(size, os.SEEK_CUR)
                             block, chunk_records = next(regen)
                             writer.write_block(block)
-                            records.extend(chunk_records)
+                            records.append(chunk_records)
                         else:
                             data = base.read(size)
                             crc32 = chunk_crc32[i]
@@ -517,7 +518,7 @@ def delta_publish(
         schema=new_schema,
         spec=spec,
         audit=privacy_audit,
-        groups=tuple(records),
+        records=SPSRecords.concat(records),
         timings=timings,
         output=str(target),
         state=new_state,

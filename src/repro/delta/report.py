@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.criterion import PrivacySpec
-from repro.core.sps import GroupPublication
+from repro.core.sps import GroupPublication, SPSRecords
 from repro.core.testing import PrivacyAudit
 from repro.dataset.schema import Schema
 from repro.delta.state import DeltaState
@@ -47,14 +47,19 @@ class DeltaReport:
     schema: Schema
     spec: PrivacySpec | None
     audit: PrivacyAudit | None
-    #: Per-group publication records of the chunks this run executed.
-    groups: tuple[GroupPublication, ...]
+    #: SPS records of the chunks this run executed (``None`` for DP).
+    records: SPSRecords | None
     #: Per-stage wall-clock seconds (span-derived).
     timings: dict[str, float] = field(default_factory=dict)
     #: Path of the published CSV.
     output: str = ""
     #: The successor state (feed it to the next ``delta_publish``).
     state: DeltaState | None = None
+
+    @property
+    def groups(self) -> tuple[GroupPublication, ...]:
+        """Per-group views of :attr:`records`, built on first use (empty without records)."""
+        return () if self.records is None else self.records.groups
 
     @property
     def dirty_fraction(self) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 #: The significance level used throughout the paper.
 DEFAULT_SIGNIFICANCE = 0.05
@@ -52,6 +51,10 @@ def chi_square_threshold(degrees_of_freedom: int, significance: float = DEFAULT_
         raise ValueError("degrees_of_freedom must be positive")
     if not 0.0 < significance < 1.0:
         raise ValueError("significance must lie strictly between 0 and 1")
+    # Imported here: scipy.stats is this module's only use of scipy, and it
+    # would otherwise dominate `import repro`.
+    from scipy import stats
+
     return float(stats.chi2.ppf(1.0 - significance, df=degrees_of_freedom))
 
 

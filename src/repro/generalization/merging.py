@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.dataset.schema import Attribute, Schema
@@ -123,6 +122,8 @@ def merge_attribute_from_counts(
     schema) are byte-identical to the in-memory path without ever holding the
     full table.
     """
+    import networkx as nx  # only the merge needs it; keeps `import repro` light
+
     graph = nx.Graph()
     graph.add_nodes_from(range(attribute.size))
     observed = sorted(conditional)

@@ -297,7 +297,7 @@ class PublishPipeline:
                 spec=spec,
                 generalization=generalization,
                 audit=audit,
-                groups=outcome.records,
+                records=outcome.records,
                 metadata=metadata,
                 timings=timings,
                 group_index_cached=cached,

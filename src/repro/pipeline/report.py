@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.criterion import PrivacySpec
-from repro.core.sps import GroupPublication, SPSResult
+from repro.core.sps import GroupPublication, SPSRecords, SPSResult
 from repro.core.testing import PrivacyAudit
 from repro.dataset.table import Table
 from repro.generalization.merging import GeneralizationResult
@@ -42,8 +42,10 @@ class PublishReport:
         The chi-square merge decisions, when the generalize stage ran.
     audit:
         The pre-publication audit of ``prepared``, when the audit stage ran.
-    groups:
-        Per-group SPS bookkeeping records (empty for non-SPS strategies).
+    records:
+        The SPS bookkeeping of every group as :class:`~repro.core.sps.SPSRecords`
+        arrays (``None`` for non-SPS strategies); ``groups`` holds its
+        per-group views.
     metadata:
         Strategy-specific extras (mechanism scales, sampling stats, merged
         domain sizes, ...).
@@ -62,22 +64,25 @@ class PublishReport:
     spec: PrivacySpec | None = None
     generalization: GeneralizationResult | None = None
     audit: PrivacyAudit | None = None
-    groups: tuple[GroupPublication, ...] = ()
+    records: SPSRecords | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     group_index_cached: bool = False
 
     @property
+    def groups(self) -> tuple[GroupPublication, ...]:
+        """Per-group views of :attr:`records`, built on first use (empty without records)."""
+        return () if self.records is None else self.records.groups
+
+    @property
     def n_sampled_groups(self) -> int:
         """How many groups SPS actually sampled (``|g| > s_g``)."""
-        return sum(1 for g in self.groups if g.sampled)
+        return 0 if self.records is None else self.records.n_sampled_groups
 
     @property
     def sampled_fraction(self) -> float:
         """Fraction of groups that needed sampling."""
-        if not self.groups:
-            return 0.0
-        return self.n_sampled_groups / len(self.groups)
+        return 0.0 if self.records is None else self.records.sampled_fraction
 
     @property
     def total_seconds(self) -> float:
@@ -96,7 +101,10 @@ class PublishReport:
                 f"strategy {self.strategy!r} has no privacy spec; "
                 "there is no SPS view of this report"
             )
-        return SPSResult(published=self.published, groups=self.groups, spec=self.spec)
+        records = self.records
+        if records is None:
+            records = SPSRecords.empty(len(self.published.schema.public))
+        return SPSResult(published=self.published, records=records, spec=self.spec)
 
     def summary(self) -> dict[str, Any]:
         """A compact JSON-compatible digest (for logs and service responses)."""
@@ -117,7 +125,7 @@ class PublishReport:
                 "record_violation_rate": float(self.audit.record_violation_rate),
                 "is_private": self.audit.is_private,
             }
-        if self.groups:
+        if self.records:
             data["n_sampled_groups"] = self.n_sampled_groups
             data["sampled_fraction"] = self.sampled_fraction
         return data

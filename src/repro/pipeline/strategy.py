@@ -21,15 +21,15 @@ Built-in strategies
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 import numpy as np
 
 from repro.core.criterion import PrivacySpec
-from repro.core.sps import GroupPublication, sps_publish_groups
-from repro.dataset.groups import GroupCounts, GroupIndex
+from repro.core.sps import SPSRecords, sps_publish_groups
+from repro.dataset.groups import GroupCounts, GroupIndex, expand_counts, group_block
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
@@ -38,10 +38,11 @@ from repro.pipeline.execution import ChunkRunner, seeded_rng
 from repro.pipeline.params import ParamSpec, resolve_params
 
 #: Signature of a group-batch publishing kernel: ``fn(chunk_of_groups, rng)``
-#: returns the published code block plus the per-group publication records.
+#: returns the published code block plus the chunk's SPS records (``None``
+#: for kernels that keep none).
 GroupChunkFn = Callable[
     [GroupCounts, np.random.Generator],
-    tuple[np.ndarray, Sequence[GroupPublication]],
+    tuple[np.ndarray, SPSRecords | None],
 ]
 
 
@@ -54,7 +55,7 @@ class StrategyOutcome:
     """What a strategy's enforce stage produced."""
 
     published: Table
-    records: tuple[GroupPublication, ...] = ()
+    records: SPSRecords | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
 
@@ -122,7 +123,7 @@ class PublishStrategy(ABC):
         When a strategy's published bytes depend only on the ordered list of
         personal groups (their NA keys and SA count vectors) — true for SPS
         and the DP histogram strategies — it returns
-        ``fn(chunk_of_groups, rng) -> (codes_block, group_records)`` here.
+        ``fn(chunk_of_groups, rng) -> (codes_block, records)`` here.
         :meth:`enforce` and the out-of-core streaming engine both drive this
         same kernel over deterministic seeded chunks, which is why streaming
         output is byte-identical to the in-memory path for a fixed
@@ -246,7 +247,7 @@ def _run_chunk_publisher(
     seed: int,
     runner: ChunkRunner,
     chunk_size: int,
-) -> tuple[Table, tuple[GroupPublication, ...]]:
+) -> tuple[Table, SPSRecords | None]:
     """Drive a strategy's group-batch kernel through ``runner`` and assemble the table.
 
     The kernel is wrapped in a picklable :class:`~repro.parallel.kernels.StrategyKernel`
@@ -260,12 +261,12 @@ def _run_chunk_publisher(
     n_public = len(table.schema.public)
     results = runner(groups.groups, chunk_fn, seed, chunk_size)
     blocks = [codes for codes, _ in results if codes.size]
-    records = [record for _, chunk_records in results for record in chunk_records]
+    records = SPSRecords.concat(chunk_records for _, chunk_records in results)
     if blocks:
         codes = np.vstack(blocks)
     else:
         codes = np.empty((0, n_public + 1), dtype=np.int64)
-    return Table(table.schema, codes), tuple(records)
+    return Table(table.schema, codes), records
 
 
 # ---------------------------------------------------------------------- #
@@ -298,7 +299,7 @@ class SPSStrategy(PublishStrategy):
 
         def chunk_fn(
             chunk: GroupCounts, rng: np.random.Generator
-        ) -> tuple[np.ndarray, list[GroupPublication]]:
+        ) -> tuple[np.ndarray, SPSRecords]:
             return sps_publish_groups(chunk, spec, rng, n_public, perturbation)
 
         return chunk_fn
@@ -387,6 +388,10 @@ class _DPHistogramStrategy(PublishStrategy):
     clamp to non-negative integers and emit that many records per value.  The
     NA key structure is preserved exactly (as the paper's model requires);
     only the per-group SA histograms are privatised.
+
+    The kernel draws a chunk's noise in one call over its ``G x m`` count
+    matrix: numpy fills an array draw from the same stream as consecutive
+    per-group draws, so the bytes are those of a per-group loop.
     """
 
     audits = False
@@ -410,26 +415,11 @@ class _DPHistogramStrategy(PublishStrategy):
         resolved: Mapping[str, Any],
     ) -> GroupChunkFn:
         mechanism = self._mechanism(resolved)
-        m = schema.sensitive_domain_size
-        n_public = len(schema.public)
 
-        def chunk_fn(
-            chunk: GroupCounts, rng: np.random.Generator
-        ) -> tuple[np.ndarray, tuple[GroupPublication, ...]]:
-            blocks: list[np.ndarray] = []
-            for key, group_counts in zip(chunk.keys, chunk.counts, strict=True):
-                noisy = np.asarray(mechanism.add_noise(group_counts.astype(float), rng))
-                counts = np.maximum(0, np.rint(noisy)).astype(np.int64)
-                codes = np.repeat(np.arange(m, dtype=np.int64), counts)
-                if codes.size == 0:
-                    continue
-                block = np.empty((codes.size, n_public + 1), dtype=np.int64)
-                block[:, :n_public] = key
-                block[:, n_public] = codes
-                blocks.append(block)
-            if blocks:
-                return np.vstack(blocks), ()
-            return np.empty((0, n_public + 1), dtype=np.int64), ()
+        def chunk_fn(chunk: GroupCounts, rng: np.random.Generator) -> tuple[np.ndarray, None]:
+            noisy = np.asarray(mechanism.add_noise(chunk.counts.astype(float), rng))
+            counts = np.maximum(0, np.rint(noisy)).astype(np.int64)
+            return group_block(chunk.keys, counts.sum(axis=1), expand_counts(counts)), None
 
         return chunk_fn
 

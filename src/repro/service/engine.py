@@ -141,9 +141,9 @@ def _chunk_rows(spec: JobSpec) -> dict[str, int]:
 def _report_metadata(report: Any, **fields: Any) -> dict[str, Any]:
     """Job metadata from a pipeline or stream report."""
     metadata = {"params": dict(report.params), **fields, **report.metadata}
-    if report.groups:
+    if report.records:
         metadata.update(
-            n_groups=len(report.groups),
+            n_groups=len(report.records),
             n_sampled_groups=report.n_sampled_groups,
             sampled_fraction=report.sampled_fraction,
         )

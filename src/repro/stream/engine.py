@@ -39,7 +39,7 @@ from typing import IO, Any, NamedTuple, cast
 import numpy as np
 
 from repro.core.criterion import PrivacySpec
-from repro.core.sps import GroupPublication
+from repro.core.sps import SPSRecords
 from repro.core.testing import PrivacyAudit, audit_groups
 from repro.dataset.groups import GroupCounts
 from repro.dataset.loaders import csv_codec, source_label
@@ -587,7 +587,7 @@ def _run(
                     sink = _TableSink(prepared_schema)
                 else:
                     sink = _NullSink()
-                records: list[GroupPublication] = []
+                records: list[SPSRecords | None] = []
                 if spool is not None:
                     _enforce_rows(
                         strategy, spec, index, spool, seed,
@@ -645,7 +645,7 @@ def _run(
         schema=prepared_schema,
         spec=spec,
         audit=privacy_audit,
-        groups=tuple(records),
+        records=SPSRecords.concat(records),
         merges=merges,
         metadata=metadata,
         timings=timings,
@@ -689,7 +689,7 @@ def _enforce_groups(
     workers: int,
     backend: str,
     sink: Any,
-    records: list[GroupPublication],
+    records: list[SPSRecords | None],
     notify: ProgressCallback,
 ) -> None:
     """Drive the group-batch kernel over seeded chunks, in chunk order.
@@ -705,7 +705,7 @@ def _enforce_groups(
     done = 0
     for block, chunk_records in results:
         sink.write_block(block)
-        records.extend(chunk_records)
+        records.append(chunk_records)
         done = min(done + chunk_size, len(groups))
         notify({
             "phase": "enforce",

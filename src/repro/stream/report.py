@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.criterion import PrivacySpec
-from repro.core.sps import GroupPublication
+from repro.core.sps import GroupPublication, SPSRecords
 from repro.core.testing import PrivacyAudit
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
@@ -46,7 +46,7 @@ class StreamReport:
     workers: int = 1
     spec: PrivacySpec | None = None
     audit: PrivacyAudit | None = None
-    groups: tuple[GroupPublication, ...] = ()
+    records: SPSRecords | None = None
     merges: tuple[AttributeMerge, ...] | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
@@ -55,16 +55,19 @@ class StreamReport:
     peak_tracked_bytes: int | None = None
 
     @property
+    def groups(self) -> tuple[GroupPublication, ...]:
+        """Per-group views of :attr:`records`, built on first use (empty without records)."""
+        return () if self.records is None else self.records.groups
+
+    @property
     def n_sampled_groups(self) -> int:
         """How many groups SPS actually sampled (``|g| > s_g``)."""
-        return sum(1 for g in self.groups if g.sampled)
+        return 0 if self.records is None else self.records.n_sampled_groups
 
     @property
     def sampled_fraction(self) -> float:
         """Fraction of groups that needed sampling."""
-        if not self.groups:
-            return 0.0
-        return self.n_sampled_groups / len(self.groups)
+        return 0.0 if self.records is None else self.records.sampled_fraction
 
     @property
     def total_seconds(self) -> float:
@@ -96,7 +99,7 @@ class StreamReport:
                 "record_violation_rate": float(self.audit.record_violation_rate),
                 "is_private": self.audit.is_private,
             }
-        if self.groups:
+        if self.records:
             data["n_sampled_groups"] = self.n_sampled_groups
             data["sampled_fraction"] = self.sampled_fraction
         if self.peak_tracked_bytes is not None:

@@ -104,7 +104,7 @@ class TestSpsPublishGroups:
         n_public = len(skewed_binary_table.schema.public)
         codes_a, records_a = sps_publish_groups(index.groups[:2], binary_spec, 1, n_public)
         codes_b, records_b = sps_publish_groups(index.groups[2:], binary_spec, 2, n_public)
-        assert [r.key for r in records_a + records_b] == [g.key for g in groups]
+        assert [r.key for r in records_a.groups + records_b.groups] == [g.key for g in groups]
         combined = Table(skewed_binary_table.schema, np.vstack([codes_a, codes_b]))
         published_keys = {g.key for g in personal_groups(combined)}
         assert published_keys == {g.key for g in groups}
@@ -117,13 +117,13 @@ class TestSpsPublishGroups:
         )
         reference = sps_publish(skewed_binary_table, binary_spec, rng=default_rng(17))
         assert np.array_equal(codes, reference.published.codes)
-        assert tuple(records) == reference.groups
+        assert records.groups == reference.groups
 
     def test_empty_chunk(self, binary_spec):
         empty = GroupCounts(np.empty((0, 1)), np.empty((0, 2)))
         codes, records = sps_publish_groups(empty, binary_spec, 0, n_public=1)
         assert codes.shape == (0, 2)
-        assert records == []
+        assert len(records) == 0 and records.groups == ()
 
 
 class TestTheorem4Privacy:

@@ -1,0 +1,132 @@
+"""Published bytes pinned across versions.
+
+The sha256 values below were recorded at 5.1.0, before the SPS and DP chunk
+kernels became array operations, and every later version must reproduce
+them: published bytes are a pure function of ``(strategy, params, seed,
+chunk_size)``.  Each group strategy is published through ``repro.publish``
+and through ``stream_publish`` at one and two workers, which must all give
+the same bytes.  The adult sample has sampled groups (``|g| > s_g``), so the
+SPS sampling and scaling draws are pinned too; ``report.groups`` is pinned
+through a digest of its records.  A two-append delta chain pins the splice
+path for one SPS and one DP strategy.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.dataset.adult import generate_adult
+from repro.dataset.census import generate_census
+from repro.dataset.loaders import read_csv, write_csv
+from repro.delta import delta_publish, publish_base
+from repro.stream import stream_publish
+
+SEED = 11
+DELTA_SEED = 5
+
+DATASETS = {
+    "adult": (generate_adult, 10_000),
+    "census": (generate_census, 5_000),
+}
+
+#: sha256 of the published CSV, identical through every path.
+PUBLISHED = {
+    ("adult", "sps"): "81952c44e436041b635edffead84cf3336776cf4029f8c102c49de5c313dec57",
+    ("adult", "generalize+sps"): "4e7cc8c70384befa1edc24e356ade12c47c77bcc16aa0263dd0d4db52bf1b957",
+    ("adult", "dp-laplace"): "7713cf3560b4570b95f099371d8afa3999d71f9a93c2838b84a8d0f58ed96ccf",
+    ("adult", "dp-gaussian"): "a451df2aef34166e7ddc1cb3fb8ec29ae2de9bd1c76c558fa5f9f2b87703aaed",
+    ("census", "sps"): "81c273624ed94c5e11ec9ae4f47334eb8cb479f6eb2b24aa7df0ad2d932a6eed",
+    ("census", "generalize+sps"): "2db591857ee89b754a9df9402f8a3b9f210a081d6dc9f084688b33a6422855bd",
+    ("census", "dp-laplace"): "bab80244a2a5817b0efdd66ea6f25d2efb24d8589c14ec3cabc2f7022ce75fdd",
+    ("census", "dp-gaussian"): "72f75501f0c3b061c4ae778d9ad13b7371fb9dc318dd4f1651e123b3c58041d8",
+}
+
+#: (number of sampled groups, sha256 of the repr of every GroupPublication's fields).
+GROUP_RECORDS = {
+    ("adult", "sps"): (15, "002b06fac879284982734b2302ebf2e604005ec6e63e7866c3bdd9b132f02f77"),
+    ("adult", "generalize+sps"): (9, "e6d3d38c2417e616695c55480d2870f6216ccab72694dcf764a9037aea309fe4"),
+    ("census", "sps"): (0, "88493696cd928d9bbbdab35cb6ab857f069ab73b5125f436a530da698f5148c1"),
+    ("census", "generalize+sps"): (0, "878365f16da4eb2ab11f520b0ee0c0a3b0fc89f93401b968d23a0b45f4b834c9"),
+}
+
+#: sha256 of the published CSV after the base publish and after each append.
+DELTA_CHAIN = {
+    ("adult", "sps"): (
+        "4be191eadc22511c05395571222ad85670c54a6e5d8592a7ee323bfab1d2022f",
+        "b035c3b01a91d74989faae5e30870ff7f55d9746cfb8352d6582a9ec00170e0f",
+        "3f1892d6b3daa33bbff397f1050bb83ac5134106b1e77675a0477ac4f805a2d9",
+    ),
+    ("adult", "dp-laplace"): (
+        "a07b082387110642ab51b76e519d3598ebc937bea542142ff114d78d2583775f",
+        "870fe4e7c0e1741c60a6cc125a4ca628d1f4d7a65061fb26c8fa2f2719d34437",
+        "7d758a5bfc6e0b3a2f1d8c71cd386ea4f985be065e4b643d73ba20d639f4ff9e",
+    ),
+    ("census", "sps"): (
+        "303d3002857784657736d4f1a0d36c91fac362590ae7e24694bd2b30c489487f",
+        "0fd51230d3203983ee35bc598bd46f26c946b97a4d00538851d8edafddfea830",
+        "ee997283b537a2a8e6c8337f88f1f027276ebeda154243a4921cfa2a4cf937ae",
+    ),
+    ("census", "dp-laplace"): (
+        "e6f43135c626699a00ebd5e179f2284fe276b3dcd941eb927c98d17aa0196f2b",
+        "fe36c6764e93bf167404c4da6c783587847a8fc1bdf38f41ca037487de14cd83",
+        "a7e564e30cb353c2060cbc75c65d2b9461d4fd52efb05b8c62a2bbb28bf6f745",
+    ),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sources(tmp_path_factory):
+    """Each data set written to CSV once: ``name -> (path, sensitive column)``."""
+    directory = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, (generate, rows) in DATASETS.items():
+        path = directory / f"{name}.csv"
+        write_csv(generate(rows, seed=1), path)
+        paths[name] = (path, path.read_text().split("\n", 1)[0].split(",")[-1].strip())
+    return paths
+
+
+@pytest.mark.parametrize("dataset,strategy", sorted(PUBLISHED))
+def test_publish_and_stream_bytes(sources, tmp_path, dataset, strategy):
+    source, sensitive = sources[dataset]
+    report = repro.publish(read_csv(source, sensitive=sensitive), strategy=strategy, rng=SEED)
+    write_csv(report.published, tmp_path / "publish.csv")
+    assert _sha256(tmp_path / "publish.csv") == PUBLISHED[dataset, strategy]
+    for workers in (1, 2):
+        output = tmp_path / f"stream-{workers}.csv"
+        stream_publish(
+            source, sensitive=sensitive, strategy=strategy, rng=SEED, workers=workers, output=output
+        )
+        assert _sha256(output) == PUBLISHED[dataset, strategy], f"workers={workers}"
+    if (dataset, strategy) in GROUP_RECORDS:
+        n_sampled, digest = GROUP_RECORDS[dataset, strategy]
+        fields = [tuple(vars(record).values()) for record in report.groups]
+        assert report.n_sampled_groups == n_sampled
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
+    else:
+        assert report.records is None and report.groups == ()
+
+
+@pytest.mark.parametrize("dataset,strategy", sorted(DELTA_CHAIN))
+def test_two_append_delta_chain_bytes(sources, tmp_path, dataset, strategy):
+    source, sensitive = sources[dataset]
+    lines = source.read_text().splitlines(keepends=True)
+    first, second = int(len(lines) * 0.8), int(len(lines) * 0.9)
+    parts = [lines[:first], lines[:1] + lines[first:second], lines[:1] + lines[second:]]
+    for i, part in enumerate(parts):
+        (tmp_path / f"part{i}.csv").write_text("".join(part))
+    output = tmp_path / "published.csv"
+    report = publish_base(
+        tmp_path / "part0.csv", sensitive=sensitive, output=output, strategy=strategy, rng=DELTA_SEED
+    )
+    chain = [_sha256(output)]
+    for i in (1, 2):
+        report = delta_publish(report.state, tmp_path / f"part{i}.csv")
+        chain.append(_sha256(output))
+    assert tuple(chain) == DELTA_CHAIN[dataset, strategy]

@@ -165,6 +165,25 @@ class TestPublishEntryPoint:
         assert report.summary()["n_sampled_groups"] == report.n_sampled_groups
         assert report.sps.published is report.published
 
+    def test_counts_come_from_the_record_arrays(self, skewed_binary_table, tmp_path):
+        """summary() and job metadata read the arrays, never the per-group views."""
+        from repro.dataset.loaders import write_csv
+        from repro.service.engine import _report_metadata
+        from repro.stream import stream_publish
+
+        write_csv(skewed_binary_table, tmp_path / "data.csv")
+        reports = [
+            publish(skewed_binary_table, strategy="sps", rng=5),
+            stream_publish(tmp_path / "data.csv", sensitive="Income", rng=5),
+        ]
+        for report in reports:
+            summary, metadata = report.summary(), _report_metadata(report)
+            assert "groups" not in vars(report.records)  # views never built
+            n_sampled = int(report.records.sampled.sum())
+            assert summary["n_sampled_groups"] == metadata["n_sampled_groups"] == n_sampled
+            assert metadata["n_groups"] == len(report.records) == 3
+            assert report.n_sampled_groups == sum(g.sampled for g in report.groups)
+
     def test_generalize_strategy_reports_domains(self, skewed_binary_table):
         report = publish(skewed_binary_table, strategy="generalize+sps", rng=6)
         assert report.generalization is not None

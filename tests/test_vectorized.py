@@ -14,7 +14,10 @@ The columnar :class:`~repro.dataset.groups.GroupCounts` paths (the audit's
 Equation (10), the streaming generalize stage's contingency sums and
 re-keying, the delta merge and dirty-chunk diff) are pinned the same way,
 against the per-group loops they replaced, kept below as test-local oracles
-and driven with hypothesis-generated count matrices.
+and driven with hypothesis-generated count matrices.  So are the SPS and DP
+chunk kernels: same code block, same per-group records and the same final
+generator state as a loop of per-group calls (``sps_group`` for SPS, one
+``add_noise`` per group for DP).
 """
 
 import numpy as np
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.bench.micro import _reference_group_index, _reference_sample_counts
 from repro.core.criterion import PrivacySpec, max_group_size, value_is_private
-from repro.core.sps import _sample_counts, sps_publish, sps_publish_groups
+from repro.core.sps import _sample_counts, sps_group, sps_publish, sps_publish_groups
 from repro.core.testing import audit_groups
 from repro.dataset.groups import GroupCounts
 from repro.delta.engine import _changed_chunks, _merge
@@ -32,7 +35,9 @@ from repro.delta.state import _decode_value_keyed
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
 from repro.dataset.groups import personal_groups
-from repro.perturbation.uniform import perturb_table
+from repro.dataset.schema import Attribute, Schema
+from repro.perturbation.uniform import UniformPerturbation, perturb_table
+from repro.pipeline.strategy import get_strategy
 from repro.reconstruction.iterative import iterative_bayes_frequencies
 from repro.reconstruction.mle import (
     mle_frequencies,
@@ -245,14 +250,14 @@ def _reference_dirty_chunks(base, merged, chunk_size, n_chunks):
 
 
 @st.composite
-def group_counts(draw, k=2):
+def group_counts(draw, k=2, max_count=40):
     """Sorted unique keys with non-empty count rows; SA columns may be all zero."""
     m = draw(st.integers(2, 4))
     keys = sorted(draw(st.lists(
         st.tuples(*[st.integers(0, MAX_CODE)] * k), unique=True, max_size=10,
     )))
     rows = draw(st.lists(
-        st.lists(st.integers(0, 40), min_size=m, max_size=m).filter(any),
+        st.lists(st.integers(0, max_count), min_size=m, max_size=m).filter(any),
         min_size=len(keys), max_size=len(keys),
     ))
     return GroupCounts(
@@ -315,7 +320,7 @@ class TestColumnarAudit:
         audit = audit_groups(spec, empty, 0)
         assert audit.n_groups == 0 and audit.is_private and audit.groups == ()
         codes, records = sps_publish_groups(empty, spec, 0, n_public=2)
-        assert codes.shape == (0, 3) and records == []
+        assert codes.shape == (0, 3) and len(records) == 0 and records.groups == ()
 
 
 class TestColumnarGeneralize:
@@ -395,3 +400,129 @@ class TestColumnarDeltaMerge:
         assert _changed_chunks(base_on_union, merged, chunk_size) == _reference_dirty_chunks(
             base, reference, chunk_size, n_chunks
         )
+
+
+# --------------------------------------------------------------------- #
+# SPS and DP chunk kernels against their per-group loops
+# --------------------------------------------------------------------- #
+
+
+def _stack(blocks, width):
+    return np.vstack(blocks) if blocks else np.empty((0, width), dtype=np.int64)
+
+
+def _keyed(key, codes):
+    block = np.empty((codes.size, len(key) + 1), dtype=np.int64)
+    block[:, :-1] = key
+    block[:, -1] = codes
+    return block
+
+
+def _reference_sps_chunk(groups, spec, rng):
+    """The loop the SPS kernel replaced: one ``sps_group`` call per group."""
+    perturbation = UniformPerturbation(spec.retention_probability, spec.domain_size)
+    blocks, records = [], []
+    for key, counts in zip(groups.keys.tolist(), groups.counts, strict=True):
+        codes, record = sps_group(tuple(key), counts, spec, perturbation, rng)
+        blocks.append(_keyed(key, codes))
+        records.append(record)
+    return _stack(blocks, groups.keys.shape[1] + 1), tuple(records)
+
+
+def _reference_dp_chunk(mechanism, groups, rng):
+    """One ``add_noise`` call per group, the DP kernel's former loop."""
+    m = groups.counts.shape[1]
+    blocks = []
+    for key, counts in zip(groups.keys.tolist(), groups.counts, strict=True):
+        noisy = np.asarray(mechanism.add_noise(counts.astype(float), rng))
+        published = np.maximum(0, np.rint(noisy)).astype(np.int64)
+        blocks.append(_keyed(key, np.repeat(np.arange(m, dtype=np.int64), published)))
+    return _stack(blocks, groups.keys.shape[1] + 1)
+
+
+def _assert_sps_kernel_matches_loop(groups, spec, seed):
+    expected_rng = np.random.default_rng(seed)
+    expected_codes, expected_records = _reference_sps_chunk(groups, spec, expected_rng)
+    rng = np.random.default_rng(seed)
+    codes, records = sps_publish_groups(groups, spec, rng, n_public=groups.keys.shape[1])
+    assert codes.dtype == np.int64 and np.array_equal(codes, expected_codes)
+    assert records.groups == expected_records
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+    return records
+
+
+def _chunk(rows, k=1):
+    counts = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    keys = np.arange(len(rows) * k, dtype=np.int64).reshape(len(rows), k)
+    return GroupCounts(keys, counts)
+
+
+def _schema(k, m):
+    values = tuple(str(v) for v in range(MAX_CODE + 1))
+    return Schema(
+        public=tuple(Attribute(f"A{i}", values) for i in range(k)),
+        sensitive=Attribute("S", tuple(str(v) for v in range(m))),
+    )
+
+
+class TestSPSKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_sps_group_loop(self, data, seed):
+        groups = data.draw(group_counts(max_count=400))
+        spec = data.draw(specs(groups.counts.shape[1]))
+        _assert_sps_kernel_matches_loop(groups, spec, seed)
+
+    def test_sampled_groups_with_zero_sa_columns(self):
+        # Column 1 is zero in every group; groups 0 and 2 exceed s_g.
+        spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=3)
+        groups = _chunk([[400, 0, 20], [3, 0, 1], [0, 0, 250], [7, 0, 7]])
+        records = _assert_sps_kernel_matches_loop(groups, spec, 11)
+        assert records.sampled.tolist() == [True, False, True, False]
+        assert (records.sample_sizes[records.sampled] < records.sizes[records.sampled]).all()
+
+    def test_sample_rounding_to_zero_keeps_one_record(self):
+        # s_g ~ 0.05 < 1: the sample rounds to zero unless its one draw hits,
+        # and the kernel must then keep one record of the dominant value.
+        spec = PrivacySpec(lam=1.5, delta=0.95, retention_probability=1.0, domain_size=2)
+        groups = _chunk([[5, 0], [0, 9], [4, 1], [6, 0], [0, 3], [8, 0]])
+        records = _assert_sps_kernel_matches_loop(groups, spec, 3)
+        assert records.sampled.all() and (records.thresholds < 1).all()
+        assert (records.sample_sizes == 1).all()
+        assert (records.published_sizes >= 1).all()
+
+    @pytest.mark.parametrize("rows", [[[900, 100]], [[2, 1]]], ids=["sampled", "unsampled"])
+    def test_one_group_chunk(self, rows):
+        spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
+        records = _assert_sps_kernel_matches_loop(_chunk(rows, k=2), spec, 5)
+        assert len(records) == 1
+
+    def test_empty_chunk(self):
+        spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
+        empty = GroupCounts(np.empty((0, 2)), np.empty((0, 2)))
+        records = _assert_sps_kernel_matches_loop(empty, spec, 5)
+        assert len(records) == 0 and records.n_sampled_groups == 0
+
+    def test_count_width_must_match_the_spec(self):
+        spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=3)
+        with pytest.raises(ValueError, match="width"):
+            sps_publish_groups(_chunk([[1, 2]]), spec, 0, n_public=1)
+
+
+class TestDPKernels:
+    @pytest.mark.parametrize("name", ["dp-laplace", "dp-gaussian"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), epsilon=st.floats(0.2, 5.0))
+    def test_matches_per_group_add_noise_loop(self, name, data, seed, epsilon):
+        groups = data.draw(group_counts())
+        strategy = get_strategy(name)
+        resolved = strategy.resolve({"epsilon": epsilon})
+        schema = _schema(groups.keys.shape[1], groups.counts.shape[1])
+        kernel = strategy.chunk_publisher(schema, None, resolved)
+        expected_rng = np.random.default_rng(seed)
+        expected = _reference_dp_chunk(strategy._mechanism(resolved), groups, expected_rng)
+        rng = np.random.default_rng(seed)
+        codes, records = kernel(groups, rng)
+        assert codes.dtype == np.int64 and np.array_equal(codes, expected)
+        assert records is None
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
