@@ -13,8 +13,9 @@ Four checks, in order (CI's ``perf-gate`` job runs this on every push):
    additionally ``ops.audits_agree == true``), and scenarios differing only
    in their worker count must publish identical record/group counts.
    ``serve`` audit scenarios must report ``byte_identical`` (cached vs
-   uncached vs post-invalidation responses), ``invalidation_observed`` and a
-   response-cache speedup of at least 5x; ``serve`` backpressure scenarios
+   uncached vs post-invalidation responses), ``invalidation_observed``, a
+   cached phase answered entirely from the response cache (every response
+   ``X-Cache: hit``) and hits faster than recomputes; ``serve`` backpressure scenarios
    must shed load (some 429s, zero hangs/unexpected statuses, every
    rejection carrying ``Retry-After``).
 4. **Throughput** — each scenario's best-of-repeats seconds is compared
@@ -56,12 +57,17 @@ from repro.bench.timing import TimingSpec  # noqa: E402
 #: Suites the gate runs by default (``paper`` is minutes-scale, not gated).
 DEFAULT_SUITES = ("core", "service", "stream", "parallel", "delta", "serve")
 
-#: Minimum response-cache speedup a serve audit scenario must demonstrate.
-#: Cached hits are sub-millisecond dictionary lookups while uncached audits
-#: recompute the reconstruction attack, so even a loaded 1-core CI runner
-#: clears this by an order of magnitude; falling below it means the cache
-#: stopped being consulted.
-SERVE_MIN_CACHE_SPEEDUP = 5.0
+#: Share of a serve audit scenario's cached-phase responses that must carry
+#: ``X-Cache: hit``.  The cache is filled before that phase and nothing
+#: invalidates it during it, so any miss means a request bypassed the cache
+#: and recomputed.  This holds at any recompute cost; a latency ratio does
+#: not (the tiny audit recompute fell to ~2 ms, so a working cache measured
+#: only ~2.5x over it).
+SERVE_MIN_CACHE_HIT_RATIO = 1.0
+
+#: A hit must still beat a recompute on mean latency.  A sanity bound only:
+#: the hit ratio above is what fails when the cache is bypassed.
+SERVE_MIN_CACHE_SPEEDUP = 1.0
 
 #: Default throughput tolerance: fail when best-of-repeats is this fraction
 #: slower than the committed baseline.
@@ -129,11 +135,18 @@ def check_serve(report: dict) -> tuple[list[str], list[str]]:
                     f"serve:{name}: invalidation_observed is "
                     f"{ops.get('invalidation_observed')!r} (re-register served a stale hit)"
                 )
-            speedup = ops.get("cache_speedup")
-            if not isinstance(speedup, (int, float)) or speedup < SERVE_MIN_CACHE_SPEEDUP:
+            hit_ratio = ops.get("cache_hit_ratio")
+            if not isinstance(hit_ratio, (int, float)) or hit_ratio < SERVE_MIN_CACHE_HIT_RATIO:
                 problems.append(
-                    f"serve:{name}: cache_speedup {speedup!r} is below the "
-                    f"{SERVE_MIN_CACHE_SPEEDUP:g}x floor"
+                    f"serve:{name}: cache_hit_ratio {hit_ratio!r} is below "
+                    f"{SERVE_MIN_CACHE_HIT_RATIO:g} (cached-phase requests bypassed "
+                    "the response cache)"
+                )
+            speedup = ops.get("cache_speedup")
+            if not isinstance(speedup, (int, float)) or speedup <= SERVE_MIN_CACHE_SPEEDUP:
+                problems.append(
+                    f"serve:{name}: cache_speedup {speedup!r} is not above "
+                    f"{SERVE_MIN_CACHE_SPEEDUP:g}x (a hit is no faster than a recompute)"
                 )
         elif entry.get("strategy") == "backpressure":
             if ops.get("shed_load") is not True:

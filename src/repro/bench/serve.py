@@ -14,9 +14,10 @@ concurrent keep-alive clients at ``GET /audit`` in three phases:
   the reference.
 
 The report's verdicts are the serving tentpole's acceptance criteria:
-``cache_speedup`` (mean uncached latency over mean cached latency, ≥ 5× at
-default scale) and ``byte_identical`` (zero divergence between cached,
-uncached and post-invalidation bodies).
+``cache_hit_ratio`` (every cached-phase response an ``X-Cache: hit``),
+``cache_speedup`` (mean uncached latency over mean cached latency) and
+``byte_identical`` (zero divergence between cached, uncached and
+post-invalidation bodies).
 
 Each **backpressure** scenario floods a deliberately tiny server
 (``workers=1``, ``queue_limit=1``) with simultaneous publish requests and

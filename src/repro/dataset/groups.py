@@ -18,6 +18,7 @@ reads through on-demand :class:`PersonalGroup` views.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -27,11 +28,36 @@ import numpy as np
 from repro.dataset.table import Table
 
 
+def _row_codes(keys: np.ndarray) -> np.ndarray | None:
+    """One int64 per row of non-negative ``keys`` that orders as the rows do.
+
+    Mixed-radix over each column's ``max + 1``; ``None`` when the radix
+    product would overflow int64 (or a code is negative), so the caller
+    falls back to a column-wise sort.
+    """
+    if keys.size == 0 or keys.min() < 0:
+        return None
+    radices = [int(top) + 1 for top in keys.max(axis=0)]
+    if math.prod(radices) >= 2**63:
+        return None
+    codes = np.zeros(len(keys), dtype=np.int64)
+    for column, radix in zip(keys.T, radices, strict=True):
+        codes *= radix
+        codes += column
+    return codes
+
+
 def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographic row order of ``keys`` and the start of each run of equal keys."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    change = np.any(ordered[1:] != ordered[:-1], axis=1)
+    """Stable lexicographic row order of ``keys`` and the start of each run of equal keys."""
+    codes = _row_codes(keys)
+    if codes is None:
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        change = np.any(ordered[1:] != ordered[:-1], axis=1)
+    else:
+        order = np.argsort(codes, kind="stable")
+        ordered_codes = codes[order]
+        change = ordered_codes[1:] != ordered_codes[:-1]
     # The first row starts a run; no rows, no runs.
     return order, np.flatnonzero(np.concatenate(([True], change)))[: len(keys)]
 

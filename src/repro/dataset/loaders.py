@@ -16,13 +16,21 @@ import csv
 import functools
 import io
 from pathlib import Path
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import IO
 
 import numpy as np
 
 from repro.dataset.schema import Attribute, Schema, SchemaError
 from repro.dataset.table import Table
+
+#: Records per column chunk when :func:`read_csv` decodes a source.
+READ_CHUNK_ROWS = 32_768
+
+#: Records a chunk source transposes at a time.  Row lists then die young:
+#: holding a whole chunk of them makes the cyclic garbage collector walk
+#: each one several times, about a third of the read on census-100k.
+TRANSPOSE_ROWS = 256
 
 #: Rows rendered per slice by :func:`write_csv`, so writing a large table
 #: never builds its whole CSV text as one string.
@@ -34,7 +42,7 @@ def infer_schema(
     rows: Iterable[Sequence[str]],
     sensitive: str,
     source: str = "csv data",
-) -> tuple[Schema, list[Sequence[str]]]:
+) -> tuple[Schema, list[list[str]]]:
     """Infer a :class:`Schema` from a header and string rows.
 
     Returns the schema and the materialised rows (so the caller can encode
@@ -51,10 +59,7 @@ def infer_schema(
     [['Oslo', 'Flu']]
     """
     header = [str(h) for h in header]
-    if sensitive not in header:
-        raise SchemaError(
-            f"{source}: sensitive column {sensitive!r} not found in header {header}"
-        )
+    picks = _column_picks(header, source, sensitive)
     materialised = [list(map(str, row)) for row in rows]
     for i, row in enumerate(materialised):
         if len(row) != len(header):
@@ -62,14 +67,12 @@ def infer_schema(
                 f"{source}: row {i + 1} has {len(row)} fields but the header "
                 f"has {len(header)}"
             )
-
-    sensitive_index = header.index(sensitive)
-    public_names = [h for i, h in enumerate(header) if i != sensitive_index]
-    public_indices = [i for i in range(len(header)) if i != sensitive_index]
-    reordered = [
-        [row[i] for i in public_indices] + [row[sensitive_index]] for row in materialised
-    ]
-    return _schema_from_reordered(public_names, sensitive, reordered), reordered
+    columns: list[list[str]] = [[] for _ in picks]
+    _transpose_into(columns, materialised, picks)
+    chunk = ColumnChunk(columns)
+    encoder = ColumnEncoder([header[i] for i in picks[:-1]], sensitive)
+    encoder.encode(chunk)
+    return encoder.finalize(), chunk.rows()
 
 
 def source_label(source: object) -> str:
@@ -90,6 +93,129 @@ def source_label(source: object) -> str:
     return str(source)
 
 
+class ColumnChunk:
+    """A chunk of CSV records held as columns: the NA columns, then SA.
+
+    ``columns[j]`` holds column ``j``'s value of every record, so
+    ``len(columns)`` is the record width and ``len(chunk)`` the number of
+    records.  This is what :class:`~repro.stream.reader.ChunkedReader`
+    yields and what :class:`ColumnEncoder` encodes.
+
+    >>> chunk = ColumnChunk([["Oslo", "Bergen"], ["Flu", "Cold"]])
+    >>> len(chunk), chunk.rows()
+    (2, [['Oslo', 'Flu'], ['Bergen', 'Cold']])
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Sequence[Sequence[str]]) -> None:
+        self.columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColumnChunk):
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __repr__(self) -> str:
+        return f"ColumnChunk(rows={len(self)}, columns={len(self.columns)})"
+
+    def rows(self) -> list[list[str]]:
+        """The records as lists of values (NA values, then the SA value)."""
+        return [list(row) for row in zip(*self.columns, strict=True)]
+
+
+def _transpose_into(
+    columns: list[list[str]], rows: Sequence[Sequence[str]], picks: Sequence[int]
+) -> None:
+    """Append equal-width ``rows`` to ``columns``, column ``picks[j]`` to ``columns[j]``."""
+    if rows:
+        transposed = tuple(zip(*rows, strict=True))
+        for column, index in zip(columns, picks, strict=True):
+            column.extend(transposed[index])
+
+
+def remap_columns(block: np.ndarray, remaps: Sequence[np.ndarray]) -> np.ndarray:
+    """Translate a codes block through per-column code tables (new array).
+
+    The one provisional→final translation of :class:`ColumnEncoder`,
+    :func:`read_csv` and the parallel
+    :class:`~repro.parallel.kernels.UniformRowKernel` — kept single-sourced
+    so the serial and worker paths cannot diverge byte-wise.
+    """
+    remapped = np.empty_like(block)
+    for i, remap in enumerate(remaps):
+        remapped[:, i] = remap[block[:, i]]
+    return remapped
+
+
+class ColumnEncoder:
+    """Encode column chunks against one first-seen codebook per column.
+
+    Each new value of a column gets the next provisional code when a chunk
+    first shows it; a chunk is then encoded column by column, with no
+    per-record Python step.  :meth:`finalize` infers the schema (sorted
+    domains, sensitive column last) and the provisional→final code tables,
+    so a result never depends on how the records were chunked.
+
+    >>> encoder = ColumnEncoder(["City"], "Disease")
+    >>> encoder.encode(ColumnChunk([["Oslo", "Bergen"], ["Flu", "Flu"]])).tolist()
+    [[0, 0], [1, 0]]
+    >>> schema = encoder.finalize()
+    >>> schema.public[0].values, encoder.remap(np.array([[0, 0], [1, 0]])).tolist()
+    (('Bergen', 'Oslo'), [[1, 0], [0, 0]])
+    """
+
+    def __init__(self, public_names: Sequence[str], sensitive: str) -> None:
+        self._names = [str(name) for name in public_names] + [str(sensitive)]
+        self._books: list[dict[str, int]] = [{} for _ in self._names]
+        self._remaps: tuple[np.ndarray, ...] | None = None
+
+    def encode(self, chunk: ColumnChunk) -> np.ndarray:
+        """The chunk as a ``(len(chunk), width)`` int64 block of provisional codes."""
+        width = len(self._books)
+        if len(chunk.columns) != width:
+            raise ValueError(f"record has {len(chunk.columns)} fields, expected {width}")
+        n = len(chunk)
+        block = np.empty((n, width), dtype=np.int64)
+        for j, (book, column) in enumerate(zip(self._books, chunk.columns, strict=True)):
+            try:
+                block[:, j] = np.fromiter(map(book.__getitem__, column), np.int64, count=n)
+            except KeyError:
+                # The column shows values no earlier chunk did: code them in
+                # first-seen order, then encode the column again.
+                new = [value for value in dict.fromkeys(column) if value not in book]
+                book.update(zip(new, range(len(book), len(book) + len(new)), strict=True))
+                block[:, j] = np.fromiter(map(book.__getitem__, column), np.int64, count=n)
+        return block
+
+    @property
+    def remaps(self) -> tuple[np.ndarray, ...]:
+        """Per-column provisional→final code tables (requires :meth:`finalize`)."""
+        if self._remaps is None:
+            raise ValueError("remaps requires finalize() to have run")
+        return self._remaps
+
+    def remap(self, block: np.ndarray) -> np.ndarray:
+        """Translate a provisional-coded block onto the finalized schema codes."""
+        return remap_columns(block, self.remaps)
+
+    def finalize(self) -> Schema:
+        """The inferred schema: every column's sorted domain, sensitive last."""
+        attributes: list[Attribute] = []
+        remaps: list[np.ndarray] = []
+        for name, book in zip(self._names, self._books, strict=True):
+            values = sorted(book)
+            remap = np.empty(len(values), dtype=np.int64)
+            remap[[book[value] for value in values]] = np.arange(len(values))
+            attributes.append(Attribute(name, tuple(values)))
+            remaps.append(remap)
+        self._remaps = tuple(remaps)
+        return Schema(public=attributes[:-1], sensitive=attributes[-1])
+
+
 def _strip_bom(header: list[str]) -> list[str]:
     """Remove a UTF-8 byte-order mark from the first header cell, if present."""
     if header and header[0].startswith('\ufeff'):
@@ -97,91 +223,103 @@ def _strip_bom(header: list[str]) -> list[str]:
     return header
 
 
-def open_csv_rows(
-    handle: Iterable[str], source: str, sensitive: str, delimiter: str = ","
-) -> tuple[list[str], Iterable[list[str]]]:
-    """Validate a CSV handle's header and return ``(header, row iterator)``.
+def _column_picks(header: list[str], source: str, sensitive: str) -> list[int]:
+    """Validate a header; return its column indices in NA-then-SA order.
+
+    The one header check of every reader: the sensitive column must be
+    present and no column name may repeat.  Errors name ``source``.
+    """
+    if sensitive not in header:
+        raise SchemaError(
+            f"{source}: sensitive column {sensitive!r} not found in header {header}"
+        )
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise SchemaError(
+            f"{source}: header {header} repeats column name(s) {repeated}; "
+            "every column needs its own name"
+        )
+    sensitive_index = header.index(sensitive)
+    return [i for i in range(len(header)) if i != sensitive_index] + [sensitive_index]
+
+
+def open_csv_chunks(
+    handle: Iterable[str],
+    source: str,
+    sensitive: str,
+    chunk_rows: int,
+    delimiter: str = ",",
+) -> tuple[list[str], Iterator[ColumnChunk]]:
+    """Validate a CSV handle's header and return ``(header, chunk iterator)``.
 
     The single source of the tolerant-input contract shared by
     :func:`read_csv` and the streaming
     :class:`~repro.stream.reader.ChunkedReader`: the UTF-8 BOM is stripped
     from the header, blank lines are skipped, and every error \u2014 empty input,
-    missing sensitive column, ragged row, header without data rows \u2014 names
-    ``source`` (plus the line number for ragged rows).  The iterator yields
-    rows reordered so the sensitive column comes last, and raises
+    missing sensitive column, repeated column name, ragged row, header
+    without data rows \u2014 names ``source`` (plus the line number for ragged
+    rows).  The iterator yields :class:`ColumnChunk` s of ``chunk_rows``
+    records (the last may be smaller), each transposed once with the
+    sensitive column last, and raises
     :class:`~repro.dataset.schema.SchemaError` lazily as problems are
     reached, so callers can consume it chunk by chunk with bounded memory.
 
     >>> import io
-    >>> header, rows = open_csv_rows(
-    ...     io.StringIO("Disease,City\\nFlu,Oslo\\n"), "demo.csv", "Disease")
-    >>> header, list(rows)
-    (['Disease', 'City'], [['Oslo', 'Flu']])
+    >>> header, chunks = open_csv_chunks(
+    ...     io.StringIO("Disease,City\\nFlu,Oslo\\n"), "demo.csv", "Disease", 100)
+    >>> header, [chunk.rows() for chunk in chunks]
+    (['Disease', 'City'], [[['Oslo', 'Flu']]])
     """
     reader = csv.reader(handle, delimiter=delimiter)
     try:
         header = _strip_bom(next(reader))
     except StopIteration:
         raise SchemaError(f"{source} is empty") from None
-    if sensitive not in header:
-        raise SchemaError(
-            f"{source}: sensitive column {sensitive!r} not found in header {header}"
-        )
-    sensitive_index = header.index(sensitive)
-    public_indices = [i for i in range(len(header)) if i != sensitive_index]
+    picks = _column_picks(header, source, sensitive)
     width = len(header)
 
-    def rows() -> Iterable[list[str]]:
-        yielded = 0
+    def chunks() -> Iterator[ColumnChunk]:
+        columns: list[list[str]] = [[] for _ in picks]
+        rows: list[list[str]] = []
+        room = min(TRANSPOSE_ROWS, chunk_rows)
+        yielded = False
         for row in reader:
-            if not row:
-                continue
             if len(row) != width:
+                if not row:
+                    continue
                 raise SchemaError(
                     f"{source}, line {reader.line_num}: row has {len(row)} "
                     f"fields but the header has {width}"
                 )
-            yielded += 1
-            yield [row[i] for i in public_indices] + [row[sensitive_index]]
-        if yielded == 0:
+            rows.append(row)
+            if len(rows) == room:
+                _transpose_into(columns, rows, picks)
+                rows = []
+                if len(columns[0]) == chunk_rows:
+                    yield ColumnChunk(columns)
+                    columns = [[] for _ in picks]
+                    yielded = True
+                room = min(TRANSPOSE_ROWS, chunk_rows - len(columns[0]))
+        _transpose_into(columns, rows, picks)
+        if columns[0]:
+            yield ColumnChunk(columns)
+        elif not yielded:
             raise SchemaError(
                 f"{source} has a header but no data rows; at least one record "
                 "is required to infer the attribute domains"
             )
 
-    return header, rows()
-
-
-def _schema_from_reordered(
-    public_names: Sequence[str], sensitive: str, rows: Iterable[Sequence[str]]
-) -> Schema:
-    """Infer the schema from rows already validated and reordered SA-last.
-
-    Produces exactly the schema :func:`infer_schema` infers (sorted domains)
-    without re-validating or re-copying rows :func:`open_csv_rows` already
-    checked — one pass collecting domain values per column.
-    """
-    seen: list[set[str]] = [set() for _ in range(len(public_names) + 1)]
-    for row in rows:
-        for column, value in enumerate(row):
-            seen[column].add(value)
-    return Schema(
-        public=tuple(
-            Attribute(name, tuple(sorted(seen[i]))) for i, name in enumerate(public_names)
-        ),
-        sensitive=Attribute(sensitive, tuple(sorted(seen[-1]))),
-    )
+    return header, chunks()
 
 
 def _read_csv_stream(
     handle: Iterable[str], source: str, sensitive: str, delimiter: str
 ) -> Table:
-    header, row_iter = open_csv_rows(handle, source, sensitive, delimiter)
-    rows = list(row_iter)
-    sensitive_index = header.index(sensitive)
-    public_names = [h for i, h in enumerate(header) if i != sensitive_index]
-    schema = _schema_from_reordered(public_names, sensitive, rows)
-    return Table.from_records(schema, rows)
+    header, chunks = open_csv_chunks(handle, source, sensitive, READ_CHUNK_ROWS, delimiter)
+    encoder = ColumnEncoder([name for name in header if name != sensitive], sensitive)
+    blocks = [encoder.encode(chunk) for chunk in chunks]
+    schema = encoder.finalize()
+    return Table(schema, encoder.remap(np.concatenate(blocks)))
 
 
 def read_csv(source: str | Path | IO[str], sensitive: str, delimiter: str = ",") -> Table:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.dataset.loaders import csv_codec
+from repro.dataset.loaders import csv_codec, remap_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.criterion import PrivacySpec
@@ -36,20 +36,6 @@ class MissingChunkPublisher(ValueError):
     ``chunk_publisher`` builder raised (bad parameters etc.) — the latter
     must propagate unchanged.
     """
-
-
-def remap_columns(block: np.ndarray, remaps: Sequence[np.ndarray]) -> np.ndarray:
-    """Translate a codes block through per-column code tables (new array).
-
-    The one provisional→final translation both
-    :meth:`repro.stream.index.IncrementalGroupIndex.remap_block` and the
-    parallel :class:`UniformRowKernel` use — kept single-sourced so the
-    serial and worker paths cannot diverge byte-wise.
-    """
-    remapped = np.empty_like(block)
-    for i, remap in enumerate(remaps):
-        remapped[:, i] = remap[block[:, i]]
-    return remapped
 
 
 @dataclass(frozen=True)

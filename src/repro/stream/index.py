@@ -1,20 +1,22 @@
-"""Incremental personal-group indexing over row chunks.
+"""Incremental personal-group indexing over column chunks.
 
 The paper's group-wise publishing model makes the full table unnecessary for
 every group-based strategy: the published bytes are a pure function of the
 ordered list of personal groups — their NA keys and SA count vectors — plus
 the seed and chunk size.  :class:`IncrementalGroupIndex` accumulates exactly
-that from bounded row chunks: each chunk updates per-column value
-dictionaries and per-(NA key, SA value) counters, and :meth:`finalize` emits
-the same schema :func:`repro.dataset.loaders.infer_schema` would infer and
-the same :class:`~repro.dataset.groups.GroupCounts`
+that from bounded column chunks: a :class:`~repro.dataset.loaders.ColumnEncoder`
+codes each chunk column by column, and the chunk's codes are folded into one
+running ``(NA key, SA code, n)`` pair table by a sort of the table plus the
+chunk.  :meth:`finalize` emits the same schema
+:func:`repro.dataset.loaders.read_csv` would infer and the same
+:class:`~repro.dataset.groups.GroupCounts`
 :class:`repro.dataset.groups.GroupIndex` would build (lexicographic in the
 NA key codes), so downstream enforcement is byte-identical to the in-memory
 path.
 
-Memory is ``O(chunk_rows + G * m + total domain size)`` where ``G`` is the
-number of distinct personal groups and ``m`` the SA domain size — never
-``O(n)`` in the number of records.
+Memory is ``O(chunk_rows + P + total domain size)`` where ``P`` is the
+number of distinct ``(NA key, SA value)`` pairs — never ``O(n)`` in the
+number of records.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.dataset.groups import GroupCounts
-from repro.dataset.schema import Attribute, Schema
+from repro.dataset.groups import GroupCounts, _sorted_runs
+from repro.dataset.loaders import ColumnChunk, ColumnEncoder
+from repro.dataset.schema import Schema
 
 
 class IncrementalGroupIndex:
@@ -37,55 +40,52 @@ class IncrementalGroupIndex:
 
     Example:
 
+    >>> from repro.dataset.loaders import ColumnChunk
     >>> index = IncrementalGroupIndex(public_names=["City"], sensitive="Disease")
-    >>> index.update([["Oslo", "Flu"], ["Bergen", "Flu"]])
-    >>> index.update([["Oslo", "Cold"]])
+    >>> index.update(ColumnChunk([["Oslo", "Bergen"], ["Flu", "Flu"]]))
+    >>> index.update(ColumnChunk([["Oslo"], ["Cold"]]))
     >>> schema, groups = index.finalize()
     >>> groups.keys.tolist(), groups.counts.tolist()
     ([[0], [1]], [[0, 1], [1, 1]])
-    >>> schema.public[0].values, index.n_rows
-    (('Bergen', 'Oslo'), 3)
+    >>> schema.public[0].values, index.n_rows, index.n_pairs
+    (('Bergen', 'Oslo'), 3, 3)
     """
 
     def __init__(self, public_names: Sequence[str], sensitive: str) -> None:
-        self._public_names = [str(name) for name in public_names]
-        self._sensitive = str(sensitive)
-        # value -> provisional code, one dict per public column + one for SA.
-        self._codebooks: list[dict[str, int]] = [
-            {} for _ in range(len(self._public_names) + 1)
-        ]
-        # provisional (NA key..., SA code) -> count
-        self._counts: dict[tuple[int, ...], int] = {}
-        self._remaps: list[np.ndarray] | None = None
+        self._encoder = ColumnEncoder(public_names, sensitive)
+        width = len(public_names) + 1
+        # The running pair table: distinct provisional (NA key..., SA code)
+        # rows in sorted order, and how many records each stands for.
+        self._pairs = np.empty((0, width), dtype=np.int64)
+        self._pair_counts = np.empty(0, dtype=np.int64)
         self.n_rows = 0
 
-    def update(self, rows: Sequence[Sequence[str]]) -> None:
-        """Fold one chunk of records (NA values then SA value) into the index."""
-        self.update_encoded(rows)
+    @property
+    def n_pairs(self) -> int:
+        """Rows of the running pair table: the distinct ``(NA key, SA)`` pairs seen."""
+        return len(self._pairs)
 
-    def update_encoded(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
+    def update(self, chunk: ColumnChunk) -> None:
+        """Fold one column chunk (NA columns then the SA column) into the index."""
+        self.update_encoded(chunk)
+
+    def update_encoded(self, chunk: ColumnChunk) -> np.ndarray:
         """Like :meth:`update`, also returning the chunk as provisional codes.
 
-        The returned ``(len(rows), n_public + 1)`` int64 block uses the
+        The returned ``(len(chunk), n_public + 1)`` int64 block uses the
         index's *provisional* (first-seen order) codes; once every chunk has
         streamed past, :meth:`remap_block` translates such blocks onto the
         finalized sorted-domain codes.  Row-order-preserving strategies spool
         these blocks so the source never needs a second read.
         """
-        codebooks = self._codebooks
-        counts = self._counts
-        width = len(codebooks)
-        block = np.empty((len(rows), width), dtype=np.int64)
-        for r, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"record has {len(row)} fields, expected {width}")
-            codes = tuple(
-                book.setdefault(value, len(book))
-                for book, value in zip(codebooks, row, strict=True)
-            )
-            block[r] = codes
-            counts[codes] = counts.get(codes, 0) + 1
-        self.n_rows += len(rows)
+        block = self._encoder.encode(chunk)
+        if len(block):
+            pairs = np.concatenate((self._pairs, block))
+            weights = np.concatenate((self._pair_counts, np.ones(len(block), dtype=np.int64)))
+            order, starts = _sorted_runs(pairs)
+            self._pairs = pairs[order[starts]]
+            self._pair_counts = np.add.reduceat(weights[order], starts)
+            self.n_rows += len(block)
         return block
 
     @property
@@ -95,43 +95,25 @@ class IncrementalGroupIndex:
         Exposed so the parallel row kernel can remap spooled blocks inside
         worker processes without shipping the whole index.
         """
-        if self._remaps is None:
-            raise ValueError("remaps requires finalize() to have run")
-        return tuple(self._remaps)
+        return self._encoder.remaps
 
     def remap_block(self, block: np.ndarray) -> np.ndarray:
         """Translate a provisional-coded block onto the finalized schema codes."""
-        if self._remaps is None:
-            raise ValueError("remap_block requires finalize() to have run")
-        from repro.parallel.kernels import remap_columns
-
-        return remap_columns(block, self._remaps)
+        return self._encoder.remap(block)
 
     def finalize(self) -> tuple[Schema, GroupCounts]:
         """Build the inferred schema and the lexicographically ordered groups.
 
-        The schema is exactly what :func:`repro.dataset.loaders.infer_schema`
+        The schema is exactly what :func:`repro.dataset.loaders.read_csv`
         infers from the same rows (sorted domains, sensitive column last);
         the groups are exactly what :class:`repro.dataset.groups.GroupIndex`
         builds over the materialised table.
         """
         if self.n_rows == 0:
             raise ValueError("cannot finalize an index that saw no rows")
-        # Provisional -> final code permutation per column (sorted domains).
-        remaps: list[np.ndarray] = []
-        attributes: list[Attribute] = []
-        for name, book in zip(self._public_names + [self._sensitive], self._codebooks, strict=True):
-            values = sorted(book)
-            remap = np.empty(len(book), dtype=np.int64)
-            remap[[book[value] for value in values]] = np.arange(len(values))
-            remaps.append(remap)
-            attributes.append(Attribute(name, tuple(values)))
-        self._remaps = remaps
-        schema = Schema(public=tuple(attributes[:-1]), sensitive=attributes[-1])
-
-        pairs = self.remap_block(np.array(list(self._counts), dtype=np.int64))
-        weights = np.fromiter(self._counts.values(), dtype=np.int64, count=len(self._counts))
+        schema = self._encoder.finalize()
+        pairs = self._encoder.remap(self._pairs)
         groups, _, _ = GroupCounts.tabulate(
-            pairs[:, :-1], pairs[:, -1], schema.sensitive_domain_size, weights
+            pairs[:, :-1], pairs[:, -1], schema.sensitive_domain_size, self._pair_counts
         )
         return schema, groups

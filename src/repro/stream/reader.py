@@ -4,13 +4,14 @@
 engine: it walks a CSV source (path or open text stream) in chunks of at most
 ``chunk_rows`` records, validating each row against the header as it goes, so
 peak memory is proportional to the chunk size rather than the file size.
-Rows are yielded with the sensitive column moved last — the same record
-layout :func:`repro.dataset.loaders.infer_schema` produces — so downstream
-consumers never need to know where the SA column sat in the file.
+Each chunk is a :class:`~repro.dataset.loaders.ColumnChunk`: the records
+transposed once into columns, the sensitive column last, so downstream
+consumers encode column by column and never need to know where the SA
+column sat in the file.
 
 The reader shares the tolerant-input contract of
 :func:`repro.dataset.loaders.read_csv` by construction — both consume the
-same :func:`repro.dataset.loaders.open_csv_rows` row source: a UTF-8
+same :func:`repro.dataset.loaders.open_csv_chunks` chunk source: a UTF-8
 byte-order mark is stripped, CRLF line endings are handled by the
 :mod:`csv` module, blank lines are skipped, and error messages name the
 source and the offending line number.
@@ -24,7 +25,7 @@ from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import IO
 
-from repro.dataset.loaders import open_csv_rows, source_label
+from repro.dataset.loaders import ColumnChunk, open_csv_chunks, source_label
 from repro.pipeline.execution import DEFAULT_CHUNK_ROWS
 
 
@@ -38,8 +39,8 @@ class ChunkedReader:
         opened (and closed) per iteration and can therefore be read more
         than once; file-like sources are read exactly once and not closed.
     sensitive:
-        Name of the sensitive column SA.  Each yielded row is reordered so
-        this column comes last.
+        Name of the sensitive column SA.  Each yielded chunk holds this
+        column last.
     chunk_rows:
         Maximum number of records per chunk (the final chunk may be
         smaller).
@@ -52,8 +53,9 @@ class ChunkedReader:
     >>> reader = ChunkedReader(
     ...     io.StringIO("City,Disease\\nOslo,Flu\\nBergen,Cold\\nOslo,Flu\\n"),
     ...     sensitive="Disease", chunk_rows=2)
-    >>> [len(chunk) for chunk in reader.chunks()]
-    [2, 1]
+    >>> chunks = list(reader.chunks())
+    >>> [len(chunk) for chunk in chunks], chunks[0].columns
+    ([2, 1], (['Oslo', 'Bergen'], ['Flu', 'Cold']))
     >>> reader.rows_read, reader.header
     (3, ['City', 'Disease'])
     """
@@ -159,13 +161,13 @@ class ChunkedReader:
         path = Path(self._source)  # type: ignore[arg-type]
         return path.open(newline="", encoding="utf-8-sig"), True
 
-    def chunks(self) -> Iterator[list[list[str]]]:
-        """Yield lists of at most ``chunk_rows`` records (NA values then SA).
+    def chunks(self) -> Iterator[ColumnChunk]:
+        """Yield column chunks of at most ``chunk_rows`` records (NA columns then SA).
 
         Raises :class:`~repro.dataset.schema.SchemaError` — naming the source
         and line number — on an empty source, a header without data rows, a
-        header missing the sensitive column, or a row whose width does not
-        match the header.
+        header missing the sensitive column or repeating a column name, or a
+        row whose width does not match the header.
         """
         handle, owned = self._open()
         try:
@@ -174,23 +176,15 @@ class ChunkedReader:
             if owned:
                 handle.close()
 
-    def _chunks_from(self, handle: IO[str]) -> Iterator[list[list[str]]]:
-        header, rows = open_csv_rows(handle, self.label, self._sensitive, self._delimiter)
-        sensitive_index = header.index(self._sensitive)
+    def _chunks_from(self, handle: IO[str]) -> Iterator[ColumnChunk]:
+        header, chunks = open_csv_chunks(
+            handle, self.label, self._sensitive, self._chunk_rows, self._delimiter
+        )
         self.header = header
-        self.public_names = [h for i, h in enumerate(header) if i != sensitive_index]
+        self.public_names = [name for name in header if name != self._sensitive]
         self.rows_read = 0
         self.chunks_read = 0
-
-        chunk: list[list[str]] = []
-        for row in rows:
-            chunk.append(row)
-            if len(chunk) >= self._chunk_rows:
-                self.rows_read += len(chunk)
-                self.chunks_read += 1
-                yield chunk
-                chunk = []
-        if chunk:
+        for chunk in chunks:
             self.rows_read += len(chunk)
             self.chunks_read += 1
             yield chunk

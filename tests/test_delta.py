@@ -556,6 +556,17 @@ class TestStanceAndErrors:
         with pytest.raises(SchemaError, match="does not match the published"):
             delta_publish(report.state, wrong)
 
+    def test_appended_repeated_header_name_refused_at_the_header(self, tmp_path):
+        base_csv = tmp_path / "base.csv"
+        _write_csv(base_csv, _TINY_HEADER, _tiny_rows("ab", ["flu", "cold"]))
+        report = publish_base(
+            base_csv, sensitive="Disease", output=tmp_path / "out.csv", rng=1
+        )
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("City,City,Disease\na,a,flu\nb,flu\n")
+        with pytest.raises(SchemaError, match=rf"{repeated}: header .* repeats column"):
+            delta_publish(report.state, repeated)
+
     def test_workers_must_be_positive(self, tmp_path):
         base_csv = tmp_path / "base.csv"
         _write_csv(base_csv, _TINY_HEADER, _tiny_rows("ab", ["flu", "cold"]))

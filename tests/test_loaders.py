@@ -123,6 +123,49 @@ class TestErrorMessagesNameTheSource:
         assert table.schema.public_names == ("Job",)
 
 
+class TestReadCsvErrorContract:
+    """read_csv gives the same error texts as the chunked reader."""
+
+    @staticmethod
+    def _error(text, sensitive="Disease"):
+        with pytest.raises(SchemaError) as raised:
+            read_csv(io.StringIO(text), sensitive=sensitive)
+        return str(raised.value)
+
+    def test_ragged_row_after_blank_lines(self):
+        text = "City,Disease\nOslo,Flu\n\n\nBergen\n"
+        assert self._error(text) == "csv stream, line 5: row has 1 fields but the header has 2"
+
+    def test_embedded_newline_before_ragged_row(self):
+        text = 'City,Disease\n"Oslo\nWest",Flu\nBergen\n'
+        assert self._error(text) == "csv stream, line 4: row has 1 fields but the header has 2"
+
+    def test_header_and_blank_lines_only(self):
+        assert self._error("City,Disease\n\n") == (
+            "csv stream has a header but no data rows; at least one record "
+            "is required to infer the attribute domains"
+        )
+
+    def test_repeated_header_name_names_the_source(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("City,City,Disease\nOslo,Oslo,Flu\nBergen,Flu\n")
+        with pytest.raises(SchemaError) as raised:
+            read_csv(path, sensitive="Disease")
+        assert str(raised.value) == (
+            f"{path}: header ['City', 'City', 'Disease'] repeats column "
+            "name(s) ['City']; every column needs its own name"
+        )
+
+    def test_repeated_sensitive_name_refused(self):
+        assert "repeats column name(s) ['Disease']" in self._error(
+            "Disease,City,Disease\nFlu,Oslo,Flu\n"
+        )
+
+    def test_infer_schema_refuses_repeated_names(self):
+        with pytest.raises(SchemaError, match="repeats column name"):
+            infer_schema(["a", "a", "b"], [["1", "2", "3"]], sensitive="b")
+
+
 class TestFileLikeDestinations:
     def test_write_to_stream_roundtrips(self, small_table):
         stream = io.StringIO()

@@ -591,6 +591,38 @@ class TestBenchParallel:
 
 
 class TestPerfGateScript:
+    @staticmethod
+    def _serve_report(**ops):
+        audit = {
+            "byte_identical": True,
+            "invalidation_observed": True,
+            "cache_hit_ratio": 1.0,
+            "cache_speedup": 2.4,
+        }
+        audit.update(ops)
+        return {"scenarios": [{"name": "serve/audit/a/c4", "strategy": "audit", "ops": audit}]}
+
+    def test_serve_gate_passes_a_cache_that_serves_every_hit(self):
+        gate = _load_gate_module()
+        problems, _ = gate.check_serve(self._serve_report())
+        assert problems == []
+
+    def test_serve_gate_fails_when_requests_bypass_the_cache(self):
+        gate = _load_gate_module()
+        # The cache disabled: every cached-phase request recomputes, and
+        # its latency is the recompute's.
+        problems, _ = gate.check_serve(
+            self._serve_report(cache_hit_ratio=0.0, cache_speedup=1.02)
+        )
+        assert len(problems) == 1 and "cache_hit_ratio 0.0" in problems[0]
+        problems, _ = gate.check_serve(self._serve_report(cache_hit_ratio=0.975))
+        assert len(problems) == 1 and "bypassed" in problems[0]
+
+    def test_serve_gate_fails_a_hit_slower_than_a_recompute(self):
+        gate = _load_gate_module()
+        problems, _ = gate.check_serve(self._serve_report(cache_speedup=0.8))
+        assert len(problems) == 1 and "no faster" in problems[0]
+
     def test_throughput_regression_detected(self):
         gate = _load_gate_module()
         baseline = {

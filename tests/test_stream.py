@@ -54,7 +54,7 @@ class TestChunkedReader:
         src = io.StringIO("City,Disease\r\nOslo,Flu\r\nBergen,Cold\r\n", newline="")
         reader = ChunkedReader(src, sensitive="Disease", chunk_rows=10)
         chunks = list(reader.chunks())
-        assert chunks == [[["Oslo", "Flu"], ["Bergen", "Cold"]]]
+        assert [chunk.rows() for chunk in chunks] == [[["Oslo", "Flu"], ["Bergen", "Cold"]]]
 
     def test_utf8_bom_stripped_from_header(self):
         src = io.StringIO("\ufeffCity,Disease\nOslo,Flu\n")
@@ -66,7 +66,7 @@ class TestChunkedReader:
         src = io.StringIO("Disease,City\nFlu,Oslo\n")
         reader = ChunkedReader(src, sensitive="Disease")
         (chunk,) = reader.chunks()
-        assert chunk == [["Oslo", "Flu"]]
+        assert chunk.rows() == [["Oslo", "Flu"]]
         assert reader.public_names == ["City"]
 
     def test_blank_lines_skipped(self):
@@ -105,6 +105,58 @@ class TestChunkedReader:
     def test_rejects_nonpositive_chunk_rows(self):
         with pytest.raises(ValueError, match="chunk_rows"):
             ChunkedReader(io.StringIO("x"), sensitive="x", chunk_rows=0)
+
+
+class TestReaderErrorContract:
+    """Errors keep their exact text when they fall at or past a chunk edge."""
+
+    @staticmethod
+    def _drain(text, chunk_rows, sensitive="Disease"):
+        reader = ChunkedReader(io.StringIO(text), sensitive=sensitive, chunk_rows=chunk_rows)
+        sizes = []
+        with pytest.raises(SchemaError) as raised:
+            for chunk in reader.chunks():
+                sizes.append(len(chunk))
+        return str(raised.value), sizes
+
+    def test_ragged_row_in_second_chunk(self):
+        message, sizes = self._drain("City,Disease\nOslo,Flu\nBergen,Cold\nOslo\n", 2)
+        assert message == "csv stream, line 4: row has 1 fields but the header has 2"
+        assert sizes == [2]  # the first chunk was yielded before the error
+
+    def test_blank_lines_at_a_chunk_edge(self):
+        text = "City,Disease\nOslo,Flu\nBergen,Cold\n\n\nOslo,Flu\n"
+        reader = ChunkedReader(io.StringIO(text), sensitive="Disease", chunk_rows=2)
+        assert [chunk.rows() for chunk in reader.chunks()] == [
+            [["Oslo", "Flu"], ["Bergen", "Cold"]],
+            [["Oslo", "Flu"]],
+        ]
+        message, sizes = self._drain(text + "\nBergen\n", 2)
+        assert message == "csv stream, line 8: row has 1 fields but the header has 2"
+        assert sizes == [2]  # blank lines neither fill nor close a chunk
+
+    def test_embedded_newline_before_ragged_row(self):
+        text = 'City,Disease\n"Oslo\nWest",Flu\n"a, b",Cold\nBergen\n'
+        message, sizes = self._drain(text, 1)
+        assert message == "csv stream, line 5: row has 1 fields but the header has 2"
+        assert sizes == [1, 1]
+
+    def test_header_with_no_data_rows(self):
+        message, sizes = self._drain("City,Disease\n\n\n", 1)
+        assert message == (
+            "csv stream has a header but no data rows; at least one record "
+            "is required to infer the attribute domains"
+        )
+        assert sizes == []
+
+    def test_repeated_header_name_refused_before_any_row(self):
+        # The ragged row on line 3 is never reached: the header is refused.
+        message, sizes = self._drain("City,City,Disease\nOslo,Oslo,Flu\nBergen,Flu\n", 1)
+        assert message == (
+            "csv stream: header ['City', 'City', 'Disease'] repeats column "
+            "name(s) ['City']; every column needs its own name"
+        )
+        assert sizes == []
 
 
 # --------------------------------------------------------------------- #

@@ -18,7 +18,15 @@ and driven with hypothesis-generated count matrices.  So are the SPS and DP
 chunk kernels: same code block, same per-group records and the same final
 generator state as a loop of per-group calls (``sps_group`` for SPS, one
 ``add_noise`` per group for DP).
+
+The columnar CSV decode (column chunks, one first-seen codebook per column,
+the running ``(NA key, SA, n)`` pair table) is pinned against the dict-per-row
+``IncrementalGroupIndex`` and the per-row ``read_csv`` it replaced, both kept
+below as test-local references, over hypothesis-generated CSV text.
 """
+
+import csv
+import io
 
 import numpy as np
 import pytest
@@ -29,13 +37,15 @@ from repro.bench.micro import _reference_group_index, _reference_sample_counts
 from repro.core.criterion import PrivacySpec, max_group_size, value_is_private
 from repro.core.sps import _sample_counts, sps_group, sps_publish, sps_publish_groups
 from repro.core.testing import audit_groups
-from repro.dataset.groups import GroupCounts
+from repro.dataset.groups import GroupCounts, _sorted_runs
 from repro.delta.engine import _changed_chunks, _merge
 from repro.delta.state import _decode_value_keyed
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
 from repro.dataset.groups import personal_groups
+from repro.dataset.loaders import read_csv, write_csv
 from repro.dataset.schema import Attribute, Schema
+from repro.dataset.table import Table
 from repro.perturbation.uniform import UniformPerturbation, perturb_table
 from repro.pipeline.strategy import get_strategy
 from repro.reconstruction.iterative import iterative_bayes_frequencies
@@ -45,6 +55,7 @@ from repro.reconstruction.mle import (
     mle_frequencies_matrix,
     reconstruct_counts,
 )
+from repro.stream import ChunkedReader, IncrementalGroupIndex
 
 
 class TestSampleCountsVectorization:
@@ -526,3 +537,220 @@ class TestDPKernels:
         assert codes.dtype == np.int64 and np.array_equal(codes, expected)
         assert records is None
         assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+# --------------------------------------------------------------------- #
+# The columnar CSV decode against the per-row readers it replaced
+# --------------------------------------------------------------------- #
+
+
+class _ReferenceGroupIndex:
+    """The dict-per-row ``IncrementalGroupIndex``: one tuple-keyed count per row.
+
+    Takes rows (NA values then the SA value), as the reader yielded before
+    it yielded column chunks.
+    """
+
+    def __init__(self, public_names, sensitive):
+        self._names = list(public_names) + [sensitive]
+        self._codebooks = [{} for _ in self._names]
+        self._counts = {}
+        self._remaps = None
+
+    def update_encoded(self, rows):
+        block = np.empty((len(rows), len(self._codebooks)), dtype=np.int64)
+        for r, row in enumerate(rows):
+            codes = tuple(
+                book.setdefault(value, len(book))
+                for book, value in zip(self._codebooks, row, strict=True)
+            )
+            block[r] = codes
+            self._counts[codes] = self._counts.get(codes, 0) + 1
+        return block
+
+    def remap_block(self, block):
+        remapped = np.empty_like(block)
+        for i, remap in enumerate(self._remaps):
+            remapped[:, i] = remap[block[:, i]]
+        return remapped
+
+    def finalize(self):
+        remaps, attributes = [], []
+        for name, book in zip(self._names, self._codebooks, strict=True):
+            values = sorted(book)
+            remap = np.empty(len(book), dtype=np.int64)
+            remap[[book[value] for value in values]] = np.arange(len(values))
+            remaps.append(remap)
+            attributes.append(Attribute(name, tuple(values)))
+        self._remaps = remaps
+        schema = Schema(public=tuple(attributes[:-1]), sensitive=attributes[-1])
+        pairs = self.remap_block(np.array(list(self._counts), dtype=np.int64))
+        weights = np.fromiter(self._counts.values(), dtype=np.int64, count=len(self._counts))
+        groups, _, _ = GroupCounts.tabulate(
+            pairs[:, :-1], pairs[:, -1], schema.sensitive_domain_size, weights
+        )
+        return schema, groups
+
+
+def _reference_read_csv(text, sensitive):
+    """The per-row ``read_csv``: reorder each row, a per-row schema pass, ``from_records``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader)
+    sensitive_index = header.index(sensitive)
+    public_indices = [i for i in range(len(header)) if i != sensitive_index]
+    rows = [
+        [row[i] for i in public_indices] + [row[sensitive_index]] for row in reader if row
+    ]
+    seen = [set() for _ in header]
+    for row in rows:
+        for column, value in enumerate(row):
+            seen[column].add(value)
+    schema = Schema(
+        public=tuple(
+            Attribute(header[i], tuple(sorted(seen[j]))) for j, i in enumerate(public_indices)
+        ),
+        sensitive=Attribute(sensitive, tuple(sorted(seen[-1]))),
+    )
+    return Table.from_records(schema, rows)
+
+
+#: Cell values that stress the CSV dialect: empty, delimiter, quote, line
+#: breaks inside a quoted field, non-ASCII text.
+_CELLS = ["", "a", "a, b", 'say "hi"', "two\nlines", "cr\r\nlf", "Zürich", "東京", " pad "]
+
+
+@st.composite
+def csv_sources(draw):
+    """(CSV text, header, sensitive name, rows in file order) with 2-4 columns.
+
+    The last row carries NA and SA values no earlier row has, so with a
+    small ``chunk_rows`` they are first seen in a late chunk.
+    """
+    width = draw(st.integers(2, 4))
+    header = [f"C{i}" for i in range(width)]
+    sensitive = header[draw(st.integers(0, width - 1))]
+    rows = draw(
+        st.lists(st.lists(st.sampled_from(_CELLS), min_size=width, max_size=width),
+                 min_size=1, max_size=40)
+    )
+    if draw(st.booleans()):
+        rows.append([f"late-{i}-é" for i in range(width)])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue(), header, sensitive, rows
+
+
+def _sa_last(rows, header, sensitive):
+    at = header.index(sensitive)
+    return [[v for i, v in enumerate(row) if i != at] + [row[at]] for row in rows]
+
+
+def _index_in_chunks(text, sensitive, chunk_rows, seen_pairs=None):
+    """Read ``text`` in column chunks; return the index and its provisional blocks.
+
+    With ``seen_pairs`` (the SA-last rows in order), check after every chunk
+    that the running pair table holds exactly the distinct pairs seen so far.
+    """
+    reader = ChunkedReader(io.StringIO(text, newline=""), sensitive, chunk_rows=chunk_rows)
+    index, blocks = None, []
+    for chunk in reader.chunks():
+        if index is None:
+            index = IncrementalGroupIndex(reader.public_names, sensitive)
+        blocks.append(index.update_encoded(chunk))
+        if seen_pairs is not None:
+            distinct = {tuple(row) for row in seen_pairs[: reader.rows_read]}
+            assert index.n_pairs == len(distinct)
+    return index, blocks
+
+
+class TestColumnarDecode:
+    @settings(max_examples=120, deadline=None)
+    @given(source=csv_sources(), data=st.data())
+    def test_index_matches_dict_per_row_reference(self, source, data):
+        text, header, sensitive, rows = source
+        chunk_rows = data.draw(st.integers(1, len(rows)))
+        ordered = _sa_last(rows, header, sensitive)
+
+        reference = _ReferenceGroupIndex([h for h in header if h != sensitive], sensitive)
+        reference_blocks = [
+            reference.update_encoded(ordered[start:start + chunk_rows])
+            for start in range(0, len(ordered), chunk_rows)
+        ]
+        expected_schema, expected_groups = reference.finalize()
+
+        index, blocks = _index_in_chunks(text, sensitive, chunk_rows, seen_pairs=ordered)
+        schema, groups = index.finalize()
+        assert schema == expected_schema
+        assert groups == expected_groups
+        assert index.n_rows == len(rows)
+        assert np.array_equal(
+            index.remap_block(np.vstack(blocks)),
+            reference.remap_block(np.vstack(reference_blocks)),
+        )
+        # The decoded cells round-trip: remapped codes decode to the rows.
+        decoded = [list(schema.decode_record(r)) for r in index.remap_block(np.vstack(blocks))]
+        assert decoded == ordered
+
+    @settings(max_examples=80, deadline=None)
+    @given(source=csv_sources(), data=st.data())
+    def test_finalize_does_not_depend_on_chunk_rows(self, source, data):
+        text, _, sensitive, rows = source
+        chunk_rows = data.draw(st.integers(1, len(rows)))
+        whole, _ = _index_in_chunks(text, sensitive, len(rows))
+        chunked, _ = _index_in_chunks(text, sensitive, chunk_rows)
+        assert whole.finalize() == chunked.finalize()
+
+    @settings(max_examples=80, deadline=None)
+    @given(source=csv_sources())
+    def test_read_csv_matches_per_row_reference(self, source):
+        text, _, sensitive, rows = source
+        table = read_csv(io.StringIO(text, newline=""), sensitive)
+        assert table == _reference_read_csv(text, sensitive)
+        index, _ = _index_in_chunks(text, sensitive, 3)
+        assert (table.schema, personal_groups(table).groups) == index.finalize()
+
+    def test_census_read_and_index_match_references(self):
+        table = generate_census(3_000, seed=4)
+        buffer = io.StringIO(newline="")
+        write_csv(table, buffer)
+        text = buffer.getvalue()
+        sensitive = table.schema.sensitive_name
+        loaded = read_csv(io.StringIO(text, newline=""), sensitive)
+        assert loaded == _reference_read_csv(text, sensitive)
+        assert loaded.records() == table.records()
+        index, _ = _index_in_chunks(text, sensitive, 700)
+        assert index.finalize() == (loaded.schema, personal_groups(loaded).groups)
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(st.lists(st.integers(-1, 6), min_size=3, max_size=3), max_size=50))
+    def test_sorted_runs_is_the_stable_lexicographic_order(self, keys):
+        keys = np.array(keys, dtype=np.int64).reshape(-1, 3)
+        order, starts = _sorted_runs(keys)
+        assert np.array_equal(order, np.lexsort(keys.T[::-1]))
+        ordered = [tuple(row) for row in keys[order].tolist()]
+        assert starts.tolist() == [
+            i for i, row in enumerate(ordered) if i == 0 or row != ordered[i - 1]
+        ]
+
+    def test_sorted_runs_keeps_equal_keys_in_row_order(self):
+        # Many rows over few keys: an unstable sort would reorder ties.
+        keys = np.random.default_rng(1).integers(0, 3, size=(5_000, 2))
+        order, _ = _sorted_runs(keys)
+        assert np.array_equal(order, np.lexsort(keys.T[::-1]))
+
+    def test_wide_keys_fall_back_to_a_column_sort(self):
+        # 40 columns of 4,000 distinct values each overflow any int64
+        # mixed-radix key; the pair table must still merge and sort them.
+        rng = np.random.default_rng(0)
+        cells = rng.integers(0, 4_000, size=(60, 41)).astype(str)
+        cells[30:] = cells[:30]  # every row appears twice
+        header = [f"C{i}" for i in range(41)]
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer).writerows([header, *cells.tolist()])
+        index, _ = _index_in_chunks(buffer.getvalue(), "C40", 7)
+        assert index.n_pairs == 30
+        _, groups = index.finalize()
+        assert groups.sizes().tolist() == [2] * 30
+        assert np.array_equal(groups.keys, np.unique(groups.keys, axis=0))
