@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dataset.schema import Attribute, Schema
+from repro.dataset.schema import Attribute
 from repro.dataset.table import Table
 from repro.generalization.chi_square import DEFAULT_SIGNIFICANCE, same_distribution
 
@@ -189,16 +189,19 @@ def generalize_table(
     together with the merge decisions, so the caller can translate queries and
     report the domain-size impact (Tables 4 and 5).
     """
-    merges = tuple(
-        merge_attribute_values(table, name, significance=significance)
-        for name in table.schema.public_names
+    return apply_merges(
+        table,
+        tuple(
+            merge_attribute_values(table, name, significance=significance)
+            for name in table.schema.public_names
+        ),
     )
-    new_schema = Schema(
-        public=tuple(merge.generalized for merge in merges),
-        sensitive=table.schema.sensitive,
-    )
+
+
+def apply_merges(table: Table, merges: tuple[AttributeMerge, ...]) -> GeneralizationResult:
+    """Re-encode ``table`` over the generalised domains of ``merges`` (one per NA column)."""
     codes = table.codes.copy()
     for column, merge in enumerate(merges):
         codes[:, column] = merge.code_map()[codes[:, column]]
-    new_table = Table(new_schema, codes)
-    return GeneralizationResult(table=new_table, merges=merges)
+    schema = table.schema.with_public([merge.generalized for merge in merges])
+    return GeneralizationResult(table=Table(schema, codes), merges=merges)

@@ -547,17 +547,16 @@ class RegistryHygieneRule(Rule):
 
     Concrete :class:`~repro.pipeline.strategy.PublishStrategy` subclasses
     must declare ``params`` as a tuple of typed ``ParamSpec`` objects and
-    either override ``chunk_publisher`` (the group-batch kernel), declare
-    ``streams_rows = True`` (the row-stream path), or explicitly opt out of
-    streaming with ``streamable = False`` — silence is how a strategy ends
-    up half-wired into the streaming engine.
+    either override ``chunk_publisher`` (the group-batch kernel) or declare
+    ``streams_rows = True`` (the row path) — a strategy with neither cannot
+    publish on any path, and the engine refuses it at run time.
     """
 
     code = "RPR005"
     name = "registry-hygiene"
     description = (
         "PublishStrategy subclasses need ParamSpec-typed params and an "
-        "explicit chunk_publisher / streams_rows / streamable stance"
+        "explicit chunk_publisher / streams_rows stance"
     )
 
     def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
@@ -603,29 +602,19 @@ class RegistryHygieneRule(Rule):
             is_base = ancestor.qualname.rsplit(".", 1)[-1] == "PublishStrategy"
             if not is_base and f"{ancestor.qualname}.chunk_publisher" in project.functions:
                 return
-            for attr in ("streams_rows", "streamable"):
-                value = _class_body_assignment(ancestor, attr)
-                if value is None:
-                    continue
-                if attr == "streams_rows" and _is_true(value):
-                    return
-                if attr == "streamable" and _is_false(value):
-                    return
+            if _is_true(_class_body_assignment(ancestor, "streams_rows")):
+                return
         yield self.finding(
             module, entry.node.lineno, entry.node.col_offset,
             f"{entry.qualname} takes no streaming stance: override "
-            "chunk_publisher (group-batch kernel), declare "
-            "streams_rows = True (row-stream path), or opt out explicitly "
-            "with streamable = False",
+            "chunk_publisher (group-batch kernel) or declare "
+            "streams_rows = True (row path); with neither, no engine can "
+            "publish it",
         )
 
 
 def _is_true(node: ast.expr | None) -> bool:
     return isinstance(node, ast.Constant) and node.value is True
-
-
-def _is_false(node: ast.expr | None) -> bool:
-    return isinstance(node, ast.Constant) and node.value is False
 
 
 # --------------------------------------------------------------------- #

@@ -302,9 +302,8 @@ def run_chunks(
 ) -> list[R]:
     """Like :func:`iter_chunk_results` but collected into a list.
 
-    Matches the :data:`repro.pipeline.execution.ChunkRunner` signature (with
-    the worker knobs bound), so it plugs straight into
-    :class:`~repro.pipeline.pipeline.PublishPipeline`:
+    The list counterpart of :func:`repro.pipeline.execution.run_chunks_serial`
+    with the worker knobs added:
 
     >>> run_chunks([1, 2, 3], lambda chunk, rng: sum(chunk), seed=0, chunk_size=2)
     [3, 3]

@@ -9,7 +9,6 @@ strategy), the CLI/HTTP front ends and the experiment harness.  Registering a
 
 from repro.pipeline.execution import (
     DEFAULT_CHUNK_SIZE,
-    ChunkRunner,
     chunk_items,
     chunk_rngs,
     coerce_seed,
@@ -24,7 +23,6 @@ from repro.pipeline.strategy import (
     GeneralizeSPSStrategy,
     PublishStrategy,
     SPSStrategy,
-    StrategyOutcome,
     UniformStrategy,
     UnknownStrategyError,
     available_strategies,
@@ -36,7 +34,6 @@ from repro.pipeline.strategy import (
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "ChunkRunner",
     "DPGaussianStrategy",
     "DPLaplaceStrategy",
     "GeneralizeSPSStrategy",
@@ -47,7 +44,6 @@ __all__ = [
     "PublishReport",
     "PublishStrategy",
     "SPSStrategy",
-    "StrategyOutcome",
     "UniformStrategy",
     "UnknownStrategyError",
     "available_strategies",

@@ -11,18 +11,18 @@ holds because
 3. chunk outputs are concatenated in chunk order, whatever order the chunks
    were actually processed in.
 
-The library runs chunks inline through :func:`run_chunks_serial`;
-``PublishPipeline.with_workers`` substitutes the shared scheduler's
-:func:`repro.parallel.run_chunks` through the same :data:`ChunkRunner`
-signature, which is why a publish produces byte-identical output for the
-same seed at any worker count.
+Every publish path drives its chunks through the shared scheduler
+(:mod:`repro.parallel`), which keeps exactly this chunking and seeding at any
+worker count; :func:`run_chunks_serial` is the inline reference it is tested
+against.  That is why a publish produces byte-identical output for the same
+seed at any worker count.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Sequence
-from typing import Any, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
@@ -35,13 +35,6 @@ DEFAULT_CHUNK_SIZE = 256
 #: Default number of CSV records per ingestion chunk of the streaming engine
 #: (:mod:`repro.stream`); bounds peak memory of an out-of-core publish.
 DEFAULT_CHUNK_ROWS = 32_768
-
-#: Signature of a chunk executor: ``runner(items, chunk_fn, seed, chunk_size)``
-#: must return ``chunk_fn(chunk, rng)`` results in chunk order.
-ChunkRunner = Callable[
-    [Sequence[Any], Callable[[Sequence[Any], np.random.Generator], Any], int, int],
-    list[Any],
-]
 
 
 def chunk_items(items: Sequence[T], chunk_size: int) -> list[Sequence[T]]:
@@ -94,9 +87,8 @@ def run_chunks_serial(
 ) -> list[R]:
     """Apply ``chunk_fn(chunk, rng)`` to every chunk inline, in chunk order.
 
-    This is both the library's default executor and the sequential reference
-    the shared scheduler's :func:`repro.parallel.run_chunks` is tested
-    against.
+    The sequential reference the shared scheduler's
+    :func:`repro.parallel.run_chunks` is tested against.
 
     >>> run_chunks_serial([1, 2, 3], lambda chunk, rng: sum(chunk), seed=0, chunk_size=2)
     [3, 3]

@@ -3,28 +3,30 @@
 Every publishing run — through the library, the service or the experiment
 harness — is the same sequence of explicit stages:
 
-    prepare  →  generalize  →  audit  →  enforce  →  report
+    prepare  →  group_index  →  generalize  →  audit  →  enforce  →  report
 
 * **prepare** resolves and validates the strategy parameters and the seed;
-* **generalize** optionally runs the chi-square merging of Section 3.4
-  (strategies declare whether they want it);
-* **audit** tests the prepared table against the strategy's privacy spec
+* **group_index** partitions the table into its personal groups;
+* **generalize** optionally runs the chi-square merging of Section 3.4 from
+  the group counts (strategies declare whether they want it);
+* **audit** tests the prepared groups against the strategy's privacy spec
   (Corollary 4) before anything is published;
-* **enforce** runs the strategy's own publishing algorithm over deterministic
-  seeded chunks;
+* **enforce** runs the strategy's kernel over deterministic seeded chunks of
+  groups (or, for a row-stream strategy, over the table's rows);
 * **report** assembles everything into one :class:`PublishReport`.
 
-:class:`PublishPipeline` is a fluent builder over those stages; callers that
-hold pre-built artifacts (a cached group index, a cached generalisation)
-inject them and the corresponding stage is skipped, and
-:meth:`PublishPipeline.with_workers` fans the enforce stage out over the
-shared scheduler.  :func:`publish` is the one-call convenience wrapper exported
-as ``repro.publish``.
+generalize, audit and enforce are the stream engine's own stage flow
+(:func:`repro.stream.engine._publish_stages`), so the in-memory, streamed and
+delta base publishes run the same code.  :class:`PublishPipeline` is a
+fluent builder over those stages; callers that hold pre-built artifacts (a
+cached group index, a cached generalisation) inject them and the
+corresponding stage is skipped, and :meth:`PublishPipeline.with_workers`
+fans the enforce stage out over the shared scheduler.  :func:`publish` is
+the one-call convenience wrapper exported as ``repro.publish``.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -34,34 +36,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.delta.state import DeltaState
     from repro.stream.report import StreamReport
 
-from repro.core.testing import audit_table
 from repro.dataset.groups import GroupIndex, personal_groups
 from repro.dataset.table import Table
-from repro.generalization.chi_square import DEFAULT_SIGNIFICANCE
-from repro.generalization.merging import GeneralizationResult, generalize_table
+from repro.generalization.merging import GeneralizationResult, apply_merges
 from repro.obs.metrics import PUBLISH_RUNS, ROWS_PUBLISHED
 from repro.obs.trace import span
-from repro.pipeline.execution import (
-    DEFAULT_CHUNK_SIZE,
-    ChunkRunner,
-    coerce_seed,
-    run_chunks_serial,
-)
+from repro.pipeline.execution import DEFAULT_CHUNK_SIZE, coerce_seed
 from repro.pipeline.report import PublishReport
 from repro.pipeline.strategy import PublishStrategy, get_strategy
+from repro.stream.engine import _check_publishable, _publish_stages, _TableRows, _TableSink
 
 
 class PublishPipeline:
     """Fluent, composable builder for one publishing run.
 
-    Example::
+    Example:
 
-        report = (
-            PublishPipeline("sps", lam=0.25, delta=0.3)
-            .with_rng(7)
-            .with_chunk_size(128)
-            .run(table)
-        )
+    >>> from repro.dataset.adult import generate_adult
+    >>> table = generate_adult(2000, seed=1)
+    >>> report = (
+    ...     PublishPipeline("sps", lam=0.25, delta=0.3)
+    ...     .with_rng(7)
+    ...     .with_chunk_size(128)
+    ...     .run(table)
+    ... )
+    >>> report.strategy, report.audit.n_groups == len(report.records)
+    ('sps', True)
+    >>> sorted(report.timings)
+    ['audit', 'enforce', 'generalize', 'group_index', 'prepare', 'report']
 
     Every ``with_*`` method mutates the builder and returns it, so calls
     chain; :meth:`run` executes the staged pipeline and returns the
@@ -74,7 +76,6 @@ class PublishPipeline:
         self._params: dict[str, Any] = dict(params)
         self._rng: int | np.random.Generator | None = None
         self._chunk_size = DEFAULT_CHUNK_SIZE
-        self._runner: ChunkRunner = run_chunks_serial
         self._groups: GroupIndex | None = None
         self._generalization: GeneralizationResult | None = None
         self._audit = True
@@ -110,18 +111,14 @@ class PublishPipeline:
     def with_workers(self, workers: int, backend: str = "auto") -> "PublishPipeline":
         """Fan the enforce stage out over ``workers`` via the shared scheduler.
 
-        Installs :func:`repro.parallel.run_chunks` with the worker count and
-        backend bound as the chunk executor.  The published bytes are
-        identical at any worker count (the scheduler's determinism
-        contract); only wall-clock changes.
+        ``backend`` is one of :data:`repro.parallel.PARALLEL_BACKENDS`.  The
+        published bytes are identical at any worker count (the scheduler's
+        determinism contract); only wall-clock changes.
         """
         if workers <= 0:
             raise ValueError("workers must be positive")
         self._workers = int(workers)
         self._parallel_backend = backend
-        from repro.parallel import run_chunks
-
-        self._runner = partial(run_chunks, workers=int(workers), backend=backend)
         return self
 
     def with_groups(self, groups: GroupIndex) -> "PublishPipeline":
@@ -169,8 +166,8 @@ class PublishPipeline:
     def run(self, table: Table | None = None) -> "PublishReport | DeltaReport":
         """Execute the configured run: staged pipeline, or delta re-publish.
 
-        With a ``table``, runs prepare → generalize → audit → enforce →
-        report and returns the :class:`~repro.pipeline.report.PublishReport`.
+        With a ``table``, runs prepare → group_index → generalize → audit →
+        enforce → report and returns the :class:`~repro.pipeline.report.PublishReport`.
         After :meth:`with_append`, runs the incremental delta engine instead
         (no table) and returns the :class:`~repro.delta.report.DeltaReport`.
         """
@@ -195,12 +192,13 @@ class PublishPipeline:
         return self._run_table(table)
 
     def _run_table(self, table: Table) -> PublishReport:
-        """Execute prepare → generalize → audit → enforce → report on ``table``.
+        """Execute prepare → group_index → generalize → audit → enforce → report.
 
-        Every stage runs inside a :func:`repro.obs.trace.span`, and the
-        ``timings`` on the returned report are those spans' durations — the
-        same numbers whether or not a tracer is active, so tracing never
-        changes the report (or a single published byte).
+        After the group index, the stream engine's stage flow runs into an
+        in-memory sink.  Every stage runs inside a
+        :func:`repro.obs.trace.span`, and the ``timings`` on the returned
+        report are those spans' durations — the same numbers whether or not
+        a tracer is active, so tracing never changes the report.
         """
         strategy = self._strategy
         timings: dict[str, float] = {}
@@ -210,6 +208,7 @@ class PublishPipeline:
         ) as root:
             # prepare: typed parameter resolution + seed normalisation.
             with span("prepare", kind="stage") as sp:
+                _check_publishable(strategy)
                 resolved = strategy.resolve(self._params)
                 seed = coerce_seed(self._rng)
                 if self._generalization is not None and not strategy.generalizes:
@@ -234,71 +233,49 @@ class PublishPipeline:
             timings["prepare"] = sp.duration
             root.set(seed=seed, chunk_size=self._chunk_size)
 
-            # generalize: optional chi-square merging of the public attributes.
-            with span("generalize", kind="stage", ran=strategy.generalizes) as sp:
-                generalization: GeneralizationResult | None = None
-                prepared = table
-                if strategy.generalizes:
-                    generalization = self._generalization or generalize_table(
-                        table,
-                        significance=resolved.get("significance", DEFAULT_SIGNIFICANCE),
-                    )
-                    prepared = generalization.table
-            timings["generalize"] = sp.duration
-
-            spec = strategy.spec_for(prepared, resolved)
-            needs_audit = self._audit and strategy.audits and spec is not None
-
-            # group index: reused when supplied (the service's dataset cache),
-            # skipped entirely when neither the audit nor the strategy reads it
-            # (e.g. an un-audited whole-table perturbation).
+            # group index: of the supplied generalisation's table when there
+            # is one, reused when supplied (the service's dataset cache), and
+            # skipped when a row-stream strategy runs no audit.
+            generalization = self._generalization
+            indexed = table if generalization is None else generalization.table
             cached = self._groups is not None
+            needs_groups = not strategy.streams_rows or (self._audit and strategy.audits)
             with span("group_index", kind="stage", cached=cached) as sp:
-                groups = self._groups
-                if groups is None and (strategy.uses_groups or needs_audit):
-                    groups = personal_groups(prepared)
+                index = self._groups
+                if index is None and needs_groups:
+                    index = personal_groups(indexed)
             timings["group_index"] = sp.duration
 
-            # audit: pre-publication test of the prepared table (Corollary 4).
-            with span("audit", kind="stage", ran=needs_audit) as sp:
-                audit = None
-                if needs_audit:
-                    audit = audit_table(prepared, spec, groups=groups)
-            timings["audit"] = sp.duration
+            staged = _publish_stages(
+                strategy, resolved, indexed.schema,
+                None if index is None else index.groups, len(table),
+                _TableSink, timings,
+                seed=seed, chunk_size=self._chunk_size, workers=self._workers,
+                backend=self._parallel_backend, audit=self._audit,
+                rows=_TableRows(indexed) if strategy.streams_rows else None,
+                merges=None if generalization is None else generalization.merges,
+            )
 
-            # enforce: the strategy's own publishing algorithm, seeded chunks.
-            # Chunk spans recorded by the scheduler land under this span.
-            with span("enforce", kind="stage") as sp:
-                outcome = strategy.enforce(
-                    prepared, groups, spec, resolved, seed, self._runner, self._chunk_size
-                )
-            timings["enforce"] = sp.duration
-
-            # report: assemble the unified result bundle.  Sampling stats are
-            # not copied here — PublishReport derives them from the group
-            # records.  The stage is booked as the residual of the run so the
-            # stage timings sum to the root span's wall-clock.
-            metadata = dict(outcome.metadata)
-            if generalization is not None:
-                metadata["generalized_domains"] = {
-                    merge.original.name: {
-                        "before": merge.original_domain_size,
-                        "after": merge.generalized_domain_size,
-                    }
-                    for merge in generalization.merges
-                }
+            # report: assemble the unified result bundle (the published table
+            # from its blocks, the generalised table from the merges).
+            # Sampling stats are not copied here — PublishReport derives them
+            # from the group records.  The stage is booked as the residual of
+            # the run so the stage timings sum to the root span's wall-clock.
+            published = staged.sink.close()
+            if staged.merges is not None and generalization is None:
+                generalization = apply_merges(table, staged.merges)
             timings["report"] = max(0.0, root.elapsed() - sum(timings.values()))
             report = PublishReport(
                 strategy=strategy.name,
                 params=resolved,
                 seed=seed,
-                published=outcome.published,
-                prepared=prepared,
-                spec=spec,
+                published=published,
+                prepared=indexed if generalization is None else generalization.table,
+                spec=staged.spec,
                 generalization=generalization,
-                audit=audit,
-                records=outcome.records,
-                metadata=metadata,
+                audit=staged.audit,
+                records=staged.records,
+                metadata=staged.metadata,
                 timings=timings,
                 group_index_cached=cached,
             )

@@ -1,9 +1,10 @@
 """Publishing strategies and the name-based strategy registry.
 
 A :class:`PublishStrategy` is the unit of extension of the publishing stack:
-declare a name, typed parameter specs and an ``enforce`` step, register one
-instance, and the strategy becomes available to the library
-(:func:`repro.publish`), the service, the CLI and the HTTP API —
+declare a name, typed parameter specs and a group-batch kernel
+(:meth:`PublishStrategy.chunk_publisher`), register one instance, and the
+strategy becomes available to the library (:func:`repro.publish`), the
+streaming and delta engines, the service, the CLI and the HTTP API —
 without touching any of them.
 
 Built-in strategies
@@ -20,21 +21,18 @@ Built-in strategies
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 import numpy as np
 
 from repro.core.criterion import PrivacySpec
 from repro.core.sps import SPSRecords, sps_publish_groups
-from repro.dataset.groups import GroupCounts, GroupIndex, expand_counts, group_block
+from repro.dataset.groups import GroupCounts, expand_counts, group_block
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
 from repro.perturbation.uniform import UniformPerturbation
-from repro.pipeline.execution import ChunkRunner, seeded_rng
 from repro.pipeline.params import ParamSpec, resolve_params
 
 #: Signature of a group-batch publishing kernel: ``fn(chunk_of_groups, rng)``
@@ -50,26 +48,38 @@ class UnknownStrategyError(ValueError):
     """Raised when a strategy name is not in the registry."""
 
 
-@dataclass(frozen=True)
-class StrategyOutcome:
-    """What a strategy's enforce stage produced."""
-
-    published: Table
-    records: SPSRecords | None = None
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-
-class PublishStrategy(ABC):
+class PublishStrategy:
     """One publishing strategy, selectable by name.
 
     Subclasses declare their tunable parameters as typed
     :class:`~repro.pipeline.params.ParamSpec` objects in ``params``, plus
-    behaviour flags the pipeline consults: ``generalizes`` (whether the
-    chi-square generalize stage runs first), ``audits`` (whether the table is
-    audited against the strategy's :class:`PrivacySpec` before enforcing) and
-    ``uses_groups`` (whether :meth:`enforce` reads the personal-group index —
-    declare ``False`` for whole-table strategies so the pipeline can skip the
-    index build when the audit is also skipped).
+    behaviour flags the engine consults: ``generalizes`` (whether the
+    chi-square generalize stage runs first) and ``audits`` (whether the
+    groups are audited against the strategy's :class:`PrivacySpec` before
+    enforcing).  A strategy publishes through its group-batch kernel
+    (:meth:`chunk_publisher`) or, declaring ``streams_rows``, through the
+    engine's row path; one with neither is refused by every publish path.
+
+    A minimal kernel strategy publishes every group's records unchanged:
+
+    >>> from repro.dataset.adult import generate_adult
+    >>> from repro.pipeline import publish
+    >>> class Identity(PublishStrategy):
+    ...     name = "identity-example"
+    ...     params = ()
+    ...     audits = False
+    ...
+    ...     def chunk_publisher(self, schema, spec, resolved):
+    ...         def chunk_fn(chunk, rng):
+    ...             sizes, sensitive = chunk.sizes(), expand_counts(chunk.counts)
+    ...             return group_block(chunk.keys, sizes, sensitive), None
+    ...         return chunk_fn
+    >>> _ = register_strategy(Identity())
+    >>> table = generate_adult(500, seed=1)
+    >>> report = publish(table, strategy="identity-example", rng=1)
+    >>> sorted(report.published.codes.tolist()) == sorted(table.codes.tolist())
+    True
+    >>> unregister_strategy("identity-example")
     """
 
     name: ClassVar[str]
@@ -77,19 +87,14 @@ class PublishStrategy(ABC):
     params: ClassVar[tuple[ParamSpec, ...]] = ()
     generalizes: ClassVar[bool] = False
     audits: ClassVar[bool] = True
-    uses_groups: ClassVar[bool] = True
     #: Whether the strategy's published bytes are a pure function of the input
     #: *row stream* (row order preserved, one output row per input row).  The
-    #: streaming engine drives such strategies through a row spool instead of
-    #: the group list; only :class:`UniformStrategy` sets this today.
+    #: engine drives such strategies through a row source — the table's own
+    #: blocks in memory, a row spool out-of-core — instead of the group list;
+    #: only :class:`UniformStrategy` sets this today.  Every concrete
+    #: strategy must take this stance or override :meth:`chunk_publisher`,
+    #: which the registry-hygiene lint rule (``RPR005``) enforces.
     streams_rows: ClassVar[bool] = False
-    #: Explicit opt-out from the streaming engine.  Every concrete strategy
-    #: must take a streaming stance — override :meth:`chunk_publisher`,
-    #: declare ``streams_rows = True``, or set this to ``False`` — which the
-    #: registry-hygiene lint rule (``RPR005``) enforces; silence is not a
-    #: stance.  :func:`repro.stream.engine.stream_publish` refuses strategies
-    #: that declare ``streamable = False``.
-    streamable: ClassVar[bool] = True
     #: Whether the strategy honours the incremental re-publish contract of
     #: :mod:`repro.delta`: its published bytes for a chunk of groups depend
     #: only on that chunk's (SA count vectors, spec, rng) — never on groups
@@ -109,7 +114,10 @@ class PublishStrategy(ABC):
         return resolve_params(self.params, params, owner=f"strategy {self.name!r}")
 
     def spec_for(self, table: Table, resolved: Mapping[str, Any]) -> PrivacySpec | None:
-        """The privacy spec this strategy enforces on ``table`` (``None`` if none)."""
+        """The privacy spec this strategy enforces on ``table`` (``None`` if none).
+
+        The engine passes an object carrying only the prepared ``schema``.
+        """
         return None
 
     def chunk_publisher(
@@ -118,45 +126,23 @@ class PublishStrategy(ABC):
         spec: PrivacySpec | None,
         resolved: Mapping[str, Any],
     ) -> GroupChunkFn | None:
-        """The group-batch publishing kernel, or ``None`` if not streamable.
+        """The group-batch publishing kernel, or ``None`` if there is none.
 
         When a strategy's published bytes depend only on the ordered list of
         personal groups (their NA keys and SA count vectors) — true for SPS
         and the DP histogram strategies — it returns
-        ``fn(chunk_of_groups, rng) -> (codes_block, records)`` here.
-        :meth:`enforce` and the out-of-core streaming engine both drive this
-        same kernel over deterministic seeded chunks, which is why streaming
-        output is byte-identical to the in-memory path for a fixed
-        ``(seed, chunk_size)``.  Strategies that need the full table return
-        ``None`` (the default) and are rejected by the streaming engine
-        unless they declare ``streams_rows``.
+        ``fn(chunk_of_groups, rng) -> (codes_block, records)`` here.  Every
+        publish path drives this same kernel over deterministic seeded
+        chunks, which is why in-memory, streamed and delta output are
+        byte-identical for a fixed ``(seed, chunk_size)``.  The default
+        returns ``None``: such a strategy can publish only if it declares
+        ``streams_rows``.
         """
         return None
 
     def metadata_for(self, resolved: Mapping[str, Any]) -> dict[str, Any]:
         """Strategy-specific report metadata (mechanism scales etc.)."""
         return {}
-
-    @abstractmethod
-    def enforce(
-        self,
-        table: Table,
-        groups: GroupIndex | None,
-        spec: PrivacySpec | None,
-        resolved: Mapping[str, Any],
-        seed: int,
-        runner: ChunkRunner,
-        chunk_size: int,
-    ) -> StrategyOutcome:
-        """Publish ``table`` (the prepared table) and return the outcome.
-
-        ``groups`` is the personal-group index of ``table``; it is ``None``
-        only for strategies declaring ``uses_groups = False`` when the audit
-        stage was also skipped.  All randomness must flow through generators
-        derived from ``seed`` — either via ``runner`` (which hands each chunk
-        its own seeded stream) or via ``numpy.random.SeedSequence(seed)``
-        directly — so the output is identical however the chunks are executed.
-        """
 
 
 # ---------------------------------------------------------------------- #
@@ -238,37 +224,6 @@ def _spec_from(table: Table, resolved: Mapping[str, Any]) -> PrivacySpec:
     )
 
 
-def _run_chunk_publisher(
-    strategy: "PublishStrategy",
-    table: Table,
-    groups: GroupIndex,
-    spec: PrivacySpec | None,
-    resolved: Mapping[str, Any],
-    seed: int,
-    runner: ChunkRunner,
-    chunk_size: int,
-) -> tuple[Table, SPSRecords | None]:
-    """Drive a strategy's group-batch kernel through ``runner`` and assemble the table.
-
-    The kernel is wrapped in a picklable :class:`~repro.parallel.kernels.StrategyKernel`
-    so the runner may be the process-pool scheduler; calling it is
-    byte-identical to calling ``strategy.chunk_publisher(...)`` directly.
-    """
-    from repro.parallel.kernels import StrategyKernel
-
-    chunk_fn = StrategyKernel(strategy, table.schema, spec, dict(resolved))
-    chunk_fn.build()  # fail fast on a kernel-less strategy; caches the closure
-    n_public = len(table.schema.public)
-    results = runner(groups.groups, chunk_fn, seed, chunk_size)
-    blocks = [codes for codes, _ in results if codes.size]
-    records = SPSRecords.concat(chunk_records for _, chunk_records in results)
-    if blocks:
-        codes = np.vstack(blocks)
-    else:
-        codes = np.empty((0, n_public + 1), dtype=np.int64)
-    return Table(table.schema, codes), records
-
-
 # ---------------------------------------------------------------------- #
 # Built-in strategies
 # ---------------------------------------------------------------------- #
@@ -304,23 +259,6 @@ class SPSStrategy(PublishStrategy):
 
         return chunk_fn
 
-    def enforce(
-        self,
-        table: Table,
-        groups: GroupIndex | None,
-        spec: PrivacySpec | None,
-        resolved: Mapping[str, Any],
-        seed: int,
-        runner: ChunkRunner,
-        chunk_size: int,
-    ) -> StrategyOutcome:
-        assert groups is not None  # uses_groups strategies always get the index
-        published, records = _run_chunk_publisher(
-            self, table, groups, spec, resolved, seed, runner, chunk_size
-        )
-        return StrategyOutcome(published=published, records=records)
-
-
 class GeneralizeSPSStrategy(SPSStrategy):
     """Chi-square generalisation of the public attributes followed by SPS.
 
@@ -349,14 +287,15 @@ class GeneralizeSPSStrategy(SPSStrategy):
 class UniformStrategy(PublishStrategy):
     """Plain uniform perturbation (the UP baseline), audited but never sampled.
 
-    Perturbation is a single vectorised whole-table pass, so the chunk runner
-    is not used; the output preserves the input row order.
+    It declares ``streams_rows``: the engine's row path draws every retain
+    bit, then every replacement code, from one generator seeded by the run's
+    seed — a whole-table pass chunked over the rows, so the output preserves
+    the input row order.
     """
 
     name = "uniform"
     summary = "plain uniform perturbation of the sensitive attribute (UP baseline)"
     params = _SPS_PARAMS
-    uses_groups = False
     streams_rows = True
     # Draws walk one global row spool: appending a row shifts every later
     # draw, so there is no bounded affected set to splice.
@@ -364,22 +303,6 @@ class UniformStrategy(PublishStrategy):
 
     def spec_for(self, table: Table, resolved: Mapping[str, Any]) -> PrivacySpec:
         return _spec_from(table, resolved)
-
-    def enforce(
-        self,
-        table: Table,
-        groups: GroupIndex | None,
-        spec: PrivacySpec | None,
-        resolved: Mapping[str, Any],
-        seed: int,
-        runner: ChunkRunner,
-        chunk_size: int,
-    ) -> StrategyOutcome:
-        assert spec is not None  # spec_for always returns one for uniform
-        operator = UniformPerturbation(spec.retention_probability, spec.domain_size)
-        rng = seeded_rng(seed)
-        return StrategyOutcome(published=operator.perturb_table(table, rng))
-
 
 class _DPHistogramStrategy(PublishStrategy):
     """Shared machinery of the DP strategies: noisy per-group SA histograms.
@@ -422,26 +345,6 @@ class _DPHistogramStrategy(PublishStrategy):
             return group_block(chunk.keys, counts.sum(axis=1), expand_counts(counts)), None
 
         return chunk_fn
-
-    def enforce(
-        self,
-        table: Table,
-        groups: GroupIndex | None,
-        spec: PrivacySpec | None,
-        resolved: Mapping[str, Any],
-        seed: int,
-        runner: ChunkRunner,
-        chunk_size: int,
-    ) -> StrategyOutcome:
-        assert groups is not None  # uses_groups strategies always get the index
-        published, _ = _run_chunk_publisher(
-            self, table, groups, spec, resolved, seed, runner, chunk_size
-        )
-        return StrategyOutcome(
-            published=published,
-            metadata=self.metadata_for(resolved),
-        )
-
 
 class DPLaplaceStrategy(_DPHistogramStrategy):
     """Laplace-mechanism histogram publication (epsilon-DP per count)."""

@@ -59,7 +59,37 @@ _ENDPOINT_LABELS = {
 
 
 class _BadRequest(Exception):
-    """Malformed request framing: answered ``400``, then the connection closes."""
+    """Malformed request framing: answered ``status``, then the connection closes."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request-head line; a line over the reader's limit is a ``431``."""
+    try:
+        return await reader.readline()
+    except ValueError:  # StreamReader: "chunk is longer than limit"
+        raise _BadRequest("request line or header line too long", 431) from None
+
+
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Half-close, then discard what the client still sends, for up to a second.
+
+    Closing a socket with unread input resets the connection, which can
+    destroy the error reply before the client reads it.
+    """
+    writer.write_eof()
+
+    async def discard() -> None:
+        while await reader.read(1 << 16):
+            pass
+
+    try:
+        await asyncio.wait_for(discard(), timeout=1.0)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 def _endpoint_label(target: str) -> str:
@@ -223,8 +253,11 @@ class ServingFrontend:
                 except (asyncio.TimeoutError, asyncio.IncompleteReadError):
                     break
                 except _BadRequest as exc:
-                    self._write_result(writer, error_result(str(exc), 400), keep_alive=False)
+                    self._write_result(
+                        writer, error_result(str(exc), exc.status), keep_alive=False
+                    )
                     await writer.drain()
+                    await _linger(reader, writer)
                     break
                 if request is None:
                     break
@@ -255,16 +288,17 @@ class ServingFrontend:
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, str, dict[str, str], bytes] | None:
         """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket."""
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
         if not request_line:
             return None
         pieces = request_line.decode("latin-1").split()
         if len(pieces) != 3:
-            raise asyncio.IncompleteReadError(request_line, None)
+            shown = request_line[:80].decode("latin-1").strip()
+            raise _BadRequest(f"malformed request line {shown!r}")
         method, target, version = pieces
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -320,6 +354,7 @@ class ServingFrontend:
     ) -> None:
         reason = {200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
                   405: "Method Not Allowed", 429: "Too Many Requests",
+                  431: "Request Header Fields Too Large",
                   500: "Internal Server Error"}.get(
             result.status, "Response"
         )

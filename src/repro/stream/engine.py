@@ -3,10 +3,16 @@
 :func:`stream_publish` publishes a CSV source without ever materialising it:
 one bounded-memory pass builds the incremental group index (and, for
 row-order-preserving strategies, a disk spool of encoded rows), then the
-strategy's group-batch kernel — the same kernel the in-memory pipeline runs —
-is driven over deterministic seeded chunks and its output blocks are written
-straight to the sink.  Peak memory is proportional to ``chunk_rows`` plus the
-group index, never to the number of records.
+strategy's group-batch kernel is driven over deterministic seeded chunks and
+its output blocks are written straight to the sink.  Peak memory is
+proportional to ``chunk_rows`` plus the group index, never to the number of
+records.
+
+The stages after indexing — generalize, audit, enforce into a sink — are
+:func:`_publish_stages`, the one stage flow every publish path runs:
+:func:`repro.publish` over the group index of an in-memory table (its rows
+replayed by :class:`_TableRows` for row-stream strategies), this engine and
+the delta base publish over the incremental index.
 
 Determinism contract (pinned by ``tests/test_stream.py``): for a fixed seed
 and ``chunk_size``, the streamed output is **byte-identical** to
@@ -238,6 +244,9 @@ class _RowSpool:
         self._codes = tempfile.TemporaryFile()
         self._retain = tempfile.TemporaryFile()
         self.chunk_lengths: list[int] = []
+        #: Provisional→final code tables of the spooled blocks, set once the
+        #: index is finalized.
+        self.remaps: tuple[np.ndarray, ...] = ()
 
     def append(self, block: np.ndarray) -> None:
         self._codes.write(np.ascontiguousarray(block, dtype=np.int64).tobytes())
@@ -268,13 +277,49 @@ class _RowSpool:
         self._retain.close()
 
 
-def _streamable(strategy: PublishStrategy) -> bool:
-    if not strategy.streamable:
-        return False
-    overrides_kernel = (
-        type(strategy).chunk_publisher is not PublishStrategy.chunk_publisher
-    )
-    return overrides_kernel or strategy.streams_rows
+class _TableRows:
+    """An in-memory table behind the :class:`_RowSpool` replay interface.
+
+    Replays the table's own code blocks (already final codes: identity
+    remaps) and keeps the retain bits in memory; nothing goes to disk.
+    """
+
+    def __init__(self, table: Table, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
+        self._codes = table.codes
+        self._retain: list[np.ndarray] = []
+        self.chunk_lengths = [
+            min(chunk_rows, len(table) - start) for start in range(0, len(table), chunk_rows)
+        ]
+        self.remaps = tuple(
+            np.arange(attribute.size, dtype=np.int64)
+            for attribute in (*table.schema.public, table.schema.sensitive)
+        )
+
+    def append_retain(self, retain: np.ndarray) -> None:
+        self._retain.append(retain)
+
+    def replay(
+        self, with_retain: bool = False
+    ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Yield the table's blocks (optionally with their retain bits) in order."""
+        start = 0
+        for position, length in enumerate(self.chunk_lengths):
+            block = self._codes[start : start + length]
+            start += length
+            yield block, self._retain[position] if with_retain else None
+
+
+def _check_publishable(strategy: PublishStrategy) -> None:
+    """Refuse, before any work, a strategy with neither a kernel nor the row path."""
+    has_kernel = type(strategy).chunk_publisher is not PublishStrategy.chunk_publisher
+    if not (has_kernel or strategy.streams_rows):
+        raise ValueError(
+            f"strategy {strategy.name!r} is not streamable: it neither exposes "
+            "a group-batch chunk_publisher nor declares streams_rows, so no "
+            "engine can publish it"
+        )
+    if strategy.generalizes and strategy.streams_rows:
+        raise ValueError("row-stream strategies cannot generalize")
 
 
 def stream_publish(
@@ -366,15 +411,7 @@ def stream_publish(
     True
     """
     strategy = get_strategy(strategy) if isinstance(strategy, str) else strategy
-    if not _streamable(strategy):
-        raise ValueError(
-            f"strategy {strategy.name!r} is not streamable: it opted out "
-            "(streamable = False) or neither exposes a group-batch "
-            "chunk_publisher nor declares streams_rows; "
-            "load the table and use repro.publish instead"
-        )
-    if strategy.generalizes and strategy.streams_rows:
-        raise ValueError("row-stream strategies cannot generalize")
+    _check_publishable(strategy)
     if workers <= 0:
         raise ValueError("workers must be positive")
 
@@ -491,9 +528,12 @@ def _run(
 ) -> _Run:
     """The engine behind :func:`stream_publish` and the delta base publish.
 
-    ``root_name`` and ``path`` label the root span and the
-    ``PUBLISH_RUNS`` counter; ``unsupported`` is the error raised when the
-    strategy returns no chunk kernel.
+    The source-specific part: read and index the CSV source (spooling its
+    rows for a row-stream strategy), hand the finalized groups to the shared
+    :func:`_publish_stages`, then flush the sink.  ``root_name`` and
+    ``path`` label the root span and the ``PUBLISH_RUNS`` counter;
+    ``unsupported`` is the error raised when the strategy returns no chunk
+    kernel.
     """
     timings: dict[str, float] = {}
     notify = progress or (lambda event: None)
@@ -533,77 +573,25 @@ def _run(
             # group index: finalize schema + lexicographically ordered groups.
             with span("group_index", kind="stage") as sp:
                 schema, groups = index.finalize()
+                if spool is not None:
+                    spool.remaps = tuple(index.remaps)
             timings["group_index"] = sp.duration
             notify({"phase": "group_index", "n_groups": len(groups)})
 
-            # generalize: chi-square merging decided from streamed counts.
-            with span("generalize", kind="stage", ran=strategy.generalizes) as sp:
-                merges: tuple[AttributeMerge, ...] | None = None
-                prepared_schema = schema
-                metadata = dict(strategy.metadata_for(resolved))
-                if strategy.generalizes:
-                    m = schema.sensitive_domain_size
-                    significance = resolved.get("significance", DEFAULT_SIGNIFICANCE)
-                    merges = tuple(
-                        merge_attribute_from_counts(
-                            attribute,
-                            groups.column_totals(column),
-                            m,
-                            significance=significance,
-                        )
-                        for column, attribute in enumerate(schema.public)
-                    )
-                    prepared_schema = Schema(
-                        public=tuple(merge.generalized for merge in merges),
-                        sensitive=schema.sensitive,
-                    )
-                    groups = groups.recode([merge.code_map() for merge in merges])
-                    metadata["generalized_domains"] = {
-                        merge.original.name: {
-                            "before": merge.original_domain_size,
-                            "after": merge.generalized_domain_size,
-                        }
-                        for merge in merges
-                    }
-            timings["generalize"] = sp.duration
-
-            spec = _spec_for(strategy, prepared_schema, resolved)
-
-            # audit: Corollary 4 over the incremental groups (no table required).
-            with span("audit", kind="stage", ran=audit and strategy.audits) as sp:
-                privacy_audit: PrivacyAudit | None = None
-                if audit and strategy.audits and spec is not None:
-                    privacy_audit = audit_groups(spec, groups, index.n_rows)
-            timings["audit"] = sp.duration
-
-            # enforce: drive the kernel per group batch (or replay the row
-            # spool), writing published blocks straight to the sink in chunk
-            # order.  Chunk spans recorded by the scheduler land under this
-            # span.
-            with span("enforce", kind="stage") as sp:
+            def open_sink(prepared: Schema) -> Any:
                 if output is not None:
-                    sink = _CsvSink(output, prepared_schema, overwrite=overwrite)
-                elif materialize:
-                    sink = _TableSink(prepared_schema)
-                else:
-                    sink = _NullSink()
-                records: list[SPSRecords | None] = []
-                if spool is not None:
-                    _enforce_rows(
-                        strategy, spec, index, spool, seed,
-                        workers, parallel_backend, sink, notify,
-                    )
-                else:
-                    kernel = _chunk_kernel(
-                        strategy, prepared_schema, spec, resolved, unsupported
-                    )
-                    _enforce_groups(
-                        kernel, groups, seed, chunk_size, workers,
-                        parallel_backend, sink, records, notify,
-                    )
-            timings["enforce"] = sp.duration
-            if sp.duration > 0.0:
-                STREAM_ROWS_PER_SECOND.set(sink.records_written / sp.duration)
+                    return _CsvSink(output, prepared, overwrite=overwrite)
+                return _TableSink(prepared) if materialize else _NullSink()
+
+            staged = _publish_stages(
+                strategy, resolved, schema, groups, index.n_rows, open_sink, timings,
+                seed=seed, chunk_size=chunk_size, workers=workers,
+                backend=parallel_backend, audit=audit, rows=spool, notify=notify,
+                unsupported=unsupported,
+            )
+            sink = staged.sink
+            if timings["enforce"] > 0.0:
+                STREAM_ROWS_PER_SECOND.set(sink.records_written / timings["enforce"])
 
             # flush: close the sink — for a path output this flushes the temp
             # file and moves it into place.
@@ -624,13 +612,14 @@ def _run(
             peak = tracemalloc.get_traced_memory()[1]
             TRACEMALLOC_PEAK.set(peak)
 
-        # finalize: the residual of the run (spec resolution, report
-        # assembly) so the stage timings sum to the root span's wall-clock.
+        # finalize: the residual of the run (report assembly) so the stage
+        # timings sum to the root span's wall-clock.
         timings["finalize"] = max(0.0, root.elapsed() - sum(timings.values()))
         root.set(rows=index.n_rows, published_records=sink.records_written)
 
     PUBLISH_RUNS.inc(path=path, strategy=strategy.name)
     ROWS_PUBLISHED.inc(sink.records_written, strategy=strategy.name)
+    assert staged.groups is not None  # the out-of-core paths always index
     report = StreamReport(
         strategy=strategy.name,
         params=resolved,
@@ -640,20 +629,127 @@ def _run(
         workers=int(workers),
         n_rows=index.n_rows,
         n_chunks=reader.chunks_read,
-        n_groups=len(groups),
+        n_groups=len(staged.groups),
         published_records=sink.records_written,
-        schema=prepared_schema,
-        spec=spec,
-        audit=privacy_audit,
-        records=SPSRecords.concat(records),
-        merges=merges,
-        metadata=metadata,
+        schema=staged.schema,
+        spec=staged.spec,
+        audit=staged.audit,
+        records=staged.records,
+        merges=staged.merges,
+        metadata=staged.metadata,
         timings=timings,
         output=None if output is None else source_label(output),
         published=published if output is None else None,
         peak_tracked_bytes=peak,
     )
-    return _Run(report, reader.header or [], groups, sink)
+    return _Run(report, reader.header or [], staged.groups, sink)
+
+
+class _Staged(NamedTuple):
+    """What the shared stage flow hands back: the prepared run plus its open sink."""
+
+    schema: Schema
+    groups: GroupCounts | None
+    merges: tuple[AttributeMerge, ...] | None
+    spec: PrivacySpec | None
+    audit: PrivacyAudit | None
+    records: SPSRecords | None
+    metadata: dict[str, Any]
+    sink: Any
+
+
+def _publish_stages(
+    strategy: PublishStrategy,
+    resolved: dict[str, Any],
+    schema: Schema,
+    groups: GroupCounts | None,
+    n_rows: int,
+    open_sink: Callable[[Schema], Any],
+    timings: dict[str, float],
+    *,
+    seed: int,
+    chunk_size: int,
+    workers: int,
+    backend: str,
+    audit: bool,
+    rows: _RowSpool | _TableRows | None = None,
+    merges: tuple[AttributeMerge, ...] | None = None,
+    notify: ProgressCallback = lambda event: None,
+    unsupported: type[ValueError] = ValueError,
+) -> _Staged:
+    """generalize → audit → enforce over indexed groups: the one stage flow.
+
+    ``schema`` and ``groups`` are the indexed source's; given ``merges``
+    (decided earlier), they are already generalised and the generalize step
+    only records the merges.  A ``streams_rows`` strategy is enforced from
+    ``rows`` (a :class:`_RowSpool` or :class:`_TableRows`), and ``groups``
+    may then be ``None`` when the audit does not run.  Blocks go to
+    ``open_sink(prepared schema)``: aborted if enforcing fails, returned
+    open otherwise.  Books ``generalize``, ``audit`` and ``enforce`` in
+    ``timings``.
+    """
+    # generalize: chi-square merging decided from the group counts.
+    with span("generalize", kind="stage", ran=strategy.generalizes) as sp:
+        metadata = dict(strategy.metadata_for(resolved))
+        if strategy.generalizes:
+            if merges is None:
+                assert groups is not None  # row-stream strategies cannot generalize
+                m = schema.sensitive_domain_size
+                significance = resolved.get("significance", DEFAULT_SIGNIFICANCE)
+                merges = tuple(
+                    merge_attribute_from_counts(
+                        attribute,
+                        groups.column_totals(column),
+                        m,
+                        significance=significance,
+                    )
+                    for column, attribute in enumerate(schema.public)
+                )
+                schema = schema.with_public([merge.generalized for merge in merges])
+                groups = groups.recode([merge.code_map() for merge in merges])
+            metadata["generalized_domains"] = {
+                merge.original.name: {
+                    "before": merge.original_domain_size,
+                    "after": merge.generalized_domain_size,
+                }
+                for merge in merges
+            }
+    timings["generalize"] = sp.duration
+
+    spec = _spec_for(strategy, schema, resolved)
+
+    # audit: Corollary 4 over the group counts (no table required).
+    with span("audit", kind="stage", ran=audit and strategy.audits) as sp:
+        privacy_audit: PrivacyAudit | None = None
+        if audit and strategy.audits and spec is not None:
+            assert groups is not None  # callers index whenever the audit runs
+            privacy_audit = audit_groups(spec, groups, n_rows)
+    timings["audit"] = sp.duration
+
+    # enforce: drive the kernel per group batch (or replay the row source),
+    # writing published blocks straight to the sink in chunk order.  Chunk
+    # spans recorded by the scheduler land under this span.
+    with span("enforce", kind="stage") as sp:
+        sink = open_sink(schema)
+        records: list[SPSRecords | None] = []
+        try:
+            if rows is not None:
+                _enforce_rows(strategy, spec, rows, seed, workers, backend, sink, notify)
+            else:
+                assert groups is not None
+                kernel = _chunk_kernel(strategy, schema, spec, resolved, unsupported)
+                _enforce_groups(
+                    kernel, groups, seed, chunk_size, workers,
+                    backend, sink, records, notify,
+                )
+        except BaseException:
+            sink.abort()
+            raise
+    timings["enforce"] = sp.duration
+    return _Staged(
+        schema, groups, merges, spec, privacy_audit, SPSRecords.concat(records),
+        metadata, sink,
+    )
 
 
 def _chunk_kernel(
@@ -665,7 +761,7 @@ def _chunk_kernel(
 ) -> StrategyKernel:
     """Build the strategy's group-batch kernel, failing fast in the parent.
 
-    The one kernel-build site of the out-of-core paths.  A strategy that
+    The one kernel-build site of every publish path.  A strategy that
     returns no kernel raises ``unsupported``; a :class:`ValueError` from the
     strategy's own builder propagates verbatim.  Workers rebuild their own
     copy after unpickling; the parent's built closure serves the serial path.
@@ -675,8 +771,7 @@ def _chunk_kernel(
         kernel.build()
     except MissingChunkPublisher as exc:
         raise unsupported(
-            f"{exc}, so it can neither publish out-of-core nor be "
-            "delta-published"
+            f"{exc}, so no engine can publish it with these parameters"
         ) from None
     return kernel
 
@@ -718,20 +813,19 @@ def _enforce_groups(
 def _enforce_rows(
     strategy: PublishStrategy,
     spec: PrivacySpec | None,
-    index: IncrementalGroupIndex,
-    spool: _RowSpool,
+    spool: _RowSpool | _TableRows,
     seed: int,
     workers: int,
     backend: str,
     sink: Any,
     notify: ProgressCallback,
 ) -> None:
-    """Replay the row spool through the whole-table uniform perturbation.
+    """Replay the row source through the whole-table uniform perturbation.
 
     Byte-identity with ``UniformPerturbation.perturb_table`` holds because
-    the in-memory path draws ``rng.random(n)`` then ``rng.integers(0, m, n)``,
-    and chunked draws from the same generator consume the same stream: all
-    retain draws happen first (phase one), all replacement draws second.
+    that draws ``rng.random(n)`` then ``rng.integers(0, m, n)``, and chunked
+    draws from the same generator consume the same stream: all retain draws
+    happen first (phase one), all replacement draws second.
 
     With ``workers > 1`` the draws **stay sequential in the parent** (they
     define the byte contract and are cheap vectorised generator calls); the
@@ -750,7 +844,7 @@ def _enforce_rows(
         spool.append_retain(generator.random(block.shape[0]) < p)
     total = sum(spool.chunk_lengths)
 
-    kernel = UniformRowKernel(remaps=tuple(index.remaps))
+    kernel = UniformRowKernel(remaps=spool.remaps)
 
     def payloads() -> Iterator[tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray]]]:
         # Pulled lazily by the scheduler, so the phase-two draws happen in

@@ -8,7 +8,9 @@ and through ``stream_publish`` at one and two workers, which must all give
 the same bytes.  The adult sample has sampled groups (``|g| > s_g``), so the
 SPS sampling and scaling draws are pinned too; ``report.groups`` is pinned
 through a digest of its records.  A two-append delta chain pins the splice
-path for one SPS and one DP strategy.
+path for one SPS and one DP strategy.  The two ``uniform`` hashes, the one
+row-stream strategy, were recorded at 6.0.0; ``repro.publish`` replays the
+table through the same row path ``stream_publish`` replays its spool with.
 """
 
 import hashlib
@@ -31,7 +33,8 @@ DATASETS = {
     "census": (generate_census, 5_000),
 }
 
-#: sha256 of the published CSV, identical through every path.
+#: sha256 of the published CSV, identical through every path (``uniform``
+#: recorded at 6.0.0, the rest at 5.1.0).
 PUBLISHED = {
     ("adult", "sps"): "81952c44e436041b635edffead84cf3336776cf4029f8c102c49de5c313dec57",
     ("adult", "generalize+sps"): "4e7cc8c70384befa1edc24e356ade12c47c77bcc16aa0263dd0d4db52bf1b957",
@@ -41,6 +44,8 @@ PUBLISHED = {
     ("census", "generalize+sps"): "2db591857ee89b754a9df9402f8a3b9f210a081d6dc9f084688b33a6422855bd",
     ("census", "dp-laplace"): "bab80244a2a5817b0efdd66ea6f25d2efb24d8589c14ec3cabc2f7022ce75fdd",
     ("census", "dp-gaussian"): "72f75501f0c3b061c4ae778d9ad13b7371fb9dc318dd4f1651e123b3c58041d8",
+    ("adult", "uniform"): "2394a114ad5744b95cd622760808387b95e69c54256456311249669aec5eac1b",
+    ("census", "uniform"): "cebb1750a95bf54345fe2a04f3bb0d3a0885793f364677f9722b1a93b2265162",
 }
 
 #: (number of sampled groups, sha256 of the repr of every GroupPublication's fields).

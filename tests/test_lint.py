@@ -286,12 +286,19 @@ def test_rpr005_accepts_each_sanctioned_stance(tmp_path):
         class RowStreamStrategy(PublishStrategy):
             params = ()
             streams_rows = True
+    """}, select=["RPR005"])
+    assert codes(result) == []
 
+
+def test_rpr005_flags_a_streamable_opt_out(tmp_path):
+    """``streamable = False`` is no stance: no engine can publish such a strategy."""
+    result = lint(tmp_path, {"s.py": _STRATEGY_BASE + """
         class OptOutStrategy(PublishStrategy):
             params = ()
             streamable = False
     """}, select=["RPR005"])
-    assert codes(result) == []
+    assert codes(result) == ["RPR005"]
+    assert "takes no streaming stance" in result.findings[0].message
 
 
 def test_rpr005_ignores_abstract_and_private_classes(tmp_path):

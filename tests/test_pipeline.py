@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.testing import audit_table
-from repro.dataset.groups import personal_groups
+from repro.dataset.groups import expand_counts, group_block, personal_groups
 from repro.pipeline import (
     ParamError,
     ParamSpec,
     PublishPipeline,
     PublishReport,
     PublishStrategy,
-    StrategyOutcome,
     UnknownStrategyError,
     available_strategies,
     get_strategy,
@@ -148,6 +147,18 @@ class TestPublishEntryPoint:
         with pytest.raises(AssertionError, match="group index"):
             publish(skewed_binary_table, strategy="uniform", rng=1)
 
+    def test_row_stream_strategy_replays_the_table_without_a_temp_file(
+        self, skewed_binary_table, monkeypatch
+    ):
+        import tempfile
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("in-memory publish opened a temp file")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        report = publish(skewed_binary_table, strategy="uniform", rng=1, workers=2)
+        assert len(report.published) == len(skewed_binary_table)
+
     def test_deterministic_for_fixed_seed(self, skewed_binary_table):
         a = publish(skewed_binary_table, strategy="sps", rng=9, chunk_size=2)
         b = publish(skewed_binary_table, strategy="sps", rng=9, chunk_size=2)
@@ -280,21 +291,18 @@ class TestCustomStrategy:
                 ParamSpec.integer("n_keep", 1, minimum=1, doc="values kept per group"),
             )
 
-            def enforce(self, table, groups, spec, resolved, seed, runner, chunk_size):
+            def chunk_publisher(self, schema, spec, resolved):
                 keep = resolved["n_keep"]
                 assert isinstance(keep, int)  # typed specs preserve int
-                n_public = len(table.schema.public)
-                blocks = []
-                for group in groups:
-                    top = np.argsort(group.sensitive_counts)[::-1][:keep]
-                    codes = np.repeat(top, group.sensitive_counts[top])
-                    block = np.empty((codes.size, n_public + 1), dtype=np.int64)
-                    block[:, :n_public] = np.asarray(group.key, dtype=np.int64)
-                    block[:, n_public] = codes
-                    blocks.append(block)
-                from repro.dataset.table import Table
 
-                return StrategyOutcome(published=Table(table.schema, np.vstack(blocks)))
+                def chunk_fn(chunk, rng):
+                    kept = np.zeros_like(chunk.counts)
+                    for row, counts in enumerate(chunk.counts):
+                        top = np.argsort(counts)[::-1][:keep]
+                        kept[row, top] = counts[top]
+                    return group_block(chunk.keys, kept.sum(axis=1), expand_counts(kept)), None
+
+                return chunk_fn
 
         register_strategy(TopKStrategy())
         try:
@@ -312,6 +320,15 @@ class TestCustomStrategy:
             assert job.spec.backend == "test-top-k"
         finally:
             unregister_strategy("test-top-k")
+
+    def test_kernel_less_strategy_is_refused_in_memory(self, skewed_binary_table):
+        """With no chunk_publisher and no streams_rows, no engine can publish it."""
+
+        class Opaque(PublishStrategy):
+            name = "test-opaque"
+
+        with pytest.raises(ValueError, match="not streamable"):
+            publish(skewed_binary_table, strategy=Opaque())
 
     def test_generalizing_strategy_without_significance_param(self, skewed_binary_table):
         """A custom generalizing strategy need not declare 'significance'."""
@@ -333,14 +350,11 @@ class TestCustomStrategy:
 
     def test_replaced_strategy_reaches_the_service(self, skewed_binary_table):
         """register_strategy(replace=True) takes effect on the next service job."""
-        import dataclasses
-
         from repro.pipeline.strategy import SPSStrategy
 
         class Marked(SPSStrategy):
-            def enforce(self, *args, **kwargs):
-                outcome = super().enforce(*args, **kwargs)
-                return dataclasses.replace(outcome, metadata={"marker": "replacement"})
+            def metadata_for(self, resolved):
+                return {"marker": "replacement"}
 
         service = AnonymizationService()
         service.register_table("skewed", skewed_binary_table)

@@ -337,6 +337,36 @@ class TestConnectionHandling:
         assert b"Connection: close" in head.split(b"\r\n")
         assert "Content-Length" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [b"GARBAGE\r\n\r\n", b"GET /healthz\r\nHost: x\r\n\r\n", b"\r\n\r\n"],
+    )
+    def test_malformed_request_line_is_400_and_closes(
+        self, frontend, caplog, request_bytes
+    ):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            head, body = self._raw_exchange(frontend, request_bytes)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert "malformed request line" in json.loads(body)["error"]
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_over_limit_head_line_is_431_and_closes(self, frontend, caplog, request_bytes):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            head, body = self._raw_exchange(frontend, request_bytes)
+        assert head.startswith(b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert "too long" in json.loads(body)["error"]
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_unexpected_route_error_is_500_and_logged(self, frontend, monkeypatch):
         def broken_stats():
             raise KeyError("boom")

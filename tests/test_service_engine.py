@@ -128,12 +128,15 @@ class TestJobsAndCaching:
 
 
 class _RaisingSPS(SPSStrategy):
-    """An SPS strategy whose enforce stage fails with a non-client error."""
+    """An SPS strategy whose kernel fails with a non-client error."""
 
     name = "test-raising"
 
-    def enforce(self, *args, **kwargs):
-        raise RuntimeError("strategy exploded")
+    def chunk_publisher(self, schema, spec, resolved):
+        def chunk_fn(chunk, rng):
+            raise RuntimeError("strategy exploded")
+
+        return chunk_fn
 
 
 #: The engine call each job kind delegates its execution to.

@@ -319,9 +319,6 @@ class TestStreamPublish:
         class Opaque(PublishStrategy):
             name = "opaque"
 
-            def enforce(self, *args):  # pragma: no cover - never runs
-                raise AssertionError
-
         with pytest.raises(ValueError, match="not streamable"):
             stream_publish(io.StringIO("a,b\n1,2\n"), sensitive="b", strategy=Opaque())
 
