@@ -152,7 +152,7 @@ class NaiveBayesOnReconstruction:
             # One bincount over (attribute value, sa value) pairs gives every
             # aggregate group's SA histogram at once; the batched clipped MLE
             # then reconstructs all rows in a single vectorised call.
-            codes = perturbed.public_codes[:, column]
+            codes = perturbed.public_codes[:, column].astype(np.int64)
             counts = np.bincount(
                 codes * m + sensitive, minlength=attribute.size * m
             ).reshape(attribute.size, m)

@@ -16,12 +16,11 @@ here as *reference baselines* so every ``repro-bench run --suite core``:
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import Any
 
 import numpy as np
 
-from repro.core.sps import _sample_counts, _stochastic_round
+from repro.core.sps import _sample_counts
 from repro.dataset.adult import generate_adult
 from repro.dataset.groups import personal_groups
 from repro.dataset.table import Table
@@ -35,10 +34,19 @@ from repro.utils.rng import default_rng
 # Reference (pre-vectorization) implementations
 # --------------------------------------------------------------------- #
 
+def _stochastic_round(value: float, rng: np.random.Generator) -> int:
+    """Round ``value`` down, plus one with probability equal to its fractional part."""
+    floor = int(np.floor(value))
+    fraction = value - floor
+    if fraction > 0 and rng.random() < fraction:
+        floor += 1
+    return floor
+
+
 def _reference_sample_counts(
     counts: np.ndarray, sampling_rate: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """The original per-SA-value sampling loop of ``repro.core.sps``."""
+    """The original per-SA-value sampling loop of ``repro.core.sps``, for one group."""
     sampled = np.zeros_like(counts)
     for value, count in enumerate(counts):
         if count == 0:
@@ -110,14 +118,17 @@ def run_micro_benchmarks(
     rates = rng.random(n_groups)
     draw_seed = int(rng.integers(0, 2**31))
 
-    def _sample_all(fn: Callable[..., np.ndarray]) -> Callable[[], np.ndarray]:
-        def run() -> np.ndarray:
-            draw_rng = default_rng(draw_seed)
-            return np.vstack([fn(row, float(rate), draw_rng) for row, rate in zip(count_rows, rates, strict=True)])
-        return run
+    def _reference_all() -> np.ndarray:
+        draw_rng = default_rng(draw_seed)
+        return np.vstack([
+            _reference_sample_counts(row, float(rate), draw_rng)
+            for row, rate in zip(count_rows, rates, strict=True)
+        ])
 
-    baseline, base_time = time_callable(_sample_all(_reference_sample_counts), timing)
-    vectorized, vec_time = time_callable(_sample_all(_sample_counts), timing)
+    baseline, base_time = time_callable(_reference_all, timing)
+    vectorized, vec_time = time_callable(
+        lambda: _sample_counts(count_rows, rates, default_rng(draw_seed)), timing
+    )
     entries.append(
         _entry(
             "sps-sample-counts",

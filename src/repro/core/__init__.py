@@ -31,7 +31,7 @@ from repro.core.criterion import (
     group_is_private,
 )
 from repro.core.testing import GroupAudit, PrivacyAudit, audit_table
-from repro.core.sps import SPSRecords, SPSResult, sps_group, sps_publish
+from repro.core.sps import SPSRecords, SPSResult, sps_publish
 
 __all__ = [
     "chernoff_lower_bound",
@@ -50,6 +50,5 @@ __all__ = [
     "audit_table",
     "SPSRecords",
     "SPSResult",
-    "sps_group",
     "sps_publish",
 ]

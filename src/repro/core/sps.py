@@ -17,7 +17,10 @@ For every personal group ``g`` of the input table:
 The published table ``D*_2`` is the union of the per-group outputs.  Privacy
 holds because only ``|g1| ~ s_g`` independent coin tosses were performed
 (Theorem 4); utility holds because sampling and scaling both preserve SA
-frequencies in expectation (Theorem 5).
+frequencies in expectation (Theorem 5).  Neither depends on the order of the
+coin tosses, so :func:`sps_publish_groups` runs the algorithm as the paper's
+one sort and one scan: over a chunk of groups it makes one draw per phase
+(sampling, retention, replacement, scaling), never one per group.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.criterion import PrivacySpec, max_group_size
+from repro.core.criterion import PrivacySpec
 from repro.core.testing import audit_groups
 from repro.dataset.groups import (
     GroupCounts,
@@ -159,30 +162,21 @@ class SPSResult:
         return self.records.sampled_fraction
 
 
-def _stochastic_round(value: float, rng: np.random.Generator) -> int:
-    """Round ``value`` down, plus one with probability equal to its fractional part."""
-    floor = int(np.floor(value))
-    fraction = value - floor
-    if fraction > 0 and rng.random() < fraction:
-        floor += 1
-    return floor
-
-
 def _sample_counts(
-    counts: np.ndarray, sampling_rate: float, rng: np.random.Generator
+    counts: np.ndarray, rates: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Frequency-preserving sample sizes per SA value (the *Sampling* step).
+    """Frequency-preserving sample sizes of a ``G x m`` count matrix (phase 1).
 
     All records of a personal group sharing the same SA value are identical,
     so sampling reduces to choosing how many copies of each value to keep:
     ``floor(count * tau)`` plus one more with probability equal to the
-    fractional part.  One uniform is drawn per SA value with a non-zero
-    fractional part, in value order, exactly as the per-value
-    :func:`_stochastic_round` loop would — numpy generators fill array draws
-    from the same stream as repeated scalar draws, so this vectorised form is
-    byte-identical to the loop for any seed.
+    fractional part, ``tau = rates[g]`` for row ``g``.  One ``random`` call
+    draws a uniform per entry with a non-zero fractional part, row-major
+    (group order, then SA code).  numpy generators fill array draws from the
+    same stream as repeated scalar draws, so this equals stochastic rounding
+    of one entry at a time, row by row, for any seed.
     """
-    scaled = counts * sampling_rate
+    scaled = counts * rates[:, None]
     floors = np.floor(scaled)
     fractions = scaled - floors
     sampled = floors.astype(np.int64)
@@ -192,63 +186,6 @@ def _sample_counts(
     if n_draws:
         sampled[draw] += rng.random(n_draws) < fractions[draw]
     return np.minimum(sampled, counts)
-
-
-def sps_group(
-    key: tuple[int, ...],
-    counts: np.ndarray,
-    spec: PrivacySpec,
-    perturbation: UniformPerturbation,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, GroupPublication]:
-    """Run SPS on one personal group: NA ``key`` with SA count vector ``counts``.
-
-    Returns the published SA codes for the group (the NA key is unchanged by
-    construction) and the bookkeeping record.  The one-group reference:
-    :func:`sps_publish_groups` draws exactly what a loop of these calls
-    draws, in the same order.
-    """
-    size = int(counts.sum())
-    max_frequency = float(counts.max() / counts.sum()) if size else 0.0
-    threshold = max_group_size(spec, max_frequency)
-
-    if size <= threshold:
-        # No sampling needed: perturb every record of the group.
-        original_codes = np.repeat(np.arange(counts.size), counts)
-        published = perturbation.perturb_codes(original_codes, rng)
-        record = GroupPublication(
-            key=key,
-            original_size=size,
-            max_group_size=threshold,
-            sampled=False,
-            sample_size=size,
-            published_size=int(published.size),
-        )
-        return published, record
-
-    sampling_rate = threshold / size
-    sampled_counts = _sample_counts(counts, sampling_rate, rng)
-    if sampled_counts.sum() == 0:
-        # Degenerate corner (s_g < 1): keep one record of the dominant value so
-        # the group is not silently deleted from the published data.
-        sampled_counts[int(np.argmax(counts))] = 1
-    sample_codes = np.repeat(np.arange(sampled_counts.size), sampled_counts)
-    perturbed = perturbation.perturb_codes(sample_codes, rng)
-    # Scaling: every perturbed record is repeated floor(tau') times, plus one
-    # more with probability equal to the fractional part of tau' = |g| / |g1|.
-    ratio = size / perturbed.size
-    floor = int(np.floor(ratio))
-    repeats = floor + (rng.random(perturbed.size) < ratio - floor).astype(np.int64)
-    published = np.repeat(perturbed, repeats)
-    record = GroupPublication(
-        key=key,
-        original_size=size,
-        max_group_size=threshold,
-        sampled=True,
-        sample_size=int(sample_codes.size),
-        published_size=int(published.size),
-    )
-    return published, record
 
 
 def sps_publish_groups(
@@ -266,13 +203,21 @@ def sps_publish_groups(
     concatenate the returned blocks, so the full published table is
     deterministic for a fixed chunking regardless of execution order.
 
-    The coin tosses are exactly those of a loop of :func:`sps_group` calls,
-    in the same order: per group, ``random(n)`` and ``integers(0, m, n)``
-    (the perturbation), preceded by the sampling draws and followed by
-    ``random(n)`` (the scaling) when the group is sampled.  Only those draw
-    calls run per group; ``s_g`` (the audit's Equation 10), the code
-    expansion, the retain/replace choice and the scaling repeats are each
-    one array operation over the chunk.
+    The chunk makes one draw per phase, in this order:
+
+    1. ``random(F)``: the sampling step's stochastic rounding, over the
+       ``F`` non-integer entries of ``counts * s_g / |g|`` of the sampled
+       groups, row-major.  A sample that rounds to zero (``s_g < 1``) keeps
+       one record of the group's dominant value and draws nothing more;
+    2. ``random(N)``: retain or replace, one uniform per perturbed record
+       (``|g1|`` per sampled group, ``|g|`` per other group), in group order;
+    3. ``integers(0, m, N)``: the replacement values, in the same order;
+    4. ``random(K)``: the scaling step, over the sampled groups'
+       ``K = sum |g1|`` perturbed records.
+
+    ``s_g`` (the audit's Equation 10), the code expansion, the
+    retain/replace choice and the scaling repeats are each one array
+    operation over the chunk.
 
     Returns the ``(n_published, n_public + 1)`` code block for the chunk
     (NA key columns then the published SA column) and the chunk's
@@ -284,55 +229,40 @@ def sps_publish_groups(
     if groups.counts.shape[1] != spec.domain_size or groups.keys.shape[1] != n_public:
         raise ValueError("the chunk's count or key width does not match the spec or n_public")
     audit = audit_groups(spec, groups, 0)
-    sampled = ~audit.private
-    sample_counts = groups.counts.copy() if sampled.any() else groups.counts
-    sizes = audit.sizes.tolist()
-    m = perturbation.domain_size
-    random, integers = rng.random, rng.integers
-    uniforms: list[np.ndarray] = []
-    replacements: list[np.ndarray] = []
-    scale_uniforms: list[np.ndarray] = []
-    for g, (size, is_sampled) in enumerate(zip(sizes, sampled.tolist(), strict=True)):
-        if not is_sampled:
-            uniforms.append(random(size))
-            replacements.append(integers(0, m, size))
-            continue
-        counts = groups.counts[g]
-        sample = _sample_counts(counts, audit.thresholds[g].item() / size, rng)
-        if sample.sum() == 0:
-            sample[int(np.argmax(counts))] = 1  # s_g < 1: see sps_group
-        sample_counts[g] = sample
-        n = int(sample.sum())
-        uniforms.append(random(n))
-        replacements.append(integers(0, m, n))
-        scale_uniforms.append(random(n))
+    sizes, sampled = audit.sizes, ~audit.private
+    sample_counts = groups.counts
+    if sampled.any():
+        counts = groups.counts[sampled]
+        sample = _sample_counts(counts, audit.thresholds[sampled] / sizes[sampled], rng)
+        # s_g < 1: keep one record of the dominant value, so the group is not
+        # silently deleted from the published data.
+        empty = np.flatnonzero(sample.sum(axis=1) == 0)
+        sample[empty, counts[empty].argmax(axis=1)] = 1
+        sample_counts = groups.counts.copy()
+        sample_counts[sampled] = sample
     sample_sizes = sample_counts.sum(axis=1)
-    if not uniforms:
-        codes = np.empty(0, dtype=np.int64)
-    else:
-        codes = np.where(
-            np.concatenate(uniforms) < perturbation.retention_probability,
-            expand_counts(sample_counts),
-            np.concatenate(replacements),
-        )
+    n = int(sample_sizes.sum())
+    retain = rng.random(n) < perturbation.retention_probability
+    codes = np.where(
+        retain, expand_counts(sample_counts), rng.integers(0, perturbation.domain_size, n)
+    )
     published_sizes = sample_sizes.copy()
-    if scale_uniforms:
+    if sampled.any():
         # Scaling, over the sampled groups' records only (all others publish
         # once): floor(tau') copies plus one with probability frac(tau').
         kept = sample_sizes[sampled]
-        ratio = audit.sizes[sampled] / kept
+        ratio = sizes[sampled] / kept
         floors = np.floor(ratio)
-        repeats = (
-            np.repeat(floors.astype(np.int64), kept)
-            + (np.concatenate(scale_uniforms) < np.repeat(ratio - floors, kept))
+        repeats = np.repeat(floors.astype(np.int64), kept) + (
+            rng.random(int(kept.sum())) < np.repeat(ratio - floors, kept)
         )
         published_sizes[sampled] = np.add.reduceat(repeats, np.cumsum(kept) - kept)
-        all_repeats = np.ones(codes.size, dtype=np.int64)
+        all_repeats = np.ones(n, dtype=np.int64)
         all_repeats[np.repeat(sampled, sample_sizes)] = repeats
         codes = np.repeat(codes, all_repeats)
     records = SPSRecords(
         keys=groups.keys,
-        sizes=audit.sizes,
+        sizes=sizes,
         thresholds=audit.thresholds,
         sampled=sampled,
         sample_sizes=sample_sizes,

@@ -1,10 +1,15 @@
 """Integer-encoded, numpy-backed table of records.
 
 A :class:`Table` stores the data set ``D`` (or a perturbed version ``D*``) as
-a 2-D ``int64`` array: one row per record, one column per public attribute and
-a final column for the sensitive attribute.  All higher layers (perturbation,
-reconstruction, grouping, query evaluation) work on these integer codes; the
-schema is only consulted to translate to and from human-readable strings.
+a 2-D integer array: one row per record, one column per public attribute and
+a final column for the sensitive attribute.  The array's dtype is the
+narrowest signed integer that holds a code of the schema's widest domain
+(``int8`` up to 128 values, as for census and adult), so an in-memory table
+takes an eighth of what ``int64`` codes would.  All higher layers
+(perturbation, reconstruction, grouping, query evaluation) work on these
+integer codes; the schema is only consulted to translate to and from
+human-readable strings.  Arithmetic that can leave the domain (a flat index
+such as ``code * m + sa``) widens to ``int64`` first.
 """
 
 from __future__ import annotations
@@ -16,6 +21,20 @@ import numpy as np
 from repro.dataset.schema import Schema, SchemaError
 
 
+def code_dtype(schema: Schema) -> np.dtype:
+    """The narrowest signed integer dtype that holds every code of ``schema``.
+
+    >>> from repro.dataset.schema import Attribute, Schema
+    >>> def widest(n):
+    ...     return Schema([Attribute("A", tuple(map(str, range(n))))], Attribute("S", ("x",)))
+    >>> code_dtype(widest(128)), code_dtype(widest(129))
+    (dtype('int8'), dtype('int16'))
+    """
+    widest = max(attr.size for attr in (*schema.public, schema.sensitive))
+    # The largest code is widest - 1, which fits wherever -widest does.
+    return np.min_scalar_type(-max(widest, 1))
+
+
 class Table:
     """A data set with public attributes ``NA`` and one sensitive attribute ``SA``.
 
@@ -25,13 +44,21 @@ class Table:
         The table schema.
     codes:
         Integer-coded records, shape ``(n_records, n_public + 1)``.  The final
-        column is the sensitive attribute.  The array is copied and validated
-        against the schema domains.
+        column is the sensitive attribute.  The array is validated against
+        the schema domains and copied into :func:`code_dtype` of the schema.
+
+    >>> from repro.dataset.schema import Attribute, Schema
+    >>> schema = Schema([Attribute("City", ("Oslo", "Rome"))], Attribute("Disease", ("Flu", "Cold")))
+    >>> table = Table(schema, [[0, 1], [1, 0]])
+    >>> table.codes.dtype, table.codes.tolist()
+    (dtype('int8'), [[0, 1], [1, 0]])
     """
 
     def __init__(self, schema: Schema, codes: np.ndarray | Sequence[Sequence[int]]) -> None:
         self._schema = schema
-        arr = np.asarray(codes, dtype=np.int64)
+        arr = np.asarray(codes)
+        if arr.dtype.kind not in "iu":
+            arr = np.asarray(codes, dtype=np.int64)
         if arr.ndim == 1 and arr.size == 0:
             arr = arr.reshape(0, len(schema.public) + 1)
         if arr.ndim != 2:
@@ -42,7 +69,7 @@ class Table:
                 f"codes has {arr.shape[1]} columns, schema expects {expected_cols}"
             )
         self._validate_domains(schema, arr)
-        self._codes = arr.copy()
+        self._codes = arr.astype(code_dtype(schema))
         self._codes.setflags(write=False)
 
     @staticmethod
@@ -116,7 +143,8 @@ class Table:
         sensitive = np.asarray(sensitive, dtype=np.int64)
         if sensitive.shape != (len(self),):
             raise SchemaError("sensitive column has the wrong length")
-        codes = self._codes.copy()
+        # Widened, so an out-of-domain code is refused rather than wrapped.
+        codes = self._codes.astype(np.int64)
         codes[:, -1] = sensitive
         return Table(self._schema, codes)
 

@@ -12,12 +12,13 @@ for which strategies support it.
 
 from repro.delta.engine import DeltaUnsupportedError, delta_publish, publish_base
 from repro.delta.report import DeltaReport
-from repro.delta.state import DeltaState
+from repro.delta.state import DeltaState, StaleDeltaStateError
 
 __all__ = [
     "DeltaReport",
     "DeltaState",
     "DeltaUnsupportedError",
+    "StaleDeltaStateError",
     "delta_publish",
     "publish_base",
 ]

@@ -48,7 +48,7 @@ from repro.core.testing import PrivacyAudit, audit_groups
 from repro.dataset.groups import GroupCounts
 from repro.dataset.schema import Attribute, Schema
 from repro.delta.report import DeltaReport
-from repro.delta.state import DeltaState, _tampered
+from repro.delta.state import DeltaState
 from repro.obs.metrics import (
     DELTA_GROUPS_TOUCHED,
     DELTA_ROWS_APPENDED,
@@ -288,6 +288,12 @@ def _changed_chunks(base: GroupCounts, merged: GroupCounts, chunk_size: int) -> 
     return set((np.flatnonzero(changed) // chunk_size).tolist())
 
 
+def _tampered(path: Path, detail: str) -> ValueError:
+    return ValueError(
+        f"published base {path} {detail}; was it modified outside the delta engine?"
+    )
+
+
 def _check_base(base: IO[bytes], path: Path, header: bytes, chunk_bytes: int) -> None:
     """Check the published base's total size and header bytes.
 
@@ -353,9 +359,7 @@ def delta_publish(
         raise ValueError("workers must be positive")
     n_chunks_base = -(-len(state.groups) // state.chunk_size)
     recorded = {
-        len(index)
-        for index in (state.chunk_row_counts, state.chunk_bytes, state.chunk_crc32)
-        if index is not None
+        len(index) for index in (state.chunk_row_counts, state.chunk_bytes, state.chunk_crc32)
     }
     if recorded != {n_chunks_base}:
         raise ValueError(
@@ -372,7 +376,6 @@ def delta_publish(
         with span("prepare", kind="stage") as sp:
             resolved = strategy.resolve(state.params)
             base_path = Path(state.output)
-            chunk_bytes, chunk_crc32 = state.chunk_index()
             target = base_path if output is None else _require_output_path(output)
         timings["prepare"] = sp.duration
         root.set(seed=state.seed, chunk_size=state.chunk_size, workers=workers)
@@ -441,9 +444,9 @@ def delta_publish(
             records: list[SPSRecords | None] = []
             try:
                 with closing(regen), base_path.open("rb") as base:
-                    _check_base(base, base_path, writer.header, sum(chunk_bytes))
+                    _check_base(base, base_path, writer.header, sum(state.chunk_bytes))
                     for i in range(n_chunks_new):
-                        size = chunk_bytes[i] if i < n_chunks_base else 0
+                        size = state.chunk_bytes[i] if i < n_chunks_base else 0
                         if i in dirty:
                             base.seek(size, os.SEEK_CUR)
                             block, chunk_records = next(regen)
@@ -451,7 +454,7 @@ def delta_publish(
                             records.append(chunk_records)
                         else:
                             data = base.read(size)
-                            crc32 = chunk_crc32[i]
+                            crc32 = state.chunk_crc32[i]
                             if zlib.crc32(data) != crc32:
                                 raise _tampered(
                                     base_path, f"chunk {i} fails its CRC32 check"

@@ -18,24 +18,30 @@ The state is a plain JSON document (:meth:`DeltaState.save` /
 to by another — the ``repro-delta`` CLI round-trips it through a file and
 the service persists it per dataset through a storage connector
 (:class:`DeltaStateStore`), so a restarted service resumes appending where
-it left off.  ``state_version`` 2 stores the groups column-wise: each
-column's sorted domain once, one key-code list per public column and the
-non-zero counts as ``(group, SA code, n)`` lists.  ``state_version`` 1
-documents (value-keyed groups, row counts only) still load; their chunk
-index is rebuilt once from the published file (:meth:`DeltaState.chunk_index`).
+it left off.  The document stores the groups column-wise: each column's
+sorted domain once, one key-code list per public column and the non-zero
+counts as ``(group, SA code, n)`` lists.
+
+``state_version`` 3 (8.0.0) has the layout of version 2 and marks the
+draw layout its published chunks were made with: SPS draws once per phase
+per chunk since 8.0.0.  A clean chunk is copied, not re-drawn, so a state
+from before 8.0.0 would splice old-layout chunks beside new-layout ones;
+:meth:`DeltaState.from_json` refuses it with a
+:class:`StaleDeltaStateError` that names the re-base.
+
+>>> DeltaState.from_json({"state_version": 2, "strategy": "sps"})
+Traceback (most recent call last):
+...
+repro.delta.state.StaleDeltaStateError: delta state version 2 predates the 8.0.0 draw layout; re-publish the base with repro.delta.publish_base (repro-delta init, or a delta base publish job) and append to that
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import secrets
-import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -47,7 +53,23 @@ from repro.store.base import NS_DELTAS, StorageConnector
 from repro.store.memory import MemoryConnector
 
 #: Version of the serialised state document :meth:`DeltaState.to_json` writes.
-STATE_VERSION = 2
+STATE_VERSION = 3
+
+
+class StaleDeltaStateError(ValueError):
+    """A delta state document from before 8.0.0, which no append may extend.
+
+    ``document`` is the refused JSON document, so a caller can still report
+    what it described (strategy, seed, output).
+    """
+
+    def __init__(self, document: dict[str, Any]) -> None:
+        self.document = document
+        super().__init__(
+            f"delta state version {document.get('state_version')!r} predates the "
+            "8.0.0 draw layout; re-publish the base with repro.delta.publish_base "
+            "(repro-delta init, or a delta base publish job) and append to that"
+        )
 
 
 def _columnar_groups(schema: Schema, groups: GroupCounts) -> dict[str, Any]:
@@ -112,49 +134,6 @@ def _decode_columnar(
     return schema, groups
 
 
-def _decode_value_keyed(
-    header: Sequence[str], sensitive: str, stored: Sequence[Any]
-) -> tuple[Schema, GroupCounts]:
-    """The schema a ``state_version`` 1 document's groups imply, and their counts.
-
-    Those groups are ``[[NA values...], {SA value: count}]`` pairs.  Every
-    row lives in exactly one personal group, so the observed domain of a
-    column is the set of values that column takes across the group keys —
-    the same domains :meth:`repro.stream.index.IncrementalGroupIndex.finalize`
-    infers from the rows themselves.
-    """
-    # One (NA values..., SA value, count) entry per stored count.
-    entries = [
-        (*map(str, key), str(value), int(n))
-        for key, counts in stored
-        for value, n in counts.items()
-    ]
-    if not entries:
-        raise ValueError("a delta state holds at least one group")
-    *columns, weights = zip(*entries, strict=True)
-    # Public columns in file order, then the sensitive column.
-    names = [*(name for name in header if name != sensitive), sensitive]
-    attributes = [
-        Attribute(name, tuple(sorted(set(column))))
-        for name, column in zip(names, columns, strict=True)
-    ]
-    codes = np.empty((len(attributes), len(entries)), dtype=np.int64)
-    for row, (attr, column) in enumerate(zip(attributes, columns, strict=True)):
-        lookup = {value: code for code, value in enumerate(attr.values)}
-        codes[row] = [lookup[value] for value in column]
-    schema = Schema(public=attributes[:-1], sensitive=attributes[-1])
-    groups, _, _ = GroupCounts.tabulate(
-        codes[:-1].T, codes[-1], schema.sensitive_domain_size, np.array(weights, dtype=np.int64)
-    )
-    return schema, groups
-
-
-def _tampered(path: Path, detail: str) -> ValueError:
-    return ValueError(
-        f"published base {path} {detail}; was it modified outside the delta engine?"
-    )
-
-
 @dataclass(frozen=True)
 class DeltaState:
     """Everything a delta re-publish needs to know about a published base.
@@ -190,12 +169,10 @@ class DeltaState:
     chunk_row_counts: tuple[int, ...]
     #: Path of the published CSV the splice step rewrites.
     output: str
-    #: Published UTF-8 bytes per kernel chunk, in chunk order; ``None`` for a
-    #: state read from a ``state_version`` 1 document, which recorded row
-    #: counts only (see :meth:`chunk_index`).
-    chunk_bytes: tuple[int, ...] | None = None
-    #: :func:`zlib.crc32` of each chunk's published bytes (``None`` as above).
-    chunk_crc32: tuple[int, ...] | None = None
+    #: Published UTF-8 bytes per kernel chunk, in chunk order.
+    chunk_bytes: tuple[int, ...]
+    #: :func:`zlib.crc32` of each chunk's published bytes.
+    chunk_crc32: tuple[int, ...]
 
     @property
     def n_groups(self) -> int:
@@ -206,42 +183,8 @@ class DeltaState:
         """A copy of the state pointing at a different published file."""
         return replace(self, output=output)
 
-    def chunk_index(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The byte length and the CRC32 of every published chunk.
-
-        A state read from a ``state_version`` 1 document knows each chunk's
-        row count only.  Its index is rebuilt from the published file in one
-        pass, with the checks a v1 splice made (the header, then exactly the
-        recorded number of rows): each chunk's rows are re-rendered to
-        recover its exact bytes.  The successor state of an append records
-        the index, so this pass runs once per v1 state.
-        """
-        if self.chunk_bytes is not None and self.chunk_crc32 is not None:
-            return self.chunk_bytes, self.chunk_crc32
-        path = Path(self.output)
-        header_row = [*self.schema.public_names, self.schema.sensitive_name]
-        sizes: list[int] = []
-        crcs: list[int] = []
-        with path.open(newline="", encoding="utf-8") as handle:
-            rows = csv.reader(handle)
-            found = next(rows, None)
-            if found != header_row:
-                raise _tampered(path, f"has header {found}, the delta state {header_row}")
-            for n_rows in self.chunk_row_counts:
-                chunk = list(islice(rows, n_rows))
-                if len(chunk) < n_rows:
-                    raise _tampered(path, "has fewer rows than the delta state records")
-                text = io.StringIO()
-                csv.writer(text).writerows(chunk)
-                data = text.getvalue().encode("utf-8")
-                sizes.append(len(data))
-                crcs.append(zlib.crc32(data))
-            if next(rows, None) is not None:
-                raise _tampered(path, "has more rows than the delta state records")
-        return tuple(sizes), tuple(crcs)
-
     def to_json(self) -> dict[str, Any]:
-        """JSON-ready ``state_version`` 2 dict (inverse of :meth:`from_json`)."""
+        """JSON-ready ``state_version`` 3 dict (inverse of :meth:`from_json`)."""
         return {
             "state_version": STATE_VERSION,
             "strategy": self.strategy,
@@ -255,30 +198,30 @@ class DeltaState:
             "groups": _columnar_groups(self.schema, self.groups),
             "chunks": {
                 "rows": list(self.chunk_row_counts),
-                "bytes": None if self.chunk_bytes is None else list(self.chunk_bytes),
-                "crc32": None if self.chunk_crc32 is None else list(self.chunk_crc32),
+                "bytes": list(self.chunk_bytes),
+                "crc32": list(self.chunk_crc32),
             },
             "output": self.output,
         }
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "DeltaState":
-        """Rebuild a state from a ``state_version`` 2 or 1 document."""
+        """Rebuild a state from a ``state_version`` 3 document.
+
+        Raises :class:`StaleDeltaStateError` for a version 1 or 2 document
+        and :class:`ValueError` for any other version.
+        """
         version = data.get("state_version")
+        if version in (1, 2):
+            raise StaleDeltaStateError(data)
+        if version != STATE_VERSION:
+            raise ValueError(
+                f"unsupported delta state version {version!r} (expected {STATE_VERSION})"
+            )
         header = tuple(str(name) for name in data["header"])
         sensitive = str(data["sensitive"])
-        if version == STATE_VERSION:
-            schema, groups = _decode_columnar(header, sensitive, data["groups"])
-            chunks = data["chunks"]
-            rows, sizes, crcs = chunks["rows"], chunks["bytes"], chunks["crc32"]
-        elif version == 1:
-            schema, groups = _decode_value_keyed(header, sensitive, data["groups"])
-            rows, sizes, crcs = data["chunk_row_counts"], None, None
-        else:
-            raise ValueError(
-                f"unsupported delta state version {version!r} "
-                f"(expected {STATE_VERSION}, or 1)"
-            )
+        schema, groups = _decode_columnar(header, sensitive, data["groups"])
+        chunks = data["chunks"]
         return cls(
             strategy=str(data["strategy"]),
             params=dict(data["params"]),
@@ -290,10 +233,10 @@ class DeltaState:
             header=header,
             schema=schema,
             groups=groups,
-            chunk_row_counts=tuple(int(n) for n in rows),
+            chunk_row_counts=tuple(int(n) for n in chunks["rows"]),
             output=str(data["output"]),
-            chunk_bytes=None if sizes is None else tuple(int(n) for n in sizes),
-            chunk_crc32=None if crcs is None else tuple(int(n) for n in crcs),
+            chunk_bytes=tuple(int(n) for n in chunks["bytes"]),
+            chunk_crc32=tuple(int(n) for n in chunks["crc32"]),
         )
 
     def save(self, path: str | Path) -> None:
@@ -316,7 +259,7 @@ class DeltaState:
 
     @classmethod
     def load(cls, path: str | Path) -> "DeltaState":
-        """Read a state written by :meth:`save` (or by a release writing v1)."""
+        """Read a state written by :meth:`save`."""
         return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 

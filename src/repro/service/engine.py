@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro import __version__
 from repro.core.criterion import PrivacySpec
 from repro.core.testing import audit_table
-from repro.delta.state import DeltaStateStore
+from repro.delta.state import DeltaStateStore, StaleDeltaStateError
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
 from repro.dataset.loaders import read_csv
@@ -111,6 +111,26 @@ def _checked(spec: JobSpec) -> JobSpec:
         if value is not None and value <= 0:
             raise ServiceError(f"{name} must be positive")
     return spec
+
+
+def _stale_append_spec(
+    name: str,
+    document: Mapping[str, Any],
+    rows: list[list[str]] | None,
+    source: str | Path | None,
+) -> JobSpec:
+    """The spec of an append refused because its stored state predates 8.0.0."""
+    return JobSpec(
+        dataset=name,
+        backend=str(document.get("strategy")),
+        seed=int(document.get("seed", 0)),
+        chunk_size=int(document.get("chunk_size", DEFAULT_CHUNK_SIZE)),
+        delta=True,
+        source=str(source) if source is not None else "<rows>",
+        sensitive=document.get("sensitive"),
+        output=document.get("output"),
+        rows_appended=len(rows) if rows is not None else None,
+    )
 
 
 def _reject_engine_options(spec: JobSpec) -> None:
@@ -571,7 +591,13 @@ class AnonymizationService:
         from repro.delta.engine import delta_publish
 
         with self._delta_lock(name):
-            found = self.deltas.entry(name)
+            try:
+                found = self.deltas.entry(name)
+            except StaleDeltaStateError as exc:
+                # Fail a job, so the refusal and its re-base hint are on record;
+                # the stored state stays as it is.
+                with self._job(_stale_append_spec(name, exc.document, rows, source)):
+                    raise
             if found is None:
                 raise NotFoundError(
                     f"no delta dataset named {name!r}; create one with a "

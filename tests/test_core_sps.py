@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.criterion import PrivacySpec, max_group_size
-from repro.core.sps import sps_group, sps_publish, sps_publish_groups
+from repro.core.sps import sps_publish, sps_publish_groups
 from repro.core.testing import audit_table
 from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
-from repro.perturbation.uniform import UniformPerturbation
 from repro.reconstruction.mle import mle_frequencies
 from repro.utils.rng import default_rng
 
@@ -18,14 +17,18 @@ def binary_spec() -> PrivacySpec:
     return PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
 
 
+def _one_group(group, spec, rng):
+    """SPS over one personal group: its published SA codes and its record."""
+    chunk = GroupCounts(np.array([group.key]), group.sensitive_counts[None, :])
+    codes, records = sps_publish_groups(chunk, spec, rng, n_public=len(group.key))
+    return codes[:, -1], records.groups[0]
+
+
 class TestSpsGroup:
     def test_small_group_not_sampled(self, small_table):
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=10)
         group = next(iter(personal_groups(small_table)))
-        perturbation = UniformPerturbation(0.5, 10)
-        codes, record = sps_group(
-            group.key, group.sensitive_counts, spec, perturbation, default_rng(0)
-        )
+        codes, record = _one_group(group, spec, default_rng(0))
         assert not record.sampled
         assert record.sample_size == group.size
         assert codes.size == group.size
@@ -35,10 +38,7 @@ class TestSpsGroup:
         group = index.group_for_values({"Group": "a"})
         threshold = max_group_size(binary_spec, group.max_frequency)
         assert group.size > threshold  # precondition for the test
-        perturbation = UniformPerturbation(0.5, 2)
-        codes, record = sps_group(
-            group.key, group.sensitive_counts, binary_spec, perturbation, default_rng(1)
-        )
+        codes, record = _one_group(group, binary_spec, default_rng(1))
         assert record.sampled
         # The sample size equals s_g up to the stochastic rounding of each value.
         assert abs(record.sample_size - threshold) <= 2
@@ -46,10 +46,9 @@ class TestSpsGroup:
         assert abs(codes.size - group.size) <= record.sample_size
 
     def test_published_codes_stay_in_domain(self, skewed_binary_table, binary_spec):
-        perturbation = UniformPerturbation(0.5, 2)
         rng = default_rng(3)
         for group in personal_groups(skewed_binary_table):
-            codes, _ = sps_group(group.key, group.sensitive_counts, binary_spec, perturbation, rng)
+            codes, _ = _one_group(group, binary_spec, rng)
             assert codes.min() >= 0 and codes.max() < 2
 
 

@@ -26,6 +26,7 @@ from repro.dataset.schema import SchemaError
 from repro.delta import (
     DeltaState,
     DeltaUnsupportedError,
+    StaleDeltaStateError,
     delta_publish,
     publish_base,
 )
@@ -196,128 +197,66 @@ class TestByteIdentity:
 
 
 # --------------------------------------------------------------------- #
-# A state written by release 4.0.0 stays appendable
+# A state written before 8.0.0 is refused, with the re-base named
 # --------------------------------------------------------------------- #
 
-def _value_keyed_groups(state):
-    """A state's groups in the ``state_version`` 1 form: ``[[NA values], {SA value: n}]``."""
-    public, sensitive = state.schema.public, state.schema.sensitive
-    return [
-        [
-            [attr.values[code] for attr, code in zip(public, key)],
-            {sensitive.values[code]: n for code, n in enumerate(counts) if n},
-        ]
-        for key, counts in zip(state.groups.keys.tolist(), state.groups.counts.tolist())
-    ]
-
-
 #: ``publish_base`` output of release 4.0.0 (seed 11, chunk_size 4) over
-#: ``base.csv``: the state documents plus the published CSVs they describe.
+#: ``base.csv``: ``state_version`` 1 documents plus the published CSVs.
 STATE_4_0_0 = Path(__file__).parent / "data" / "delta_state_4_0_0"
+#: The same sps base published by release 7.0.0: a ``state_version`` 2
+#: document (its published CSV equals the 4.0.0 one).
+STATE_7_0_0 = Path(__file__).parent / "data" / "delta_state_7_0_0"
+
+STALE_STATES = {
+    "4.0.0-sps": STATE_4_0_0 / "state_sps.json",
+    "4.0.0-dp-laplace": STATE_4_0_0 / "state_dp-laplace.json",
+    "7.0.0-sps": STATE_7_0_0 / "state_sps.json",
+}
 
 
-class TestStateFrom400:
-    @pytest.mark.parametrize("strategy", ["sps", "dp-laplace"])
-    @pytest.mark.parametrize(
-        "appended, mode",
-        [
-            # New public values (a new city, a new job) plus grown groups.
-            (
-                [
-                    ["athens", "clerk", "flu"],
-                    ["oslo", "clerk", "cold"],
-                    ["bergen", "welder", "flu"],
-                ],
-                "delta",
-            ),
-            # A new sensitive value: the loud full regeneration.
-            ([["cairo", "nurse", "asthma"], ["athens", "pilot", "cold"]], "full"),
-        ],
-    )
-    def test_loads_appends_and_reserialises(self, tmp_path, strategy, appended, mode):
-        document = json.loads((STATE_4_0_0 / f"state_{strategy}.json").read_text())
-        assert document["state_version"] == 1
-        state = DeltaState.from_json(document)
-        # The v2 document of the loaded state reloads to the v1 groups.
-        reloaded = DeltaState.from_json(json.loads(json.dumps(state.to_json())))
-        assert _value_keyed_groups(reloaded) == document["groups"]
-        assert state.n_rows == sum(sum(counts.values()) for _, counts in document["groups"])
+def _base_rows():
+    with (STATE_4_0_0 / "base.csv").open(newline="", encoding="utf-8") as handle:
+        header, *rows = list(csv.reader(handle))
+    return header, rows
 
+
+class TestStatesBefore800:
+    @pytest.mark.parametrize("path", list(STALE_STATES.values()), ids=list(STALE_STATES))
+    def test_file_state_refused_with_rebase_hint(self, path):
+        document = json.loads(path.read_text())
+        assert document["state_version"] in (1, 2)
+        with pytest.raises(StaleDeltaStateError, match="publish_base") as refused:
+            DeltaState.load(path)
+        assert "repro-delta init" in str(refused.value)
+        assert refused.value.document == document
+        assert isinstance(refused.value, ValueError)
+
+    def test_cli_append_to_stale_state_exits_2(self, tmp_path, capsys):
+        appended = tmp_path / "new.csv"
+        _write_csv(appended, ["City", "Job", "Disease"], [["athens", "clerk", "flu"]])
+        state = tmp_path / "state.json"
+        state.write_bytes((STATE_7_0_0 / "state_sps.json").read_bytes())
+        assert delta_cli_main(["append", str(appended), "--state", str(state)]) == 2
+        assert "repro-delta init" in capsys.readouterr().err
+        assert state.read_bytes() == (STATE_7_0_0 / "state_sps.json").read_bytes()
+
+    def test_v2_state_would_splice_two_draw_layouts(self, tmp_path):
+        # Why the refusal exists: read as current, the 7.0.0 state's clean
+        # chunks keep their old bytes while the dirty one is re-drawn, and
+        # the splice no longer equals a full re-publish.
+        document = json.loads((STATE_7_0_0 / "state_sps.json").read_text())
+        document["state_version"] = 3
         published = tmp_path / "published.csv"
-        published.write_bytes((STATE_4_0_0 / f"published_{strategy}.csv").read_bytes())
-        report = delta_publish(state.with_output(str(published)), appended)
-        assert report.mode == mode
-
-        with (STATE_4_0_0 / "base.csv").open(newline="", encoding="utf-8") as handle:
-            header, *rows = list(csv.reader(handle))
-        full_csv = tmp_path / "full.csv"
-        _write_csv(full_csv, header, rows + appended)
-        expected = tmp_path / "expected.csv"
-        stream_publish(
-            full_csv, sensitive=state.sensitive, strategy=strategy, rng=state.seed,
-            chunk_size=state.chunk_size, output=expected,
-        )
-        assert published.read_bytes() == expected.read_bytes()
-
-        # The successor state records the chunk index and saves as v2.
-        saved = tmp_path / "state.json"
-        report.state.save(saved)
-        assert json.loads(saved.read_text())["state_version"] == 2
-        assert DeltaState.load(saved) == report.state
-
-    @pytest.mark.parametrize("strategy", ["sps", "dp-laplace"])
-    def test_base_bytes_unchanged_since_400(self, tmp_path, strategy):
-        state = DeltaState.load(STATE_4_0_0 / f"state_{strategy}.json")
-        output = tmp_path / "published.csv"
-        report = publish_base(
-            STATE_4_0_0 / "base.csv", sensitive=state.sensitive, output=output,
-            strategy=strategy, rng=state.seed, chunk_size=state.chunk_size,
-            chunk_rows=state.chunk_rows,
-        )
-        assert output.read_bytes() == (STATE_4_0_0 / f"published_{strategy}.csv").read_bytes()
-        # A v1 state records no chunk index; the one it rebuilds from the
-        # published file is the index the sink records.
-        assert state.chunk_bytes is None and state.chunk_crc32 is None
-        fresh = report.state.with_output(state.output)
-        assert fresh == dataclasses.replace(
-            state, chunk_bytes=fresh.chunk_bytes, chunk_crc32=fresh.chunk_crc32
-        )
-        assert state.with_output(str(output)).chunk_index() == (
-            fresh.chunk_bytes, fresh.chunk_crc32,
-        )
-
-    def test_v1_state_in_sqlite_store_appends_through_service(self, tmp_path):
-        from repro.service.engine import AnonymizationService
-        from repro.store import SqliteConnector
-        from repro.store.base import NS_DELTAS
-
-        published = tmp_path / "published.csv"
-        published.write_bytes((STATE_4_0_0 / "published_sps.csv").read_bytes())
-        document = json.loads((STATE_4_0_0 / "state_sps.json").read_text())
+        published.write_bytes((STATE_7_0_0 / "published_sps.csv").read_bytes())
         document["output"] = str(published)
-        path = tmp_path / "service.db"
-        store = SqliteConnector(path).open()
-        store.put(NS_DELTAS, "living", document)
-        store.close()
+        state = DeltaState.from_json(document)
+        header, rows = _base_rows()
+        last_group = state.groups.keys[-1].tolist()
+        appended = [[attr.values[code] for attr, code in zip(state.schema.public, last_group)]
+                    + [state.schema.sensitive.values[0]]]
+        report = delta_publish(state, appended)
+        assert report.n_chunks_dirty < report.n_chunks
 
-        appended = [["athens", "clerk", "flu"], ["oslo", "clerk", "cold"]]
-        service = AnonymizationService(snapshot_path=path)
-        try:
-            record = service.append_rows("living", rows=appended)
-            assert record.status == "completed"
-            assert record.metadata["mode"] == "delta"
-            state = service.deltas["living"]
-        finally:
-            service.close()
-
-        store = SqliteConnector(path).open()
-        stored = store.get(NS_DELTAS, "living").value
-        store.close()
-        assert stored["state_version"] == 2
-        assert stored["chunks"]["crc32"] == list(state.chunk_crc32)
-
-        with (STATE_4_0_0 / "base.csv").open(newline="", encoding="utf-8") as handle:
-            header, *rows = list(csv.reader(handle))
         full_csv = tmp_path / "full.csv"
         _write_csv(full_csv, header, rows + appended)
         expected = tmp_path / "expected.csv"
@@ -325,7 +264,85 @@ class TestStateFrom400:
             full_csv, sensitive=state.sensitive, strategy="sps", rng=state.seed,
             chunk_size=state.chunk_size, output=expected,
         )
-        assert published.read_bytes() == expected.read_bytes()
+        assert published.read_bytes() != expected.read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["sps", "dp-laplace"])
+    def test_rebased_state_appends_like_a_full_publish(self, tmp_path, strategy):
+        stale = json.loads((STATE_4_0_0 / f"state_{strategy}.json").read_text())
+        output = tmp_path / "published.csv"
+        report = publish_base(
+            STATE_4_0_0 / "base.csv", sensitive=stale["sensitive"], output=output,
+            strategy=strategy, rng=stale["seed"], chunk_size=stale["chunk_size"],
+            chunk_rows=stale["chunk_rows"],
+        )
+        saved = tmp_path / "state.json"
+        report.state.save(saved)
+        assert json.loads(saved.read_text())["state_version"] == 3
+        appended = [["athens", "clerk", "flu"], ["oslo", "clerk", "cold"]]
+        delta_publish(DeltaState.load(saved), appended)
+
+        header, rows = _base_rows()
+        full_csv = tmp_path / "full.csv"
+        _write_csv(full_csv, header, rows + appended)
+        expected = tmp_path / "expected.csv"
+        stream_publish(
+            full_csv, sensitive=stale["sensitive"], strategy=strategy, rng=stale["seed"],
+            chunk_size=stale["chunk_size"], output=expected,
+        )
+        assert output.read_bytes() == expected.read_bytes()
+
+    def test_stale_states_in_sqlite_store_refused_through_service(self, tmp_path):
+        from repro.serve.router import ServiceRouter
+        from repro.service.engine import AnonymizationService
+        from repro.store import SqliteConnector
+        from repro.store.base import NS_DELTAS
+
+        published = tmp_path / "published.csv"
+        published.write_bytes((STATE_4_0_0 / "published_sps.csv").read_bytes())
+        path = tmp_path / "service.db"
+        store = SqliteConnector(path).open()
+        stored = {}
+        for name, fixture in (("old", STATE_4_0_0), ("older7", STATE_7_0_0)):
+            document = json.loads((fixture / "state_sps.json").read_text())
+            document["output"] = str(published)
+            store.put(NS_DELTAS, name, document)
+            stored[name] = store.get(NS_DELTAS, name)
+        store.close()
+
+        appended = [["athens", "clerk", "flu"], ["oslo", "clerk", "cold"]]
+        service = AnonymizationService(snapshot_path=path)  # starts despite them
+        try:
+            fresh = tmp_path / "fresh.csv"
+            service.publish_delta_base(
+                "fresh", STATE_4_0_0 / "base.csv", "Disease", "sps", fresh, seed=11,
+                chunk_size=4,
+            )
+            router = ServiceRouter(service)
+            for name in stored:
+                body = json.dumps({"rows": appended}).encode()
+                result = router.handle(
+                    "POST", f"/datasets/{name}/rows", io.BytesIO(body), len(body)
+                )
+                assert result.status == 400
+                assert "repro-delta init" in json.loads(result.body)["error"]
+            failed = [record for record in service.jobs.records() if record.status == "failed"]
+            assert [record.spec.dataset for record in failed] == list(stored)
+            assert all("publish_base" in record.error for record in failed)
+            assert failed[0].spec.rows_appended == 2 and failed[0].spec.delta
+
+            record = service.append_rows("fresh", rows=appended)
+            assert record.status == "completed" and record.metadata["mode"] == "delta"
+        finally:
+            service.close()
+
+        store = SqliteConnector(path).open()
+        try:
+            for name, before in stored.items():
+                after = store.get(NS_DELTAS, name)
+                assert (after.value, after.version) == (before.value, before.version)
+        finally:
+            store.close()
+        assert published.read_bytes() == (STATE_4_0_0 / "published_sps.csv").read_bytes()
 
 
 # --------------------------------------------------------------------- #

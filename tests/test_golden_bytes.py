@@ -1,9 +1,16 @@
 """Published bytes pinned across versions.
 
-The sha256 values below were recorded at 5.1.0, before the SPS and DP chunk
-kernels became array operations, and every later version must reproduce
-them: published bytes are a pure function of ``(strategy, params, seed,
-chunk_size)``.  Each group strategy is published through ``repro.publish``
+The DP sha256 values below were recorded at 5.1.0, before the SPS and DP
+chunk kernels became array operations, and every later version must
+reproduce them: published bytes are a pure function of ``(strategy, params,
+seed, chunk_size)``.  The SPS-family values (``sps`` and ``generalize+sps``:
+published CSVs, the adult group records and the sps delta chains) were
+re-recorded at 8.0.0, deliberately: SPS now draws once per phase per chunk
+(sampling, retention, replacement, scaling) instead of per group, so the
+same seed gives other coin tosses.  The census group records did not change:
+census has no sampled group at the default spec, so its records depend on
+no draw.  The values they replace still held at 7.0.0.
+Each group strategy is published through ``repro.publish``
 and through ``stream_publish`` at one and two workers, which must all give
 the same bytes.  The adult sample has sampled groups (``|g| > s_g``), so the
 SPS sampling and scaling draws are pinned too; ``report.groups`` is pinned
@@ -34,14 +41,14 @@ DATASETS = {
 }
 
 #: sha256 of the published CSV, identical through every path (``uniform``
-#: recorded at 6.0.0, the rest at 5.1.0).
+#: recorded at 6.0.0, the SPS family at 8.0.0, DP at 5.1.0).
 PUBLISHED = {
-    ("adult", "sps"): "81952c44e436041b635edffead84cf3336776cf4029f8c102c49de5c313dec57",
-    ("adult", "generalize+sps"): "4e7cc8c70384befa1edc24e356ade12c47c77bcc16aa0263dd0d4db52bf1b957",
+    ("adult", "sps"): "fb5669763a97c6c2f68fb640aa2486a3287cc53fc4c0af8876a69366aa0c655c",
+    ("adult", "generalize+sps"): "9d84b56e7c3b9426869495196adcbf3cefe054805f7cf396b19b78bbdb17968e",
     ("adult", "dp-laplace"): "7713cf3560b4570b95f099371d8afa3999d71f9a93c2838b84a8d0f58ed96ccf",
     ("adult", "dp-gaussian"): "a451df2aef34166e7ddc1cb3fb8ec29ae2de9bd1c76c558fa5f9f2b87703aaed",
-    ("census", "sps"): "81c273624ed94c5e11ec9ae4f47334eb8cb479f6eb2b24aa7df0ad2d932a6eed",
-    ("census", "generalize+sps"): "2db591857ee89b754a9df9402f8a3b9f210a081d6dc9f084688b33a6422855bd",
+    ("census", "sps"): "0a60b2ec210edc2f6da4f1fb154741ee97ba9c63c7b59059ce61abcde050a939",
+    ("census", "generalize+sps"): "616e71feec45ae7a4e61c562cda042770945d42d4b663d295fd2d452e36fdfea",
     ("census", "dp-laplace"): "bab80244a2a5817b0efdd66ea6f25d2efb24d8589c14ec3cabc2f7022ce75fdd",
     ("census", "dp-gaussian"): "72f75501f0c3b061c4ae778d9ad13b7371fb9dc318dd4f1651e123b3c58041d8",
     ("adult", "uniform"): "2394a114ad5744b95cd622760808387b95e69c54256456311249669aec5eac1b",
@@ -50,8 +57,8 @@ PUBLISHED = {
 
 #: (number of sampled groups, sha256 of the repr of every GroupPublication's fields).
 GROUP_RECORDS = {
-    ("adult", "sps"): (15, "002b06fac879284982734b2302ebf2e604005ec6e63e7866c3bdd9b132f02f77"),
-    ("adult", "generalize+sps"): (9, "e6d3d38c2417e616695c55480d2870f6216ccab72694dcf764a9037aea309fe4"),
+    ("adult", "sps"): (15, "6386e6c0941290522cad415c7ac5ae4dcdc8921b6ae5dae39b1a8c0d3ce569ec"),
+    ("adult", "generalize+sps"): (9, "92dc66df0bce51e1d35efe16e260899acf520905610d48e649ceef0bca999dfa"),
     ("census", "sps"): (0, "88493696cd928d9bbbdab35cb6ab857f069ab73b5125f436a530da698f5148c1"),
     ("census", "generalize+sps"): (0, "878365f16da4eb2ab11f520b0ee0c0a3b0fc89f93401b968d23a0b45f4b834c9"),
 }
@@ -59,9 +66,9 @@ GROUP_RECORDS = {
 #: sha256 of the published CSV after the base publish and after each append.
 DELTA_CHAIN = {
     ("adult", "sps"): (
-        "4be191eadc22511c05395571222ad85670c54a6e5d8592a7ee323bfab1d2022f",
-        "b035c3b01a91d74989faae5e30870ff7f55d9746cfb8352d6582a9ec00170e0f",
-        "3f1892d6b3daa33bbff397f1050bb83ac5134106b1e77675a0477ac4f805a2d9",
+        "9dd19b186e9c044944a3252cd6e44e6f50a4be47390d3f3fcebb4af8c3830bd5",
+        "9b7e88501a0c45845aac651711ac0c8f20fbdedb56b4eea40510c7274286ef4b",
+        "e8bc51248f5f55b5fbac30c4da372a1fdf5c969dcbf53c2ae5db202d22946de6",
     ),
     ("adult", "dp-laplace"): (
         "a07b082387110642ab51b76e519d3598ebc937bea542142ff114d78d2583775f",
@@ -69,9 +76,9 @@ DELTA_CHAIN = {
         "7d758a5bfc6e0b3a2f1d8c71cd386ea4f985be065e4b643d73ba20d639f4ff9e",
     ),
     ("census", "sps"): (
-        "303d3002857784657736d4f1a0d36c91fac362590ae7e24694bd2b30c489487f",
-        "0fd51230d3203983ee35bc598bd46f26c946b97a4d00538851d8edafddfea830",
-        "ee997283b537a2a8e6c8337f88f1f027276ebeda154243a4921cfa2a4cf937ae",
+        "1cca27c839e4814e8696e7452d3550146070475d5c750623e4ce14b66cb292e2",
+        "989ae5b529a67e97a1184ce443b31e829962e4fffdae3ba8566f14deece38c14",
+        "8cbee96235035d86e7d4f57e528579087f5319098677f6ff828242bedd492d3d",
     ),
     ("census", "dp-laplace"): (
         "e6f43135c626699a00ebd5e179f2284fe276b3dcd941eb927c98d17aa0196f2b",

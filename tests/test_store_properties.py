@@ -13,7 +13,6 @@ Profiles mirror ``tests/test_delta_properties.py``: CI runs the
 its randomized search.
 """
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -129,10 +128,53 @@ def test_job_records_round_trip_through_every_backend(spec, status):
             connector.close()
 
 
+def _v3_document(fields, chunk_bytes, chunk_crc32):
+    """A ``state_version`` 3 document of value-keyed groups and a chunk index.
+
+    ``fields["groups"]`` holds ``[[NA values], {SA value: n}]`` pairs (counts
+    of a repeated key add up); each domain is the sorted set of values its
+    column takes, as a publish records it.
+    """
+    merged = {}
+    for key, counts in fields["groups"]:
+        cell = merged.setdefault(tuple(key), {})
+        for value, n in counts.items():
+            cell[value] = cell.get(value, 0) + n
+    keys = sorted(merged)
+    domains = [sorted(set(column)) for column in zip(*keys)]
+    sensitive = sorted({value for counts in merged.values() for value in counts})
+    cells = [
+        (group, sensitive.index(value), merged[key][value])
+        for group, key in enumerate(keys)
+        for value in sorted(merged[key])
+    ]
+    group, code, n = (list(column) for column in zip(*cells))
+    document = {name: value for name, value in fields.items() if name != "chunk_row_counts"}
+    document.update(
+        state_version=3,
+        groups={
+            "domains": [*domains, sensitive],
+            "keys": [[domain.index(value) for value in column]
+                     for domain, column in zip(domains, zip(*keys))],
+            "counts": {"group": group, "code": code, "n": n},
+        },
+        chunks={"rows": fields["chunk_row_counts"], "bytes": chunk_bytes, "crc32": chunk_crc32},
+    )
+    return document
+
+
+def _with_chunk_index(fields):
+    """A ``DeltaState`` of ``fields`` plus a chunk index of matching length."""
+    n = len(fields["chunk_row_counts"])
+    return st.tuples(
+        st.lists(st.integers(0, 2**40), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n),
+    ).map(lambda index: DeltaState.from_json(_v3_document(fields, *index)))
+
+
 # States are built from their JSON documents, as a reader of a stored state
 # does; a published dataset always holds at least one group.
 delta_states = st.fixed_dictionaries({
-    "state_version": st.just(1),
     "strategy": st.sampled_from(["sps", "dp-laplace"]),
     "params": st.dictionaries(names, st.floats(0.01, 1.0, allow_nan=False), max_size=2),
     "seed": st.integers(0, 2**31),
@@ -154,7 +196,7 @@ delta_states = st.fixed_dictionaries({
     ),
     "chunk_row_counts": st.lists(st.integers(0, 50), max_size=6),
     "output": st.just("published.csv"),
-}).map(DeltaState.from_json)
+}).flatmap(_with_chunk_index)
 
 
 @given(state=delta_states)
@@ -168,22 +210,9 @@ def test_delta_states_round_trip_through_every_backend(state):
             connector.close()
 
 
-def _with_chunk_index(document):
-    """A ``DeltaState`` of ``document`` plus a chunk index of matching length."""
-    state = DeltaState.from_json(document)
-    n = len(state.chunk_row_counts)
-    return st.tuples(
-        st.lists(st.integers(0, 2**40), min_size=n, max_size=n),
-        st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n),
-    ).map(lambda index: dataclasses.replace(
-        state, chunk_bytes=tuple(index[0]), chunk_crc32=tuple(index[1])
-    ))
-
-
 # Any text values (commas, quotes, non-ASCII, empty) over two public columns.
 values = st.text(max_size=6)
 v2_delta_states = st.fixed_dictionaries({
-    "state_version": st.just(1),
     "strategy": st.sampled_from(["sps", "dp-laplace"]),
     "params": st.just({}),
     "seed": st.integers(0, 2**31),
@@ -206,7 +235,7 @@ v2_delta_states = st.fixed_dictionaries({
 @given(state=v2_delta_states)
 def test_v2_delta_states_round_trip_through_json_and_every_backend(state):
     document = json.loads(json.dumps(state.to_json()))
-    assert document["state_version"] == 2
+    assert document["state_version"] == 3
     assert DeltaState.from_json(document) == state
     with _fresh_backends() as backends:
         for connector in backends:

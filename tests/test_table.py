@@ -1,9 +1,20 @@
 """Unit tests for repro.dataset.table."""
 
+import io
+
 import numpy as np
 import pytest
 
-from repro.dataset.schema import SchemaError
+import repro
+from repro.analysis.learning import NaiveBayesOnReconstruction
+from repro.core.criterion import PrivacySpec
+from repro.core.testing import audit_table
+from repro.dataset import table as table_module
+from repro.dataset.adult import generate_adult
+from repro.dataset.census import generate_census
+from repro.dataset.groups import personal_groups
+from repro.dataset.loaders import write_csv
+from repro.dataset.schema import Attribute, Schema, SchemaError
 from repro.dataset.table import Table
 
 
@@ -107,3 +118,67 @@ class TestDerivation:
             np.zeros(len(small_table), dtype=np.int64)
         )
         assert small_table != different
+
+
+def _schema_with_widest(size):
+    return Schema(
+        [Attribute("A", tuple(f"a{i}" for i in range(size)))], Attribute("S", ("x", "y"))
+    )
+
+
+def _csv(table):
+    out = io.StringIO()
+    write_csv(table, out)
+    return out.getvalue()
+
+
+class TestCompactCodes:
+    @pytest.mark.parametrize("generate", [generate_census, generate_adult])
+    def test_census_and_adult_codes_are_int8(self, generate):
+        assert generate(500, seed=1).codes.dtype == np.int8
+
+    @pytest.mark.parametrize("size, dtype", [(128, np.int8), (129, np.int16)])
+    def test_widest_domain_picks_the_dtype(self, size, dtype):
+        table = Table(_schema_with_widest(size), [[size - 1, 1], [0, 0]])
+        assert table.codes.dtype == dtype
+        assert table.codes.tolist() == [[size - 1, 1], [0, 0]]
+        assert table.records()[0] == (f"a{size - 1}", "y")
+
+    def test_code_past_a_narrow_dtype_is_refused_not_wrapped(self):
+        schema = _schema_with_widest(128)
+        with pytest.raises(SchemaError):
+            Table(schema, np.array([[256, 0]], dtype=np.int64))
+        table = Table(schema, [[5, 0]])
+        with pytest.raises(SchemaError):
+            table.with_sensitive_codes(np.array([256]))
+
+    @pytest.mark.parametrize("generate", [generate_census, generate_adult])
+    def test_int64_twin_gives_equal_indexes_audits_and_csv(self, monkeypatch, generate):
+        compact = generate(3000, seed=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(table_module, "code_dtype", lambda schema: np.dtype(np.int64))
+            wide = Table(compact.schema, compact.codes)
+        assert wide.codes.dtype == np.int64 and compact.codes.dtype == np.int8
+        assert wide == compact
+
+        compact_index, wide_index = personal_groups(compact), personal_groups(wide)
+        assert compact_index.groups == wide_index.groups
+        assert np.array_equal(compact_index.order, wide_index.order)
+        assert np.array_equal(compact_index.bounds, wide_index.bounds)
+
+        spec = PrivacySpec(0.3, 0.3, 0.5, compact.schema.sensitive_domain_size)
+        compact_audit, wide_audit = audit_table(compact, spec), audit_table(wide, spec)
+        assert np.array_equal(compact_audit.thresholds, wide_audit.thresholds)
+        assert np.array_equal(compact_audit.private, wide_audit.private)
+
+        assert _csv(compact) == _csv(wide)
+        assert repro.publish(compact, strategy="sps", rng=3).published == repro.publish(
+            wide, strategy="sps", rng=3
+        ).published
+
+        # code * m + sa overflows int8 on census (77 ages, m = 50) unless widened.
+        records = [record[:-1] for record in compact.records()[:50]]
+        assert np.array_equal(
+            NaiveBayesOnReconstruction(0.5).fit(compact).predict_proba(records),
+            NaiveBayesOnReconstruction(0.5).fit(wide).predict_proba(records),
+        )

@@ -16,8 +16,9 @@ re-keying, the delta merge and dirty-chunk diff) are pinned the same way,
 against the per-group loops they replaced, kept below as test-local oracles
 and driven with hypothesis-generated count matrices.  So are the SPS and DP
 chunk kernels: same code block, same per-group records and the same final
-generator state as a loop of per-group calls (``sps_group`` for SPS, one
-``add_noise`` per group for DP).
+generator state as a straight-line loop (for SPS, the four draw phases with
+scalar draws wherever numpy's stream allows; for DP, one ``add_noise`` per
+group).
 
 The columnar CSV decode (column chunks, one first-seen codebook per column,
 the running ``(NA key, SA, n)`` pair table) is pinned against the dict-per-row
@@ -27,6 +28,7 @@ below as test-local references, over hypothesis-generated CSV text.
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -35,18 +37,17 @@ from hypothesis import strategies as st
 
 from repro.bench.micro import _reference_group_index, _reference_sample_counts
 from repro.core.criterion import PrivacySpec, max_group_size, value_is_private
-from repro.core.sps import _sample_counts, sps_group, sps_publish, sps_publish_groups
+from repro.core.sps import GroupPublication, _sample_counts, sps_publish, sps_publish_groups
 from repro.core.testing import audit_groups
 from repro.dataset.groups import GroupCounts, _sorted_runs
 from repro.delta.engine import _changed_chunks, _merge
-from repro.delta.state import _decode_value_keyed
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
 from repro.dataset.groups import personal_groups
 from repro.dataset.loaders import read_csv, write_csv
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
-from repro.perturbation.uniform import UniformPerturbation, perturb_table
+from repro.perturbation.uniform import perturb_table
 from repro.pipeline.strategy import get_strategy
 from repro.reconstruction.iterative import iterative_bayes_frequencies
 from repro.reconstruction.mle import (
@@ -58,33 +59,42 @@ from repro.reconstruction.mle import (
 from repro.stream import ChunkedReader, IncrementalGroupIndex
 
 
+def _reference_sample_rows(counts, rates, rng):
+    """The one-group sampling loop applied row by row, sharing one generator."""
+    return np.array(
+        [_reference_sample_counts(row, float(rate), rng) for row, rate in zip(counts, rates)],
+        dtype=np.int64,
+    ).reshape(counts.shape)
+
+
 class TestSampleCountsVectorization:
     def test_byte_identical_to_loop_across_many_cases(self):
         master = np.random.default_rng(0)
         for _ in range(300):
-            m = int(master.integers(1, 64))
-            counts = master.integers(0, 50, size=m).astype(np.int64)
-            rate = float(master.random())
+            n_groups, m = int(master.integers(1, 6)), int(master.integers(1, 64))
+            counts = master.integers(0, 50, size=(n_groups, m)).astype(np.int64)
+            rates = master.random(n_groups)
             seed = int(master.integers(0, 2**31))
-            expected = _reference_sample_counts(counts, rate, np.random.default_rng(seed))
-            actual = _sample_counts(counts, rate, np.random.default_rng(seed))
+            expected = _reference_sample_rows(counts, rates, np.random.default_rng(seed))
+            actual = _sample_counts(counts, rates, np.random.default_rng(seed))
             assert np.array_equal(expected, actual)
             assert actual.dtype == expected.dtype
 
     def test_rng_stream_position_matches_loop(self):
         # Whatever follows the sampling step must see the same stream state.
-        counts = np.array([10, 0, 3, 7, 0, 25], dtype=np.int64)
+        counts = np.array([[10, 0, 3], [7, 0, 25]], dtype=np.int64)
+        rates = np.array([0.37, 0.61])
         ref_rng = np.random.default_rng(42)
         vec_rng = np.random.default_rng(42)
-        _reference_sample_counts(counts, 0.37, ref_rng)
-        _sample_counts(counts, 0.37, vec_rng)
+        _reference_sample_rows(counts, rates, ref_rng)
+        _sample_counts(counts, rates, vec_rng)
         assert ref_rng.random() == vec_rng.random()
 
     def test_never_exceeds_counts_and_preserves_zeroes(self):
-        counts = np.array([0, 1, 100, 0, 7], dtype=np.int64)
-        sampled = _sample_counts(counts, 0.9, np.random.default_rng(1))
+        counts = np.array([[0, 1, 100, 0, 7]], dtype=np.int64)
+        sampled = _sample_counts(counts, np.array([0.9]), np.random.default_rng(1))
         assert (sampled <= counts).all()
-        assert sampled[0] == 0 and sampled[3] == 0
+        assert sampled[0, 0] == 0 and sampled[0, 3] == 0
 
 
 class TestGroupIndexVectorization:
@@ -374,6 +384,31 @@ def value_groups(cities, jobs, diseases):
     ).map(lambda groups: tuple(sorted(groups.items())))
 
 
+def _encode_value_keyed(header, sensitive, groups):
+    """The schema and :class:`GroupCounts` of value-keyed groups.
+
+    Each domain is the sorted set of values its column takes across the
+    groups, as the stream index infers it from the rows themselves.
+    """
+    entries = [
+        (*key, value, n) for key, counts in groups for value, n in counts.items()
+    ]
+    *columns, weights = zip(*entries)
+    names = [*(name for name in header if name != sensitive), sensitive]
+    attributes = [
+        Attribute(name, tuple(sorted(set(column)))) for name, column in zip(names, columns)
+    ]
+    codes = np.array(
+        [[attr.values.index(value) for value in column] for attr, column in zip(attributes, columns)],
+        dtype=np.int64,
+    )
+    schema = Schema(public=attributes[:-1], sensitive=attributes[-1])
+    grouped, _, _ = GroupCounts.tabulate(
+        codes[:-1].T, codes[-1], schema.sensitive_domain_size, np.array(weights, dtype=np.int64)
+    )
+    return schema, grouped
+
+
 def _decoded(schema, groups):
     """Value-keyed ``((NA values...), {SA value: count})`` pairs, in group order."""
     sensitive = schema.sensitive.values
@@ -397,8 +432,8 @@ class TestColumnarDeltaMerge:
     )
     def test_merge_and_dirty_chunks_match_value_keyed_loops(self, base, appended, chunk_size):
         header = ["City", "Job", "Disease"]
-        base_schema, base_groups = _decode_value_keyed(header, "Disease", base)
-        appended_schema, appended_groups = _decode_value_keyed(header, "Disease", appended)
+        base_schema, base_groups = _encode_value_keyed(header, "Disease", base)
+        appended_schema, appended_groups = _encode_value_keyed(header, "Disease", appended)
         assert _decoded(base_schema, base_groups) == base
 
         union, base_on_union, merged = _merge(
@@ -430,13 +465,61 @@ def _keyed(key, codes):
 
 
 def _reference_sps_chunk(groups, spec, rng):
-    """The loop the SPS kernel replaced: one ``sps_group`` call per group."""
-    perturbation = UniformPerturbation(spec.retention_probability, spec.domain_size)
+    """SPS over a chunk as a straight-line loop of its four draw phases.
+
+    Phases 1, 2 and 4 draw one scalar ``random()`` at a time, which numpy
+    fills from the same stream as the kernel's array draws; the bounded
+    integers of phase 3 buffer 32-bit halves across one call, so they stay
+    one bulk call.
+    """
+    p, m = spec.retention_probability, spec.domain_size
+    plans = []  # (key, counts, size, threshold, sampled, sample counts)
+    # Phase 1: sampling, one draw per non-integer entry, row-major.
+    for key, counts in zip(groups.keys.tolist(), groups.counts.tolist(), strict=True):
+        size = sum(counts)
+        threshold = max_group_size(spec, max(counts) / size)
+        if size <= threshold:
+            plans.append((key, size, threshold, False, counts))
+            continue
+        sample = []
+        for count in counts:
+            scaled = count * (threshold / size)
+            kept = math.floor(scaled)
+            if scaled - kept > 0 and rng.random() < scaled - kept:
+                kept += 1
+            sample.append(min(kept, count))
+        if sum(sample) == 0:
+            sample[counts.index(max(counts))] = 1
+        plans.append((key, size, threshold, True, sample))
+    # Phase 2: retain or replace, one draw per perturbed record, group order.
+    originals = [
+        [code for code, n in enumerate(sample) for _ in range(n)] for *_, sample in plans
+    ]
+    retained = [[rng.random() < p for _ in records] for records in originals]
+    # Phase 3: the replacement values, one bulk call, one per record.
+    replacements = iter(rng.integers(0, m, sum(map(len, originals))).tolist())
+    perturbed = [
+        [
+            code if keep else replacement
+            for code, keep, replacement in zip(records, keeps, replacements)
+        ]
+        for records, keeps in zip(originals, retained)
+    ]
+    # Phase 4: scaling, one draw per perturbed record of the sampled groups.
     blocks, records = [], []
-    for key, counts in zip(groups.keys.tolist(), groups.counts, strict=True):
-        codes, record = sps_group(tuple(key), counts, spec, perturbation, rng)
-        blocks.append(_keyed(key, codes))
-        records.append(record)
+    for (key, size, threshold, sampled, _), codes in zip(plans, perturbed):
+        published = codes
+        if sampled:
+            ratio = size / len(codes)
+            floor = math.floor(ratio)
+            published = [
+                code for code in codes
+                for _ in range(floor + (rng.random() < ratio - floor))
+            ]
+        blocks.append(_keyed(key, np.array(published, dtype=np.int64)))
+        records.append(GroupPublication(key=tuple(key), original_size=size,
+                                        max_group_size=threshold, sampled=sampled,
+                                        sample_size=len(codes), published_size=len(published)))
     return _stack(blocks, groups.keys.shape[1] + 1), tuple(records)
 
 
@@ -479,7 +562,7 @@ def _schema(k, m):
 class TestSPSKernel:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_sps_group_loop(self, data, seed):
+    def test_matches_four_phase_loop(self, data, seed):
         groups = data.draw(group_counts(max_count=400))
         spec = data.draw(specs(groups.counts.shape[1]))
         _assert_sps_kernel_matches_loop(groups, spec, seed)
