@@ -25,7 +25,7 @@ algorithm, together with every substrate the evaluation depends on:
   CLI) that publishes CSV sources larger than memory in bounded chunks,
   byte-identical to the in-memory path for the same seed and chunk size;
 * a shared multi-worker scheduler (:mod:`repro.parallel`) behind every
-  ``workers=`` knob — process-pool chunk execution with an ordered block
+  ``workers=`` knob — thread-pool chunk execution with an ordered block
   writer, byte-identical output at any worker count;
 * an incremental re-publish engine (:mod:`repro.delta`, the ``repro-delta``
   CLI) for living datasets: appended rows re-run only the kernel chunks
@@ -81,7 +81,7 @@ from repro.delta import (
 from repro.queries.workload import WorkloadConfig, generate_workload
 from repro.queries.count_query import CountQuery, answer_on_perturbed, answer_on_raw
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "PrivacySpec",

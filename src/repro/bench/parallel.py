@@ -2,7 +2,7 @@
 
 Each scenario publishes the same synthetic CSV through
 :func:`repro.stream.stream_publish` at a fixed seed while sweeping the
-``workers`` axis (1, 2, 4) — the scheduler's process pool against its own
+``workers`` axis (1, 2, 4) — the scheduler's thread pool against its own
 sequential reference.  Per point the report records:
 
 * **throughput** — rows/second (best of repeats, timed like every suite);

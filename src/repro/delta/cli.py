@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in (init, append):
         cmd.add_argument(
             "--workers", type=int, default=1,
-            help="fan chunk kernels out over this many worker processes "
+            help="fan chunk kernels out over this many worker threads "
             "(never affects the published bytes)",
         )
         cmd.add_argument("--delimiter", default=",", help="source field delimiter")

@@ -56,7 +56,7 @@ from repro.obs.metrics import (
     ROWS_PUBLISHED,
 )
 from repro.obs.trace import span
-from repro.parallel.scheduler import DEFAULT_BACKEND, iter_ordered_map
+from repro.parallel.scheduler import iter_ordered_map
 from repro.pipeline.execution import (
     DEFAULT_CHUNK_ROWS,
     DEFAULT_CHUNK_SIZE,
@@ -113,7 +113,6 @@ def publish_base(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     workers: int = 1,
-    parallel_backend: str = DEFAULT_BACKEND,
     audit: bool = True,
     overwrite: bool = True,
     delimiter: str = ",",
@@ -141,8 +140,7 @@ def publish_base(
         raise ValueError("workers must be positive")
     run = _run(
         strategy, source, sensitive, rng, chunk_size, chunk_rows, int(workers),
-        parallel_backend, audit, target, False, overwrite, delimiter, progress,
-        False, params,
+        audit, target, False, overwrite, delimiter, progress, False, params,
         root_name="delta_base", path="delta", unsupported=DeltaUnsupportedError,
     )
     report = run.report
@@ -315,7 +313,6 @@ def delta_publish(
     *,
     output: str | Path | None = None,
     workers: int = 1,
-    parallel_backend: str = DEFAULT_BACKEND,
     audit: bool = True,
     delimiter: str = ",",
     progress: ProgressCallback | None = None,
@@ -338,9 +335,9 @@ def delta_publish(
     output:
         Optional new path for the spliced CSV; by default the published
         file named by ``state.output`` is replaced atomically in place.
-    workers, parallel_backend:
-        Fan dirty-chunk regeneration out through the shared scheduler;
-        byte-identity is preserved at any worker count.
+    workers:
+        Fan dirty-chunk regeneration out over this many threads through the
+        shared scheduler; byte-identity is preserved at any worker count.
     audit:
         Re-audit from the merged counts (no row re-read — ``O(groups)``).
     delimiter:
@@ -437,7 +434,6 @@ def delta_publish(
                 chunk_fn,
                 ((chunks[i], rngs[i]) for i in dirty_order),
                 workers=workers,
-                backend=parallel_backend,
                 n_tasks=len(dirty_order),
             )
             writer = _CsvSink(target, new_schema)

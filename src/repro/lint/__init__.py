@@ -2,8 +2,8 @@
 
 The analyzer encodes the repo's determinism contracts as AST-level rules
 (``RPR001``…): RNG discipline, wall-clock bans in chunk kernels,
-pool-boundary picklability, span-derived timing accounting, strategy
-registry hygiene and side-effect-free imports.  Run it as ``repro-lint`` or
+span-derived timing accounting, strategy registry hygiene and
+side-effect-free imports.  Run it as ``repro-lint`` or
 ``python -m repro.lint``; see ``docs/static-analysis.md`` for every rule
 code with offending and sanctioned snippets.
 """

@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Contract-aware static analyzer for the repro codebase: RNG "
-            "discipline, kernel purity, picklability, span accounting, "
+            "discipline, kernel purity, span accounting, "
             "registry hygiene and import-time side effects."
         ),
     )

@@ -1,4 +1,4 @@
-"""The repo-contract rules (``RPR001``–``RPR008``).
+"""The repo-contract rules (``RPR001``–``RPR008``; ``RPR003`` retired in 9.0.0).
 
 Each rule encodes one invariant the byte-identity test suite otherwise only
 checks dynamically; ``docs/static-analysis.md`` documents every code with an
@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.lint.engine import Rule, register_rule
 from repro.lint.findings import Finding
-from repro.lint.project import ClassEntry, FunctionEntry, ModuleInfo, Project
+from repro.lint.project import ClassEntry, ModuleInfo, Project
 
 # --------------------------------------------------------------------- #
 # Shared configuration
@@ -85,9 +85,10 @@ def _in_repro(module: ModuleInfo) -> bool:
 def _own_body(entry_node: ast.AST) -> Iterator[ast.AST]:
     """Walk a function's body without descending into nested ``def``s.
 
-    Nested functions are indexed as their own :class:`FunctionEntry`, so a
-    rule that iterates over every function and walked whole subtrees would
-    report each nested-body node twice.  Lambdas are not separate entries
+    Nested functions are indexed as their own
+    :class:`~repro.lint.project.FunctionEntry`, so a rule that iterates over
+    every function and walked whole subtrees would report each nested-body
+    node twice.  Lambdas are not separate entries
     and stay in scope.
     """
     stack: list[ast.AST] = [entry_node]
@@ -279,161 +280,6 @@ class KernelWallClockRule(Rule):
                         "timing belongs to repro.obs spans, entropy to the "
                         "seeded chunk generator",
                     )
-
-
-# --------------------------------------------------------------------- #
-# RPR003 — picklability of pool-boundary classes
-# --------------------------------------------------------------------- #
-
-def _is_pool_boundary_class(entry: ClassEntry) -> bool:
-    name = entry.qualname.rsplit(".", 1)[-1]
-    if entry.qualname in SANCTIONED_KERNEL_CLASSES:
-        return False
-    return name.endswith("Kernel") or entry.module.name == "repro.parallel.kernels"
-
-
-def _module_level_mutables(module: ModuleInfo) -> set[str]:
-    mutables: set[str] = set()
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            targets = [node.target.id]
-            value = node.value
-        else:
-            continue
-        if value is None:
-            continue
-        is_mutable = isinstance(value, (ast.Dict, ast.List, ast.Set)) or (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in {"dict", "list", "set", "defaultdict", "deque"}
-        )
-        if is_mutable:
-            mutables.update(targets)
-    return mutables
-
-
-def _file_handle_call(module: ModuleInfo, node: ast.expr) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    target = _resolve_call_target(module, node)
-    if target in {
-        "open", "io.open", "gzip.open", "bz2.open", "lzma.open",
-        "tempfile.TemporaryFile", "tempfile.NamedTemporaryFile",
-    }:
-        return True
-    return isinstance(node.func, ast.Attribute) and node.func.attr == "open"
-
-
-@register_rule
-class PicklabilityRule(Rule):
-    """Pool-boundary kernels must stay picklable by construction.
-
-    Classes shipped across the process-pool boundary (``*Kernel`` classes
-    and everything in :mod:`repro.parallel.kernels`) may not capture
-    lambdas, locally-defined functions, open file handles, or module-level
-    mutable state in ``__init__`` or as class-level defaults — each of those
-    either fails ``pickle.dumps`` outright or silently forks shared state
-    per worker.
-    """
-
-    code = "RPR003"
-    name = "kernel-picklability"
-    description = (
-        "*Kernel classes must not capture lambdas, local functions, open "
-        "files, or module-level mutable state"
-    )
-
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
-        mutables = _module_level_mutables(module)
-        for entry in project.classes.values():
-            if entry.module is not module or not _is_pool_boundary_class(entry):
-                continue
-            yield from self._check_class_body(module, entry, mutables)
-            init = project.functions.get(f"{entry.qualname}.__init__")
-            if init is not None:
-                yield from self._check_init(module, entry, init, mutables)
-
-    def _check_class_body(
-        self, module: ModuleInfo, entry: ClassEntry, mutables: set[str]
-    ) -> Iterator[Finding]:
-        for stmt in entry.node.body:
-            if isinstance(stmt, ast.Assign):
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                value = stmt.value
-            else:
-                continue
-            if value is None:
-                continue
-            if isinstance(value, ast.Lambda):
-                yield self.finding(
-                    module, value.lineno, value.col_offset,
-                    f"{entry.qualname} default captures a lambda; lambdas do "
-                    "not pickle across the pool boundary — use a module-level "
-                    "function or a dataclass field",
-                )
-            elif isinstance(value, ast.Name) and value.id in mutables:
-                yield self.finding(
-                    module, value.lineno, value.col_offset,
-                    f"{entry.qualname} default aliases module-level mutable "
-                    f"state {value.id!r}; each worker process gets its own "
-                    "silently-diverging copy — pass an immutable snapshot in",
-                )
-
-    def _check_init(
-        self,
-        module: ModuleInfo,
-        entry: ClassEntry,
-        init: FunctionEntry,
-        mutables: set[str],
-    ) -> Iterator[Finding]:
-        local_defs = {
-            child.name for child in ast.walk(init.node)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and child is not init.node
-        }
-        for node in ast.walk(init.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            stores_on_self = any(
-                isinstance(t, ast.Attribute)
-                and isinstance(t.value, ast.Name) and t.value.id == "self"
-                for t in node.targets
-            )
-            if not stores_on_self:
-                continue
-            value = node.value
-            if isinstance(value, ast.Lambda):
-                yield self.finding(
-                    module, value.lineno, value.col_offset,
-                    f"{entry.qualname}.__init__ captures a lambda on self; "
-                    "it will not pickle to worker processes — use a "
-                    "module-level function",
-                )
-            elif isinstance(value, ast.Name) and value.id in local_defs:
-                yield self.finding(
-                    module, value.lineno, value.col_offset,
-                    f"{entry.qualname}.__init__ captures locally-defined "
-                    f"function {value.id!r} on self; local functions do not "
-                    "pickle — define it at module level",
-                )
-            elif _file_handle_call(module, value):
-                yield self.finding(
-                    module, value.lineno, value.col_offset,
-                    f"{entry.qualname}.__init__ stores an open file handle on "
-                    "self; handles do not pickle — open files lazily in the "
-                    "worker instead",
-                )
-            elif isinstance(value, ast.Name) and value.id in mutables:
-                yield self.finding(
-                    module, value.lineno, value.col_offset,
-                    f"{entry.qualname}.__init__ captures module-level mutable "
-                    f"state {value.id!r}; worker copies diverge silently — "
-                    "pass an immutable snapshot in",
-                )
 
 
 # --------------------------------------------------------------------- #

@@ -255,10 +255,10 @@ PUBLISH_RUNS = REGISTRY.counter(
     labelnames=("path", "strategy"),
 )
 
-#: Work chunks executed by the shared scheduler, by resolved backend.
+#: Work chunks executed by the shared scheduler, by backend (serial or thread).
 CHUNKS_TOTAL = REGISTRY.counter(
     "repro_chunks_total",
-    "Work chunks executed by the chunk scheduler, by resolved backend.",
+    "Work chunks executed by the chunk scheduler, by backend (serial or thread).",
     labelnames=("backend",),
 )
 

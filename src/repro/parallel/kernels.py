@@ -1,14 +1,9 @@
-"""Picklable chunk kernels: the unit of work shipped to worker processes.
+"""Chunk kernels: the units of work the scheduler hands its workers.
 
-A closure built by :meth:`PublishStrategy.chunk_publisher` cannot cross a
-process boundary, so the process backend ships *descriptions* instead: a
-kernel object carrying the strategy instance, the (prepared) schema, the
-privacy spec and the resolved parameters.  The worker rebuilds the closure
-lazily on first call and caches it for the life of the process; the built
-closure itself is excluded from pickling.
-
-Construction of a chunk publisher draws no randomness, so rebuilding it in a
-worker changes nothing about the published bytes — every draw still comes
+:class:`StrategyKernel` stands for the closure a strategy's
+:meth:`PublishStrategy.chunk_publisher` builds; it builds that closure
+lazily, once, and reports a strategy that has none with a distinct error.
+Construction of a chunk publisher draws no randomness — every draw comes
 from the per-chunk generator handed in with the payload.
 """
 
@@ -57,17 +52,11 @@ def encode_block_csv(schema: "Schema", block: np.ndarray) -> EncodedBlock:
 
 @dataclass
 class StrategyKernel:
-    """A picklable stand-in for ``strategy.chunk_publisher(schema, spec, resolved)``.
+    """A stand-in for ``strategy.chunk_publisher(schema, spec, resolved)``.
 
     Calling the kernel is byte-for-byte the same as calling the closure the
-    strategy builds — the kernel *is* that closure, built lazily (and cached)
-    in whichever process the call lands in.  Pickling drops the built
-    closure; the strategy instance, schema, spec and resolved parameters ride
-    along and rebuild it on the other side.
-
-    Strategies whose class is importable (module level) pickle by reference,
-    so custom strategies keep working across processes; locally-defined test
-    strategies fail the scheduler's pickle probe and fall back to threads.
+    strategy builds — the kernel *is* that closure, built lazily on first
+    use and cached.
     """
 
     strategy: "PublishStrategy"
@@ -77,7 +66,7 @@ class StrategyKernel:
     _fn: Any = field(default=None, repr=False, compare=False)
 
     def build(self) -> Callable[[Sequence[Any], np.random.Generator], tuple[np.ndarray, Sequence[Any]]]:
-        """The underlying chunk publisher, built once per process.
+        """The underlying chunk publisher, built once.
 
         Raises :class:`MissingChunkPublisher` when the strategy returns
         ``None``; any exception the strategy's builder itself raises
@@ -97,11 +86,6 @@ class StrategyKernel:
         self, chunk: Sequence[Any], rng: np.random.Generator
     ) -> tuple[np.ndarray, Sequence[Any]]:
         return self.build()(chunk, rng)
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        state["_fn"] = None  # closures don't pickle; rebuilt lazily on arrival
-        return state
 
 
 @dataclass

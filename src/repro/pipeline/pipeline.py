@@ -80,7 +80,6 @@ class PublishPipeline:
         self._generalization: GeneralizationResult | None = None
         self._audit = True
         self._workers = 1
-        self._parallel_backend = "auto"
         self._append: tuple[Any, "DeltaState"] | None = None
 
     @property
@@ -108,17 +107,15 @@ class PublishPipeline:
         self._chunk_size = int(chunk_size)
         return self
 
-    def with_workers(self, workers: int, backend: str = "auto") -> "PublishPipeline":
-        """Fan the enforce stage out over ``workers`` via the shared scheduler.
+    def with_workers(self, workers: int) -> "PublishPipeline":
+        """Fan the enforce stage out over ``workers`` threads via the shared scheduler.
 
-        ``backend`` is one of :data:`repro.parallel.PARALLEL_BACKENDS`.  The
-        published bytes are identical at any worker count (the scheduler's
-        determinism contract); only wall-clock changes.
+        The published bytes are identical at any worker count (the
+        scheduler's determinism contract); only wall-clock changes.
         """
         if workers <= 0:
             raise ValueError("workers must be positive")
         self._workers = int(workers)
-        self._parallel_backend = backend
         return self
 
     def with_groups(self, groups: GroupIndex) -> "PublishPipeline":
@@ -184,7 +181,6 @@ class PublishPipeline:
                 state,
                 appended,
                 workers=self._workers,
-                parallel_backend=self._parallel_backend,
                 audit=self._audit,
             )
         if table is None:
@@ -251,7 +247,7 @@ class PublishPipeline:
                 None if index is None else index.groups, len(table),
                 _TableSink, timings,
                 seed=seed, chunk_size=self._chunk_size, workers=self._workers,
-                backend=self._parallel_backend, audit=self._audit,
+                audit=self._audit,
                 rows=_TableRows(indexed) if strategy.streams_rows else None,
                 merges=None if generalization is None else generalization.merges,
             )

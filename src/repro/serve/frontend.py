@@ -57,6 +57,14 @@ _ENDPOINT_LABELS = {
     "health", "healthz", "metrics", "stats", "datasets", "jobs", "publish", "audit",
 }
 
+#: Largest request body accepted (a declared Content-Length above it is a
+#: ``413`` before any of the body is read).  The census-100k CSV register
+#: is 4.0 MB.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Most header lines one request may carry (``431`` beyond it).
+MAX_HEADER_LINES = 100
+
 
 class _BadRequest(Exception):
     """Malformed request framing: answered ``status``, then the connection closes."""
@@ -111,7 +119,8 @@ class ServingFrontend:
         :attr:`port` after :meth:`start`).
     workers:
         Worker threads executing requests (the service engine is
-        thread-safe; publish jobs fan out further via its process pool).
+        thread-safe; a publish job with ``workers > 1`` fans its chunks out
+        over that many more threads).
     queue_limit:
         Bound on *waiting* requests; the ``queue_limit + 1``-th concurrent
         request is rejected with 429.
@@ -297,16 +306,32 @@ class ServingFrontend:
             raise _BadRequest(f"malformed request line {shown!r}")
         method, target, version = pieces
         headers: dict[str, str] = {}
+        n_lines = 0
         while True:
             line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
+            n_lines += 1
+            if n_lines > MAX_HEADER_LINES:
+                raise _BadRequest(f"more than {MAX_HEADER_LINES} header lines", 431)
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            encoding = headers["transfer-encoding"]
+            raise _BadRequest(
+                f"Transfer-Encoding {encoding!r} is not supported; "
+                "send the body with a Content-Length",
+                501,
+            )
         declared = headers.get("content-length") or "0"
         if not (declared.isascii() and declared.isdigit()):
             raise _BadRequest(f"invalid Content-Length {declared!r}")
         length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(
+                f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte body limit",
+                413,
+            )
         body = await reader.readexactly(length) if length > 0 else b""
         return method, target, version, headers, body
 
@@ -353,9 +378,10 @@ class ServingFrontend:
         writer: asyncio.StreamWriter, result: RouteResult, keep_alive: bool
     ) -> None:
         reason = {200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 429: "Too Many Requests",
+                  405: "Method Not Allowed", 413: "Content Too Large",
+                  429: "Too Many Requests",
                   431: "Request Header Fields Too Large",
-                  500: "Internal Server Error"}.get(
+                  500: "Internal Server Error", 501: "Not Implemented"}.get(
             result.status, "Response"
         )
         lines = [

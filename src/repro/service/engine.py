@@ -4,7 +4,7 @@
 the CLI: it owns the dataset registry, job store and delta registry, executes
 publish jobs through the :mod:`repro.pipeline` strategy named by the
 request's ``backend`` field (fanning group work out over the shared
-process-pool scheduler of :mod:`repro.parallel` with per-chunk seeded
+thread-pool scheduler of :mod:`repro.parallel` with per-chunk seeded
 streams), and runs audits against the cached group indexes.
 
 Every job kind — in-memory, stream, delta base and delta append — runs

@@ -10,8 +10,8 @@ Durability and concurrency posture:
   at arbitrary points and asserts nothing committed is lost.
 * **One connection per thread** — ``sqlite3`` connections are not safely
   shareable across threads; each thread lazily opens its own, and a forked
-  child (the service's process-pool workers) never inherits a parent
-  connection (connections are keyed by pid as well).
+  child never inherits a parent connection (connections are keyed by pid
+  as well).
 * **Busy-timeout plus bounded retry** — concurrent writers serialise on
   SQLite's single write lock; ``BEGIN IMMEDIATE`` takes it up front (no
   deadlock-prone lock upgrades) and lock contention is retried with backoff

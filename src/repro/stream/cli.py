@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="fan the enforce stage out over this many worker processes "
+        help="fan the enforce stage out over this many worker threads "
         "(never affects the published bytes)",
     )
     parser.add_argument(

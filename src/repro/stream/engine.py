@@ -65,11 +65,7 @@ from repro.parallel.kernels import (
     StrategyKernel,
     UniformRowKernel,
 )
-from repro.parallel.scheduler import (
-    DEFAULT_BACKEND,
-    iter_chunk_results,
-    iter_ordered_map,
-)
+from repro.parallel.scheduler import iter_chunk_results, iter_ordered_map
 from repro.pipeline.execution import (
     DEFAULT_CHUNK_ROWS,
     DEFAULT_CHUNK_SIZE,
@@ -331,7 +327,6 @@ def stream_publish(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     workers: int = 1,
-    parallel_backend: str = DEFAULT_BACKEND,
     audit: bool = True,
     output: str | Path | IO[str] | None = None,
     materialize: bool = True,
@@ -361,15 +356,12 @@ def stream_publish(
     chunk_rows:
         Records per ingestion chunk — the memory knob.
     workers:
-        Fan the enforce stage out over this many workers through the shared
+        Fan the enforce stage out over this many threads through the shared
         scheduler (:mod:`repro.parallel`).  Byte-identity is preserved at
         any worker count: chunks and their seeded generators are fixed
         before dispatch and completions are flushed to the sink in chunk
         order, so the published table, the CSV bytes and the RNG stream
         consumption never depend on ``workers``.
-    parallel_backend:
-        ``"auto"`` (process pool when the kernel pickles, threads
-        otherwise), ``"process"``, ``"thread"`` or ``"serial"``.
     audit:
         Run the pre-publication audit (computed from the incremental index).
     output:
@@ -425,7 +417,7 @@ def stream_publish(
     try:
         return _run(
             strategy, source, sensitive, rng, chunk_size, chunk_rows,
-            int(workers), parallel_backend, audit,
+            int(workers), audit,
             output, materialize, overwrite, delimiter, progress, track_memory, params,
         ).report
     finally:
@@ -512,7 +504,6 @@ def _run(
     chunk_size: int,
     chunk_rows: int,
     workers: int,
-    parallel_backend: str,
     audit: bool,
     output: str | Path | IO[str] | None,
     materialize: bool,
@@ -552,8 +543,7 @@ def _run(
 
         # Everything that owns on-disk state (the row spool, the CSV sink's
         # temp file) is released inside this one try: whatever fails — a bad
-        # row mid-read, a strategy exception, a worker process dying
-        # mid-enforce — the spool is closed and the unpublished temp output
+        # row mid-read, a strategy exception mid-enforce — the spool is closed and the unpublished temp output
         # removed before the error propagates.
         spool: _RowSpool | None = None
         sink: Any = None
@@ -586,7 +576,7 @@ def _run(
             staged = _publish_stages(
                 strategy, resolved, schema, groups, index.n_rows, open_sink, timings,
                 seed=seed, chunk_size=chunk_size, workers=workers,
-                backend=parallel_backend, audit=audit, rows=spool, notify=notify,
+                audit=audit, rows=spool, notify=notify,
                 unsupported=unsupported,
             )
             sink = staged.sink
@@ -670,7 +660,6 @@ def _publish_stages(
     seed: int,
     chunk_size: int,
     workers: int,
-    backend: str,
     audit: bool,
     rows: _RowSpool | _TableRows | None = None,
     merges: tuple[AttributeMerge, ...] | None = None,
@@ -734,13 +723,12 @@ def _publish_stages(
         records: list[SPSRecords | None] = []
         try:
             if rows is not None:
-                _enforce_rows(strategy, spec, rows, seed, workers, backend, sink, notify)
+                _enforce_rows(strategy, spec, rows, seed, workers, sink, notify)
             else:
                 assert groups is not None
                 kernel = _chunk_kernel(strategy, schema, spec, resolved, unsupported)
                 _enforce_groups(
-                    kernel, groups, seed, chunk_size, workers,
-                    backend, sink, records, notify,
+                    kernel, groups, seed, chunk_size, workers, sink, records, notify
                 )
         except BaseException:
             sink.abort()
@@ -759,12 +747,12 @@ def _chunk_kernel(
     resolved: dict[str, Any],
     unsupported: type[ValueError] = ValueError,
 ) -> StrategyKernel:
-    """Build the strategy's group-batch kernel, failing fast in the parent.
+    """Build the strategy's group-batch kernel, failing fast before any chunk runs.
 
     The one kernel-build site of every publish path.  A strategy that
     returns no kernel raises ``unsupported``; a :class:`ValueError` from the
-    strategy's own builder propagates verbatim.  Workers rebuild their own
-    copy after unpickling; the parent's built closure serves the serial path.
+    strategy's own builder propagates verbatim.  Every worker calls the
+    closure built here.
     """
     kernel = StrategyKernel(strategy, schema, spec, dict(resolved))
     try:
@@ -782,21 +770,18 @@ def _enforce_groups(
     seed: int,
     chunk_size: int,
     workers: int,
-    backend: str,
     sink: Any,
     records: list[SPSRecords | None],
     notify: ProgressCallback,
 ) -> None:
     """Drive the group-batch kernel over seeded chunks, in chunk order.
 
-    With ``workers > 1`` the chunks are dispatched through the shared
-    scheduler (process pool by default); the ordered emitter inside the
-    scheduler guarantees blocks reach the sink in chunk order, so the output
-    bytes never depend on the worker count.
+    With ``workers > 1`` the chunks run on the shared scheduler's threads;
+    the ordered emitter inside the scheduler guarantees blocks reach the
+    sink in chunk order, so the output bytes never depend on the worker
+    count.
     """
-    results = iter_chunk_results(
-        groups, kernel, seed, chunk_size, workers=workers, backend=backend
-    )
+    results = iter_chunk_results(groups, kernel, seed, chunk_size, workers=workers)
     done = 0
     for block, chunk_records in results:
         sink.write_block(block)
@@ -816,7 +801,6 @@ def _enforce_rows(
     spool: _RowSpool | _TableRows,
     seed: int,
     workers: int,
-    backend: str,
     sink: Any,
     notify: ProgressCallback,
 ) -> None:
@@ -827,9 +811,9 @@ def _enforce_rows(
     draws from the same generator consume the same stream: all retain draws
     happen first (phase one), all replacement draws second.
 
-    With ``workers > 1`` the draws **stay sequential in the parent** (they
+    With ``workers > 1`` the draws **stay sequential in the caller** (they
     define the byte contract and are cheap vectorised generator calls); the
-    spool is partitioned block-wise across the pool, whose workers remap the
+    spool is partitioned block-wise across the pool, whose threads remap the
     codes and apply the perturbation, and the ordered scheduler flushes
     their results in spool order.  The scheduler's submission backpressure
     caps in-flight blocks, so memory stays bounded by
@@ -855,8 +839,7 @@ def _enforce_rows(
 
     done = 0
     for result in iter_ordered_map(
-        kernel, payloads(), workers=workers, backend=backend,
-        n_tasks=len(spool.chunk_lengths),
+        kernel, payloads(), workers=workers, n_tasks=len(spool.chunk_lengths),
     ):
         sink.write_block(result)
         done += result.shape[0]

@@ -92,8 +92,8 @@ class IncrementalGroupIndex:
     def remaps(self) -> tuple[np.ndarray, ...]:
         """Per-column provisional→final code tables (requires :meth:`finalize`).
 
-        Exposed so the parallel row kernel can remap spooled blocks inside
-        worker processes without shipping the whole index.
+        Exposed so the parallel row kernel can remap spooled blocks on its
+        worker threads without holding the whole index.
         """
         return self._encoder.remaps
 

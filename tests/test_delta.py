@@ -612,11 +612,10 @@ class TestStanceAndErrors:
 
 
 class _ExplodingDeltaStrategy(SPSStrategy):
-    """Module-level (hence picklable) strategy whose kernel dies on demand.
+    """Strategy whose kernel raises on demand.
 
     Armed through an environment variable so the *base* publish succeeds
-    and only the later delta splice explodes — fork-started workers inherit
-    the armed environment.
+    and only the later delta splice explodes.
     """
 
     name = "sps-delta-exploding"
@@ -628,8 +627,6 @@ class _ExplodingDeltaStrategy(SPSStrategy):
             mode = os.environ.get("REPRO_TEST_DELTA_EXPLODE")
             if mode == "raise":
                 raise OSError("disk full")
-            if mode == "exit":
-                os._exit(13)  # simulate a hard worker crash (OOM-killer style)
             return inner(chunk, rng)
 
         return chunk_fn
@@ -671,22 +668,19 @@ class TestFaultInjection:
         assert Path(state.output).read_bytes() == base_bytes
         assert _no_temp_leftovers(tmp_path)
 
-    def test_worker_death_leaves_base_intact(
+    def test_kernel_failure_on_worker_threads_leaves_base_intact(
         self, tmp_path, exploding_strategy, monkeypatch
     ):
         state, base_bytes = self._exploding_base(
             tmp_path, exploding_strategy, monkeypatch
         )
-        monkeypatch.setenv("REPRO_TEST_DELTA_EXPLODE", "exit")
-        # Appending new trailing groups dirties several chunks, enough for a
-        # real process fan-out; the dead worker surfaces as a broken-pool
-        # error, never a hang, and the splice never reaches the rename.
+        monkeypatch.setenv("REPRO_TEST_DELTA_EXPLODE", "raise")
+        # Appending new trailing groups dirties several chunks, so the splice
+        # fans out over the thread pool; the failure raised on a pool thread
+        # reaches the caller and the splice never reaches the rename.
         appended = [["x", "flu"], ["y", "cold"], ["z", "flu"], ["z", "cold"]]
-        with pytest.raises(Exception) as excinfo:
-            delta_publish(state, appended, workers=2, parallel_backend="process")
-        assert "process" in type(excinfo.value).__name__.lower() or isinstance(
-            excinfo.value, RuntimeError
-        )
+        with pytest.raises(OSError, match="disk full"):
+            delta_publish(state, appended, workers=2)
         assert Path(state.output).read_bytes() == base_bytes
         assert _no_temp_leftovers(tmp_path)
 
@@ -1011,7 +1005,6 @@ class TestServiceDelta:
         "params",
         [
             {"audit": False},
-            {"parallel_backend": "thread"},
             {"delimiter": ";"},
             {"workers": 3},
         ],
@@ -1044,6 +1037,31 @@ class TestServiceDelta:
         assert "stream-job options" in json.loads(result.body)["error"]
         assert "other" not in service.deltas
         assert len(service.jobs) == n_jobs
+        assert not out.exists()
+
+    def test_retired_parallel_backend_key_reaches_strategy_validation(
+        self, service_base, tmp_path
+    ):
+        # parallel_backend is no longer an engine keyword (9.0.0), so the
+        # key is an unknown strategy parameter like any other.
+        from repro.serve.router import ServiceRouter
+
+        service, _, _ = service_base
+        base_csv = tmp_path / "base2.csv"
+        _write_csv(base_csv, _TINY_HEADER, _tiny_rows("ab", ["flu", "cold"]))
+        out = tmp_path / "out2.csv"
+        body = json.dumps({
+            "delta": True, "name": "other", "source": str(base_csv),
+            "sensitive": "Disease", "backend": "sps", "output": str(out),
+            "params": {"parallel_backend": "thread"},
+        }).encode()
+        result = ServiceRouter(service).handle(
+            "POST", "/publish", io.BytesIO(body), len(body)
+        )
+        assert result.status == 400
+        error = json.loads(result.body)["error"]
+        assert "does not accept parameters ['parallel_backend']" in error
+        assert "other" not in service.deltas
         assert not out.exists()
 
     def test_failed_append_marks_job_failed(self, service_base):

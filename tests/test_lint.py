@@ -146,6 +146,12 @@ def test_rpr002_clean_kernel_passes(tmp_path):
     assert codes(result) == []
 
 
+def test_rpr002_exempts_the_scheduler_timing_wrapper():
+    # _TimedKernel times chunks for repro.obs by design.
+    scheduler = Path(__file__).resolve().parents[1] / "src/repro/parallel/scheduler.py"
+    assert codes(run_lint([scheduler], select=["RPR002"])) == []
+
+
 def test_rpr002_ignores_wall_clock_outside_kernels(tmp_path):
     result = lint(tmp_path, {"mod.py": """\
         import time
@@ -153,55 +159,6 @@ def test_rpr002_ignores_wall_clock_outside_kernels(tmp_path):
         def benchmark():
             return time.perf_counter()
     """}, select=["RPR002"])
-    assert codes(result) == []
-
-
-# --------------------------------------------------------------------- #
-# RPR003 — picklability of pool-boundary classes
-# --------------------------------------------------------------------- #
-
-def test_rpr003_flags_lambda_on_self(tmp_path):
-    result = lint(tmp_path, {"k.py": """\
-        class LambdaKernel:
-            def __init__(self):
-                self.fn = lambda chunk, rng: chunk
-    """}, select=["RPR003"])
-    assert codes(result) == ["RPR003"]
-    assert "lambda" in result.findings[0].message
-
-
-def test_rpr003_flags_open_handle_and_mutable_global(tmp_path):
-    result = lint(tmp_path, {"k.py": """\
-        _SHARED = {}
-
-        class HandleKernel:
-            def __init__(self, path):
-                self.handle = open(path)
-                self.state = _SHARED
-    """}, select=["RPR003"])
-    assert codes(result) == ["RPR003", "RPR003"]
-
-
-def test_rpr003_flags_local_function_capture(tmp_path):
-    result = lint(tmp_path, {"k.py": """\
-        class ClosureKernel:
-            def __init__(self):
-                def run(chunk, rng):
-                    return chunk
-                self.fn = run
-    """}, select=["RPR003"])
-    assert codes(result) == ["RPR003"]
-
-
-def test_rpr003_module_level_function_capture_is_fine(tmp_path):
-    result = lint(tmp_path, {"k.py": """\
-        def _run(chunk, rng):
-            return chunk
-
-        class GoodKernel:
-            def __init__(self):
-                self.fn = _run
-    """}, select=["RPR003"])
     assert codes(result) == []
 
 
@@ -552,7 +509,10 @@ def test_rule_registry_covers_contract_codes():
     # Importing repro.lint.rules registers the full contract set.
     import repro.lint.rules  # noqa: F401
 
-    assert {f"RPR00{i}" for i in range(1, 9)} <= set(RULES)
+    # RPR003 (kernel picklability) was retired in 9.0.0 with the process
+    # pool it guarded; the remaining codes keep their numbers.
+    assert {f"RPR00{i}" for i in range(1, 9) if i != 3} <= set(RULES)
+    assert "RPR003" not in RULES
     for rule in RULES.values():
         assert rule.code and rule.name and rule.description
 

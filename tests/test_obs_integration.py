@@ -49,7 +49,7 @@ def _stream(adult_csv, strategy="sps", workers=1, **kwargs):
     kwargs.setdefault("chunk_rows", 400)
     return stream_publish(
         io.StringIO(adult_csv), sensitive="Income", strategy=strategy,
-        workers=workers, parallel_backend="thread", **kwargs,
+        workers=workers, **kwargs,
     )
 
 

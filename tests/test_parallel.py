@@ -2,18 +2,16 @@
 
 The load-bearing suite for :mod:`repro.parallel`: for a fixed seed and
 ``chunk_size``, the published table, the CSV bytes and the audit must be
-byte-identical at any ``workers`` count and on any backend — pinned here for
-every registered strategy, the way ``tests/test_stream.py`` pins streaming
-against the in-memory pipeline.  Also covers the ordered emitter, backend
-resolution/fallback, worker-failure cleanup (the spool and partial-output
-bugfix) and the perf-gate script's comparison logic.
+byte-identical at any ``workers`` count — pinned here for every registered
+strategy, the way ``tests/test_stream.py`` pins streaming against the
+in-memory pipeline.  Also covers the ordered emitter, the serial/thread
+labels of chunk spans and metrics, worker-failure cleanup (the spool and
+partial-output bugfix) and the perf-gate script's comparison logic.
 """
 
 import csv
 import importlib.util
 import io
-import os
-import pickle
 import threading
 import time
 from pathlib import Path
@@ -23,16 +21,18 @@ import pytest
 
 import repro
 from repro.dataset.loaders import read_csv, write_csv
+from repro.obs import Tracer
+from repro.obs.metrics import CHUNKS_TOTAL, REGISTRY
 from repro.parallel import (
     OrderedEmitter,
     StrategyKernel,
     iter_ordered_map,
-    resolve_backend,
     run_chunks,
 )
 from repro.parallel.kernels import UniformRowKernel, encode_block_csv
 from repro.pipeline import publish
 from repro.pipeline.execution import run_chunks_serial
+from repro.pipeline.params import ParamError
 from repro.pipeline.strategy import SPSStrategy
 from repro.service.engine import AnonymizationService
 from repro.stream import stream_publish
@@ -114,7 +114,7 @@ class TestOrderedEmitter:
 
 
 # --------------------------------------------------------------------- #
-# Backend resolution
+# Serial / thread execution
 # --------------------------------------------------------------------- #
 
 
@@ -122,39 +122,91 @@ def _module_level_sum(chunk, rng):
     return sum(chunk) + int(rng.integers(0, 10))
 
 
-class TestResolveBackend:
-    def test_single_worker_or_single_task_is_serial(self):
-        assert resolve_backend("auto", 1, 100, _module_level_sum)[0] == "serial"
-        assert resolve_backend("process", 8, 1, _module_level_sum)[0] == "serial"
-        assert resolve_backend("serial", 8, 100, _module_level_sum)[0] == "serial"
+class TestBackendLabels:
+    @pytest.mark.parametrize(
+        ("workers", "n_items", "expected"),
+        [(1, 12, "serial"), (4, 3, "serial"), (3, 12, "thread")],
+    )
+    def test_chunk_spans_and_counter_name_the_backend(self, workers, n_items, expected):
+        # One worker or a single chunk runs inline; anything else on threads.
+        REGISTRY.reset()
+        with Tracer() as tracer:
+            run_chunks(
+                list(range(n_items)), _module_level_sum, seed=5, chunk_size=4,
+                workers=workers,
+            )
+        chunks = [record for record in tracer.spans if record.name == "chunk"]
+        n_chunks = -(-n_items // 4)
+        assert len(chunks) == n_chunks
+        assert {record.attributes["backend"] for record in chunks} == {expected}
+        counts = {labels["backend"]: value for labels, value in CHUNKS_TOTAL.samples()}
+        assert counts == {expected: n_chunks}
 
-    def test_auto_prefers_process_for_picklable_kernels(self):
-        backend, payload = resolve_backend("auto", 4, 8, _module_level_sum)
-        assert backend == "process"
-        assert pickle.loads(payload) is _module_level_sum
 
-    def test_auto_keeps_tiny_jobs_on_threads(self):
-        # A few-chunk job can never amortise process-pool start-up, so auto
-        # stays on threads below the floor; explicit process bypasses it.
-        from repro.parallel.scheduler import AUTO_MIN_PROCESS_TASKS
+class TestThreadPool:
+    def test_workers_n_runs_chunks_concurrently_on_n_pool_threads(self):
+        # All three workers must be inside a kernel at once to pass the
+        # barrier; the timeout turns a too-small pool into a failure, not a hang.
+        barrier = threading.Barrier(3, timeout=10)
+        seen = []
 
-        tiny = AUTO_MIN_PROCESS_TASKS - 1
-        assert resolve_backend("auto", 4, tiny, _module_level_sum)[0] == "thread"
-        assert resolve_backend("process", 4, tiny, _module_level_sum)[0] == "process"
+        def kernel(chunk, rng):
+            seen.append(threading.current_thread())
+            if chunk[0] < 3:
+                barrier.wait()
+            return chunk[0]
 
-    def test_auto_falls_back_to_thread_for_closures(self):
-        captured = []
-        backend, _ = resolve_backend("auto", 4, 8, lambda c, r: captured)
-        assert backend == "thread"
+        got = run_chunks(list(range(12)), kernel, seed=0, chunk_size=1, workers=3)
+        assert got == list(range(12))
+        assert threading.current_thread() not in seen
+        assert len(set(seen)) == 3
 
-    def test_explicit_process_with_unpicklable_kernel_is_an_error(self):
-        captured = []
-        with pytest.raises(ValueError, match="picklable"):
-            resolve_backend("process", 4, 8, lambda c, r: captured)
+    @pytest.mark.parametrize(("workers", "n_items"), [(1, 12), (4, 3)])
+    def test_inline_runs_on_the_calling_thread(self, workers, n_items):
+        seen = []
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown parallel backend"):
-            resolve_backend("gpu", 4, 8, _module_level_sum)
+        def kernel(chunk, rng):
+            seen.append(threading.current_thread())
+            return chunk[0]
+
+        run_chunks(list(range(n_items)), kernel, seed=0, chunk_size=4, workers=workers)
+        assert seen and set(seen) == {threading.current_thread()}
+
+    @pytest.mark.parametrize(
+        ("call", "error"),
+        [
+            (
+                lambda: run_chunks(
+                    [1, 2], _module_level_sum, seed=0, workers=2, backend="process"
+                ),
+                TypeError,
+            ),
+            (
+                lambda: list(
+                    iter_ordered_map(_module_level_sum, [], workers=2, backend="thread")
+                ),
+                TypeError,
+            ),
+            (
+                # Extra keywords of stream_publish are strategy parameters.
+                lambda: stream_publish(
+                    io.StringIO("City,Disease\nOslo,Flu\n"), sensitive="Disease",
+                    strategy="uniform", rng=1, parallel_backend="thread",
+                ),
+                ParamError,
+            ),
+            (
+                lambda: repro.PublishPipeline("sps").with_workers(2, backend="thread"),
+                TypeError,
+            ),
+        ],
+        ids=["run_chunks", "iter_ordered_map", "stream_publish", "with_workers"],
+    )
+    def test_retired_backend_keywords_are_rejected(self, call, error):
+        # 9.0.0 removed the backend knob; an old caller fails loudly instead
+        # of having its choice silently ignored.
+        with pytest.raises(error, match="backend"):
+            call()
 
 
 # --------------------------------------------------------------------- #
@@ -163,13 +215,11 @@ class TestResolveBackend:
 
 
 class TestRunChunks:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_matches_sequential_reference_on_every_backend(self, backend):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_matches_sequential_reference_at_any_worker_count(self, workers):
         items = list(range(37))
         expected = run_chunks_serial(items, _module_level_sum, seed=5, chunk_size=4)
-        got = run_chunks(
-            items, _module_level_sum, seed=5, chunk_size=4, workers=3, backend=backend
-        )
+        got = run_chunks(items, _module_level_sum, seed=5, chunk_size=4, workers=workers)
         assert got == expected
 
     def test_results_ordered_even_when_completion_is_reversed(self):
@@ -184,9 +234,7 @@ class TestRunChunks:
                 first_may_finish.set()
             return chunk[0]
 
-        got = run_chunks(
-            list(range(10)), stalling, seed=0, chunk_size=2, workers=5, backend="thread"
-        )
+        got = run_chunks(list(range(10)), stalling, seed=0, chunk_size=2, workers=5)
         assert got == [0, 2, 4, 6, 8]
 
     def test_worker_exception_propagates(self):
@@ -196,7 +244,7 @@ class TestRunChunks:
             return chunk[0]
 
         with pytest.raises(RuntimeError, match="kernel exploded"):
-            run_chunks(list(range(8)), boom, seed=0, chunk_size=2, workers=2, backend="thread")
+            run_chunks(list(range(8)), boom, seed=0, chunk_size=2, workers=2)
 
     def test_lazy_payloads_pulled_with_backpressure(self):
         pulled = []
@@ -210,9 +258,7 @@ class TestRunChunks:
             time.sleep(0.005)
             return value
 
-        iterator = iter_ordered_map(
-            slow_identity, payloads(), workers=2, backend="thread", n_tasks=20
-        )
+        iterator = iter_ordered_map(slow_identity, payloads(), workers=2, n_tasks=20)
         first = next(iterator)
         assert first == 0
         # Submission backpressure: far fewer than all 20 payloads were pulled
@@ -301,7 +347,7 @@ class TestWorkerCountEquivalence:
     def test_thread_backend_also_byte_identical(self, adult_csv, sequential_reference):
         report = stream_publish(
             io.StringIO(adult_csv), sensitive="Income", strategy="sps",
-            rng=7, chunk_size=32, chunk_rows=300, workers=3, parallel_backend="thread",
+            rng=7, chunk_size=32, chunk_rows=300, workers=3,
         )
         reference = sequential_reference["sps"]["streamed"]
         assert (report.published.codes == reference.published.codes).all()
@@ -321,22 +367,20 @@ class TestWorkerCountEquivalence:
 
 
 class TestKernels:
-    def test_strategy_kernel_pickles_and_matches_direct_call(self, adult_csv):
+    def test_strategy_kernel_matches_direct_call(self, adult_csv):
         table = read_csv(io.StringIO(adult_csv), sensitive="Income")
         strategy = SPSStrategy()
         resolved = strategy.resolve({})
         spec = strategy.spec_for(table, resolved)
         kernel = StrategyKernel(strategy, table.schema, spec, resolved)
-        clone = pickle.loads(pickle.dumps(kernel))
         from repro.dataset.groups import personal_groups
 
         groups = personal_groups(table).groups[:5]
         direct = strategy.chunk_publisher(table.schema, spec, resolved)
         a = kernel(groups, np.random.default_rng(3))
-        b = clone(groups, np.random.default_rng(3))
         c = direct(groups, np.random.default_rng(3))
-        assert (a[0] == b[0]).all() and (a[0] == c[0]).all()
-        assert a[1].groups == b[1].groups == c[1].groups
+        assert (a[0] == c[0]).all()
+        assert a[1].groups == c[1].groups
 
     def test_encode_block_csv_matches_write_csv_bytes(self, adult_csv):
         table = read_csv(io.StringIO(adult_csv), sensitive="Income")
@@ -375,10 +419,7 @@ class TestKernels:
         common = dict(sensitive="Disease", strategy=strategy, rng=7, chunk_rows=128, chunk_size=8)
         published = stream_publish(io.StringIO(quoting_csv), **common).published
         output = tmp_path / "out.csv"
-        stream_publish(
-            io.StringIO(quoting_csv), output=output, workers=workers,
-            parallel_backend="process" if workers > 1 else "serial", **common,
-        )
+        stream_publish(io.StringIO(quoting_csv), output=output, workers=workers, **common)
         assert output.read_bytes() == _per_row_csv(published).encode("utf-8")
 
     def test_builder_errors_propagate_unmasked(self, adult_csv):
@@ -411,22 +452,6 @@ class TestKernels:
 # --------------------------------------------------------------------- #
 
 
-class _ExplodingWorkerStrategy(SPSStrategy):
-    """Module-level (hence picklable) strategy whose worker dies mid-publish."""
-
-    name = "sps-worker-death"
-
-    def chunk_publisher(self, schema, spec, resolved):
-        inner = super().chunk_publisher(schema, spec, resolved)
-
-        def chunk_fn(chunk, rng):
-            if chunk.keys[0, 0] > 0:  # not the very first chunk
-                os._exit(13)  # simulate a hard worker crash (OOM-killer style)
-            return inner(chunk, rng)
-
-        return chunk_fn
-
-
 class TestFailureCleanup:
     def test_spool_closed_when_read_fails_midway(self, tmp_path, monkeypatch):
         # A ragged row *after* the spool exists: before the fix the spool's
@@ -451,22 +476,6 @@ class TestFailureCleanup:
             )
         assert spools, "row spool was never created"
         assert all(s._codes.closed and s._retain.closed for s in spools)
-
-    def test_partial_output_removed_when_worker_process_dies(self, adult_csv, tmp_path):
-        out = tmp_path / "published.csv"
-        with pytest.raises(Exception) as excinfo:
-            stream_publish(
-                io.StringIO(adult_csv), sensitive="Income",
-                strategy=_ExplodingWorkerStrategy(),
-                rng=7, chunk_size=8, chunk_rows=300, workers=2,
-                parallel_backend="process", output=out,
-            )
-        # A dead worker surfaces as a broken-pool error, never a hang ...
-        assert "process" in type(excinfo.value).__name__.lower() or isinstance(
-            excinfo.value, RuntimeError
-        )
-        # ... and the partial CSV the sink had started is gone.
-        assert not out.exists()
 
     def test_partial_output_removed_on_worker_exception(self, adult_csv, tmp_path):
         class Exploding(SPSStrategy):

@@ -12,6 +12,7 @@ import urllib.request
 import pytest
 
 from repro.serve import ServingFrontend
+from repro.serve.frontend import MAX_BODY_BYTES, MAX_HEADER_LINES
 from repro.service.engine import AnonymizationService
 
 CSV_BODY = "Job,City,Income\n" + "\n".join(
@@ -352,20 +353,65 @@ class TestConnectionHandling:
         assert not [r for r in caplog.records if r.name == "asyncio"]
 
     @pytest.mark.parametrize(
-        "request_bytes",
+        ("request_bytes", "message"),
         [
-            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
-            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * 70_000 + b"\r\n\r\n",
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n", "too long"),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * 70_000 + b"\r\n\r\n",
+                "too long",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADER_LINES + 1))
+                + b"\r\n",
+                "header lines",
+            ),
         ],
-        ids=["request-line", "header-line"],
+        ids=["request-line", "header-line", "header-count"],
     )
-    def test_over_limit_head_line_is_431_and_closes(self, frontend, caplog, request_bytes):
+    def test_over_limit_head_line_is_431_and_closes(
+        self, frontend, caplog, request_bytes, message
+    ):
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             head, body = self._raw_exchange(frontend, request_bytes)
         assert head.startswith(b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
         assert b"Connection: close" in head.split(b"\r\n")
-        assert "too long" in json.loads(body)["error"]
+        assert message in json.loads(body)["error"]
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_oversized_content_length_is_413_before_the_body(self, frontend):
+        # The limit admits a census-100k CSV register (4.0 MB) ...
+        assert MAX_BODY_BYTES >= 4_000_000
+        # ... and a larger declared body is refused without reading any of it.
+        declared = str(MAX_BODY_BYTES + 1).encode()
+        head, body = self._raw_exchange(
+            frontend,
+            b"POST /datasets?name=big&sensitive=Income HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + declared + b"\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 413 Content Too Large\r\n")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert "body limit" in json.loads(body)["error"]
+        assert "big" not in frontend.service.datasets.names()
+
+    def test_header_lines_at_the_limit_are_served(self, frontend):
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADER_LINES - 1))
+        head, _ = self._raw_exchange(
+            frontend,
+            b"GET /healthz HTTP/1.1\r\n" + headers + b"Connection: close\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_chunked_transfer_encoding_is_501_and_closes(self, frontend):
+        payload = json.dumps({"dataset": "adult"}).encode()
+        head, body = self._raw_exchange(
+            frontend,
+            b"POST /audit HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(payload) + payload + b"\r\n0\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert "Transfer-Encoding" in json.loads(body)["error"]
 
     def test_unexpected_route_error_is_500_and_logged(self, frontend, monkeypatch):
         def broken_stats():
