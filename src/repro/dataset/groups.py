@@ -28,16 +28,18 @@ import numpy as np
 from repro.dataset.table import Table
 
 
-def _row_codes(keys: np.ndarray) -> np.ndarray | None:
+def _row_codes(keys: np.ndarray, radices: Sequence[int] | None = None) -> np.ndarray | None:
     """One int64 per row of non-negative ``keys`` that orders as the rows do.
 
-    Mixed-radix over each column's ``max + 1``; ``None`` when the radix
-    product would overflow int64 (or a code is negative), so the caller
-    falls back to a column-wise sort.
+    Mixed-radix over ``radices`` (by default each column's ``max + 1``; pass
+    the domain sizes to code two key sets comparably); ``None`` when the
+    radix product would overflow int64 (or a code is negative), so the
+    caller falls back to a column-wise sort.
     """
-    if keys.size == 0 or keys.min() < 0:
-        return None
-    radices = [int(top) + 1 for top in keys.max(axis=0)]
+    if radices is None:
+        if keys.size == 0 or keys.min() < 0:
+            return None
+        radices = [int(top) + 1 for top in keys.max(axis=0)]
     if math.prod(radices) >= 2**63:
         return None
     codes = np.zeros(len(keys), dtype=np.int64)
@@ -60,6 +62,26 @@ def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         change = ordered_codes[1:] != ordered_codes[:-1]
     # The first row starts a run; no rows, no runs.
     return order, np.flatnonzero(np.concatenate(([True], change)))[: len(keys)]
+
+
+def keys_sorted_unique(keys: np.ndarray) -> bool:
+    """Whether the rows of ``keys`` are unique and in lexicographic order.
+
+    One compare of each row with the one before it, no sort: a row must
+    exceed its predecessor at the first column where the two differ.
+
+    >>> keys_sorted_unique(np.array([[0, 5], [1, 0], [1, 2]]))
+    True
+    >>> keys_sorted_unique(np.array([[1, 0], [0, 5]]))
+    False
+    >>> keys_sorted_unique(np.array([[1, 0], [1, 0]]))
+    False
+    """
+    later, earlier = keys[1:], keys[:-1]
+    differ = later != earlier
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(first))
+    return bool((differ.any(axis=1) & (later[rows, first] > earlier[rows, first])).all())
 
 
 class GroupCounts:
@@ -93,19 +115,23 @@ class GroupCounts:
     def aggregate(cls, *parts: "GroupCounts") -> "GroupCounts":
         """Sum the count rows that share a key across ``parts``; sort the keys.
 
-        Every part must have the same key and count widths.  Counts are
-        added in place into the result, so no part is copied.
+        Every part must have the same key and count widths.  Each run of
+        equal keys takes its first row's counts; only the rows after it in
+        the run are added on, one exact ``int64`` reduction per run that has
+        any.
         """
-        keys = np.vstack([part.keys for part in parts])
+        keys = np.concatenate([part.keys for part in parts])
+        counts = np.concatenate([part.counts for part in parts])
         order, starts = _sorted_runs(keys)
-        run_of_row = np.empty(len(keys), dtype=np.intp)
-        run_of_row[order] = np.searchsorted(starts, np.arange(len(keys)), side="right") - 1
-        counts = np.zeros((starts.size, parts[0].counts.shape[1]), dtype=np.int64)
-        first = 0
-        for part in parts:
-            np.add.at(counts, run_of_row[first : first + len(part)], part.counts)
-            first += len(part)
-        return cls(keys[order[starts]], counts)
+        summed = counts[order[starts]]
+        later = np.ones(len(keys), dtype=bool)
+        later[starts] = False
+        rows = np.flatnonzero(later)
+        if rows.size:
+            runs = np.searchsorted(starts, rows, side="right") - 1
+            first = np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1])))
+            summed[runs[first]] += np.add.reduceat(counts[order[rows]], first, axis=0)
+        return cls(keys[order[starts]], summed)
 
     @classmethod
     def tabulate(
@@ -119,14 +145,23 @@ class GroupCounts:
 
         Returns the groups plus the row ``order`` (stable lexicographic sort
         of the keys) and the ``bounds`` that slice it into groups: group
-        ``g`` holds rows ``order[bounds[g]:bounds[g + 1]]``.
+        ``g`` holds rows ``order[bounds[g]:bounds[g + 1]]``.  The counts are
+        exact ``int64``: one ``bincount`` of the flat ``(group, SA)`` cells,
+        or, with ``weights``, one sum per run of equal cells.
         """
         order, starts = _sorted_runs(keys)
         bounds = np.append(starts, len(keys))
-        group_ids = np.repeat(np.arange(starts.size), np.diff(bounds))
-        counts = np.zeros((starts.size, m), dtype=np.int64)
-        np.add.at(counts, (group_ids, sensitive[order]), 1 if weights is None else weights[order])
-        return cls(keys[order[starts]], counts), order, bounds
+        n_cells = starts.size * m
+        cells = np.repeat(np.arange(starts.size) * m, np.diff(bounds)) + sensitive[order]
+        flat: np.ndarray
+        if weights is None:
+            flat = np.bincount(cells, minlength=n_cells)
+        else:
+            by_cell, first = _sorted_runs(cells[:, None])
+            flat = np.zeros(n_cells, dtype=np.int64)
+            if first.size:
+                flat[cells[by_cell[first]]] = np.add.reduceat(weights[order][by_cell], first)
+        return cls(keys[order[starts]], flat.reshape(starts.size, m)), order, bounds
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -153,10 +188,11 @@ class GroupCounts:
         A personal group fixes every public attribute, so this is exactly the
         per-attribute contingency table of the underlying rows.
         """
-        values, inverse = np.unique(self.keys[:, column], return_inverse=True)
-        totals = np.zeros((values.size, self.counts.shape[1]), dtype=np.int64)
-        np.add.at(totals, inverse, self.counts)
-        return dict(zip(values.tolist(), totals, strict=True))
+        order, starts = _sorted_runs(self.keys[:, [column]])
+        if not starts.size:
+            return {}
+        totals = np.add.reduceat(self.counts[order], starts, axis=0)
+        return dict(zip(self.keys[order[starts], column].tolist(), totals, strict=True))
 
     def recode(self, key_maps: Sequence[np.ndarray]) -> "GroupCounts":
         """Re-key through per-column code maps, merging groups whose keys collide."""
@@ -347,8 +383,7 @@ class GroupIndex:
             or (np.diff(order)[same_group] <= 0).any()
         ):
             raise ValueError("cached groups do not hold the rows carrying their keys")
-        key_order, runs = _sorted_runs(keys)
-        if (key_order != np.arange(len(keys))).any() or len(runs) != len(keys):
+        if not keys_sorted_unique(keys):
             raise ValueError("cached group keys are not unique and sorted")
         recount = np.bincount(
             group_ids * m + table.sensitive_codes[order], minlength=len(keys) * m

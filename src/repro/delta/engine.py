@@ -14,11 +14,12 @@ against the CRC32 the state recorded for it, not recomputed.
 appended rows into the stored counts (via an
 :class:`~repro.stream.index.IncrementalGroupIndex` over the *appended rows
 only* — the delta-determinism lint rule ``RPR007`` statically forbids
-full-table re-indexing here), diffs the merged group list against the
-stored one position-by-position, regenerates exactly the dirty chunks with
-the same pre-assigned per-chunk generators the stream/parallel engines use,
-and splices the result together atomically (temp file + ``os.replace``, so
-a failure at any point leaves the previously published file untouched).
+full-table re-indexing here) by locating each appended group's position in
+the sorted stored groups, takes the dirty chunks from those positions,
+regenerates exactly those chunks with the same per-chunk generators the
+stream/parallel engines use (built for the dirty chunks alone), and splices
+the result together atomically (temp file + ``os.replace``, so a failure at
+any point leaves the previously published file untouched).
 
 Determinism contract (pinned by ``tests/test_delta.py`` and the hypothesis
 suite in ``tests/test_delta_properties.py``): for every strategy declaring
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro.core.sps import SPSRecords
 from repro.core.testing import PrivacyAudit, audit_groups
-from repro.dataset.groups import GroupCounts
+from repro.dataset.groups import GroupCounts, _row_codes
 from repro.dataset.schema import Attribute, Schema
 from repro.delta.report import DeltaReport
 from repro.delta.state import DeltaState
@@ -57,12 +58,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import span
 from repro.parallel.scheduler import iter_ordered_map
-from repro.pipeline.execution import (
-    DEFAULT_CHUNK_ROWS,
-    DEFAULT_CHUNK_SIZE,
-    chunk_items,
-    chunk_rngs,
-)
+from repro.pipeline.execution import DEFAULT_CHUNK_ROWS, DEFAULT_CHUNK_SIZE, chunk_rng
 from repro.pipeline.strategy import PublishStrategy, get_strategy
 from repro.stream.engine import _chunk_kernel, _CsvSink, _index_source, _run, _spec_for
 from repro.stream.reader import ChunkedReader
@@ -230,13 +226,17 @@ def _merge(
     base: GroupCounts,
     appended_schema: Schema,
     appended: GroupCounts,
-) -> tuple[Schema, GroupCounts, GroupCounts]:
-    """Fold appended groups into the base groups.
+) -> tuple[Schema, GroupCounts, np.ndarray, np.ndarray]:
+    """Fold appended groups into the base groups by position.
 
     Returns the union schema (each column's sorted union domain: what a full
-    publish of all rows infers), the base groups re-coded onto it and the
-    merged groups: both sides' codes are mapped onto the union's domains
-    with ``np.searchsorted``, then one sort sums the count rows of equal keys.
+    publish of all rows infers), the merged groups, and for each appended
+    group its position in the merged groups and whether it is new there.
+    Both sides' codes are mapped onto the union's domains with
+    ``np.searchsorted``; one ``searchsorted`` of the appended keys' row codes
+    into the base's then places every appended group.  Groups that exist
+    are summed in place, new ones go in with one ``np.insert``: the only
+    new ``G x m`` matrix, and no sort of the base.
     """
     pairs = list(zip(
         (*base_schema.public, base_schema.sensitive),
@@ -265,25 +265,56 @@ def _merge(
         return GroupCounts(keys, counts)
 
     base, appended = onto(base_schema, base), onto(appended_schema, appended)
-    merged = GroupCounts.aggregate(base, appended)
-    return union, base, merged
+    at, found = _locate(base.keys, appended.keys, [attr.size for attr in union.public])
+    new = ~found
+    # Each appended group's merged position: its insertion point in the base
+    # plus the new groups inserted ahead of it.
+    positions = at + np.cumsum(new) - new
+    if new.any():
+        keys = np.insert(base.keys, at[new], appended.keys[new], axis=0)
+        counts = np.insert(base.counts, at[new], appended.counts[new], axis=0)
+    else:
+        keys, counts = base.keys, base.counts.copy()
+    counts[positions[found]] += appended.counts[found]
+    return union, GroupCounts(keys, counts), positions, new
 
 
-def _changed_chunks(base: GroupCounts, merged: GroupCounts, chunk_size: int) -> set[int]:
+def _locate(
+    keys: np.ndarray, probes: np.ndarray, radices: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of the sorted, unique ``probes`` rows goes in sorted, unique ``keys``.
+
+    Returns each probe's insertion point in ``keys`` and whether the key
+    there equals it.  Rows are compared as mixed-radix codes over
+    ``radices``; where their product overflows ``int64``, as their ranks in
+    the lexicographically sorted distinct rows of both sets together.
+    """
+    key_codes, probe_codes = _row_codes(keys, radices), _row_codes(probes, radices)
+    if key_codes is None or probe_codes is None:
+        _, ranks = np.unique(np.concatenate((keys, probes)), axis=0, return_inverse=True)
+        key_codes, probe_codes = ranks[: len(keys)], ranks[len(keys) :]
+    at = np.searchsorted(key_codes, probe_codes)
+    found = at < len(key_codes)
+    found[found] = key_codes[at[found]] == probe_codes[found]
+    return at, found
+
+
+def _dirty_chunks(
+    positions: np.ndarray, new: np.ndarray, n_groups: int, chunk_size: int
+) -> set[int]:
     """Chunk indices whose merged group slice differs from the base slice.
 
-    Both sides are coded over the same schema.  Position-wise comparison is
-    exactly right for sorted group lists: a count change dirties only its
-    own chunk, while an insertion shifts every later position and therefore
-    (correctly) dirties everything after it — those chunks' kernel inputs
-    really did change.
+    ``positions`` are the appended groups' merged positions and ``new``
+    marks the ones the base lacked.  A count change dirties only its own
+    chunk, while an insertion shifts every later position and therefore
+    (correctly) dirties every chunk from its own on — those chunks' kernel
+    inputs really did change.  Because keys are unique and sorted, this is
+    exactly what a position-wise compare of base and merged groups finds.
     """
-    n = len(base)  # merged only ever adds groups
-    changed = np.ones(len(merged), dtype=bool)
-    changed[:n] = (merged.keys[:n] != base.keys).any(axis=1) | (
-        merged.counts[:n] != base.counts
-    ).any(axis=1)
-    return set((np.flatnonzero(changed) // chunk_size).tolist())
+    dirty = set((positions // chunk_size).tolist())
+    if new.any():
+        dirty.update(range(int(positions[new][0]) // chunk_size, -(-n_groups // chunk_size)))
+    return dirty
 
 
 def _tampered(path: Path, detail: str) -> ValueError:
@@ -385,7 +416,7 @@ def delta_publish(
 
         with span("diff", kind="stage") as sp:
             base_schema = state.schema
-            new_schema, base_groups, merged = _merge(
+            new_schema, merged, positions, new = _merge(
                 base_schema, state.groups, appended_schema, appended_groups
             )
             n_chunks_new = -(-len(merged) // state.chunk_size)
@@ -405,7 +436,7 @@ def delta_publish(
                 )
             else:
                 mode = "delta"
-                dirty = _changed_chunks(base_groups, merged, state.chunk_size)
+                dirty = _dirty_chunks(positions, new, len(merged), state.chunk_size)
             sp.set(n_chunks=n_chunks_new, n_chunks_dirty=len(dirty), mode=mode)
         timings["diff"] = sp.duration
         notify({
@@ -427,31 +458,37 @@ def delta_publish(
             chunk_fn = _chunk_kernel(
                 strategy, new_schema, spec, resolved, DeltaUnsupportedError
             )
-            chunks = chunk_items(merged, state.chunk_size)
-            rngs = chunk_rngs(state.seed, n_chunks_new)
+            size = state.chunk_size
             dirty_order = sorted(dirty)
             regen = iter_ordered_map(
                 chunk_fn,
-                ((chunks[i], rngs[i]) for i in dirty_order),
+                (
+                    (merged[i * size : (i + 1) * size], chunk_rng(state.seed, i))
+                    for i in dirty_order
+                ),
                 workers=workers,
                 n_tasks=len(dirty_order),
             )
             writer = _CsvSink(target, new_schema)
             records: list[SPSRecords | None] = []
+            # Every clean chunk is read into, checked and written from this one buffer.
+            buffer = memoryview(bytearray(max(
+                (n for i, n in enumerate(state.chunk_bytes) if i not in dirty), default=0
+            )))
             try:
                 with closing(regen), base_path.open("rb") as base:
                     _check_base(base, base_path, writer.header, sum(state.chunk_bytes))
                     for i in range(n_chunks_new):
-                        size = state.chunk_bytes[i] if i < n_chunks_base else 0
+                        nbytes = state.chunk_bytes[i] if i < n_chunks_base else 0
                         if i in dirty:
-                            base.seek(size, os.SEEK_CUR)
+                            base.seek(nbytes, os.SEEK_CUR)
                             block, chunk_records = next(regen)
                             writer.write_block(block)
                             records.append(chunk_records)
                         else:
-                            data = base.read(size)
+                            data = buffer[:nbytes]
                             crc32 = state.chunk_crc32[i]
-                            if zlib.crc32(data) != crc32:
+                            if base.readinto(data) != nbytes or zlib.crc32(data) != crc32:
                                 raise _tampered(
                                     base_path, f"chunk {i} fails its CRC32 check"
                                 )

@@ -47,7 +47,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.dataset.groups import GroupCounts
+from repro.dataset.groups import GroupCounts, keys_sorted_unique
 from repro.dataset.schema import Attribute, Schema
 from repro.store.base import NS_DELTAS, StorageConnector
 from repro.store.memory import MemoryConnector
@@ -128,10 +128,9 @@ def _decode_columnar(
     sizes = np.array([attr.size for attr in schema.public], dtype=np.int64)
     if (keys < 0).any() or (keys.T >= sizes).any():
         raise _corrupt("a key code lies outside its column's domain")
-    groups = GroupCounts(keys.T, matrix)
-    if GroupCounts.aggregate(groups) != groups:
+    if not keys_sorted_unique(keys.T):
         raise _corrupt("the group keys are not unique and sorted")
-    return schema, groups
+    return schema, GroupCounts(keys.T, matrix)
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,7 @@ class _CsvSink:
         data = self._codec.encode(block).encode("utf-8")
         self.write_chunk(data, block.shape[0], zlib.crc32(data))
 
-    def write_chunk(self, data: bytes, n_rows: int, crc32: int) -> None:
+    def write_chunk(self, data: bytes | memoryview, n_rows: int, crc32: int) -> None:
         """Append one chunk's published bytes, whose CRC32 the caller knows.
 
         The delta splice copies a clean chunk this way, after checking
@@ -200,9 +200,9 @@ class _CsvSink:
         self.chunk_bytes.append(len(data))
         self.chunk_crc32.append(crc32)
 
-    def _write(self, data: bytes) -> None:
+    def _write(self, data: bytes | memoryview) -> None:
         if self._text is not None:
-            self._text.write(data.decode("utf-8"))
+            self._text.write(str(data, "utf-8"))
         else:
             self._handle.write(data)
 

@@ -385,6 +385,33 @@ class TestDirtyChunks:
         assert delta.n_chunks == 5
         assert 0 < delta.n_chunks_dirty < delta.n_chunks
 
+    @pytest.mark.parametrize(
+        ("appended", "n_dirty"),
+        [
+            # "a" goes in at position 0 and shifts everything; "z" lands past the end.
+            ([["a", "flu"], ["z", "cold"], ["d", "flu"]], 3),
+            # Only the last chunk changes: "e" grows and "z" joins it.
+            ([["z", "cold"], ["e", "flu"]], 1),
+        ],
+        ids=["first-and-past-the-end", "past-the-end"],
+    )
+    def test_inserted_groups_at_both_ends_equal_a_full_publish(
+        self, tmp_path, appended, n_dirty
+    ):
+        rows = _tiny_rows("cde", ["flu", "cold"])
+        report = self._base(tmp_path, rows, chunk_size=2)  # chunks [c, d], [e]
+        delta = delta_publish(report.state, appended)
+        assert delta.mode == "delta"
+        assert delta.n_chunks_dirty == n_dirty
+        full_csv = tmp_path / "full.csv"
+        _write_csv(full_csv, _TINY_HEADER, rows + appended)
+        full_out = tmp_path / "full_published.csv"
+        stream_publish(
+            full_csv, sensitive="Disease", strategy="sps", rng=3,
+            chunk_size=2, output=full_out,
+        )
+        assert Path(report.state.output).read_bytes() == full_out.read_bytes()
+
     def test_new_sensitive_value_falls_back_to_full(self, tmp_path, caplog, monkeypatch):
         rows = _tiny_rows("abcd", ["flu", "cold"])
         report = self._base(tmp_path, rows)
@@ -465,6 +492,28 @@ class TestStanceAndErrors:
         assert DeltaState.from_json(payload) == report.state
         corrupt(payload["groups"])
         with pytest.raises(ValueError, match="corrupt delta state"):
+            DeltaState.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [[0, 1, 0, 1], [0, 0, 1, 1]],  # out of order in the first column
+            [[0, 0, 1, 1], [1, 0, 0, 1]],  # out of order in the second column only
+            [[0, 0, 1, 1], [0, 0, 0, 1]],  # a repeated key
+        ],
+        ids=["first-column", "second-column", "repeated"],
+    )
+    def test_unsorted_or_repeated_keys_refused(self, tmp_path, keys):
+        base_csv = tmp_path / "base.csv"
+        rows = [[city, job, sa] for city in "ab" for job in "xy" for sa in ("flu", "cold")]
+        _write_csv(base_csv, ["City", "Job", "Disease"], rows)
+        report = publish_base(
+            base_csv, sensitive="Disease", output=tmp_path / "out.csv", rng=1
+        )
+        payload = report.state.to_json()
+        assert payload["groups"]["keys"] == [[0, 0, 1, 1], [0, 1, 0, 1]]
+        payload["groups"]["keys"] = keys
+        with pytest.raises(ValueError, match="the group keys are not unique and sorted"):
             DeltaState.from_json(payload)
 
     def test_inconsistent_state_rejected(self, tmp_path):

@@ -271,7 +271,7 @@ class TestBackpressure:
             deadline = time.monotonic() + 5
             while front.dispatcher.depth and time.monotonic() < deadline:
                 time.sleep(0.005)
-            front.dispatcher.submit(release.wait)  # fills the single queue slot
+            queued = front.dispatcher.submit(release.wait)  # fills the single queue slot
             status, headers, body = get(f"{front.base_url}/stats")
             assert status == 429
             assert headers["Retry-After"] == "3"
@@ -283,6 +283,9 @@ class TestBackpressure:
             assert status == 200
             assert b"repro_serve_queue_rejections_total" in metrics
             release.set()
+            # The single worker runs the queued task only after the first, so
+            # once it has finished the queue is empty again.
+            assert queued.result(timeout=5)
             status, _, _ = get(f"{front.base_url}/stats")  # the queue drained
             assert status == 200
         service.close()

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataset.adult import generate_adult
 from repro.dataset.loaders import write_csv
 from repro.parallel import run_chunks
 from repro.pipeline import register_strategy, unregister_strategy
-from repro.pipeline.execution import chunk_items, chunk_rngs
+from repro.pipeline.execution import chunk_items, chunk_rng, chunk_rngs
 from repro.pipeline.strategy import SPSStrategy
 from repro.service.engine import AnonymizationService
 from repro.service.registry import NotFoundError, ServiceError
@@ -30,6 +32,13 @@ class TestParallelPrimitives:
         a = [rng.random() for rng in chunk_rngs(42, 5)]
         b = [rng.random() for rng in chunk_rngs(42, 5)]
         assert a == b
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64), n_chunks=st.integers(1, 24))
+    def test_chunk_rng_draws_the_stream_of_its_spawned_chunk(self, seed, n_chunks):
+        spawned = chunk_rngs(seed, n_chunks)
+        for index in range(n_chunks):
+            assert chunk_rng(seed, index).random(4).tolist() == spawned[index].random(4).tolist()
 
     def test_run_chunked_order_independent_of_workers(self):
         items = list(range(100))

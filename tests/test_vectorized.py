@@ -26,6 +26,7 @@ the running ``(NA key, SA, n)`` pair table) is pinned against the dict-per-row
 below as test-local references, over hypothesis-generated CSV text.
 """
 
+import bisect
 import csv
 import io
 import math
@@ -39,8 +40,8 @@ from repro.bench.micro import _reference_group_index, _reference_sample_counts
 from repro.core.criterion import PrivacySpec, max_group_size, value_is_private
 from repro.core.sps import GroupPublication, _sample_counts, sps_publish, sps_publish_groups
 from repro.core.testing import audit_groups
-from repro.dataset.groups import GroupCounts, _sorted_runs
-from repro.delta.engine import _changed_chunks, _merge
+from repro.dataset.groups import GroupCounts, _sorted_runs, keys_sorted_unique
+from repro.delta.engine import _dirty_chunks, _locate, _merge
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
 from repro.dataset.groups import personal_groups
@@ -369,6 +370,69 @@ class TestColumnarGeneralize:
         assert recoded.counts.tolist() == [vector.tolist() for _, vector in reference]
 
 
+def _dict_sum(entries, m):
+    """``{key: SA count list}`` summed over ``(key, counts)`` entries, sorted by key."""
+    sums = {}
+    for key, counts in entries:
+        into = sums.setdefault(tuple(key), [0] * m)
+        for code, n in enumerate(counts):
+            into[code] += n
+    return sorted(sums.items())
+
+
+class TestGroupCountsReductions:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_aggregate_matches_dict_sum(self, data):
+        # Two-column keys over a 4 x 4 domain, so keys repeat inside a part
+        # and across parts.
+        m = data.draw(st.integers(1, 3))
+        entry = st.tuples(
+            st.tuples(st.integers(0, MAX_CODE), st.integers(0, MAX_CODE)),
+            st.lists(st.integers(0, 9), min_size=m, max_size=m),
+        )
+        parts = data.draw(st.lists(st.lists(entry, max_size=8), min_size=1, max_size=3))
+        aggregated = GroupCounts.aggregate(*(
+            GroupCounts(
+                np.array([key for key, _ in part], dtype=np.int64).reshape(len(part), 2),
+                np.array([counts for _, counts in part], dtype=np.int64).reshape(len(part), m),
+            )
+            for part in parts
+        ))
+        reference = _dict_sum([entry for part in parts for entry in part], m)
+        assert aggregated.keys.tolist() == [list(key) for key, _ in reference]
+        assert aggregated.counts.tolist() == [counts for _, counts in reference]
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(1, 9)),
+        min_size=1, max_size=30,
+    ))
+    def test_weighted_tabulate_sums_repeated_cells(self, rows):
+        table = np.array(rows, dtype=np.int64)
+        groups, order, bounds = GroupCounts.tabulate(table[:, :2], table[:, 2], 3, table[:, 3])
+        one_hot = [[n if code == sa else 0 for code in range(3)] for *_, sa, n in rows]
+        reference = _dict_sum(zip(table[:, :2].tolist(), one_hot, strict=True), 3)
+        assert groups.keys.tolist() == [list(key) for key, _ in reference]
+        assert groups.counts.tolist() == [counts for _, counts in reference]
+        assert order.tolist() == sorted(range(len(rows)), key=lambda row: rows[row][:2])
+        assert np.diff(bounds).tolist() == [
+            sum(1 for row in rows if row[:2] == tuple(key)) for key, _ in reference
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(keys=st.lists(
+        st.tuples(st.integers(0, 2**62), st.integers(0, 3), st.integers(0, 2**62)), max_size=8
+    ))
+    def test_keys_sorted_unique_is_strict_lexicographic_order(self, keys):
+        # Codes up to 2**62 overflow any mixed-radix row code.
+        def matrix(rows):
+            return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+
+        assert keys_sorted_unique(matrix(keys)) == (keys == sorted(set(keys)))
+        assert keys_sorted_unique(matrix(sorted(set(keys))))
+
+
 BASE_CITIES = ["athens", "bergen", "cairo"]
 BASE_JOBS = ["eng", "nurse"]
 BASE_DISEASES = ["cold", "flu"]
@@ -436,16 +500,37 @@ class TestColumnarDeltaMerge:
         appended_schema, appended_groups = _encode_value_keyed(header, "Disease", appended)
         assert _decoded(base_schema, base_groups) == base
 
-        union, base_on_union, merged = _merge(
+        union, merged, positions, new = _merge(
             base_schema, base_groups, appended_schema, appended_groups
         )
         reference = _reference_merge_groups(base, appended)
         assert _decoded(union, merged) == reference
-        assert _decoded(union, base_on_union) == base
         n_chunks = -(-len(reference) // chunk_size)
-        assert _changed_chunks(base_on_union, merged, chunk_size) == _reference_dirty_chunks(
+        assert _dirty_chunks(positions, new, len(merged), chunk_size) == _reference_dirty_chunks(
             base, reference, chunk_size, n_chunks
         )
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        keys=st.lists(st.tuples(st.integers(0, MAX_CODE), st.integers(0, MAX_CODE)), max_size=10),
+        probes=st.lists(
+            st.tuples(st.integers(0, MAX_CODE), st.integers(0, MAX_CODE)), min_size=1, max_size=6
+        ),
+    )
+    def test_locate_matches_bisect_on_row_codes_and_lexicographic_ranks(self, keys, probes):
+        keys, probes = sorted(set(keys)), sorted(set(probes))
+        expected_at = [bisect.bisect_left(keys, probe) for probe in probes]
+        expected_found = [probe in keys for probe in probes]
+        # Radices of 4 code rows as int64; radices of 2**40 overflow it and
+        # take the lexicographic fallback.
+        for radix in (MAX_CODE + 1, 2**40):
+            at, found = _locate(
+                np.array(keys, dtype=np.int64).reshape(len(keys), 2),
+                np.array(probes, dtype=np.int64),
+                [radix, radix],
+            )
+            assert at.tolist() == expected_at and found.tolist() == expected_found
 
 
 # --------------------------------------------------------------------- #
