@@ -1,21 +1,26 @@
 """repro.bench — the benchmark and profiling subsystem.
 
-Turns the repo's ad-hoc benchmark scripts into a first-class, reproducible
-measurement harness:
+One protocol for every suite (:mod:`repro.bench.scenarios`): a
+:class:`Suite` is a fixed-order scenario list plus one function that
+measures a scenario in a shared :class:`Context` and returns its report
+entry.  :data:`SUITES` (:mod:`repro.bench.runner`) names them all:
 
-* a **scenario matrix** (strategy × dataset size × chunk_size × workers)
-  timed through the same :func:`repro.publish` / ``AnonymizationService``
-  entry points production traffic uses (:mod:`repro.bench.scenarios`,
-  :mod:`repro.bench.runner`);
-* **deterministic warmup/repeat timers** — op counts are a pure function of
-  the seed, only wall-clock moves (:mod:`repro.bench.timing`);
-* **micro-benchmarks** that re-verify and re-measure every vectorized hot
-  path against the Python loop it replaced (:mod:`repro.bench.micro`);
-* the paper's twelve tables/figures/ablations as **named scenarios**
-  (:mod:`repro.bench.paper`);
-* a schema-versioned **JSON report** written to ``BENCH_<suite>.json`` at
-  the repo root so the perf trajectory is diffable across PRs
-  (:mod:`repro.bench.schema`).
+* ``core`` / ``service`` — :func:`repro.publish` and
+  ``AnonymizationService.publish`` over strategy × dataset size ×
+  chunk_size × workers;
+* ``micro`` — the vectorized hot paths against the loops they replaced
+  (:mod:`repro.bench.micro`);
+* ``paper`` — the paper's twelve tables/figures/ablations as named
+  scenarios (:mod:`repro.bench.paper`);
+* ``stream``, ``delta``, ``serve`` — the out-of-core, incremental and
+  served paths (:mod:`repro.bench.stream`, :mod:`repro.bench.delta`,
+  :mod:`repro.bench.serve`).
+
+Timers are deterministic warmup/repeat loops — op counts are a pure
+function of the seed, only wall-clock moves (:mod:`repro.bench.timing`).
+Every entry carries named ``verdicts`` that must all be true, and each run
+writes a schema-versioned JSON report, ``BENCH_<suite>.json``, so the perf
+trajectory is diffable across PRs (:mod:`repro.bench.schema`).
 
 Front ends: the ``repro-bench`` console script (:mod:`repro.bench.cli`) and
 ``python -m repro.bench``.
@@ -29,35 +34,30 @@ from repro.bench.paper import (
 )
 from repro.bench.runner import (
     DEFAULT_BENCH_SEED,
+    SUITES,
     report_path,
     run_suite,
     write_report,
 )
-from repro.bench.scenarios import (
-    Scenario,
-    ScenarioMatrix,
-    core_matrix,
-    matrix_for,
-    service_matrix,
-)
+from repro.bench.scenarios import Context, Scenario, Suite
 from repro.bench.schema import SCHEMA_VERSION, SchemaError, validate_report
 from repro.bench.timing import Measurement, TimingSpec, time_callable
 
 __all__ = [
     "DEFAULT_BENCH_SEED",
+    "Context",
     "Measurement",
     "PaperScenario",
     "SCHEMA_VERSION",
+    "SUITES",
     "Scenario",
-    "ScenarioMatrix",
     "SchemaError",
+    "Suite",
+    "TimingSpec",
     "available_paper_scenarios",
-    "core_matrix",
-    "matrix_for",
     "paper_scenario",
     "report_path",
     "run_suite",
-    "service_matrix",
     "smoke_config",
     "time_callable",
     "validate_report",

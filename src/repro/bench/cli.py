@@ -2,10 +2,11 @@
 
 Usage (installed console script, or ``python -m repro.bench``)::
 
-    repro-bench run --suite core --tiny          # CI's bench-smoke matrix
+    repro-bench run --suite core --tiny          # seconds-scale preset
     repro-bench run --suite service              # scheduler path, full sizes
     repro-bench run --suite paper --scenario figure3
     repro-bench run --suite core --tiny --trace bench-trace.jsonl
+    repro-bench run --suite stream --scenario w2 # one part of the names
     repro-bench --list                           # every scenario of every suite
 
 ``run`` writes the schema-versioned ``BENCH_<suite>.json`` to ``--output-dir``
@@ -23,106 +24,21 @@ from collections.abc import Sequence
 
 from repro import __version__
 from repro.obs import Tracer, configure_cli_logging, export
-from repro.bench.paper import paper_scenario_listing
-from repro.bench.runner import DEFAULT_BENCH_SEED, default_timing, run_suite, write_report
-from repro.bench.scenarios import matrix_for
+from repro.bench.runner import DEFAULT_BENCH_SEED, SUITES, run_suite, write_report
 from repro.bench.timing import TimingSpec
 from repro.utils.textplot import render_listing, render_table
-
-SUITES = ("core", "service", "paper", "stream", "parallel", "delta", "serve")
 
 _log = logging.getLogger("repro.bench")
 
 
 def _listing_text(suite: str | None, tiny: bool) -> str:
     """The scenario listing for one suite, or all suites when ``None``."""
+    scale = "tiny" if tiny else "default"
     blocks = []
     for name in SUITES if suite is None else (suite,):
-        if name == "paper":
-            blocks.append(
-                render_listing(paper_scenario_listing(), title="paper scenarios (repro-bench run --suite paper)")
-            )
-            continue
-        if name == "stream":
-            from repro.bench.stream import stream_scenarios
-
-            scale = "tiny" if tiny else "default"
-            rows = [
-                (
-                    s.name,
-                    f"{s.strategy} on {s.dataset} ({s.rows} rows), out-of-core vs "
-                    f"in-memory, chunk_rows={s.params['chunk_rows']}",
-                )
-                for s in stream_scenarios(tiny)
-            ]
-            blocks.append(
-                render_listing(rows, title=f"stream scenarios ({scale} scale, {len(rows)} scenarios)")
-            )
-            continue
-        if name == "delta":
-            from repro.bench.delta import delta_scenarios
-
-            scale = "tiny" if tiny else "default"
-            rows = [
-                (
-                    s.name,
-                    f"{s.strategy} on {s.dataset} ({s.rows} rows), "
-                    f"append_fraction={s.params['append_fraction']:g}, "
-                    "incremental vs full re-publish",
-                )
-                for s in delta_scenarios(tiny)
-            ]
-            blocks.append(
-                render_listing(rows, title=f"delta scenarios ({scale} scale, {len(rows)} scenarios)")
-            )
-            continue
-        if name == "serve":
-            from repro.bench.serve import serve_scenarios
-
-            scale = "tiny" if tiny else "default"
-            rows = [
-                (
-                    s.name,
-                    f"{s.strategy} load on {s.dataset} ({s.rows} rows), "
-                    f"{s.params['clients']} clients x "
-                    f"{s.params['requests_per_client']} requests, "
-                    f"server workers={s.workers}, "
-                    f"queue_limit={s.params['queue_limit']}",
-                )
-                for s in serve_scenarios(tiny)
-            ]
-            blocks.append(
-                render_listing(rows, title=f"serve scenarios ({scale} scale, {len(rows)} scenarios)")
-            )
-            continue
-        if name == "parallel":
-            from repro.bench.parallel import parallel_scenarios
-
-            scale = "tiny" if tiny else "default"
-            rows = [
-                (
-                    s.name,
-                    f"{s.strategy} on {s.dataset} ({s.rows} rows), "
-                    f"workers={s.workers}, scaling vs the sequential reference",
-                )
-                for s in parallel_scenarios(tiny)
-            ]
-            blocks.append(
-                render_listing(rows, title=f"parallel scenarios ({scale} scale, {len(rows)} scenarios)")
-            )
-            continue
-        matrix = matrix_for(name, tiny)
-        rows = [
-            (
-                s.name,
-                f"{s.strategy} on {s.dataset} ({s.rows} rows), "
-                f"chunk_size={s.chunk_size}, workers={s.workers}",
-            )
-            for s in matrix.expand(name)
-        ]
-        scale = "tiny" if tiny else "default"
+        rows = [(s.name, s.title) for s in SUITES[name].scenarios(tiny)]
         blocks.append(
-            render_listing(rows, title=f"{name} scenario matrix ({scale} scale, {matrix.size} scenarios)")
+            render_listing(rows, title=f"{name} scenarios ({scale} scale, {len(rows)} scenarios)")
         )
     return "\n\n".join(blocks)
 
@@ -131,31 +47,22 @@ def _summary_table(report: dict) -> str:
     rows = []
     for entry in report["scenarios"]:
         seconds = entry["seconds"]
-        ops = entry.get("ops", {})
-        records = ops.get("published_records", "-")
-        rows.append((entry["name"], f"{seconds['best']:.4f}", f"{seconds['mean']:.4f}", records))
-    table = render_table(
-        ("scenario", "best_s", "mean_s", "published"),
+        failed = [name for name, ok in entry["verdicts"].items() if not ok]
+        verdicts = "-" if not entry["verdicts"] else ("FAILED " + ",".join(failed) if failed else "ok")
+        rows.append(
+            (
+                entry["name"],
+                f"{seconds['best']:.4f}",
+                f"{seconds['mean']:.4f}",
+                entry["ops"].get("published_records", "-"),
+                verdicts,
+            )
+        )
+    return render_table(
+        ("scenario", "best_s", "mean_s", "published", "verdicts"),
         rows,
         title=f"suite={report['suite']} scale={report['scale']} seed={report['seed']}",
     )
-    if report.get("micro"):
-        micro_rows = [
-            (
-                entry["name"],
-                f"{entry['baseline_seconds']:.4f}",
-                f"{entry['vectorized_seconds']:.4f}",
-                f"{entry['speedup']:.1f}x",
-                "yes" if entry["identical"] else f"~{entry['max_abs_diff']:.1e}",
-            )
-            for entry in report["micro"]
-        ]
-        table += "\n\n" + render_table(
-            ("micro-benchmark", "loop_s", "vectorized_s", "speedup", "identical"),
-            micro_rows,
-            title="vectorized hot paths vs their loop baselines",
-        )
-    return table
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -169,7 +76,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     subparsers = parser.add_subparsers(dest="command")
 
     run_parser = subparsers.add_parser("run", help="run a suite and write BENCH_<suite>.json")
-    run_parser.add_argument("--suite", choices=SUITES, default="core", help="which suite to run")
+    run_parser.add_argument("--suite", choices=list(SUITES), default="core", help="which suite to run")
     run_parser.add_argument(
         "--tiny", action="store_true",
         help="seconds-scale preset (CI bench-smoke); default is the full-size matrix",
@@ -182,11 +89,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_parser.add_argument("--repeats", type=int, default=None, help="timed passes per scenario")
     run_parser.add_argument(
         "--scenario", action="append", default=None, metavar="NAME",
-        help="run only matching scenarios (full name, or strategy name for matrix suites); repeatable",
-    )
-    run_parser.add_argument(
-        "--no-micro", action="store_true",
-        help="skip the vectorization micro-benchmarks (core suite only)",
+        help="run only matching scenarios (full name, or one '/'-separated part such as a strategy); repeatable",
     )
     run_parser.add_argument(
         "--trace", metavar="PATH",
@@ -194,8 +97,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     list_parser = subparsers.add_parser("list", help="list scenarios")
-    list_parser.add_argument("--suite", choices=SUITES, default=None, help="restrict to one suite")
-    list_parser.add_argument("--tiny", action="store_true", help="show the tiny preset matrices")
+    list_parser.add_argument("--suite", choices=list(SUITES), default=None, help="restrict to one suite")
+    list_parser.add_argument("--tiny", action="store_true", help="show the tiny presets")
 
     args = parser.parse_args(argv)
     configure_cli_logging()
@@ -212,7 +115,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     timing = None
     if args.warmup is not None or args.repeats is not None:
-        base = default_timing(args.suite)
+        base = SUITES[args.suite].timing
         timing = TimingSpec(
             warmup=base.warmup if args.warmup is None else args.warmup,
             repeats=base.repeats if args.repeats is None else args.repeats,
@@ -225,7 +128,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             timing=timing,
             scenario_filter=args.scenario,
-            include_micro=not args.no_micro,
         )
     path = write_report(report, args.output_dir)
     if tracer is not None:

@@ -11,16 +11,13 @@ and the rest is published once as the base.  The timed comparison is then
 * **full** — :func:`repro.stream.stream_publish` of base + append from
   scratch (every row re-indexed, every chunk's kernel re-run).
 
-Per scenario the report records both timings, ``speedup_vs_full``, the
-dirty-chunk fraction, and a ``byte_identical`` verdict — the delta output
-must equal the full re-publish bit for bit at every append fraction (the
-hard invariant the differential test harness pins; the bench re-checks it
-on real paper-scale data).  As the append fraction shrinks, the dirty
-fraction and the delta time drop while the full time stays flat — the
-incremental advantage the suite exists to show.
-
-The suite writes ``BENCH_delta.json`` through the shared runner/schema
-machinery; ``docs/delta.md`` reads its numbers.
+Per scenario the report records both timings, ``speedup_vs_full`` and the
+dirty-chunk fraction, plus two verdicts: ``byte_identical`` (the delta
+output equals the full re-publish bit for bit, the hard invariant the
+differential test harness pins) and ``audits_agree``.  As the append
+fraction shrinks, the dirty fraction and the delta time drop while the
+full time stays flat — the incremental advantage the suite exists to show.
+``docs/delta.md`` reads the committed ``BENCH_delta.json``.
 """
 
 from __future__ import annotations
@@ -29,28 +26,29 @@ import csv
 from pathlib import Path
 from typing import Any
 
-from repro.bench.scenarios import Scenario
-from repro.bench.timing import TimingSpec, time_callable
+from repro.bench.scenarios import SENSITIVE, Context, Scenario
+from repro.bench.timing import time_callable
 from repro.delta.engine import delta_publish, publish_base
 from repro.stream import stream_publish
-
-_SENSITIVE = {"adult": "Income", "census": "Occupation"}
 
 #: Groups per kernel chunk for every delta scenario.  Smaller than the other
 #: suites' 256 on purpose: the dirty-chunk resolution is one chunk, so finer
 #: chunks let a small key-localized append leave more of the output clean.
 _CHUNK_SIZE = 64
 
+#: The verdicts every delta entry carries.
+DELTA_VERDICTS = ("byte_identical", "audits_agree")
+
 
 def delta_scenarios(tiny: bool = False) -> list[Scenario]:
-    """The delta-suite scenario list: strategy × shrinking append fraction.
-
-    ``append_fraction`` and ``chunk_rows`` ride in ``params``; the order —
-    strategy-major, then fraction descending — is fixed so the emitted
-    report is diffable, like every other suite's.
-    """
+    """Strategy × shrinking append fraction, strategy-major, fraction descending."""
     if tiny:
-        points = [("sps", "adult", 2_000, 0.10), ("sps", "adult", 2_000, 0.01)]
+        # The census point's append runs ~0.1 s, over the perf gate's 50 ms floor.
+        points = [
+            ("sps", "adult", 2_000, 0.10),
+            ("sps", "adult", 2_000, 0.01),
+            ("dp-laplace", "census", 50_000, 0.10),
+        ]
         chunk_rows = 1_000
     else:
         points = [
@@ -64,12 +62,10 @@ def delta_scenarios(tiny: bool = False) -> list[Scenario]:
     return [
         Scenario(
             name=f"delta/{strategy}/{dataset}-{rows}/a{fraction * 100:g}pct",
-            suite="delta",
             strategy=strategy,
             dataset=dataset,
             rows=rows,
             chunk_size=_CHUNK_SIZE,
-            workers=1,
             params={"append_fraction": fraction, "chunk_rows": chunk_rows},
         )
         for strategy, dataset, rows, fraction in points
@@ -83,43 +79,35 @@ def _write_rows(path: Path, header: list[str], rows: list[Any]) -> None:
         writer.writerows(rows)
 
 
-def run_delta_scenario(
-    scenario: Scenario,
-    table: Any,
-    seed: int,
-    timing: TimingSpec,
-    workdir: Path,
-) -> dict[str, Any]:
+def run_delta_scenario(scenario: Scenario, ctx: Context) -> dict[str, Any]:
     """Benchmark one delta scenario against its full-re-publish twin."""
-    sensitive = _SENSITIVE[scenario.dataset]
+    sensitive = SENSITIVE[scenario.dataset]
     fraction = float(scenario.params["append_fraction"])
     chunk_rows = int(scenario.params["chunk_rows"])
+    table = ctx.table(scenario.dataset, scenario.rows)
     header = list(table.schema.public_names) + [table.schema.sensitive_name]
     records = sorted(table.records())
     n_append = max(1, round(scenario.rows * fraction))
 
-    stem = f"{scenario.dataset}-{scenario.rows}-a{fraction:g}"
-    base_csv = workdir / f"{stem}-base.csv"
-    append_csv = workdir / f"{stem}-append.csv"
-    full_csv = workdir / f"{stem}-full.csv"
+    stem = ctx.workdir / f"{scenario.strategy}-{scenario.dataset}-{scenario.rows}-a{fraction:g}"
+    base_csv, append_csv, full_csv = (Path(f"{stem}-{part}.csv") for part in ("base", "append", "full"))
     _write_rows(base_csv, header, records[:-n_append])
     _write_rows(append_csv, header, records[-n_append:])
     _write_rows(full_csv, header, records)
 
-    base_pub = workdir / f"{stem}-base-pub.csv"
     base_report = publish_base(
         base_csv,
         sensitive=sensitive,
-        output=base_pub,
+        output=Path(f"{stem}-base-pub.csv"),
         strategy=scenario.strategy,
-        rng=seed,
+        rng=ctx.seed,
         chunk_size=scenario.chunk_size,
         chunk_rows=chunk_rows,
     )
     state = base_report.state
     assert state is not None
-    delta_out = workdir / f"{stem}-delta-out.csv"
-    full_out = workdir / f"{stem}-full-out.csv"
+    delta_out = Path(f"{stem}-delta-out.csv")
+    full_out = Path(f"{stem}-full-out.csv")
 
     # Writing to `output=` leaves the pristine base untouched, so the timed
     # callable is idempotent across warmup + repeats.
@@ -131,26 +119,21 @@ def run_delta_scenario(
             full_csv,
             sensitive=sensitive,
             strategy=scenario.strategy,
-            rng=seed,
+            rng=ctx.seed,
             chunk_size=scenario.chunk_size,
             chunk_rows=chunk_rows,
             output=full_out,
         )
 
-    delta_report, delta_meas = time_callable(delta_once, timing)
-    full_report, full_meas = time_callable(full_once, timing)
-    byte_identical = delta_out.read_bytes() == full_out.read_bytes()
-    audits_agree = (delta_report.audit is None) == (full_report.audit is None) and (
-        delta_report.audit is None
-        or (
-            delta_report.audit.group_violation_rate
-            == full_report.audit.group_violation_rate
-            and delta_report.audit.is_private == full_report.audit.is_private
-        )
+    delta_report, delta_meas = time_callable(delta_once, ctx.timing)
+    full_report, full_meas = time_callable(full_once, ctx.timing)
+    # Both unaudited, or both audited with the same violation rate and verdict.
+    delta_audit, full_audit = (
+        None if r.audit is None else (r.audit.group_violation_rate, r.audit.is_private)
+        for r in (delta_report, full_report)
     )
 
-    entry = scenario.to_json()
-    entry["ops"] = {
+    ops = {
         "rows": scenario.rows,
         "rows_appended": n_append,
         "append_fraction": fraction,
@@ -164,9 +147,13 @@ def run_delta_scenario(
         "rows_per_second": scenario.rows / delta_meas.best,
         "full_seconds_best": float(full_meas.best),
         "speedup_vs_full": float(full_meas.best / delta_meas.best),
-        "byte_identical": bool(byte_identical),
-        "audits_agree": bool(audits_agree),
     }
-    entry["seconds"] = delta_meas.to_json()
-    entry["stages"] = {stage: float(s) for stage, s in delta_report.timings.items()}
-    return entry
+    return scenario.entry(
+        delta_meas,
+        ops,
+        delta_report.timings,
+        verdicts={
+            "byte_identical": delta_out.read_bytes() == full_out.read_bytes(),
+            "audits_agree": delta_audit == full_audit,
+        },
+    )

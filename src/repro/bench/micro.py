@@ -1,21 +1,24 @@
-"""Micro-benchmarks of the vectorized hot paths against their loop baselines.
+"""The ``micro`` suite: vectorized hot paths against the loops they replaced.
 
-This PR's optimizations replaced per-record / per-group Python loops with
-numpy bulk operations in four places: the SPS sampling step, the
-personal-group index build, the closed-form MLE over many groups, and the EM
-reconstruction over many groups.  The original loop implementations are kept
-here as *reference baselines* so every ``repro-bench run --suite core``:
+Per-record / per-group Python loops were replaced with numpy bulk
+operations in four places: the SPS sampling step, the personal-group index
+build, the closed-form MLE over many groups, and the EM reconstruction over
+many groups.  The original loop implementations are kept here as
+*reference baselines* (``tests/test_vectorized.py`` imports them too), so
+every ``repro-bench run --suite micro``:
 
-1. re-verifies that the shipped vectorized path produces the same output as
-   the loop it replaced (bit-identical where the operations are elementwise
-   or integer; to machine precision for the reassociated EM products), and
-2. records the measured before/after seconds in the emitted
-   ``BENCH_core.json`` — the perf claims stay attached to the numbers that
-   back them.
+1. re-checks that the shipped vectorized path produces the same output as
+   the loop it replaced — the ``matches_reference`` verdict: bit-identical
+   where the operations are elementwise or integer, within 1e-12 for the
+   reassociated EM products — and
+2. records the measured before/after seconds in ``BENCH_micro.json``, so
+   the perf claims stay attached to the numbers that back them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -26,7 +29,8 @@ from repro.dataset.groups import personal_groups
 from repro.dataset.table import Table
 from repro.reconstruction.iterative import iterative_bayes_frequencies
 from repro.reconstruction.mle import mle_frequencies_clipped
-from repro.bench.timing import TimingSpec, time_callable
+from repro.bench.scenarios import Context
+from repro.bench.timing import time_callable
 from repro.utils.rng import default_rng
 
 
@@ -76,127 +80,119 @@ def _reference_group_index(table: Table) -> dict[tuple[int, ...], "PersonalGroup
 
 
 # --------------------------------------------------------------------- #
-# The benchmark entries
+# The scenarios: one (reference, vectorized) pair of callables each
 # --------------------------------------------------------------------- #
 
-def _entry(
-    name: str,
-    description: str,
-    n: int,
-    baseline_seconds: float,
-    vectorized_seconds: float,
-    max_abs_diff: float,
-) -> dict[str, Any]:
-    return {
-        "name": name,
-        "description": description,
-        "n": n,
-        "baseline_seconds": baseline_seconds,
-        "vectorized_seconds": vectorized_seconds,
-        "speedup": baseline_seconds / vectorized_seconds if vectorized_seconds > 0 else 0.0,
-        "max_abs_diff": float(max_abs_diff),
-        "identical": max_abs_diff == 0.0,
-    }
+_Pair = tuple[Callable[[], np.ndarray], Callable[[], np.ndarray]]
+
+#: Ops fields every micro-suite entry must report (numbers).
+MICRO_REQUIRED_OPS = ("n", "baseline_seconds", "vectorized_seconds", "speedup", "max_abs_diff")
+
+#: The verdict every micro entry carries.
+MICRO_VERDICTS = ("matches_reference",)
 
 
-def run_micro_benchmarks(
-    seed: int, tiny: bool = False, timing: TimingSpec = TimingSpec(warmup=1, repeats=3)
-) -> list[dict[str, Any]]:
-    """Time each vectorized hot path against its loop baseline.
+@dataclass(frozen=True)
+class MicroScenario:
+    """One hot path at one problem size ``n``."""
 
-    Output sizes and operation counts depend only on ``seed`` and ``tiny``;
-    both implementations of each pair consume identical RNG streams, so their
-    outputs are directly comparable (and compared, every run).
-    """
+    name: str
+    title: str
+    n: int
+    pair: Callable[[int, int], _Pair]  # (seed, n) -> (reference, vectorized)
+    tolerance: float | None = None  # None: the outputs must be bit-identical
+
+
+def _sps_pair(seed: int, n_groups: int) -> _Pair:
     rng = default_rng(seed)
-    entries: list[dict[str, Any]] = []
-
-    # --- SPS sampling step: per-SA-value loop vs one vectorised draw. ------ #
-    n_groups = 200 if tiny else 2_000
-    m = 64
-    count_rows = rng.integers(0, 40, size=(n_groups, m)).astype(np.int64)
+    count_rows = rng.integers(0, 40, size=(n_groups, 64)).astype(np.int64)
     rates = rng.random(n_groups)
     draw_seed = int(rng.integers(0, 2**31))
 
-    def _reference_all() -> np.ndarray:
+    def reference() -> np.ndarray:
         draw_rng = default_rng(draw_seed)
         return np.vstack([
             _reference_sample_counts(row, float(rate), draw_rng)
             for row, rate in zip(count_rows, rates, strict=True)
         ])
 
-    baseline, base_time = time_callable(_reference_all, timing)
-    vectorized, vec_time = time_callable(
-        lambda: _sample_counts(count_rows, rates, default_rng(draw_seed)), timing
+    return reference, lambda: _sample_counts(count_rows, rates, default_rng(draw_seed))
+
+
+def _group_index_pair(seed: int, rows: int) -> _Pair:
+    table = generate_adult(rows, seed=seed)
+    return (
+        lambda: np.vstack([g.sensitive_counts for g in _reference_group_index(table).values()]),
+        lambda: personal_groups(table).groups.counts,
     )
-    entries.append(
-        _entry(
+
+
+def _mle_pair(seed: int, n_subsets: int) -> _Pair:
+    counts = default_rng(seed).integers(1, 200, size=(n_subsets, 50)).astype(float)
+    return (
+        lambda: np.vstack([mle_frequencies_clipped(row, 0.5, 50) for row in counts]),
+        lambda: mle_frequencies_clipped(counts, 0.5, 50),
+    )
+
+
+def _em_pair(seed: int, n_em: int) -> _Pair:
+    counts = default_rng(seed).integers(1, 200, size=(n_em, 20)).astype(float)
+    return (
+        lambda: np.vstack([iterative_bayes_frequencies(row, 0.5, 20) for row in counts]),
+        lambda: iterative_bayes_frequencies(counts, 0.5, 20),
+    )
+
+
+def micro_scenarios(tiny: bool = False) -> list[MicroScenario]:
+    """The four hot paths, at seconds scale when ``tiny``."""
+    sizes = (200, 4_000, 500, 50) if tiny else (2_000, 30_000, 5_000, 400)
+    n_groups, rows, n_subsets, n_em = sizes
+    return [
+        MicroScenario(
             "sps-sample-counts",
-            "SPS Sampling step over personal-group SA histograms "
-            f"({n_groups} groups, m={m})",
+            f"SPS Sampling step over personal-group SA histograms ({n_groups} groups, m=64)",
             n_groups,
-            base_time.best,
-            vec_time.best,
-            float(np.abs(baseline - vectorized).max()),
-        )
-    )
-
-    # --- Personal-group index build: per-group bincount vs one bincount. --- #
-    table_rows = 4_000 if tiny else 30_000
-    table = generate_adult(table_rows, seed=seed)
-    ref_groups, base_time = time_callable(lambda: _reference_group_index(table), timing)
-    new_index, vec_time = time_callable(lambda: personal_groups(table), timing)
-    baseline = np.vstack([group.sensitive_counts for group in ref_groups.values()])
-    vectorized = new_index.groups.counts
-    entries.append(
-        _entry(
-            "group-index-build",
-            f"GroupIndex construction on ADULT ({table_rows} rows)",
-            table_rows,
-            base_time.best,
-            vec_time.best,
-            float(np.abs(baseline - vectorized).max()),
-        )
-    )
-
-    # --- Closed-form MLE: one call per group vs one batched call. ---------- #
-    n_subsets = 500 if tiny else 5_000
-    mle_m = 50
-    counts = rng.integers(1, 200, size=(n_subsets, mle_m)).astype(float)
-    baseline, base_time = time_callable(
-        lambda: np.vstack([mle_frequencies_clipped(row, 0.5, mle_m) for row in counts]), timing
-    )
-    vectorized, vec_time = time_callable(lambda: mle_frequencies_clipped(counts, 0.5, mle_m), timing)
-    entries.append(
-        _entry(
+            _sps_pair,
+        ),
+        MicroScenario(
+            "group-index-build", f"GroupIndex construction on ADULT ({rows} rows)", rows, _group_index_pair
+        ),
+        MicroScenario(
             "mle-batch",
-            f"Clipped MLE reconstruction of {n_subsets} aggregate groups (m={mle_m})",
+            f"Clipped MLE reconstruction of {n_subsets} aggregate groups (m=50)",
             n_subsets,
-            base_time.best,
-            vec_time.best,
-            float(np.abs(baseline - vectorized).max()),
-        )
-    )
-
-    # --- EM reconstruction: one call per group vs one batched run. --------- #
-    n_em = 50 if tiny else 400
-    em_m = 20
-    em_counts = rng.integers(1, 200, size=(n_em, em_m)).astype(float)
-    baseline, base_time = time_callable(
-        lambda: np.vstack([iterative_bayes_frequencies(row, 0.5, em_m) for row in em_counts]),
-        timing,
-    )
-    vectorized, vec_time = time_callable(
-        lambda: iterative_bayes_frequencies(em_counts, 0.5, em_m), timing
-    )
-    entries.append(
-        _entry(
+            _mle_pair,
+        ),
+        MicroScenario(
             "em-batch",
-            f"Iterative Bayesian reconstruction of {n_em} groups (m={em_m})",
+            f"Iterative Bayesian reconstruction of {n_em} groups (m=20)",
             n_em,
-            base_time.best,
-            vec_time.best,
-            float(np.abs(baseline - vectorized).max()),
-        )
-    )
-    return entries
+            _em_pair,
+            tolerance=1e-12,
+        ),
+    ]
+
+
+def run_micro_scenario(scenario: MicroScenario, ctx: Context) -> dict[str, Any]:
+    """Time the loop and the vectorized path; check they agree."""
+    reference, vectorized = scenario.pair(ctx.seed, scenario.n)
+    expected, base = time_callable(reference, ctx.timing)
+    actual, vec = time_callable(vectorized, ctx.timing)
+    max_abs_diff = float(np.abs(expected - actual).max())
+    if scenario.tolerance is None:
+        matches = max_abs_diff == 0.0
+    else:
+        matches = max_abs_diff < scenario.tolerance
+    return {
+        "name": scenario.name,
+        "title": scenario.title,
+        "ops": {
+            "n": scenario.n,
+            "baseline_seconds": base.best,
+            "vectorized_seconds": vec.best,
+            "speedup": base.best / vec.best if vec.best > 0 else 0.0,
+            "max_abs_diff": max_abs_diff,
+        },
+        "verdicts": {"matches_reference": matches},
+        "seconds": vec.to_json(),
+    }

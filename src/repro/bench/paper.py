@@ -30,6 +30,8 @@ from typing import Any
 import numpy as np
 
 from repro.analysis.utility import compare_up_and_sps
+from repro.bench.scenarios import Context
+from repro.bench.timing import time_callable
 from repro.core.criterion import PrivacySpec, smallest_error_bound
 from repro.core.sps import sps_publish
 from repro.core.testing import audit_table
@@ -66,7 +68,6 @@ class PaperScenario:
 
     name: str
     title: str
-    description: str
     run: Callable[[ExperimentConfig], Any]
     render: Callable[[Any], str]
     check: Callable[[Any, ExperimentConfig], None]
@@ -97,11 +98,6 @@ def available_paper_scenarios() -> list[str]:
     return sorted(_SCENARIOS)
 
 
-def paper_scenario_listing() -> list[tuple[str, str]]:
-    """(name, one-line description) pairs, for ``repro-bench --list``."""
-    return [(name, _SCENARIOS[name].title) for name in available_paper_scenarios()]
-
-
 def smoke_config() -> ExperimentConfig:
     """A seconds-scale configuration for smoke-testing every scenario."""
     return ExperimentConfig(
@@ -112,6 +108,35 @@ def smoke_config() -> ExperimentConfig:
         runs=1,
         attack_trials=2,
     )
+
+
+def paper_scenarios(tiny: bool = False) -> list[PaperScenario]:
+    """Every registered paper scenario, sorted by name."""
+    return [_SCENARIOS[name] for name in available_paper_scenarios()]
+
+
+def run_paper_scenario(scenario: PaperScenario, ctx: Context) -> dict[str, Any]:
+    """Run one paper scenario and return its report entry.
+
+    The scenario's shape checks run whenever the data scale supports them
+    (always for closed-form exhibits; the Monte-Carlo sweeps are only
+    checked at the default scale — the tiny smoke sizes are below their
+    calibration).  A failed check raises :class:`CheckFailed`.
+    """
+    config = smoke_config() if ctx.tiny else ExperimentConfig()
+    result, measurement = time_callable(lambda: scenario.run(config), ctx.timing)
+    checked = scenario.checks_at_tiny or not ctx.tiny
+    if checked:
+        scenario.check(result, config)
+    ops = {str(k): v for k, v in scenario.summarize(result).items()}
+    ops["checked"] = checked
+    return {
+        "name": scenario.name,
+        "title": scenario.title,
+        "ops": ops,
+        "verdicts": {},
+        "seconds": measurement.to_json(),
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -179,7 +204,6 @@ _register(
     PaperScenario(
         name="core-ops",
         title="Throughput of the core building blocks (perturb, index, audit, SPS, MLE)",
-        description="Times each hot-path operation in isolation so regressions are attributable.",
         run=_run_core_ops,
         render=_render_core_ops,
         check=_check_core_ops,
@@ -209,7 +233,6 @@ _register(
     PaperScenario(
         name="table1",
         title="Table 1: disclosure of the ADULT rule through two Laplace-noisy counts",
-        description="Mean Conf' and relative error of the DP attack at eps in {0.5, 0.01}.",
         run=run_table1,
         render=lambda result: result.render(),
         check=_check_table1,
@@ -238,7 +261,6 @@ _register(
     PaperScenario(
         name="table2",
         title="Table 2: the 2 (b/x)^2 disclosure-indicator grid",
-        description="Exact closed-form disclosure indicator over the paper's (b, x) grid.",
         run=lambda config: run_table2(),
         render=lambda result: result.render(),
         check=_check_table2,
@@ -281,7 +303,6 @@ _register(
     PaperScenario(
         name="tables4-5",
         title="Tables 4 and 5: impact of chi-square NA aggregation on ADULT and CENSUS",
-        description="Domain sizes, group counts and average group sizes before/after merging.",
         run=run_aggregation_impact,
         render=lambda impacts: "\n\n".join(impact.render() for impact in impacts.values()),
         check=_check_tables4_5,
@@ -319,7 +340,6 @@ _register(
     PaperScenario(
         name="figure1",
         title="Figure 1: the maximum group size s_g versus the maximum frequency f",
-        description="Closed-form s_g curves per dataset and retention probability.",
         run=lambda config: run_figure1(),
         render=lambda panels: "\n\n".join(panel.render() for panel in panels.values()),
         check=_check_figure1,
@@ -336,6 +356,19 @@ _register(
 # Figures 2 and 4: violation sweeps
 # --------------------------------------------------------------------- #
 
+def _sweep_views(dataset: str) -> dict[str, Callable[[Any], Any]]:
+    """``render`` and ``summarize`` of a ``{dataset: {axis: sweep}}`` result."""
+
+    def summarize(sweeps: Any) -> dict[str, Any]:
+        axes = sweeps[dataset].values()
+        return {"sweeps": len(axes), "points": sum(len(s.values) for s in axes)}
+
+    return {
+        "render": lambda sweeps: "\n\n".join(s.render() for s in sweeps[dataset].values()),
+        "summarize": summarize,
+    }
+
+
 def _check_figure2(sweeps: Any, config: ExperimentConfig) -> None:
     adult = sweeps["ADULT"]
     defaults = adult["p"]
@@ -347,34 +380,20 @@ def _check_figure2(sweeps: Any, config: ExperimentConfig) -> None:
     for sweep in adult.values():
         for vg, vr in zip(sweep.group_rates, sweep.record_rates, strict=True):
             _require(vr >= vg - 1e-9, "coverage must dominate the group rate")
-    _require(
-        adult["lambda"].group_rates[-1] >= adult["lambda"].group_rates[0],
-        "violations should grow with lambda",
-    )
-    _require(
-        adult["delta"].group_rates[-1] >= adult["delta"].group_rates[0],
-        "violations should grow with delta",
-    )
-    _require(
-        adult["p"].group_rates[-1] >= adult["p"].group_rates[0],
-        "violations should grow with p",
-    )
+    for axis in ("lambda", "delta", "p"):
+        rates = adult[axis].group_rates
+        _require(rates[-1] >= rates[0], f"violations should grow with {axis}")
 
 
 _register(
     PaperScenario(
         name="figure2",
         title="Figure 2: reconstruction-privacy violation rates on ADULT under plain UP",
-        description="Group and record violation rates over the lambda/delta/p sweeps.",
         run=lambda config: run_violation_sweep(
             config=config, datasets=("ADULT",), include_size_sweep=False
         ),
-        render=lambda sweeps: "\n\n".join(s.render() for s in sweeps["ADULT"].values()),
+        **_sweep_views("ADULT"),
         check=_check_figure2,
-        summarize=lambda sweeps: {
-            "sweeps": len(sweeps["ADULT"]),
-            "points": sum(len(s.values) for s in sweeps["ADULT"].values()),
-        },
     )
 )
 
@@ -396,16 +415,11 @@ _register(
     PaperScenario(
         name="figure4",
         title="Figure 4: reconstruction-privacy violation rates on CENSUS under plain UP",
-        description="Violation sweeps on CENSUS including the |D| size sweep.",
         run=lambda config: run_violation_sweep(
             config=config, datasets=("CENSUS",), include_size_sweep=True
         ),
-        render=lambda sweeps: "\n\n".join(s.render() for s in sweeps["CENSUS"].values()),
+        **_sweep_views("CENSUS"),
         check=_check_figure4,
-        summarize=lambda sweeps: {
-            "sweeps": len(sweeps["CENSUS"]),
-            "points": sum(len(s.values) for s in sweeps["CENSUS"].values()),
-        },
     )
 )
 
@@ -441,16 +455,11 @@ _register(
     PaperScenario(
         name="figure3",
         title="Figure 3: the relative-error cost of SPS versus plain UP on ADULT",
-        description="Average workload relative error for UP and SPS over the parameter sweeps.",
         run=lambda config: run_error_sweep(
             config=_figure3_config(config), datasets=("ADULT",), include_size_sweep=False
         ),
-        render=lambda sweeps: "\n\n".join(s.render() for s in sweeps["ADULT"].values()),
+        **_sweep_views("ADULT"),
         check=_check_figure3,
-        summarize=lambda sweeps: {
-            "sweeps": len(sweeps["ADULT"]),
-            "points": sum(len(s.values) for s in sweeps["ADULT"].values()),
-        },
     )
 )
 
@@ -488,16 +497,11 @@ _register(
     PaperScenario(
         name="figure5",
         title="Figure 5: the relative-error cost of SPS versus plain UP on CENSUS",
-        description="Average workload relative error on CENSUS including the |D| size sweep.",
         run=lambda config: run_error_sweep(
             config=_figure5_config(config), datasets=("CENSUS",), include_size_sweep=True
         ),
-        render=lambda sweeps: "\n\n".join(s.render() for s in sweeps["CENSUS"].values()),
+        **_sweep_views("CENSUS"),
         check=_check_figure5,
-        summarize=lambda sweeps: {
-            "sweeps": len(sweeps["CENSUS"]),
-            "points": sum(len(s.values) for s in sweeps["CENSUS"].values()),
-        },
     )
 )
 
@@ -538,7 +542,6 @@ _register(
     PaperScenario(
         name="ablation-bounds",
         title="Ablation: Chernoff vs Chebyshev vs Markov in the privacy test",
-        description="Group violation rate of the same ADULT sample under each tail bound.",
         run=lambda config: violation_rates_by_bound(
             min(config.adult_size, 20_000), config.seed
         ),
@@ -615,7 +618,6 @@ _register(
     PaperScenario(
         name="ablation-sampling",
         title="Ablation: SPS sampling versus lowering p globally (Section 5)",
-        description="Query error of SPS at p=0.5 against plain UP at the largest private p.",
         run=lambda config: run_sampling_ablation(min(config.adult_size, 20_000), config.seed),
         render=_render_ablation_sampling,
         check=_check_ablation_sampling,
@@ -638,7 +640,6 @@ _register(
     PaperScenario(
         name="criteria-comparison",
         title="Ablation: reconstruction privacy versus the posterior/prior criteria",
-        description="Audit the same generalised ADULT sample under every implemented criterion.",
         run=lambda config: compare_criteria(
             generalize_table(generate_adult(min(config.adult_size, 20_000), seed=config.seed)).table,
             PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2),

@@ -1,117 +1,91 @@
 """Execute benchmark suites and emit the ``BENCH_*.json`` reports.
 
-Three suites:
-
-* ``core`` — the scenario matrix through :func:`repro.publish` (library
-  path), plus the vectorization micro-benchmarks of
-  :mod:`repro.bench.micro`;
-* ``service`` — the scenario matrix through
-  :class:`repro.service.AnonymizationService` (shared-scheduler path, cached
-  group indexes);
-* ``paper`` — the twelve named paper scenarios of
-  :mod:`repro.bench.paper`;
-* ``stream`` — out-of-core vs in-memory publishing over ×10 row-growth
-  pairs (:mod:`repro.bench.stream`): rows/sec, peak tracked allocation of
-  both paths, and a per-scenario byte-identity verdict;
-* ``parallel`` — worker-count scaling of the shared scheduler
-  (:mod:`repro.bench.parallel`): strategy × workers in {1, 2, 4}, rows/sec,
-  ``speedup_vs_w1`` and a per-scenario byte-identity verdict against both
-  the sequential stream and the in-memory pipeline;
-* ``delta`` — incremental vs full re-publish over shrinking append
-  fractions (:mod:`repro.bench.delta`): ``speedup_vs_full``, the
-  dirty-chunk fraction and a per-scenario byte-identity verdict of the
-  spliced output against a from-scratch re-publish;
-* ``serve`` — concurrent clients against a live
-  :class:`~repro.serve.frontend.ServingFrontend` (:mod:`repro.bench.serve`):
-  throughput, p50/p95/p99 latency, cache hit ratio, ``cache_speedup`` of the
-  response cache, queue-rejection counts and a byte-identity verdict across
-  cached/uncached/post-invalidation responses.
+:data:`SUITES` maps every suite name to its
+:class:`~repro.bench.scenarios.Suite`; the core and service suites are
+defined here, the others in the module named after them.  :func:`run_suite`
+is the one loop over a suite's scenarios.
 
 Determinism contract: for a fixed ``(suite, tiny, seed, filter)`` the
-scenario set, every scenario's operation counts and the published bytes
-behind them are identical run-to-run — only the wall-clock fields move.
-Reports are written to ``BENCH_<suite>.json`` (schema-checked before
-writing) so the repo root carries a diffable perf trajectory.
+scenario set, every scenario's operation counts and verdicts, and the
+published bytes behind them are identical run-to-run — only the wall-clock
+fields move.  Reports are written to ``BENCH_<suite>.json`` (schema-checked
+before writing) so the repo root carries a diffable perf trajectory.
 """
 
 from __future__ import annotations
 
 import json
+import tempfile
 from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-from repro.bench.micro import run_micro_benchmarks
-from repro.bench.paper import available_paper_scenarios, paper_scenario, smoke_config
-from repro.bench.scenarios import Scenario, matrix_for
+from repro.bench import delta, micro, paper, serve, stream
+from repro.bench.scenarios import Context, Scenario, Suite
 from repro.bench.schema import SCHEMA_VERSION, validate_report
 from repro.bench.timing import TimingSpec, time_callable
-from repro.dataset.adult import generate_adult
-from repro.dataset.census import generate_census
-from repro.experiments.config import ExperimentConfig
 from repro.obs.environment import runtime_environment
 from repro.obs.trace import span
 from repro.pipeline import publish
 
-_GENERATORS = {"adult": generate_adult, "census": generate_census}
-
 #: Default root seed (the same EDBT-date seed the experiments use).
 DEFAULT_BENCH_SEED = 20150323
 
-
-def default_timing(suite: str) -> TimingSpec:
-    """The default timer for a suite — the single source the CLI also reads.
-
-    Paper scenarios are minutes-scale at default sizes, so they get one
-    untimed-warmup-free pass; the matrix suites get warmup + best-of-3.
-    """
-    return TimingSpec(warmup=0, repeats=1) if suite == "paper" else TimingSpec()
-
-
-class _DatasetCache:
-    """Synthetic tables keyed by (generator, rows), built once per run."""
-
-    def __init__(self, seed: int) -> None:
-        self._seed = seed
-        self._tables: dict[tuple[str, int], Any] = {}
-
-    def get(self, dataset: str, rows: int) -> Any:
-        key = (dataset, rows)
-        if key not in self._tables:
-            self._tables[key] = _GENERATORS[dataset](rows, seed=self._seed)
-        return self._tables[key]
-
-
-def _filter_scenarios(scenarios: list[Scenario], names: Sequence[str] | None) -> list[Scenario]:
-    if not names:
-        return scenarios
-    wanted = set(names)
-    kept = [s for s in scenarios if s.name in wanted or s.strategy in wanted]
-    missing = wanted - {s.name for s in kept} - {s.strategy for s in kept}
-    if missing:
-        raise ValueError(
-            f"unknown scenario filter(s) {sorted(missing)}; "
-            "filters match a scenario name or a strategy name"
+def _grid(
+    strategies: Sequence[str],
+    datasets: Sequence[tuple[str, int]],
+    chunk_sizes: Sequence[int],
+    workers: Sequence[int] = (1,),
+) -> list[Scenario]:
+    """The cross product, strategy-major and workers innermost."""
+    return [
+        Scenario(
+            f"{strategy}/{dataset}-{rows}/c{chunk_size}/w{w}", strategy, dataset, rows, chunk_size, w
         )
-    return kept
+        for strategy in strategies
+        for dataset, rows in datasets
+        for chunk_size in chunk_sizes
+        for w in workers
+    ]
 
 
-def run_core_scenario(
-    scenario: Scenario, cache: _DatasetCache, seed: int, timing: TimingSpec
-) -> dict[str, Any]:
+def core_scenarios(tiny: bool = False) -> list[Scenario]:
+    """The library path (serial execution, so one worker)."""
+    if tiny:
+        strategies = ("sps", "uniform", "generalize+sps")
+        return _grid(strategies, (("adult", 2_000), ("census", 5_000)), (64, 256))
+    strategies = ("sps", "uniform", "dp-laplace", "dp-gaussian", "generalize+sps")
+    return _grid(strategies, (("adult", 45_222), ("census", 100_000)), (256, 1024))
+
+
+def service_scenarios(tiny: bool = False) -> list[Scenario]:
+    """The service path (scheduler execution; workers is a real axis)."""
+    if tiny:
+        # census-50000 sps runs ~0.1 s, over the perf gate's 50 ms floor.
+        datasets = (("adult", 2_000), ("census", 50_000))
+        return _grid(("sps", "generalize+sps"), datasets, (64,), (1, 4))
+    return _grid(
+        ("sps", "generalize+sps", "dp-laplace"),
+        (("adult", 45_222), ("census", 100_000)),
+        (256,),
+        (1, 4, 8),
+    )
+
+
+def run_core_scenario(scenario: Scenario, ctx: Context) -> dict[str, Any]:
     """Time one library-path scenario and return its report entry."""
-    table = cache.get(scenario.dataset, scenario.rows)
+    table = ctx.table(scenario.dataset, scenario.rows)
 
     def once() -> Any:
         return publish(
             table,
             strategy=scenario.strategy,
-            rng=seed,
+            rng=ctx.seed,
             chunk_size=scenario.chunk_size,
             **scenario.params,
         )
 
-    report, measurement = time_callable(once, timing)
+    report, measurement = time_callable(once, ctx.timing)
     ops: dict[str, Any] = {
         "published_records": len(report.published),
         "prepared_records": len(report.prepared),
@@ -121,30 +95,41 @@ def run_core_scenario(
     if report.audit is not None:
         ops["n_groups"] = report.audit.n_groups
         ops["n_violating_groups"] = len(report.audit.violating_groups)
-    entry = scenario.to_json()
-    entry["ops"] = ops
-    entry["seconds"] = measurement.to_json()
-    entry["stages"] = {stage: float(s) for stage, s in report.timings.items()}
-    return entry
+    return scenario.entry(measurement, ops, report.timings)
 
 
-def run_service_scenario(
-    scenario: Scenario, service: Any, seed: int, timing: TimingSpec
-) -> dict[str, Any]:
+def _service() -> Any:
+    from repro.service import AnonymizationService, JobStore
+
+    service = AnonymizationService()
+    # Every timed pass records a job; keep only the latest published
+    # table resident so a long matrix doesn't accumulate hundreds of MB.
+    service.jobs = JobStore(max_published_tables=1)
+    return service
+
+
+def run_service_scenario(scenario: Scenario, ctx: Context) -> dict[str, Any]:
     """Time one service-path scenario (cached group index, shared scheduler)."""
+    service = ctx.once("service", _service)
     dataset_name = f"{scenario.dataset}-{scenario.rows}"
+    ctx.once(
+        ("registered", dataset_name),
+        lambda: service.register_synthetic(
+            dataset_name, scenario.dataset, n_records=scenario.rows, seed=ctx.seed
+        ),
+    )
 
     def once() -> Any:
         return service.publish(
             dataset_name,
             scenario.strategy,
             params=scenario.params,
-            seed=seed,
+            seed=ctx.seed,
             chunk_size=scenario.chunk_size,
             max_workers=scenario.workers,
         )
 
-    record, measurement = time_callable(once, timing)
+    record, measurement = time_callable(once, ctx.timing)
     ops: dict[str, Any] = {
         "published_records": record.published_records,
         "group_index_cached": bool(record.timings.group_index_cached),
@@ -152,43 +137,63 @@ def run_service_scenario(
     if record.audit is not None:
         ops["n_groups"] = record.audit.n_groups
         ops["n_violating_groups"] = record.audit.n_violating_groups
-    entry = scenario.to_json()
-    entry["ops"] = ops
-    entry["seconds"] = measurement.to_json()
-    entry["stages"] = {
-        "group_index": float(record.timings.group_index_seconds),
-        "publish": float(record.timings.publish_seconds),
-        "total": float(record.timings.total_seconds),
+    stages = {
+        "group_index": record.timings.group_index_seconds,
+        "publish": record.timings.publish_seconds,
+        "total": record.timings.total_seconds,
     }
-    return entry
+    return scenario.entry(measurement, ops, stages)
 
 
-def _paper_config(tiny: bool) -> ExperimentConfig:
-    return smoke_config() if tiny else ExperimentConfig()
+#: Every suite, in listing order.  Paper scenarios are minutes-scale at
+#: default sizes, so they get one pass and stay out of the perf gate.
+SUITES: dict[str, Suite] = {
+    "core": Suite(core_scenarios, run_core_scenario),
+    "service": Suite(service_scenarios, run_service_scenario),
+    "micro": Suite(
+        micro.micro_scenarios,
+        micro.run_micro_scenario,
+        coordinates=False,
+        required_ops=micro.MICRO_REQUIRED_OPS,
+        verdicts=lambda entry: micro.MICRO_VERDICTS,
+    ),
+    "paper": Suite(
+        paper.paper_scenarios,
+        paper.run_paper_scenario,
+        timing=TimingSpec(warmup=0, repeats=1),
+        coordinates=False,
+        gated=False,
+    ),
+    "stream": Suite(
+        stream.stream_scenarios,
+        stream.run_stream_scenario,
+        verdicts=lambda entry: stream.STREAM_VERDICTS,
+    ),
+    "delta": Suite(
+        delta.delta_scenarios, delta.run_delta_scenario, verdicts=lambda entry: delta.DELTA_VERDICTS
+    ),
+    "serve": Suite(
+        serve.serve_scenarios,
+        serve.run_serve_scenario,
+        required_ops=serve.SERVE_REQUIRED_OPS,
+        verdicts=lambda entry: serve.SERVE_VERDICTS.get(entry.get("strategy"), ()),
+    ),
+}
 
 
-def run_paper_entry(name: str, tiny: bool, timing: TimingSpec) -> dict[str, Any]:
-    """Run one named paper scenario and return its report entry.
-
-    The scenario's shape checks run whenever the data scale supports them
-    (always for closed-form exhibits; the Monte-Carlo sweeps are only
-    checked at the default scale — the tiny smoke sizes are below their
-    calibration).
-    """
-    scenario = paper_scenario(name)
-    config = _paper_config(tiny)
-    result, measurement = time_callable(lambda: scenario.run(config), timing)
-    checked = scenario.checks_at_tiny or not tiny
-    if checked:
-        scenario.check(result, config)
-    ops = {str(k): v for k, v in scenario.summarize(result).items()}
-    ops["checked"] = checked
-    return {
-        "name": name,
-        "title": scenario.title,
-        "ops": ops,
-        "seconds": measurement.to_json(),
-    }
+def _filter_scenarios(scenarios: list[Any], names: Sequence[str] | None) -> list[Any]:
+    """Scenarios whose name, or one ``/``-separated part of it, is in ``names``."""
+    if not names:
+        return scenarios
+    wanted = set(names)
+    kept = [s for s in scenarios if wanted & {s.name, *s.name.split("/")}]
+    matched = {part for s in kept for part in (s.name, *s.name.split("/"))}
+    if wanted - matched:
+        raise ValueError(
+            f"unknown scenario filter(s) {sorted(wanted - matched)}; "
+            "filters match a scenario name or one '/'-separated part of it"
+        )
+    return kept
 
 
 def run_suite(
@@ -197,115 +202,19 @@ def run_suite(
     seed: int = DEFAULT_BENCH_SEED,
     timing: TimingSpec | None = None,
     scenario_filter: Sequence[str] | None = None,
-    include_micro: bool = True,
 ) -> dict[str, Any]:
     """Run a whole suite and return the (schema-valid) report document."""
-    if timing is None:
-        timing = default_timing(suite)
-    entries: list[dict[str, Any]] = []
-    micro: list[dict[str, Any]] | None = None
-
-    if suite == "paper":
-        names = list(scenario_filter) if scenario_filter else available_paper_scenarios()
-        unknown = set(names) - set(available_paper_scenarios())
-        if unknown:
-            raise ValueError(f"unknown paper scenario(s) {sorted(unknown)}")
-        for name in names:
-            with span(name, kind="scenario", suite=suite):
-                entries.append(run_paper_entry(name, tiny, timing))
-    elif suite == "core":
-        scenarios = _filter_scenarios(matrix_for("core", tiny).expand("core"), scenario_filter)
-        cache = _DatasetCache(seed)
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose one of {', '.join(SUITES)}")
+    spec = SUITES[suite]
+    timing = timing or spec.timing
+    scenarios = _filter_scenarios(spec.scenarios(tiny), scenario_filter)
+    with tempfile.TemporaryDirectory(prefix=f"repro-bench-{suite}-") as tmp:
+        ctx = Context(seed=seed, timing=timing, tiny=tiny, workdir=Path(tmp))
+        entries = []
         for scenario in scenarios:
             with span(scenario.name, kind="scenario", suite=suite):
-                entries.append(run_core_scenario(scenario, cache, seed, timing))
-        if include_micro:
-            micro = run_micro_benchmarks(seed, tiny=tiny, timing=timing)
-    elif suite == "stream":
-        import tempfile
-
-        from repro.bench.stream import run_stream_scenario, stream_scenarios
-        from repro.dataset.loaders import write_csv
-
-        scenarios = _filter_scenarios(stream_scenarios(tiny), scenario_filter)
-        cache = _DatasetCache(seed)
-        with tempfile.TemporaryDirectory(prefix="repro-bench-stream-") as tmp:
-            workdir = Path(tmp)
-            csv_paths: dict[tuple[str, int], Path] = {}
-            for scenario in scenarios:
-                key = (scenario.dataset, scenario.rows)
-                if key not in csv_paths:
-                    path = workdir / f"{scenario.dataset}-{scenario.rows}.csv"
-                    write_csv(cache.get(scenario.dataset, scenario.rows), path)
-                    csv_paths[key] = path
-                with span(scenario.name, kind="scenario", suite=suite):
-                    entries.append(
-                        run_stream_scenario(scenario, csv_paths[key], seed, timing, workdir)
-                    )
-    elif suite == "parallel":
-        import tempfile
-
-        from repro.bench.parallel import parallel_scenarios, run_parallel_scenario
-        from repro.dataset.loaders import write_csv
-
-        scenarios = _filter_scenarios(parallel_scenarios(tiny), scenario_filter)
-        cache = _DatasetCache(seed)
-        with tempfile.TemporaryDirectory(prefix="repro-bench-parallel-") as tmp:
-            workdir = Path(tmp)
-            csv_paths: dict[tuple[str, int], Path] = {}
-            baselines: dict[tuple[str, str, int], dict[str, Any]] = {}
-            for scenario in scenarios:
-                key = (scenario.dataset, scenario.rows)
-                if key not in csv_paths:
-                    path = workdir / f"{scenario.dataset}-{scenario.rows}.csv"
-                    write_csv(cache.get(scenario.dataset, scenario.rows), path)
-                    csv_paths[key] = path
-                with span(scenario.name, kind="scenario", suite=suite):
-                    entries.append(
-                        run_parallel_scenario(
-                            scenario, csv_paths[key], seed, timing, workdir, baselines
-                        )
-                    )
-    elif suite == "delta":
-        import tempfile
-
-        from repro.bench.delta import delta_scenarios, run_delta_scenario
-
-        scenarios = _filter_scenarios(delta_scenarios(tiny), scenario_filter)
-        cache = _DatasetCache(seed)
-        with tempfile.TemporaryDirectory(prefix="repro-bench-delta-") as tmp:
-            workdir = Path(tmp)
-            for scenario in scenarios:
-                table = cache.get(scenario.dataset, scenario.rows)
-                with span(scenario.name, kind="scenario", suite=suite):
-                    entries.append(
-                        run_delta_scenario(scenario, table, seed, timing, workdir)
-                    )
-    elif suite == "serve":
-        from repro.bench.serve import run_serve_scenario, serve_scenarios
-
-        scenarios = _filter_scenarios(serve_scenarios(tiny), scenario_filter)
-        for scenario in scenarios:
-            with span(scenario.name, kind="scenario", suite=suite):
-                entries.append(run_serve_scenario(scenario, seed, timing))
-    elif suite == "service":
-        from repro.service import AnonymizationService, JobStore
-
-        scenarios = _filter_scenarios(matrix_for("service", tiny).expand("service"), scenario_filter)
-        service = AnonymizationService()
-        # Every timed pass records a job; keep only the latest published
-        # table resident so a long matrix doesn't accumulate hundreds of MB.
-        service.jobs = JobStore(max_published_tables=1)
-        for dataset, rows in sorted({(s.dataset, s.rows) for s in scenarios}):
-            service.register_synthetic(f"{dataset}-{rows}", dataset, n_records=rows, seed=seed)
-        for scenario in scenarios:
-            with span(scenario.name, kind="scenario", suite=suite):
-                entries.append(run_service_scenario(scenario, service, seed, timing))
-    else:
-        raise ValueError(
-            f"unknown suite {suite!r}; choose core, service, paper, stream, "
-            "parallel, delta or serve"
-        )
+                entries.append(spec.run(scenario, ctx))
 
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -315,13 +224,11 @@ def run_suite(
         "timing": timing.to_json(),
         # The canonical per-process record from repro.obs — the same dict
         # trace headers and /metrics report, so numbers stay comparable.
-        # Worker-scaling numbers (the parallel suite) only mean anything
-        # read against the cores the run actually had.
+        # Worker-scaling numbers only mean anything read against the cores
+        # the run actually had.
         "environment": dict(runtime_environment()),
         "scenarios": entries,
     }
-    if micro is not None:
-        report["micro"] = micro
     validate_report(report)
     return report
 

@@ -1,142 +1,129 @@
-"""The benchmark scenario matrix.
+"""The benchmark protocol: scenarios, suites and the run context.
 
-A :class:`Scenario` is one timed publishing configuration — a point in the
-``strategy × dataset size × chunk_size × workers`` grid.  A
-:class:`ScenarioMatrix` expands those axes into the full cross product in a
-fixed, deterministic order, so a given matrix always produces the same
-scenario set (the emitted ``BENCH_*.json`` files are diffable across PRs).
+Every suite is a :class:`Suite` — ``scenarios(tiny)``, the fixed-order list
+of points it measures, plus ``run(scenario, ctx)``, which measures one point
+and returns its report entry.  A :class:`Scenario` is one timed publishing
+configuration (strategy, dataset size, chunk size, workers and any
+suite-specific ``params``); the paper and micro suites bring their own
+scenario objects, which only need a ``name`` and a one-line ``title``.
 
-Two suites are built from matrices:
+One :class:`Context` is shared by the scenarios of a run: the root seed,
+the timer, the synthetic tables and their CSV files (each built once), and
+one temporary working directory.
 
-* ``core`` — times :func:`repro.publish` (the library path, serial chunk
-  execution, so the ``workers`` axis is pinned to 1);
-* ``service`` — times :meth:`repro.service.AnonymizationService.publish`
-  (the shared-scheduler path, exercising the ``workers`` axis and the dataset
-  registry's cached group index).
-
-Each suite has a ``tiny`` preset (seconds, used by CI's bench-smoke job and
-the test suite) and a ``default`` preset (the paper-scale sizes).
+Every entry carries ``verdicts`` — named booleans that must all be true
+(byte identity, cache behaviour, agreement with a reference).  Each suite
+declares the verdict names its entries carry, and the schema validator
+requires exactly those; the perf gate checks them generically;
+wall-clock fields are free to move.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Collection, Hashable
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any
+
+from repro.bench.timing import Measurement, TimingSpec
+from repro.dataset.adult import generate_adult
+from repro.dataset.census import generate_census
+from repro.dataset.loaders import write_csv
+
+#: The synthetic generators scenarios name, and each one's sensitive column.
+GENERATORS = {"adult": generate_adult, "census": generate_census}
+SENSITIVE = {"adult": "Income", "census": "Occupation"}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One timed configuration: a point of the benchmark matrix."""
+    """One timed configuration of a publishing path."""
 
     name: str
-    suite: str
     strategy: str
     dataset: str
     rows: int
     chunk_size: int
-    workers: int
+    workers: int = 1
     params: dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self) -> dict[str, Any]:
-        """The scenario's identity as a JSON-compatible dict."""
+    @property
+    def title(self) -> str:
+        """One listing line: the configuration in words."""
+        extras = "".join(f", {key}={value}" for key, value in self.params.items())
+        return (
+            f"{self.strategy} on {self.dataset} ({self.rows} rows), "
+            f"chunk_size={self.chunk_size}, workers={self.workers}{extras}"
+        )
+
+    def entry(
+        self,
+        measurement: Measurement,
+        ops: dict[str, Any],
+        stages: dict[str, float],
+        verdicts: dict[str, bool] | None = None,
+    ) -> dict[str, Any]:
+        """The report entry of one measured run: the scenario's fields, then results."""
         return {
-            "name": self.name,
-            "strategy": self.strategy,
-            "dataset": self.dataset,
-            "rows": self.rows,
-            "chunk_size": self.chunk_size,
-            "workers": self.workers,
-            "params": dict(self.params),
+            **asdict(self),
+            "ops": ops,
+            "verdicts": {name: bool(value) for name, value in (verdicts or {}).items()},
+            "seconds": measurement.to_json(),
+            "stages": {stage: float(seconds) for stage, seconds in stages.items()},
         }
 
 
-@dataclass(frozen=True)
-class ScenarioMatrix:
-    """The four benchmark axes; :meth:`expand` yields their cross product.
+@dataclass
+class Context:
+    """What the scenarios of one run share: seed, timer, data and a workdir."""
 
-    Expansion order is strategy-major, then dataset, then chunk size, then
-    workers — fixed so that the scenario list (and therefore the report's
-    scenario order) is a pure function of the matrix.
+    seed: int
+    timing: TimingSpec
+    tiny: bool
+    workdir: Path
+    memo: dict[Hashable, Any] = field(default_factory=dict)
+
+    def once(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``'s result, computed on the first call for ``key`` only."""
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+    def table(self, dataset: str, rows: int) -> Any:
+        """The synthetic ``dataset`` table of ``rows`` records at the run's seed."""
+        return self.once(
+            ("table", dataset, rows), lambda: GENERATORS[dataset](rows, seed=self.seed)
+        )
+
+    def csv(self, dataset: str, rows: int) -> Path:
+        """That table written once as a CSV file in the workdir."""
+
+        def write() -> Path:
+            path = self.workdir / f"{dataset}-{rows}.csv"
+            write_csv(self.table(dataset, rows), path)
+            return path
+
+        return self.once(("csv", dataset, rows), write)
+
+
+def _no_verdicts(entry: dict[str, Any]) -> tuple[str, ...]:
+    return ()
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A scenario list plus the function that measures one scenario.
+
+    ``coordinates`` says every entry carries the :class:`Scenario` fields;
+    ``required_ops`` names numeric ``ops`` fields every entry must report;
+    ``verdicts`` maps a report entry to the verdict names it must carry
+    (no more, no fewer); ``gated`` says the CI perf gate runs the suite.
     """
 
-    strategies: tuple[str, ...]
-    datasets: tuple[tuple[str, int], ...]  # (generator name, rows)
-    chunk_sizes: tuple[int, ...]
-    workers: tuple[int, ...] = (1,)
-
-    def expand(self, suite: str) -> list[Scenario]:
-        """All scenarios of the matrix, in deterministic order."""
-        scenarios = []
-        for strategy in self.strategies:
-            for dataset, rows in self.datasets:
-                for chunk_size in self.chunk_sizes:
-                    for workers in self.workers:
-                        scenarios.append(
-                            Scenario(
-                                name=scenario_name(strategy, dataset, rows, chunk_size, workers),
-                                suite=suite,
-                                strategy=strategy,
-                                dataset=dataset,
-                                rows=rows,
-                                chunk_size=chunk_size,
-                                workers=workers,
-                            )
-                        )
-        return scenarios
-
-    @property
-    def size(self) -> int:
-        """Number of scenarios the matrix expands to."""
-        return (
-            len(self.strategies) * len(self.datasets) * len(self.chunk_sizes) * len(self.workers)
-        )
-
-
-def scenario_name(strategy: str, dataset: str, rows: int, chunk_size: int, workers: int) -> str:
-    """The canonical scenario name, e.g. ``sps/adult-2000/c64/w1``."""
-    return f"{strategy}/{dataset}-{rows}/c{chunk_size}/w{workers}"
-
-
-#: All strategies exercised by the default core matrix.
-ALL_STRATEGIES = ("sps", "uniform", "dp-laplace", "dp-gaussian", "generalize+sps")
-
-
-def core_matrix(tiny: bool = False) -> ScenarioMatrix:
-    """The library-path matrix (serial execution, so one worker)."""
-    if tiny:
-        return ScenarioMatrix(
-            strategies=("sps", "uniform", "generalize+sps"),
-            datasets=(("adult", 2_000), ("census", 5_000)),
-            chunk_sizes=(64, 256),
-        )
-    return ScenarioMatrix(
-        strategies=ALL_STRATEGIES,
-        datasets=(("adult", 45_222), ("census", 100_000)),
-        chunk_sizes=(256, 1024),
-    )
-
-
-def service_matrix(tiny: bool = False) -> ScenarioMatrix:
-    """The service-path matrix (scheduler execution; workers is a real axis)."""
-    if tiny:
-        return ScenarioMatrix(
-            strategies=("sps", "generalize+sps"),
-            datasets=(("adult", 2_000),),
-            chunk_sizes=(64,),
-            workers=(1, 4),
-        )
-    return ScenarioMatrix(
-        strategies=("sps", "generalize+sps", "dp-laplace"),
-        datasets=(("adult", 45_222), ("census", 100_000)),
-        chunk_sizes=(256,),
-        workers=(1, 4, 8),
-    )
-
-
-def matrix_for(suite: str, tiny: bool = False) -> ScenarioMatrix:
-    """The preset matrix of a suite (``core`` or ``service``)."""
-    if suite == "core":
-        return core_matrix(tiny)
-    if suite == "service":
-        return service_matrix(tiny)
-    raise ValueError(f"no scenario matrix for suite {suite!r}; choose 'core' or 'service'")
+    scenarios: Callable[[bool], list[Any]]
+    run: Callable[[Any, Context], dict[str, Any]]
+    timing: TimingSpec = TimingSpec()
+    coordinates: bool = True
+    required_ops: tuple[str, ...] = ()
+    verdicts: Callable[[dict[str, Any]], Collection[str]] = _no_verdicts
+    gated: bool = True

@@ -1,12 +1,14 @@
 """The ``BENCH_*.json`` report schema and its validator.
 
-The benchmark runner emits one JSON document per suite at the repo root
-(``BENCH_core.json``, ``BENCH_service.json``, ``BENCH_paper.json``,
-``BENCH_stream.json``, ``BENCH_parallel.json``, ``BENCH_delta.json``,
-``BENCH_serve.json``) so the performance trajectory is diffable across PRs.  The document is
+The benchmark runner emits one JSON document per suite
+(``BENCH_<suite>.json``, one per name in :data:`repro.bench.runner.SUITES`)
+so the performance trajectory is diffable across PRs.  The document is
 schema-versioned; :func:`validate_report` is the single source of truth for
-what a well-formed report looks like and is run by CI's bench-smoke job on
-every emitted file.
+what a well-formed report looks like, and the runner and the CI perf gate
+run it on every emitted file.  What differs between suites — whether
+entries carry scenario coordinates, which ``ops`` fields and which
+verdicts each entry must carry — is declared on each
+:class:`~repro.bench.scenarios.Suite`, not here.
 
 The validator is hand-rolled (presence + type + structural checks) so the
 library keeps its zero-extra-dependency footprint; ``docs/benchmarks.md``
@@ -15,23 +17,15 @@ documents every field and its units.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.bench.scenarios import Suite
 
 #: Version of the report layout; bump when a field changes meaning or shape.
-SCHEMA_VERSION = 1
-
-#: Suites a report may declare.
-SUITES = ("core", "service", "paper", "stream", "parallel", "delta", "serve")
-
-#: Ops fields every serve-suite scenario must report (numbers).
-SERVE_REQUIRED_OPS = (
-    "throughput_rps",
-    "p50_seconds",
-    "p95_seconds",
-    "p99_seconds",
-    "cache_hit_ratio",
-    "queue_rejections",
-)
+#: Version 2 added the per-entry ``verdicts`` object and folded the core
+#: report's ``micro`` section into its own suite.
+SCHEMA_VERSION = 2
 
 _NUMBER = (int, float)
 
@@ -46,14 +40,14 @@ def _check(problems: list[str], condition: bool, message: str) -> bool:
     return condition
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
+
 def _check_mapping_of_numbers(problems: list[str], value: Any, where: str) -> None:
     if _check(problems, isinstance(value, dict), f"{where} must be an object"):
         for key, item in value.items():
-            _check(
-                problems,
-                isinstance(item, _NUMBER) and not isinstance(item, bool),
-                f"{where}.{key} must be a number",
-            )
+            _check(problems, _is_number(item), f"{where}.{key} must be a number")
 
 
 def _check_seconds(problems: list[str], value: Any, where: str) -> None:
@@ -70,58 +64,49 @@ def _check_seconds(problems: list[str], value: Any, where: str) -> None:
         )
 
 
-def _check_scenario(problems: list[str], entry: Any, where: str, suite: str) -> None:
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_scenario(problems: list[str], entry: Any, where: str, suite: str, spec: Suite) -> None:
     if not _check(problems, isinstance(entry, dict), f"{where} must be an object"):
         return
     _check(problems, isinstance(entry.get("name"), str) and entry.get("name"), f"{where}.name must be a non-empty string")
-    if suite in ("core", "service", "stream", "parallel", "delta", "serve"):
+    if spec.coordinates:
         for key in ("strategy", "dataset"):
             _check(problems, isinstance(entry.get(key), str), f"{where}.{key} must be a string")
         for key in ("rows", "chunk_size", "workers"):
+            _check(problems, _is_int(entry.get(key)), f"{where}.{key} must be an integer")
+        _check(problems, isinstance(entry.get("params"), dict), f"{where}.params must be an object")
+    ops = entry.get("ops")
+    if _check(problems, isinstance(ops, dict), f"{where}.ops must be an object"):
+        for key, item in ops.items():
             _check(
                 problems,
-                isinstance(entry.get(key), int) and not isinstance(entry.get(key), bool),
-                f"{where}.{key} must be an integer",
+                isinstance(item, (int, float, bool, str)),
+                f"{where}.ops.{key} must be a scalar",
             )
-        _check(problems, isinstance(entry.get("params"), dict), f"{where}.params must be an object")
-    if "ops" in entry or suite in ("core", "service", "stream", "parallel", "delta", "serve"):
-        ops = entry.get("ops")
-        if _check(problems, isinstance(ops, dict), f"{where}.ops must be an object"):
-            for key, item in ops.items():
-                _check(
-                    problems,
-                    isinstance(item, (int, float, bool, str)),
-                    f"{where}.ops.{key} must be a scalar",
-                )
-            if suite == "serve":
-                # The load-benchmark verdict fields the perf gate reads.
-                for key in SERVE_REQUIRED_OPS:
-                    _check(
-                        problems,
-                        isinstance(ops.get(key), _NUMBER) and not isinstance(ops.get(key), bool),
-                        f"{where}.ops.{key} must be a number (serve suite)",
-                    )
+        for key in spec.required_ops:
+            message = f"{where}.ops.{key} must be a number ({suite} suite)"
+            _check(problems, _is_number(ops.get(key)), message)
+    verdicts = entry.get("verdicts")
+    if _check(problems, isinstance(verdicts, dict), f"{where}.verdicts must be an object"):
+        for key, item in verdicts.items():
+            _check(problems, isinstance(item, bool), f"{where}.verdicts.{key} must be a boolean")
+        declared = set(spec.verdicts(entry))
+        for key in sorted(declared - set(verdicts)):
+            problems.append(f"{where}.verdicts.{key} is missing ({suite} suite)")
+        for key in sorted(set(verdicts) - declared):
+            problems.append(f"{where}.verdicts.{key} is not a declared {suite} verdict")
     _check_seconds(problems, entry.get("seconds"), f"{where}.seconds")
     if "stages" in entry:
         _check_mapping_of_numbers(problems, entry["stages"], f"{where}.stages")
 
 
-def _check_micro(problems: list[str], entry: Any, where: str) -> None:
-    if not _check(problems, isinstance(entry, dict), f"{where} must be an object"):
-        return
-    _check(problems, isinstance(entry.get("name"), str) and entry.get("name"), f"{where}.name must be a non-empty string")
-    for key in ("baseline_seconds", "vectorized_seconds", "speedup", "max_abs_diff"):
-        _check(problems, isinstance(entry.get(key), _NUMBER), f"{where}.{key} must be a number")
-    _check(problems, isinstance(entry.get("identical"), bool), f"{where}.identical must be a boolean")
-    _check(
-        problems,
-        isinstance(entry.get("n"), int) and not isinstance(entry.get("n"), bool),
-        f"{where}.n must be an integer",
-    )
-
-
 def validate_report(report: Any) -> None:
     """Raise :class:`SchemaError` if ``report`` is not a well-formed bench report."""
+    from repro.bench.runner import SUITES
+
     problems: list[str] = []
     if not isinstance(report, dict):
         raise SchemaError("report must be a JSON object")
@@ -132,13 +117,9 @@ def validate_report(report: Any) -> None:
         f"schema_version must be {SCHEMA_VERSION} (got {report.get('schema_version')!r})",
     )
     suite = report.get("suite")
-    _check(problems, suite in SUITES, f"suite must be one of {SUITES} (got {suite!r})")
+    _check(problems, suite in SUITES, f"suite must be one of {tuple(SUITES)} (got {suite!r})")
     _check(problems, report.get("scale") in ("tiny", "default"), "scale must be 'tiny' or 'default'")
-    _check(
-        problems,
-        isinstance(report.get("seed"), int) and not isinstance(report.get("seed"), bool),
-        "seed must be an integer",
-    )
+    _check(problems, _is_int(report.get("seed")), "seed must be an integer")
 
     timing = report.get("timing")
     if _check(problems, isinstance(timing, dict), "timing must be an object"):
@@ -151,26 +132,18 @@ def validate_report(report: Any) -> None:
         # trace header and /metrics carry); keys are pinned there.
         for key in ("python", "numpy", "platform", "repro_version"):
             _check(problems, isinstance(environment.get(key), str), f"environment.{key} must be a string")
-        # cpu_count joined the record later; legacy committed reports may
-        # omit it, but when present it must be the integer obs records.
-        if "cpu_count" in environment:
-            _check(problems, isinstance(environment.get("cpu_count"), int),
-                   "environment.cpu_count must be an integer")
+        # Scaling numbers mean nothing without the cores the run had.
+        _check(problems, _is_int(environment.get("cpu_count")),
+               "environment.cpu_count must be an integer")
 
     scenarios = report.get("scenarios")
     if _check(problems, isinstance(scenarios, list) and scenarios, "scenarios must be a non-empty array"):
         names = set()
         for i, entry in enumerate(scenarios):
-            _check_scenario(problems, entry, f"scenarios[{i}]", suite if suite in SUITES else "core")
+            _check_scenario(problems, entry, f"scenarios[{i}]", suite, SUITES.get(suite, SUITES["core"]))
             if isinstance(entry, dict) and isinstance(entry.get("name"), str):
                 _check(problems, entry["name"] not in names, f"duplicate scenario name {entry['name']!r}")
                 names.add(entry["name"])
-
-    if "micro" in report:
-        micro = report["micro"]
-        if _check(problems, isinstance(micro, list), "micro must be an array"):
-            for i, entry in enumerate(micro):
-                _check_micro(problems, entry, f"micro[{i}]")
 
     if problems:
         raise SchemaError("\n".join(problems))

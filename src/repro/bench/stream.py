@@ -1,21 +1,22 @@
-"""The ``stream`` benchmark suite: out-of-core vs in-memory publishing.
+"""The ``stream`` benchmark suite: out-of-core publishing at 1, 2 and 4 workers.
 
-Each scenario publishes a synthetic CSV twice — through
-:func:`repro.stream.stream_publish` (bounded-memory, rows streamed to a CSV
-sink) and through the classic load-then-:func:`repro.publish` path — and
-records three things per point:
+Each scenario publishes a synthetic CSV through
+:func:`repro.stream.stream_publish` at one worker count and compares it
+with the classic load-then-:func:`repro.publish` path.  Per point the
+report records:
 
-* **throughput** — rows/second of the streaming path (timed like every
-  other suite);
+* **throughput** — rows/second of the streaming path, and
+  ``speedup_vs_w1`` against the same data's ``workers=1`` point (read it
+  against ``environment.cpu_count``);
 * **peak tracked allocation** — ``tracemalloc`` peaks of both paths, in
-  bytes.  Scenarios come in ×10 row-growth pairs, so the report shows the
+  bytes.  Row counts come in ×10 growth pairs, so the report shows the
   streaming peak staying flat while the in-memory peak grows with ``n``;
-* **byte identity** — whether the streamed CSV equals the in-memory
-  published table's CSV bit for bit (it must, for every scenario).
+* **byte identity** — the ``byte_identical`` verdict: the streamed CSV
+  equals the in-memory published table's CSV bit for bit, at every worker
+  count.
 
-The suite writes ``BENCH_stream.json`` through the shared runner/schema
-machinery; ``docs/streaming.md`` reads its numbers for the chunk-size tuning
-guide.
+``docs/streaming.md`` reads the committed ``BENCH_stream.json`` for its
+chunk-size and worker-count guides.
 """
 
 from __future__ import annotations
@@ -23,27 +24,30 @@ from __future__ import annotations
 import io
 import tracemalloc
 from collections.abc import Callable
-from pathlib import Path
 from typing import Any
 
-from repro.bench.scenarios import Scenario
-from repro.bench.timing import TimingSpec, time_callable
+from repro.bench.scenarios import SENSITIVE, Context, Scenario
+from repro.bench.timing import time_callable
 from repro.dataset.loaders import read_csv, write_csv
 from repro.pipeline import publish
 from repro.stream import stream_publish
 
-_SENSITIVE = {"adult": "Income", "census": "Occupation"}
+#: The worker-count axis every stream data point sweeps.
+WORKER_AXIS = (1, 2, 4)
+
+#: The verdicts every stream entry carries.
+STREAM_VERDICTS = ("byte_identical",)
 
 
 def stream_scenarios(tiny: bool = False) -> list[Scenario]:
-    """The stream-suite scenario list (×10 row-growth pairs per strategy).
+    """Strategy-major, then rows ascending, then workers ascending.
 
-    ``chunk_rows`` rides in ``params`` (it is a streaming-only axis); the
-    scenario order — strategy-major, then rows ascending — is fixed so the
-    emitted report is diffable, like every other suite's.
+    The ``workers=1`` point of each data point runs first, so the later
+    points' ``speedup_vs_w1`` can read its time.
     """
     if tiny:
-        points = [("sps", "adult", 1_000), ("sps", "adult", 10_000)]
+        # The 50k points run ~0.1 s, over the perf gate's 50 ms floor.
+        points = [("sps", "adult", 5_000), ("sps", "adult", 50_000), ("dp-laplace", "adult", 2_000)]
         chunk_rows = 500
     else:
         points = [
@@ -51,20 +55,21 @@ def stream_scenarios(tiny: bool = False) -> list[Scenario]:
             ("sps", "adult", 100_000),
             ("dp-laplace", "census", 10_000),
             ("dp-laplace", "census", 100_000),
+            ("dp-gaussian", "census", 100_000),
         ]
         chunk_rows = 5_000
     return [
         Scenario(
-            name=f"stream/{strategy}/{dataset}-{rows}/c256/r{chunk_rows}",
-            suite="stream",
+            name=f"stream/{strategy}/{dataset}-{rows}/c256/r{chunk_rows}/w{workers}",
             strategy=strategy,
             dataset=dataset,
             rows=rows,
             chunk_size=256,
-            workers=1,
+            workers=workers,
             params={"chunk_rows": chunk_rows},
         )
         for strategy, dataset, rows in points
+        for workers in WORKER_AXIS
     ]
 
 
@@ -82,45 +87,39 @@ def _tracked_peak(fn: Callable[[], Any]) -> tuple[Any, int]:
             tracemalloc.stop()
 
 
-def run_stream_scenario(
-    scenario: Scenario,
-    csv_path: Path,
-    seed: int,
-    timing: TimingSpec,
-    workdir: Path,
-) -> dict[str, Any]:
-    """Benchmark one stream scenario against its in-memory twin."""
-    sensitive = _SENSITIVE[scenario.dataset]
-    chunk_rows = int(scenario.params["chunk_rows"])
-    out_path = workdir / f"{scenario.dataset}-{scenario.rows}-out.csv"
+def run_stream_scenario(scenario: Scenario, ctx: Context) -> dict[str, Any]:
+    """Benchmark one worker-count point against the in-memory publish."""
+    sensitive = SENSITIVE[scenario.dataset]
+    source = ctx.csv(scenario.dataset, scenario.rows)
+    out_path = ctx.workdir / "stream-out.csv"
 
     def streaming_once() -> Any:
         return stream_publish(
-            csv_path,
+            source,
             sensitive=sensitive,
             strategy=scenario.strategy,
-            rng=seed,
+            rng=ctx.seed,
             chunk_size=scenario.chunk_size,
-            chunk_rows=chunk_rows,
+            chunk_rows=int(scenario.params["chunk_rows"]),
+            workers=scenario.workers,
             output=out_path,
         )
 
-    def inmemory_once() -> Any:
-        table = read_csv(csv_path, sensitive=sensitive)
-        report = publish(
-            table, strategy=scenario.strategy, rng=seed, chunk_size=scenario.chunk_size
-        )
+    def inmemory_once() -> str:
+        table = read_csv(source, sensitive=sensitive)
+        report = publish(table, strategy=scenario.strategy, rng=ctx.seed, chunk_size=scenario.chunk_size)
         buffer = io.StringIO()
         write_csv(report.published, buffer)
         return buffer.getvalue()
 
-    report, measurement = time_callable(streaming_once, timing)
+    report, measurement = time_callable(streaming_once, ctx.timing)
     _, stream_peak = _tracked_peak(streaming_once)
-    inmemory_csv, inmemory_peak = _tracked_peak(inmemory_once)
-    byte_identical = out_path.read_bytes().decode("utf-8") == inmemory_csv
+    point = (scenario.strategy, scenario.dataset, scenario.rows)
+    inmemory_csv, inmemory_peak = ctx.once(("inmemory", *point), lambda: _tracked_peak(inmemory_once))
+    if scenario.workers == 1:
+        ctx.memo[("w1-best", *point)] = measurement.best
 
-    entry = scenario.to_json()
-    entry["ops"] = {
+    ops: dict[str, Any] = {
         "rows": scenario.rows,
         "published_records": report.published_records,
         "n_groups": report.n_groups,
@@ -128,8 +127,14 @@ def run_stream_scenario(
         "rows_per_second": scenario.rows / measurement.best,
         "peak_tracked_streaming_bytes": int(stream_peak),
         "peak_tracked_inmemory_bytes": int(inmemory_peak),
-        "byte_identical": bool(byte_identical),
     }
-    entry["seconds"] = measurement.to_json()
-    entry["stages"] = {stage: float(s) for stage, s in report.timings.items()}
-    return entry
+    w1_best = ctx.memo.get(("w1-best", *point))
+    if w1_best is not None:
+        # Omitted, not faked as 1.0, when a filter left out the w1 point.
+        ops["speedup_vs_w1"] = w1_best / measurement.best
+    return scenario.entry(
+        measurement,
+        ops,
+        report.timings,
+        verdicts={"byte_identical": out_path.read_bytes().decode("utf-8") == inmemory_csv},
+    )

@@ -1,10 +1,11 @@
 """Tests for the repro.bench subsystem.
 
-Covers the acceptance surface of the benchmark harness: deterministic
-scenario-matrix expansion, warmup/repeat timer behaviour, report schema
+Covers the acceptance surface of the benchmark harness: the fixed order
+of the scenario lists, warmup/repeat timer behaviour, report schema
 round-trips through JSON, run-to-run determinism of the recorded operation
-counts, the ``repro-bench`` CLI, and a tiny-size smoke run of every ported
-paper scenario.
+counts, a tiny run of every suite with all its verdicts true, the
+``repro-bench`` CLI, and a tiny-size smoke run of every ported paper
+scenario.
 """
 
 import json
@@ -13,14 +14,19 @@ import numpy as np
 import pytest
 
 from repro.bench.cli import main as bench_main
-from repro.bench.micro import run_micro_benchmarks
 from repro.bench.paper import (
     available_paper_scenarios,
     paper_scenario,
     smoke_config,
 )
-from repro.bench.runner import report_path, run_suite, write_report
-from repro.bench.scenarios import ScenarioMatrix, core_matrix, matrix_for, service_matrix
+from repro.bench.runner import (
+    SUITES,
+    core_scenarios,
+    report_path,
+    run_suite,
+    service_scenarios,
+    write_report,
+)
 from repro.bench.schema import SCHEMA_VERSION, SchemaError, validate_report
 from repro.bench.timing import Measurement, TimingSpec, time_callable
 from repro.utils.textplot import render_listing
@@ -41,36 +47,64 @@ EXPECTED_PAPER_SCENARIOS = {
 }
 
 
-class TestScenarioMatrix:
-    def test_expansion_is_full_cross_product_in_fixed_order(self):
-        matrix = ScenarioMatrix(
-            strategies=("sps", "uniform"),
-            datasets=(("adult", 100), ("census", 200)),
-            chunk_sizes=(8, 16),
-            workers=(1, 2),
-        )
-        scenarios = matrix.expand("core")
-        assert len(scenarios) == matrix.size == 16
-        # Strategy-major order, workers innermost.
-        assert scenarios[0].name == "sps/adult-100/c8/w1"
-        assert scenarios[1].name == "sps/adult-100/c8/w2"
-        assert scenarios[2].name == "sps/adult-100/c16/w1"
-        assert scenarios[-1].name == "uniform/census-200/c16/w2"
-        assert len({s.name for s in scenarios}) == 16
-        # Expansion is deterministic.
-        assert [s.name for s in matrix.expand("core")] == [s.name for s in scenarios]
+class TestScenarioLists:
+    def test_core_list_is_the_cross_product_in_fixed_order(self):
+        names = [s.name for s in core_scenarios(tiny=True)]
+        assert len(names) == len(set(names)) == 12
+        # Strategy-major, then dataset, then chunk size.
+        assert names[:3] == [
+            "sps/adult-2000/c64/w1",
+            "sps/adult-2000/c256/w1",
+            "sps/census-5000/c64/w1",
+        ]
+        assert names[-1] == "generalize+sps/census-5000/c256/w1"
+        assert names == [s.name for s in core_scenarios(tiny=True)]
+
+    def test_service_list_has_workers_innermost(self):
+        names = [s.name for s in service_scenarios(tiny=True)]
+        assert names == [
+            "sps/adult-2000/c64/w1",
+            "sps/adult-2000/c64/w4",
+            "sps/census-50000/c64/w1",
+            "sps/census-50000/c64/w4",
+            "generalize+sps/adult-2000/c64/w1",
+            "generalize+sps/adult-2000/c64/w4",
+            "generalize+sps/census-50000/c64/w1",
+            "generalize+sps/census-50000/c64/w4",
+        ]
+        default = service_scenarios()
+        assert [s.workers for s in default[:3]] == [1, 4, 8]
 
     def test_presets_cover_both_datasets_and_tiny_is_smaller(self):
-        tiny, full = core_matrix(tiny=True), core_matrix()
-        assert tiny.size < full.size
-        assert {d for d, _ in tiny.datasets} == {"adult", "census"}
-        assert all(rows <= 5_000 for _, rows in tiny.datasets)
-        service = service_matrix(tiny=True)
-        assert len(service.workers) > 1  # the workers axis is real in the service suite
+        tiny, full = core_scenarios(tiny=True), core_scenarios()
+        assert len(tiny) < len(full)
+        assert {s.dataset for s in tiny} == {"adult", "census"}
+        assert all(s.rows <= 5_000 for s in tiny)
+        assert len({s.workers for s in service_scenarios(tiny=True)}) > 1
 
-    def test_matrix_for_rejects_unknown_suite(self):
-        with pytest.raises(ValueError, match="paper"):
-            matrix_for("paper")
+    def test_every_suite_lists_uniquely_named_scenarios(self):
+        for name, suite in SUITES.items():
+            for tiny in (True, False):
+                names = [s.name for s in suite.scenarios(tiny)]
+                assert names and len(names) == len(set(names)), name
+                assert all(isinstance(s.title, str) and s.title for s in suite.scenarios(tiny))
+
+
+@pytest.mark.parametrize("suite", sorted(set(SUITES) - {"paper"}))
+def test_tiny_suite_runs_with_every_verdict_true(suite):
+    report = run_suite(suite, tiny=True, timing=TimingSpec(warmup=0, repeats=1))
+    validate_report(report)
+    assert [s["name"] for s in report["scenarios"]] == [
+        s.name for s in SUITES[suite].scenarios(True)
+    ]
+    # validate_report pinned each entry's verdict names to the suite's
+    # declaration; every one of them must hold.
+    verdicts = {
+        (entry["name"], name): value
+        for entry in report["scenarios"]
+        for name, value in entry["verdicts"].items()
+    }
+    assert all(value is True for value in verdicts.values()), verdicts
 
 
 class TestTiming:
@@ -112,7 +146,6 @@ class TestSchema:
             seed=3,
             timing=TimingSpec(warmup=0, repeats=1),
             scenario_filter=["sps/adult-2000/c64/w1"],
-            include_micro=False,
         )
         return report
 
@@ -161,7 +194,12 @@ class TestSchema:
                 "p99_seconds": 0.003,
                 "cache_hit_ratio": 1.0,
                 "queue_rejections": 0,
+            },
+            "verdicts": {
                 "byte_identical": True,
+                "invalidation_observed": True,
+                "all_cached_requests_hit": True,
+                "hits_faster_than_recompute": True,
             },
             "seconds": {"best": 0.01, "mean": 0.01, "std": 0.0, "repeats": [0.01]},
         }
@@ -187,6 +225,33 @@ class TestSchema:
         with pytest.raises(SchemaError, match="p95_seconds"):
             validate_report(report)
 
+    def test_every_entry_needs_boolean_verdicts(self):
+        report = self._serve_report()
+        report["scenarios"][0]["verdicts"] = {"byte_identical": 1}
+        with pytest.raises(SchemaError, match="verdicts.byte_identical must be a boolean"):
+            validate_report(report)
+        del report["scenarios"][0]["verdicts"]
+        with pytest.raises(SchemaError, match="verdicts must be an object"):
+            validate_report(report)
+
+    def test_every_entry_carries_exactly_its_declared_verdicts(self):
+        report = self._serve_report()
+        del report["scenarios"][0]["verdicts"]["all_cached_requests_hit"]
+        with pytest.raises(
+            SchemaError, match=r"verdicts\.all_cached_requests_hit is missing \(serve suite\)"
+        ):
+            validate_report(report)
+        report = self._serve_report()
+        report["scenarios"][0]["verdicts"]["shed_load"] = True  # a backpressure verdict
+        with pytest.raises(SchemaError, match="verdicts.shed_load is not a declared serve verdict"):
+            validate_report(report)
+
+    def test_cpu_count_is_required(self):
+        report = self._serve_report()
+        del report["environment"]["cpu_count"]
+        with pytest.raises(SchemaError, match="cpu_count"):
+            validate_report(report)
+
 
 class TestRunnerDeterminism:
     def test_core_suite_same_seed_same_scenarios_and_ops(self):
@@ -195,7 +260,6 @@ class TestRunnerDeterminism:
             seed=123,
             timing=TimingSpec(warmup=0, repeats=1),
             scenario_filter=["sps"],
-            include_micro=False,
         )
         first = run_suite("core", **kwargs)
         second = run_suite("core", **kwargs)
@@ -225,15 +289,16 @@ class TestRunnerDeterminism:
 
 class TestMicroBenchmarks:
     def test_vectorized_paths_match_their_baselines(self):
-        entries = run_micro_benchmarks(seed=1, tiny=True, timing=TimingSpec(warmup=0, repeats=1))
-        by_name = {entry["name"]: entry for entry in entries}
+        report = run_suite("micro", tiny=True, seed=1, timing=TimingSpec(warmup=0, repeats=1))
+        by_name = {entry["name"]: entry for entry in report["scenarios"]}
         assert set(by_name) == {"sps-sample-counts", "group-index-build", "mle-batch", "em-batch"}
         # The elementwise/integer rewrites are exact; the EM is machine-precision.
         for name in ("sps-sample-counts", "group-index-build", "mle-batch"):
-            assert by_name[name]["identical"] is True
-        assert by_name["em-batch"]["max_abs_diff"] < 1e-12
-        for entry in entries:
-            assert entry["n"] > 0 and entry["baseline_seconds"] >= 0
+            assert by_name[name]["ops"]["max_abs_diff"] == 0.0
+        assert by_name["em-batch"]["ops"]["max_abs_diff"] < 1e-12
+        for entry in report["scenarios"]:
+            assert entry["verdicts"] == {"matches_reference": True}
+            assert entry["ops"]["n"] > 0 and entry["ops"]["baseline_seconds"] >= 0
 
 
 class TestPaperScenarios:
@@ -261,7 +326,7 @@ class TestCLI:
     def test_list_flag(self, capsys):
         assert bench_main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "core scenario matrix" in out
+        assert "core scenarios" in out
         assert "paper scenarios" in out
         assert "figure3" in out
 
@@ -275,7 +340,6 @@ class TestCLI:
                 "--scenario", "uniform",
                 "--warmup", "0",
                 "--repeats", "1",
-                "--no-micro",
                 "--output-dir", str(tmp_path),
             ]
         )

@@ -12,6 +12,7 @@ partial-output bugfix) and the perf-gate script's comparison logic.
 import csv
 import importlib.util
 import io
+import json
 import threading
 import time
 from pathlib import Path
@@ -573,64 +574,104 @@ def _load_gate_module():
     return module
 
 
-class TestBenchParallel:
-    def test_tiny_suite_runs_and_reports_byte_identity(self):
+class TestBenchStreamWorkers:
+    def test_tiny_worker_axis_reports_byte_identity(self):
         from repro.bench.runner import run_suite
         from repro.bench.schema import validate_report
         from repro.bench.timing import TimingSpec
 
         report = run_suite(
-            "parallel", tiny=True, timing=TimingSpec(warmup=0, repeats=1),
-            scenario_filter=["sps"],
+            "stream", tiny=True, timing=TimingSpec(warmup=0, repeats=1),
+            scenario_filter=["adult-5000"],
         )
         validate_report(report)
-        assert report["suite"] == "parallel"
         assert [s["workers"] for s in report["scenarios"]] == [1, 2, 4]
         for entry in report["scenarios"]:
-            assert entry["ops"]["byte_identical"] is True
+            assert entry["verdicts"]["byte_identical"] is True
             assert entry["ops"]["speedup_vs_w1"] > 0
         assert report["environment"]["cpu_count"] >= 1
 
     def test_scenario_listing_order_is_workers_ascending(self):
-        from repro.bench.parallel import parallel_scenarios
+        from repro.bench.stream import stream_scenarios
 
-        names = [s.name for s in parallel_scenarios(tiny=True)]
+        names = [s.name for s in stream_scenarios(tiny=True)]
         assert names[0].endswith("/w1") and names[1].endswith("/w2") and names[2].endswith("/w4")
-        assert len(names) == 6
+        assert len(names) == 9
 
 
 class TestPerfGateScript:
+    @pytest.mark.parametrize("suite", ["core", "service", "micro", "stream", "delta", "serve"])
+    def test_one_false_verdict_is_a_problem_naming_suite_scenario_and_verdict(self, suite):
+        gate = _load_gate_module()
+        report = {
+            "suite": suite,
+            "scenarios": [
+                {"name": "a/w1", "verdicts": {"x": True, "y": True}},
+                {"name": "b/w1", "verdicts": {"x": True, "y": False}},
+                {"name": "c/w1", "verdicts": {}},
+            ],
+        }
+        assert gate.check_verdicts(report) == [f"{suite}:b/w1: verdict y is False"]
+
     @staticmethod
-    def _serve_report(**ops):
-        audit = {
+    def _serve_audit_report(monkeypatch, lookup):
+        """The tiny serve audit scenario run with ``ResponseCache.get`` replaced."""
+        from repro.bench.runner import run_suite
+        from repro.bench.timing import TimingSpec
+        from repro.serve.cache import ResponseCache
+
+        monkeypatch.setattr(ResponseCache, "get", lookup)
+        report = run_suite(
+            "serve", tiny=True, timing=TimingSpec(warmup=0, repeats=1), scenario_filter=["audit"]
+        )
+        (entry,) = report["scenarios"]
+        return report, entry
+
+    def test_a_cache_that_never_hits_fails_both_cache_verdicts(self, monkeypatch):
+        gate = _load_gate_module()
+
+        def slow_miss(cache, key):
+            # Every lookup misses, and costs more than the recompute it
+            # fails to save: the cached phase is all recomputes.
+            time.sleep(0.02)
+            return None
+
+        report, entry = self._serve_audit_report(monkeypatch, slow_miss)
+        assert entry["ops"]["cache_hit_ratio"] == 0.0
+        assert entry["ops"]["cache_speedup"] < 1.0
+        assert entry["verdicts"] == {
             "byte_identical": True,
             "invalidation_observed": True,
-            "cache_hit_ratio": 1.0,
-            "cache_speedup": 2.4,
+            "all_cached_requests_hit": False,
+            "hits_faster_than_recompute": False,
         }
-        audit.update(ops)
-        return {"scenarios": [{"name": "serve/audit/a/c4", "strategy": "audit", "ops": audit}]}
+        assert gate.check_verdicts(report) == [
+            f"serve:{entry['name']}: verdict all_cached_requests_hit is False",
+            f"serve:{entry['name']}: verdict hits_faster_than_recompute is False",
+        ]
 
-    def test_serve_gate_passes_a_cache_that_serves_every_hit(self):
-        gate = _load_gate_module()
-        problems, _ = gate.check_serve(self._serve_report())
-        assert problems == []
+    def test_one_cached_phase_miss_fails_the_hit_verdict(self, monkeypatch):
+        from repro.serve.cache import ResponseCache
 
-    def test_serve_gate_fails_when_requests_bypass_the_cache(self):
         gate = _load_gate_module()
-        # The cache disabled: every cached-phase request recomputes, and
-        # its latency is the recompute's.
-        problems, _ = gate.check_serve(
-            self._serve_report(cache_hit_ratio=0.0, cache_speedup=1.02)
+        real_get = ResponseCache.get
+        hits = []
+
+        def miss_once(cache, key):
+            # The first would-be hit is the cached phase's fill request; the
+            # second, its first load request, misses and recomputes; the
+            # other 39 hit.
+            entry = real_get(cache, key)
+            if entry is not None:
+                hits.append(key)
+            return None if len(hits) == 2 and entry is not None else entry
+
+        report, entry = self._serve_audit_report(monkeypatch, miss_once)
+        assert entry["ops"]["cache_hit_ratio"] == 39 / 40
+        assert entry["verdicts"]["all_cached_requests_hit"] is False
+        assert f"serve:{entry['name']}: verdict all_cached_requests_hit is False" in (
+            gate.check_verdicts(report)
         )
-        assert len(problems) == 1 and "cache_hit_ratio 0.0" in problems[0]
-        problems, _ = gate.check_serve(self._serve_report(cache_hit_ratio=0.975))
-        assert len(problems) == 1 and "bypassed" in problems[0]
-
-    def test_serve_gate_fails_a_hit_slower_than_a_recompute(self):
-        gate = _load_gate_module()
-        problems, _ = gate.check_serve(self._serve_report(cache_speedup=0.8))
-        assert len(problems) == 1 and "no faster" in problems[0]
 
     def test_throughput_regression_detected(self):
         gate = _load_gate_module()
@@ -664,16 +705,45 @@ class TestPerfGateScript:
         problems, notes = gate.compare_throughput(candidate, baseline, tolerance=0.25)
         assert problems == [] and "gating floor" in notes[0]
 
-    def test_missing_baseline_scenarios_are_notes_not_failures(self):
+    def test_a_scenario_missing_from_the_baseline_is_a_problem(self):
         gate = _load_gate_module()
+        baseline = {"scenarios": [{"name": "old-name", "seconds": {"best": 5.0}}]}
         candidate = {
-            "suite": "core",
-            "scenarios": [{"name": "new-scenario", "seconds": {"best": 5.0}}],
+            "suite": "stream",
+            "scenarios": [{"name": "new-name", "seconds": {"best": 5.0}}],
         }
-        problems, notes = gate.compare_throughput(candidate, {"scenarios": []}, 0.25)
-        assert problems == [] and len(notes) == 1
+        problems, notes = gate.compare_throughput(candidate, baseline, 0.25)
+        assert problems == ["stream:new-name: no committed baseline (record one in the baseline directory)"]
+        assert notes == []
 
-    def test_identity_check_flags_worker_dependent_counts(self):
+    def test_committed_baselines_cover_every_gated_scenario(self):
+        from repro.bench.runner import SUITES
+
+        baseline_dir = Path(__file__).parent.parent / "benchmarks" / "baselines"
+        for name, suite in SUITES.items():
+            if not suite.gated:
+                continue
+            baseline = json.loads((baseline_dir / f"BENCH_{name}.json").read_text())
+            assert {s["name"] for s in baseline["scenarios"]} == {
+                s.name for s in suite.scenarios(True)
+            }, name
+
+    def test_committed_baselines_gate_throughput_in_every_timed_suite(self):
+        # micro and serve have no point over the floor; the baselines
+        # README says why.  Every other gated suite must keep one.
+        from repro.bench.runner import SUITES
+
+        gate = _load_gate_module()
+        baseline_dir = Path(__file__).parent.parent / "benchmarks" / "baselines"
+        timed = [name for name, suite in SUITES.items() if suite.gated]
+        timed = [name for name in timed if name not in ("micro", "serve")]
+        assert timed == ["core", "service", "stream", "delta"]
+        for name in timed:
+            baseline = json.loads((baseline_dir / f"BENCH_{name}.json").read_text())
+            best = max(s["seconds"]["best"] for s in baseline["scenarios"])
+            assert best >= gate.DEFAULT_MIN_SECONDS, name
+
+    def test_invariance_check_flags_worker_dependent_counts(self):
         gate = _load_gate_module()
         report = {
             "suite": "service",
@@ -682,16 +752,8 @@ class TestPerfGateScript:
                 {"name": "sps/adult-100/c64/w4", "ops": {"published_records": 99}},
             ],
         }
-        problems = gate.check_identity(report)
+        problems = gate.check_worker_invariance(report)
         assert len(problems) == 1 and "depends on the worker count" in problems[0]
-
-    def test_identity_check_flags_non_identical_bytes(self):
-        gate = _load_gate_module()
-        report = {
-            "suite": "parallel",
-            "scenarios": [{"name": "p/x/w2", "ops": {"byte_identical": False}}],
-        }
-        assert len(gate.check_identity(report)) == 1
 
     def test_determinism_check(self):
         gate = _load_gate_module()
