@@ -17,7 +17,7 @@ import functools
 import io
 from pathlib import Path
 from collections.abc import Iterable, Iterator, Sequence
-from typing import IO
+from typing import IO, cast
 
 import numpy as np
 
@@ -370,37 +370,54 @@ def _quote_field(value: str, delimiter: str) -> str:
     return buffer.getvalue().removesuffix(delimiter + "\r\n")
 
 
+#: Pad byte of the codec's fixed-width field tables.  UTF-8 never produces
+#: it, so deleting every pad byte of a rendered block leaves exactly the
+#: encoded fields.
+_PAD = b"\xff"
+
+
 class CsvCodec:
-    """Render coded blocks to the exact text :func:`csv.writer` writes for them.
+    """Render coded blocks to the UTF-8 bytes :func:`csv.writer` writes for them.
 
     Every domain value of every column is quoted once, by the stdlib writer
-    itself.  Encoding a block then indexes each column's quoted values with
-    the block's codes and joins them column-wise: no per-row decode.  Build
-    one through :func:`csv_codec`, which caches it per ``(schema, delimiter)``.
+    itself, and stored with its trailing delimiter (``\\r\\n`` after the
+    sensitive column) as one fixed-width field, padded with ``0xFF``.
+    Encoding a block gathers each column's fields by the block's codes into
+    one record array and deletes the pad bytes of its buffer: no per-row
+    Python.  Build one through :func:`csv_codec`, which caches it per
+    ``(schema, delimiter)``.
 
     >>> from repro.dataset.schema import Attribute, Schema
     >>> schema = Schema([Attribute("City", ("Oslo", "St. Paul, MN"))],
     ...                 Attribute("Disease", ("Flu", "Cold")))
     >>> codec = csv_codec(schema)
     >>> codec.header + codec.encode(np.array([[1, 0], [0, 1]]))
-    'City,Disease\\r\\n"St. Paul, MN",Flu\\r\\nOslo,Cold\\r\\n'
+    b'City,Disease\\r\\n"St. Paul, MN",Flu\\r\\nOslo,Cold\\r\\n'
     """
 
     def __init__(self, schema: Schema, delimiter: str = ",") -> None:
         attributes = (*schema.public, schema.sensitive)
         self.delimiter = delimiter
+        #: The UTF-8 header line every output starts with.
         self.header = (
             delimiter.join(_quote_field(attr.name, delimiter) for attr in attributes)
             + "\r\n"
-        )
+        ).encode("utf-8")
         self._names = tuple(attr.name for attr in attributes)
+        ends = [delimiter] * (len(attributes) - 1) + ["\r\n"]
         self._columns = tuple(
-            np.array([_quote_field(value, delimiter) for value in attr.values], dtype=object)
-            for attr in attributes
+            _field_table(
+                [(_quote_field(value, delimiter) + end).encode("utf-8") for value in attr.values]
+            )
+            for attr, end in zip(attributes, ends, strict=True)
+        )
+        self._fields = tuple(f"f{i}" for i in range(len(attributes)))
+        self._record = np.dtype(
+            [(field, values.dtype) for field, values in zip(self._fields, self._columns, strict=True)]
         )
 
-    def encode(self, block: np.ndarray) -> str:
-        """The CSV lines of a ``(rows, columns)`` codes block (``""`` for no rows).
+    def encode(self, block: np.ndarray) -> bytes:
+        """The UTF-8 CSV lines of a ``(rows, columns)`` codes block (``b""`` for no rows).
 
         Raises :class:`~repro.dataset.schema.SchemaError` for a block of the
         wrong width or a code outside its column's domain, as
@@ -408,19 +425,28 @@ class CsvCodec:
         """
         codes = np.asarray(block)
         if codes.shape[0] == 0:
-            return ""
+            return b""
         if codes.ndim != 2 or codes.shape[1] != len(self._columns):
             raise SchemaError(
                 f"record has {codes.shape[-1]} fields, expected {len(self._columns)}"
             )
-        columns: list[list[str]] = []
-        for name, values, column in zip(self._names, self._columns, codes.T, strict=True):
+        records = np.empty(codes.shape[0], dtype=self._record)
+        for field, name, values, column in zip(
+            self._fields, self._names, self._columns, codes.T, strict=True
+        ):
+            # Checked before the gather: a negative code would index from the end.
             low, high = int(column.min()), int(column.max())
             if low < 0 or high >= len(values):
                 bad = low if low < 0 else high
                 raise SchemaError(f"code {bad} out of range for attribute {name!r}")
-            columns.append(values[column].tolist())
-        return "\r\n".join(map(self.delimiter.join, zip(*columns, strict=True))) + "\r\n"
+            records[field] = values.take(column)
+        return records.tobytes().translate(None, _PAD)
+
+
+def _field_table(fields: Sequence[bytes]) -> np.ndarray:
+    """``fields`` as one ``V{width}`` array, each padded to the widest with ``0xFF``."""
+    width = max(map(len, fields))
+    return np.frombuffer(b"".join(field.ljust(width, _PAD) for field in fields), dtype=f"V{width}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -429,15 +455,18 @@ def csv_codec(schema: Schema, delimiter: str = ",") -> CsvCodec:
     return CsvCodec(schema, delimiter)
 
 
-def _write_csv_stream(table: Table, handle: IO[str], delimiter: str) -> None:
+def _csv_slices(table: Table, delimiter: str) -> Iterator[bytes]:
+    """The UTF-8 header line, then the table's CSV lines one slice at a time."""
     codec = csv_codec(table.schema, delimiter)
-    handle.write(codec.header)
+    yield codec.header
     codes = table.codes
     for start in range(0, codes.shape[0], WRITE_SLICE_ROWS):
-        handle.write(codec.encode(codes[start:start + WRITE_SLICE_ROWS]))
+        yield codec.encode(codes[start:start + WRITE_SLICE_ROWS])
 
 
-def write_csv(table: Table, destination: str | Path | IO[str], delimiter: str = ",") -> None:
+def write_csv(
+    table: Table, destination: str | Path | IO[str] | IO[bytes], delimiter: str = ","
+) -> None:
     """Write a table (public columns then the sensitive column) to CSV.
 
     Parameters
@@ -445,10 +474,12 @@ def write_csv(table: Table, destination: str | Path | IO[str], delimiter: str = 
     table:
         The table to serialise.
     destination:
-        Output file path, or an open text-mode file-like object (anything
-        with a ``write`` method, e.g. an HTTP response stream); file-like
-        destinations are written but not closed, symmetrically with
-        :func:`read_csv`'s file-like sources.
+        Output file path, or an open file-like object (anything with a
+        ``write`` method, e.g. an HTTP response stream).  Binary streams
+        (:class:`io.BufferedIOBase` or :class:`io.RawIOBase`) get the UTF-8
+        bytes; any other stream gets text.  File-like destinations are
+        written but not closed, symmetrically with :func:`read_csv`'s
+        file-like sources.
     delimiter:
         Field delimiter (default comma).
 
@@ -461,11 +492,14 @@ def write_csv(table: Table, destination: str | Path | IO[str], delimiter: str = 
     >>> out.getvalue().splitlines()
     ['City,Disease', 'Oslo,Flu']
     """
-    if hasattr(destination, "write"):
-        _write_csv_stream(table, destination, delimiter)
-        return
-    path = Path(destination)
-    # UTF-8 to mirror read_csv's utf-8-sig decoding, so round-trips work on
-    # any locale.
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        _write_csv_stream(table, handle, delimiter)
+    if not hasattr(destination, "write"):
+        # UTF-8 to mirror read_csv's utf-8-sig decoding, so round-trips work
+        # on any locale; binary keeps the codec's \r\n untranslated.
+        with Path(destination).open("wb") as handle:
+            handle.writelines(_csv_slices(table, delimiter))
+    elif isinstance(destination, (io.BufferedIOBase, io.RawIOBase)):
+        cast("IO[bytes]", destination).writelines(_csv_slices(table, delimiter))
+    else:
+        text = cast("IO[str]", destination)
+        for data in _csv_slices(table, delimiter):
+            text.write(data.decode("utf-8"))

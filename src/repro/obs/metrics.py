@@ -324,6 +324,12 @@ SERVE_QUEUE_REJECTIONS = REGISTRY.counter(
     "Requests rejected with 429 because the bounded job queue was full.",
 )
 
+#: Requests answered 500 because a handler raised an unexpected exception.
+SERVE_ERRORS = REGISTRY.counter(
+    "repro_serve_errors_total",
+    "Requests answered 500 because a handler raised an unexpected exception.",
+)
+
 #: Response-cache lookups by result (``hit`` or ``miss``).
 SERVE_CACHE_HITS = REGISTRY.counter(
     "repro_serve_cache_hits_total",

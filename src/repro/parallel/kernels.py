@@ -47,7 +47,8 @@ class EncodedBlock:
 
 def encode_block_csv(schema: "Schema", block: np.ndarray) -> EncodedBlock:
     """Render a codes block to the exact CSV text ``_CsvSink`` would write."""
-    return EncodedBlock(text=csv_codec(schema).encode(block), n_rows=int(block.shape[0]))
+    text = csv_codec(schema).encode(block).decode("utf-8")
+    return EncodedBlock(text=text, n_rows=int(block.shape[0]))
 
 
 @dataclass

@@ -44,6 +44,7 @@ from repro import __version__
 from repro.dataset.loaders import write_csv
 from repro.obs.environment import record_build_info
 from repro.obs.export import render_prometheus
+from repro.obs.metrics import SERVE_ERRORS
 from repro.service.engine import AnonymizationService
 from repro.pipeline.execution import DEFAULT_CHUNK_SIZE
 from repro.service.registry import NotFoundError, ServiceError
@@ -188,6 +189,7 @@ class ServiceRouter:
             return error_result(str(exc), 400)
         except Exception:
             _log.exception("unhandled error serving %s %s", method, url.path)
+            SERVE_ERRORS.inc()
             return error_result("internal server error", 500)
         if result is None:
             return error_result(f"no route for {method} {url.path}", 404)
@@ -486,11 +488,11 @@ class ServiceRouter:
         )
 
     def _published_csv(self, job_id: str) -> RouteResult:
-        buffer = io.StringIO()
+        buffer = io.BytesIO()
         write_csv(self.service.published_table(job_id), buffer)
         return RouteResult(
             status=200,
-            body=buffer.getvalue().encode("utf-8"),
+            body=buffer.getvalue(),
             content_type=CSV_TYPE,
         )
 

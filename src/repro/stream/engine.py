@@ -176,7 +176,7 @@ class _CsvSink:
         self._overwrite = overwrite
         self._codec = csv_codec(schema)
         #: The encoded header line every output starts with.
-        self.header = self._codec.header.encode("utf-8")
+        self.header = self._codec.header
         self._write(self.header)
         self.records_written = 0
         self.chunk_counts: list[int] = []
@@ -185,7 +185,7 @@ class _CsvSink:
 
     def write_block(self, block: np.ndarray) -> None:
         """Append a published codes block through the CSV codec."""
-        data = self._codec.encode(block).encode("utf-8")
+        data = self._codec.encode(block)
         self.write_chunk(data, block.shape[0], zlib.crc32(data))
 
     def write_chunk(self, data: bytes | memoryview, n_rows: int, crc32: int) -> None:

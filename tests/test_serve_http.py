@@ -435,3 +435,25 @@ class TestConnectionHandling:
         assert head.startswith(b"HTTP/1.1 500 ")
         assert json.loads(body) == {"error": "internal server error"}
         assert [record.exc_info[0] for record in records if record.exc_info] == [KeyError]
+
+    def test_unexpected_route_error_is_counted_in_metrics(self, frontend, monkeypatch):
+        def errors_total() -> float:
+            status, _, metrics = get(f"{frontend.base_url}/metrics")
+            assert status == 200
+            for line in metrics.decode().splitlines():
+                name, _, value = line.partition(" ")
+                if name == "repro_serve_errors_total":
+                    return float(value)
+            return 0.0
+
+        def broken_stats():
+            raise KeyError("boom")
+
+        before = errors_total()
+        monkeypatch.setattr(frontend.service, "stats", broken_stats)
+        for _ in range(2):
+            status, _, _ = get(f"{frontend.base_url}/stats")
+            assert status == 500
+        status, _, _ = get(f"{frontend.base_url}/stats/nope")  # a 404 is not an error
+        assert status == 404
+        assert errors_total() == before + 2
