@@ -188,11 +188,14 @@ class GroupCounts:
         A personal group fixes every public attribute, so this is exactly the
         per-attribute contingency table of the underlying rows.
         """
-        order, starts = _sorted_runs(self.keys[:, [column]])
-        if not starts.size:
+        values, inverse = np.unique(self.keys[:, column], return_inverse=True)
+        if not values.size:
             return {}
-        totals = np.add.reduceat(self.counts[order], starts, axis=0)
-        return dict(zip(self.keys[order[starts], column].tolist(), totals, strict=True))
+        # One weighted bincount per SA value: no gathered copy of the G x m counts.
+        totals = np.empty((values.size, self.counts.shape[1]), dtype=self.counts.dtype)
+        for s in range(self.counts.shape[1]):
+            totals[:, s] = np.bincount(inverse, weights=self.counts[:, s], minlength=values.size)
+        return dict(zip(values.tolist(), totals, strict=True))
 
     def recode(self, key_maps: Sequence[np.ndarray]) -> "GroupCounts":
         """Re-key through per-column code maps, merging groups whose keys collide."""

@@ -99,19 +99,39 @@ class ColumnChunk:
     ``columns[j]`` holds column ``j``'s value of every record, so
     ``len(columns)`` is the record width and ``len(chunk)`` the number of
     records.  This is what :class:`~repro.stream.reader.ChunkedReader`
-    yields and what :class:`ColumnEncoder` encodes.
+    yields and what :class:`ColumnEncoder` encodes.  A chunk the byte-level
+    reader decoded carries its raw field bytes instead: the encoder codes
+    those directly, and ``columns`` decodes the strings only when asked.
 
     >>> chunk = ColumnChunk([["Oslo", "Bergen"], ["Flu", "Cold"]])
     >>> len(chunk), chunk.rows()
     (2, [['Oslo', 'Flu'], ['Bergen', 'Cold']])
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("_columns", "_spans")
 
     def __init__(self, columns: Sequence[Sequence[str]]) -> None:
-        self.columns = tuple(columns)
+        self._columns: tuple[Sequence[str], ...] | None = tuple(columns)
+        self._spans: _FieldSpans | None = None
+
+    @classmethod
+    def _of_spans(cls, spans: "_FieldSpans") -> "ColumnChunk":
+        chunk = cls.__new__(cls)
+        chunk._columns = None
+        chunk._spans = spans
+        return chunk
+
+    @property
+    def columns(self) -> tuple[Sequence[str], ...]:
+        """The values, one sequence of strings per column (NA columns, then SA)."""
+        if self._columns is None:
+            assert self._spans is not None
+            self._columns = tuple(self._spans.column(j) for j in range(self._spans.width))
+        return self._columns
 
     def __len__(self) -> int:
+        if self._spans is not None:
+            return self._spans.n_rows
         return len(self.columns[0]) if self.columns else 0
 
     def __eq__(self, other: object) -> bool:
@@ -125,6 +145,65 @@ class ColumnChunk:
     def rows(self) -> list[list[str]]:
         """The records as lists of values (NA values, then the SA value)."""
         return [list(row) for row in zip(*self.columns, strict=True)]
+
+
+#: ``_WORD_MASKS[k]`` keeps the low ``k`` bytes of a little-endian word.
+_WORD_MASKS = np.array(
+    [(1 << (8 * k)) - 1 for k in range(8)] + [(1 << 64) - 1], dtype=np.uint64
+)
+
+
+class _FieldSpans:
+    """The raw UTF-8 fields of a chunk of unquoted CSV lines, column by column.
+
+    ``data`` is the chunk's bytes plus eight zero bytes; ``starts[j]`` and
+    ``lengths[j]`` locate column ``j``'s field in every record.  A field's
+    key is its bytes loaded as little-endian 64-bit words and masked to its
+    length.  The reader only builds spans over text without NUL bytes, so
+    the zero padding cannot make two different fields share a key.
+    """
+
+    __slots__ = ("data", "starts", "lengths")
+
+    def __init__(self, data: bytes, starts: np.ndarray, lengths: np.ndarray) -> None:
+        self.data = data
+        self.starts = starts
+        self.lengths = lengths
+
+    @property
+    def width(self) -> int:
+        return self.starts.shape[0]
+
+    @property
+    def n_rows(self) -> int:
+        return self.starts.shape[1]
+
+    def keys(self, j: int) -> np.ndarray:
+        """Column ``j``'s field keys: ``uint64``, or ``V{8k}`` for fields over 8 bytes."""
+        starts, lengths = self.starts[j], self.lengths[j]
+        # Every 8-byte window of the data: an unaligned load at any offset.
+        windows = np.ndarray((len(self.data) - 7,), dtype="<u8", buffer=self.data, strides=(1,))
+        n_words = max(1, -(-int(lengths.max(initial=0)) // 8))
+        if n_words == 1:
+            return windows[starts] & _WORD_MASKS[np.minimum(lengths, 8)]
+        words = np.empty((len(starts), n_words), dtype=np.uint64)
+        last = len(windows) - 1
+        for w in range(n_words):
+            # Words past a short field are masked to zero; clip their loads in range.
+            at = np.minimum(starts + 8 * w, last)
+            words[:, w] = windows[at] & _WORD_MASKS[np.clip(lengths - 8 * w, 0, 8)]
+        return words.view(f"V{8 * n_words}").ravel()
+
+    def text(self, j: int, i: int) -> str:
+        """Record ``i``'s value in column ``j``."""
+        start = int(self.starts[j, i])
+        return self.data[start:start + int(self.lengths[j, i])].decode("utf-8")
+
+    def column(self, j: int) -> list[str]:
+        """Column ``j``'s values as strings, each distinct field decoded once."""
+        _, first, inverse = np.unique(self.keys(j), return_index=True, return_inverse=True)
+        values = np.array([self.text(j, i) for i in first.tolist()], dtype=object)
+        return values[inverse].tolist()
 
 
 def _transpose_into(
@@ -171,15 +250,26 @@ class ColumnEncoder:
     def __init__(self, public_names: Sequence[str], sensitive: str) -> None:
         self._names = [str(name) for name in public_names] + [str(sensitive)]
         self._books: list[dict[str, int]] = [{} for _ in self._names]
+        # Per column and key dtype: a sorted key table and the codes its keys
+        # have in the book -- a cache of the book for byte-level chunks.
+        self._tables: list[dict[np.dtype, tuple[np.ndarray, np.ndarray]]] = [
+            {} for _ in self._names
+        ]
         self._remaps: tuple[np.ndarray, ...] | None = None
 
     def encode(self, chunk: ColumnChunk) -> np.ndarray:
         """The chunk as a ``(len(chunk), width)`` int64 block of provisional codes."""
         width = len(self._books)
-        if len(chunk.columns) != width:
-            raise ValueError(f"record has {len(chunk.columns)} fields, expected {width}")
+        spans = chunk._spans
+        n_fields = len(chunk.columns) if spans is None else spans.width
+        if n_fields != width:
+            raise ValueError(f"record has {n_fields} fields, expected {width}")
         n = len(chunk)
         block = np.empty((n, width), dtype=np.int64)
+        if spans is not None:
+            for j in range(width):
+                block[:, j] = self._encode_keys(j, spans)
+            return block
         for j, (book, column) in enumerate(zip(self._books, chunk.columns, strict=True)):
             try:
                 block[:, j] = np.fromiter(map(book.__getitem__, column), np.int64, count=n)
@@ -190,6 +280,37 @@ class ColumnEncoder:
                 book.update(zip(new, range(len(book), len(book) + len(new)), strict=True))
                 block[:, j] = np.fromiter(map(book.__getitem__, column), np.int64, count=n)
         return block
+
+    def _encode_keys(self, j: int, spans: "_FieldSpans") -> np.ndarray:
+        """Column ``j`` of a byte-level chunk: its keys looked up in the key table.
+
+        Only keys the table misses are decoded, in first-seen order, and
+        looked up in (or added to) the book, so the codes are exactly those
+        the string path gives the same values.
+        """
+        keys = spans.keys(j)
+        table = self._tables[j].get(keys.dtype)
+        if table is not None:
+            known, codes = table
+            at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+            hit = known[at] == keys
+            if hit.all():
+                return codes[at]
+            missed = np.flatnonzero(~hit)
+        else:
+            known, codes = keys[:0], np.empty(0, dtype=np.int64)
+            missed = np.arange(len(keys))
+        new_keys, first = np.unique(keys[missed], return_index=True)
+        rows = missed[first]
+        book = self._books[j]
+        new_codes = np.empty(len(new_keys), dtype=np.int64)
+        for u in np.argsort(rows).tolist():
+            new_codes[u] = book.setdefault(spans.text(j, int(rows[u])), len(book))
+        known = np.concatenate((known, new_keys))
+        order = np.argsort(known)
+        known, codes = known[order], np.concatenate((codes, new_codes))[order]
+        self._tables[j][keys.dtype] = (known, codes)
+        return codes[np.searchsorted(known, keys)]
 
     @property
     def remaps(self) -> tuple[np.ndarray, ...]:
@@ -243,8 +364,180 @@ def _column_picks(header: list[str], source: str, sensitive: str) -> list[int]:
     return [i for i in range(len(header)) if i != sensitive_index] + [sensitive_index]
 
 
+#: Bytes a binary CSV source is read in at a time.
+READ_BLOCK_BYTES = 1 << 20
+
+_BOM = b"\xef\xbb\xbf"
+
+
+def _is_binary(handle: object) -> bool:
+    """Whether a file-like CSV source yields bytes (as :func:`write_csv` decides)."""
+    return isinstance(handle, (io.BufferedIOBase, io.RawIOBase))
+
+
+class _ByteLines:
+    """A binary UTF-8 CSV source, read as lines or as whole chunks of lines.
+
+    Iterating yields the decoded lines a ``newline=""`` text file of the
+    same bytes yields (split after ``\\n``, ``\\r\\n`` or a lone ``\\r``), so
+    :func:`csv.reader` parses it exactly as it parses an opened file.
+    :meth:`take_spans` instead consumes the next chunk of lines at once,
+    when it can split them without the csv parser.  ``line_num`` counts the
+    physical lines either consumed.  A leading byte-order mark is skipped,
+    as the ``utf-8-sig`` codec does.
+    """
+
+    def __init__(self, handle: IO[bytes], source: str) -> None:
+        self._handle = handle
+        self._source = source
+        self._buf = b""
+        self._pos = 0
+        #: Offsets of every ``\n`` in ``_buf``.
+        self._newlines = np.empty(0, dtype=np.int64)
+        self._eof = False
+        self.line_num = 0
+        while len(self._buf) < len(_BOM) and self._fill():
+            pass
+        if self._buf.startswith(_BOM):
+            self._pos = len(_BOM)
+
+    def _fill(self) -> bool:
+        """Append the next block of the source to the buffer; ``False`` at its end."""
+        if self._eof:
+            return False
+        block = self._handle.read(READ_BLOCK_BYTES)
+        if not block:
+            self._eof = True
+            return False
+        kept = self._buf[self._pos:]
+        newlines = self._newlines[np.searchsorted(self._newlines, self._pos):] - self._pos
+        found = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10) + len(kept)
+        self._buf, self._pos = kept + block, 0
+        self._newlines = np.concatenate((newlines, found))
+        return True
+
+    def __iter__(self) -> "_ByteLines":
+        return self
+
+    def __next__(self) -> str:
+        while (end := self._line_end()) is None:
+            if not self._fill():
+                if self._pos == len(self._buf):
+                    raise StopIteration
+                end = len(self._buf)
+                break
+        line = self._buf[self._pos:end]
+        self._pos = end
+        self.line_num += 1
+        try:
+            return line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError(
+                exc.encoding, exc.object, exc.start, exc.end,
+                f"{exc.reason} ({self._source}, line {self.line_num})",
+            ) from None
+
+    def _line_end(self) -> int | None:
+        """The end of the line at the read position, or ``None`` if the buffer may cut it."""
+        buf, pos = self._buf, self._pos
+        newline = buf.find(b"\n", pos)
+        cr = buf.find(b"\r", pos, len(buf) if newline < 0 else newline)
+        if cr < 0:
+            return None if newline < 0 else newline + 1
+        if cr + 1 == newline:
+            return newline + 1
+        # A lone CR ends a line, unless the next block may start with its LF.
+        return cr + 1 if cr + 1 < len(buf) or self._eof else None
+
+    def take_spans(self, n_lines: int, width: int, delimiter: int) -> "_FieldSpans | None":
+        """Consume the next ``n_lines`` lines as field spans, or decline (``None``).
+
+        Declines, consuming nothing, at the end of the source and whenever
+        :func:`_split_lines` does.
+        """
+        while True:
+            first = int(np.searchsorted(self._newlines, self._pos))
+            if len(self._newlines) - first >= n_lines or not self._fill():
+                break
+        ends = self._newlines[first:first + n_lines]
+        stop = int(ends[-1]) + 1 if len(ends) == n_lines else len(self._buf)
+        if stop == self._pos:
+            return None
+        spans = _split_lines(self._buf[self._pos:stop], ends - self._pos, width, delimiter)
+        if spans is not None:
+            self._pos = stop
+            self.line_num += spans.n_rows
+        return spans
+
+
+def _fast_delimiter(delimiter: str) -> int | None:
+    """The byte :func:`_split_lines` splits on for ``delimiter``, or ``None`` if it cannot."""
+    if len(delimiter) == 1 and delimiter.isascii() and delimiter not in '"\r\n\0':
+        return ord(delimiter)
+    return None
+
+
+def _split_lines(
+    data: bytes, newlines: np.ndarray, width: int, delimiter: int
+) -> _FieldSpans | None:
+    """The field spans of whole CSV lines, or ``None`` where the csv parser is needed.
+
+    ``newlines`` are the offsets of every ``\\n`` in ``data``; a last line
+    may end without one.  Splitting on the delimiter gives what
+    :func:`csv.reader` gives only for lines of valid UTF-8 with no quote, no
+    NUL byte, no lone CR, no blank line, no field over the csv field size
+    limit and exactly ``width - 1`` delimiters each.  Anything else
+    declines, and the caller parses those lines with :func:`csv.reader`,
+    which then raises the error, or skips the blank line, as it always has.
+    """
+    if b'"' in data or b"\0" in data:
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    size = len(data)
+    ends = newlines if data.endswith(b"\n") else np.append(newlines, size)
+    if ends[0] == 0:
+        return None  # a blank first line
+    view = np.frombuffer(data, dtype=np.uint8)
+    content_ends = ends.copy()
+    crs = data.count(b"\r")
+    if crs:
+        crlf = view[newlines - 1] == 13
+        if int(np.count_nonzero(crlf)) != crs:
+            return None  # a lone CR
+        content_ends[: len(newlines)] -= crlf
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    if np.any(content_ends == starts):
+        return None  # a blank line
+    n = len(ends)
+    delimiters = np.flatnonzero(view == delimiter)
+    if len(delimiters) != n * (width - 1):
+        return None
+    field_starts = np.empty((width, n), dtype=np.int64)
+    field_ends = np.empty((width, n), dtype=np.int64)
+    field_starts[0] = starts
+    field_ends[-1] = content_ends
+    if width > 1:
+        inner = delimiters.reshape(n, width - 1)
+        # With n * (width - 1) delimiters in all, each line holds exactly
+        # width - 1 of them iff every row of ``inner`` lies inside its line.
+        if np.any(inner[:, 0] < starts) or np.any(inner[:, -1] >= content_ends):
+            return None
+        field_starts[1:] = inner.T + 1
+        field_ends[:-1] = inner.T
+    lengths = field_ends - field_starts
+    if int(lengths.max()) > csv.field_size_limit():
+        return None
+    return _FieldSpans(data + bytes(8), field_starts, lengths)
+
+
 def open_csv_chunks(
-    handle: Iterable[str],
+    handle: Iterable[str] | IO[bytes],
     source: str,
     sensitive: str,
     chunk_rows: int,
@@ -264,31 +557,49 @@ def open_csv_chunks(
     :class:`~repro.dataset.schema.SchemaError` lazily as problems are
     reached, so callers can consume it chunk by chunk with bounded memory.
 
+    ``handle`` is a text stream (anything yielding lines) or a binary one
+    (:class:`io.BufferedIOBase` or :class:`io.RawIOBase`) of UTF-8 bytes.
+    A text stream is parsed by :func:`csv.reader`.  A binary stream is read
+    a chunk at a time, and a chunk of plain lines is split with array
+    operations into field spans, with no per-row Python; a chunk holding a
+    quote, a NUL byte, a lone CR, a blank line, a ragged row or invalid
+    UTF-8 goes whole to the same :func:`csv.reader`, which keeps every
+    error and line number.  Either way the chunks hold the same records.
+
     >>> import io
     >>> header, chunks = open_csv_chunks(
     ...     io.StringIO("Disease,City\\nFlu,Oslo\\n"), "demo.csv", "Disease", 100)
     >>> header, [chunk.rows() for chunk in chunks]
     (['Disease', 'City'], [[['Oslo', 'Flu']]])
     """
-    reader = csv.reader(handle, delimiter=delimiter)
+    lines: _ByteLines | None = None
+    if _is_binary(handle):
+        lines = _ByteLines(cast("IO[bytes]", handle), source)
+        reader = csv.reader(lines, delimiter=delimiter)
+    else:
+        reader = csv.reader(cast("Iterable[str]", handle), delimiter=delimiter)
     try:
         header = _strip_bom(next(reader))
     except StopIteration:
         raise SchemaError(f"{source} is empty") from None
     picks = _column_picks(header, source, sensitive)
     width = len(header)
+    fast = None if lines is None else _fast_delimiter(delimiter)
 
-    def chunks() -> Iterator[ColumnChunk]:
+    def line_num() -> int:
+        return reader.line_num if lines is None else lines.line_num
+
+    def parsed_chunk() -> ColumnChunk | None:
+        """The next ``chunk_rows`` records through :func:`csv.reader` (``None`` at the end)."""
         columns: list[list[str]] = [[] for _ in picks]
         rows: list[list[str]] = []
         room = min(TRANSPOSE_ROWS, chunk_rows)
-        yielded = False
         for row in reader:
             if len(row) != width:
                 if not row:
                     continue
                 raise SchemaError(
-                    f"{source}, line {reader.line_num}: row has {len(row)} "
+                    f"{source}, line {line_num()}: row has {len(row)} "
                     f"fields but the header has {width}"
                 )
             rows.append(row)
@@ -296,14 +607,32 @@ def open_csv_chunks(
                 _transpose_into(columns, rows, picks)
                 rows = []
                 if len(columns[0]) == chunk_rows:
-                    yield ColumnChunk(columns)
-                    columns = [[] for _ in picks]
-                    yielded = True
+                    break
                 room = min(TRANSPOSE_ROWS, chunk_rows - len(columns[0]))
         _transpose_into(columns, rows, picks)
-        if columns[0]:
-            yield ColumnChunk(columns)
-        elif not yielded:
+        return ColumnChunk(columns) if columns[0] else None
+
+    def split_chunk() -> ColumnChunk | None:
+        """The next ``chunk_rows`` lines split without the parser, or ``None``."""
+        if lines is None or fast is None:
+            return None
+        spans = lines.take_spans(chunk_rows, width, fast)
+        if spans is None:
+            return None
+        spans.starts, spans.lengths = spans.starts[picks], spans.lengths[picks]
+        return ColumnChunk._of_spans(spans)
+
+    def chunks() -> Iterator[ColumnChunk]:
+        yielded = False
+        while True:
+            chunk = split_chunk()
+            if chunk is None:
+                chunk = parsed_chunk()
+            if chunk is None:
+                break
+            yielded = True
+            yield chunk
+        if not yielded:
             raise SchemaError(
                 f"{source} has a header but no data rows; at least one record "
                 "is required to infer the attribute domains"
@@ -313,7 +642,7 @@ def open_csv_chunks(
 
 
 def _read_csv_stream(
-    handle: Iterable[str], source: str, sensitive: str, delimiter: str
+    handle: Iterable[str] | IO[bytes], source: str, sensitive: str, delimiter: str
 ) -> Table:
     header, chunks = open_csv_chunks(handle, source, sensitive, READ_CHUNK_ROWS, delimiter)
     encoder = ColumnEncoder([name for name in header if name != sensitive], sensitive)
@@ -322,15 +651,20 @@ def _read_csv_stream(
     return Table(schema, encoder.remap(np.concatenate(blocks)))
 
 
-def read_csv(source: str | Path | IO[str], sensitive: str, delimiter: str = ",") -> Table:
+def read_csv(
+    source: str | Path | IO[str] | IO[bytes], sensitive: str, delimiter: str = ","
+) -> Table:
     """Load categorical CSV data (with header) into a :class:`Table`.
 
     Parameters
     ----------
     source:
-        CSV file path, or an open text-mode file-like object (anything with a
-        ``read`` method, e.g. an upload stream); file-like sources are read
-        but not closed.
+        CSV file path, or an open file-like object (anything with a ``read``
+        method, e.g. an upload stream); file-like sources are read but not
+        closed.  Paths and binary streams (:class:`io.BufferedIOBase` or
+        :class:`io.RawIOBase`) are read as UTF-8 bytes, which lets
+        :func:`open_csv_chunks` split plain lines without the csv parser;
+        a text stream is parsed line by line.
     sensitive:
         Name of the column to treat as the sensitive attribute SA.
     delimiter:
@@ -354,7 +688,7 @@ def read_csv(source: str | Path | IO[str], sensitive: str, delimiter: str = ",")
     if hasattr(source, "read"):
         return _read_csv_stream(source, source_label(source), sensitive, delimiter)
     path = Path(source)
-    with path.open(newline="", encoding="utf-8-sig") as handle:
+    with path.open("rb") as handle:
         return _read_csv_stream(handle, str(path), sensitive, delimiter)
 
 
@@ -497,7 +831,7 @@ def write_csv(
         # on any locale; binary keeps the codec's \r\n untranslated.
         with Path(destination).open("wb") as handle:
             handle.writelines(_csv_slices(table, delimiter))
-    elif isinstance(destination, (io.BufferedIOBase, io.RawIOBase)):
+    elif _is_binary(destination):
         cast("IO[bytes]", destination).writelines(_csv_slices(table, delimiter))
     else:
         text = cast("IO[str]", destination)

@@ -138,6 +138,7 @@ def publish_base(
         strategy, source, sensitive, rng, chunk_size, chunk_rows, int(workers),
         audit, target, False, overwrite, delimiter, progress, False, params,
         root_name="delta_base", path="delta", unsupported=DeltaUnsupportedError,
+        crc32=True,
     )
     report = run.report
     sink = run.sink
@@ -469,7 +470,7 @@ def delta_publish(
                 workers=workers,
                 n_tasks=len(dirty_order),
             )
-            writer = _CsvSink(target, new_schema)
+            writer = _CsvSink(target, new_schema, crc32=True)
             records: list[SPSRecords | None] = []
             # Every clean chunk is read into, checked and written from this one buffer.
             buffer = memoryview(bytearray(max(

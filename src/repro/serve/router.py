@@ -300,11 +300,8 @@ class ServiceRouter:
         replace = query.get("replace", "").lower() in {"1", "true", "yes"}
         if body is None or content_length <= 0:
             raise ServiceError("POST /datasets requires a non-empty CSV body")
-        stream = io.TextIOWrapper(
-            io.BufferedReader(_LimitedReader(body, content_length)),
-            encoding="utf-8",
-            newline="",
-        )
+        # The bounded binary body: read_csv decodes its UTF-8 bytes itself.
+        stream = io.BufferedReader(_LimitedReader(body, content_length))
         entry = self.service.register_csv(name, stream, sensitive, replace=replace)
         return _json_result(entry.to_json(), status=201)
 

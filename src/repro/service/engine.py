@@ -318,7 +318,7 @@ class AnonymizationService:
     def register_csv(
         self,
         name: str,
-        source: str | Path | IO[str],
+        source: str | Path | IO[str] | IO[bytes],
         sensitive: str,
         replace: bool = False,
     ) -> DatasetEntry:

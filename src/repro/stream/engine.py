@@ -150,14 +150,19 @@ class _CsvSink:
 
     ``chunk_counts`` records the row count of every write, empty ones
     included: one entry per kernel chunk on the group path.  Next to it,
-    ``chunk_bytes`` and ``chunk_crc32`` record the UTF-8 byte length and
-    the :func:`zlib.crc32` of what each write published.  Together they are
-    the chunk index a delta state stores: a later splice copies a clean
-    chunk as a verified byte range of the published file.
+    ``chunk_bytes`` records the UTF-8 byte length of what each write
+    published and, with ``crc32``, ``chunk_crc32`` its :func:`zlib.crc32`.
+    Together they are the chunk index a delta state stores: a later splice
+    copies a clean chunk as a verified byte range of the published file.
+    Only the delta paths keep that index, so only they pay for the CRCs.
     """
 
     def __init__(
-        self, destination: str | Path | IO[str], schema: Schema, overwrite: bool = True
+        self,
+        destination: str | Path | IO[str],
+        schema: Schema,
+        overwrite: bool = True,
+        crc32: bool = False,
     ) -> None:
         self.path: Path | None = None
         self._temp: Path | None = None
@@ -174,6 +179,7 @@ class _CsvSink:
             # \r\n pass untranslated.
             self._handle: IO[bytes] = self._temp.open("xb")
         self._overwrite = overwrite
+        self._crc32 = crc32
         self._codec = csv_codec(schema)
         #: The encoded header line every output starts with.
         self.header = self._codec.header
@@ -186,9 +192,9 @@ class _CsvSink:
     def write_block(self, block: np.ndarray) -> None:
         """Append a published codes block through the CSV codec."""
         data = self._codec.encode(block)
-        self.write_chunk(data, block.shape[0], zlib.crc32(data))
+        self.write_chunk(data, block.shape[0], zlib.crc32(data) if self._crc32 else None)
 
-    def write_chunk(self, data: bytes | memoryview, n_rows: int, crc32: int) -> None:
+    def write_chunk(self, data: bytes | memoryview, n_rows: int, crc32: int | None) -> None:
         """Append one chunk's published bytes, whose CRC32 the caller knows.
 
         The delta splice copies a clean chunk this way, after checking
@@ -198,7 +204,8 @@ class _CsvSink:
         self.records_written += n_rows
         self.chunk_counts.append(n_rows)
         self.chunk_bytes.append(len(data))
-        self.chunk_crc32.append(crc32)
+        if crc32 is not None:
+            self.chunk_crc32.append(crc32)
 
     def _write(self, data: bytes | memoryview) -> None:
         if self._text is not None:
@@ -516,6 +523,7 @@ def _run(
     root_name: str = "stream_publish",
     path: str = "stream",
     unsupported: type[ValueError] = ValueError,
+    crc32: bool = False,
 ) -> _Run:
     """The engine behind :func:`stream_publish` and the delta base publish.
 
@@ -524,7 +532,7 @@ def _run(
     :func:`_publish_stages`, then flush the sink.  ``root_name`` and
     ``path`` label the root span and the ``PUBLISH_RUNS`` counter;
     ``unsupported`` is the error raised when the strategy returns no chunk
-    kernel.
+    kernel; ``crc32`` makes a CSV sink record each chunk's CRC32.
     """
     timings: dict[str, float] = {}
     notify = progress or (lambda event: None)
@@ -570,7 +578,7 @@ def _run(
 
             def open_sink(prepared: Schema) -> Any:
                 if output is not None:
-                    return _CsvSink(output, prepared, overwrite=overwrite)
+                    return _CsvSink(output, prepared, overwrite=overwrite, crc32=crc32)
                 return _TableSink(prepared) if materialize else _NullSink()
 
             staged = _publish_stages(

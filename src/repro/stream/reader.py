@@ -12,9 +12,10 @@ column sat in the file.
 The reader shares the tolerant-input contract of
 :func:`repro.dataset.loaders.read_csv` by construction — both consume the
 same :func:`repro.dataset.loaders.open_csv_chunks` chunk source: a UTF-8
-byte-order mark is stripped, CRLF line endings are handled by the
-:mod:`csv` module, blank lines are skipped, and error messages name the
-source and the offending line number.
+byte-order mark is stripped, CRLF line endings are handled, blank lines
+are skipped, and error messages name the source and the offending line
+number.  A path is read as bytes, so chunks of plain lines are split with
+array operations and only chunks that need it go through :mod:`csv`.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ class ChunkedReader:
     Parameters
     ----------
     source:
-        CSV file path, or an open text-mode file-like object.  Paths are
-        opened (and closed) per iteration and can therefore be read more
-        than once; file-like sources are read exactly once and not closed.
+        CSV file path, or an open file-like object (text, or binary
+        UTF-8 as :func:`~repro.dataset.loaders.read_csv` takes it).  Paths
+        are opened (and closed) per iteration and can therefore be read
+        more than once; file-like sources are read exactly once and not
+        closed.
     sensitive:
         Name of the sensitive column SA.  Each yielded chunk holds this
         column last.
@@ -62,7 +65,7 @@ class ChunkedReader:
 
     def __init__(
         self,
-        source: str | Path | IO[str],
+        source: str | Path | IO[str] | IO[bytes],
         sensitive: str,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         delimiter: str = ",",
@@ -155,11 +158,11 @@ class ChunkedReader:
         """The sensitive column name."""
         return self._sensitive
 
-    def _open(self) -> tuple[IO[str], bool]:
+    def _open(self) -> tuple[IO[str] | IO[bytes], bool]:
         if hasattr(self._source, "read"):
             return self._source, False  # type: ignore[return-value]
         path = Path(self._source)  # type: ignore[arg-type]
-        return path.open(newline="", encoding="utf-8-sig"), True
+        return path.open("rb"), True
 
     def chunks(self) -> Iterator[ColumnChunk]:
         """Yield column chunks of at most ``chunk_rows`` records (NA columns then SA).
@@ -176,7 +179,7 @@ class ChunkedReader:
             if owned:
                 handle.close()
 
-    def _chunks_from(self, handle: IO[str]) -> Iterator[ColumnChunk]:
+    def _chunks_from(self, handle: IO[str] | IO[bytes]) -> Iterator[ColumnChunk]:
         header, chunks = open_csv_chunks(
             handle, self.label, self._sensitive, self._chunk_rows, self._delimiter
         )
@@ -196,11 +199,13 @@ class _CursorStream:
     Satisfies just enough of the text-file protocol for
     :class:`ChunkedReader` (``read`` marks it as an open stream, iteration
     feeds :func:`csv.reader`): each row is rendered on demand, so draining a
-    million-row cursor never holds more than one line of CSV text.
+    million-row cursor never holds more than one line of CSV text, and
+    ``read(size)`` renders only the rows it needs for ``size`` characters.
     """
 
     def __init__(self, cursor: Iterator[Sequence[object]], header: list[str]) -> None:
         self._lines = self._render(cursor, header)
+        self._pending = ""
 
     @staticmethod
     def _render(cursor: Iterator[Sequence[object]], header: list[str]) -> Iterator[str]:
@@ -215,10 +220,25 @@ class _CursorStream:
             yield out.getvalue()
 
     def __iter__(self) -> Iterator[str]:
-        return self._lines
+        return self
+
+    def __next__(self) -> str:
+        if self._pending:
+            line, self._pending = self._pending, ""
+            return line
+        return next(self._lines)
 
     def readline(self) -> str:
-        return next(self._lines, "")
+        return next(self, "")
 
-    def read(self, size: int = -1) -> str:
-        return "".join(self._lines)
+    def read(self, size: int | None = -1) -> str:
+        """At most ``size`` characters (all that is left for a negative or ``None`` size)."""
+        if size is None or size < 0:
+            return "".join(self)
+        parts: list[str] = []
+        wanted = size
+        while wanted > 0 and (line := next(self, "")):
+            parts.append(line[:wanted])
+            self._pending = line[wanted:]
+            wanted -= len(parts[-1])
+        return "".join(parts)

@@ -80,3 +80,40 @@ class TestAggregateGroup:
     def test_full_condition_degenerates_to_personal_group(self, small_table):
         mask = aggregate_group(small_table, {"Gender": "male", "Job": "lawyer"})
         assert mask.sum() == 3
+
+
+class TestColumnTotals:
+    @staticmethod
+    def reduceat_totals(groups, column):
+        """The gather-and-reduceat sum column_totals used to do."""
+        order = np.lexsort((np.arange(len(groups.keys)), groups.keys[:, column]))
+        values = groups.keys[order, column]
+        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        totals = np.add.reduceat(groups.counts[order], starts, axis=0)
+        return dict(zip(values[starts].tolist(), totals, strict=True))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_to_reduceat_on_random_counts(self, seed):
+        from repro.dataset.groups import GroupCounts
+
+        rng = np.random.default_rng(seed)
+        n_groups, m = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        keys = np.column_stack([
+            rng.integers(0, 6, n_groups),
+            np.full(n_groups, 3),  # a column with one observed value
+            rng.integers(0, 2, n_groups),
+        ])
+        groups = GroupCounts(keys, rng.integers(0, 50, (n_groups, m)))
+        for column in range(keys.shape[1]):
+            totals = groups.column_totals(column)
+            expected = self.reduceat_totals(groups, column)
+            assert list(totals) == list(expected)
+            for value, row in expected.items():
+                assert totals[value].dtype == np.int64
+                assert np.array_equal(totals[value], row)
+
+    def test_no_groups_no_totals(self):
+        from repro.dataset.groups import GroupCounts
+
+        empty = GroupCounts(np.empty((0, 2), dtype=np.int64), np.empty((0, 3), dtype=np.int64))
+        assert empty.column_totals(0) == {}

@@ -201,6 +201,15 @@ class TestErrorHandling:
         )
         assert "no data rows" in body["error"]
 
+    def test_invalid_utf8_csv_400_names_the_line(self, server_url):
+        body = self.expect_status(
+            f"{server_url}/datasets?name=x&sensitive=b",
+            400,
+            method="POST",
+            data=b"a,b\n1,2\n\xff,2\n",
+        )
+        assert "line 3" in body["error"]
+
     def test_publish_bad_backend_400(self, server_url):
         post(
             f"{server_url}/datasets?name=up&sensitive=Income",

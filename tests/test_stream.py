@@ -640,3 +640,23 @@ class TestBenchStreamSuite:
         # The x10 row-growth pairs behind the bounded-memory claim.
         rows = [s.rows for s in stream_scenarios(tiny=False) if s.workers == 1]
         assert all(pair[1] == 10 * pair[0] for pair in zip(rows[::2], rows[1::2]))
+
+
+class TestCsvSinkChecksums:
+    def test_crc32_only_when_asked(self, tmp_path):
+        import zlib
+
+        from repro.stream.engine import _CsvSink
+
+        table = repro.generate_adult(50, seed=2)
+        block = table.codes[:20]
+        plain = _CsvSink(tmp_path / "plain.csv", table.schema)
+        kept = _CsvSink(tmp_path / "kept.csv", table.schema, crc32=True)
+        for sink in (plain, kept):
+            sink.write_block(block)
+            sink.close()
+        data = (tmp_path / "kept.csv").read_bytes()[len(kept.header):]
+        assert plain.chunk_crc32 == []
+        assert kept.chunk_crc32 == [zlib.crc32(data)]
+        assert plain.chunk_bytes == kept.chunk_bytes == [len(data)]
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
