@@ -140,7 +140,8 @@ class ColumnChunk:
         return self.columns == other.columns
 
     def __repr__(self) -> str:
-        return f"ColumnChunk(rows={len(self)}, columns={len(self.columns)})"
+        width = len(self.columns) if self._spans is None else self._spans.width
+        return f"ColumnChunk(rows={len(self)}, columns={width})"
 
     def rows(self) -> list[list[str]]:
         """The records as lists of values (NA values, then the SA value)."""
