@@ -188,14 +188,21 @@ class GroupCounts:
         A personal group fixes every public attribute, so this is exactly the
         per-attribute contingency table of the underlying rows.
         """
+        # Loaded already wherever this runs: the chi-square merging these
+        # totals feed imports scipy.stats, and scipy.sparse with it.
+        from scipy import sparse
+
         values, inverse = np.unique(self.keys[:, column], return_inverse=True)
         if not values.size:
             return {}
-        # One weighted bincount per SA value: no gathered copy of the G x m counts.
-        totals = np.empty((values.size, self.counts.shape[1]), dtype=self.counts.dtype)
-        for s in range(self.counts.shape[1]):
-            totals[:, s] = np.bincount(inverse, weights=self.counts[:, s], minlength=values.size)
-        return dict(zip(values.tolist(), totals, strict=True))
+        # A one-hot (values x groups) matrix times the counts: exact int64
+        # sums, with no gathered copy of the G x m counts.
+        n = len(inverse)
+        onehot = sparse.csc_matrix(
+            (np.ones(n, dtype=self.counts.dtype), inverse, np.arange(n + 1)),
+            shape=(values.size, n),
+        )
+        return dict(zip(values.tolist(), onehot @ self.counts, strict=True))
 
     def recode(self, key_maps: Sequence[np.ndarray]) -> "GroupCounts":
         """Re-key through per-column code maps, merging groups whose keys collide."""

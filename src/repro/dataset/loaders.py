@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 from pathlib import Path
 from collections.abc import Iterable, Iterator, Sequence
 from typing import IO, cast
@@ -307,9 +308,9 @@ class ColumnEncoder:
         new_codes = np.empty(len(new_keys), dtype=np.int64)
         for u in np.argsort(rows).tolist():
             new_codes[u] = book.setdefault(spans.text(j, int(rows[u])), len(book))
-        known = np.concatenate((known, new_keys))
-        order = np.argsort(known)
-        known, codes = known[order], np.concatenate((codes, new_codes))[order]
+        # ``new_keys`` come sorted: merge them in, with no sort of the whole table.
+        at = np.searchsorted(known, new_keys)
+        known, codes = np.insert(known, at, new_keys), np.insert(codes, at, new_codes)
         self._tables[j][keys.dtype] = (known, codes)
         return codes[np.searchsorted(known, keys)]
 
@@ -368,6 +369,10 @@ def _column_picks(header: list[str], source: str, sensitive: str) -> list[int]:
 #: Bytes a binary CSV source is read in at a time.
 READ_BLOCK_BYTES = 1 << 20
 
+#: Bytes of whole lines the csv parser is handed at a time, until a chunk
+#: the split declines sets the block size to that chunk's.
+PARSE_BLOCK_BYTES = 1 << 16
+
 _BOM = b"\xef\xbb\xbf"
 
 
@@ -377,97 +382,188 @@ def _is_binary(handle: object) -> bool:
 
 
 class _ByteLines:
-    """A binary UTF-8 CSV source, read as lines or as whole chunks of lines.
+    """A binary UTF-8 CSV source, read as whole chunks of lines or through ``reader``.
 
-    Iterating yields the decoded lines a ``newline=""`` text file of the
-    same bytes yields (split after ``\\n``, ``\\r\\n`` or a lone ``\\r``), so
-    :func:`csv.reader` parses it exactly as it parses an opened file.
-    :meth:`take_spans` instead consumes the next chunk of lines at once,
-    when it can split them without the csv parser.  ``line_num`` counts the
+    :meth:`take_spans` consumes the next chunk of lines at once, when it
+    can split them without the csv parser.  ``reader`` is a
+    :func:`csv.reader` over the rest of the source, decoded one block of
+    whole lines at a time and split into the lines a ``newline=""`` text
+    file of the same bytes yields (ended by ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``), so the parser reads them as it reads an opened file, with no
+    per-line Python.  The lines it leaves of a block go back to the byte
+    buffer before the next :meth:`take_spans`.  ``line_num`` counts the
     physical lines either consumed.  A leading byte-order mark is skipped,
     as the ``utf-8-sig`` codec does.
     """
 
-    def __init__(self, handle: IO[bytes], source: str) -> None:
+    def __init__(self, handle: IO[bytes], source: str, delimiter: str) -> None:
         self._handle = handle
         self._source = source
+        self.reader = csv.reader(itertools.chain.from_iterable(self._texts()), delimiter=delimiter)
         self._buf = b""
         self._pos = 0
         #: Offsets of every ``\n`` in ``_buf``.
         self._newlines = np.empty(0, dtype=np.int64)
         self._eof = False
-        self.line_num = 0
-        while len(self._buf) < len(_BOM) and self._fill():
-            pass
+        #: The lines of the block ``reader`` is parsing not yet parsed, and
+        #: where the block ends in ``_buf``.
+        self._lines: Iterator[str] | None = None
+        self._lines_end = 0
+        self._block_bytes = PARSE_BLOCK_BYTES
+        #: Lines :meth:`take_spans` consumed.
+        self._split_lines = 0
+        self._fill(len(_BOM))
         if self._buf.startswith(_BOM):
             self._pos = len(_BOM)
 
-    def _fill(self) -> bool:
-        """Append the next block of the source to the buffer; ``False`` at its end."""
-        if self._eof:
-            return False
+    @property
+    def line_num(self) -> int:
+        """Physical lines consumed so far, split or parsed."""
+        return self._split_lines + self.reader.line_num
+
+    def _read(self) -> tuple[bytes, np.ndarray]:
+        """The source's next block and the offsets of its ``\\n`` bytes (empty at the end)."""
         block = self._handle.read(READ_BLOCK_BYTES)
-        if not block:
-            self._eof = True
-            return False
-        kept = self._buf[self._pos:]
-        newlines = self._newlines[np.searchsorted(self._newlines, self._pos):] - self._pos
-        found = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10) + len(kept)
-        self._buf, self._pos = kept + block, 0
-        self._newlines = np.concatenate((newlines, found))
-        return True
+        self._eof = not block
+        return block, np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
 
-    def __iter__(self) -> "_ByteLines":
-        return self
+    def _fill(self, size: int) -> None:
+        """Read until ``size`` bytes follow the read position, or to the source's end."""
+        have = len(self._buf) - self._pos
+        blocks: list[tuple[bytes, np.ndarray]] = []
+        while have < size and not self._eof:
+            blocks.append(self._read())
+            have += len(blocks[-1][0])
+        self._append(blocks)
 
-    def __next__(self) -> str:
-        while (end := self._line_end()) is None:
-            if not self._fill():
-                if self._pos == len(self._buf):
-                    raise StopIteration
-                end = len(self._buf)
-                break
-        line = self._buf[self._pos:end]
-        self._pos = end
-        self.line_num += 1
-        try:
-            return line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise UnicodeDecodeError(
-                exc.encoding, exc.object, exc.start, exc.end,
-                f"{exc.reason} ({self._source}, line {self.line_num})",
-            ) from None
+    def _append(self, blocks: list[tuple[bytes, np.ndarray]]) -> None:
+        """Join read blocks onto the buffer's unread rest in one copy, dropping its consumed prefix."""
+        if not blocks:
+            return
+        kept = memoryview(self._buf)[self._pos:]
+        newlines = [self._newlines[np.searchsorted(self._newlines, self._pos):] - self._pos]
+        offset = len(kept)
+        for block, found in blocks:
+            newlines.append(found + offset)
+            offset += len(block)
+        self._buf = b"".join([kept, *(block for block, _ in blocks)])
+        self._pos = 0
+        self._newlines = np.concatenate(newlines)
 
-    def _line_end(self) -> int | None:
-        """The end of the line at the read position, or ``None`` if the buffer may cut it."""
-        buf, pos = self._buf, self._pos
-        newline = buf.find(b"\n", pos)
-        cr = buf.find(b"\r", pos, len(buf) if newline < 0 else newline)
-        if cr < 0:
-            return None if newline < 0 else newline + 1
-        if cr + 1 == newline:
-            return newline + 1
-        # A lone CR ends a line, unless the next block may start with its LF.
-        return cr + 1 if cr + 1 < len(buf) or self._eof else None
+    def _texts(self) -> Iterator[Iterator[str]]:
+        """The source from the read position on, as blocks of decoded whole lines.
+
+        Each block starts wherever the read position is when the previous
+        one is used up, so lines :meth:`take_spans` consumed in between are
+        never parsed.  Invalid UTF-8 raises :class:`UnicodeDecodeError`
+        once every line before it has been parsed, naming the source and
+        the line.
+        """
+        while True:
+            self._lines = None
+            cut = self._block_cut()
+            if cut == self._pos:
+                return
+            data = self._buf[self._pos:cut]
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+                if not bad:
+                    raise self._located(exc) from None
+                cut, data = self._pos + bad, data[:bad]
+                text = data.decode("utf-8")
+            lines = text.splitlines(keepends=True)
+            if len(lines) != self._count_lines(self._pos, cut):
+                # The text holds a line break of str's own (\v, \f, \x1c-\x1e,
+                # \x85, \u2028 or \u2029): split the bytes instead.
+                lines = list(map(bytes.decode, data.splitlines(keepends=True)))
+            self._lines = iter(lines)
+            self._lines_end = self._pos = cut
+            yield self._lines
+
+    def _count_lines(self, start: int, end: int) -> int:
+        """How many lines :meth:`bytes.splitlines` finds in ``_buf[start:end]``.
+
+        The span starts a line and ends one, or ends the source.
+        """
+        view = np.frombuffer(self._buf, dtype=np.uint8, count=end - start, offset=start)
+        first, last = np.searchsorted(self._newlines, (start, end))
+        newlines = self._newlines[first:last] - start
+        crlfs = np.count_nonzero(view[newlines[newlines > 0] - 1] == 13)
+        return len(newlines) + int(np.count_nonzero(view == 13)) - crlfs + (view[-1] not in (10, 13))
+
+    def _block_cut(self) -> int:
+        """The end of the next block of lines: its last line end within the block size.
+
+        A line longer than the block size widens the block; a block at the
+        source's end takes everything left.
+        """
+        size = self._block_bytes
+        while True:
+            self._fill(size)
+            end = min(len(self._buf), self._pos + size)
+            newline = self._buf.rfind(b"\n", self._pos, end)
+            if newline >= 0:
+                return newline + 1
+            # With no LF in the span, a CR followed by a byte of it is a lone CR.
+            cr = self._buf.rfind(b"\r", self._pos, end - 1)
+            if cr >= 0:
+                return cr + 1
+            if end == len(self._buf) and self._eof:
+                return end
+            size *= 2
+
+    def _located(self, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+        """``exc``, raised in a block's first line, on that line and naming where it is."""
+        data = exc.object
+        newline = data.find(b"\n")
+        cr = data.find(b"\r", 0, len(data) if newline < 0 else newline)
+        if cr >= 0 and cr + 1 != newline:
+            end = cr + 1
+        else:
+            end = len(data) if newline < 0 else newline + 1
+        return UnicodeDecodeError(
+            exc.encoding, data[:end], exc.start, exc.end,
+            f"{exc.reason} ({self._source}, line {self.line_num + 1})",
+        )
+
+    def _reclaim(self) -> None:
+        """Give the lines ``reader`` left of its block back to the byte buffer."""
+        if self._lines is not None:
+            self._pos = self._lines_end - len("".join(self._lines).encode("utf-8"))
+            self._lines = None
 
     def take_spans(self, n_lines: int, width: int, delimiter: int) -> "_FieldSpans | None":
         """Consume the next ``n_lines`` lines as field spans, or decline (``None``).
 
         Declines, consuming nothing, at the end of the source and whenever
-        :func:`_split_lines` does.
+        :func:`_split_lines` does; ``reader`` then parses the lines in
+        blocks of the declined chunk's size.  A block read without a
+        ``\\n`` (lines ending in lone CRs, or one line longer than a
+        block) declines too, so such a source is never read whole.
         """
-        while True:
-            first = int(np.searchsorted(self._newlines, self._pos))
-            if len(self._newlines) - first >= n_lines or not self._fill():
+        self._reclaim()
+        first = int(np.searchsorted(self._newlines, self._pos))
+        have = len(self._newlines) - first
+        blocks: list[tuple[bytes, np.ndarray]] = []
+        while have < n_lines and not self._eof:
+            blocks.append(self._read())
+            block, found = blocks[-1]
+            have += len(found)
+            if block and not len(found):
                 break
+        self._append(blocks)
+        first = int(np.searchsorted(self._newlines, self._pos))
         ends = self._newlines[first:first + n_lines]
         stop = int(ends[-1]) + 1 if len(ends) == n_lines else len(self._buf)
-        if stop == self._pos:
+        self._block_bytes = max(stop - self._pos, 1)
+        if stop == self._pos or (len(ends) < n_lines and not self._eof):
             return None
         spans = _split_lines(self._buf[self._pos:stop], ends - self._pos, width, delimiter)
         if spans is not None:
             self._pos = stop
-            self.line_num += spans.n_rows
+            self._split_lines += spans.n_rows
         return spans
 
 
@@ -575,8 +671,8 @@ def open_csv_chunks(
     """
     lines: _ByteLines | None = None
     if _is_binary(handle):
-        lines = _ByteLines(cast("IO[bytes]", handle), source)
-        reader = csv.reader(lines, delimiter=delimiter)
+        lines = _ByteLines(cast("IO[bytes]", handle), source, delimiter)
+        reader = lines.reader
     else:
         reader = csv.reader(cast("Iterable[str]", handle), delimiter=delimiter)
     try:

@@ -15,6 +15,7 @@ properties run 200 derandomized examples by default and 2000 with ``CI``
 set.
 """
 
+import contextlib
 import csv
 import io
 import itertools
@@ -50,10 +51,12 @@ decode_profile = settings.get_profile("csv-decode-ci" if os.environ.get("CI") el
 DELIMITERS = [",", ";", "\t", "|"]
 
 # Values the split must keep apart or hand to csv.reader: empty, one byte,
-# exactly 8 and over 8 and 16 bytes, U+00FF, a 4-byte emoji, a quote, a NUL.
+# exactly 8 and over 8 and 16 bytes, U+00FF, a 4-byte emoji, a quote, a NUL,
+# and characters str.splitlines breaks at but a CSV line does not.
 _VALUES = [
     "", "a", "b", "ab", "12345678", "123456789", "x" * 17, "ÿ", "ÿÿÿÿÿ", "🙂",
-    "a🙂b" * 3, " a ", "a\0", '"q"', 'a"b', "é" * 9,
+    "a🙂b" * 3, " a ", "a\0", '"q"', 'a"b', "é" * 9, "v\x0bw", "\x1e", "x\u2028y",
+    "\x85",
 ]
 _PLAIN = ["", "a", "b", "ab", "12345678", "123456789", "x" * 17, "ÿ", "🙂"]
 
@@ -96,7 +99,8 @@ def csv_files(draw):
     if draw(st.booleans()):
         body = b"\xef\xbb\xbf" + body
     chunk_rows = draw(st.sampled_from(sorted({1, 2, max(1, n - 1), n})))
-    return body, delimiter, sensitive, chunk_rows
+    block_bytes = draw(st.sampled_from([None, 1, 3, 16]))
+    return body, delimiter, sensitive, chunk_rows, block_bytes
 
 
 def outcome(read):
@@ -133,6 +137,18 @@ def parsed_only():
     return mock.patch.object(loaders, "_split_lines", lambda *args: None)
 
 
+@contextlib.contextmanager
+def block_size(size):
+    """Read and parse binary sources ``size`` bytes at a time (``None``: the defaults)."""
+    if size is None:
+        yield
+        return
+    with mock.patch.object(loaders, "READ_BLOCK_BYTES", size), mock.patch.object(
+        loaders, "PARSE_BLOCK_BYTES", size
+    ):
+        yield
+
+
 def first_invalid_line(body):
     """The number of the first line that is not UTF-8 (``None`` if all are)."""
     lines = re.split(rb"(?<=\n)|(?<=\r)(?!\n)", body.removeprefix(b"\xef\xbb\xbf"))
@@ -151,15 +167,16 @@ def as_text(body):
 @given(csv_files())
 @decode_profile
 def test_split_equals_parser(case):
-    body, delimiter, sensitive, chunk_rows = case
+    body, delimiter, sensitive, chunk_rows, block_bytes = case
     for read in (
         lambda source: chunk_rows_of(source, sensitive, chunk_rows, delimiter),
         lambda source: table_of(source, sensitive, delimiter),
         lambda source: index_of(source, sensitive, chunk_rows, delimiter),
     ):
-        split = outcome(lambda: read(io.BytesIO(body)))
-        with parsed_only():
-            parsed = outcome(lambda: read(io.BytesIO(body)))
+        with block_size(block_bytes):
+            split = outcome(lambda: read(io.BytesIO(body)))
+            with parsed_only():
+                parsed = outcome(lambda: read(io.BytesIO(body)))
         assert split == parsed
         bad_line = first_invalid_line(body)
         if bad_line is None:
@@ -246,6 +263,57 @@ def test_invalid_utf8_names_the_source_and_line():
     body = b"City,Disease\nOslo,Flu\nOslo,\xffFlu\n"
     with pytest.raises(UnicodeDecodeError, match=r"csv stream, line 3"):
         read_csv(io.BytesIO(body), sensitive="Disease")
+
+
+class _CountingReader(io.BytesIO):
+    """A binary source that records how far it has been read."""
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.consumed = self.tell()
+        return data
+
+
+def test_lone_cr_lines_are_read_a_block_at_a_time():
+    # Without an LF, gathering a chunk's lines would read the whole source.
+    body = b"a,b\r" + b"".join(b"x%d,y\r" % (i % 50) for i in range(20_000))
+    source = _CountingReader(body)
+    with block_size(4096):
+        chunks = ChunkedReader(source, "b", chunk_rows=100).chunks()
+        first = next(chunks)
+        assert len(first) == 100 and first._spans is None
+        assert source.consumed <= 3 * 4096
+        assert sum(map(len, chunks)) == 20_000 - 100
+
+
+def test_buffer_grows_linearly_over_a_wide_chunk():
+    # One chunk of many blocks: every block read must not copy the buffer again.
+    body = b"a,b\n" + b"".join(b"%s,%d\n" % (b"v" * 40, i % 7) for i in range(20_000))
+    joined = []
+    append = loaders._ByteLines._append
+
+    def counted(self, blocks):
+        append(self, blocks)
+        joined.append(len(self._buf))
+
+    with block_size(512), mock.patch.object(loaders._ByteLines, "_append", counted):
+        (chunk,) = ChunkedReader(io.BytesIO(body), "b", chunk_rows=20_000).chunks()
+    assert chunk._spans is not None and len(chunk) == 20_000
+    assert sum(joined) <= 2 * len(body)
+
+
+def test_quoted_chunks_read_as_the_text_stream_does():
+    table = generate_census(2000, seed=7)
+    text = io.StringIO()
+    writer = csv.writer(text, quoting=csv.QUOTE_ALL)
+    writer.writerow([*table.schema.public_names, table.schema.sensitive_name])
+    writer.writerows(table.records())
+    body = text.getvalue().encode()
+    sensitive = table.schema.sensitive_name
+    for chunk_rows in (1, 7, 500, 5000):
+        assert chunk_rows_of(io.BytesIO(body), sensitive, chunk_rows, ",") == chunk_rows_of(
+            as_text(body), sensitive, chunk_rows, ","
+        )
 
 
 def test_cursor_read_honours_size():
