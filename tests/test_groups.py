@@ -112,6 +112,15 @@ class TestColumnTotals:
                 assert totals[value].dtype == np.int64
                 assert np.array_equal(totals[value], row)
 
+    def test_sums_are_exact_past_float64_precision(self):
+        from repro.dataset.groups import GroupCounts
+
+        big = 2**53 + 1  # not a float64
+        groups = GroupCounts(np.array([[0], [0], [1]]), np.array([[big, 1], [big, 2], [1, big]]))
+        totals = groups.column_totals(0)
+        assert totals[0].tolist() == [2 * big, 3]
+        assert totals[1].tolist() == [1, big]
+
     def test_no_groups_no_totals(self):
         from repro.dataset.groups import GroupCounts
 
