@@ -196,15 +196,32 @@ class _FieldSpans:
             words[:, w] = windows[at] & _WORD_MASKS[np.clip(lengths - 8 * w, 0, 8)]
         return words.view(f"V{8 * n_words}").ravel()
 
-    def text(self, j: int, i: int) -> str:
-        """Record ``i``'s value in column ``j``."""
-        start = int(self.starts[j, i])
-        return self.data[start:start + int(self.lengths[j, i])].decode("utf-8")
+    def texts(self, j: int, rows: np.ndarray) -> list[str]:
+        """Column ``j``'s values in records ``rows``, decoded in one pass.
+
+        The fields are gathered into one buffer, NUL-separated (no field
+        holds a NUL), which is decoded once and split.  Each field is valid
+        UTF-8 on its own because the delimiters and line ends around it are
+        ASCII.
+        """
+        if len(rows) == 0:
+            return []
+        lengths = self.lengths[j, rows]
+        sizes = lengths + 1
+        ends = np.cumsum(sizes)
+        # Buffer position p of field i reads data[starts[i] + p - offset[i]];
+        # the byte after each field becomes the separator.
+        source = np.arange(int(ends[-1])) + np.repeat(
+            self.starts[j, rows] - (ends - sizes), sizes
+        )
+        joined = np.frombuffer(self.data, dtype=np.uint8)[source]
+        joined[ends - 1] = 0
+        return joined[:-1].tobytes().decode("utf-8").split("\0")
 
     def column(self, j: int) -> list[str]:
         """Column ``j``'s values as strings, each distinct field decoded once."""
         _, first, inverse = np.unique(self.keys(j), return_index=True, return_inverse=True)
-        values = np.array([self.text(j, i) for i in first.tolist()], dtype=object)
+        values = np.array(self.texts(j, first), dtype=object)
         return values[inverse].tolist()
 
 
@@ -304,10 +321,14 @@ class ColumnEncoder:
             missed = np.arange(len(keys))
         new_keys, first = np.unique(keys[missed], return_index=True)
         rows = missed[first]
+        seen = np.argsort(rows)
+        values = spans.texts(j, rows[seen])
         book = self._books[j]
+        # A value may be in the book under a key of another dtype already.
+        new = list(itertools.filterfalse(book.__contains__, values))
+        book.update(zip(new, range(len(book), len(book) + len(new)), strict=True))
         new_codes = np.empty(len(new_keys), dtype=np.int64)
-        for u in np.argsort(rows).tolist():
-            new_codes[u] = book.setdefault(spans.text(j, int(rows[u])), len(book))
+        new_codes[seen] = np.fromiter(map(book.__getitem__, values), np.int64, count=len(values))
         # ``new_keys`` come sorted: merge them in, with no sort of the whole table.
         at = np.searchsorted(known, new_keys)
         known, codes = np.insert(known, at, new_keys), np.insert(codes, at, new_codes)

@@ -38,7 +38,6 @@ repro.delta.state.StaleDeltaStateError: delta state version 2 predates the 8.0.0
 from __future__ import annotations
 
 import json
-import os
 import secrets
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -51,6 +50,7 @@ from repro.dataset.groups import GroupCounts, keys_sorted_unique
 from repro.dataset.schema import Attribute, Schema
 from repro.store.base import NS_DELTAS, StorageConnector
 from repro.store.memory import MemoryConnector
+from repro.utils.files import replace_file
 
 #: Version of the serialised state document :meth:`DeltaState.to_json` writes.
 STATE_VERSION = 3
@@ -242,8 +242,8 @@ class DeltaState:
         """Write the state as a JSON document, atomically.
 
         The document goes to a temp file beside ``path`` that replaces it
-        only once fully written, so a failure part way leaves the previous
-        state file as it was.
+        only once fully written (:func:`~repro.utils.files.replace_file`),
+        so a failure part way leaves the previous state file as it was.
         """
         target = Path(path)
         data = json.dumps(self.to_json(), separators=(",", ":")).encode("utf-8") + b"\n"
@@ -251,7 +251,7 @@ class DeltaState:
         try:
             with temp.open("xb") as handle:
                 handle.write(data)
-            os.replace(temp, target)
+            replace_file(temp, target)
         except BaseException:
             temp.unlink(missing_ok=True)
             raise
@@ -296,8 +296,7 @@ class DeltaStateStore:
 
     def version(self, name: str) -> int:
         """The store version of ``name`` (0 when it does not exist)."""
-        stored = self._store.get(NS_DELTAS, name)
-        return stored.version if stored is not None else 0
+        return self._store.version(NS_DELTAS, name)
 
     def put(
         self, name: str, state: DeltaState, expected_version: int | None = None
@@ -321,7 +320,7 @@ class DeltaStateStore:
         return self._store.keys(NS_DELTAS)
 
     def __contains__(self, name: str) -> bool:
-        return self._store.get(NS_DELTAS, name) is not None
+        return self.version(name) != 0
 
     def __getitem__(self, name: str) -> DeltaState:
         state = self.get(name)

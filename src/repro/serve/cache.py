@@ -123,12 +123,8 @@ class ResponseCache:
     def _version_of(self, name: str) -> tuple[int, int]:
         """Read ``name``'s (datasets, deltas) document versions from the store."""
         assert self._store is not None
-        dataset = self._store.get(NS_DATASETS, name)
-        delta = self._store.get(NS_DELTAS, name)
-        return (
-            dataset.version if dataset is not None else 0,
-            delta.version if delta is not None else 0,
-        )
+        with self._store.transaction() as txn:
+            return txn.version(NS_DATASETS, name), txn.version(NS_DELTAS, name)
 
     def _load_versions(self) -> None:
         assert self._store is not None

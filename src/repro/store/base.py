@@ -129,6 +129,13 @@ class StoreTransaction(abc.ABC):
         """The value and version stored under ``(namespace, key)``, or ``None``."""
 
     @abc.abstractmethod
+    def version(self, namespace: str, key: str) -> int:
+        """The version stored under ``(namespace, key)`` (0 when absent).
+
+        Equals ``get(namespace, key).version`` without decoding the document.
+        """
+
+    @abc.abstractmethod
     def keys(self, namespace: str) -> list[str]:
         """All keys in ``namespace``, sorted."""
 
@@ -263,6 +270,11 @@ class StorageConnector(abc.ABC):
         """One-shot read of a single document."""
         with self.transaction() as txn:
             return txn.get(namespace, key)
+
+    def version(self, namespace: str, key: str) -> int:
+        """One-shot read of a single document's version (0 when absent)."""
+        with self.transaction() as txn:
+            return txn.version(namespace, key)
 
     def put(
         self, namespace: str, key: str, value: Any, expected_version: int | None = None

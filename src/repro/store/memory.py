@@ -66,6 +66,12 @@ class _MemoryTransaction(StoreTransaction):
         version, text = stored
         return VersionedValue(value=decode_value(text), version=version)
 
+    def version(self, namespace: str, key: str) -> int:
+        check_names(namespace, key)
+        self._count("get")
+        stored = self._lookup(namespace, key)
+        return stored[0] if stored is not None else 0
+
     def _namespace_view(self, namespace: str) -> dict[str, tuple[int, str]]:
         view = dict(self._data.get(namespace, {}))
         for (ns, key), staged in self._staged.items():

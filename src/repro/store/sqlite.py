@@ -101,6 +101,11 @@ class _SqliteTransaction(StoreTransaction):
             return None
         return VersionedValue(value=decode_value(row[1]), version=int(row[0]))
 
+    def version(self, namespace: str, key: str) -> int:
+        check_names(namespace, key)
+        self._count("get")
+        return self._current_version(namespace, key)
+
     def keys(self, namespace: str) -> list[str]:
         check_names(namespace)
         self._count("list")

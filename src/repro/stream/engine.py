@@ -76,6 +76,7 @@ from repro.pipeline.strategy import PublishStrategy, get_strategy
 from repro.stream.index import IncrementalGroupIndex
 from repro.stream.reader import ChunkedReader
 from repro.stream.report import StreamReport
+from repro.utils.files import replace_file
 
 #: Signature of the optional progress callback: called with small JSON-ready
 #: dicts carrying a ``phase`` key as the run advances.
@@ -147,6 +148,8 @@ class _CsvSink:
     the move is a hard link, which the filesystem refuses atomically with
     :class:`FileExistsError` if the name exists by then — two jobs racing
     to one output cannot clobber each other or a file created mid-run.
+    With ``overwrite=True`` it is :func:`~repro.utils.files.replace_file`,
+    which frees a replaced file on a background thread.
 
     ``chunk_counts`` records the row count of every write, empty ones
     included: one entry per kernel chunk on the group path.  Next to it,
@@ -214,17 +217,22 @@ class _CsvSink:
             self._handle.write(data)
 
     def close(self) -> None:
-        """Flush a path output and move it into place (streams stay open)."""
+        """Flush a path output and move it into place (streams stay open).
+
+        If the flush or the move fails, the temp file is removed and the
+        target is untouched.
+        """
         if self._temp is None or self.path is None:
             return
-        self._handle.close()
-        if self._overwrite:
-            os.replace(self._temp, self.path)
-        else:
-            try:
+        try:
+            self._handle.close()
+            if self._overwrite:
+                replace_file(self._temp, self.path)
+            else:
                 os.link(self._temp, self.path)
-            finally:
-                self._temp.unlink()
+        finally:
+            # After a replace the temp name is already gone.
+            self._temp.unlink(missing_ok=True)
 
     def abort(self) -> None:
         """Discard an unpublished temp file; the target is untouched."""

@@ -242,6 +242,36 @@ def test_index_finalize_is_the_same_for_any_chunking(chunk_rows):
         assert index_of(io.BytesIO(body), sensitive, chunk_rows, ",") == expected
 
 
+def test_zip_code_column_of_50k_distinct_values_gets_csv_reader_codes():
+    # Many keys miss per chunk.  Fields over 8 bytes appear only after the
+    # first chunk, so later chunks look short values up under a second key
+    # dtype and find them in the codebook already.
+    rng = np.random.default_rng(9)
+    zips = np.concatenate([np.arange(50_000), rng.integers(0, 50_000, 30_000)])
+    rng.shuffle(zips)
+
+    def field(i, z):
+        return f"{z:05d}" if i < 10_000 or z % 7 else f"Zürich-{z:06d}"
+
+    fields = [field(i, z) for i, z in enumerate(zips.tolist())]
+    body = b"zip,sex,s\n" + "".join(
+        f"{f},{'MF'[z % 2]},s{z % 3}\n" for f, z in zip(fields, zips.tolist(), strict=True)
+    ).encode()
+
+    def codes():
+        encoder = loaders.ColumnEncoder(["zip", "sex"], "s")
+        chunks = ChunkedReader(io.BytesIO(body), "s", chunk_rows=10_000).chunks()
+        block = np.concatenate([encoder.encode(chunk) for chunk in chunks])
+        return block, encoder.finalize()
+
+    split = codes()
+    with parsed_only():
+        parsed = codes()
+    assert len(split[1].public[0].values) == len(set(fields)) > 50_000
+    assert np.array_equal(split[0], parsed[0])
+    assert split[1] == parsed[1]
+
+
 def test_split_chunk_decodes_its_strings_on_demand():
     body = "City,Disease\nOslo,Flu\nTromsø,Cold\nOslo,Flu\n".encode()
     (chunk,) = ChunkedReader(io.BytesIO(body), "Disease").chunks()

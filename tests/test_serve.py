@@ -1,5 +1,6 @@
 """Unit tests for the serving layer: response cache and bounded dispatcher."""
 
+import json
 import threading
 import time
 
@@ -137,6 +138,26 @@ class TestResponseCacheAttached:
         service.register_synthetic("d", "adult", n_records=200, seed=2, replace=True)
         after = cache.key("audit", "d", {})
         assert before != after
+        service.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_invalidation_reads_versions_without_decoding(
+        self, backend, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "serve.db" if backend == "sqlite" else None
+        service = AnonymizationService(snapshot_path=path)
+        cache = ResponseCache().attach(service)
+        service.register_synthetic("d", "adult", n_records=200, seed=1)
+        decoded: list[str] = []
+
+        def counting_decode(text):
+            decoded.append(text)
+            return json.loads(text)
+
+        monkeypatch.setattr("repro.store.memory.decode_value", counting_decode)
+        monkeypatch.setattr("repro.store.sqlite.decode_value", counting_decode)
+        cache.invalidate("d")
+        assert decoded == []
         service.close()
 
     def test_stats_folds_in_the_cache_block(self):

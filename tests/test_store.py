@@ -59,6 +59,24 @@ class TestConnectorContract:
         assert store.put("ns", "k", [1, 2]) == 2
         assert store.get("ns", "k").value == [1, 2]
 
+    def test_version_equals_get_version_without_decoding(self, store, monkeypatch):
+        assert store.version("ns", "k") == 0  # missing key
+        store.put("ns", "k", {"a": 1})
+        store.put("ns", "k", {"a": 2})
+        assert store.version("ns", "k") == store.get("ns", "k").version == 2
+        with store.transaction(write=True) as txn:
+            txn.put("ns", "staged", 1)
+            assert txn.version("ns", "staged") == txn.get("ns", "staged").version == 1
+        store.delete("ns", "k")
+        assert store.version("ns", "k") == 0
+
+        def no_decode(text):
+            raise AssertionError("version() decoded a document")
+
+        monkeypatch.setattr("repro.store.memory.decode_value", no_decode)
+        monkeypatch.setattr("repro.store.sqlite.decode_value", no_decode)
+        assert store.version("ns", "staged") == 1
+
     def test_canonical_json_semantics(self, store):
         # Tuples become lists and non-string keys become strings in every
         # backend, so payloads are portable across connectors.
