@@ -33,10 +33,9 @@ algorithm, together with every substrate the evaluation depends on:
   byte-identical to a full re-publish of the combined data;
 * durable pluggable storage (:mod:`repro.store`) behind the service and
   delta layers: a transactional, optimistically-versioned connector
-  contract with SQLite (durable default) and in-memory backends (legacy
-  JSON snapshots migrate to SQLite on open) — every mutation commits
-  write-through, so ``kill -9`` loses nothing and a restart resumes where
-  the process died.
+  contract with SQLite (durable default) and in-memory backends — every
+  mutation commits write-through, so ``kill -9`` loses nothing and a
+  restart resumes where the process died.
 
 Quickstart::
 
@@ -81,7 +80,7 @@ from repro.delta import (
 from repro.queries.workload import WorkloadConfig, generate_workload
 from repro.queries.count_query import CountQuery, answer_on_perturbed, answer_on_raw
 
-__version__ = "11.2.0"
+__version__ = "12.0.0"
 
 __all__ = [
     "PrivacySpec",

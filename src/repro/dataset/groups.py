@@ -276,12 +276,6 @@ class PersonalGroup:
             return 0.0
         return float(self.sensitive_counts.max() / self.sensitive_counts.sum())
 
-    def decoded_key(self, table: Table) -> tuple[str, ...]:
-        """Return the group's NA key as human-readable strings."""
-        return tuple(
-            attr.decode(code) for attr, code in zip(table.schema.public, self.key, strict=True)
-        )
-
 
 class GroupIndex:
     """Partition of a table into personal groups keyed by the full NA tuple.
@@ -332,25 +326,6 @@ class GroupIndex:
             return None
         matches = np.flatnonzero((self.groups.keys == codes).all(axis=1))
         return self._view(int(matches[0]), codes) if matches.size else None
-
-    def group_of_record(self, row: int) -> PersonalGroup:
-        """Return the personal group containing table row ``row``."""
-        group = self.get(self._table.public_codes[row].tolist())
-        if group is None:
-            raise KeyError(f"row {row} not indexed")
-        return group
-
-    def group_for_values(self, conditions: Mapping[str, str]) -> PersonalGroup | None:
-        """Return the personal group matching string values for *every* public attribute."""
-        schema = self._table.schema
-        if set(conditions) != set(schema.public_names):
-            raise ValueError(
-                "a personal group requires a value for every public attribute; "
-                "use aggregate_group() for partial conditions"
-            )
-        return self.get(
-            [schema.public_attribute(name).encode(conditions[name]) for name in schema.public_names]
-        )
 
     def sizes(self) -> np.ndarray:
         """Array of group sizes ``|g|`` in iteration order."""

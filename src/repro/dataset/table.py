@@ -158,10 +158,6 @@ class Table:
             raise SchemaError("cannot concatenate tables with different schemas")
         return Table(self._schema, np.vstack([self._codes, other._codes]))
 
-    def with_schema(self, schema: Schema, codes: np.ndarray) -> "Table":
-        """Return a new table over ``schema`` with the given codes (used by generalisation)."""
-        return Table(schema, codes)
-
     # ------------------------------------------------------------------ #
     # Matching and counting
     # ------------------------------------------------------------------ #

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import secrets
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -177,10 +177,6 @@ class DeltaState:
     def n_groups(self) -> int:
         """Number of distinct personal groups."""
         return len(self.groups)
-
-    def with_output(self, output: str) -> "DeltaState":
-        """A copy of the state pointing at a different published file."""
-        return replace(self, output=output)
 
     def to_json(self) -> dict[str, Any]:
         """JSON-ready ``state_version`` 3 dict (inverse of :meth:`from_json`)."""

@@ -1,4 +1,7 @@
-"""The repo-contract rules (``RPR001``–``RPR008``; ``RPR003`` retired in 9.0.0).
+"""The repo-contract rules (``RPR001``–``RPR007``; ``RPR003`` retired in 9.0.0).
+
+``RPR008`` (snapshot bypass) was retired in 12.0.0 with the JSON snapshot
+code it guarded; retired codes are not reused.
 
 Each rule encodes one invariant the byte-identity test suite otherwise only
 checks dynamically; ``docs/static-analysis.md`` documents every code with an
@@ -660,53 +663,4 @@ class DeltaDeterminismRule(Rule):
                     f"delta engine calls {last}(), a full-table group-index "
                     "rebuild; index the appended rows only with "
                     "IncrementalGroupIndex and merge into the stored GroupCounts",
-                )
-
-
-# --------------------------------------------------------------------- #
-# RPR008 — storage goes through a connector
-# --------------------------------------------------------------------- #
-
-
-@register_rule
-class SnapshotBypassRule(Rule):
-    """RPR008: service state persists through a StorageConnector, nothing else.
-
-    ``save_snapshot``/``load_snapshot`` are the pre-connector persistence
-    entry points, kept in :mod:`repro.store.legacy` only for backwards
-    compatibility.  Calling them anywhere else reintroduces the
-    save-at-shutdown model the store was built to replace: state written
-    that way has no versioning, no counters and no crash-safety between
-    saves, so a ``kill -9`` silently loses everything since the last call.
-    Open a connector (:func:`repro.store.open_store`) and write through it
-    instead.
-    """
-
-    code = "RPR008"
-    name = "snapshot-bypass"
-    description = (
-        "save_snapshot/load_snapshot are legacy compat shims; persist "
-        "through a repro.store connector (open_store) instead"
-    )
-
-    _FORBIDDEN = frozenset({"save_snapshot", "load_snapshot"})
-    _ALLOWED_MODULE = "repro.store.legacy"
-
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
-        if not module.name.startswith("repro"):
-            return
-        if module.name == self._ALLOWED_MODULE:
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = _resolve_call_target(module, node)
-            last = (target or "").rsplit(".", 1)[-1]
-            if last in self._FORBIDDEN:
-                yield self.finding(
-                    module, node.lineno, node.col_offset,
-                    f"{last}() bypasses the storage connector; every "
-                    "mutation must persist write-through via "
-                    "repro.store.open_store (the legacy shims live in "
-                    "repro.store.legacy for compatibility only)",
                 )

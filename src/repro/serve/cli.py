@@ -25,6 +25,7 @@ from repro.serve.frontend import ServingFrontend
 from repro.serve.queue import DEFAULT_QUEUE_LIMIT, DEFAULT_RETRY_AFTER, DEFAULT_WORKERS
 from repro.service.engine import AnonymizationService
 from repro.service.registry import ServiceError
+from repro.store import StoreError
 
 _log = logging.getLogger("repro.serve")
 
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "SQLite state file (a legacy JSON snapshot migrates in place); "
+            "SQLite state file (a pre-12.0.0 JSON snapshot is refused); "
             "datasets, jobs and cached responses persist write-through"
         ),
     )
@@ -105,7 +106,7 @@ def serve(
     """
     try:
         service = AnonymizationService(snapshot_path=store)
-    except ServiceError as exc:
+    except (ServiceError, StoreError) as exc:
         _log.error("error: %s", exc)
         return 2
     frontend = ServingFrontend(

@@ -73,11 +73,16 @@ def _as_float(value: Any, name: str) -> float:
         raise ServiceError(f"{name!r} must be a number, got {value!r}") from None
 
 
-def _workers_field(body: dict[str, Any]) -> Any:
-    """The request's worker count: ``workers``, or legacy ``max_workers``."""
-    if "workers" in body:
-        return body["workers"]
-    return body.get("max_workers", 1)
+def _refuse_renamed(args: dict[str, Any], old: str, new: str) -> None:
+    """Reject a field renamed in 12.0.0 rather than silently use the default."""
+    if old in args:
+        raise ServiceError(f"{old!r} was renamed to {new!r} in 12.0.0")
+
+
+def _workers_field(body: dict[str, Any]) -> int:
+    """The request's worker count (``workers``, default 1)."""
+    _refuse_renamed(body, "max_workers", "workers")
+    return _as_int(body.get("workers", 1), "workers")
 
 
 class _LimitedReader(io.RawIOBase):
@@ -321,7 +326,7 @@ class ServiceRouter:
             name,
             rows=rows,
             source=str(source) if source is not None else None,
-            workers=_as_int(_workers_field(body), "workers"),
+            workers=_workers_field(body),
         )
         return _json_result(record.to_json(), status=201)
 
@@ -354,7 +359,7 @@ class ServiceRouter:
                 seed=_as_int(body.get("seed", 0), "seed"),
                 chunk_size=_as_int(body.get("chunk_size", DEFAULT_CHUNK_SIZE), "chunk_size"),
                 chunk_rows=_as_int(chunk_rows, "chunk_rows") if chunk_rows is not None else None,
-                workers=_as_int(_workers_field(body), "workers"),
+                workers=_workers_field(body),
                 replace=bool(body.get("replace", False)),
             )
             return _json_result(record.to_json(), status=201)
@@ -386,7 +391,7 @@ class ServiceRouter:
                 seed=_as_int(body.get("seed", 0), "seed"),
                 chunk_size=_as_int(body.get("chunk_size", DEFAULT_CHUNK_SIZE), "chunk_size"),
                 chunk_rows=_as_int(chunk_rows, "chunk_rows") if chunk_rows is not None else None,
-                workers=_as_int(_workers_field(body), "workers"),
+                workers=_workers_field(body),
                 output=output,
             )
             return _json_result(record.to_json(), status=201)
@@ -399,7 +404,7 @@ class ServiceRouter:
             params=params,
             seed=_as_int(body.get("seed", 0), "seed"),
             chunk_size=_as_int(body.get("chunk_size", DEFAULT_CHUNK_SIZE), "chunk_size"),
-            max_workers=_as_int(_workers_field(body), "workers"),
+            max_workers=_workers_field(body),
         )
         return _json_result(record.to_json(), status=201)
 
@@ -501,9 +506,10 @@ def _audit_params(args: dict[str, Any]) -> tuple[str, dict[str, float]]:
     """Resolve an audit request's arguments to ``(dataset, spec params)``.
 
     The resolved params are the cache key's parameter slot: defaults applied,
-    the legacy ``p`` alias folded in, every value coerced to float — so
-    ``?lam=0.3`` and an omitted ``lam`` key the same response.
+    every value coerced to float — so ``?lam=0.3`` and an omitted ``lam`` key
+    the same response.
     """
+    _refuse_renamed(args, "p", "retention_probability")
     dataset = args.get("dataset")
     if not dataset:
         raise ServiceError("audit requires a 'dataset' argument")
@@ -511,8 +517,7 @@ def _audit_params(args: dict[str, Any]) -> tuple[str, dict[str, float]]:
         "lam": _as_float(args.get("lam", 0.3), "lam"),
         "delta": _as_float(args.get("delta", 0.3), "delta"),
         "retention_probability": _as_float(
-            args.get("retention_probability", args.get("p", 0.5)),
-            "retention_probability",
+            args.get("retention_probability", 0.5), "retention_probability"
         ),
     }
 

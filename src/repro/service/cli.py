@@ -1,10 +1,9 @@
 """Command-line front end: the same verbs as the HTTP API.
 
 State persists between invocations through ``--store PATH`` — a durable
-SQLite store; a legacy JSON snapshot there migrates in place (see
-``docs/storage.md``) — so a shell session can register once and publish
-many times, mirroring the service's register-once/publish-many lifecycle
-without a running server::
+SQLite store (see ``docs/storage.md``) — so a shell session can register
+once and publish many times, mirroring the service's register-once/
+publish-many lifecycle without a running server::
 
     repro-service register demo --synthetic adult --rows 100000 --store state.db
     repro-service publish --dataset demo --backend sps --seed 7 --store state.db
@@ -36,6 +35,7 @@ from repro.pipeline.execution import DEFAULT_CHUNK_SIZE
 from repro.serve.cli import serve
 from repro.service.engine import AnonymizationService, backend_defaults
 from repro.service.registry import ServiceError
+from repro.store import StoreError
 
 _log = logging.getLogger("repro.service")
 
@@ -63,7 +63,7 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         default=None,
         help=(
-            "SQLite state file (a legacy JSON snapshot migrates in place); "
+            "SQLite state file (a pre-12.0.0 JSON snapshot is refused); "
             "every mutation persists write-through"
         ),
     )
@@ -177,7 +177,11 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "serve":
         return serve(args.store, args.host, args.port)
 
-    service = AnonymizationService(snapshot_path=args.store)
+    try:
+        service = AnonymizationService(snapshot_path=args.store)
+    except StoreError as exc:
+        _log.error("error: %s", exc)
+        return 2
     try:
         return _run_command(service, args)
     finally:

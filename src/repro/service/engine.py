@@ -237,9 +237,9 @@ class AnonymizationService:
     Parameters
     ----------
     snapshot_path:
-        Optional store path, opened as a durable SQLite store; a legacy
-        JSON snapshot found there migrates to SQLite in place on first open.
-        ``None`` keeps all state in memory.
+        Optional store path, opened as a durable SQLite store by
+        :func:`~repro.store.open_store` (which refuses a pre-12.0.0 JSON
+        snapshot).  ``None`` keeps all state in memory.
     store:
         An already-constructed connector; overrides ``snapshot_path``-based
         backend resolution (used by tests and embedders).

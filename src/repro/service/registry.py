@@ -351,11 +351,6 @@ class JobStore:
         """Allocate the next id from the store's durable, race-free counter."""
         return f"job-{self._store.next_value(COUNTER_JOB_IDS):04d}"
 
-    @property
-    def last_job_number(self) -> int:
-        """The highest job number issued so far (0 when none)."""
-        return self._store.peek(COUNTER_JOB_IDS)
-
     def add(self, record: JobRecord) -> None:
         """Insert or overwrite a record, persist it, and cap resident tables."""
         with self._lock:

@@ -14,15 +14,13 @@ Two backends implement it:
            for tests and store-less services.
 ========== ==================================================================
 
-:func:`open_store` opens SQLite for any path (memory for none).  A legacy
-JSON snapshot found at the path — whatever its suffix — migrates to SQLite
-in place on first open (:mod:`repro.store.legacy` reads it; the original is
-kept as ``<name>.pre-store.json``).
+:func:`open_store` opens SQLite for any path (memory for none).  It refuses
+a pre-12.0.0 JSON snapshot at the path, whatever its suffix, and leaves the
+file as it was: repro 11.2.0 is the last release that migrates one.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 from repro.store.base import (
@@ -38,7 +36,6 @@ from repro.store.base import (
     VersionedValue,
     copy_store,
 )
-from repro.store.legacy import is_json_snapshot, load_snapshot_store
 from repro.store.memory import MemoryConnector
 from repro.store.sqlite import SqliteConnector, is_sqlite_file
 
@@ -56,66 +53,38 @@ __all__ = [
     "VersionConflictError",
     "VersionedValue",
     "copy_store",
-    "migrate_json_to_sqlite",
     "open_store",
 ]
-
-
-def migrate_json_to_sqlite(
-    json_path: str | Path, sqlite_path: str | Path | None = None
-) -> SqliteConnector:
-    """Migrate a JSON snapshot into a SQLite store; returns the open store.
-
-    Documents, versions and counters are copied exactly, so optimistic
-    writers and the job-id sequence carry on seamlessly.  When
-    ``sqlite_path`` is omitted the SQLite store replaces the JSON file *at
-    the same path*: the database is built beside it first, the original is
-    kept as ``<name>.pre-store.json``, and only then does an atomic rename
-    put the database in place — a crash mid-migration never loses the
-    snapshot.
-    """
-    source_path = Path(json_path)
-    in_place = sqlite_path is None
-    target_path = Path(sqlite_path) if sqlite_path is not None else source_path
-    build_path = (
-        target_path.with_suffix(target_path.suffix + ".migrating")
-        if in_place
-        else target_path
-    )
-    source = load_snapshot_store(source_path)
-    try:
-        if build_path.exists():
-            build_path.unlink()
-        target = SqliteConnector(build_path)
-        target.open()
-        try:
-            copy_store(source, target)
-        finally:
-            target.close()
-    finally:
-        source.close()
-    if in_place:
-        backup = source_path.with_suffix(source_path.suffix + ".pre-store.json")
-        os.replace(source_path, backup)
-        os.replace(build_path, target_path)
-    migrated = SqliteConnector(target_path)
-    migrated.open()
-    return migrated
 
 
 def open_store(path: str | Path | None = None) -> StorageConnector:
     """Open a storage connector for ``path``; returns it already opened.
 
     ``path is None`` gives a fresh in-memory store; any path gives SQLite.
-    An existing file is sniffed: a SQLite database opens as is, a legacy
-    JSON snapshot migrates to SQLite in place first, anything else is
-    rejected.
+    A missing or zero-byte file becomes a new store and a SQLite database
+    opens as is.  Any other file is refused with :class:`StoreError` and left
+    untouched; a pre-12.0.0 JSON snapshot gets a message naming 11.2.0, the
+    last release that migrates one.
     """
     if path is None:
         return MemoryConnector().open()
     target = Path(path)
-    if is_json_snapshot(target):
-        return migrate_json_to_sqlite(target)
     if target.exists() and not is_sqlite_file(target):
-        raise StoreError(f"{target} is neither a SQLite store nor a JSON snapshot")
+        if _is_json_snapshot(target):
+            raise StoreError(
+                f"{target} looks like a pre-12.0.0 JSON snapshot, which 12.0.0 "
+                "no longer migrates; open it once with repro 11.2.0 to migrate "
+                "it to SQLite in place, then use it here"
+            )
+        if not target.is_file() or target.stat().st_size:
+            raise StoreError(f"{target} is not a SQLite store")
     return SqliteConnector(target).open()
+
+
+def _is_json_snapshot(path: Path) -> bool:
+    """Whether ``path`` is a file whose first non-blank byte is ``{``."""
+    try:
+        with path.open("rb") as handle:
+            return handle.read(64).lstrip().startswith(b"{")
+    except OSError:
+        return False

@@ -35,8 +35,8 @@ from repro.obs.metrics import STORE_OPS, STORE_TXNS
 from repro.obs.trace import span
 
 
-#: Well-known namespaces of the service layers (shared by the legacy
-#: snapshot migration, the registries and the delta store).
+#: Well-known namespaces of the service layers (shared by the registries
+#: and the delta store).
 NS_DATASETS = "datasets"
 NS_DATASET_CACHES = "dataset_caches"
 NS_JOBS = "jobs"
@@ -183,16 +183,16 @@ class StoreTransaction(abc.ABC):
 
     @abc.abstractmethod
     def restore(self, namespace: str, key: str, value: Any, version: int) -> None:
-        """Write a document at an exact version (migration/copy only).
+        """Write a document at an exact version (copy only).
 
         Unlike :meth:`put`, this does not bump the version — it reproduces
         the source store's version so optimistic writers carry on seamlessly
-        after a migration.
+        against a copy.
         """
 
     @abc.abstractmethod
     def set_counter(self, counter: str, value: int) -> None:
-        """Set a counter to an absolute value (migration/copy only)."""
+        """Set a counter to an absolute value (copy only)."""
 
 
 class StorageConnector(abc.ABC):
@@ -321,7 +321,7 @@ def copy_store(source: StorageConnector, target: StorageConnector) -> None:
 
     Versions are reproduced exactly (via :meth:`StoreTransaction.restore`),
     so optimistic writers that read before the copy still conflict correctly
-    against the copy — this is what backs the JSON→SQLite migration.
+    against the copy — this is what backs ``AnonymizationService.save``'s export.
     """
     with source.transaction() as src:
         payload = [

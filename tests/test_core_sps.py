@@ -35,7 +35,7 @@ class TestSpsGroup:
 
     def test_large_group_sampled_to_threshold(self, skewed_binary_table, binary_spec):
         index = personal_groups(skewed_binary_table)
-        group = index.group_for_values({"Group": "a"})
+        group = index.get([skewed_binary_table.schema.public_attribute("Group").encode("a")])
         threshold = max_group_size(binary_spec, group.max_frequency)
         assert group.size > threshold  # precondition for the test
         codes, record = _one_group(group, binary_spec, default_rng(1))

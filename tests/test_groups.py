@@ -7,6 +7,12 @@ from repro.dataset.groups import aggregate_group, personal_groups
 from repro.dataset.table import Table
 
 
+def _key(table, **values):
+    """The encoded NA key of the given public values, in the order given."""
+    schema = table.schema
+    return [schema.public_attribute(name).encode(values[name]) for name in values]
+
+
 class TestGroupIndex:
     def test_number_of_groups(self, small_table):
         index = personal_groups(small_table)
@@ -18,7 +24,7 @@ class TestGroupIndex:
 
     def test_group_lookup_by_values(self, small_table):
         index = personal_groups(small_table)
-        group = index.group_for_values({"Gender": "male", "Job": "eng"})
+        group = index.get(_key(small_table, Gender="male", Job="eng"))
         assert group is not None
         assert group.size == 8
         assert group.sensitive_counts[0] == 6
@@ -26,30 +32,19 @@ class TestGroupIndex:
 
     def test_group_lookup_requires_all_public_attributes(self, small_table):
         index = personal_groups(small_table)
-        with pytest.raises(ValueError):
-            index.group_for_values({"Job": "eng"})
+        assert index.get(_key(small_table, Job="eng")) is None
 
     def test_missing_group_returns_none(self, small_table):
         index = personal_groups(small_table)
-        assert index.group_for_values({"Gender": "female", "Job": "artist"}) is None
-
-    def test_group_of_record(self, small_table):
-        index = personal_groups(small_table)
-        group = index.group_of_record(0)
-        assert tuple(small_table.public_codes[0]) == group.key
+        assert index.get(_key(small_table, Gender="female", Job="artist")) is None
 
     def test_frequencies_and_max_frequency(self, small_table):
         index = personal_groups(small_table)
-        group = index.group_for_values({"Gender": "male", "Job": "eng"})
+        group = index.get(_key(small_table, Gender="male", Job="eng"))
         assert group.frequencies[0] == pytest.approx(0.75)
         assert group.max_frequency == pytest.approx(0.75)
-        pure = index.group_for_values({"Gender": "male", "Job": "lawyer"})
+        pure = index.get(_key(small_table, Gender="male", Job="lawyer"))
         assert pure.max_frequency == pytest.approx(1.0)
-
-    def test_decoded_key(self, small_table):
-        index = personal_groups(small_table)
-        group = index.group_for_values({"Gender": "female", "Job": "eng"})
-        assert group.decoded_key(small_table) == ("female", "eng")
 
     def test_average_group_size(self, small_table):
         index = personal_groups(small_table)

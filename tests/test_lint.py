@@ -376,58 +376,6 @@ def test_rpr007_suppression(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# RPR008 — snapshot bypass
-# --------------------------------------------------------------------- #
-
-def test_rpr008_flags_snapshot_calls_outside_legacy(tmp_path):
-    result = lint(tmp_path, {"service/persist.py": """\
-        from repro.store.legacy import load_snapshot, save_snapshot
-
-        def checkpoint(path, datasets, jobs):
-            save_snapshot(path, datasets, jobs)
-
-        def restore(path):
-            return load_snapshot(path)
-    """}, select=["RPR008"])
-    assert codes(result) == ["RPR008", "RPR008"]
-    assert "storage connector" in result.findings[0].message
-
-
-def test_rpr008_allows_legacy_module_and_connector_usage(tmp_path):
-    result = lint(tmp_path, {
-        # The shims' home module may of course define and call them.
-        "store/legacy.py": """\
-            def save_snapshot(path, datasets, jobs):
-                pass
-
-            def _self_test(path):
-                save_snapshot(path, None, None)
-        """,
-        # The sanctioned pattern: persist through a connector.
-        "service/persist2.py": """\
-            from repro.store import open_store
-
-            def checkpoint(path, payload):
-                store = open_store(path)
-                store.put("datasets", "demo", payload)
-                store.close()
-        """,
-    }, select=["RPR008"])
-    assert codes(result) == []
-
-
-def test_rpr008_suppression(tmp_path):
-    result = lint(tmp_path, {"service/persist.py": """\
-        from repro.store.legacy import save_snapshot
-
-        def checkpoint(path, datasets, jobs):
-            save_snapshot(path, datasets, jobs)  # repro-lint: ignore[RPR008]
-    """}, select=["RPR008"])
-    assert codes(result) == []
-    assert result.suppressed == 1
-
-
-# --------------------------------------------------------------------- #
 # Suppressions
 # --------------------------------------------------------------------- #
 
@@ -505,14 +453,20 @@ def test_findings_are_sorted_and_render_with_anchors(tmp_path):
     assert all(":" in line and "RPR001" in line for line in rendered)
 
 
+#: Rule codes retired with the code they guarded; ``--select`` rejects them.
+RETIRED_CODES = ("RPR003", "RPR008")
+
+
 def test_rule_registry_covers_contract_codes():
     # Importing repro.lint.rules registers the full contract set.
     import repro.lint.rules  # noqa: F401
 
-    # RPR003 (kernel picklability) was retired in 9.0.0 with the process
-    # pool it guarded; the remaining codes keep their numbers.
-    assert {f"RPR00{i}" for i in range(1, 9) if i != 3} <= set(RULES)
-    assert "RPR003" not in RULES
+    # Retired codes are not reused and the remaining codes keep their
+    # numbers: RPR003 (kernel picklability) went in 9.0.0 with the process
+    # pool it guarded, RPR008 (snapshot bypass) in 12.0.0 with the JSON
+    # snapshot code it guarded.
+    assert {f"RPR00{i}" for i in range(1, 8)} - set(RETIRED_CODES) <= set(RULES)
+    assert not set(RETIRED_CODES) & set(RULES)
     for rule in RULES.values():
         assert rule.code and rule.name and rule.description
 
@@ -567,8 +521,9 @@ def test_cli_missing_path_is_usage_error(tmp_path, capsys):
 
 def test_cli_unknown_rule_code_is_usage_error(tmp_path, capsys):
     root = _write_fixture(tmp_path, "x = 1\n")
-    assert main([str(root), "--select", "RPR999"]) == 2
-    assert "RPR999" in capsys.readouterr().err
+    for code in ("RPR999", *RETIRED_CODES):
+        assert main([str(root), "--select", code]) == 2
+        assert code in capsys.readouterr().err
 
 
 def test_cli_list_rules_and_version(capsys):

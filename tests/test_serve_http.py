@@ -135,6 +135,23 @@ class TestResponseCaching:
         assert headers["X-Cache"] == "hit"  # same resolved params, same key
         assert body == warm_body
 
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_spelled_out_retention_probability_shares_the_default_key(
+        self, frontend, method
+    ):
+        url = f"{frontend.base_url}/audit?dataset=adult"
+        get(url)
+        _, _, warm_body = get(url)
+        if method == "GET":
+            _, headers, body = get(f"{url}&retention_probability=0.5")
+        else:
+            _, headers, body = post_json(
+                f"{frontend.base_url}/audit",
+                {"dataset": "adult", "retention_probability": 0.5},
+            )
+        assert headers["X-Cache"] == "hit"  # 0.5 is the default: same key
+        assert body == warm_body
+
     def test_distinct_params_get_distinct_entries(self, frontend):
         base = f"{frontend.base_url}/audit?dataset=adult"
         get(base)

@@ -1,10 +1,16 @@
 """Tests for the ``python -m repro.service`` command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.service.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv: str) -> dict | list:
@@ -98,6 +104,12 @@ class TestCli:
         assert jobs[0]["status"] == "failed"
         assert "lambda" in jobs[0]["error"]
 
+    def test_zero_byte_store_file_is_a_new_store(self, capsys, tmp_path):
+        path = tmp_path / "fresh.db"
+        path.write_bytes(b"")
+        assert run_cli(capsys, "datasets", "--store", str(path)) == []
+        assert path.read_bytes().startswith(b"SQLite format 3\x00")
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
@@ -118,3 +130,41 @@ class TestCli:
             experiments_main(["--version"])
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+class TestUnopenableStore:
+    """A ``--store`` file that is not a SQLite store is one error line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\x00\x01 not a store",
+            json.dumps({"version": 1, "datasets": {}, "jobs": [], "next_job_id": 3}).encode(),
+        ],
+        ids=["not-sqlite", "v1-snapshot"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["repro.service", "datasets"], ["repro.serve", "--port", "0"]],
+        ids=["repro-service", "repro-serve"],
+    )
+    def test_refused_store_is_one_error_line(self, tmp_path, command, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        existing = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + existing if existing else "")}
+        result = subprocess.run(
+            [sys.executable, "-m", *command, "--store", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"{command[0]}: error: ")
+        if content.startswith(b"{"):
+            assert "11.2.0" in line
+        assert path.read_bytes() == content
+        assert [entry.name for entry in tmp_path.iterdir()] == ["bad.json"]

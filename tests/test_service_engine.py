@@ -1,5 +1,7 @@
 """Tests for the service engine: deterministic parallelism, caching, jobs, snapshots."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from repro.pipeline.execution import chunk_items, chunk_rng, chunk_rngs
 from repro.pipeline.strategy import SPSStrategy
 from repro.service.engine import AnonymizationService
 from repro.service.registry import NotFoundError, ServiceError
-from repro.store import NS_JOBS, VersionConflictError
+from repro.store import NS_JOBS, StoreError, VersionConflictError
 
 
 @pytest.fixture()
@@ -304,6 +306,15 @@ class TestSnapshots:
         # Job ids continue after the restored history.
         next_record = restored.publish("skewed", "uniform", seed=0)
         assert next_record.job_id != record.job_id
+
+    def test_save_onto_json_snapshot_refused_untouched(self, tmp_path, service):
+        target = tmp_path / "old.json"
+        target.write_text(json.dumps({"store_version": 2, "namespaces": {}, "counters": {}}))
+        before = target.read_bytes()
+        with pytest.raises(StoreError, match="11.2.0"):
+            service.save(target)
+        assert target.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["old.json"]
 
     def test_save_without_path_rejected(self, service):
         with pytest.raises(ServiceError, match="no snapshot path"):

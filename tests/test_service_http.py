@@ -97,7 +97,7 @@ class TestEndToEnd:
         # Publish through two backends.
         job = post_json(
             f"{server_url}/publish",
-            {"dataset": "up", "backend": "sps", "seed": 3, "max_workers": 2},
+            {"dataset": "up", "backend": "sps", "seed": 3, "workers": 2},
         )
         assert job["status"] == "completed"
         assert job["published_records"] > 0
@@ -125,7 +125,7 @@ class TestEndToEnd:
 
         # Audit via GET query parameters and POST JSON give the same answer.
         audit_get = get_json(
-            f"{server_url}/audit?dataset=up&lam=0.3&delta=0.3&p=0.5"
+            f"{server_url}/audit?dataset=up&lam=0.3&delta=0.3&retention_probability=0.5"
         )
         audit_post = post_json(
             f"{server_url}/audit",
@@ -224,6 +224,61 @@ class TestErrorHandling:
             headers={"Content-Type": "application/json"},
         )
         assert "unknown backend" in body["error"]
+
+    @pytest.mark.parametrize(
+        ("method", "target", "payload", "renamed"),
+        [
+            ("POST", "/publish", {"dataset": "up", "backend": "sps", "max_workers": 2}, "workers"),
+            (
+                "POST",
+                "/publish",
+                {"stream": True, "source": "in.csv", "sensitive": "Income",
+                 "backend": "sps", "max_workers": 2},
+                "workers",
+            ),
+            (
+                "POST",
+                "/publish",
+                {"delta": True, "name": "live", "source": "in.csv", "sensitive": "Income",
+                 "backend": "sps", "output": "out.csv", "max_workers": 2},
+                "workers",
+            ),
+            (
+                "POST",
+                "/datasets/up/rows",
+                {"rows": [["eng", "c1", "low"]], "max_workers": 2},
+                "workers",
+            ),
+            ("GET", "/audit?dataset=up&p=0.5", None, "retention_probability"),
+            ("POST", "/audit", {"dataset": "up", "p": 0.5}, "retention_probability"),
+        ],
+        ids=[
+            "publish-body-max_workers",
+            "stream-body-max_workers",
+            "delta-body-max_workers",
+            "append-body-max_workers",
+            "audit-query-p",
+            "audit-body-p",
+        ],
+    )
+    def test_field_renamed_in_12_is_400_naming_new_field(
+        self, server_url, method, target, payload, renamed
+    ):
+        # The old spelling must not silently run with the default.
+        post(
+            f"{server_url}/datasets?name=up&sensitive=Income",
+            CSV_BODY.encode(),
+            "text/csv",
+        )
+        body = self.expect_status(
+            f"{server_url}{target}",
+            400,
+            method=method,
+            data=json.dumps(payload).encode() if payload is not None else None,
+            headers={"Content-Type": "application/json"},
+        )
+        assert f"renamed to {renamed!r} in 12.0.0" in body["error"]
+        assert get_json(f"{server_url}/jobs") == []
 
     def test_invalid_json_body_400(self, server_url):
         self.expect_status(

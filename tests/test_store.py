@@ -1,10 +1,10 @@
 """Unit and concurrency tests of the ``repro.store`` connectors.
 
 Covers the connector contract (transactions, optimistic versioning, typed
-conflicts, counters) uniformly across the SQLite and memory backends and a
-store migrated from a legacy JSON snapshot; SQLite-specific concurrency (threads and processes hammering one
-database file with no lost updates); backend resolution and the legacy
-JSON→SQLite migration; and service-level restart persistence (datasets,
+conflicts, counters) uniformly across the SQLite and memory backends;
+SQLite-specific concurrency (threads and processes hammering one database
+file with no lost updates); backend resolution and the refusal of
+pre-12.0.0 JSON snapshots; and service-level restart persistence (datasets,
 jobs, group-index caches and delta states reloading from one store).
 """
 
@@ -12,38 +12,30 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import sqlite3
+import os
+import tempfile
 import threading
 
 import pytest
 
 from repro.store import (
     COUNTER_JOB_IDS,
-    NS_DATASETS,
     MemoryConnector,
     SqliteConnector,
     StoreError,
     VersionConflictError,
     copy_store,
-    migrate_json_to_sqlite,
     open_store,
 )
 
 
-@pytest.fixture(params=["memory", "sqlite", "json"])
+@pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
-    """One open connector per backend; closed after the test.
-
-    ``json`` is the store a legacy (empty) JSON snapshot migrates into.
-    """
+    """One open connector per backend; closed after the test."""
     if request.param == "memory":
         connector = MemoryConnector()
-    elif request.param == "sqlite":
-        connector = SqliteConnector(tmp_path / "store.db")
     else:
-        snapshot = tmp_path / "store.json"
-        snapshot.write_text(json.dumps({"store_version": 2, "namespaces": {}}))
-        connector = open_store(snapshot)
+        connector = SqliteConnector(tmp_path / "store.db")
     connector.open()
     yield connector
     connector.close()
@@ -217,8 +209,30 @@ class TestOpenStoreResolution:
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.db"
         path.write_bytes(b"\x00\x01 not a store")
-        with pytest.raises(StoreError, match="neither"):
+        with pytest.raises(StoreError, match="not a SQLite store"):
             open_store(path)
+        assert path.read_bytes() == b"\x00\x01 not a store"
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(StoreError, match="not a SQLite store"):
+            open_store(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_byte_file_opens_as_new_store(self, tmp_path):
+        # What mktemp/mkstemp hand out: an existing, empty file.
+        handle, name = tempfile.mkstemp(suffix=".db", dir=tmp_path)
+        os.close(handle)
+        store = open_store(name)
+        try:
+            assert store.backend == "sqlite"
+            store.put("ns", "k", 1)
+        finally:
+            store.close()
+        reopened = open_store(name)
+        try:
+            assert reopened.get("ns", "k").value == 1
+        finally:
+            reopened.close()
 
 
 def _legacy_v1_payload():
@@ -233,53 +247,33 @@ def _legacy_v1_payload():
     }
 
 
-class TestLegacyMigration:
-    def test_v1_json_loads_through_connector(self, tmp_path):
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(_legacy_v1_payload()))
-        store = open_store(path)
-        try:
-            # A *.json snapshot migrates in place like any other suffix.
-            assert store.backend == "sqlite"
-            assert store.keys(NS_DATASETS) == ["demo"]
-            # next_job_id 5 means ids 1..4 were issued: the counter resumes at 5.
-            assert store.next_value(COUNTER_JOB_IDS) == 5
-        finally:
-            store.close()
-        assert (tmp_path / "state.json.pre-store.json").exists()
+_V2_PAYLOAD = {
+    "store_version": 2,
+    "namespaces": {"jobs": {"job-0001": {"version": 1, "value": {"job_id": "job-0001"}}}},
+    "counters": {"job_ids": 1},
+}
 
-    def test_v1_json_at_db_path_migrates_in_place(self, tmp_path):
-        path = tmp_path / "state.db"
-        path.write_text(json.dumps(_legacy_v1_payload()))
-        store = open_store(path)
-        try:
-            assert store.backend == "sqlite"
-            assert store.keys(NS_DATASETS) == ["demo"]
-            assert store.peek(COUNTER_JOB_IDS) == 4
-        finally:
-            store.close()
-        # The original snapshot survives as a backup beside the database.
-        backup = tmp_path / "state.db.pre-store.json"
-        assert backup.exists()
-        assert json.loads(backup.read_text())["version"] == 1
-        assert sqlite3.connect(path).execute("SELECT COUNT(*) FROM kv").fetchone()[0] == 1
 
-    def test_explicit_migration_to_new_path(self, tmp_path):
-        source = tmp_path / "state.json"
-        source.write_text(json.dumps(_legacy_v1_payload()))
-        target = tmp_path / "migrated.db"
-        store = migrate_json_to_sqlite(source, target)
-        try:
-            assert store.keys(NS_DATASETS) == ["demo"]
-            assert source.exists()  # explicit-target migration keeps the source
-        finally:
-            store.close()
+class TestLegacySnapshotRefusal:
+    """A pre-12.0.0 JSON snapshot is refused and left exactly as it was."""
 
-    def test_unsupported_snapshot_version_rejected(self, tmp_path):
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps({"version": 99}))
-        with pytest.raises(StoreError, match="unsupported snapshot version"):
+    @pytest.mark.parametrize("name", ["state.db", "state.json", "state"])
+    @pytest.mark.parametrize("layout", ["v1", "v2", "v99"])
+    def test_json_snapshot_refused_byte_identical(self, tmp_path, layout, name):
+        # Any JSON object is refused the same way, whatever version it claims.
+        payload = {
+            "v1": _legacy_v1_payload(),
+            "v2": _V2_PAYLOAD,
+            "v99": {"version": 99},
+        }[layout]
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        before = path.read_bytes()
+        with pytest.raises(StoreError, match=r"pre-12\.0\.0 JSON snapshot.*11\.2\.0"):
             open_store(path)
+        assert path.read_bytes() == before
+        # No half-built database, backup or journal beside it.
+        assert [entry.name for entry in tmp_path.iterdir()] == [name]
 
 
 # --------------------------------------------------------------------- #

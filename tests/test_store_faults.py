@@ -259,32 +259,3 @@ class TestKill9Durability:
         record = second.post("/publish", {"dataset": "big", "backend": "uniform"})
         assert record["status"] == "completed"
         second.kill9()
-
-    def test_legacy_json_store_migrates_transparently_on_first_open(
-        self, tmp_path, service_factory
-    ):
-        # Seed the *store path* with a version-1 JSON snapshot (the
-        # pre-connector format) — the service must migrate it in place and
-        # serve the old datasets from SQLite.
-        from repro.dataset.adult import generate_adult
-        from repro.service.models import table_to_json
-
-        store_path = tmp_path / "service.db"
-        store_path.write_text(json.dumps({
-            "version": 1,
-            "datasets": {"old": table_to_json(generate_adult(30, seed=2))},
-            "jobs": [],
-            "next_job_id": 8,
-        }))
-        svc = service_factory()
-        assert [d["name"] for d in svc.get("/datasets")] == ["old"]
-        assert svc.get("/stats")["store"]["backend"] == "sqlite"
-        record = svc.post("/publish", {"dataset": "old", "backend": "uniform"})
-        assert record["job_id"] == "job-0008"  # the legacy counter continues
-        assert (tmp_path / "service.db.pre-store.json").exists()
-        svc.kill9()
-        # And the migrated store survives the kill like any other.
-        again = service_factory()
-        assert [d["name"] for d in again.get("/datasets")] == ["old"]
-        assert again.get(f"/jobs/{record['job_id']}")["status"] == "completed"
-        again.kill9()

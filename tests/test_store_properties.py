@@ -2,9 +2,7 @@
 
 For arbitrary JSON documents, tables, job records and delta states,
 hypothesis asserts the value read back from a connector equals the value
-written — across the memory and SQLite backends, and across the legacy
-JSON→SQLite migration (which must also reproduce versions and counters
-exactly).  Because :func:`repro.store.base.encode_value` canonises at the
+written — across the memory and SQLite backends.  Because :func:`repro.store.base.encode_value` canonises at the
 transaction boundary, all backends are held to the *same* round-trip, not
 backend-specific ones.
 
@@ -34,11 +32,7 @@ from repro.service.models import (  # noqa: E402
     table_from_json,
     table_to_json,
 )
-from repro.store import (  # noqa: E402
-    MemoryConnector,
-    SqliteConnector,
-    migrate_json_to_sqlite,
-)
+from repro.store import MemoryConnector, SqliteConnector  # noqa: E402
 
 settings.register_profile("ci", derandomize=True, max_examples=25, deadline=None)
 settings.register_profile("local", max_examples=50, deadline=None)
@@ -244,29 +238,3 @@ def test_v2_delta_states_round_trip_through_json_and_every_backend(state):
             restored = DeltaState.from_json(connector.get("deltas", "living").value)
             assert restored == state
             connector.close()
-
-
-@given(
-    entries=st.dictionaries(names, documents, min_size=1, max_size=5),
-    next_job_id=st.integers(1, 1000),
-)
-def test_legacy_v1_migration_preserves_documents_and_counter(entries, next_job_id):
-    with tempfile.TemporaryDirectory() as tmp:
-        source = Path(tmp) / "legacy.json"
-        source.write_text(json.dumps({
-            "version": 1,
-            "datasets": entries,
-            "jobs": [],
-            "next_job_id": next_job_id,
-        }))
-        store = migrate_json_to_sqlite(source, Path(tmp) / "migrated.db")
-        try:
-            canonical = json.loads(json.dumps(entries))
-            for key, value in canonical.items():
-                stored = store.get("datasets", key)
-                assert stored.value == value
-                assert stored.version == 1
-            # next_job_id N means ids 1..N-1 were issued; the next id is N.
-            assert store.next_value("job_ids") == next_job_id
-        finally:
-            store.close()
