@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -284,17 +283,11 @@ class GroupIndex:
     ``order[bounds[g]:bounds[g + 1]]``.
     """
 
-    def __init__(
-        self,
-        table: Table,
-        _parts: tuple[GroupCounts, np.ndarray, np.ndarray] | None = None,
-    ) -> None:
+    def __init__(self, table: Table) -> None:
         self._table = table
-        if _parts is None:
-            _parts = GroupCounts.tabulate(
-                table.public_codes, table.sensitive_codes, table.schema.sensitive_domain_size
-            )
-        self.groups, self.order, self.bounds = _parts
+        self.groups, self.order, self.bounds = GroupCounts.tabulate(
+            table.public_codes, table.sensitive_codes, table.schema.sensitive_domain_size
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -330,53 +323,6 @@ class GroupIndex:
     def sizes(self) -> np.ndarray:
         """Array of group sizes ``|g|`` in iteration order."""
         return np.diff(self.bounds)
-
-    def to_parts(self) -> dict[str, list[list[int]] | list[int]]:
-        """Serialise the index into plain lists (for the derived-cache store)."""
-        return {
-            "keys": self.groups.keys.tolist(),
-            "counts": self.groups.counts.tolist(),
-            "order": self.order.tolist(),
-        }
-
-    @classmethod
-    def from_parts(cls, table: Table, parts: Mapping[str, Any]) -> "GroupIndex":
-        """Rebuild an index from :meth:`to_parts` output, validating against ``table``.
-
-        The parts are accepted only if they are exactly what a fresh build
-        over ``table`` produces: ``order`` is a permutation of the rows, each
-        group's rows carry its key (in ascending row order), the keys are
-        strictly sorted, and every count vector is the group's SA histogram.
-        Anything else raises :class:`ValueError` — the caller should fall
-        back to a fresh build.
-        """
-        n, m = len(table), table.schema.sensitive_domain_size
-        keys = np.asarray(parts["keys"], dtype=np.int64).reshape(-1, len(table.schema.public))
-        counts = np.asarray(parts["counts"], dtype=np.int64).reshape(-1, m)
-        order = np.asarray(parts["order"], dtype=np.int64)
-        sizes = counts.sum(axis=1)
-        if len(keys) != len(counts) or order.shape != (n,) or sizes.sum() != n:
-            raise ValueError("cached group index does not cover the table")
-        if (sizes <= 0).any():
-            raise ValueError("cached group index holds an empty group")
-        if n and (order.min() < 0 or order.max() >= n or np.bincount(order).max() != 1):
-            raise ValueError("cached row order is not a permutation of the table rows")
-        group_ids = np.repeat(np.arange(len(keys)), sizes)
-        same_group = group_ids[1:] == group_ids[:-1]
-        if (
-            not np.array_equal(table.public_codes[order], keys[group_ids])
-            or (np.diff(order)[same_group] <= 0).any()
-        ):
-            raise ValueError("cached groups do not hold the rows carrying their keys")
-        if not keys_sorted_unique(keys):
-            raise ValueError("cached group keys are not unique and sorted")
-        recount = np.bincount(
-            group_ids * m + table.sensitive_codes[order], minlength=len(keys) * m
-        )
-        if not np.array_equal(recount.reshape(len(keys), m), counts):
-            raise ValueError("cached sensitive counts disagree with the table")
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        return cls(table, _parts=(GroupCounts(keys, counts), order, bounds))
 
     def average_group_size(self) -> float:
         """``|D| / |G|`` as reported in Tables 4 and 5."""

@@ -7,10 +7,9 @@ three scale controls:
 - :class:`~repro.serve.queue.BoundedDispatcher` — a fixed worker pool fed
   by a bounded queue; overload answers ``429`` + ``Retry-After`` instead
   of stacking threads.
-- :class:`~repro.serve.cache.ResponseCache` — a request-level cache for
-  audit and dataset reads, keyed on the dataset's store version and
-  resolved parameters, invalidated on re-register and delta appends, and
-  persisted through the service's storage connector.
+- :class:`~repro.serve.cache.ResponseCache` — an in-memory request-level
+  cache for audits, keyed on the dataset's generation and resolved
+  parameters, invalidated on re-register and delta appends.
 - ``repro.obs`` instruments (``repro_serve_request_seconds``,
   ``repro_serve_queue_depth``, ``repro_serve_cache_hits_total``) exported
   by the ``/metrics`` endpoint it serves.

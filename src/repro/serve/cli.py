@@ -1,7 +1,7 @@
 """``repro-serve``: run the service's HTTP front end from the shell.
 
 Starts :class:`~repro.serve.frontend.ServingFrontend` — asyncio
-connections, a bounded job queue and worker pool, and a persisted response
+connections, a bounded job queue and worker pool, and an in-memory response
 cache — over the service state in ``--store``::
 
     repro-serve --store state.db --port 8080 --workers 8 --queue-limit 128
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "High-concurrency serving front end for the anonymization service: "
             "asyncio connections, a bounded worker queue (429 + Retry-After on "
-            "overload) and a persisted response cache."
+            "overload) and an in-memory response cache."
         ),
     )
     parser.add_argument(
@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "SQLite state file (a pre-12.0.0 JSON snapshot is refused); "
-            "datasets, jobs and cached responses persist write-through"
+            "datasets, jobs and delta states persist write-through, "
+            "caches refill after a restart"
         ),
     )
     parser.add_argument(

@@ -12,9 +12,10 @@ and ``repro-service serve`` both run it).  It delegates routing to
   bounded queue; when the queue is full the request is answered ``429 Too
   Many Requests`` with a ``Retry-After`` header *immediately* — overload
   sheds at the door instead of stacking threads.
-- **Reads are cached.**  A :class:`~repro.serve.cache.ResponseCache` is
-  attached to the service (unless disabled); cache hits are answered on
-  the event loop without ever touching the queue.
+- **Audits are cached.**  An in-memory
+  :class:`~repro.serve.cache.ResponseCache` is attached to the service
+  (unless disabled); cache hits are answered on the event loop without
+  ever touching the queue.
 - **Everything is measured.**  ``repro_serve_request_seconds`` (per
   endpoint), ``repro_serve_queue_depth`` and the cache/rejection counters
   are exported by the ``/metrics`` endpoint it serves.
@@ -126,11 +127,10 @@ class ServingFrontend:
         request is rejected with 429.
     retry_after:
         The ``Retry-After`` hint (seconds) sent with 429 responses.
-    cache:
-        A pre-built :class:`ResponseCache` to attach, or ``None`` to build
-        one (persisted through the service's store).
     enable_cache:
-        ``False`` serves everything uncached (benchmark baseline mode).
+        ``True`` attaches an in-memory :class:`ResponseCache` unless the
+        service already has one; ``False`` serves everything uncached
+        (benchmark baseline mode).
     """
 
     def __init__(
@@ -142,7 +142,6 @@ class ServingFrontend:
         workers: int = DEFAULT_WORKERS,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         retry_after: int = DEFAULT_RETRY_AFTER,
-        cache: ResponseCache | None = None,
         enable_cache: bool = True,
         read_timeout: float = 30.0,
     ) -> None:
@@ -154,13 +153,8 @@ class ServingFrontend:
             workers=workers, queue_limit=queue_limit, retry_after=retry_after
         )
         self._read_timeout = read_timeout
-        if enable_cache:
-            if cache is not None:
-                cache.attach(service)
-            elif service.response_cache is None:
-                ResponseCache().attach(service)
-        elif cache is not None:
-            raise ValueError("cache= given but enable_cache is False")
+        if enable_cache and service.response_cache is None:
+            ResponseCache().attach(service)
         self._thread: threading.Thread | None = None
         self._thread_error: BaseException | None = None
         self._ready = threading.Event()

@@ -7,26 +7,21 @@ rendered body bytes, content type, extra headers and a connection-close
 flag — so the transport only moves bytes.
 
 The router is also where the serving layer's
-:class:`~repro.serve.cache.ResponseCache` plugs in.  Two read endpoints are
-cacheable:
+:class:`~repro.serve.cache.ResponseCache` plugs in.  One read endpoint is
+cacheable, ``GET/POST /audit``: it is cached under ``("audit", dataset,
+resolved spec params)``, but only once the dataset's group index is warm
+(``group_index_cached`` true in the payload).  A warm audit is a pure
+function of the registered table and the resolved parameters (the
+index-lookup time is exactly ``0.0``), so the cached bytes are identical to
+any fresh warm response.  The cold first audit, whose payload carries the
+real index build time, is served but never stored.
 
-``GET/POST /audit``
-    Cached under ``("audit", dataset, resolved spec params)`` — but only
-    once the dataset's group index is warm (``group_index_cached`` true in
-    the payload).  A warm audit is a pure function of the registered table
-    and the resolved parameters (the index-lookup time is exactly ``0.0``),
-    so the cached bytes are identical to any fresh warm response.  The
-    cold first audit, whose payload carries the real index build time, is
-    served but never stored.
-
-``GET /datasets/<name>``
-    Cached under ``("dataset", name, {})``.  The entry's group-index
-    hit/miss counters are frozen at fill time; the live counters are always
-    available uncached via ``/stats``.
+``GET /datasets/<name>`` is never cached: its body carries the entry's live
+group-index counters, which audits move without mutating the dataset.
 
 Cacheable responses carry an ``X-Cache: hit|miss`` header.  Mutations
 invalidate through the service engine (see
-``AnonymizationService.attach_response_cache``), and the version-stamped
+``AnonymizationService.attach_response_cache``), and the generation-stamped
 keys make stale entries unreachable even without the active invalidation.
 """
 
@@ -220,14 +215,11 @@ class ServiceRouter:
                 dataset, params = _audit_params(query)
             elif method == "POST" and parts == ["audit"]:
                 dataset, params = _audit_params(_parse_json_bytes(body))
-            elif method == "GET" and len(parts) == 2 and parts[0] == "datasets":
-                dataset, params = parts[1], {}
             else:
                 return None
         except ServiceError:
             return None
-        kind = "audit" if parts == ["audit"] else "dataset"
-        entry = cache.get(cache.key(kind, dataset, params))
+        entry = cache.get(cache.key("audit", dataset, params))
         if entry is None:
             return None
         return RouteResult(
@@ -263,7 +255,7 @@ class ServiceRouter:
                     [entry.to_json() for entry in self.service.datasets.entries()]
                 )
             if len(parts) == 2 and parts[0] == "datasets":
-                return self._dataset_detail(parts[1], read_cache)
+                return _json_result(self.service.datasets.get(parts[1]).to_json())
             if parts == ["jobs"]:
                 return _json_result(
                     [record.to_json() for record in self.service.jobs.records()]
@@ -439,38 +431,6 @@ class ServiceRouter:
                     body=result.body,
                 ),
             )
-        return RouteResult(
-            status=result.status,
-            body=result.body,
-            content_type=result.content_type,
-            headers=(("X-Cache", "miss"),),
-        )
-
-    def _dataset_detail(self, name: str, read_cache: bool = True) -> RouteResult:
-        cache = self.cache
-        key = cache.key("dataset", name, {}) if cache is not None else None
-        if cache is not None and key is not None and read_cache:
-            hit = cache.get(key)
-            if hit is not None:
-                return RouteResult(
-                    status=hit.status,
-                    body=hit.body,
-                    content_type=hit.content_type,
-                    headers=(("X-Cache", "hit"),),
-                )
-        payload = self.service.datasets.get(name).to_json()
-        result = _json_result(payload)
-        if cache is None or key is None:
-            return result
-        cache.put(
-            key,
-            CachedResponse(
-                dataset=name,
-                status=result.status,
-                content_type=result.content_type,
-                body=result.body,
-            ),
-        )
         return RouteResult(
             status=result.status,
             body=result.body,

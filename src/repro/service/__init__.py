@@ -3,7 +3,7 @@
 The service layer turns the one-shot publishing API into a long-lived
 register-once/publish-many system:
 
-* :mod:`repro.service.registry` — the dataset registry (with cached
+* :mod:`repro.service.registry` — the dataset registry (with in-memory
   personal-group indexes) and the job store, persisted write-through over
   a :mod:`repro.store` connector;
 * :mod:`repro.service.engine` — :class:`AnonymizationService`, the facade

@@ -12,12 +12,13 @@ under one lifecycle (:meth:`AnonymizationService._job`): the record is
 stored ``running`` first, progress is written through, and any failure
 leaves exactly one ``failed`` record.
 
-All state persists write-through over one
+All source-of-truth state persists write-through over one
 :class:`~repro.store.base.StorageConnector` (:mod:`repro.store`): dataset
-tables, built group-index caches, job records with live progress, the job-id
-counter and every :class:`~repro.delta.state.DeltaState`.  Restarting on the
-same store path resumes with everything intact — including delta datasets,
-which stay appendable across a crash.
+tables, job records with live progress, the job-id counter and every
+:class:`~repro.delta.state.DeltaState`.  Restarting on the same store path
+resumes with all of it intact — including delta datasets, which stay
+appendable across a crash.  Derived data (group indexes, generalisations,
+cached responses) lives in process memory and is rebuilt on first use.
 """
 
 from __future__ import annotations

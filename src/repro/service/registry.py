@@ -9,9 +9,11 @@ cache hits/misses and build times so ``/stats`` can prove the cache is doing
 its job.
 
 Since the :mod:`repro.store` connector landed, both registries persist
-write-through: every register, job record and built group index lands in the
-configured :class:`~repro.store.base.StorageConnector` inside the mutating
-call, not at shutdown — so a ``kill -9`` loses nothing that was committed.
+write-through: every register and job record lands in the configured
+:class:`~repro.store.base.StorageConnector` inside the mutating call, not at
+shutdown — so a ``kill -9`` loses nothing that was committed.  Group indexes
+and generalisations are derived from the table, so they stay in process
+memory and are rebuilt on first use after a restart.
 Constructed without a store they fall back to a private in-memory connector
 (the pre-connector behaviour).  Job ids come from the store's durable
 counter, so they are monotonic across restarts *and* across processes
@@ -26,7 +28,6 @@ pool of worker threads and the engine fans publish work out over threads.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
 from typing import Any
 
 from repro.dataset.groups import GroupIndex, personal_groups
@@ -36,19 +37,12 @@ from repro.obs.trace import span
 from repro.service.models import JobRecord, table_from_json, table_to_json
 from repro.store.base import (
     COUNTER_JOB_IDS,
-    NS_DATASET_CACHES,
     NS_DATASETS,
     NS_JOBS,
     StorageConnector,
-    StoreError,
     VersionConflictError,
 )
 from repro.store.memory import MemoryConnector
-
-#: Group indexes over tables larger than this are rebuilt on restart rather
-#: than persisted — the serialised index is O(rows) and would dominate the
-#: store beyond this point.
-MAX_PERSISTED_INDEX_ROWS = 100_000
 
 
 class ServiceError(ValueError):
@@ -72,15 +66,11 @@ class DatasetEntry:
         self.table = table
         self._lock = threading.Lock()
         self._groups: GroupIndex | None = None
-        self._cached_parts: dict[str, Any] | None = None
         self._generalizations: dict[float, GeneralizationResult] = {}
         self._generalized_groups: dict[float, GroupIndex] = {}
         self.group_index_seconds = 0.0
         self.group_index_hits = 0
         self.group_index_misses = 0
-        #: Called (outside the entry lock) after a group index is built, so
-        #: the owning registry can persist the cache write-through.
-        self.on_cache_built: Callable[[DatasetEntry], None] | None = None
 
     @property
     def n_records(self) -> int:
@@ -91,34 +81,18 @@ class DatasetEntry:
         """Return the personal-group index, its build time, and whether it was cached.
 
         The build time is the wall-clock cost actually paid by *this* call:
-        zero on a cache hit.  A cache restored from the store (a service
-        restart) counts as a hit — the restored parts are materialised
-        without re-sorting the table.
+        zero on a cache hit.
         """
-        notify: Callable[[DatasetEntry], None] | None = None
         with self._lock:
             if self._groups is not None:
                 self.group_index_hits += 1
                 return self._groups, 0.0, True
-            if self._cached_parts is not None:
-                parts, self._cached_parts = self._cached_parts, None
-                try:
-                    self._groups = GroupIndex.from_parts(self.table, parts)
-                except (KeyError, TypeError, ValueError):
-                    self._groups = None  # stale/corrupt cache: rebuild below
-                if self._groups is not None:
-                    self.group_index_hits += 1
-                    return self._groups, 0.0, True
             with span("group_index_build", kind="cache", dataset=self.name) as sp:
                 self._groups = personal_groups(self.table)
             elapsed = sp.duration
             self.group_index_seconds = elapsed
             self.group_index_misses += 1
-            index = self._groups
-            notify = self.on_cache_built
-        if notify is not None:
-            notify(self)
-        return index, elapsed, False
+            return self._groups, elapsed, False
 
     def generalized(self, significance: float) -> tuple[GeneralizationResult, GroupIndex, float, bool]:
         """Chi-square generalised table + its group index, cached per significance."""
@@ -138,34 +112,9 @@ class DatasetEntry:
             self.group_index_misses += 1
             return result, index, elapsed, False
 
-    def cache_payload(self) -> dict[str, Any] | None:
-        """Serialisable snapshot of the built group index, or ``None``.
-
-        Tables above :data:`MAX_PERSISTED_INDEX_ROWS` return ``None`` — the
-        serialised index is O(rows) and rebuilding is cheap relative to
-        storing it.
-        """
-        with self._lock:
-            if self._groups is None or len(self.table) > MAX_PERSISTED_INDEX_ROWS:
-                return None
-            return {
-                "group_index": self._groups.to_parts(),
-                "group_index_seconds": self.group_index_seconds,
-            }
-
-    def restore_cache(self, payload: dict[str, Any]) -> None:
-        """Adopt a persisted cache payload; materialised lazily on first use."""
-        with self._lock:
-            if self._groups is not None:
-                return
-            parts = payload.get("group_index")
-            self._cached_parts = dict(parts) if isinstance(parts, dict) else None
-            self.group_index_seconds = float(payload.get("group_index_seconds", 0.0))
-
     def to_json(self) -> dict[str, Any]:
         """Serialisable description of the entry (without the code matrix)."""
         with self._lock:
-            cached = self._groups is not None or self._cached_parts is not None
             n_groups = len(self._groups) if self._groups is not None else None
         return {
             "name": self.name,
@@ -174,7 +123,7 @@ class DatasetEntry:
             "sensitive_attribute": self.table.schema.sensitive_name,
             "sensitive_domain_size": self.table.schema.sensitive_domain_size,
             "n_groups": n_groups,
-            "group_index_cached": cached,
+            "group_index_cached": n_groups is not None,
             "group_index_seconds": self.group_index_seconds,
             "group_index_hits": self.group_index_hits,
             "group_index_misses": self.group_index_misses,
@@ -184,10 +133,9 @@ class DatasetEntry:
 class DatasetRegistry:
     """Named registry of :class:`DatasetEntry` objects over a connector.
 
-    Tables persist write-through as schema + integer code matrix; built
-    group indexes persist as derived-cache payloads (restored lazily on
-    restart); a duplicate register racing another writer on a shared store
-    loses with a typed :class:`ServiceError`, not a lost update.
+    Tables persist write-through as schema + integer code matrix; a
+    duplicate register racing another writer on a shared store loses with a
+    typed :class:`ServiceError`, not a lost update.
     """
 
     def __init__(self, store: StorageConnector | None = None) -> None:
@@ -203,27 +151,7 @@ class DatasetRegistry:
 
     def _load(self) -> None:
         for name, stored in self._store.items(NS_DATASETS):
-            entry = self._adopt(name, table_from_json(stored.value))
-            cached = self._store.get(NS_DATASET_CACHES, name)
-            if cached is not None and isinstance(cached.value, dict):
-                entry.restore_cache(cached.value)
-            self._entries[name] = entry
-
-    def _adopt(self, name: str, table: Table) -> DatasetEntry:
-        entry = DatasetEntry(name, table)
-        entry.on_cache_built = self._persist_cache
-        return entry
-
-    def _persist_cache(self, entry: DatasetEntry) -> None:
-        payload = entry.cache_payload()
-        if payload is None:
-            return
-        try:
-            self._store.put(NS_DATASET_CACHES, entry.name, payload)
-        except StoreError:
-            # Cache persistence is an optimisation; a failure to store it
-            # must never fail the publish that built the index.
-            pass
+            self._entries[name] = DatasetEntry(name, table_from_json(stored.value))
 
     def register(self, name: str, table: Table, replace: bool = False) -> DatasetEntry:
         """Register ``table`` under ``name``; rejects duplicates unless ``replace``.
@@ -237,18 +165,15 @@ class DatasetRegistry:
             if name in self._entries and not replace:
                 raise ServiceError(f"dataset {name!r} is already registered")
             try:
-                with self._store.transaction(write=True) as txn:
-                    txn.put(
-                        NS_DATASETS,
-                        name,
-                        table_to_json(table),
-                        expected_version=None if replace else 0,
-                    )
-                    # Any persisted derived cache belongs to the old table.
-                    txn.delete(NS_DATASET_CACHES, name)
+                self._store.put(
+                    NS_DATASETS,
+                    name,
+                    table_to_json(table),
+                    expected_version=None if replace else 0,
+                )
             except VersionConflictError:
                 raise ServiceError(f"dataset {name!r} is already registered") from None
-            entry = self._adopt(name, table)
+            entry = DatasetEntry(name, table)
             self._entries[name] = entry
             return entry
 
@@ -268,9 +193,7 @@ class DatasetRegistry:
         with self._lock:
             if name not in self._entries:
                 raise NotFoundError(f"unknown dataset {name!r}")
-            with self._store.transaction(write=True) as txn:
-                txn.delete(NS_DATASETS, name)
-                txn.delete(NS_DATASET_CACHES, name)
+            self._store.delete(NS_DATASETS, name)
             del self._entries[name]
 
     def names(self) -> list[str]:

@@ -1,4 +1,4 @@
-"""Durable pluggable storage for datasets, jobs, caches and delta states.
+"""Durable pluggable storage for datasets, jobs and delta states.
 
 The service and delta subsystems persist through one abstract interface —
 :class:`~repro.store.base.StorageConnector`: transactional get/put/delete/
@@ -25,7 +25,6 @@ from pathlib import Path
 
 from repro.store.base import (
     COUNTER_JOB_IDS,
-    NS_DATASET_CACHES,
     NS_DATASETS,
     NS_DELTAS,
     NS_JOBS,
@@ -42,7 +41,6 @@ from repro.store.sqlite import SqliteConnector, is_sqlite_file
 __all__ = [
     "COUNTER_JOB_IDS",
     "NS_DATASETS",
-    "NS_DATASET_CACHES",
     "NS_DELTAS",
     "NS_JOBS",
     "MemoryConnector",

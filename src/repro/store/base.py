@@ -38,10 +38,8 @@ from repro.obs.trace import span
 #: Well-known namespaces of the service layers (shared by the registries
 #: and the delta store).
 NS_DATASETS = "datasets"
-NS_DATASET_CACHES = "dataset_caches"
 NS_JOBS = "jobs"
 NS_DELTAS = "deltas"
-NS_RESPONSE_CACHE = "response_cache"
 
 #: The durable sequence behind ``JobStore.new_job_id``.
 COUNTER_JOB_IDS = "job_ids"

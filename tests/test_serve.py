@@ -1,6 +1,5 @@
 """Unit tests for the serving layer: response cache and bounded dispatcher."""
 
-import json
 import threading
 import time
 
@@ -9,7 +8,6 @@ import pytest
 from repro.serve.cache import CachedResponse, ResponseCache
 from repro.serve.queue import BoundedDispatcher, QueueFullError
 from repro.service.engine import AnonymizationService
-from repro.store.base import NS_RESPONSE_CACHE
 
 
 def _response(dataset: str, body: bytes = b'{"ok": true}') -> CachedResponse:
@@ -18,21 +16,11 @@ def _response(dataset: str, body: bytes = b'{"ok": true}') -> CachedResponse:
     )
 
 
-class TestCachedResponse:
-    def test_json_round_trip(self):
-        entry = _response("d", b'{"x": 1}')
-        assert CachedResponse.from_json(entry.to_json()) == entry
-
-    def test_from_json_rejects_missing_fields(self):
-        with pytest.raises(KeyError):
-            CachedResponse.from_json({"dataset": "d"})
-
-
 class TestResponseCacheMemory:
-    """The cache without a store (pure in-memory behaviour)."""
+    """The cache on its own, attached to no service."""
 
     def make(self, max_entries: int = 256) -> ResponseCache:
-        return ResponseCache(store=None, max_entries=max_entries, persist=False)
+        return ResponseCache(max_entries=max_entries)
 
     def test_max_entries_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -43,7 +31,7 @@ class TestResponseCacheMemory:
         a = cache.key("audit", "d", {"lam": 0.3, "delta": 0.3})
         b = cache.key("audit", "d", {"delta": 0.3, "lam": 0.3})
         assert a == b
-        assert a.startswith("audit|d|v0.0|")
+        assert a.startswith("audit|d|v0|")
 
     def test_hit_miss_counters(self):
         cache = self.make()
@@ -110,12 +98,11 @@ class TestResponseCacheMemory:
             "misses": 0,
             "invalidations": 0,
             "evictions": 0,
-            "persisted": False,
         }
 
 
 class TestResponseCacheAttached:
-    """The cache attached to a live service (store-backed versioning)."""
+    """The cache attached to a live service."""
 
     def test_attach_registers_the_invalidation_hook(self):
         service = AnonymizationService()
@@ -141,23 +128,21 @@ class TestResponseCacheAttached:
         service.close()
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_invalidation_reads_versions_without_decoding(
-        self, backend, tmp_path, monkeypatch
-    ):
+    def test_invalidation_never_touches_the_store(self, backend, tmp_path, monkeypatch):
         path = tmp_path / "serve.db" if backend == "sqlite" else None
         service = AnonymizationService(snapshot_path=path)
         cache = ResponseCache().attach(service)
         service.register_synthetic("d", "adult", n_records=200, seed=1)
-        decoded: list[str] = []
+        key = cache.key("audit", "d", {})
+        cache.put(key, _response("d"))
 
-        def counting_decode(text):
-            decoded.append(text)
-            return json.loads(text)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the response cache opened a store transaction")
 
-        monkeypatch.setattr("repro.store.memory.decode_value", counting_decode)
-        monkeypatch.setattr("repro.store.sqlite.decode_value", counting_decode)
-        cache.invalidate("d")
-        assert decoded == []
+        monkeypatch.setattr(service.store, "transaction", refuse)
+        assert cache.invalidate("d") == 1
+        assert cache.get(cache.key("audit", "d", {})) is None
+        monkeypatch.undo()
         service.close()
 
     def test_stats_folds_in_the_cache_block(self):
@@ -171,53 +156,22 @@ class TestResponseCacheAttached:
             assert key in stats
         service.close()
 
-    def test_persisted_entry_survives_a_restart(self, tmp_path):
+    def test_restarted_cache_starts_empty_and_stores_nothing(self, tmp_path):
         path = tmp_path / "serve.db"
         service = AnonymizationService(snapshot_path=path)
         cache = ResponseCache().attach(service)
         service.register_synthetic("d", "adult", n_records=200, seed=1)
-        cache.invalidate("d")  # adopt the registered version
-        key = cache.key("audit", "d", {"lam": 0.3})
-        cache.put(key, _response("d"))
-        service.close()
-
-        revived = AnonymizationService(snapshot_path=path)
-        cache2 = ResponseCache().attach(revived)
-        assert len(cache2) == 1
-        assert cache2.get(key) == _response("d")
-        revived.close()
-
-    def test_restart_revalidation_drops_stale_entries(self, tmp_path):
-        path = tmp_path / "serve.db"
-        service = AnonymizationService(snapshot_path=path)
-        cache = ResponseCache().attach(service)
-        service.register_synthetic("d", "adult", n_records=200, seed=1)
-        cache.invalidate("d")
         key = cache.key("audit", "d", {})
         cache.put(key, _response("d"))
         service.close()
 
-        # The dataset changes while no cache is attached: nothing invalidates.
-        mutated = AnonymizationService(snapshot_path=path)
-        mutated.register_synthetic("d", "adult", n_records=200, seed=2, replace=True)
-        mutated.close()
-
         revived = AnonymizationService(snapshot_path=path)
         cache2 = ResponseCache().attach(revived)
-        assert len(cache2) == 0  # revalidation dropped the stale entry
+        assert len(cache2) == 0  # a restarted cache starts empty
         assert cache2.get(key) is None
-        # The store was scrubbed too, not just the resident dict.
-        assert list(revived.store.keys(NS_RESPONSE_CACHE)) == []
+        # Nothing of the cache ever reached the store.
+        assert revived.store.namespaces() == ["datasets"]
         revived.close()
-
-    def test_corrupt_persisted_entry_is_dropped_not_fatal(self, tmp_path):
-        path = tmp_path / "serve.db"
-        service = AnonymizationService(snapshot_path=path)
-        service.store.put(NS_RESPONSE_CACHE, "audit|d|v1.0|{}", {"not": "a response"})
-        cache = ResponseCache().attach(service)
-        assert len(cache) == 0
-        assert list(service.store.keys(NS_RESPONSE_CACHE)) == []
-        service.close()
 
 
 class TestBoundedDispatcher:

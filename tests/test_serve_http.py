@@ -14,6 +14,7 @@ import pytest
 from repro.serve import ServingFrontend
 from repro.serve.frontend import MAX_BODY_BYTES, MAX_HEADER_LINES
 from repro.service.engine import AnonymizationService
+from repro.store import SqliteConnector
 
 CSV_BODY = "Job,City,Income\n" + "\n".join(
     f"{'eng' if i % 2 else 'artist'},c{i % 3},{'high' if i % 4 == 0 else 'low'}"
@@ -159,13 +160,20 @@ class TestResponseCaching:
         _, headers, _ = get(f"{base}&lam=0.4")
         assert headers["X-Cache"] == "miss"  # different resolved params
 
-    def test_dataset_detail_is_cached(self, frontend):
+    def test_dataset_detail_serves_live_counters(self, frontend):
         url = f"{frontend.base_url}/datasets/adult"
-        _, headers1, first = get(url)
-        assert headers1["X-Cache"] == "miss"
-        _, headers2, second = get(url)
-        assert headers2["X-Cache"] == "hit"
-        assert second == first
+        _, first_headers, before = get(url)
+        assert json.loads(before)["group_index_cached"] is False
+        get(f"{frontend.base_url}/audit?dataset=adult")
+        get(f"{frontend.base_url}/audit?dataset=adult")  # builds, then reuses
+        _, headers, after = get(url)
+        detail = json.loads(after)
+        assert detail == frontend.service.datasets.get("adult").to_json()
+        assert detail["n_groups"] is not None
+        assert detail["group_index_cached"] is True
+        assert detail["group_index_misses"] == 1
+        # Dataset detail is never cached, so it carries no X-Cache header.
+        assert "X-Cache" not in first_headers and "X-Cache" not in headers
 
     def test_reregister_invalidates_and_recomputes(self, frontend):
         url = f"{frontend.base_url}/audit?dataset=adult"
@@ -234,22 +242,73 @@ class TestResponseCaching:
 
 
 class TestPersistence:
-    def test_cache_survives_a_restart_with_identical_bytes(self, tmp_path):
+    def test_restart_rebuilds_the_cache_with_identical_bytes(self, tmp_path):
         path = tmp_path / "serve.db"
         service = AnonymizationService(snapshot_path=path)
         service.register_synthetic("adult", "adult", n_records=300, seed=1)
         with ServingFrontend(service, port=0, workers=2) as front:
             url = f"{front.base_url}/audit?dataset=adult"
-            get(url)
+            _, _, cold_body = get(url)
             _, _, warm_body = get(url)
         service.close()
 
         revived = AnonymizationService(snapshot_path=path)
         with ServingFrontend(revived, port=0, workers=2) as front:
-            _, headers, body = get(f"{front.base_url}/audit?dataset=adult")
-            assert headers["X-Cache"] == "hit"  # served from the persisted entry
+            url = f"{front.base_url}/audit?dataset=adult"
+            _, headers, body = get(url)
+            # The first audit after a restart rebuilds the group index.
+            assert headers["X-Cache"] == "miss"
+            assert revived.datasets.get("adult").group_index_misses == 1
+            assert json.loads(body)["summary"] == json.loads(cold_body)["summary"]
+            _, headers, body = get(url)
+            assert headers["X-Cache"] == "miss"  # warm recompute: fills the cache
+            assert body == warm_body
+            _, headers, body = get(url)
+            assert headers["X-Cache"] == "hit"
             assert body == warm_body
         revived.close()
+
+    def test_store_holds_only_source_of_truth(self, tmp_path):
+        """Caches stay in memory: the store keeps datasets, jobs and deltas."""
+        path = tmp_path / "serve.db"
+        source = tmp_path / "base.csv"
+        source.write_text(CSV_BODY + "\n")
+        service = AnonymizationService(snapshot_path=path)
+        with ServingFrontend(service, port=0, workers=2) as front:
+            base = front.base_url
+            request = urllib.request.Request(
+                f"{base}/datasets?name=jobs&sensitive=Income",
+                data=CSV_BODY.encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                assert response.status == 201
+            get(f"{base}/audit?dataset=jobs")
+            _, headers, _ = get(f"{base}/audit?dataset=jobs")
+            assert headers["X-Cache"] == "miss"  # the warm audit filled the cache
+            status, _, _ = post_json(
+                f"{base}/publish", {"dataset": "jobs", "backend": "sps", "seed": 3}
+            )
+            assert status == 201
+            status, _, _ = post_json(f"{base}/publish", {
+                "delta": True, "name": "living", "source": str(source),
+                "sensitive": "Income", "backend": "sps",
+                "output": str(tmp_path / "living.csv"), "seed": 1,
+            })
+            assert status == 201
+            status, _, _ = post_json(
+                f"{base}/datasets/living/rows", {"rows": [["eng", "c1", "low"]]}
+            )
+            assert status == 201
+        service.close()
+
+        store = SqliteConnector(path).open()
+        try:
+            assert store.namespaces() == ["datasets", "deltas", "jobs"]
+            with store.transaction() as txn:
+                assert list(txn.counters()) == ["job_ids"]
+        finally:
+            store.close()
 
     def test_restart_revalidates_against_dataset_versions(self, tmp_path):
         path = tmp_path / "serve.db"
