@@ -78,6 +78,29 @@ class TestResponseCacheMemory:
         new_key = cache.key("audit", "d", {})
         assert old_key != new_key  # stale entries are unreachable by keying
 
+    def test_fill_under_a_key_from_before_invalidation_is_unreachable(self):
+        # A request keys its response, the dataset changes mid-flight, and the
+        # stale body is stored afterwards: no key built from now on finds it.
+        cache = self.make()
+        stale_key = cache.key("audit", "d", {})
+        cache.invalidate("d")
+        cache.put(stale_key, _response("d", b'{"stale": true}'))
+        assert cache.get(cache.key("audit", "d", {})) is None
+
+    def test_invalidate_leaves_other_datasets_keys_unchanged(self):
+        cache = self.make()
+        before = cache.key("audit", "b", {"lam": 0.3})
+        cache.invalidate("a")
+        assert cache.key("audit", "b", {"lam": 0.3}) == before
+        assert cache.key("audit", "a", {"lam": 0.3}).startswith("audit|a|v1|")
+
+    def test_generation_counts_every_invalidation_even_when_empty(self):
+        cache = self.make()
+        assert cache.invalidate("d") == 0
+        assert cache.invalidate("d") == 0
+        assert cache.key("audit", "d", {}).startswith("audit|d|v2|")
+        assert cache.invalidations == 0  # counts dropped entries, not calls
+
     def test_clear_keeps_counters(self):
         cache = self.make()
         key = cache.key("audit", "d", {})
@@ -125,6 +148,42 @@ class TestResponseCacheAttached:
         service.register_synthetic("d", "adult", n_records=200, seed=2, replace=True)
         after = cache.key("audit", "d", {})
         assert before != after
+        service.close()
+
+    @pytest.mark.parametrize("mutation", ["reregister", "delta_base", "append"])
+    def test_every_dataset_mutation_invalidates(self, mutation, tmp_path):
+        service = AnonymizationService()
+        cache = ResponseCache().attach(service)
+        base_csv = tmp_path / "base.csv"
+        base_csv.write_text(
+            "City,Disease\n" + "".join(f"c{i % 3},{'flu' if i % 2 else 'cold'}\n"
+                                       for i in range(24))
+        )
+
+        def delta_base(output: str, replace: bool) -> None:
+            record = service.publish_delta_base(
+                "d", base_csv, "Disease", "sps", tmp_path / output,
+                seed=1, chunk_size=2, replace=replace,
+            )
+            assert record.status == "completed"
+
+        if mutation == "reregister":
+            service.register_synthetic("d", "adult", n_records=200, seed=1)
+        else:
+            delta_base("base.out.csv", replace=False)
+        key = cache.key("audit", "d", {})
+        cache.put(key, _response("d"))
+        cache.put(cache.key("audit", "other", {}), _response("other"))
+
+        if mutation == "reregister":
+            service.register_synthetic("d", "adult", n_records=200, seed=2, replace=True)
+        elif mutation == "delta_base":
+            delta_base("rebase.out.csv", replace=True)
+        else:
+            assert service.append_rows("d", rows=[["c1", "flu"]]).status == "completed"
+        assert cache.get(key) is None
+        assert cache.key("audit", "d", {}) != key
+        assert len(cache) == 1  # the other dataset's entry survives
         service.close()
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])

@@ -175,6 +175,18 @@ class TestResponseCaching:
         # Dataset detail is never cached, so it carries no X-Cache header.
         assert "X-Cache" not in first_headers and "X-Cache" not in headers
 
+    def test_dataset_detail_follows_a_reregister(self, frontend):
+        url = f"{frontend.base_url}/datasets/adult"
+        get(f"{frontend.base_url}/audit?dataset=adult")
+        assert json.loads(get(url)[2])["group_index_cached"] is True
+        frontend.service.register_synthetic(
+            "adult", "adult", n_records=400, seed=2, replace=True
+        )
+        detail = json.loads(get(url)[2])
+        assert detail == frontend.service.datasets.get("adult").to_json()
+        assert detail["group_index_cached"] is False
+        assert detail["group_index_misses"] == 0
+
     def test_reregister_invalidates_and_recomputes(self, frontend):
         url = f"{frontend.base_url}/audit?dataset=adult"
         get(url)

@@ -16,6 +16,7 @@ import os
 import tempfile
 import threading
 
+import numpy as np
 import pytest
 
 from repro.store import (
@@ -414,6 +415,28 @@ class TestServiceRestartPersistence:
             assert loaded.status == "completed"
             next_record = restored.publish("skewed", "uniform", seed=0)
             assert next_record.job_id > record.job_id  # ids continue
+        finally:
+            restored.close()
+
+    def test_rebuilt_index_after_restart_matches_the_one_before(self, tmp_path):
+        from repro.dataset.adult import generate_adult
+        from repro.service.engine import AnonymizationService
+
+        path = tmp_path / "service.db"
+        svc = AnonymizationService(snapshot_path=path)
+        svc.register_table("adult", generate_adult(500, seed=0))
+        before, _, _ = svc.datasets.get("adult").groups()
+        svc.close()
+
+        restored = AnonymizationService(snapshot_path=path)
+        try:
+            entry = restored.datasets.get("adult")
+            after, _, cached = entry.groups()
+            assert cached is False  # nothing of the index was stored
+            assert after.groups == before.groups
+            np.testing.assert_array_equal(after.order, before.order)
+            np.testing.assert_array_equal(after.bounds, before.bounds)
+            assert entry.groups()[2] is True  # later calls reuse the rebuild
         finally:
             restored.close()
 
