@@ -104,7 +104,7 @@ def _service() -> Any:
     service = AnonymizationService()
     # Every timed pass records a job; keep only the latest published
     # table resident so a long matrix doesn't accumulate hundreds of MB.
-    service.jobs = JobStore(max_published_tables=1)
+    service.jobs = JobStore(max_published_tables=1, store=service.store)
     return service
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.dataset.groups import GroupCounts, keys_sorted_unique
 from repro.dataset.schema import Attribute, Schema
-from repro.store.base import NS_DELTAS, StorageConnector
+from repro.store.base import NS_DELTAS, StorageConnector, StoreTransaction
 from repro.store.memory import MemoryConnector
 from repro.utils.files import replace_file
 
@@ -263,20 +263,16 @@ class DeltaStateStore:
 
     States live in the ``deltas`` namespace of a
     :class:`~repro.store.base.StorageConnector`, so a restarted service
-    resumes with every delta dataset appendable.  Writers pass the version
-    they read (:meth:`entry`) back into :meth:`put` so a concurrent append
-    through a shared store surfaces as a typed
+    resumes with every delta dataset appendable.  A writer stages a state in
+    the transaction that also stores its job's record (:meth:`stage`), at
+    the version it read (:meth:`entry`), so a concurrent append through a
+    shared store surfaces as a typed
     :class:`~repro.store.base.VersionConflictError` instead of silently
     losing the other append's group counts.
     """
 
     def __init__(self, store: StorageConnector | None = None) -> None:
         self._store = store if store is not None else MemoryConnector().open()
-
-    @property
-    def store(self) -> StorageConnector:
-        """The connector the states persist through."""
-        return self._store
 
     def entry(self, name: str) -> tuple[DeltaState, int] | None:
         """The state and the store version it was read at, or ``None``."""
@@ -294,22 +290,17 @@ class DeltaStateStore:
         """The store version of ``name`` (0 when it does not exist)."""
         return self._store.version(NS_DELTAS, name)
 
-    def put(
-        self, name: str, state: DeltaState, expected_version: int | None = None
+    def stage(
+        self, txn: StoreTransaction, name: str, state: DeltaState, expected_version: int
     ) -> int:
-        """Persist a state; returns the new version.
+        """Write a state in the caller's write transaction; returns the new version.
 
-        ``expected_version`` follows the connector contract: ``0`` creates
-        only, ``N`` replaces only if the stored state is still at ``N``,
-        ``None`` writes unconditionally.
+        ``txn`` is a write transaction on this store's connector; the write
+        commits with the rest of it or not at all.  ``expected_version`` is
+        the version the writer read: ``0`` creates only, ``N`` replaces only
+        if the stored state is still at ``N``.
         """
-        return self._store.put(
-            NS_DELTAS, name, state.to_json(), expected_version=expected_version
-        )
-
-    def delete(self, name: str) -> bool:
-        """Remove a delta dataset's state; returns whether it existed."""
-        return self._store.delete(NS_DELTAS, name)
+        return txn.put(NS_DELTAS, name, state.to_json(), expected_version=expected_version)
 
     def names(self) -> list[str]:
         """All delta dataset names, sorted."""
@@ -323,9 +314,6 @@ class DeltaStateStore:
         if state is None:
             raise KeyError(name)
         return state
-
-    def __setitem__(self, name: str, state: DeltaState) -> None:
-        self.put(name, state)
 
     def __len__(self) -> int:
         return len(self.names())

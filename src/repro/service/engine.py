@@ -8,17 +8,19 @@ thread-pool scheduler of :mod:`repro.parallel` with per-chunk seeded
 streams), and runs audits against the cached group indexes.
 
 Every job kind — in-memory, stream, delta base and delta append — runs
-under one lifecycle (:meth:`AnonymizationService._job`): the record is
-stored ``running`` first, progress is written through, and any failure
-leaves exactly one ``failed`` record.
+under one lifecycle (:meth:`AnonymizationService._job`) of two store write
+transactions: one draws the job id and stores the ``running`` record, one
+stores the ``completed`` (with a delta job's successor state) or ``failed``
+record.  Progress updates the in-process record, which ``GET /jobs/<id>``
+serves.
 
-All source-of-truth state persists write-through over one
+All source-of-truth state persists over one
 :class:`~repro.store.base.StorageConnector` (:mod:`repro.store`): dataset
-tables, job records with live progress, the job-id counter and every
-:class:`~repro.delta.state.DeltaState`.  Restarting on the same store path
-resumes with all of it intact — including delta datasets, which stay
-appendable across a crash.  Derived data (group indexes, generalisations,
-cached responses) lives in process memory and is rebuilt on first use.
+tables, job records, the job-id counter and every delta state.  Restarting
+on the same store path resumes with all of it intact — including delta
+datasets, which stay appendable across a crash.  Derived data (group
+indexes, generalisations, cached responses) lives in process memory and is
+rebuilt on first use.
 """
 
 from __future__ import annotations
@@ -26,17 +28,18 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.cache import ResponseCache
+    from repro.store import StoreTransaction
 
 from repro import __version__
 from repro.core.criterion import PrivacySpec
-from repro.core.testing import audit_table
+from repro.core.testing import PrivacyAudit, audit_table
 from repro.delta.state import DeltaStateStore, StaleDeltaStateError
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
@@ -61,6 +64,7 @@ from repro.service.registry import (
     ServiceError,
 )
 from repro.store import StorageConnector, VersionConflictError, copy_store, open_store
+from repro.utils.files import replace_file
 
 _SYNTHETIC_GENERATORS = {
     "adult": generate_adult,
@@ -176,21 +180,21 @@ class _JobRun:
 
     def __init__(self, jobs: JobStore, spec: JobSpec) -> None:
         self._jobs = jobs
-        self.record = JobRecord(job_id=jobs.new_job_id(), spec=spec, status="running")
         self.start = time.perf_counter()
+        self.record = JobRecord(job_id="", spec=spec, status="running")
         _mark_event(self.record.events, "started", self.start, backend=spec.backend)
         jobs.add(self.record)
+        #: The file this job published, removed if the job fails: a stream or
+        #: delta base output (linked into place, so never a file it replaced)
+        #: or an append's spliced temp file.
+        self.output: Path | None = None
 
     def progress(self, event: Mapping[str, Any]) -> None:
-        """Engine progress callback: record the phase and write it through."""
+        """Engine progress callback: record the phase on the in-process record."""
         self.record.progress = dict(event)
         data = dict(event)
         phase = str(data.pop("phase", "progress"))
         _mark_event(self.record.events, phase, self.start, **data)
-        # Write-through: a concurrent GET /jobs/<id> served by another
-        # process sharing the store sees live progress, and a crash leaves
-        # the record honest up to the last chunk boundary.
-        self._jobs.update(self.record)
 
     def complete(
         self,
@@ -198,38 +202,43 @@ class _JobRun:
         *,
         index_seconds: float = 0.0,
         index_cached: bool = False,
+        audit: PrivacyAudit | None = None,
+        stage: Callable[[StoreTransaction], object] | None = None,
+        **fields: Any,
     ) -> JobRecord:
-        """Mark the record ``completed`` and store it (tracking its table)."""
-        record = self.record
-        total = time.perf_counter() - self.start
-        _mark_event(
-            record.events, "completed", self.start, published_records=published_records
+        """Store the ``completed`` record, with ``stage``'s writes, in one transaction.
+
+        The record is a copy of the running one with ``fields`` set, which
+        replaces it once the transaction commits: a failed commit leaves the
+        running record to :meth:`fail`.
+        """
+        events = list(self.record.events)
+        _mark_event(events, "completed", self.start, published_records=published_records)
+        record = dataclasses.replace(
+            self.record,
+            status="completed",
+            published_records=published_records,
+            timings=self._timings(index_seconds, index_cached),
+            audit=AuditSummary.from_audit(audit) if audit else None,
+            events=events,
+            **fields,
         )
-        record.status = "completed"
-        record.published_records = published_records
-        record.timings = JobTimings(
-            group_index_seconds=index_seconds,
-            publish_seconds=total - index_seconds,
-            total_seconds=total,
-            group_index_cached=index_cached,
-        )
-        self._jobs.add(record)
+        self._jobs.add(record, stage)
+        self.record = record
         return record
 
     def fail(self, exc: BaseException) -> None:
         """Mark the record ``failed`` with the error and store it."""
         record = self.record
-        total = time.perf_counter() - self.start
         record.status = "failed"
         record.error = str(exc) or type(exc).__name__
         _mark_event(record.events, "failed", self.start, error=record.error)
-        record.timings = JobTimings(
-            group_index_seconds=0.0,
-            publish_seconds=total,
-            total_seconds=total,
-            group_index_cached=False,
-        )
+        record.timings = self._timings()
         self._jobs.add(record)
+
+    def _timings(self, index_seconds: float = 0.0, index_cached: bool = False) -> JobTimings:
+        total = time.perf_counter() - self.start
+        return JobTimings(index_seconds, total - index_seconds, total, index_cached)
 
 
 class AnonymizationService:
@@ -355,16 +364,19 @@ class AnonymizationService:
     def _job(self, spec: JobSpec) -> Iterator[_JobRun]:
         """Run one job under the single lifecycle policy.
 
-        The record is stored as ``running`` before execution and progress is
-        written through, so a concurrent reader (or a crash) always sees an
-        honest record.  Any exception marks it ``failed`` and stores it;
-        client-level errors (``ValueError``, ``OSError``, a version conflict)
-        re-raise as :class:`ServiceError`, everything else unchanged.
+        The record is stored as ``running`` before execution, so a restart
+        after a crash reloads it as ``interrupted``, never lost.  Any
+        exception removes the output file the job created, marks the record
+        ``failed`` and stores it; client-level errors (``ValueError``,
+        ``OSError``, a version conflict) re-raise as :class:`ServiceError`,
+        everything else unchanged.
         """
         job = _JobRun(self.jobs, spec)
         try:
             yield job
         except BaseException as exc:
+            if job.output is not None:
+                job.output.unlink(missing_ok=True)
             job.fail(exc)
             if isinstance(exc, (ValueError, OSError, VersionConflictError)):
                 raise ServiceError(f"job {job.record.job_id} failed: {exc}") from exc
@@ -415,12 +427,13 @@ class AnonymizationService:
             else:
                 index, index_seconds, cached = entry.groups()
             report = pipeline.with_groups(index).run(entry.table)
-            record = job.record
-            record.published = report.published
-            record.metadata = _report_metadata(report)
-            record.audit = AuditSummary.from_audit(report.audit) if report.audit else None
             return job.complete(
-                len(report.published), index_seconds=index_seconds, index_cached=cached
+                len(report.published),
+                index_seconds=index_seconds,
+                index_cached=cached,
+                audit=report.audit,
+                published=report.published,
+                metadata=_report_metadata(report),
             )
 
     def publish_stream(
@@ -441,8 +454,8 @@ class AnonymizationService:
         and never fully loaded: the job streams it through
         :func:`repro.stream.stream_publish` in bounded-memory chunks of
         ``chunk_rows`` records, and its record's ``progress`` field is
-        updated as chunks flow, so concurrent ``GET /jobs/<id>`` requests
-        see rows-read / records-published counters mid-flight.
+        updated as chunks flow, so concurrent ``GET /jobs/<id>`` requests to
+        this service see rows-read / records-published counters mid-flight.
 
         When ``output`` is given the published rows stream to that CSV and
         the record holds no table; without it the published table stays in
@@ -483,19 +496,19 @@ class AnonymizationService:
                 **_chunk_rows(spec),
                 **spec.params,
             )
-            record = job.record
-            record.published = report.published
-            record.metadata = _report_metadata(
-                report,
-                rows_read=report.n_rows,
-                chunks_read=report.n_chunks,
-                chunk_rows=report.chunk_rows,
-                output=report.output,
-            )
-            record.audit = AuditSummary.from_audit(report.audit) if report.audit else None
+            job.output = None if output is None else Path(output)
             return job.complete(
                 report.published_records,
                 index_seconds=report.timings.get("group_index", 0.0),
+                audit=report.audit,
+                published=report.published,
+                metadata=_report_metadata(
+                    report,
+                    rows_read=report.n_rows,
+                    chunks_read=report.n_chunks,
+                    chunk_rows=report.chunk_rows,
+                    output=report.output,
+                ),
             )
 
     def publish_delta_base(
@@ -563,7 +576,10 @@ class AnonymizationService:
                     **_chunk_rows(spec),
                     **spec.params,
                 )
-                record = self._finish_delta_job(job, name, report, state_version)
+                job.output = Path(report.output)
+                record = self._finish_delta_job(
+                    job, name, report, state_version, report.output
+                )
         self._notify_dataset_changed(name)
         return record
 
@@ -580,14 +596,15 @@ class AnonymizationService:
         ``POST /datasets/<name>/rows`` sends); ``source`` is a server-side
         CSV path with the same header — exactly one must be given.  The job
         re-runs only the kernel chunks whose personal groups changed and
-        splices them into the published CSV atomically; its record carries
-        live ``progress`` and the phase timeline (``append_read → diff →
-        splice → done``), and the delta registry advances to the successor
-        state — at the store version this job read, so a concurrent append
-        through a shared store fails typed instead of losing updates — only
-        when the job completes.  On failure the published file and the
-        stored state are both untouched (the splice writes a temp file), so
-        the dataset stays appendable.
+        splices them into a temp file beside the published CSV; its record
+        carries live ``progress`` and the phase timeline (``append_read →
+        diff → splice → done``).  The successor state — at the store version
+        this job read, so a concurrent append through a shared store fails
+        typed instead of losing updates — commits with the ``completed``
+        record, and only then does the spliced file replace the published
+        one.  A failed job leaves both untouched, so the dataset stays
+        appendable; a kill between the commit and the move leaves the state
+        ahead of the file and ``<output>.<job id>.tmp`` beside it.
         """
         from repro.delta.engine import delta_publish
 
@@ -622,59 +639,63 @@ class AnonymizationService:
                 rows_appended=len(rows) if rows is not None else None,
             ))
             with self._job(spec) as job:
+                spliced = job.output = Path(f"{state.output}.{job.record.job_id}.tmp")
                 report = delta_publish(
                     state,
                     rows if rows is not None else source,
+                    output=spliced,
                     workers=spec.max_workers,
                     progress=job.progress,
                 )
-                record = self._finish_delta_job(job, name, report, state_version)
+                record = self._finish_delta_job(
+                    job, name, report, state_version, state.output
+                )
+            replace_file(spliced, state.output)
         self._notify_dataset_changed(name)
         return record
 
     def _finish_delta_job(
-        self, job: _JobRun, name: str, report: Any, state_version: int
+        self, job: _JobRun, name: str, report: Any, state_version: int, output: str
     ) -> JobRecord:
-        """Advance the delta state, then complete the job from the report.
+        """Complete a delta job: its successor state and record in one transaction.
 
-        The state is persisted at the version the job read *before* the
-        record claims completion: a crash between the two leaves an
-        appendable dataset and an honest "running"→"interrupted" record,
-        never the reverse.  A version conflict means another writer (through
-        a shared store) advanced the dataset while this job ran; applying
-        our state would drop their group counts, so the job fails instead.
+        The state names ``output`` as its published file and is written at
+        the version the job read.  A version conflict means another writer
+        (through a shared store) advanced the dataset while this job ran;
+        applying our state would drop their group counts, so neither write
+        commits and the job fails instead.
         """
         assert report.state is not None
+        state = dataclasses.replace(report.state, output=output)
+        spec = job.record.spec
+        if spec.rows_appended is None:
+            # A source-path append only knows its row count after the read.
+            spec = dataclasses.replace(spec, rows_appended=report.rows_appended)
         try:
-            self.deltas.put(name, report.state, expected_version=state_version)
+            return job.complete(
+                report.published_records,
+                index_seconds=report.timings.get("group_index", 0.0),
+                audit=report.audit,
+                stage=lambda txn: self.deltas.stage(txn, name, state, state_version),
+                spec=spec,
+                metadata={
+                    "mode": report.mode,
+                    "params": dict(report.params),
+                    "n_rows": report.n_rows,
+                    "rows_appended": report.rows_appended,
+                    "n_groups": report.n_groups,
+                    "groups_touched": report.groups_touched,
+                    "n_chunks": report.n_chunks,
+                    "n_chunks_dirty": report.n_chunks_dirty,
+                    "dirty_fraction": report.dirty_fraction,
+                    "output": output,
+                },
+            )
         except VersionConflictError as exc:
             raise ServiceError(
                 f"delta dataset {name!r} was modified concurrently ({exc}); "
                 "re-read and retry the operation"
             ) from exc
-        record = job.record
-        if record.spec.rows_appended is None:
-            # A source-path append only knows its row count after the read.
-            record.spec = dataclasses.replace(
-                record.spec, rows_appended=report.rows_appended
-            )
-        record.metadata = {
-            "mode": report.mode,
-            "params": dict(report.params),
-            "n_rows": report.n_rows,
-            "rows_appended": report.rows_appended,
-            "n_groups": report.n_groups,
-            "groups_touched": report.groups_touched,
-            "n_chunks": report.n_chunks,
-            "n_chunks_dirty": report.n_chunks_dirty,
-            "dirty_fraction": report.dirty_fraction,
-            "output": report.output,
-        }
-        record.audit = AuditSummary.from_audit(report.audit) if report.audit else None
-        return job.complete(
-            report.published_records,
-            index_seconds=report.timings.get("group_index", 0.0),
-        )
 
     def job(self, job_id: str) -> JobRecord:
         """Look one job record up by id."""

@@ -8,12 +8,13 @@ table, keyed by significance level) for all subsequent jobs; the entry tracks
 cache hits/misses and build times so ``/stats`` can prove the cache is doing
 its job.
 
-Since the :mod:`repro.store` connector landed, both registries persist
-write-through: every register and job record lands in the configured
+Both registries persist through the configured
 :class:`~repro.store.base.StorageConnector` inside the mutating call, not at
-shutdown — so a ``kill -9`` loses nothing that was committed.  Group indexes
-and generalisations are derived from the table, so they stay in process
-memory and are rebuilt on first use after a restart.
+shutdown — so a ``kill -9`` loses nothing that was committed.  A register is
+one write transaction; a job record is written in one when the job starts
+and in one more when it ends.  Group indexes and generalisations are derived
+from the table, so they stay in process memory and are rebuilt on first use
+after a restart.
 Constructed without a store they fall back to a private in-memory connector
 (the pre-connector behaviour).  Job ids come from the store's durable
 counter, so they are monotonic across restarts *and* across processes
@@ -28,6 +29,7 @@ pool of worker threads and the engine fans publish work out over threads.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from typing import Any
 
 from repro.dataset.groups import GroupIndex, personal_groups
@@ -40,6 +42,7 @@ from repro.store.base import (
     NS_DATASETS,
     NS_JOBS,
     StorageConnector,
+    StoreTransaction,
     VersionConflictError,
 )
 from repro.store.memory import MemoryConnector
@@ -144,11 +147,6 @@ class DatasetRegistry:
         self._entries: dict[str, DatasetEntry] = {}
         self._load()
 
-    @property
-    def store(self) -> StorageConnector:
-        """The connector this registry persists through."""
-        return self._store
-
     def _load(self) -> None:
         for name, stored in self._store.items(NS_DATASETS):
             self._entries[name] = DatasetEntry(name, table_from_json(stored.value))
@@ -188,14 +186,6 @@ class DatasetRegistry:
                     f"unknown dataset {name!r}; registered datasets: {known}"
                 ) from None
 
-    def drop(self, name: str) -> None:
-        """Remove a dataset (raises :class:`ServiceError` if unknown)."""
-        with self._lock:
-            if name not in self._entries:
-                raise NotFoundError(f"unknown dataset {name!r}")
-            self._store.delete(NS_DATASETS, name)
-            del self._entries[name]
-
     def names(self) -> list[str]:
         """Registered dataset names, sorted."""
         with self._lock:
@@ -223,15 +213,18 @@ def _job_sort_key(job_id: str) -> tuple[int, str]:
 class JobStore:
     """Append-only store of publish jobs with sequential, durable ids.
 
-    Job *records* (spec, timings, audit, progress, events) persist
-    write-through on every :meth:`add`/:meth:`update`; published *tables*
-    are memory-heavy, so only the ``max_published_tables`` most recent ones
-    stay resident — older jobs keep their full record but drop the table,
-    exactly as they would after a restart.  Ids come from the connector's
-    durable counter (:data:`~repro.store.base.COUNTER_JOB_IDS`), so they
-    continue monotonically across restarts and across processes sharing one
-    SQLite store.  A record persisted as ``running`` when the process died
-    is reloaded as ``interrupted`` — the store never claims a crashed job
+    A job's *record* (spec, timings, audit, progress, events) is stored by
+    :meth:`add` when the job starts and once more when it ends, each time in
+    one write transaction; progress in between updates the resident record
+    only, which is what :meth:`get` serves.
+    Published *tables* are memory-heavy, so only the
+    ``max_published_tables`` most recent ones stay resident — older jobs
+    keep their full record but drop the table, exactly as they would after a
+    restart.  Ids come from the connector's durable counter
+    (:data:`~repro.store.base.COUNTER_JOB_IDS`), so they continue
+    monotonically across restarts and across processes sharing one SQLite
+    store.  A record persisted as ``running`` when the process died is
+    reloaded as ``interrupted`` — the store never claims a crashed job
     completed.
     """
 
@@ -252,11 +245,6 @@ class JobStore:
         self._with_tables: list[str] = []
         self._load()
 
-    @property
-    def store(self) -> StorageConnector:
-        """The connector this job store persists through."""
-        return self._store
-
     def _load(self) -> None:
         loaded = sorted(self._store.items(NS_JOBS), key=lambda kv: _job_sort_key(kv[0]))
         for job_id, stored in loaded:
@@ -270,30 +258,30 @@ class JobStore:
                 self._store.put(NS_JOBS, job_id, record.to_json())
             self._jobs[job_id] = record
 
-    def new_job_id(self) -> str:
-        """Allocate the next id from the store's durable, race-free counter."""
-        return f"job-{self._store.next_value(COUNTER_JOB_IDS):04d}"
+    def add(
+        self,
+        record: JobRecord,
+        stage: Callable[[StoreTransaction], object] | None = None,
+    ) -> None:
+        """Store a record in one write transaction, and cap resident tables.
 
-    def add(self, record: JobRecord) -> None:
-        """Insert or overwrite a record, persist it, and cap resident tables."""
+        A new record (empty ``job_id``) draws its id in that transaction.
+        ``stage`` makes further writes in it (a delta job's successor
+        state), so they commit with the record or not at all.
+        """
         with self._lock:
-            self._store.put(NS_JOBS, record.job_id, record.to_json())
+            with self._store.transaction(write=True) as txn:
+                if not record.job_id:
+                    record.job_id = f"job-{txn.next_value(COUNTER_JOB_IDS):04d}"
+                if stage is not None:
+                    stage(txn)
+                txn.put(NS_JOBS, record.job_id, record.to_json())
             self._jobs[record.job_id] = record
             if record.published is not None:
                 self._with_tables.append(record.job_id)
                 while len(self._with_tables) > self._max_published_tables:
                     evicted = self._with_tables.pop(0)
                     self._jobs[evicted].published = None
-
-    def update(self, record: JobRecord) -> None:
-        """Persist a record's current state (live progress, event timeline).
-
-        Unlike :meth:`add` this never touches the resident-table cap, so it
-        is safe to call from progress callbacks while a job runs.
-        """
-        with self._lock:
-            self._store.put(NS_JOBS, record.job_id, record.to_json())
-            self._jobs[record.job_id] = record
 
     def get(self, job_id: str) -> JobRecord:
         with self._lock:

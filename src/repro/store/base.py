@@ -41,7 +41,7 @@ NS_DATASETS = "datasets"
 NS_JOBS = "jobs"
 NS_DELTAS = "deltas"
 
-#: The durable sequence behind ``JobStore.new_job_id``.
+#: The durable sequence behind job ids (drawn by ``JobStore.add``).
 COUNTER_JOB_IDS = "job_ids"
 
 

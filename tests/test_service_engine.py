@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset.adult import generate_adult
+from repro.delta import engine as delta_engine
 from repro.dataset.loaders import write_csv
 from repro.parallel import run_chunks
 from repro.pipeline import register_strategy, unregister_strategy
@@ -15,7 +16,7 @@ from repro.pipeline.execution import chunk_items, chunk_rng, chunk_rngs
 from repro.pipeline.strategy import SPSStrategy
 from repro.service.engine import AnonymizationService
 from repro.service.registry import NotFoundError, ServiceError
-from repro.store import NS_JOBS, StoreError, VersionConflictError
+from repro.store import NS_DELTAS, NS_JOBS, StoreError, VersionConflictError
 
 
 @pytest.fixture()
@@ -244,14 +245,30 @@ class TestJobLifecycle:
     ):
         service, source, tmp_path = lifecycle
         before = len(service.jobs)
-        state_before = service.deltas.entry(name)
+        published = tmp_path / f"{name}.csv"
+        published_before = published.read_bytes() if published.exists() else None
+        rival = service.store.get(NS_DELTAS, "living").value
+        function = _JOB_ENGINES[kind].rsplit(".", 1)[1]
+        engine = getattr(delta_engine, function)
 
-        def conflict(key, state, expected_version):
-            raise VersionConflictError("deltas", key, expected_version, expected_version + 1)
+        def run():
+            if kind == "delta-base":
+                return service.publish_delta_base(
+                    name, source, "Income", "sps", published, replace=True
+                )
+            # A grown and a new group: rows that change the published bytes.
+            return service.append_rows(name, rows=[["c", "high"], ["c", "high"], ["d", "low"]])
 
-        monkeypatch.setattr(service.deltas, "put", conflict)
+        def racing(*args, **kwargs):
+            report = engine(*args, **kwargs)
+            # Another writer through the shared store commits a state under
+            # this name first, so the job's state is at a stale version.
+            service.store.put(NS_DELTAS, name, rival)
+            return report
+
+        monkeypatch.setattr(delta_engine, function, racing)
         with pytest.raises(ServiceError) as raised:
-            self._run(kind, service, source, tmp_path)
+            run()
         message = str(raised.value)
         assert f"delta dataset {name!r} was modified concurrently" in message
         assert "re-read and retry" in message
@@ -259,7 +276,13 @@ class TestJobLifecycle:
         record = self._stored_failure(service, before)
         assert "modified concurrently" in record["error"]
         monkeypatch.undo()
-        assert service.deltas.entry(name) == state_before
+        # Neither the job's state nor its CSV landed: the rival's state
+        # stands, and the published file is as it was (absent for a base).
+        assert service.store.get(NS_DELTAS, name).value == rival
+        assert (published.read_bytes() if published.exists() else None) == published_before
+        assert not list(tmp_path.glob("*.tmp"))
+        # The dataset stays usable: the same job, run again, completes.
+        assert run().status == "completed"
 
 
 class TestAuditEndpointLogic:

@@ -366,6 +366,7 @@ class TestSqliteConcurrency:
         store.close()
 
     def test_two_job_stores_issue_globally_monotonic_ids(self, tmp_path):
+        from repro.service.models import JobRecord, JobSpec
         from repro.service.registry import JobStore
 
         path = tmp_path / "jobs.db"
@@ -373,7 +374,12 @@ class TestSqliteConcurrency:
         second = SqliteConnector(path).open()
         try:
             a, b = JobStore(store=first), JobStore(store=second)
-            ids = [a.new_job_id(), b.new_job_id(), a.new_job_id(), b.new_job_id()]
+            spec = JobSpec(dataset="d", backend="sps")
+            ids = []
+            for jobs in (a, b, a, b):
+                record = JobRecord(job_id="", spec=spec, status="running")
+                jobs.add(record)  # draws the id in the record's transaction
+                ids.append(record.job_id)
             assert ids == ["job-0001", "job-0002", "job-0003", "job-0004"]
         finally:
             first.close()
@@ -475,11 +481,11 @@ class TestServiceRestartPersistence:
         store = SqliteConnector(path).open()
         jobs = JobStore(store=store)
         record = JobRecord(
-            job_id=jobs.new_job_id(),
+            job_id="",
             spec=JobSpec(dataset="d", backend="sps", params={}, seed=0),
             status="running",
         )
-        jobs.add(record)  # the owning process "dies" here
+        jobs.add(record)  # draws the id; the owning process "dies" here
         store.close()
 
         reopened = SqliteConnector(path).open()
