@@ -31,11 +31,10 @@ algorithm, together with every substrate the evaluation depends on:
   CLI) for living datasets: appended rows re-run only the kernel chunks
   whose personal groups changed, spliced atomically into the published CSV,
   byte-identical to a full re-publish of the combined data;
-* durable pluggable storage (:mod:`repro.store`) behind the service and
-  delta layers: a transactional, optimistically-versioned connector
-  contract with SQLite (durable default) and in-memory backends — every
-  mutation commits write-through, so ``kill -9`` loses nothing and a
-  restart resumes where the process died.
+* durable storage (:mod:`repro.store`) behind the service and delta
+  layers: a transactional, optimistically-versioned SQLite store on a file
+  or in memory — every mutation commits write-through, so ``kill -9`` loses
+  nothing and a restart resumes where the process died.
 
 Quickstart::
 
@@ -80,7 +79,7 @@ from repro.delta import (
 from repro.queries.workload import WorkloadConfig, generate_workload
 from repro.queries.count_query import CountQuery, answer_on_perturbed, answer_on_raw
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = [
     "PrivacySpec",

@@ -48,8 +48,7 @@ import numpy as np
 
 from repro.dataset.groups import GroupCounts, keys_sorted_unique
 from repro.dataset.schema import Attribute, Schema
-from repro.store.base import NS_DELTAS, StorageConnector, StoreTransaction
-from repro.store.memory import MemoryConnector
+from repro.store import NS_DELTAS, StorageConnector, StoreTransaction
 from repro.utils.files import replace_file
 
 #: Version of the serialised state document :meth:`DeltaState.to_json` writes.
@@ -262,7 +261,7 @@ class DeltaStateStore:
     """Versioned persistence of :class:`DeltaState` keyed by dataset name.
 
     States live in the ``deltas`` namespace of a
-    :class:`~repro.store.base.StorageConnector`, so a restarted service
+    :class:`~repro.store.sqlite.StorageConnector`, so a restarted service
     resumes with every delta dataset appendable.  A writer stages a state in
     the transaction that also stores its job's record (:meth:`stage`), at
     the version it read (:meth:`entry`), so a concurrent append through a
@@ -271,8 +270,8 @@ class DeltaStateStore:
     losing the other append's group counts.
     """
 
-    def __init__(self, store: StorageConnector | None = None) -> None:
-        self._store = store if store is not None else MemoryConnector().open()
+    def __init__(self, store: StorageConnector) -> None:
+        self._store = store
 
     def entry(self, name: str) -> tuple[DeltaState, int] | None:
         """The state and the store version it was read at, or ``None``."""

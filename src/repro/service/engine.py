@@ -15,7 +15,7 @@ record.  Progress updates the in-process record, which ``GET /jobs/<id>``
 serves.
 
 All source-of-truth state persists over one
-:class:`~repro.store.base.StorageConnector` (:mod:`repro.store`): dataset
+:class:`~repro.store.sqlite.StorageConnector` (:mod:`repro.store`): dataset
 tables, job records, the job-id counter and every delta state.  Restarting
 on the same store path resumes with all of it intact — including delta
 datasets, which stay appendable across a crash.  Derived data (group
@@ -63,7 +63,7 @@ from repro.service.registry import (
     NotFoundError,
     ServiceError,
 )
-from repro.store import StorageConnector, VersionConflictError, copy_store, open_store
+from repro.store import StorageConnector, VersionConflictError, open_store
 from repro.utils.files import replace_file
 
 _SYNTHETIC_GENERATORS = {
@@ -249,10 +249,10 @@ class AnonymizationService:
     snapshot_path:
         Optional store path, opened as a durable SQLite store by
         :func:`~repro.store.open_store` (which refuses a pre-12.0.0 JSON
-        snapshot).  ``None`` keeps all state in memory.
+        snapshot).  ``None`` keeps all state in an in-memory SQLite store.
     store:
-        An already-constructed connector; overrides ``snapshot_path``-based
-        backend resolution (used by tests and embedders).
+        An already-constructed connector; overrides ``snapshot_path``
+        (used by tests and embedders).
     """
 
     def __init__(
@@ -707,9 +707,9 @@ class AnonymizationService:
         if record.published is None:
             raise ServiceError(
                 f"job {job_id!r} has no published table in memory (failed job, "
-                "record restored from a snapshot, or table evicted from the "
-                "in-memory cache); re-run the publish with the same seed to "
-                "regenerate it"
+                "record reloaded from the store after a restart, or table "
+                "evicted from the in-memory cache); re-run the publish with "
+                "the same seed to regenerate it"
             )
         return record.published
 
@@ -817,8 +817,9 @@ class AnonymizationService:
 
         With no ``path``, the configured store path is used; every mutation
         was already committed write-through, so this is a no-op.  An
-        explicit *different* ``path`` exports a full copy of the store there
-        — documents, versions and counters — as a SQLite store.
+        explicit *different* ``path`` gets a SQLite backup of the whole
+        store — documents, versions and counters — which replaces whatever
+        store was there.
         """
         target = Path(path) if path else self._snapshot_path
         if target is None:
@@ -827,13 +828,7 @@ class AnonymizationService:
             return target
         exported = open_store(target)
         try:
-            # An export replaces the target's contents (the pre-connector
-            # snapshot semantics), so drop any stale documents first.
-            with exported.transaction(write=True) as txn:
-                for namespace in txn.namespaces():
-                    for key in txn.keys(namespace):
-                        txn.delete(namespace, key)
-            copy_store(self._store, exported)
+            self._store.backup(exported)
         finally:
             exported.close()
         return target

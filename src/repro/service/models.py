@@ -209,10 +209,10 @@ class JobTimings:
 
 @dataclass
 class JobRecord:
-    """One completed publish job: its spec, timings, audit and output summary.
+    """One job of any kind and status: its spec, timings, audit and output summary.
 
     The published :class:`Table` itself is kept in process memory (it can be
-    large); snapshots persist every other field so a restarted service still
+    large); the store keeps every other field, so a restarted service still
     knows the full job history.
     """
 
@@ -235,7 +235,7 @@ class JobRecord:
     events: list[dict[str, Any]] = field(default_factory=list)
     published: Table | None = field(default=None, repr=False, compare=False)
 
-    def to_json(self, include_table: bool = False) -> dict[str, Any]:
+    def to_json(self) -> dict[str, Any]:
         data: dict[str, Any] = {
             "job_id": self.job_id,
             "spec": self.spec.to_json(),
@@ -250,13 +250,10 @@ class JobRecord:
             data["progress"] = dict(self.progress)
         if self.events:
             data["events"] = [dict(event) for event in self.events]
-        if include_table and self.published is not None:
-            data["published"] = table_to_json(self.published)
         return data
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "JobRecord":
-        published = data.get("published")
         return cls(
             job_id=str(data["job_id"]),
             spec=JobSpec.from_json(data["spec"]),
@@ -268,5 +265,4 @@ class JobRecord:
             error=data.get("error"),
             progress=dict(data.get("progress", {})),
             events=[dict(event) for event in data.get("events", [])],
-            published=table_from_json(published) if published else None,
         )

@@ -9,15 +9,16 @@ cache hits/misses and build times so ``/stats`` can prove the cache is doing
 its job.
 
 Both registries persist through the configured
-:class:`~repro.store.base.StorageConnector` inside the mutating call, not at
+:class:`~repro.store.sqlite.StorageConnector` inside the mutating call, not at
 shutdown — so a ``kill -9`` loses nothing that was committed.  A register is
 one write transaction; a job record is written in one when the job starts
 and in one more when it ends.  Group indexes and generalisations are derived
 from the table, so they stay in process memory and are rebuilt on first use
 after a restart.
-Constructed without a store they fall back to a private in-memory connector
-(the pre-connector behaviour).  Job ids come from the store's durable
-counter, so they are monotonic across restarts *and* across processes
+Each takes the service's one store as a required argument: a delta job
+stages its state in the job store's transaction, so the registries, the
+job store and the delta store must share it.  Job ids come from the store's
+durable counter, so they are monotonic across restarts *and* across processes
 sharing one SQLite store; duplicate-register races surface as
 :class:`ServiceError` via the store's optimistic versioning, never as a lost
 update.
@@ -37,7 +38,7 @@ from repro.dataset.table import Table
 from repro.generalization.merging import GeneralizationResult, generalize_table
 from repro.obs.trace import span
 from repro.service.models import JobRecord, table_from_json, table_to_json
-from repro.store.base import (
+from repro.store import (
     COUNTER_JOB_IDS,
     NS_DATASETS,
     NS_JOBS,
@@ -45,7 +46,6 @@ from repro.store.base import (
     StoreTransaction,
     VersionConflictError,
 )
-from repro.store.memory import MemoryConnector
 
 
 class ServiceError(ValueError):
@@ -54,11 +54,6 @@ class ServiceError(ValueError):
 
 class NotFoundError(ServiceError):
     """Raised when a named dataset or job does not exist."""
-
-
-def _private_store() -> StorageConnector:
-    """The store used when a registry is constructed without one."""
-    return MemoryConnector().open()
 
 
 class DatasetEntry:
@@ -141,9 +136,9 @@ class DatasetRegistry:
     typed :class:`ServiceError`, not a lost update.
     """
 
-    def __init__(self, store: StorageConnector | None = None) -> None:
+    def __init__(self, store: StorageConnector) -> None:
         self._lock = threading.RLock()
-        self._store = store if store is not None else _private_store()
+        self._store = store
         self._entries: dict[str, DatasetEntry] = {}
         self._load()
 
@@ -225,7 +220,8 @@ class JobStore:
     monotonically across restarts and across processes sharing one SQLite
     store.  A record persisted as ``running`` when the process died is
     reloaded as ``interrupted`` — the store never claims a crashed job
-    completed.
+    completed.  That rewrite is conditional on the version read, so a job
+    that ends in another process meanwhile keeps its terminal record.
     """
 
     #: How many published tables a long-lived service keeps in memory.
@@ -233,13 +229,13 @@ class JobStore:
 
     def __init__(
         self,
+        store: StorageConnector,
         max_published_tables: int = DEFAULT_MAX_PUBLISHED_TABLES,
-        store: StorageConnector | None = None,
     ) -> None:
         if max_published_tables < 1:
             raise ValueError("max_published_tables must be at least 1")
         self._lock = threading.RLock()
-        self._store = store if store is not None else _private_store()
+        self._store = store
         self._jobs: dict[str, JobRecord] = {}
         self._max_published_tables = max_published_tables
         self._with_tables: list[str] = []
@@ -255,7 +251,15 @@ class JobStore:
                 # the crash interrupted it.
                 record.status = "interrupted"
                 record.error = "service restarted while the job was running"
-                self._store.put(NS_JOBS, job_id, record.to_json())
+                try:
+                    self._store.put(
+                        NS_JOBS, job_id, record.to_json(), expected_version=stored.version
+                    )
+                except VersionConflictError:
+                    # The job ended after the read: keep the record it stored.
+                    current = self._store.get(NS_JOBS, job_id)
+                    if current is not None:
+                        record = JobRecord.from_json(current.value)
             self._jobs[job_id] = record
 
     def add(

@@ -1,22 +1,22 @@
-"""Durable pluggable storage for datasets, jobs and delta states.
+"""Durable storage for datasets, jobs and delta states.
 
-The service and delta subsystems persist through one abstract interface —
-:class:`~repro.store.base.StorageConnector`: transactional get/put/delete/
+The service and delta subsystems persist through one
+:class:`~repro.store.sqlite.StorageConnector`: transactional get/put/delete/
 list per namespace, optimistic versioning, and named monotonic counters.
-Two backends implement it:
+It is SQLite at one of two locations:
 
 ========== ==================================================================
-``sqlite`` :class:`~repro.store.sqlite.SqliteConnector` — the durable
-           default: WAL mode, ``synchronous=FULL``, one connection per
-           thread, busy-timeout retry.  Survives ``kill -9`` and concurrent
-           writers (see ``docs/storage.md``).
-``memory`` :class:`~repro.store.memory.MemoryConnector` — process-local,
-           for tests and store-less services.
+a file     every ``--store`` path: WAL mode, ``synchronous=FULL``, one
+           connection per thread, busy-timeout retry.  Survives ``kill -9``
+           and concurrent writers (see ``docs/storage.md``).
+memory     no path: one ``:memory:`` connection behind a lock, for tests and
+           store-less services; its data lives as long as the connector.
 ========== ==================================================================
 
-:func:`open_store` opens SQLite for any path (memory for none).  It refuses
-a pre-12.0.0 JSON snapshot at the path, whatever its suffix, and leaves the
-file as it was: repro 11.2.0 is the last release that migrates one.
+:func:`open_store` opens a file store for any path and an in-memory one for
+none.  It refuses a pre-12.0.0 JSON snapshot at the path, whatever its
+suffix, and leaves the file as it was: repro 11.2.0 is the last release that
+migrates one.
 """
 
 from __future__ import annotations
@@ -28,29 +28,22 @@ from repro.store.base import (
     NS_DATASETS,
     NS_DELTAS,
     NS_JOBS,
-    StorageConnector,
     StoreError,
-    StoreTransaction,
     VersionConflictError,
     VersionedValue,
-    copy_store,
 )
-from repro.store.memory import MemoryConnector
-from repro.store.sqlite import SqliteConnector, is_sqlite_file
+from repro.store.sqlite import StorageConnector, StoreTransaction, is_sqlite_file
 
 __all__ = [
     "COUNTER_JOB_IDS",
     "NS_DATASETS",
     "NS_DELTAS",
     "NS_JOBS",
-    "MemoryConnector",
-    "SqliteConnector",
     "StorageConnector",
     "StoreError",
     "StoreTransaction",
     "VersionConflictError",
     "VersionedValue",
-    "copy_store",
     "open_store",
 ]
 
@@ -58,14 +51,14 @@ __all__ = [
 def open_store(path: str | Path | None = None) -> StorageConnector:
     """Open a storage connector for ``path``; returns it already opened.
 
-    ``path is None`` gives a fresh in-memory store; any path gives SQLite.
+    ``path is None`` gives a fresh in-memory store; any path a file store.
     A missing or zero-byte file becomes a new store and a SQLite database
     opens as is.  Any other file is refused with :class:`StoreError` and left
     untouched; a pre-12.0.0 JSON snapshot gets a message naming 11.2.0, the
     last release that migrates one.
     """
     if path is None:
-        return MemoryConnector().open()
+        return StorageConnector().open()
     target = Path(path)
     if target.exists() and not is_sqlite_file(target):
         if _is_json_snapshot(target):
@@ -76,7 +69,7 @@ def open_store(path: str | Path | None = None) -> StorageConnector:
             )
         if not target.is_file() or target.stat().st_size:
             raise StoreError(f"{target} is not a SQLite store")
-    return SqliteConnector(target).open()
+    return StorageConnector(target).open()
 
 
 def _is_json_snapshot(path: Path) -> bool:

@@ -1,6 +1,13 @@
-"""SQLite storage connector: the durable default backend.
+"""The storage connector: SQLite on a file or in memory.
 
-Durability and concurrency posture:
+A :class:`StorageConnector` keeps small JSON documents under
+``(namespace, key)`` pairs with the versions and counters described in
+:mod:`repro.store.base`.  All reads and writes happen inside a
+:class:`StoreTransaction`, which either commits atomically or leaves the
+store untouched.
+
+A store on a file (every ``--store`` path) has this durability and
+concurrency posture:
 
 * **WAL journal mode** — readers never block the writer and vice versa, and
   a ``kill -9`` mid-transaction leaves the main database file consistent
@@ -16,6 +23,11 @@ Durability and concurrency posture:
   SQLite's single write lock; ``BEGIN IMMEDIATE`` takes it up front (no
   deadlock-prone lock upgrades) and lock contention is retried with backoff
   before surfacing as :class:`~repro.store.base.StoreError`.
+
+A store without a path lives in one ``:memory:`` database.  Such a database
+is private to its connection, so the connector keeps that one connection
+for as long as it exists (its data survives ``close()``/``open()``) and a
+lock serialises the transactions of all threads on it.
 
 The schema is three tables: ``kv(namespace, key, version, value)``,
 ``counters(name, value)`` and ``meta(key, value)`` carrying the format
@@ -33,10 +45,10 @@ from pathlib import Path
 from collections.abc import Callable, Iterator
 from typing import Any, TypeVar
 
+from repro.obs.metrics import STORE_OPS, STORE_TXNS
+from repro.obs.trace import span
 from repro.store.base import (
-    StorageConnector,
     StoreError,
-    StoreTransaction,
     VersionConflictError,
     VersionedValue,
     check_names,
@@ -49,6 +61,15 @@ SQLITE_MAGIC = b"SQLite format 3\x00"
 
 #: Version of the kv/counters/meta schema written by this module.
 STORE_FORMAT_VERSION = 1
+
+#: Seconds a file connection waits on another writer's lock per attempt.
+BUSY_TIMEOUT_S = 5.0
+
+#: ``PRAGMA synchronous`` of a file store: a commit returns once fsynced.
+SYNCHRONOUS = "FULL"
+
+#: Attempts at a locked ``BEGIN``/``COMMIT`` before it raises StoreError.
+MAX_RETRIES = 8
 
 _SCHEMA = (
     """
@@ -82,15 +103,32 @@ def _is_locked(exc: sqlite3.OperationalError) -> bool:
     return "locked" in message or "busy" in message
 
 
-class _SqliteTransaction(StoreTransaction):
-    """Executes against one thread's connection inside an explicit BEGIN."""
+class StoreTransaction:
+    """One atomic unit of reads and writes, inside an explicit BEGIN.
 
-    def __init__(self, backend: str, write: bool, conn: sqlite3.Connection) -> None:
-        super().__init__(backend, write)
+    Mutating calls (:meth:`put`, :meth:`delete`, :meth:`next_value`)
+    require the transaction to have been opened with ``write=True``;
+    read-only transactions raise :class:`StoreError` instead of silently
+    upgrading (an upgrade mid-flight is how SQLite deadlocks two deferred
+    writers).
+    """
+
+    def __init__(self, conn: sqlite3.Connection, write: bool) -> None:
         self._conn = conn
+        self.write = write
+
+    def _count(self, op: str) -> None:
+        STORE_OPS.inc(backend=StorageConnector.backend, op=op)
+
+    def _require_write(self, op: str) -> None:
+        if not self.write:
+            raise StoreError(
+                f"{op}() requires a write transaction; open with transaction(write=True)"
+            )
 
     # -- reads --------------------------------------------------------- #
     def get(self, namespace: str, key: str) -> VersionedValue | None:
+        """The value and version stored under ``(namespace, key)``, or ``None``."""
         check_names(namespace, key)
         self._count("get")
         row = self._conn.execute(
@@ -102,11 +140,16 @@ class _SqliteTransaction(StoreTransaction):
         return VersionedValue(value=decode_value(row[1]), version=int(row[0]))
 
     def version(self, namespace: str, key: str) -> int:
+        """The version stored under ``(namespace, key)`` (0 when absent).
+
+        Equals ``get(namespace, key).version`` without decoding the document.
+        """
         check_names(namespace, key)
         self._count("get")
         return self._current_version(namespace, key)
 
     def keys(self, namespace: str) -> list[str]:
+        """All keys in ``namespace``, sorted."""
         check_names(namespace)
         self._count("list")
         rows = self._conn.execute(
@@ -115,6 +158,7 @@ class _SqliteTransaction(StoreTransaction):
         return [str(row[0]) for row in rows]
 
     def items(self, namespace: str) -> list[tuple[str, VersionedValue]]:
+        """All ``(key, versioned value)`` pairs in ``namespace``, sorted by key."""
         check_names(namespace)
         self._count("list")
         rows = self._conn.execute(
@@ -127,6 +171,7 @@ class _SqliteTransaction(StoreTransaction):
         ]
 
     def namespaces(self) -> list[str]:
+        """Every namespace holding at least one key, sorted."""
         self._count("list")
         rows = self._conn.execute(
             "SELECT DISTINCT namespace FROM kv ORDER BY namespace"
@@ -134,6 +179,7 @@ class _SqliteTransaction(StoreTransaction):
         return [str(row[0]) for row in rows]
 
     def peek(self, counter: str) -> int:
+        """Current value of a counter (0 when never advanced)."""
         check_names(counter)
         self._count("counter")
         row = self._conn.execute(
@@ -142,6 +188,7 @@ class _SqliteTransaction(StoreTransaction):
         return int(row[0]) if row is not None else 0
 
     def counters(self) -> dict[str, int]:
+        """Every named counter and its current value."""
         self._count("counter")
         rows = self._conn.execute(
             "SELECT name, value FROM counters ORDER BY name"
@@ -159,6 +206,13 @@ class _SqliteTransaction(StoreTransaction):
     def put(
         self, namespace: str, key: str, value: Any, expected_version: int | None = None
     ) -> int:
+        """Write a document; returns the new version.
+
+        ``expected_version=0`` creates only (raises
+        :class:`VersionConflictError` if the key exists);
+        ``expected_version=N`` updates only if the key is still at ``N``;
+        ``None`` writes unconditionally.
+        """
         check_names(namespace, key)
         self._require_write("put")
         self._count("put")
@@ -177,6 +231,10 @@ class _SqliteTransaction(StoreTransaction):
     def delete(
         self, namespace: str, key: str, expected_version: int | None = None
     ) -> bool:
+        """Delete a document; returns whether it existed.
+
+        A non-``None`` ``expected_version`` must match the stored version.
+        """
         check_names(namespace, key)
         self._require_write("delete")
         self._count("delete")
@@ -193,6 +251,7 @@ class _SqliteTransaction(StoreTransaction):
         return True
 
     def next_value(self, counter: str) -> int:
+        """Advance a named monotonic counter and return its new value."""
         check_names(counter)
         self._require_write("counter")
         self._count("counter")
@@ -204,69 +263,65 @@ class _SqliteTransaction(StoreTransaction):
         )
         return value
 
-    def restore(self, namespace: str, key: str, value: Any, version: int) -> None:
-        check_names(namespace, key)
-        self._require_write("restore")
-        self._count("put")
-        if version < 1:
-            raise VersionConflictError(namespace, key, version, 0)
-        text = encode_value(value)
-        self._conn.execute(
-            "INSERT INTO kv (namespace, key, version, value) VALUES (?, ?, ?, ?) "
-            "ON CONFLICT (namespace, key) DO UPDATE SET version = ?, value = ?",
-            (namespace, key, int(version), text, int(version), text),
-        )
 
-    def set_counter(self, counter: str, value: int) -> None:
-        check_names(counter)
-        self._require_write("counter")
-        self._count("counter")
-        self._conn.execute(
-            "INSERT INTO counters (name, value) VALUES (?, ?) "
-            "ON CONFLICT (name) DO UPDATE SET value = ?",
-            (counter, int(value), int(value)),
-        )
+class StorageConnector:
+    """A namespaced, versioned document store on a SQLite file or in memory.
 
+    ``path`` names the database file; ``None`` keeps the store in memory.
+    """
 
-class SqliteConnector(StorageConnector):
-    """Durable :class:`~repro.store.base.StorageConnector` over one SQLite file."""
-
+    #: Backend name reported by ``/stats`` and used as the metrics label.
     backend = "sqlite"
 
-    def __init__(
-        self,
-        path: str | Path,
-        busy_timeout: float = 5.0,
-        synchronous: str = "FULL",
-        max_retries: int = 8,
-    ) -> None:
-        super().__init__()
-        if synchronous.upper() not in {"OFF", "NORMAL", "FULL", "EXTRA"}:
-            raise StoreError(f"invalid synchronous mode {synchronous!r}")
-        if busy_timeout < 0:
-            raise StoreError("busy_timeout must be non-negative")
-        if max_retries < 1:
-            raise StoreError("max_retries must be at least 1")
-        self._path = Path(path)
-        self._busy_timeout = float(busy_timeout)
-        self._synchronous = synchronous.upper()
-        self._max_retries = int(max_retries)
+    def __init__(self, path: str | Path | None = None) -> None:
+        self._path = Path(path) if path is not None else None
+        self._closed = True
         self._local = threading.local()
         self._conn_lock = threading.Lock()
         self._all_conns: list[sqlite3.Connection] = []
+        self._memory = (
+            None
+            if self._path is not None
+            else sqlite3.connect(":memory:", isolation_level=None, check_same_thread=False)
+        )
+        self._memory_lock = threading.RLock()
 
     @property
-    def location(self) -> str:
-        """Path of the database file."""
-        return str(self._path)
+    def location(self) -> str | None:
+        """Path of the database file, or ``None`` for an in-memory store."""
+        return str(self._path) if self._path is not None else None
 
     # -- lifecycle ----------------------------------------------------- #
-    def _open_backend(self) -> None:
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        conn = self._connection()
-        # Racing openers contend on the schema lock; go through the same
-        # bounded backoff as transactions.
-        self._retry(lambda: self._create_schema(conn))
+    def open(self) -> "StorageConnector":
+        """Open the store (idempotent); returns ``self`` for chaining."""
+        if self._closed:
+            if self._path is not None:
+                self._path.parent.mkdir(parents=True, exist_ok=True)
+            with self._connection() as conn:
+                # Racing openers contend on the schema lock; go through the
+                # same bounded backoff as transactions.
+                self._retry(lambda: self._create_schema(conn))
+            self._closed = False
+        return self
+
+    def close(self) -> None:
+        """Release the file connections (idempotent); memory data stays."""
+        if not self._closed:
+            self._closed = True
+            with self._conn_lock:
+                conns, self._all_conns = self._all_conns, []
+            for conn in conns:
+                with suppress(sqlite3.Error):
+                    conn.close()
+            self._local = threading.local()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StoreError(f"store {self._name} is not open")
+
+    @property
+    def _name(self) -> str:
+        return str(self._path) if self._path is not None else ":memory:"
 
     def _create_schema(self, conn: sqlite3.Connection) -> None:
         for statement in _SCHEMA:
@@ -281,19 +336,20 @@ class SqliteConnector(StorageConnector):
         found = int(row[0]) if row is not None else 0
         if found != STORE_FORMAT_VERSION:
             raise StoreError(
-                f"store format version {found} in {self._path} is not supported "
+                f"store format version {found} in {self._name} is not supported "
                 f"(this build writes version {STORE_FORMAT_VERSION})"
             )
 
-    def _close_backend(self) -> None:
-        with self._conn_lock:
-            conns, self._all_conns = self._all_conns, []
-        for conn in conns:
-            with suppress(sqlite3.Error):
-                conn.close()
-        self._local = threading.local()
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """The in-memory connection under its lock, or this thread's file one."""
+        if self._memory is not None:
+            with self._memory_lock:
+                yield self._memory
+        else:
+            yield self._thread_connection()
 
-    def _connection(self) -> sqlite3.Connection:
+    def _thread_connection(self) -> sqlite3.Connection:
         conn = getattr(self._local, "conn", None)
         pid = getattr(self._local, "pid", None)
         if conn is not None and pid == os.getpid():
@@ -302,49 +358,118 @@ class SqliteConnector(StorageConnector):
         # inherited connection object (shared file offsets corrupt the WAL).
         conn = sqlite3.connect(
             str(self._path),
-            timeout=self._busy_timeout,
+            timeout=BUSY_TIMEOUT_S,
             isolation_level=None,  # explicit BEGIN/COMMIT below
             check_same_thread=False,  # each conn still serves only its thread
         )
         conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(f"PRAGMA synchronous={self._synchronous}")
-        conn.execute(f"PRAGMA busy_timeout={int(self._busy_timeout * 1000)}")
+        conn.execute(f"PRAGMA synchronous={SYNCHRONOUS}")
+        conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
         self._local.conn = conn
         self._local.pid = os.getpid()
         with self._conn_lock:
             self._all_conns.append(conn)
         return conn
 
-    # -- transactions --------------------------------------------------- #
+    # -- transactions -------------------------------------------------- #
     def _retry(self, operation: Callable[[], _T]) -> _T:
         delay = 0.005
-        for attempt in range(self._max_retries):
+        for attempt in range(MAX_RETRIES):
             try:
                 return operation()
             except sqlite3.OperationalError as exc:
-                if not _is_locked(exc) or attempt == self._max_retries - 1:
-                    raise StoreError(f"sqlite store {self._path}: {exc}") from exc
+                if not _is_locked(exc) or attempt == MAX_RETRIES - 1:
+                    raise StoreError(f"sqlite store {self._name}: {exc}") from exc
                 time.sleep(delay)
                 delay = min(delay * 2, 0.25)
-        raise StoreError(f"sqlite store {self._path} stayed locked")  # pragma: no cover
+        raise StoreError(f"sqlite store {self._name} stayed locked")  # pragma: no cover
 
     @contextmanager
-    def _transact(self, write: bool) -> Iterator[StoreTransaction]:
-        conn = self._connection()
-        begin = "BEGIN IMMEDIATE" if write else "BEGIN"
-        self._retry(lambda: conn.execute(begin))
-        try:
-            yield _SqliteTransaction(self.backend, write, conn)
-        except BaseException:
-            with suppress(sqlite3.Error):
-                conn.execute("ROLLBACK")
-            raise
-        try:
-            self._retry(lambda: conn.execute("COMMIT"))
-        except StoreError:
-            with suppress(sqlite3.Error):
-                conn.execute("ROLLBACK")
-            raise
+    def transaction(self, write: bool = False) -> Iterator[StoreTransaction]:
+        """Open one atomic transaction (commit on exit, roll back on error)."""
+        self._check_open()
+        with span("store_txn", kind="store", backend=self.backend, write=write):
+            with self._connection() as conn:
+                begin = "BEGIN IMMEDIATE" if write else "BEGIN"
+                self._retry(lambda: conn.execute(begin))
+                try:
+                    yield StoreTransaction(conn, write)
+                except BaseException:
+                    with suppress(sqlite3.Error):
+                        conn.execute("ROLLBACK")
+                    raise
+                try:
+                    self._retry(lambda: conn.execute("COMMIT"))
+                except StoreError:
+                    with suppress(sqlite3.Error):
+                        conn.execute("ROLLBACK")
+                    raise
+        STORE_TXNS.inc(backend=self.backend, write="true" if write else "false")
+
+    def backup(self, target: "StorageConnector") -> None:
+        """Replace ``target``'s whole database with a copy of this one.
+
+        One consistent read copies every document, version and counter, so
+        optimistic writers that read the source still conflict correctly
+        against the copy; whatever ``target`` held before is gone.
+        """
+        self._check_open()
+        target._check_open()
+        with self._connection() as source, target._connection() as copy:
+            try:
+                source.backup(copy)
+            except sqlite3.Error as exc:
+                raise StoreError(f"backup of {self._name} to {target._name}: {exc}") from exc
+
+    # -- autocommit conveniences --------------------------------------- #
+    def get(self, namespace: str, key: str) -> VersionedValue | None:
+        """One-shot read of a single document."""
+        with self.transaction() as txn:
+            return txn.get(namespace, key)
+
+    def version(self, namespace: str, key: str) -> int:
+        """One-shot read of a single document's version (0 when absent)."""
+        with self.transaction() as txn:
+            return txn.version(namespace, key)
+
+    def put(
+        self, namespace: str, key: str, value: Any, expected_version: int | None = None
+    ) -> int:
+        """One-shot versioned write of a single document."""
+        with self.transaction(write=True) as txn:
+            return txn.put(namespace, key, value, expected_version=expected_version)
+
+    def delete(
+        self, namespace: str, key: str, expected_version: int | None = None
+    ) -> bool:
+        """One-shot delete of a single document."""
+        with self.transaction(write=True) as txn:
+            return txn.delete(namespace, key, expected_version=expected_version)
+
+    def keys(self, namespace: str) -> list[str]:
+        """One-shot sorted key listing of a namespace."""
+        with self.transaction() as txn:
+            return txn.keys(namespace)
+
+    def items(self, namespace: str) -> list[tuple[str, VersionedValue]]:
+        """One-shot sorted item listing of a namespace."""
+        with self.transaction() as txn:
+            return txn.items(namespace)
+
+    def namespaces(self) -> list[str]:
+        """One-shot listing of the populated namespaces."""
+        with self.transaction() as txn:
+            return txn.namespaces()
+
+    def next_value(self, counter: str) -> int:
+        """One-shot counter advance."""
+        with self.transaction(write=True) as txn:
+            return txn.next_value(counter)
+
+    def peek(self, counter: str) -> int:
+        """One-shot counter read."""
+        with self.transaction() as txn:
+            return txn.peek(counter)
 
 
 def is_sqlite_file(path: str | Path) -> bool:

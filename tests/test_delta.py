@@ -294,13 +294,12 @@ class TestStatesBefore800:
     def test_stale_states_in_sqlite_store_refused_through_service(self, tmp_path):
         from repro.serve.router import ServiceRouter
         from repro.service.engine import AnonymizationService
-        from repro.store import SqliteConnector
-        from repro.store.base import NS_DELTAS
+        from repro.store import NS_DELTAS, open_store
 
         published = tmp_path / "published.csv"
         published.write_bytes((STATE_4_0_0 / "published_sps.csv").read_bytes())
         path = tmp_path / "service.db"
-        store = SqliteConnector(path).open()
+        store = open_store(path)
         stored = {}
         for name, fixture in (("old", STATE_4_0_0), ("older7", STATE_7_0_0)):
             document = json.loads((fixture / "state_sps.json").read_text())
@@ -335,7 +334,7 @@ class TestStatesBefore800:
         finally:
             service.close()
 
-        store = SqliteConnector(path).open()
+        store = open_store(path)
         try:
             for name, before in stored.items():
                 after = store.get(NS_DELTAS, name)

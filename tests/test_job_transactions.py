@@ -1,4 +1,4 @@
-"""One store write transaction per job transition, on the memory and SQLite stores.
+"""One store write transaction per job transition, on the in-memory and file stores.
 
 Every job kind — in-memory publish, stream, delta base and delta append —
 makes exactly two write transactions however many chunks it runs: one when
@@ -44,8 +44,9 @@ from repro.service.registry import ServiceError  # noqa: E402
 from repro.store import (  # noqa: E402
     COUNTER_JOB_IDS,
     NS_JOBS,
-    MemoryConnector,
+    StorageConnector,
     StoreError,
+    open_store,
 )
 
 HEADER = ["City", "Disease"]
@@ -60,8 +61,8 @@ def _write_csv(path: Path, rows: list[list[str]]) -> Path:
     return path
 
 
-def _open_service(backend: str, where: Path, memory: MemoryConnector) -> AnonymizationService:
-    """A service over the test's one store: the shared connector or the SQLite file."""
+def _open_service(backend: str, where: Path, memory: StorageConnector) -> AnonymizationService:
+    """A service over the test's one store: the shared in-memory one or the file."""
     if backend == "memory":
         return AnonymizationService(store=memory)
     return AnonymizationService(snapshot_path=where / "state.db")
@@ -117,7 +118,7 @@ def backend(request) -> str:
 
 @pytest.fixture()
 def open_service(backend, tmp_path):
-    memory = MemoryConnector()
+    memory = open_store(None)
     opened: list[AnonymizationService] = []
 
     def open_() -> AnonymizationService:
@@ -252,7 +253,7 @@ class JobTransitionModel(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.dir = Path(tempfile.mkdtemp(prefix="job-model-"))
-        self.memory = MemoryConnector()
+        self.memory = open_store(None)
         self.service = _open_service(self.backend, self.dir, self.memory)
         self.others: list[AnonymizationService] = []
         self.n_files = 0

@@ -14,7 +14,7 @@ import pytest
 from repro.serve import ServingFrontend
 from repro.serve.frontend import MAX_BODY_BYTES, MAX_HEADER_LINES
 from repro.service.engine import AnonymizationService
-from repro.store import SqliteConnector
+from repro.store import open_store
 
 CSV_BODY = "Job,City,Income\n" + "\n".join(
     f"{'eng' if i % 2 else 'artist'},c{i % 3},{'high' if i % 4 == 0 else 'low'}"
@@ -314,7 +314,7 @@ class TestPersistence:
             assert status == 201
         service.close()
 
-        store = SqliteConnector(path).open()
+        store = open_store(path)
         try:
             assert store.namespaces() == ["datasets", "deltas", "jobs"]
             with store.transaction() as txn:

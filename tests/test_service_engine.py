@@ -126,7 +126,7 @@ class TestJobsAndCaching:
         from repro.service.registry import JobStore
 
         svc = AnonymizationService()
-        svc.jobs = JobStore(max_published_tables=2)
+        svc.jobs = JobStore(max_published_tables=2, store=svc.store)
         svc.register_table("skewed", skewed_binary_table)
         first = svc.publish("skewed", "uniform", seed=1)
         second = svc.publish("skewed", "uniform", seed=2)

@@ -1,11 +1,14 @@
 """Unit and concurrency tests of the ``repro.store`` connectors.
 
 Covers the connector contract (transactions, optimistic versioning, typed
-conflicts, counters) uniformly across the SQLite and memory backends;
-SQLite-specific concurrency (threads and processes hammering one database
-file with no lost updates); backend resolution and the refusal of
-pre-12.0.0 JSON snapshots; and service-level restart persistence (datasets,
-jobs and delta states reloading from one store; group indexes rebuilding).
+conflicts, counters) uniformly across the in-memory and file stores; the
+in-memory store's one connection (data across close/open, many threads);
+file-store concurrency (threads and processes hammering one database file
+with no lost updates); store resolution and the refusal of pre-12.0.0 JSON
+snapshots; export through ``AnonymizationService.save``; and service-level
+restart persistence (datasets, jobs and delta states reloading from one
+store; group indexes rebuilding; a reload never overwriting a job that
+ended meanwhile).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
 import tempfile
 import threading
 
@@ -21,23 +25,18 @@ import pytest
 
 from repro.store import (
     COUNTER_JOB_IDS,
-    MemoryConnector,
-    SqliteConnector,
+    NS_DATASETS,
+    NS_JOBS,
     StoreError,
     VersionConflictError,
-    copy_store,
     open_store,
 )
 
 
 @pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
-    """One open connector per backend; closed after the test."""
-    if request.param == "memory":
-        connector = MemoryConnector()
-    else:
-        connector = SqliteConnector(tmp_path / "store.db")
-    connector.open()
+    """One open store in memory or on a file; closed after the test."""
+    connector = open_store(None if request.param == "memory" else tmp_path / "store.db")
     yield connector
     connector.close()
 
@@ -66,7 +65,6 @@ class TestConnectorContract:
         def no_decode(text):
             raise AssertionError("version() decoded a document")
 
-        monkeypatch.setattr("repro.store.memory.decode_value", no_decode)
         monkeypatch.setattr("repro.store.sqlite.decode_value", no_decode)
         assert store.version("ns", "staged") == 1
 
@@ -145,20 +143,124 @@ class TestConnectorContract:
         with pytest.raises(StoreError, match="key"):
             store.put("ns", "", 1)
 
-    def test_copy_store_preserves_versions_and_counters(self, store, tmp_path):
-        store.put("ns", "k", "v1")
-        store.put("ns", "k", "v2")
-        store.next_value("seq")
-        target = SqliteConnector(tmp_path / "copy.db").open()
+
+class TestInMemoryStore:
+    def test_data_survives_close_and_open_of_the_connector(self):
+        store = open_store(None)
+        store.put("ns", "k", {"x": 1})
+        store.next_value(COUNTER_JOB_IDS)
+        store.close()
+        with pytest.raises(StoreError, match="not open"):
+            store.get("ns", "k")
+        store.open()
         try:
-            copy_store(store, target)
-            assert target.get("ns", "k").version == 2
-            assert target.peek("seq") == 1
-            # Optimistic writers that read before the copy still conflict.
-            with pytest.raises(VersionConflictError):
-                target.put("ns", "k", "v3", expected_version=1)
+            assert store.get("ns", "k").value == {"x": 1}
+            assert store.peek(COUNTER_JOB_IDS) == 1
         finally:
-            target.close()
+            store.close()
+
+    def test_every_connector_is_its_own_database(self):
+        first, second = open_store(None), open_store(None)
+        try:
+            first.put("ns", "k", 1)
+            assert second.get("ns", "k") is None
+        finally:
+            first.close()
+            second.close()
+
+    def test_threads_share_the_one_connection_without_lost_updates(self):
+        store = open_store(None)
+        store.put("ns", "doc", 0)
+        results: list[list[int]] = []
+        lock = threading.Lock()
+
+        def worker():
+            values = []
+            for _ in range(25):
+                values.append(store.next_value("seq"))
+                # A read-modify-write: the lock serialises whole transactions.
+                with store.transaction(write=True) as txn:
+                    txn.put("ns", "doc", txn.get("ns", "doc").value + 1)
+            with lock:
+                results.append(values)
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-transaction often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            flat = [v for values in results for v in values]
+            assert sorted(flat) == list(range(1, 151))
+            assert all(values == sorted(values) for values in results)
+            assert store.get("ns", "doc").value == 150
+            assert store.version("ns", "doc") == 151
+        finally:
+            store.close()
+
+
+def _dump(store):
+    """Every document with its version, and every counter, of one store."""
+    with store.transaction() as txn:
+        documents = {
+            namespace: {key: (stored.value, stored.version) for key, stored in txn.items(namespace)}
+            for namespace in txn.namespaces()
+        }
+        return documents, txn.counters()
+
+
+class TestExport:
+    """``AnonymizationService.save(path)`` copies the whole store to ``path``."""
+
+    @pytest.mark.parametrize("source", ["memory", "sqlite"])
+    def test_export_reproduces_the_store_and_replaces_the_target(
+        self, tmp_path, source, skewed_binary_table
+    ):
+        from repro.service.engine import AnonymizationService
+
+        svc = AnonymizationService(
+            snapshot_path=None if source == "memory" else tmp_path / "source.db"
+        )
+        svc.register_table("skewed", skewed_binary_table)
+        svc.register_table("skewed", skewed_binary_table, replace=True)
+        svc.publish("skewed", "sps", seed=3)
+        svc.publish("skewed", "uniform", seed=1)
+        target = tmp_path / "export.db"
+        stale = open_store(target)
+        stale.put("old", "doc", {"stale": True})
+        stale.put(NS_DATASETS, "other", {"stale": True})
+        for _ in range(5):
+            stale.next_value(COUNTER_JOB_IDS)
+        stale.next_value("other_counter")
+        stale.close()
+        try:
+            assert svc.save(target) == target
+            expected = _dump(svc.store)
+        finally:
+            svc.close()
+
+        documents, counters = expected
+        assert documents[NS_DATASETS]["skewed"][1] == 2
+        assert sorted(documents[NS_JOBS]) == ["job-0001", "job-0002"]
+        assert all(version == 2 for _, version in documents[NS_JOBS].values())
+        assert counters == {COUNTER_JOB_IDS: 2}
+        exported = open_store(target)
+        try:
+            assert _dump(exported) == expected
+        finally:
+            exported.close()
+        # The copy is a working store: ids continue after the source's.
+        resumed = AnonymizationService(snapshot_path=target)
+        try:
+            assert resumed.publish("skewed", "uniform", seed=2).job_id == "job-0003"
+        finally:
+            resumed.close()
 
 
 class TestDurabilityAcrossReopen:
@@ -182,7 +284,7 @@ class TestDurabilityAcrossReopen:
 class TestOpenStoreResolution:
     def test_none_path_is_memory(self):
         store = open_store(None)
-        assert store.backend == "memory"
+        assert (store.backend, store.location) == ("sqlite", None)
         store.close()
 
     def test_json_suffix_gets_sqlite_backend(self, tmp_path):
@@ -197,7 +299,7 @@ class TestOpenStoreResolution:
 
     def test_existing_sqlite_file_sniffed_regardless_of_suffix(self, tmp_path):
         path = tmp_path / "state.json"  # lying suffix
-        made = SqliteConnector(path).open()
+        made = open_store(path)
         made.put("ns", "k", 1)
         made.close()
         store = open_store(path)
@@ -282,7 +384,7 @@ class TestLegacySnapshotRefusal:
 # --------------------------------------------------------------------- #
 
 def _alloc_ids_in_process(path: str, count: int, queue) -> None:
-    store = SqliteConnector(path).open()
+    store = open_store(path)
     try:
         values = [store.next_value(COUNTER_JOB_IDS) for _ in range(count)]
     finally:
@@ -292,7 +394,7 @@ def _alloc_ids_in_process(path: str, count: int, queue) -> None:
 
 class TestSqliteConcurrency:
     def test_threads_share_one_counter_without_duplicates(self, tmp_path):
-        store = SqliteConnector(tmp_path / "c.db").open()
+        store = open_store(tmp_path / "c.db")
         results: list[list[int]] = []
         lock = threading.Lock()
 
@@ -314,7 +416,7 @@ class TestSqliteConcurrency:
             assert values == sorted(values)
 
     def test_threads_optimistic_writes_have_one_winner_per_round(self, tmp_path):
-        store = SqliteConnector(tmp_path / "o.db").open()
+        store = open_store(tmp_path / "o.db")
         store.put("ns", "doc", {"round": 0})
         conflicts = []
         lock = threading.Lock()
@@ -346,7 +448,7 @@ class TestSqliteConcurrency:
 
     def test_processes_share_one_counter_without_duplicates(self, tmp_path):
         path = tmp_path / "p.db"
-        SqliteConnector(path).open().close()  # create the schema up front
+        open_store(path).close()  # create the schema up front
         ctx = multiprocessing.get_context("spawn")
         queue = ctx.Queue()
         procs = [
@@ -361,7 +463,7 @@ class TestSqliteConcurrency:
         flat = [v for values in collected for v in values]
         assert len(flat) == len(set(flat)) == 80
         assert max(flat) == 80
-        store = SqliteConnector(path).open()
+        store = open_store(path)
         assert store.peek(COUNTER_JOB_IDS) == 80
         store.close()
 
@@ -370,8 +472,8 @@ class TestSqliteConcurrency:
         from repro.service.registry import JobStore
 
         path = tmp_path / "jobs.db"
-        first = SqliteConnector(path).open()
-        second = SqliteConnector(path).open()
+        first = open_store(path)
+        second = open_store(path)
         try:
             a, b = JobStore(store=first), JobStore(store=second)
             spec = JobSpec(dataset="d", backend="sps")
@@ -478,7 +580,7 @@ class TestServiceRestartPersistence:
         from repro.service.registry import JobStore
 
         path = tmp_path / "jobs.db"
-        store = SqliteConnector(path).open()
+        store = open_store(path)
         jobs = JobStore(store=store)
         record = JobRecord(
             job_id="",
@@ -488,7 +590,7 @@ class TestServiceRestartPersistence:
         jobs.add(record)  # draws the id; the owning process "dies" here
         store.close()
 
-        reopened = SqliteConnector(path).open()
+        reopened = open_store(path)
         try:
             restored = JobStore(store=reopened)
             loaded = restored.get(record.job_id)
@@ -497,12 +599,55 @@ class TestServiceRestartPersistence:
         finally:
             reopened.close()
 
+    def test_reload_keeps_a_job_that_ended_between_its_read_and_rewrite(
+        self, tmp_path, skewed_binary_table
+    ):
+        from repro.service.engine import AnonymizationService
+
+        path = tmp_path / "shared.db"
+        owner = AnonymizationService(snapshot_path=path)
+        owner.register_table("skewed", skewed_binary_table)
+        entry = owner.datasets.get("skewed")
+        build, started, release = entry.groups, threading.Event(), threading.Event()
+
+        def held_build():
+            started.set()  # the job's running record is committed
+            assert release.wait(30)
+            return build()
+
+        entry.groups = held_build
+        worker = threading.Thread(target=owner.publish, args=("skewed", "sps"))
+        worker.start()
+        assert started.wait(30)
+
+        loader_store = open_store(path)
+        rewrite = loader_store.put
+
+        def put_after_the_job_ends(*args, **kwargs):
+            # The loader has read the running record; the owner now stores
+            # the completed one before the loader's rewrite lands.
+            release.set()
+            worker.join(30)
+            return rewrite(*args, **kwargs)
+
+        loader_store.put = put_after_the_job_ends
+        loader = AnonymizationService(store=loader_store)
+        try:
+            assert not worker.is_alive()
+            (job_id,) = loader.store.keys(NS_JOBS)
+            assert loader.store.get(NS_JOBS, job_id).value["status"] == "completed"
+            assert loader.job(job_id).status == "completed"
+            assert owner.job(job_id).status == "completed"
+        finally:
+            loader.close()
+            owner.close()
+
     def test_register_conflict_across_shared_store_is_typed(self, tmp_path, skewed_binary_table):
         from repro.service.registry import DatasetRegistry, ServiceError
 
         path = tmp_path / "shared.db"
-        first = SqliteConnector(path).open()
-        second = SqliteConnector(path).open()
+        first = open_store(path)
+        second = open_store(path)
         try:
             a, b = DatasetRegistry(store=first), DatasetRegistry(store=second)
             a.register("demo", skewed_binary_table)

@@ -1,10 +1,10 @@
 """Property tests: documents round-trip through every storage connector.
 
 For arbitrary JSON documents, tables, job records and delta states,
-hypothesis asserts the value read back from a connector equals the value
-written — across the memory and SQLite backends.  Because :func:`repro.store.base.encode_value` canonises at the
-transaction boundary, all backends are held to the *same* round-trip, not
-backend-specific ones.
+hypothesis asserts the value read back from a store equals the value
+written — in memory and on a file.  Because
+:func:`repro.store.base.encode_value` canonises at the transaction boundary,
+both are held to the *same* round-trip.
 
 Profiles mirror ``tests/test_delta_properties.py``: CI runs the
 ``derandomize=True`` profile for reproducible runs; locally hypothesis keeps
@@ -32,7 +32,7 @@ from repro.service.models import (  # noqa: E402
     table_from_json,
     table_to_json,
 )
-from repro.store import MemoryConnector, SqliteConnector  # noqa: E402
+from repro.store import open_store  # noqa: E402
 
 settings.register_profile("ci", derandomize=True, max_examples=25, deadline=None)
 settings.register_profile("local", max_examples=50, deadline=None)
@@ -63,7 +63,7 @@ names = st.text(
 
 @contextmanager
 def _fresh_backends():
-    """One connector per backend over a per-example scratch directory.
+    """One in-memory and one file store over a per-example scratch directory.
 
     hypothesis shares pytest fixtures across examples, so each example gets
     its own temporary directory instead of ``tmp_path``.
@@ -71,8 +71,8 @@ def _fresh_backends():
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         yield [
-            MemoryConnector(),
-            SqliteConnector(base / "prop.db"),
+            open_store(None),
+            open_store(base / "prop.db"),
         ]
 
 
