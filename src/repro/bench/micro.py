@@ -116,7 +116,13 @@ def _sps_pair(seed: int, n_groups: int) -> _Pair:
             for row, rate in zip(count_rows, rates, strict=True)
         ])
 
-    return reference, lambda: _sample_counts(count_rows, rates, default_rng(draw_seed))
+    def vectorized() -> np.ndarray:
+        draw_rng = default_rng(draw_seed)
+        return _sample_counts(
+            count_rows, rates, lambda per_row: draw_rng.random(int(per_row.sum()))
+        )
+
+    return reference, vectorized
 
 
 def _group_index_pair(seed: int, rows: int) -> _Pair:

@@ -19,13 +19,19 @@ holds because only ``|g1| ~ s_g`` independent coin tosses were performed
 (Theorem 4); utility holds because sampling and scaling both preserve SA
 frequencies in expectation (Theorem 5).  Neither depends on the order of the
 coin tosses, so :func:`sps_publish_groups` runs the algorithm as the paper's
-one sort and one scan: over a chunk of groups it makes one draw per phase
-(sampling, retention, replacement, scaling), never one per group.
+one sort and one scan over a *run* of consecutive chunks of groups.  Each
+chunk keeps its own spawned generator, which makes at most one draw per
+phase, in phase order: sampling ``random(F_c)``, retention ``random(N_c)``,
+replacement ``integers(0, m, N_c)`` and scaling ``random(K_c)``.  Only those
+four draws are split by chunk; the audit, sampling, code expansion,
+retain/replace choice and scaling are each one array operation over the
+run, never one per group or per chunk.  A chunk's bytes are therefore the
+same whatever run it is in.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -36,6 +42,7 @@ from repro.core.testing import audit_groups
 from repro.dataset.groups import (
     GroupCounts,
     GroupIndex,
+    chunk_sums,
     expand_counts,
     group_block,
     personal_groups,
@@ -162,19 +169,40 @@ class SPSResult:
         return self.records.sampled_fraction
 
 
+def _chunk_draws(
+    rngs: Sequence[np.random.Generator],
+    per_chunk: np.ndarray,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    dtype: type = float,
+) -> np.ndarray:
+    """``draw(rngs[c], per_chunk[c])`` for every chunk, joined in chunk order.
+
+    A chunk that needs no draws makes no call.
+    """
+    parts = [
+        draw(rng, n) for rng, n in zip(rngs, per_chunk.tolist(), strict=True) if n
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+def _uniform(rng: np.random.Generator, size: int) -> np.ndarray:
+    return rng.random(size)
+
+
 def _sample_counts(
-    counts: np.ndarray, rates: np.ndarray, rng: np.random.Generator
+    counts: np.ndarray, rates: np.ndarray, uniforms: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """Frequency-preserving sample sizes of a ``G x m`` count matrix (phase 1).
 
     All records of a personal group sharing the same SA value are identical,
     so sampling reduces to choosing how many copies of each value to keep:
     ``floor(count * tau)`` plus one more with probability equal to the
-    fractional part, ``tau = rates[g]`` for row ``g``.  One ``random`` call
-    draws a uniform per entry with a non-zero fractional part, row-major
-    (group order, then SA code).  numpy generators fill array draws from the
-    same stream as repeated scalar draws, so this equals stochastic rounding
-    of one entry at a time, row by row, for any seed.
+    fractional part, ``tau = rates[g]`` for row ``g``.  ``uniforms(per_row)``
+    returns one uniform per entry with a non-zero fractional part, given how
+    many each row has, row-major (group order, then SA code).  numpy
+    generators fill array draws from the same stream as repeated scalar
+    draws, so this equals stochastic rounding of one entry at a time, row by
+    row, for any seed.
     """
     scaled = counts * rates[:, None]
     floors = np.floor(scaled)
@@ -182,48 +210,57 @@ def _sample_counts(
     sampled = floors.astype(np.int64)
     # counts == 0 entries have a zero fractional part and never draw.
     draw = fractions > 0
-    n_draws = int(np.count_nonzero(draw))
-    if n_draws:
-        sampled[draw] += rng.random(n_draws) < fractions[draw]
+    if draw.any():
+        sampled[draw] += uniforms(draw.sum(axis=1)) < fractions[draw]
     return np.minimum(sampled, counts)
 
 
 def sps_publish_groups(
     groups: GroupCounts,
     spec: PrivacySpec,
-    rng: int | np.random.Generator | None,
+    rngs: int | np.random.Generator | Sequence[np.random.Generator] | None,
     n_public: int,
     perturbation: UniformPerturbation | None = None,
+    bounds: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SPSRecords]:
-    """Run SPS over a chunk of personal groups and return its published block.
+    """Run SPS over a run of consecutive chunks of personal groups.
 
-    This is the reusable unit of work behind :func:`sps_publish`: callers that
-    partition a :class:`GroupCounts` into chunks (e.g. the service engine's
-    parallel executor) hand each chunk its own seeded generator and
-    concatenate the returned blocks, so the full published table is
-    deterministic for a fixed chunking regardless of execution order.
+    This is the reusable unit of work behind :func:`sps_publish` and the
+    ``sps`` strategy's kernel.  Chunk ``c`` of the run is
+    ``groups[bounds[c]:bounds[c + 1]]`` and draws only from ``rngs[c]``, its
+    own spawned generator; with ``bounds=None`` the whole of ``groups`` is
+    one chunk and ``rngs`` may be one seed or generator.  The bytes of a chunk
+    therefore never depend on which run it is in: a run of ``k`` chunks
+    publishes exactly what ``k`` one-chunk calls publish, concatenated.
 
-    The chunk makes one draw per phase, in this order:
+    Each chunk's generator makes at most one draw per phase, in this order:
 
-    1. ``random(F)``: the sampling step's stochastic rounding, over the
-       ``F`` non-integer entries of ``counts * s_g / |g|`` of the sampled
-       groups, row-major.  A sample that rounds to zero (``s_g < 1``) keeps
-       one record of the group's dominant value and draws nothing more;
-    2. ``random(N)``: retain or replace, one uniform per perturbed record
-       (``|g1|`` per sampled group, ``|g|`` per other group), in group order;
-    3. ``integers(0, m, N)``: the replacement values, in the same order;
-    4. ``random(K)``: the scaling step, over the sampled groups'
-       ``K = sum |g1|`` perturbed records.
+    1. ``random(F_c)``: the sampling step's stochastic rounding, over the
+       ``F_c`` non-integer entries of ``counts * s_g / |g|`` of the chunk's
+       sampled groups, row-major.  A sample that rounds to zero
+       (``s_g < 1``) keeps one record of the group's dominant value and
+       draws nothing more;
+    2. ``random(N_c)``: retain or replace, one uniform per perturbed record
+       of the chunk (``|g1|`` per sampled group, ``|g|`` per other group),
+       in group order;
+    3. ``integers(0, m, N_c)``: the replacement values, in the same order;
+    4. ``random(K_c)``: the scaling step, over the chunk's sampled groups'
+       ``K_c = sum |g1|`` perturbed records.
 
-    ``s_g`` (the audit's Equation 10), the code expansion, the
-    retain/replace choice and the scaling repeats are each one array
-    operation over the chunk.
+    A draw of zero values is not made.  Everything else -- ``s_g`` (the
+    audit's Equation 10), the code expansion, the retain/replace choice and
+    the scaling repeats -- is one array operation over the whole run.
 
-    Returns the ``(n_published, n_public + 1)`` code block for the chunk
-    (NA key columns then the published SA column) and the chunk's
+    Returns the ``(n_published, n_public + 1)`` code block of the run (NA
+    key columns then the published SA column) and the run's
     :class:`SPSRecords`, in input group order.
     """
-    rng = default_rng(rng)
+    if not isinstance(rngs, Sequence):
+        rngs = [default_rng(rngs)]
+    if bounds is None:
+        bounds = np.array([0, len(groups)])
+    if len(rngs) != len(bounds) - 1:
+        raise ValueError("a run needs one generator per chunk")
     if perturbation is None:
         perturbation = UniformPerturbation(spec.retention_probability, spec.domain_size)
     if groups.counts.shape[1] != spec.domain_size or groups.keys.shape[1] != n_public:
@@ -231,21 +268,31 @@ def sps_publish_groups(
     audit = audit_groups(spec, groups, 0)
     sizes, sampled = audit.sizes, ~audit.private
     sample_counts = groups.counts
+    sample_sizes = sizes.copy()
     if sampled.any():
         counts = groups.counts[sampled]
-        sample = _sample_counts(counts, audit.thresholds[sampled] / sizes[sampled], rng)
+
+        def uniforms(per_row: np.ndarray) -> np.ndarray:
+            per_group = np.zeros(len(groups), dtype=np.int64)
+            per_group[sampled] = per_row
+            return _chunk_draws(rngs, chunk_sums(per_group, bounds), _uniform)
+
+        sample = _sample_counts(counts, audit.thresholds[sampled] / sizes[sampled], uniforms)
         # s_g < 1: keep one record of the dominant value, so the group is not
         # silently deleted from the published data.
         empty = np.flatnonzero(sample.sum(axis=1) == 0)
         sample[empty, counts[empty].argmax(axis=1)] = 1
         sample_counts = groups.counts.copy()
         sample_counts[sampled] = sample
-    sample_sizes = sample_counts.sum(axis=1)
+        sample_sizes[sampled] = sample.sum(axis=1)
     n = int(sample_sizes.sum())
-    retain = rng.random(n) < perturbation.retention_probability
-    codes = np.where(
-        retain, expand_counts(sample_counts), rng.integers(0, perturbation.domain_size, n)
+    per_chunk = chunk_sums(sample_sizes, bounds)
+    retain = _chunk_draws(rngs, per_chunk, _uniform) < perturbation.retention_probability
+    m = perturbation.domain_size
+    replacements = _chunk_draws(
+        rngs, per_chunk, lambda rng, size: rng.integers(0, m, size), np.int64
     )
+    codes = np.where(retain, expand_counts(sample_counts), replacements)
     published_sizes = sample_sizes.copy()
     if sampled.any():
         # Scaling, over the sampled groups' records only (all others publish
@@ -253,8 +300,11 @@ def sps_publish_groups(
         kept = sample_sizes[sampled]
         ratio = sizes[sampled] / kept
         floors = np.floor(ratio)
+        scale_draws = _chunk_draws(
+            rngs, chunk_sums(np.where(sampled, sample_sizes, 0), bounds), _uniform
+        )
         repeats = np.repeat(floors.astype(np.int64), kept) + (
-            rng.random(int(kept.sum())) < np.repeat(ratio - floors, kept)
+            scale_draws < np.repeat(ratio - floors, kept)
         )
         published_sizes[sampled] = np.add.reduceat(repeats, np.cumsum(kept) - kept)
         all_repeats = np.ones(n, dtype=np.int64)

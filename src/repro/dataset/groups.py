@@ -36,9 +36,11 @@ def _row_codes(keys: np.ndarray, radices: Sequence[int] | None = None) -> np.nda
     caller falls back to a column-wise sort.
     """
     if radices is None:
-        if keys.size == 0 or keys.min() < 0:
+        # Column by column: a table's key columns are strided views, which
+        # reduce several times faster one at a time than along axis 0.
+        if keys.size == 0 or min(int(column.min()) for column in keys.T) < 0:
             return None
-        radices = [int(top) + 1 for top in keys.max(axis=0)]
+        radices = [int(column.max()) + 1 for column in keys.T]
     if math.prod(radices) >= 2**63:
         return None
     codes = np.zeros(len(keys), dtype=np.int64)
@@ -49,14 +51,24 @@ def _row_codes(keys: np.ndarray, radices: Sequence[int] | None = None) -> np.nda
 
 
 def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic row order of ``keys`` and the start of each run of equal keys."""
+    """Stable lexicographic row order of ``keys`` and the start of each run of equal keys.
+
+    When the row codes times the row count fit in int64, ``code * n + row``
+    makes every key distinct, so one unstable argsort gives the stable
+    order (several times faster than a stable sort); otherwise a stable
+    argsort of the codes, or a lexsort when even they do not fit.
+    """
     codes = _row_codes(keys)
     if codes is None:
         order = np.lexsort(keys.T[::-1])
         ordered = keys[order]
         change = np.any(ordered[1:] != ordered[:-1], axis=1)
     else:
-        order = np.argsort(codes, kind="stable")
+        n = len(codes)
+        if n and (int(codes.max()) + 1) * n < 2**63:
+            order = np.argsort(codes * n + np.arange(n))
+        else:
+            order = np.argsort(codes, kind="stable")
         ordered_codes = codes[order]
         change = ordered_codes[1:] != ordered_codes[:-1]
     # The first row starts a run; no rows, no runs.
@@ -217,8 +229,19 @@ def expand_counts(counts: np.ndarray) -> np.ndarray:
     >>> expand_counts(np.array([[2, 0, 1], [0, 1, 0]])).tolist()
     [0, 0, 2, 1]
     """
-    n_groups, m = counts.shape
-    return np.repeat(np.tile(np.arange(m, dtype=np.int64), n_groups), counts.ravel())
+    flat = counts.ravel()
+    # Only the non-zero cells: a table's count matrix is mostly zeros.
+    cells = np.flatnonzero(flat != 0)
+    return np.repeat(cells % counts.shape[1], flat[cells])
+
+
+def chunk_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of per-group ``values`` over each chunk ``[bounds[c], bounds[c + 1])``.
+
+    >>> chunk_sums(np.array([3, 1, 0, 2, 5]), np.array([0, 2, 4, 5])).tolist()
+    [4, 2, 5]
+    """
+    return np.diff(np.concatenate(([0], np.cumsum(values)))[bounds])
 
 
 def group_block(keys: np.ndarray, sizes: np.ndarray, sensitive: np.ndarray) -> np.ndarray:
@@ -227,8 +250,11 @@ def group_block(keys: np.ndarray, sizes: np.ndarray, sensitive: np.ndarray) -> n
     >>> group_block(np.array([[4, 5], [6, 7]]), np.array([1, 2]), np.array([0, 1, 2])).tolist()
     [[4, 5, 0], [6, 7, 1], [6, 7, 2]]
     """
-    block = np.empty((sensitive.size, keys.shape[1] + 1), dtype=np.int64)
-    block[:, :-1] = np.repeat(keys, sizes, axis=0)
+    # Repeat each key row with room for its SA code: the block is the only
+    # record-sized allocation.
+    rows = np.empty((len(keys), keys.shape[1] + 1), dtype=np.int64)
+    rows[:, :-1] = keys
+    block = np.repeat(rows, sizes, axis=0)
     block[:, -1] = sensitive
     return block
 

@@ -244,8 +244,9 @@ def _kernel_entry_points(project: Project) -> dict[str, str]:
 class KernelWallClockRule(Rule):
     """No wall-clock or OS-entropy calls reachable from chunk kernels.
 
-    A chunk kernel's output must be a pure function of ``(chunk, rng)`` —
-    that is what makes publishes byte-identical at any worker count.  Timing
+    A chunk kernel's output must be a pure function of its chunks and their
+    generators — that is what makes publishes byte-identical at any worker
+    count and run length.  Timing
     belongs to :mod:`repro.obs` spans (the scheduler's traced wrapper times
     worker chunks); entropy belongs to the seeded chunk generator.
     """
@@ -279,7 +280,8 @@ class KernelWallClockRule(Rule):
                     yield self.finding(
                         module, node.lineno, node.col_offset,
                         f"{target}() is reachable from chunk kernel {root}; "
-                        "kernels must be pure functions of (chunk, rng) — "
+                        "kernels must be pure functions of their chunks and "
+                        "generators — "
                         "timing belongs to repro.obs spans, entropy to the "
                         "seeded chunk generator",
                     )

@@ -262,11 +262,12 @@ CHUNKS_TOTAL = REGISTRY.counter(
     labelnames=("backend",),
 )
 
-#: Per-chunk wall-clock seconds (recorded when a tracer is active, since
+#: Per-task wall-clock seconds (recorded when a tracer is active, since
 #: durations are timed worker-side by the traced kernel wrapper).
 CHUNK_SECONDS = REGISTRY.histogram(
     "repro_chunk_seconds",
-    "Wall-clock seconds per scheduler work chunk (recorded while tracing).",
+    "Wall-clock seconds per scheduler task: one chunk, or a run of chunks "
+    "on the group path (recorded while tracing).",
     labelnames=("backend",),
 )
 

@@ -53,7 +53,7 @@ class SpanRecord:
     ``start`` is seconds since the owning tracer's epoch (its creation
     instant); ``duration`` is wall-clock seconds.  ``parent_id`` is ``None``
     for root spans.  ``attributes`` are JSON-compatible key/values
-    (strategy, seed, chunk_id, backend, rows, ...).
+    (strategy, seed, first_chunk, backend, rows, ...).
     """
 
     span_id: int

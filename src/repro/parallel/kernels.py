@@ -4,23 +4,25 @@
 :meth:`PublishStrategy.chunk_publisher` builds; it builds that closure
 lazily, once, and reports a strategy that has none with a distinct error.
 Construction of a chunk publisher draws no randomness — every draw comes
-from the per-chunk generator handed in with the payload.
+from the per-chunk generators handed in with the payload.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
+from repro.dataset.groups import GroupCounts, chunk_sums
 from repro.dataset.loaders import csv_codec, remap_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.criterion import PrivacySpec
+    from repro.core.sps import SPSRecords
     from repro.dataset.schema import Schema
-    from repro.pipeline.strategy import PublishStrategy
+    from repro.pipeline.strategy import GroupRunFn, PublishStrategy
 
 
 class MissingChunkPublisher(ValueError):
@@ -51,13 +53,26 @@ def encode_block_csv(schema: "Schema", block: np.ndarray) -> EncodedBlock:
     return EncodedBlock(text=text, n_rows=int(block.shape[0]))
 
 
+class RunResult(NamedTuple):
+    """What a run of chunks published: one block plus each chunk's row count.
+
+    Chunk ``c``'s rows are ``block[offsets[c]:offsets[c + 1]]`` where
+    ``offsets`` are the running sums of ``chunk_rows`` from zero.
+    """
+
+    block: np.ndarray
+    records: "SPSRecords | None"
+    chunk_rows: np.ndarray
+
+
 @dataclass
 class StrategyKernel:
     """A stand-in for ``strategy.chunk_publisher(schema, spec, resolved)``.
 
-    Calling the kernel is byte-for-byte the same as calling the closure the
+    :meth:`run` is byte-for-byte the same as calling the closure the
     strategy builds — the kernel *is* that closure, built lazily on first
-    use and cached.
+    use and cached.  Calling the kernel with one chunk and its generator
+    runs it as a run of one and returns ``(block, records)``.
     """
 
     strategy: "PublishStrategy"
@@ -66,7 +81,7 @@ class StrategyKernel:
     resolved: dict[str, Any]
     _fn: Any = field(default=None, repr=False, compare=False)
 
-    def build(self) -> Callable[[Sequence[Any], np.random.Generator], tuple[np.ndarray, Sequence[Any]]]:
+    def build(self) -> "GroupRunFn":
         """The underlying chunk publisher, built once.
 
         Raises :class:`MissingChunkPublisher` when the strategy returns
@@ -83,10 +98,21 @@ class StrategyKernel:
             self._fn = fn
         return self._fn
 
+    def run(
+        self,
+        groups: GroupCounts,
+        rngs: Sequence[np.random.Generator],
+        bounds: np.ndarray,
+    ) -> RunResult:
+        """Publish a run of chunks: chunk ``c`` is ``groups[bounds[c]:bounds[c + 1]]``."""
+        block, sizes, records = self.build()(groups, rngs, bounds)
+        return RunResult(block, records, chunk_sums(sizes, bounds))
+
     def __call__(
-        self, chunk: Sequence[Any], rng: np.random.Generator
-    ) -> tuple[np.ndarray, Sequence[Any]]:
-        return self.build()(chunk, rng)
+        self, chunk: GroupCounts, rng: np.random.Generator
+    ) -> tuple[np.ndarray, "SPSRecords | None"]:
+        block, _, records = self.build()(chunk, (rng,), np.array([0, len(chunk)]))
+        return block, records
 
 
 @dataclass

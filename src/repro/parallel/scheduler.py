@@ -11,6 +11,11 @@ consumption are byte-identical at any ``workers`` count.
 ``workers=N`` runs a ``ThreadPoolExecutor`` of ``N`` threads.  Threads share
 the caller's memory: kernels are called as they are, and chunks and blocks
 are never copied between workers and the caller.
+
+A task is one chunk, or on the group path (:func:`iter_run_results`) a run
+of up to :data:`RUN_CHUNKS` consecutive chunks, each with its own spawned
+generator.  Like ``workers``, the run length is
+execution-only: the bytes depend on the seed and ``chunk_size`` alone.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, TypeVar
+from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 
@@ -31,8 +36,17 @@ from repro.obs.trace import Tracer, current_tracer
 from repro.parallel.ordered import OrderedEmitter
 from repro.pipeline.execution import DEFAULT_CHUNK_SIZE, chunk_items, chunk_rngs
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dataset.groups import GroupCounts
+    from repro.parallel.kernels import RunResult, StrategyKernel
+
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: Most chunks one group-path task publishes in one kernel call: enough to
+#: spread a kernel call's fixed cost (~20 small array operations) over many
+#: chunks, few enough that a census-size table still makes a dozen tasks.
+RUN_CHUNKS = 16
 
 
 @dataclass
@@ -70,11 +84,16 @@ class _TimedKernel:
         )
 
 
-def _emit_chunk(
-    tracer: Tracer | None, item: Any, index: int, backend: str, workers: int
+def _emit_task(
+    tracer: Tracer | None,
+    item: Any,
+    first_chunk: int,
+    n_chunks: int,
+    backend: str,
+    workers: int,
 ) -> Any:
-    """Unwrap one (possibly timed) chunk result; record its span and metrics."""
-    CHUNKS_TOTAL.inc(backend=backend)
+    """Unwrap one (possibly timed) task result; record its span and metrics."""
+    CHUNKS_TOTAL.inc(n_chunks, backend=backend)
     if tracer is None:
         return item
     tracer.record(
@@ -82,7 +101,8 @@ def _emit_chunk(
         item.duration,
         attributes={
             "kind": "chunk",
-            "chunk_id": index,
+            "first_chunk": first_chunk,
+            "n_chunks": n_chunks,
             "backend": backend,
             "workers": workers,
             "worker_pid": item.pid,
@@ -99,30 +119,46 @@ def iter_ordered_map(
     *,
     workers: int = 1,
     n_tasks: int | None = None,
+    task_chunks: Sequence[int] | None = None,
 ) -> Iterator[R]:
     """Apply ``fn(*payload)`` to every payload; yield results **in payload order**.
 
     The parallel primitive everything else builds on.  ``payloads`` may be a
-    lazy iterator: at most ``~2 * workers`` tasks are in flight or buffered
-    at once, so a bounded-memory producer (e.g. the streaming engine's row
-    spool) stays bounded through the pool.  It runs inline when
+    lazy iterator: at most ``~2 * workers`` tasks (``workers + 1`` runs of
+    chunks) are in flight or buffered at once, so a bounded-memory producer
+    (e.g. the streaming engine's row spool) stays bounded through the pool.  It runs inline when
     ``workers <= 1`` or ``n_tasks <= 1``, on ``workers`` threads otherwise.
-    Worker exceptions propagate to the caller on the chunk that raised; the
-    pool is shut down (pending work cancelled) on any failure or early
-    consumer exit.
+    ``task_chunks`` gives how many chunks each task covers (one each by
+    default; it also sets ``n_tasks``): the chunk counter counts chunks and
+    each task's span names its ``first_chunk`` and ``n_chunks``.  Worker
+    exceptions propagate to the caller on the task that raised; the pool is
+    shut down (pending work cancelled) on any failure or early consumer
+    exit.
     """
-    # With a tracer active, each chunk is timed inside its worker and the
-    # finished span records are merged here in chunk order (deterministic
+    # With a tracer active, each task is timed inside its worker and the
+    # finished span records are merged here in task order (deterministic
     # trace structure at any worker count — only the timing values move).
     tracer = current_tracer()
     exec_fn: Callable[..., Any] = _TimedKernel(fn) if tracer is not None else fn
+    if task_chunks is not None:
+        n_tasks = len(task_chunks)
+    first_chunk = 0
+
+    def emit(item: Any, index: int, backend: str) -> Any:
+        nonlocal first_chunk
+        n_chunks = 1 if task_chunks is None else task_chunks[index]
+        first_chunk += n_chunks
+        return _emit_task(tracer, item, first_chunk - n_chunks, n_chunks, backend, workers)
+
     if workers <= 1 or (n_tasks is not None and n_tasks <= 1):
         for index, payload in enumerate(payloads):
-            yield _emit_chunk(tracer, exec_fn(*payload), index, "serial", workers)
+            yield emit(exec_fn(*payload), index, "serial")
         return
 
     executor = ThreadPoolExecutor(max_workers=workers)
-    max_inflight = 2 * workers + 2
+    # A run task's result is a whole run's block: keep every worker busy
+    # plus one result ready, not a second round of runs.
+    max_inflight = 2 * workers + 2 if task_chunks is None else workers + 1
     iterator = iter(payloads)
     try:
         futures: dict[Any, int] = {}
@@ -152,7 +188,7 @@ def iter_ordered_map(
             for future in done:
                 emitter.push(futures.pop(future), future.result())
             while ready:
-                yield _emit_chunk(tracer, ready.popleft(), emitted, "thread", workers)
+                yield emit(ready.popleft(), emitted, "thread")
                 emitted += 1
         emitter.close()  # every submitted chunk was flushed, in order
     finally:
@@ -181,6 +217,43 @@ def iter_chunk_results(
         zip(chunks, rngs, strict=True),
         workers=workers,
         n_tasks=len(chunks),
+    )
+
+
+def iter_run_results(
+    groups: "GroupCounts",
+    kernel: "StrategyKernel",
+    seed: int,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    *,
+    workers: int = 1,
+) -> Iterator["RunResult"]:
+    """Yield ``kernel.run(...)`` over runs of seeded chunks, in chunk order.
+
+    The chunks and their spawned generators are exactly
+    :func:`iter_chunk_results`'s; consecutive chunks are handed out
+    :data:`RUN_CHUNKS` at a time, so each task makes one kernel call over
+    its run, with chunk ``c`` of the run drawing from its own generator.
+    The bytes are those of one call per chunk at any run length and worker
+    count.
+    """
+    if chunk_size <= 0:
+        raise ValueError("chunk_size must be positive")
+    n_chunks = -(-len(groups) // chunk_size)
+    rngs = chunk_rngs(seed, n_chunks)
+    firsts = range(0, n_chunks, RUN_CHUNKS)
+
+    def payloads() -> Iterator[tuple[Any, ...]]:
+        for first in firsts:
+            run = groups[first * chunk_size : (first + RUN_CHUNKS) * chunk_size]
+            bounds = np.append(np.arange(0, len(run), chunk_size), len(run))
+            yield run, rngs[first : first + RUN_CHUNKS], bounds
+
+    yield from iter_ordered_map(
+        kernel.run,
+        payloads(),
+        workers=workers,
+        task_chunks=[min(RUN_CHUNKS, n_chunks - first) for first in firsts],
     )
 
 

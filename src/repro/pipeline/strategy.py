@@ -21,7 +21,7 @@ Built-in strategies
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any, ClassVar
 
 import numpy as np
@@ -35,12 +35,14 @@ from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
 from repro.perturbation.uniform import UniformPerturbation
 from repro.pipeline.params import ParamSpec, resolve_params
 
-#: Signature of a group-batch publishing kernel: ``fn(chunk_of_groups, rng)``
-#: returns the published code block plus the chunk's SPS records (``None``
-#: for kernels that keep none).
-GroupChunkFn = Callable[
-    [GroupCounts, np.random.Generator],
-    tuple[np.ndarray, SPSRecords | None],
+#: Signature of a group-run publishing kernel: ``fn(run, rngs, bounds)``
+#: publishes a run of consecutive chunks of groups, chunk ``c`` being
+#: ``run[bounds[c]:bounds[c + 1]]`` with its own generator ``rngs[c]``.  It
+#: returns the published code block, each group's published row count and
+#: the run's SPS records (``None`` for kernels that keep none).
+GroupRunFn = Callable[
+    [GroupCounts, Sequence[np.random.Generator], np.ndarray],
+    tuple[np.ndarray, np.ndarray, SPSRecords | None],
 ]
 
 
@@ -60,7 +62,8 @@ class PublishStrategy:
     (:meth:`chunk_publisher`) or, declaring ``streams_rows``, through the
     engine's row path; one with neither is refused by every publish path.
 
-    A minimal kernel strategy publishes every group's records unchanged:
+    A minimal kernel strategy publishes every group's records unchanged (it
+    draws nothing, so it never reads ``rngs``):
 
     >>> from repro.dataset.adult import generate_adult
     >>> from repro.pipeline import publish
@@ -70,10 +73,10 @@ class PublishStrategy:
     ...     audits = False
     ...
     ...     def chunk_publisher(self, schema, spec, resolved):
-    ...         def chunk_fn(chunk, rng):
-    ...             sizes, sensitive = chunk.sizes(), expand_counts(chunk.counts)
-    ...             return group_block(chunk.keys, sizes, sensitive), None
-    ...         return chunk_fn
+    ...         def run_fn(run, rngs, bounds):
+    ...             sizes, sensitive = run.sizes(), expand_counts(run.counts)
+    ...             return group_block(run.keys, sizes, sensitive), sizes, None
+    ...         return run_fn
     >>> _ = register_strategy(Identity())
     >>> table = generate_adult(500, seed=1)
     >>> report = publish(table, strategy="identity-example", rng=1)
@@ -125,18 +128,24 @@ class PublishStrategy:
         schema: Schema,
         spec: PrivacySpec | None,
         resolved: Mapping[str, Any],
-    ) -> GroupChunkFn | None:
-        """The group-batch publishing kernel, or ``None`` if there is none.
+    ) -> GroupRunFn | None:
+        """The group-run publishing kernel, or ``None`` if there is none.
 
         When a strategy's published bytes depend only on the ordered list of
         personal groups (their NA keys and SA count vectors) — true for SPS
         and the DP histogram strategies — it returns
-        ``fn(chunk_of_groups, rng) -> (codes_block, records)`` here.  Every
-        publish path drives this same kernel over deterministic seeded
-        chunks, which is why in-memory, streamed and delta output are
-        byte-identical for a fixed ``(seed, chunk_size)``.  The default
-        returns ``None``: such a strategy can publish only if it declares
-        ``streams_rows``.
+        ``fn(run, rngs, bounds) -> (codes_block, published_sizes, records)``
+        here.  ``run`` is a :class:`GroupCounts` of consecutive chunks;
+        chunk ``c`` is ``run[bounds[c]:bounds[c + 1]]`` and must draw only
+        from ``rngs[c]``, its own spawned generator.  The block holds each
+        group's published rows in group order, ``published_sizes`` how many
+        each group has.  Every publish path drives this same kernel over
+        deterministic seeded chunks, which is why in-memory, streamed and
+        delta output are byte-identical for a fixed ``(seed, chunk_size)``.
+        How many chunks one run holds is execution-only, like ``workers``:
+        a kernel must publish the same bytes for a chunk whatever run it is
+        in.  The default returns ``None``: such a strategy can publish only
+        if it declares ``streams_rows``.
         """
         return None
 
@@ -247,17 +256,20 @@ class SPSStrategy(PublishStrategy):
         schema: Schema,
         spec: PrivacySpec | None,
         resolved: Mapping[str, Any],
-    ) -> GroupChunkFn:
+    ) -> GroupRunFn:
         assert spec is not None  # spec_for always returns one for SPS
         perturbation = UniformPerturbation(spec.retention_probability, spec.domain_size)
         n_public = len(schema.public)
 
-        def chunk_fn(
-            chunk: GroupCounts, rng: np.random.Generator
-        ) -> tuple[np.ndarray, SPSRecords]:
-            return sps_publish_groups(chunk, spec, rng, n_public, perturbation)
+        def run_fn(
+            run: GroupCounts, rngs: Sequence[np.random.Generator], bounds: np.ndarray
+        ) -> tuple[np.ndarray, np.ndarray, SPSRecords]:
+            block, records = sps_publish_groups(
+                run, spec, rngs, n_public, perturbation, bounds
+            )
+            return block, records.published_sizes, records
 
-        return chunk_fn
+        return run_fn
 
 class GeneralizeSPSStrategy(SPSStrategy):
     """Chi-square generalisation of the public attributes followed by SPS.
@@ -304,6 +316,13 @@ class UniformStrategy(PublishStrategy):
     def spec_for(self, table: Table, resolved: Mapping[str, Any]) -> PrivacySpec:
         return _spec_from(table, resolved)
 
+
+def _noisy_counts(mechanism: Any, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One chunk's counts plus noise, rounded and clamped to non-negative integers."""
+    noisy = np.asarray(mechanism.add_noise(counts.astype(float), rng))
+    return np.maximum(0, np.rint(noisy)).astype(np.int64)
+
+
 class _DPHistogramStrategy(PublishStrategy):
     """Shared machinery of the DP strategies: noisy per-group SA histograms.
 
@@ -312,9 +331,12 @@ class _DPHistogramStrategy(PublishStrategy):
     NA key structure is preserved exactly (as the paper's model requires);
     only the per-group SA histograms are privatised.
 
-    The kernel draws a chunk's noise in one call over its ``G x m`` count
-    matrix: numpy fills an array draw from the same stream as consecutive
-    per-group draws, so the bytes are those of a per-group loop.
+    The kernel draws each chunk's noise in one call over its ``G x m`` count
+    matrix from the chunk's generator: numpy fills an array draw from the
+    same stream as consecutive per-group draws, so the bytes are those of a
+    per-group loop.  Rounding and clamping stay per chunk too, so a run
+    holds no float copy of its counts; the expansion and the block are one
+    array pass over the run.
     """
 
     audits = False
@@ -336,15 +358,21 @@ class _DPHistogramStrategy(PublishStrategy):
         schema: Schema,
         spec: PrivacySpec | None,
         resolved: Mapping[str, Any],
-    ) -> GroupChunkFn:
+    ) -> GroupRunFn:
         mechanism = self._mechanism(resolved)
 
-        def chunk_fn(chunk: GroupCounts, rng: np.random.Generator) -> tuple[np.ndarray, None]:
-            noisy = np.asarray(mechanism.add_noise(chunk.counts.astype(float), rng))
-            counts = np.maximum(0, np.rint(noisy)).astype(np.int64)
-            return group_block(chunk.keys, counts.sum(axis=1), expand_counts(counts)), None
+        def run_fn(
+            run: GroupCounts, rngs: Sequence[np.random.Generator], bounds: np.ndarray
+        ) -> tuple[np.ndarray, np.ndarray, None]:
+            counts = np.concatenate([
+                _noisy_counts(mechanism, run.counts[start:stop], rng)
+                for rng, start, stop in zip(rngs, bounds[:-1], bounds[1:], strict=True)
+            ])
+            sizes = counts.sum(axis=1)
+            return group_block(run.keys, sizes, expand_counts(counts)), sizes, None
 
-        return chunk_fn
+        return run_fn
+
 
 class DPLaplaceStrategy(_DPHistogramStrategy):
     """Laplace-mechanism histogram publication (epsilon-DP per count)."""

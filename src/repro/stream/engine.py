@@ -22,8 +22,8 @@ consumption — for every registered strategy.  This holds because
 1. the incremental index finalizes to the exact schema and group order the
    in-memory :class:`~repro.dataset.groups.GroupIndex` produces;
 2. group chunks and their spawned generators are the same
-   (:func:`~repro.pipeline.execution.chunk_items` /
-   :func:`~repro.pipeline.execution.chunk_rngs`);
+   (:func:`~repro.pipeline.execution.chunk_rngs`), and a kernel publishes
+   the same bytes for a chunk whatever run of chunks it is handed in;
 3. row-stream strategies draw their whole-table vectorised draws chunk by
    chunk, and numpy generators fill chunked array draws from the same stream
    positions as one whole-array draw.
@@ -65,7 +65,7 @@ from repro.parallel.kernels import (
     StrategyKernel,
     UniformRowKernel,
 )
-from repro.parallel.scheduler import iter_chunk_results, iter_ordered_map
+from repro.parallel.scheduler import iter_ordered_map, iter_run_results
 from repro.pipeline.execution import (
     DEFAULT_CHUNK_ROWS,
     DEFAULT_CHUNK_SIZE,
@@ -103,6 +103,9 @@ class _TableSink:
             self._blocks.append(block)
             self.records_written += block.shape[0]
 
+    def write_run(self, block: np.ndarray, chunk_rows: np.ndarray) -> None:
+        self.write_block(block)
+
     def close(self) -> Table:
         n_cols = len(self._schema.public) + 1
         if self._blocks:
@@ -128,6 +131,9 @@ class _NullSink:
     def write_block(self, block: np.ndarray) -> None:
         self.records_written += block.shape[0]
 
+    def write_run(self, block: np.ndarray, chunk_rows: np.ndarray) -> None:
+        self.write_block(block)
+
     def close(self) -> None:
         return None
 
@@ -152,7 +158,8 @@ class _CsvSink:
     which frees a replaced file on a background thread.
 
     ``chunk_counts`` records the row count of every write, empty ones
-    included: one entry per kernel chunk on the group path.  Next to it,
+    included: one entry per kernel chunk on the group path, where
+    :meth:`write_run` writes a run's block chunk by chunk.  Next to it,
     ``chunk_bytes`` records the UTF-8 byte length of what each write
     published and, with ``crc32``, ``chunk_crc32`` its :func:`zlib.crc32`.
     Together they are the chunk index a delta state stores: a later splice
@@ -196,6 +203,13 @@ class _CsvSink:
         """Append a published codes block through the CSV codec."""
         data = self._codec.encode(block)
         self.write_chunk(data, block.shape[0], zlib.crc32(data) if self._crc32 else None)
+
+    def write_run(self, block: np.ndarray, chunk_rows: np.ndarray) -> None:
+        """Append a run's block as one write per chunk of ``chunk_rows`` rows."""
+        stop = 0
+        for n_rows in chunk_rows.tolist():
+            self.write_block(block[stop : stop + n_rows])
+            stop += n_rows
 
     def write_chunk(self, data: bytes | memoryview, n_rows: int, crc32: int | None) -> None:
         """Append one chunk's published bytes, whose CRC32 the caller knows.
@@ -790,19 +804,21 @@ def _enforce_groups(
     records: list[SPSRecords | None],
     notify: ProgressCallback,
 ) -> None:
-    """Drive the group-batch kernel over seeded chunks, in chunk order.
+    """Drive the group-run kernel over runs of seeded chunks, in chunk order.
 
-    With ``workers > 1`` the chunks run on the shared scheduler's threads;
-    the ordered emitter inside the scheduler guarantees blocks reach the
-    sink in chunk order, so the output bytes never depend on the worker
-    count.
+    Each scheduler task publishes a run of consecutive chunks in one kernel
+    call (:func:`~repro.parallel.scheduler.iter_run_results`); a CSV sink
+    still writes, and indexes, each chunk on its own.  With ``workers > 1`` the runs go to the
+    shared scheduler's threads; the ordered emitter inside the scheduler
+    guarantees blocks reach the sink in chunk order, so the output bytes
+    never depend on the worker count or the run length.
     """
-    results = iter_chunk_results(groups, kernel, seed, chunk_size, workers=workers)
+    results = iter_run_results(groups, kernel, seed, chunk_size, workers=workers)
     done = 0
-    for block, chunk_records in results:
-        sink.write_block(block)
-        records.append(chunk_records)
-        done = min(done + chunk_size, len(groups))
+    for block, run_records, chunk_rows in results:
+        sink.write_run(block, chunk_rows)
+        records.append(run_records)
+        done = min(done + chunk_size * len(chunk_rows), len(groups))
         notify({
             "phase": "enforce",
             "groups_done": done,

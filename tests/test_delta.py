@@ -671,13 +671,13 @@ class _ExplodingDeltaStrategy(SPSStrategy):
     def chunk_publisher(self, schema, spec, resolved):
         inner = super().chunk_publisher(schema, spec, resolved)
 
-        def chunk_fn(chunk, rng):
+        def run_fn(run, rngs, bounds):
             mode = os.environ.get("REPRO_TEST_DELTA_EXPLODE")
             if mode == "raise":
                 raise OSError("disk full")
-            return inner(chunk, rng)
+            return inner(run, rngs, bounds)
 
-        return chunk_fn
+        return run_fn
 
 
 @pytest.fixture()

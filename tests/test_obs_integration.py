@@ -21,6 +21,7 @@ from repro.obs.metrics import (
     REGISTRY,
     ROWS_PUBLISHED,
 )
+from repro.parallel.scheduler import RUN_CHUNKS
 from repro.pipeline import available_strategies, publish
 from repro.serve import ServingFrontend
 from repro.service.engine import AnonymizationService
@@ -118,15 +119,25 @@ class TestSpanDeterminism:
             shapes[workers] = _span_shape(tracer)
         assert shapes[1] == shapes[2] == shapes[4]
 
-    def test_chunk_spans_merge_in_chunk_order_under_enforce(self, adult_csv):
+    @pytest.mark.parametrize(("workers", "backend"), [(1, "serial"), (4, "thread")])
+    def test_chunk_spans_merge_in_chunk_order_under_enforce(self, adult_csv, workers, backend):
+        # One span per scheduler task, a run of up to RUN_CHUNKS chunks,
+        # named by its first chunk and its chunk count, in chunk order.
+        # The chunk counter still counts chunks.
+        REGISTRY.reset()
         with Tracer() as tracer:
-            _stream(adult_csv, workers=4)
+            report = _stream(adult_csv, workers=workers, chunk_size=8)
         enforce = next(r for r in tracer.spans if r.name == "enforce")
-        chunks = [r for r in tracer.spans if r.name == "chunk"]
-        assert chunks, "pooled enforce must record chunk spans"
-        assert [c.attributes["chunk_id"] for c in chunks] == list(range(len(chunks)))
-        assert all(c.parent_id == enforce.span_id for c in chunks)
-        assert all(c.attributes["backend"] == "thread" for c in chunks)
+        tasks = [r for r in tracer.spans if r.name == "chunk"]
+        firsts = [t.attributes["first_chunk"] for t in tasks]
+        sizes = [t.attributes["n_chunks"] for t in tasks]
+        n_chunks = -(-report.n_groups // 8)
+        assert n_chunks > RUN_CHUNKS
+        assert firsts == list(range(0, n_chunks, RUN_CHUNKS))
+        assert sizes == [min(RUN_CHUNKS, n_chunks - first) for first in firsts]
+        assert CHUNKS_TOTAL.value(backend=backend) == n_chunks
+        assert all(t.parent_id == enforce.span_id for t in tasks)
+        assert all(t.attributes["backend"] == backend for t in tasks)
 
     def test_trace_exports_and_validates(self, adult_csv, tmp_path):
         path = tmp_path / "stream.jsonl"

@@ -379,9 +379,9 @@ class TestKernels:
         groups = personal_groups(table).groups[:5]
         direct = strategy.chunk_publisher(table.schema, spec, resolved)
         a = kernel(groups, np.random.default_rng(3))
-        c = direct(groups, np.random.default_rng(3))
+        c = direct(groups, [np.random.default_rng(3)], np.array([0, len(groups)]))
         assert (a[0] == c[0]).all()
-        assert a[1].groups == c[1].groups
+        assert a[1].groups == c[2].groups
 
     def test_encode_block_csv_matches_write_csv_bytes(self, adult_csv):
         table = read_csv(io.StringIO(adult_csv), sensitive="Income")
@@ -483,10 +483,10 @@ class TestFailureCleanup:
             name = "sps-exploding"
 
             def chunk_publisher(self, schema, spec, resolved):
-                def chunk_fn(chunk, rng):
+                def run_fn(run, rngs, bounds):
                     raise ValueError("strategy exploded mid-publish")
 
-                return chunk_fn
+                return run_fn
 
         out = tmp_path / "published.csv"
         with pytest.raises(ValueError, match="exploded"):

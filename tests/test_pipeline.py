@@ -295,14 +295,15 @@ class TestCustomStrategy:
                 keep = resolved["n_keep"]
                 assert isinstance(keep, int)  # typed specs preserve int
 
-                def chunk_fn(chunk, rng):
-                    kept = np.zeros_like(chunk.counts)
-                    for row, counts in enumerate(chunk.counts):
+                def run_fn(run, rngs, bounds):
+                    kept = np.zeros_like(run.counts)
+                    for row, counts in enumerate(run.counts):
                         top = np.argsort(counts)[::-1][:keep]
                         kept[row, top] = counts[top]
-                    return group_block(chunk.keys, kept.sum(axis=1), expand_counts(kept)), None
+                    sizes = kept.sum(axis=1)
+                    return group_block(run.keys, sizes, expand_counts(kept)), sizes, None
 
-                return chunk_fn
+                return run_fn
 
         register_strategy(TopKStrategy())
         try:

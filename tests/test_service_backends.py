@@ -40,11 +40,11 @@ class TestRegistry:
             name = "identity-test"
 
             def chunk_publisher(self, schema, spec, resolved):
-                def chunk_fn(chunk, rng):
-                    sensitive = expand_counts(chunk.counts)
-                    return group_block(chunk.keys, chunk.sizes(), sensitive), None
+                def run_fn(run, rngs, bounds):
+                    sizes, sensitive = run.sizes(), expand_counts(run.counts)
+                    return group_block(run.keys, sizes, sensitive), sizes, None
 
-                return chunk_fn
+                return run_fn
 
         try:
             register_strategy(IdentityStrategy())

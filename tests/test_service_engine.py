@@ -145,10 +145,10 @@ class _RaisingSPS(SPSStrategy):
     name = "test-raising"
 
     def chunk_publisher(self, schema, spec, resolved):
-        def chunk_fn(chunk, rng):
+        def run_fn(run, rngs, bounds):
             raise RuntimeError("strategy exploded")
 
-        return chunk_fn
+        return run_fn
 
 
 #: The engine call each job kind delegates its execution to.

@@ -371,9 +371,9 @@ class TestStreamPublish:
         from repro.pipeline.strategy import SPSStrategy
 
         def exploding_chunk_publisher(self, schema, spec, resolved):
-            def chunk_fn(chunk, rng):
+            def run_fn(run, rngs, bounds):
                 raise OSError("disk full")
-            return chunk_fn
+            return run_fn
 
         monkeypatch.setattr(SPSStrategy, "chunk_publisher", exploding_chunk_publisher)
         out = tmp_path / "partial.csv"
@@ -388,9 +388,9 @@ class TestStreamPublish:
         from repro.pipeline.strategy import SPSStrategy
 
         def exploding_chunk_publisher(self, schema, spec, resolved):
-            def chunk_fn(chunk, rng):
+            def run_fn(run, rngs, bounds):
                 raise OSError("disk full")
-            return chunk_fn
+            return run_fn
 
         monkeypatch.setattr(SPSStrategy, "chunk_publisher", exploding_chunk_publisher)
         sink = io.StringIO()

@@ -40,7 +40,7 @@ from repro.bench.micro import _reference_group_index, _reference_sample_counts
 from repro.core.criterion import PrivacySpec, max_group_size, value_is_private
 from repro.core.sps import GroupPublication, _sample_counts, sps_publish, sps_publish_groups
 from repro.core.testing import audit_groups
-from repro.dataset.groups import GroupCounts, _sorted_runs, keys_sorted_unique
+from repro.dataset.groups import GroupCounts, _row_codes, _sorted_runs, keys_sorted_unique
 from repro.delta.engine import _dirty_chunks, _locate, _merge
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
@@ -68,6 +68,11 @@ def _reference_sample_rows(counts, rates, rng):
     ).reshape(counts.shape)
 
 
+def _uniforms(rng):
+    """``_sample_counts``'s uniform source for a single chunk: one draw from ``rng``."""
+    return lambda per_row: rng.random(int(per_row.sum()))
+
+
 class TestSampleCountsVectorization:
     def test_byte_identical_to_loop_across_many_cases(self):
         master = np.random.default_rng(0)
@@ -77,7 +82,7 @@ class TestSampleCountsVectorization:
             rates = master.random(n_groups)
             seed = int(master.integers(0, 2**31))
             expected = _reference_sample_rows(counts, rates, np.random.default_rng(seed))
-            actual = _sample_counts(counts, rates, np.random.default_rng(seed))
+            actual = _sample_counts(counts, rates, _uniforms(np.random.default_rng(seed)))
             assert np.array_equal(expected, actual)
             assert actual.dtype == expected.dtype
 
@@ -88,12 +93,12 @@ class TestSampleCountsVectorization:
         ref_rng = np.random.default_rng(42)
         vec_rng = np.random.default_rng(42)
         _reference_sample_rows(counts, rates, ref_rng)
-        _sample_counts(counts, rates, vec_rng)
+        _sample_counts(counts, rates, _uniforms(vec_rng))
         assert ref_rng.random() == vec_rng.random()
 
     def test_never_exceeds_counts_and_preserves_zeroes(self):
         counts = np.array([[0, 1, 100, 0, 7]], dtype=np.int64)
-        sampled = _sample_counts(counts, np.array([0.9]), np.random.default_rng(1))
+        sampled = _sample_counts(counts, np.array([0.9]), _uniforms(np.random.default_rng(1)))
         assert (sampled <= counts).all()
         assert sampled[0, 0] == 0 and sampled[0, 3] == 0
 
@@ -701,8 +706,9 @@ class TestDPKernels:
         expected_rng = np.random.default_rng(seed)
         expected = _reference_dp_chunk(strategy._mechanism(resolved), groups, expected_rng)
         rng = np.random.default_rng(seed)
-        codes, records = kernel(groups, rng)
+        codes, sizes, records = kernel(groups, [rng], np.array([0, len(groups)]))
         assert codes.dtype == np.int64 and np.array_equal(codes, expected)
+        assert sizes.sum() == len(codes)
         assert records is None
         assert rng.bit_generator.state == expected_rng.bit_generator.state
 
@@ -901,6 +907,35 @@ class TestColumnarDecode:
         assert starts.tolist() == [
             i for i, row in enumerate(ordered) if i == 0 or row != ordered[i - 1]
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 40),
+        tops=st.lists(st.sampled_from([0, 1, 6, 5_000, 2**40, 2**61]), min_size=1, max_size=3),
+    )
+    def test_sorted_runs_order_is_the_stable_sort(self, data, n, tops):
+        # Small codes take the one unstable argsort of distinct keys; codes
+        # times n past int64 the stable argsort; radix products past int64
+        # the lexsort.  All three must give the stable order.
+        keys = np.array(
+            [[data.draw(st.integers(0, top)) for top in tops] for _ in range(n)],
+            dtype=np.int64,
+        ).reshape(n, len(tops))
+        order, _ = _sorted_runs(keys)
+        codes = _row_codes(keys)
+        expected = (
+            np.lexsort(keys.T[::-1]) if codes is None else np.argsort(codes, kind="stable")
+        )
+        assert np.array_equal(order, expected)
+
+    def test_sorted_runs_past_the_overflow_bound(self):
+        # Codes fit in int64 but codes * n does not: the stable argsort runs.
+        keys = np.array([[2**61], [3], [2**61], [0], [3], [2**61 - 1]], dtype=np.int64)
+        assert (int(_row_codes(keys).max()) + 1) * len(keys) >= 2**63
+        order, starts = _sorted_runs(keys)
+        assert order.tolist() == [3, 1, 4, 5, 0, 2]
+        assert starts.tolist() == [0, 1, 3, 4]
 
     def test_sorted_runs_keeps_equal_keys_in_row_order(self):
         # Many rows over few keys: an unstable sort would reorder ties.
