@@ -32,20 +32,10 @@ from repro.delta.engine import delta_publish, publish_base
 from repro.delta.state import DeltaState
 from repro.obs import Tracer, configure_cli_logging, export
 from repro.pipeline.execution import DEFAULT_CHUNK_ROWS, DEFAULT_CHUNK_SIZE
-from repro.pipeline.params import ParamError
+from repro.pipeline.params import ParamError, add_param_flags, cli_params
 from repro.pipeline.strategy import UnknownStrategyError, available_strategies
 
 _log = logging.getLogger("repro.delta")
-
-#: CLI flag -> strategy parameter name (only flags the user passed are sent).
-_PARAM_FLAGS = {
-    "lam": "lam",
-    "delta": "delta",
-    "retention": "retention_probability",
-    "epsilon": "epsilon",
-    "dp_delta": "dp_delta",
-    "sensitivity": "sensitivity",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,12 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--state", metavar="PATH", required=True,
         help="write the delta state (JSON) here for later appends",
     )
-    init.add_argument("--lam", type=float)
-    init.add_argument("--delta", type=float)
-    init.add_argument("--retention", type=float, help="retention probability p")
-    init.add_argument("--epsilon", type=float)
-    init.add_argument("--dp-delta", type=float, dest="dp_delta")
-    init.add_argument("--sensitivity", type=float)
+    add_param_flags(init)
 
     append = sub.add_parser(
         "append", help="fold appended rows into a published dataset incrementally"
@@ -132,15 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--quiet", action="store_true", help="errors only on stderr"
         )
     return parser
-
-
-def _collect_params(args: argparse.Namespace) -> dict[str, float]:
-    params: dict[str, float] = {}
-    for flag, name in _PARAM_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            params[name] = value
-    return params
 
 
 def _progress_logger(event: dict[str, Any]) -> None:
@@ -195,7 +171,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     audit=not args.no_audit,
                     delimiter=args.delimiter,
                     progress=progress,
-                    **_collect_params(args),
+                    **cli_params(args),
                 )
             else:
                 state = DeltaState.load(args.state)

@@ -16,8 +16,10 @@ appended rows into the stored counts (via an
 only* — the delta-determinism lint rule ``RPR007`` statically forbids
 full-table re-indexing here) by locating each appended group's position in
 the sorted stored groups, takes the dirty chunks from those positions,
-regenerates exactly those chunks with the same per-chunk generators the
-stream/parallel engines use (built for the dirty chunks alone), and splices
+regenerates exactly those chunks through the scheduler's run dispatch
+(:func:`~repro.parallel.scheduler.iter_run_results`, handed the dirty chunk
+ids, so each chunk draws from the same generator as in a full publish), and
+splices
 the result together atomically (temp file + ``os.replace``, so a failure at
 any point leaves the previously published file untouched).
 
@@ -57,8 +59,9 @@ from repro.obs.metrics import (
     ROWS_PUBLISHED,
 )
 from repro.obs.trace import span
-from repro.parallel.scheduler import iter_ordered_map
-from repro.pipeline.execution import DEFAULT_CHUNK_ROWS, DEFAULT_CHUNK_SIZE, chunk_rng
+from repro.parallel.kernels import RunResult
+from repro.parallel.scheduler import iter_run_results
+from repro.pipeline.execution import DEFAULT_CHUNK_ROWS, DEFAULT_CHUNK_SIZE
 from repro.pipeline.strategy import PublishStrategy, get_strategy
 from repro.stream.engine import _chunk_kernel, _CsvSink, _index_source, _run, _spec_for
 from repro.stream.reader import ChunkedReader
@@ -318,6 +321,18 @@ def _dirty_chunks(
     return dirty
 
 
+def _chunk_blocks(
+    results: Iterator[RunResult], records: list[SPSRecords | None]
+) -> Iterator[np.ndarray]:
+    """Split each run's block into its chunks' blocks, in chunk order.
+
+    Appends each run's records to ``records`` as its first block is taken.
+    """
+    for block, run_records, chunk_rows in results:
+        records.append(run_records)
+        yield from np.split(block, np.cumsum(chunk_rows)[:-1])
+
+
 def _tampered(path: Path, detail: str) -> ValueError:
     return ValueError(
         f"published base {path} {detail}; was it modified outside the delta engine?"
@@ -456,22 +471,16 @@ def delta_publish(
         timings["audit"] = sp.duration
 
         with span("splice", kind="stage") as sp:
-            chunk_fn = _chunk_kernel(
+            kernel = _chunk_kernel(
                 strategy, new_schema, spec, resolved, DeltaUnsupportedError
             )
-            size = state.chunk_size
-            dirty_order = sorted(dirty)
-            regen = iter_ordered_map(
-                chunk_fn,
-                (
-                    (merged[i * size : (i + 1) * size], chunk_rng(state.seed, i))
-                    for i in dirty_order
-                ),
-                workers=workers,
-                n_tasks=len(dirty_order),
+            regen = iter_run_results(
+                merged, kernel, state.seed, state.chunk_size,
+                workers=workers, chunks=sorted(dirty),
             )
-            writer = _CsvSink(target, new_schema, crc32=True)
             records: list[SPSRecords | None] = []
+            blocks = _chunk_blocks(regen, records)
+            writer = _CsvSink(target, new_schema, crc32=True)
             # Every clean chunk is read into, checked and written from this one buffer.
             buffer = memoryview(bytearray(max(
                 (n for i, n in enumerate(state.chunk_bytes) if i not in dirty), default=0
@@ -483,9 +492,7 @@ def delta_publish(
                         nbytes = state.chunk_bytes[i] if i < n_chunks_base else 0
                         if i in dirty:
                             base.seek(nbytes, os.SEEK_CUR)
-                            block, chunk_records = next(regen)
-                            writer.write_block(block)
-                            records.append(chunk_records)
+                            writer.write_block(next(blocks))
                         else:
                             data = buffer[:nbytes]
                             crc32 = state.chunk_crc32[i]

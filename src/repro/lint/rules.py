@@ -207,7 +207,6 @@ def _kernel_entry_points(project: Project) -> dict[str, str]:
     runner_names = {
         "repro.pipeline.execution.run_chunks_serial",
         "repro.parallel.scheduler.run_chunks",
-        "repro.parallel.scheduler.iter_chunk_results",
         "repro.parallel.scheduler.iter_ordered_map",
         "repro.parallel.run_chunks",
     }

@@ -8,14 +8,14 @@ through the scheduler here, so they share a single determinism contract:
     *the published bytes depend only on the seed and the chunk size, never on
     the worker count or the completion order.*
 
-That holds because the work is split and seeded **before** anything runs
-(:func:`repro.pipeline.execution.chunk_items` /
-:func:`~repro.pipeline.execution.chunk_rngs`), because a group-path task
+That holds because the work is split **before** anything runs and chunk
+``c`` always draws from the same generator
+(:func:`repro.pipeline.execution.chunk_rng`, a function of the seed and ``c``
+alone, wherever it is built), because a group-path task
 (:func:`iter_run_results`) hands a run of consecutive chunks to one kernel
-call with each chunk's own generator, and because completions are
-re-ordered back into chunk order by :class:`OrderedEmitter` before any
-consumer sees them — an out-of-order worker finish is buffered, never
-flushed early.
+call with each chunk's own generator, and because the caller takes results
+from a FIFO of futures, oldest first — a task that finishes early waits its
+turn behind the head, never reaching a consumer early.
 
 ``workers <= 1`` (or a single task) runs inline in the caller's thread;
 ``workers=N`` runs the tasks on a ``ThreadPoolExecutor`` of ``N`` threads.
@@ -31,9 +31,7 @@ from repro.parallel.kernels import (
     UniformRowKernel,
     remap_columns,
 )
-from repro.parallel.ordered import OrderedEmitter
 from repro.parallel.scheduler import (
-    iter_chunk_results,
     iter_ordered_map,
     iter_run_results,
     run_chunks,
@@ -42,11 +40,9 @@ from repro.parallel.scheduler import (
 __all__ = [
     "EncodedBlock",
     "MissingChunkPublisher",
-    "OrderedEmitter",
     "RunResult",
     "StrategyKernel",
     "UniformRowKernel",
-    "iter_chunk_results",
     "iter_ordered_map",
     "iter_run_results",
     "remap_columns",

@@ -1,11 +1,10 @@
 """The multi-worker chunk scheduler shared by the stream, pipeline and service engines.
 
-Determinism is structural, not scheduled: chunks and their seeded generators
-are fixed before any work starts, workers may finish in any order, and
-results are re-sequenced into chunk order before the caller sees them
-(buffered out-of-order completions, bounded by submission backpressure).
-For a fixed seed the published table, the CSV bytes and the RNG stream
-consumption are byte-identical at any ``workers`` count.
+Determinism is structural, not scheduled: chunks and each chunk's seed are
+fixed before any work starts, workers may finish in any order, and the
+caller takes results from a FIFO of futures, oldest first, so it sees them in
+chunk order.  For a fixed seed the published table, the CSV bytes and the RNG
+stream consumption are byte-identical at any ``workers`` count.
 
 ``workers <= 1`` (or at most one task) runs inline in the caller's thread;
 ``workers=N`` runs a ``ThreadPoolExecutor`` of ``N`` threads.  Threads share
@@ -14,7 +13,7 @@ are never copied between workers and the caller.
 
 A task is one chunk, or on the group path (:func:`iter_run_results`) a run
 of up to :data:`RUN_CHUNKS` consecutive chunks, each with its own spawned
-generator.  Like ``workers``, the run length is
+generator built inside the task.  Like ``workers``, the run length is
 execution-only: the bytes depend on the seed and ``chunk_size`` alone.
 """
 
@@ -25,16 +24,16 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 
 from repro.obs.metrics import CHUNK_SECONDS, CHUNKS_TOTAL
 from repro.obs.trace import Tracer, current_tracer
-from repro.parallel.ordered import OrderedEmitter
-from repro.pipeline.execution import DEFAULT_CHUNK_SIZE, chunk_items, chunk_rngs
+from repro.pipeline.execution import DEFAULT_CHUNK_SIZE, chunk_items, chunk_rng, chunk_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataset.groups import GroupCounts
@@ -64,7 +63,7 @@ class _TimedKernel:
 
     The worker records its own wall-clock duration and identity; the caller
     merges the finished records into the active tracer **in chunk order**
-    (the ordered emitter's order), keeping traces deterministic modulo the
+    (the order it takes results in), keeping traces deterministic modulo the
     timing values.
     """
 
@@ -119,20 +118,21 @@ def iter_ordered_map(
     *,
     workers: int = 1,
     n_tasks: int | None = None,
-    task_chunks: Sequence[int] | None = None,
+    task_chunks: Sequence[tuple[int, int]] | None = None,
 ) -> Iterator[R]:
     """Apply ``fn(*payload)`` to every payload; yield results **in payload order**.
 
     The parallel primitive everything else builds on.  ``payloads`` may be a
-    lazy iterator: at most ``~2 * workers`` tasks (``workers + 1`` runs of
-    chunks) are in flight or buffered at once, so a bounded-memory producer
-    (e.g. the streaming engine's row spool) stays bounded through the pool.  It runs inline when
-    ``workers <= 1`` or ``n_tasks <= 1``, on ``workers`` threads otherwise.
-    ``task_chunks`` gives how many chunks each task covers (one each by
-    default; it also sets ``n_tasks``): the chunk counter counts chunks and
-    each task's span names its ``first_chunk`` and ``n_chunks``.  Worker
-    exceptions propagate to the caller on the task that raised; the pool is
-    shut down (pending work cancelled) on any failure or early consumer
+    lazy iterator: at most ``2 * workers + 2`` tasks (``workers + 1`` runs
+    of chunks) are submitted and not yet yielded at once, so a
+    bounded-memory producer (e.g. the streaming engine's row spool) stays
+    bounded through the pool.  It runs inline when ``workers <= 1`` or
+    ``n_tasks <= 1``, on ``workers`` threads otherwise.  ``task_chunks``
+    gives each task's ``(first_chunk, n_chunks)`` (task ``i`` is chunk ``i``
+    by default; it also sets ``n_tasks``): the chunk counter counts chunks
+    and each task's span names them.  A worker exception propagates to the
+    caller when its task's turn comes, after every earlier result; the pool
+    is shut down (pending work cancelled) on any failure or early consumer
     exit.
     """
     # With a tracer active, each task is timed inside its worker and the
@@ -142,82 +142,35 @@ def iter_ordered_map(
     exec_fn: Callable[..., Any] = _TimedKernel(fn) if tracer is not None else fn
     if task_chunks is not None:
         n_tasks = len(task_chunks)
-    first_chunk = 0
 
     def emit(item: Any, index: int, backend: str) -> Any:
-        nonlocal first_chunk
-        n_chunks = 1 if task_chunks is None else task_chunks[index]
-        first_chunk += n_chunks
-        return _emit_task(tracer, item, first_chunk - n_chunks, n_chunks, backend, workers)
+        first, n = (index, 1) if task_chunks is None else task_chunks[index]
+        return _emit_task(tracer, item, first, n, backend, workers)
 
     if workers <= 1 or (n_tasks is not None and n_tasks <= 1):
         for index, payload in enumerate(payloads):
             yield emit(exec_fn(*payload), index, "serial")
         return
 
-    executor = ThreadPoolExecutor(max_workers=workers)
     # A run task's result is a whole run's block: keep every worker busy
     # plus one result ready, not a second round of runs.
     max_inflight = 2 * workers + 2 if task_chunks is None else workers + 1
+    executor = ThreadPoolExecutor(max_workers=workers)
     iterator = iter(payloads)
+    futures: deque[Future[Any]] = deque()
     try:
-        futures: dict[Any, int] = {}
-        ready: deque[Any] = deque()
-        emitter: OrderedEmitter[Any] = OrderedEmitter(ready.append)
-        next_submit = 0
-        emitted = 0
-        exhausted = False
+        index = 0
         while True:
-            # Backpressure: in-flight plus buffered (out-of-order or not yet
-            # yielded) never exceeds max_inflight, so lazy producers stay
-            # bounded.
-            while (
-                not exhausted
-                and len(futures) + emitter.buffered + len(ready) < max_inflight
-            ):
-                try:
-                    payload = next(iterator)
-                except StopIteration:
-                    exhausted = True
-                    break
-                futures[executor.submit(exec_fn, *payload)] = next_submit
-                next_submit += 1
+            # Backpressure: a finished task waits its turn in the FIFO and
+            # still counts, so lazy producers stay bounded.
+            for payload in islice(iterator, max_inflight - len(futures)):
+                futures.append(executor.submit(exec_fn, *payload))
             if not futures:
-                break
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                emitter.push(futures.pop(future), future.result())
-            while ready:
-                yield emit(ready.popleft(), emitted, "thread")
-                emitted += 1
-        emitter.close()  # every submitted chunk was flushed, in order
+                return
+            yield emit(futures.popleft().result(), index, "thread")
+            index += 1
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
-
-
-def iter_chunk_results(
-    items: Sequence[T],
-    chunk_fn: Callable[[Sequence[T], np.random.Generator], R],
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    *,
-    workers: int = 1,
-) -> Iterator[R]:
-    """Yield ``chunk_fn(chunk, rng)`` for every seeded chunk, in chunk order.
-
-    The chunking and per-chunk seeding are exactly
-    :func:`repro.pipeline.execution.run_chunks_serial`'s — same chunks, same
-    spawned generators — so for a fixed ``(seed, chunk_size)`` the results
-    are byte-identical at any worker count.
-    """
-    chunks = chunk_items(items, chunk_size)
-    rngs = chunk_rngs(seed, len(chunks))
-    yield from iter_ordered_map(
-        chunk_fn,
-        zip(chunks, rngs, strict=True),
-        workers=workers,
-        n_tasks=len(chunks),
-    )
 
 
 def iter_run_results(
@@ -227,34 +180,36 @@ def iter_run_results(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     *,
     workers: int = 1,
+    chunks: Iterable[int] | None = None,
 ) -> Iterator["RunResult"]:
     """Yield ``kernel.run(...)`` over runs of seeded chunks, in chunk order.
 
-    The chunks and their spawned generators are exactly
-    :func:`iter_chunk_results`'s; consecutive chunks are handed out
-    :data:`RUN_CHUNKS` at a time, so each task makes one kernel call over
-    its run, with chunk ``c`` of the run drawing from its own generator.
-    The bytes are those of one call per chunk at any run length and worker
-    count.
+    ``chunks`` are the increasing indices of the chunks to publish (every
+    chunk by default).  Consecutive indices form runs of at most
+    :data:`RUN_CHUNKS`, so each task makes one kernel call over its run,
+    with chunk ``c`` drawing from ``chunk_rng(seed, c)``, built inside the
+    task.  The bytes are those of one call per chunk at any run length and
+    worker count.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    n_chunks = -(-len(groups) // chunk_size)
-    rngs = chunk_rngs(seed, n_chunks)
-    firsts = range(0, n_chunks, RUN_CHUNKS)
+    if chunks is None:
+        chunks = range(-(-len(groups) // chunk_size))
+    runs: list[tuple[int, int]] = []
+    for index in chunks:
+        if runs:
+            first, n = runs[-1]
+            if first + n == index and n < RUN_CHUNKS:
+                runs[-1] = (first, n + 1)
+                continue
+        runs.append((index, 1))
 
-    def payloads() -> Iterator[tuple[Any, ...]]:
-        for first in firsts:
-            run = groups[first * chunk_size : (first + RUN_CHUNKS) * chunk_size]
-            bounds = np.append(np.arange(0, len(run), chunk_size), len(run))
-            yield run, rngs[first : first + RUN_CHUNKS], bounds
+    def run_task(first: int, n: int) -> "RunResult":
+        run = groups[first * chunk_size : (first + n) * chunk_size]
+        bounds = np.append(np.arange(0, len(run), chunk_size), len(run))
+        return kernel.run(run, [chunk_rng(seed, first + c) for c in range(n)], bounds)
 
-    yield from iter_ordered_map(
-        kernel.run,
-        payloads(),
-        workers=workers,
-        task_chunks=[min(RUN_CHUNKS, n_chunks - first) for first in firsts],
-    )
+    yield from iter_ordered_map(run_task, runs, workers=workers, task_chunks=runs)
 
 
 def run_chunks(
@@ -264,12 +219,21 @@ def run_chunks(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
 ) -> list[R]:
-    """Like :func:`iter_chunk_results` but collected into a list.
+    """Apply ``chunk_fn(chunk, rng)`` to every seeded chunk; results in chunk order.
 
-    The list counterpart of :func:`repro.pipeline.execution.run_chunks_serial`
-    with the ``workers`` knob added:
+    The chunking and per-chunk seeding are exactly
+    :func:`repro.pipeline.execution.run_chunks_serial`'s — same chunks, same
+    spawned generators — with the ``workers`` knob added, so for a fixed
+    ``(seed, chunk_size)`` the results are byte-identical at any worker
+    count:
 
     >>> run_chunks([1, 2, 3], lambda chunk, rng: sum(chunk), seed=0, chunk_size=2)
     [3, 3]
     """
-    return list(iter_chunk_results(items, chunk_fn, seed, chunk_size, workers=workers))
+    chunks = chunk_items(items, chunk_size)
+    rngs = chunk_rngs(seed, len(chunks))
+    return list(
+        iter_ordered_map(
+            chunk_fn, zip(chunks, rngs, strict=True), workers=workers, n_tasks=len(chunks)
+        )
+    )

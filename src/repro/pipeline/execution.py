@@ -69,7 +69,8 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
     A spawned child's stream depends only on the root seed and its spawn
     key ``(index,)``, so the child is built directly, without spawning the
-    chunks before it.  The delta splice seeds only its dirty chunks this way.
+    chunks before it.  Each group-path task builds its own chunks'
+    generators this way, so the delta splice seeds only its dirty chunks.
 
     >>> chunk_rng(7, 2).random() == chunk_rngs(7, 5)[2].random()
     True

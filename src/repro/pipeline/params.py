@@ -14,6 +14,7 @@ optional range or choice constraint, so parameter resolution
 
 from __future__ import annotations
 
+import argparse
 import math
 import numbers
 from collections.abc import Mapping, Sequence
@@ -22,6 +23,18 @@ from typing import Any
 
 #: Parameter kinds a spec may declare.
 KINDS = ("float", "int", "bool", "str")
+
+#: The command lines' strategy-parameter flags: ``--<dest>`` (``_`` as
+#: ``-``) -> the parameter it sets.
+_CLI_PARAM_FLAGS = {
+    "lam": "lam",
+    "delta": "delta",
+    "retention": "retention_probability",
+    "epsilon": "epsilon",
+    "dp_delta": "dp_delta",
+    "sensitivity": "sensitivity",
+    "significance": "significance",
+}
 
 
 class ParamError(ValueError):
@@ -198,3 +211,24 @@ def resolve_params(
     for key, value in params.items():
         resolved[key] = by_name[key].coerce(value, owner)
     return resolved
+
+
+def add_param_flags(parser: argparse.ArgumentParser) -> None:
+    """Add every strategy-parameter flag to ``parser`` as an unset float."""
+    for dest, name in _CLI_PARAM_FLAGS.items():
+        parser.add_argument(
+            "--" + dest.replace("_", "-"), type=float, dest=dest,
+            help=None if dest == name else name.replace("_", " "),
+        )
+
+
+def cli_params(args: argparse.Namespace) -> dict[str, float]:
+    """The strategy parameters of the flags the user passed.
+
+    Unset flags are left out, so the strategy's own defaults fill them.
+    """
+    return {
+        name: value
+        for dest, name in _CLI_PARAM_FLAGS.items()
+        if (value := getattr(args, dest, None)) is not None
+    }

@@ -32,8 +32,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.delta.report import DeltaReport
-    from repro.delta.state import DeltaState
     from repro.stream.report import StreamReport
 
 from repro.dataset.groups import GroupIndex, personal_groups
@@ -80,7 +78,6 @@ class PublishPipeline:
         self._generalization: GeneralizationResult | None = None
         self._audit = True
         self._workers = 1
-        self._append: tuple[Any, "DeltaState"] | None = None
 
     @property
     def strategy(self) -> PublishStrategy:
@@ -133,61 +130,10 @@ class PublishPipeline:
         self._audit = bool(enabled)
         return self
 
-    def with_append(self, appended: Any, state: "DeltaState") -> "PublishPipeline":
-        """Re-publish incrementally from a delta state instead of a table.
-
-        ``appended`` is what :func:`repro.delta.delta_publish` accepts — a
-        CSV path, an open text stream, or an in-memory batch of rows in the
-        base header's column order.  :meth:`run` is then called without a
-        table and returns the :class:`~repro.delta.report.DeltaReport`.  The
-        state pins the strategy, its parameters, the seed and the chunk
-        size (they define the published bytes), so the pipeline must have
-        been built with the same strategy and no conflicting settings.
-        """
-        if state.strategy != self._strategy.name:
-            raise ValueError(
-                f"delta state was published with strategy {state.strategy!r}; "
-                f"this pipeline is configured for {self._strategy.name!r}"
-            )
-        if self._params:
-            raise ValueError(
-                "a delta re-publish uses the parameters pinned in the state; "
-                "remove the pipeline's strategy parameters"
-            )
-        self._append = (appended, state)
-        return self
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(self, table: Table | None = None) -> "PublishReport | DeltaReport":
-        """Execute the configured run: staged pipeline, or delta re-publish.
-
-        With a ``table``, runs prepare → group_index → generalize → audit →
-        enforce → report and returns the :class:`~repro.pipeline.report.PublishReport`.
-        After :meth:`with_append`, runs the incremental delta engine instead
-        (no table) and returns the :class:`~repro.delta.report.DeltaReport`.
-        """
-        if self._append is not None:
-            if table is not None:
-                raise ValueError(
-                    "with_append() re-publishes from the delta state; "
-                    "run() takes no table"
-                )
-            from repro.delta.engine import delta_publish
-
-            appended, state = self._append
-            return delta_publish(
-                state,
-                appended,
-                workers=self._workers,
-                audit=self._audit,
-            )
-        if table is None:
-            raise ValueError("run() needs a table (or configure with_append())")
-        return self._run_table(table)
-
-    def _run_table(self, table: Table) -> PublishReport:
+    def run(self, table: Table) -> PublishReport:
         """Execute prepare → group_index → generalize → audit → enforce → report.
 
         After the group index, the stream engine's stage flow runs into an
@@ -288,8 +234,6 @@ def publish(
     source: Any = None,
     sensitive: str | None = None,
     streaming: bool = False,
-    append: Any = None,
-    delta_state: "DeltaState | None" = None,
     chunk_rows: int | None = None,
     output: Any = None,
     rng: int | np.random.Generator | None = None,
@@ -299,7 +243,7 @@ def publish(
     groups: GroupIndex | None = None,
     generalization: GeneralizationResult | None = None,
     **params: Any,
-) -> "PublishReport | StreamReport | DeltaReport":
+) -> "PublishReport | StreamReport":
     """Publish a table or a CSV source with a named strategy — the front door.
 
     ``repro.publish(table, strategy="sps", lam=0.3, delta=0.3, rng=7)`` runs
@@ -329,15 +273,6 @@ def publish(
         ``table``.
     streaming:
         Publish the source out-of-core (requires ``source``).
-    append, delta_state:
-        Incremental re-publish: fold the ``append`` rows (CSV path, stream,
-        or in-memory row batch) into the dataset that ``delta_state`` (a
-        :class:`~repro.delta.state.DeltaState` from
-        :func:`repro.delta.publish_base`) describes, regenerating only the
-        affected kernel chunks.  Returns a
-        :class:`~repro.delta.report.DeltaReport`; the state pins the
-        strategy, parameters, seed and chunk size, so those arguments must
-        not be passed alongside.
     chunk_rows:
         Records per ingestion chunk of the streaming engine (memory knob;
         never affects the published bytes).
@@ -365,42 +300,6 @@ def publish(
         raise ValueError("pass either table or source, not both")
     if workers <= 0:
         raise ValueError("workers must be positive")
-    if append is not None or delta_state is not None:
-        if append is None or delta_state is None:
-            raise ValueError(
-                "append= and delta_state= go together: the state from a "
-                "previous repro.delta.publish_base pins everything the "
-                "appended rows are folded into"
-            )
-        if table is not None or source is not None or streaming:
-            raise ValueError(
-                "append= re-publishes the dataset the delta state describes; "
-                "don't pass table/source/streaming alongside"
-            )
-        if groups is not None or generalization is not None:
-            raise ValueError(
-                "groups/generalization are in-memory pipeline "
-                "artifacts; the delta engine builds its own"
-            )
-        if params:
-            raise ValueError(
-                f"{sorted(params)} conflict with the delta state: an append "
-                "reuses the strategy parameters pinned at publish_base time"
-            )
-        if chunk_rows is not None:
-            raise ValueError(
-                "chunk_rows is pinned in the delta state; it cannot be "
-                "changed on append"
-            )
-        from repro.delta.engine import delta_publish
-
-        return delta_publish(
-            delta_state,
-            append,
-            output=output,
-            workers=workers,
-            audit=audit,
-        )
     if streaming:
         if source is None:
             raise ValueError("streaming=True requires source=")

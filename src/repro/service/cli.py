@@ -32,24 +32,13 @@ from repro import __version__
 from repro.dataset.loaders import write_csv
 from repro.obs import Tracer, configure_cli_logging, export
 from repro.pipeline.execution import DEFAULT_CHUNK_SIZE
+from repro.pipeline.params import add_param_flags, cli_params
 from repro.serve.cli import serve
 from repro.service.engine import AnonymizationService, backend_defaults
 from repro.service.registry import ServiceError
 from repro.store import StoreError
 
 _log = logging.getLogger("repro.service")
-
-#: CLI flag -> backend parameter name (only flags the user passed are sent,
-#: so each backend's own defaults fill the rest).
-_PARAM_FLAGS = {
-    "lam": "lam",
-    "delta": "delta",
-    "retention": "retention_probability",
-    "epsilon": "epsilon",
-    "dp_delta": "dp_delta",
-    "sensitivity": "sensitivity",
-    "significance": "significance",
-}
 
 
 def _emit(payload: Any) -> None:
@@ -120,13 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="PATH",
         help="record the job's spans and write them as a JSONL trace",
     )
-    p_publish.add_argument("--lam", type=float)
-    p_publish.add_argument("--delta", type=float)
-    p_publish.add_argument("--retention", type=float, help="retention probability p")
-    p_publish.add_argument("--epsilon", type=float)
-    p_publish.add_argument("--dp-delta", type=float, dest="dp_delta")
-    p_publish.add_argument("--sensitivity", type=float)
-    p_publish.add_argument("--significance", type=float)
+    add_param_flags(p_publish)
 
     p_audit = sub.add_parser("audit", help="audit a dataset against (lambda, delta, p)")
     _add_store(p_audit)
@@ -147,15 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("backends", help="list available backends and their parameters")
     return parser
-
-
-def _collect_params(args: argparse.Namespace) -> dict[str, float]:
-    params: dict[str, float] = {}
-    for flag, name in _PARAM_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            params[name] = value
-    return params
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -213,7 +187,7 @@ def _run_command(service: AnonymizationService, args: argparse.Namespace) -> int
             record = service.publish(
                 dataset=args.dataset,
                 backend=args.backend,
-                params=_collect_params(args),
+                params=cli_params(args),
                 seed=args.seed,
                 chunk_size=args.chunk_size,
                 max_workers=args.workers,

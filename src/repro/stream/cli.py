@@ -30,22 +30,11 @@ from repro import __version__
 from repro.dataset.schema import SchemaError
 from repro.obs import Tracer, configure_cli_logging, export
 from repro.pipeline.execution import DEFAULT_CHUNK_ROWS, DEFAULT_CHUNK_SIZE
-from repro.pipeline.params import ParamError
+from repro.pipeline.params import ParamError, add_param_flags, cli_params
 from repro.pipeline.strategy import UnknownStrategyError, available_strategies
 from repro.stream.engine import stream_publish
 
 _log = logging.getLogger("repro.stream")
-
-#: CLI flag -> strategy parameter name (only flags the user passed are sent).
-_PARAM_FLAGS = {
-    "lam": "lam",
-    "delta": "delta",
-    "retention": "retention_probability",
-    "epsilon": "epsilon",
-    "dp_delta": "dp_delta",
-    "sensitivity": "sensitivity",
-    "significance": "significance",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,23 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     volume.add_argument(
         "--quiet", action="store_true", help="errors only on stderr"
     )
-    parser.add_argument("--lam", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--retention", type=float, help="retention probability p")
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--dp-delta", type=float, dest="dp_delta")
-    parser.add_argument("--sensitivity", type=float)
-    parser.add_argument("--significance", type=float)
+    add_param_flags(parser)
     return parser
-
-
-def _collect_params(args: argparse.Namespace) -> dict[str, float]:
-    params: dict[str, float] = {}
-    for flag, name in _PARAM_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            params[name] = value
-    return params
 
 
 def _progress_logger(event: dict) -> None:
@@ -161,7 +135,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 materialize=False,  # CLI never reads the table back; stay bounded
                 delimiter=args.delimiter,
                 progress=_progress_logger if (args.progress or args.verbose) else None,
-                **_collect_params(args),
+                **cli_params(args),
             )
     except (SchemaError, ParamError, UnknownStrategyError, ValueError, OSError) as exc:
         _log.error("error: %s", exc)

@@ -22,7 +22,7 @@ consumption — for every registered strategy.  This holds because
 1. the incremental index finalizes to the exact schema and group order the
    in-memory :class:`~repro.dataset.groups.GroupIndex` produces;
 2. group chunks and their spawned generators are the same
-   (:func:`~repro.pipeline.execution.chunk_rngs`), and a kernel publishes
+   (:func:`~repro.pipeline.execution.chunk_rng`), and a kernel publishes
    the same bytes for a chunk whatever run of chunks it is handed in;
 3. row-stream strategies draw their whole-table vectorised draws chunk by
    chunk, and numpy generators fill chunked array draws from the same stream
@@ -809,9 +809,9 @@ def _enforce_groups(
     Each scheduler task publishes a run of consecutive chunks in one kernel
     call (:func:`~repro.parallel.scheduler.iter_run_results`); a CSV sink
     still writes, and indexes, each chunk on its own.  With ``workers > 1`` the runs go to the
-    shared scheduler's threads; the ordered emitter inside the scheduler
-    guarantees blocks reach the sink in chunk order, so the output bytes
-    never depend on the worker count or the run length.
+    shared scheduler's threads, whose FIFO of futures hands blocks to the
+    sink in chunk order, so the output bytes never depend on the worker
+    count or the run length.
     """
     results = iter_run_results(groups, kernel, seed, chunk_size, workers=workers)
     done = 0

@@ -32,7 +32,6 @@ from repro.delta import (
 )
 from repro.delta.cli import main as delta_cli_main
 from repro.obs.metrics import DELTA_GROUPS_TOUCHED, DELTA_ROWS_APPENDED
-from repro.pipeline import PublishPipeline, publish
 from repro.pipeline.strategy import (
     SPSStrategy,
     register_strategy,
@@ -899,7 +898,7 @@ class TestFromRows:
 
 
 # --------------------------------------------------------------------- #
-# Front-door wiring: repro.publish(append=) and PublishPipeline.with_append
+# Delta metrics
 # --------------------------------------------------------------------- #
 
 
@@ -914,52 +913,6 @@ class TestPublishWiring:
             rng=SEED, chunk_size=CHUNK_SIZE,
         )
         return report.state, records[-80:]
-
-    def test_publish_append_delegates(self, base_state, tmp_path):
-        state, appended = base_state
-        out = tmp_path / "delta-out.csv"
-        report = publish(append=appended, delta_state=state, output=out)
-        assert report.mode == "delta"
-        assert report.rows_appended == 80
-        assert out.exists()
-
-    def test_pipeline_with_append(self, base_state, tmp_path):
-        state, appended = base_state
-        direct = tmp_path / "direct-out.csv"
-        # Direct engine call first (separate output keeps the base pristine),
-        # then the pipeline splices in place — same successor state.
-        direct_report = delta_publish(state, appended, output=direct)
-        report = PublishPipeline("sps").with_append(appended, state).run()
-        assert report.mode == "delta"
-        assert report.state.groups == direct_report.state.groups
-
-    def test_publish_append_requires_state(self, base_state):
-        _, appended = base_state
-        with pytest.raises(ValueError, match="delta_state"):
-            publish(append=appended)
-
-    def test_publish_append_rejects_table_and_params(self, base_state):
-        state, appended = base_state
-        table = repro.generate_adult(50, seed=1)
-        with pytest.raises(ValueError):
-            publish(table, append=appended, delta_state=state)
-        with pytest.raises(ValueError, match="delta state"):
-            publish(append=appended, delta_state=state, lam=0.5)
-        with pytest.raises(ValueError, match="chunk_rows"):
-            publish(append=appended, delta_state=state, chunk_rows=10)
-
-    def test_pipeline_strategy_mismatch_rejected(self, base_state):
-        state, appended = base_state
-        with pytest.raises(ValueError, match="sps"):
-            PublishPipeline("uniform").with_append(appended, state)
-        with pytest.raises(ValueError, match="parameters"):
-            PublishPipeline("sps", lam=0.4).with_append(appended, state)
-
-    def test_pipeline_run_with_table_and_append_conflicts(self, base_state):
-        state, appended = base_state
-        pipeline = PublishPipeline("sps").with_append(appended, state)
-        with pytest.raises(ValueError):
-            pipeline.run(repro.generate_adult(50, seed=1))
 
     def test_metrics_count_touched_groups_and_rows(self, base_state, tmp_path):
         state, appended = base_state

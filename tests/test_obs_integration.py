@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.dataset.loaders import read_csv, write_csv
+from repro.delta import delta_publish, publish_base
 from repro.obs import Tracer, parse_prometheus, validate_trace, write_trace
 from repro.obs.metrics import (
     CHUNKS_TOTAL,
@@ -138,6 +139,41 @@ class TestSpanDeterminism:
         assert CHUNKS_TOTAL.value(backend=backend) == n_chunks
         assert all(t.parent_id == enforce.span_id for t in tasks)
         assert all(t.attributes["backend"] == backend for t in tasks)
+
+    @pytest.mark.parametrize(("workers", "backend"), [(1, "serial"), (2, "thread")])
+    def test_delta_chunk_spans_name_the_dirty_chunks(
+        self, adult_csv, tmp_path, workers, backend
+    ):
+        # Each appended row repeats the first group of its chunk, so chunks
+        # 5, 6 and 20 are dirty: one task for the run 5-6, one for 20.
+        source = tmp_path / "base.csv"
+        source.write_text(adult_csv)
+        state = publish_base(
+            source, sensitive="Income", output=tmp_path / "published.csv",
+            rng=7, chunk_size=16,
+        ).state
+        schema = state.schema
+        rows = []
+        for chunk in (5, 6, 20):
+            key = state.groups.keys[chunk * 16]
+            values = dict(zip(
+                schema.public_names,
+                (attr.values[code] for attr, code in zip(schema.public, key)),
+            ))
+            values["Income"] = schema.sensitive.values[0]
+            rows.append([values[column] for column in state.header])
+        REGISTRY.reset()
+        with Tracer() as tracer:
+            report = delta_publish(state, rows, output=tmp_path / "out.csv", workers=workers)
+        splice = next(r for r in tracer.spans if r.name == "splice")
+        tasks = [r for r in tracer.spans if r.name == "chunk"]
+        assert report.n_chunks_dirty == 3
+        assert [(t.attributes["first_chunk"], t.attributes["n_chunks"]) for t in tasks] == [
+            (5, 2), (20, 1),
+        ]
+        assert all(t.parent_id == splice.span_id for t in tasks)
+        assert all(t.attributes["backend"] == backend for t in tasks)
+        assert CHUNKS_TOTAL.value(backend=backend) == 3
 
     def test_trace_exports_and_validates(self, adult_csv, tmp_path):
         path = tmp_path / "stream.jsonl"

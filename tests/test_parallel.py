@@ -4,7 +4,8 @@ The load-bearing suite for :mod:`repro.parallel`: for a fixed seed and
 ``chunk_size``, the published table, the CSV bytes and the audit must be
 byte-identical at any ``workers`` count — pinned here for every registered
 strategy, the way ``tests/test_stream.py`` pins streaming against the
-in-memory pipeline.  Also covers the ordered emitter, the serial/thread
+in-memory pipeline.  Also covers the FIFO dispatch's ordering, failure and
+early-exit behaviour, the serial/thread
 labels of chunk spans and metrics, worker-failure cleanup (the spool and
 partial-output bugfix) and the perf-gate script's comparison logic.
 """
@@ -15,6 +16,7 @@ import io
 import json
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from repro.dataset.loaders import read_csv, write_csv
 from repro.obs import Tracer
 from repro.obs.metrics import CHUNKS_TOTAL, REGISTRY
 from repro.parallel import (
-    OrderedEmitter,
     StrategyKernel,
     iter_ordered_map,
     run_chunks,
@@ -78,40 +79,6 @@ def quoting_csv():
 @pytest.fixture(scope="module")
 def adult_csv():
     return _csv_text(repro.generate_adult(1200, seed=11))
-
-
-# --------------------------------------------------------------------- #
-# OrderedEmitter
-# --------------------------------------------------------------------- #
-
-
-class TestOrderedEmitter:
-    def test_out_of_order_pushes_flush_in_order(self):
-        flushed = []
-        emitter = OrderedEmitter(flushed.append)
-        assert emitter.push(3, "d") == 0
-        assert emitter.push(1, "b") == 0
-        assert emitter.buffered == 2
-        assert emitter.push(0, "a") == 2  # flushes 0 and 1
-        assert flushed == ["a", "b"]
-        assert emitter.push(2, "c") == 2  # flushes 2 and the buffered 3
-        assert flushed == ["a", "b", "c", "d"]
-        emitter.close()
-
-    def test_duplicate_or_stale_index_rejected(self):
-        emitter = OrderedEmitter(lambda r: None)
-        emitter.push(0, "a")
-        with pytest.raises(ValueError, match="already emitted"):
-            emitter.push(0, "again")
-        emitter.push(2, "c")
-        with pytest.raises(ValueError, match="already emitted"):
-            emitter.push(2, "again")
-
-    def test_close_with_hole_raises(self):
-        emitter = OrderedEmitter(lambda r: None)
-        emitter.push(1, "b")
-        with pytest.raises(ValueError, match="chunk 0 never arrived"):
-            emitter.close()
 
 
 # --------------------------------------------------------------------- #
@@ -246,6 +213,42 @@ class TestRunChunks:
 
         with pytest.raises(RuntimeError, match="kernel exploded"):
             run_chunks(list(range(8)), boom, seed=0, chunk_size=2, workers=2)
+
+    def test_failure_behind_a_slow_head_yields_the_head_first(self):
+        failed = threading.Event()
+
+        def task(index):
+            if index == 0:
+                # The head finishes only after the task behind it has failed.
+                assert failed.wait(timeout=10)
+                return "head"
+            failed.set()
+            raise RuntimeError("second task exploded")
+
+        results = iter_ordered_map(task, [(0,), (1,)], workers=2, n_tasks=2)
+        assert next(results) == "head"
+        with pytest.raises(RuntimeError, match="second task exploded"):
+            next(results)
+
+    def test_early_exit_shuts_the_pool_down_and_cancels_pending_tasks(self):
+        before = set(threading.enumerate())
+        ran = []
+
+        def task(index):
+            ran.append(index)
+            if index:
+                time.sleep(0.5)
+            return index
+
+        results = iter_ordered_map(
+            task, ((index,) for index in range(20)), workers=2, n_tasks=20
+        )
+        with closing(results):
+            assert next(results) == 0
+        # Task 1, and task 2 if a worker had taken it, were still running
+        # when the consumer left; the other submitted tasks were cancelled.
+        assert sorted(ran) in ([0, 1], [0, 1, 2])
+        assert set(threading.enumerate()) <= before
 
     def test_lazy_payloads_pulled_with_backpressure(self):
         pulled = []

@@ -11,11 +11,15 @@ The generated runs hold all-zero count rows, groups with ``s_g < 1`` (the
 keep-one-record branch), chunks with no sampled group (no sampling or
 scaling draw), chunk sizes 1-300, run lengths 1-20 and a short last chunk.
 The property runs 100 derandomized examples by default and 1000 with ``CI``
-set.
+set.  The delta splice runs its dirty chunks through the same run dispatch,
+so a splice of scattered dirty chunks is checked at every run length too.
 """
 
+import csv
+import dataclasses
 import io
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from repro.dataset.census import generate_census  # noqa: E402
 from repro.dataset.groups import GroupCounts  # noqa: E402
 from repro.dataset.loaders import write_csv  # noqa: E402
 from repro.dataset.schema import Attribute, Schema  # noqa: E402
-from repro.delta import publish_base  # noqa: E402
+from repro.delta import delta_publish, publish_base  # noqa: E402
 from repro.parallel.kernels import StrategyKernel  # noqa: E402
 from repro.pipeline.execution import chunk_rngs  # noqa: E402
 from repro.pipeline.strategy import get_strategy  # noqa: E402
@@ -151,30 +155,80 @@ class TestRunEqualsChunks:
             kernel.run(groups, chunk_rngs(1, 1), np.array([0, 1, 3]))
 
 
+def _rows_in_chunks(state, chunks):
+    """One row per chunk repeating the chunk's first group with an existing SA value.
+
+    Each row only adds to its group's counts, so exactly ``chunks`` are dirty.
+    """
+    schema = state.schema
+    rows = []
+    for chunk in chunks:
+        key = state.groups.keys[chunk * state.chunk_size]
+        values = {
+            attribute.name: attribute.values[code]
+            for attribute, code in zip(schema.public, key, strict=True)
+        }
+        values[schema.sensitive_name] = schema.sensitive.values[0]
+        rows.append([values[column] for column in state.header])
+    return rows
+
+
+def _published_facts(report):
+    """The published bytes and the chunk index its delta state records."""
+    state = report.state
+    return (
+        Path(report.output).read_bytes(),
+        state.chunk_row_counts,
+        state.chunk_bytes,
+        state.chunk_crc32,
+    )
+
+
 class TestRunLengthIsExecutionOnly:
     @pytest.mark.parametrize("name", STRATEGIES)
     def test_bytes_and_chunk_facts_at_any_run_length(self, name, tmp_path, monkeypatch):
+        # The append dirties chunks 2-5, which cross a run boundary at
+        # RUN_CHUNKS = 3, and chunk 9 alone: the splice must pair every run's
+        # blocks with the right chunk ids.
         table = generate_census(3_000, seed=2)
-        source = tmp_path / "census.csv"
+        source, everything = tmp_path / "census.csv", tmp_path / "all.csv"
         write_csv(table, source)
+
+        def publish(path, output, workers=1):
+            return publish_base(
+                path, sensitive=table.schema.sensitive_name, output=tmp_path / output,
+                strategy=name, rng=11, chunk_size=16, workers=workers,
+            )
+
+        dirty = [2, 3, 4, 5, 9]
+        appended = _rows_in_chunks(publish(source, "first.csv").state, dirty)
+        everything.write_bytes(source.read_bytes())
+        with everything.open("a", newline="") as handle:
+            csv.writer(handle).writerows(appended)
+        full = publish(everything, "full.csv")
+        dirty_groups = np.concatenate([np.arange(c * 16, (c + 1) * 16) for c in dirty])
         published = {}
         for run_chunks in (1, 3, 16):
             monkeypatch.setattr(scheduler, "RUN_CHUNKS", run_chunks)
             for workers in (1, 2):
-                output = tmp_path / f"out-{run_chunks}-{workers}.csv"
-                report = publish_base(
-                    source, sensitive=table.schema.sensitive_name, output=output,
-                    strategy=name, rng=11, chunk_size=16, workers=workers,
+                base = publish(source, f"out-{run_chunks}-{workers}.csv", workers)
+                published[run_chunks, workers] = _published_facts(base)
+                delta = delta_publish(
+                    base.state, appended,
+                    output=tmp_path / f"delta-{run_chunks}-{workers}.csv", workers=workers,
                 )
-                state = report.state
-                published[run_chunks, workers] = (
-                    output.read_bytes(),
-                    state.chunk_row_counts,
-                    state.chunk_bytes,
-                    state.chunk_crc32,
-                )
+                assert delta.mode == "delta" and delta.n_chunks_dirty == len(dirty)
+                assert _published_facts(delta) == _published_facts(full)
+                if full.records is None:
+                    assert delta.records is None
+                    continue
+                for column in dataclasses.fields(SPSRecords):
+                    assert np.array_equal(
+                        getattr(delta.records, column.name),
+                        getattr(full.records, column.name)[dirty_groups],
+                    )
         first = published[1, 1]
-        assert len(first[1]) == -(-report.n_groups // 16) > 16
+        assert len(first[1]) == -(-base.n_groups // 16) > 16
         assert all(value == first for value in published.values())
 
     def test_stream_to_a_text_stream_at_any_run_length(self, monkeypatch):
