@@ -32,6 +32,7 @@ from repro.delta import (
 )
 from repro.delta.cli import main as delta_cli_main
 from repro.obs.metrics import DELTA_GROUPS_TOUCHED, DELTA_ROWS_APPENDED
+from repro.pipeline.params import ParamError
 from repro.pipeline.strategy import (
     SPSStrategy,
     register_strategy,
@@ -925,6 +926,17 @@ class TestPublishWiring:
         )
         assert DELTA_ROWS_APPENDED.value(strategy="sps") - rows_before == 80
 
+    def test_publish_takes_the_retired_append_keywords_as_strategy_params(
+        self, base_state, tmp_path
+    ):
+        # The 17.0.0 upgrade path: an append goes through delta_publish.
+        state, appended = base_state
+        with pytest.raises(ParamError, match=r"\['append', 'delta_state'\]"):
+            repro.publish(
+                source=tmp_path / "base.csv", sensitive="Income",
+                append=appended, delta_state=state,
+            )
+
 
 # --------------------------------------------------------------------- #
 # Service layer: delta datasets as jobs
@@ -1177,6 +1189,17 @@ class TestCli:
         # The state file advances so the next append chains off this one.
         saved = DeltaState.load(state_path)
         assert saved.n_rows == n_rows_base + 2
+
+    def test_init_significance_is_a_strategy_parameter_error(self, tmp_path, capsys):
+        base_csv = tmp_path / "base.csv"
+        _write_csv(base_csv, _TINY_HEADER, _tiny_rows("ab", ["flu", "cold"]))
+        out, state_path = tmp_path / "out.csv", tmp_path / "state.json"
+        assert delta_cli_main([
+            "init", str(base_csv), "--sensitive", "Disease", "--significance", "0.05",
+            "--output", str(out), "--state", str(state_path),
+        ]) == 2
+        assert "does not accept parameters ['significance']" in capsys.readouterr().err
+        assert not out.exists() and not state_path.exists()
 
     def test_bad_inputs_exit_2(self, tmp_path, capsys):
         state_path = tmp_path / "state.json"

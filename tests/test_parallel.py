@@ -250,6 +250,23 @@ class TestRunChunks:
         assert sorted(ran) in ([0, 1], [0, 1, 2])
         assert set(threading.enumerate()) <= before
 
+    def test_run_tasks_keep_a_window_of_workers_plus_one(self):
+        pulled = []
+
+        def payloads():
+            for index in range(12):
+                pulled.append(index)
+                yield (index,)
+
+        runs = [(2 * index, 2) for index in range(12)]
+        results = iter_ordered_map(lambda index: index, payloads(), workers=3, task_chunks=runs)
+        with closing(results):
+            assert next(results) == 0
+            # A run task's result is a whole run's block: the window is the
+            # three workers' runs plus one, not the one-chunk 2 * 3 + 2.
+            assert len(pulled) == 3 + 1
+            assert list(results) == list(range(1, 12))
+
     def test_lazy_payloads_pulled_with_backpressure(self):
         pulled = []
 

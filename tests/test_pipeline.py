@@ -19,7 +19,11 @@ from repro.pipeline import (
     strategy_descriptions,
     unregister_strategy,
 )
+from repro.delta.cli import build_parser as delta_parser
+from repro.pipeline.params import cli_params
+from repro.service.cli import build_parser as service_parser
 from repro.service.engine import AnonymizationService
+from repro.stream.cli import build_parser as stream_parser
 
 BUILTIN_STRATEGIES = {"sps", "uniform", "dp-laplace", "dp-gaussian", "generalize+sps"}
 
@@ -386,3 +390,38 @@ class TestCustomStrategy:
         assert "test-ephemeral" not in service.stats()["backends"]
         with pytest.raises(ServiceError, match="unknown backend"):
             service.publish("skewed", "test-ephemeral")
+
+
+#: Each CLI's parser and the arguments it needs besides the parameter flags.
+PARAM_FLAG_CLIS = {
+    "stream": (stream_parser, ["in.csv", "--sensitive", "S"]),
+    "delta-init": (
+        delta_parser,
+        ["init", "in.csv", "--sensitive", "S", "--output", "o.csv", "--state", "s.json"],
+    ),
+    "service-publish": (service_parser, ["publish", "--dataset", "d", "--backend", "sps"]),
+}
+
+
+class TestCliParamFlags:
+    @pytest.mark.parametrize("cli", PARAM_FLAG_CLIS)
+    def test_every_cli_maps_the_same_flags_to_the_same_params(self, cli):
+        build, required = PARAM_FLAG_CLIS[cli]
+        parser = build()
+        assert cli_params(parser.parse_args(required)) == {}
+        args = parser.parse_args([
+            *required, "--lam", "0.4", "--delta", "0.2", "--retention", "0.6",
+            "--epsilon", "1.5", "--dp-delta", "1e-6", "--sensitivity", "2",
+            "--significance", "0.05",
+        ])
+        assert args.retention == 0.6 and args.dp_delta == 1e-6
+        assert cli_params(args) == {
+            "lam": 0.4, "delta": 0.2, "retention_probability": 0.6,
+            "epsilon": 1.5, "dp_delta": 1e-6, "sensitivity": 2.0, "significance": 0.05,
+        }
+
+    def test_service_audit_keeps_its_own_defaulted_flags(self):
+        args = service_parser().parse_args(["audit", "--dataset", "d"])
+        assert (args.lam, args.delta, args.retention) == (0.3, 0.3, 0.5)
+        args = service_parser().parse_args(["audit", "--dataset", "d", "--lam", "0.7"])
+        assert args.lam == 0.7

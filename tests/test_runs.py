@@ -38,7 +38,8 @@ from repro.dataset.loaders import write_csv  # noqa: E402
 from repro.dataset.schema import Attribute, Schema  # noqa: E402
 from repro.delta import delta_publish, publish_base  # noqa: E402
 from repro.parallel.kernels import StrategyKernel  # noqa: E402
-from repro.pipeline.execution import chunk_rngs  # noqa: E402
+from repro.obs import Tracer  # noqa: E402
+from repro.pipeline.execution import chunk_rng, chunk_rngs  # noqa: E402
 from repro.pipeline.strategy import get_strategy  # noqa: E402
 from repro.stream import stream_publish  # noqa: E402
 
@@ -153,6 +154,34 @@ class TestRunEqualsChunks:
         groups = GroupCounts(np.zeros((3, 2)), np.ones((3, 2)))
         with pytest.raises(ValueError, match="one generator per chunk"):
             kernel.run(groups, chunk_rngs(1, 1), np.array([0, 1, 3]))
+
+    def test_selected_chunks_run_split_at_gaps_and_at_run_chunks(self, monkeypatch):
+        # Ten chunks of three groups; chunks 0-2, 5-6 and 9 are selected.
+        # At RUN_CHUNKS = 2 the tasks are 0-1, 2, 5-6 and 9, and chunk c
+        # draws from chunk_rng(seed, c) whatever its place in the list.
+        monkeypatch.setattr(scheduler, "RUN_CHUNKS", 2)
+        source = np.random.default_rng(8)
+        keys = np.stack([np.arange(30) // 7, np.arange(30) % 7], axis=1)
+        groups = GroupCounts(keys, source.integers(0, 9, size=(30, 3)))
+        kernel = _kernel("sps", 3, SPECS[0])
+        selected = [0, 1, 2, 5, 6, 9]
+        with Tracer() as tracer:
+            results = list(scheduler.iter_run_results(
+                groups, kernel, seed=4, chunk_size=3, chunks=selected,
+            ))
+        tasks = [
+            (span.attributes["first_chunk"], span.attributes["n_chunks"])
+            for span in tracer.spans if span.name == "chunk"
+        ]
+        assert tasks == [(0, 2), (2, 1), (5, 2), (9, 1)]
+        blocks = []
+        for result in results:
+            offsets = np.append(0, np.cumsum(result.chunk_rows))
+            blocks += [result.block[a:b] for a, b in zip(offsets[:-1], offsets[1:], strict=True)]
+        assert len(blocks) == len(selected)
+        for chunk, block in zip(selected, blocks, strict=True):
+            alone, _ = kernel(groups[chunk * 3 : (chunk + 1) * 3], chunk_rng(4, chunk))
+            assert np.array_equal(block, alone)
 
 
 def _rows_in_chunks(state, chunks):
