@@ -25,8 +25,8 @@ algorithm, together with every substrate the evaluation depends on:
   CLI) that publishes CSV sources larger than memory in bounded chunks,
   byte-identical to the in-memory path for the same seed and chunk size;
 * a shared multi-worker scheduler (:mod:`repro.parallel`) behind every
-  ``workers=`` knob — thread-pool chunk execution with an ordered block
-  writer, byte-identical output at any worker count;
+  ``workers=`` knob — thread-pool chunk execution, results in chunk order
+  from a FIFO of futures, byte-identical output at any worker count;
 * an incremental re-publish engine (:mod:`repro.delta`, the ``repro-delta``
   CLI) for living datasets: appended rows re-run only the kernel chunks
   whose personal groups changed, spliced atomically into the published CSV,

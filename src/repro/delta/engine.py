@@ -59,7 +59,6 @@ from repro.obs.metrics import (
     ROWS_PUBLISHED,
 )
 from repro.obs.trace import span
-from repro.parallel.kernels import RunResult
 from repro.parallel.scheduler import iter_run_results
 from repro.pipeline.execution import DEFAULT_CHUNK_ROWS, DEFAULT_CHUNK_SIZE
 from repro.pipeline.strategy import PublishStrategy, get_strategy
@@ -321,18 +320,6 @@ def _dirty_chunks(
     return dirty
 
 
-def _chunk_blocks(
-    results: Iterator[RunResult], records: list[SPSRecords | None]
-) -> Iterator[np.ndarray]:
-    """Split each run's block into its chunks' blocks, in chunk order.
-
-    Appends each run's records to ``records`` as its first block is taken.
-    """
-    for block, run_records, chunk_rows in results:
-        records.append(run_records)
-        yield from np.split(block, np.cumsum(chunk_rows)[:-1])
-
-
 def _tampered(path: Path, detail: str) -> ValueError:
     return ValueError(
         f"published base {path} {detail}; was it modified outside the delta engine?"
@@ -479,7 +466,6 @@ def delta_publish(
                 workers=workers, chunks=sorted(dirty),
             )
             records: list[SPSRecords | None] = []
-            blocks = _chunk_blocks(regen, records)
             writer = _CsvSink(target, new_schema, crc32=True)
             # Every clean chunk is read into, checked and written from this one buffer.
             buffer = memoryview(bytearray(max(
@@ -488,12 +474,19 @@ def delta_publish(
             try:
                 with closing(regen), base_path.open("rb") as base:
                     _check_base(base, base_path, writer.header, sum(state.chunk_bytes))
-                    for i in range(n_chunks_new):
-                        nbytes = state.chunk_bytes[i] if i < n_chunks_base else 0
+                    i = 0
+                    while i < n_chunks_new:
                         if i in dirty:
-                            base.seek(nbytes, os.SEEK_CUR)
-                            writer.write_block(next(blocks))
+                            # Dirty ids run consecutively, so the next run
+                            # starts here: skip its base bytes, write its block.
+                            block, run_records, chunk_rows = next(regen)
+                            records.append(run_records)
+                            stop = i + len(chunk_rows)
+                            base.seek(sum(state.chunk_bytes[i:stop]), os.SEEK_CUR)
+                            writer.write_run(block, chunk_rows)
+                            i = stop
                         else:
+                            nbytes = state.chunk_bytes[i]
                             data = buffer[:nbytes]
                             crc32 = state.chunk_crc32[i]
                             if base.readinto(data) != nbytes or zlib.crc32(data) != crc32:
@@ -501,9 +494,10 @@ def delta_publish(
                                     base_path, f"chunk {i} fails its CRC32 check"
                                 )
                             writer.write_chunk(data, state.chunk_row_counts[i], crc32)
+                            i += 1
                         notify({
                             "phase": "splice",
-                            "chunks_done": i + 1,
+                            "chunks_done": i,
                             "n_chunks": n_chunks_new,
                             "published_records": writer.records_written,
                         })
