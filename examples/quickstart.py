@@ -44,7 +44,7 @@ def main() -> None:
     print(f"before SPS: {audit.group_violation_rate:.1%} of personal groups violate "
           f"(0.3, 0.3)-reconstruction privacy, covering {audit.record_violation_rate:.1%} of records")
     print(f"published {len(report.published)} records; "
-          f"{report.n_sampled_groups}/{len(report.groups)} groups needed sampling")
+          f"{report.n_sampled_groups}/{len(report.records)} groups needed sampling")
 
     # 4. Aggregate reconstruction still works: the overall income distribution
     #    recovered from the published data matches the raw data closely.
@@ -56,12 +56,16 @@ def main() -> None:
           f"true {truth[1]:.4f} vs reconstructed {estimate[1]:.4f}")
 
     # 5. Personal reconstruction is blunted: the largest personal group now
-    #    carries only ~s_g independent coin tosses.
-    biggest = max(repro.personal_groups(report.prepared), key=lambda g: g.size)
-    record = next(g for g in report.groups if g.key == biggest.key)
-    print(f"largest personal group: {biggest.size} records, "
-          f"sampled down to {record.sample_size} independent perturbations "
-          f"(s_g = {record.max_group_size:.0f})")
+    #    carries only ~s_g independent coin tosses.  The personal groups and
+    #    the report's per-group records are aligned arrays, row for row.
+    groups = repro.personal_groups(report.prepared)
+    sizes = groups.sizes()
+    biggest = int(sizes.argmax())
+    records = report.records
+    print(f"largest personal group: {sizes[biggest]} records "
+          f"(top income share {groups.counts[biggest].max() / sizes[biggest]:.2f}), "
+          f"sampled down to {records.sample_sizes[biggest]} independent perturbations "
+          f"(s_g = {records.thresholds[biggest]:.0f})")
 
     # 6. Per-stage wall-clock timings come with every report.
     stages = ", ".join(f"{stage} {seconds * 1000:.1f}ms"

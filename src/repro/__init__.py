@@ -45,7 +45,7 @@ Quickstart::
     print(report.audit.group_violation_rate, len(report.published))
 """
 
-from repro.core.criterion import PrivacySpec, max_group_size, value_is_private, group_is_private
+from repro.core.criterion import PrivacySpec, max_group_size, value_is_private
 from repro.core.sps import SPSResult, sps_publish
 from repro.core.testing import PrivacyAudit, audit_table
 from repro.dataset.adult import generate_adult
@@ -79,13 +79,12 @@ from repro.delta import (
 from repro.queries.workload import WorkloadConfig, generate_workload
 from repro.queries.count_query import CountQuery, answer_on_perturbed, answer_on_raw
 
-__version__ = "17.0.0"
+__version__ = "18.0.0"
 
 __all__ = [
     "PrivacySpec",
     "max_group_size",
     "value_is_private",
-    "group_is_private",
     "SPSResult",
     "sps_publish",
     "PrivacyAudit",

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.criterion import PrivacySpec
-from repro.dataset.groups import GroupIndex, personal_groups
+from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
 from repro.pipeline import publish
 from repro.queries.count_query import CountQuery
@@ -50,7 +50,7 @@ def compare_up_and_sps(
     queries: Sequence[CountQuery],
     runs: int = 10,
     rng: int | np.random.Generator | None = None,
-    groups: GroupIndex | None = None,
+    groups: GroupCounts | None = None,
 ) -> UtilityComparison:
     """Average relative error of UP and SPS over ``runs`` random publications.
 
@@ -67,11 +67,12 @@ def compare_up_and_sps(
     rng:
         Seed or generator.
     groups:
-        Optional pre-built personal-group index (reused across runs).
+        The table's personal groups, if already built (reused across runs).
     """
     if runs <= 0:
         raise ValueError("runs must be positive")
-    index = groups if groups is not None else personal_groups(table)
+    if groups is None:
+        groups = personal_groups(table)
     rngs = spawn_rngs(default_rng(rng), 2 * runs)
     params = {
         "lam": spec.lam,
@@ -84,10 +85,10 @@ def compare_up_and_sps(
         # Both arms drive the shared strategy registry; the audit stage is
         # skipped because only the published tables matter here.
         up_table = publish(
-            table, strategy="uniform", rng=rngs[2 * run], groups=index, audit=False, **params
+            table, strategy="uniform", rng=rngs[2 * run], groups=groups, audit=False, **params
         ).published
         sps_table = publish(
-            table, strategy="sps", rng=rngs[2 * run + 1], groups=index, audit=False, **params
+            table, strategy="sps", rng=rngs[2 * run + 1], groups=groups, audit=False, **params
         ).published
         up_errors.append(
             evaluate_workload(queries, table, up_table, spec.retention_probability).average_error

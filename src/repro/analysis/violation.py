@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.core.criterion import PrivacySpec
 from repro.core.testing import PrivacyAudit, audit_table
-from repro.dataset.groups import GroupIndex
+from repro.dataset.groups import GroupCounts
 from repro.dataset.table import Table
 
 
@@ -43,7 +43,7 @@ class ViolationReport:
 def violation_report(
     table: Table,
     spec: PrivacySpec,
-    groups: GroupIndex | None = None,
+    groups: GroupCounts | None = None,
     audit: PrivacyAudit | None = None,
 ) -> ViolationReport:
     """Compute v_g and v_r for ``table`` under ``spec``.

@@ -94,7 +94,7 @@ def run_core_scenario(scenario: Scenario, ctx: Context) -> dict[str, Any]:
     }
     if report.audit is not None:
         ops["n_groups"] = report.audit.n_groups
-        ops["n_violating_groups"] = len(report.audit.violating_groups)
+        ops["n_violating_groups"] = report.audit.n_violating_groups
     return scenario.entry(measurement, ops, report.timings)
 
 

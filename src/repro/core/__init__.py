@@ -28,7 +28,6 @@ from repro.core.criterion import (
     PrivacySpec,
     max_group_size,
     value_is_private,
-    group_is_private,
 )
 from repro.core.testing import GroupAudit, PrivacyAudit, audit_table
 from repro.core.sps import SPSRecords, SPSResult, sps_publish
@@ -44,7 +43,6 @@ __all__ = [
     "PrivacySpec",
     "max_group_size",
     "value_is_private",
-    "group_is_private",
     "GroupAudit",
     "PrivacyAudit",
     "audit_table",

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bounds import reconstruction_error_bounds
-from repro.dataset.groups import PersonalGroup
 from repro.perturbation.matrix import PerturbationMatrix
 
 
@@ -107,18 +106,6 @@ def value_is_private(spec: PrivacySpec, group_size: int, frequency: float) -> bo
     if group_size == 0 or frequency == 0.0:
         return True
     return group_size <= max_group_size(spec, frequency)
-
-
-def group_is_private(spec: PrivacySpec, group: PersonalGroup) -> bool:
-    """Whether every SA value in ``group`` is (lambda, delta)-reconstruction-private.
-
-    Because ``s_g(f)`` is decreasing in ``f`` (shown in Section 5), it is
-    enough to test the group's maximum frequency, which is what this function
-    does; it therefore matches the paper's single-threshold test.
-    """
-    if group.size == 0:
-        return True
-    return value_is_private(spec, group.size, group.max_frequency)
 
 
 def smallest_error_bound(

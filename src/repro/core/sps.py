@@ -41,7 +41,6 @@ from repro.core.criterion import PrivacySpec
 from repro.core.testing import audit_groups
 from repro.dataset.groups import (
     GroupCounts,
-    GroupIndex,
     chunk_sums,
     expand_counts,
     group_block,
@@ -325,7 +324,7 @@ def sps_publish(
     table: Table,
     spec: PrivacySpec,
     rng: int | np.random.Generator | None = None,
-    groups: GroupIndex | None = None,
+    groups: GroupCounts | None = None,
 ) -> SPSResult:
     """Publish ``D*_2``: run SPS over every personal group of ``table``.
 
@@ -339,13 +338,12 @@ def sps_publish(
     rng:
         Seed or generator for all coin tosses (sampling, perturbation, scaling).
     groups:
-        Optional pre-built group index.
+        The table's personal groups, if already built.
     """
     if spec.domain_size != table.schema.sensitive_domain_size:
         raise ValueError("spec.domain_size does not match the table's sensitive domain size")
     rng = default_rng(rng)
-    index = groups if groups is not None else personal_groups(table)
-    codes, records = sps_publish_groups(
-        index.groups, spec, rng, n_public=len(table.schema.public)
-    )
+    if groups is None:
+        groups = personal_groups(table)
+    codes, records = sps_publish_groups(groups, spec, rng, n_public=len(table.schema.public))
     return SPSResult(published=Table(table.schema, codes), records=records, spec=spec)

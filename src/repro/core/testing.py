@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.criterion import PrivacySpec, max_group_size
-from repro.dataset.groups import GroupCounts, GroupIndex, personal_groups
+from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
 
 
@@ -81,11 +81,16 @@ class PrivacyAudit:
         return int(self.sizes.size)
 
     @property
+    def n_violating_groups(self) -> int:
+        """Number of personal groups violating reconstruction privacy."""
+        return int(np.count_nonzero(~self.private))
+
+    @property
     def group_violation_rate(self) -> float:
         """``v_g``: fraction of personal groups violating reconstruction privacy."""
         if not self.n_groups:
             return 0.0
-        return int(np.count_nonzero(~self.private)) / self.n_groups
+        return self.n_violating_groups / self.n_groups
 
     @property
     def record_violation_rate(self) -> float:
@@ -130,7 +135,7 @@ def audit_groups(spec: PrivacySpec, groups: GroupCounts, total_records: int) -> 
 def audit_table(
     table: Table,
     spec: PrivacySpec,
-    groups: GroupIndex | None = None,
+    groups: GroupCounts | None = None,
 ) -> PrivacyAudit:
     """Audit every personal group of ``table`` against ``spec``.
 
@@ -147,9 +152,10 @@ def audit_table(
         The privacy specification, whose ``domain_size`` must match the
         table's sensitive domain.
     groups:
-        An optional pre-built :class:`GroupIndex` to avoid recomputing it.
+        The table's personal groups, if already built, to avoid recomputing them.
     """
     if spec.domain_size != table.schema.sensitive_domain_size:
         raise ValueError("spec.domain_size does not match the table's sensitive domain size")
-    index = groups if groups is not None else personal_groups(table)
-    return audit_groups(spec, index.groups, len(table))
+    if groups is None:
+        groups = personal_groups(table)
+    return audit_groups(spec, groups, len(table))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dataset.groups import GroupIndex, personal_groups
+from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
 
 
@@ -70,24 +70,23 @@ def _report(
     criterion: str,
     parameters: dict[str, float],
     table: Table,
-    index: GroupIndex,
+    groups: GroupCounts,
     failing: np.ndarray,
 ) -> CriterionReport:
-    """Report the groups of ``index`` flagged by the boolean mask ``failing``."""
+    """Report the groups of ``groups`` flagged by the boolean mask ``failing``."""
     return CriterionReport(
         criterion=criterion,
         parameters=parameters,
-        total_groups=len(index),
-        failing_groups=tuple(map(tuple, index.groups.keys[failing].tolist())),
+        total_groups=len(groups),
+        failing_groups=tuple(map(tuple, groups.keys[failing].tolist())),
         total_records=len(table),
-        failing_records=int(index.sizes()[failing].sum()),
+        failing_records=int(groups.sizes()[failing].sum()),
     )
 
 
-def _frequencies(index: GroupIndex) -> np.ndarray:
+def _frequencies(groups: GroupCounts) -> np.ndarray:
     """Each group's SA frequency vector, one row per group."""
-    counts = index.groups.counts
-    return counts / counts.sum(axis=1, keepdims=True)
+    return groups.counts / groups.counts.sum(axis=1, keepdims=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -102,7 +101,7 @@ def l_diversity_report(
     table: Table,
     l: int,
     variant: str = "distinct",
-    groups: GroupIndex | None = None,
+    groups: GroupCounts | None = None,
 ) -> CriterionReport:
     """Audit distinct or entropy l-diversity over the table's personal groups.
 
@@ -115,18 +114,19 @@ def l_diversity_report(
     variant:
         ``"distinct"`` (default) or ``"entropy"``.
     groups:
-        Optional pre-built group index.
+        The table's personal groups, if already built.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
     if variant not in {"distinct", "entropy"}:
         raise ValueError("variant must be 'distinct' or 'entropy'")
-    index = groups if groups is not None else personal_groups(table)
+    if groups is None:
+        groups = personal_groups(table)
     if variant == "distinct":
-        failing = (index.groups.counts > 0).sum(axis=1) < l
+        failing = (groups.counts > 0).sum(axis=1) < l
     else:
-        failing = np.array([_entropy(row) < math.log(l) for row in _frequencies(index)], dtype=bool)
-    return _report(f"{variant}-l-diversity", {"l": float(l)}, table, index, failing)
+        failing = np.array([_entropy(row) < math.log(l) for row in _frequencies(groups)], dtype=bool)
+    return _report(f"{variant}-l-diversity", {"l": float(l)}, table, groups, failing)
 
 
 # --------------------------------------------------------------------------- #
@@ -149,18 +149,19 @@ def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
 def t_closeness_report(
     table: Table,
     t: float,
-    groups: GroupIndex | None = None,
+    groups: GroupCounts | None = None,
 ) -> CriterionReport:
     """Audit t-closeness (total-variation flavour) over the personal groups."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    index = groups if groups is not None else personal_groups(table)
+    if groups is None:
+        groups = personal_groups(table)
     global_distribution = table.sensitive_frequencies()
     failing = np.array(
-        [total_variation_distance(row, global_distribution) > t for row in _frequencies(index)],
+        [total_variation_distance(row, global_distribution) > t for row in _frequencies(groups)],
         dtype=bool,
     )
-    return _report("t-closeness", {"t": t}, table, index, failing)
+    return _report("t-closeness", {"t": t}, table, groups, failing)
 
 
 # --------------------------------------------------------------------------- #
@@ -169,7 +170,7 @@ def t_closeness_report(
 def beta_likeness_report(
     table: Table,
     beta: float,
-    groups: GroupIndex | None = None,
+    groups: GroupCounts | None = None,
 ) -> CriterionReport:
     """Audit basic beta-likeness: max relative gain of any SA value is at most beta.
 
@@ -179,12 +180,13 @@ def beta_likeness_report(
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    index = groups if groups is not None else personal_groups(table)
+    if groups is None:
+        groups = personal_groups(table)
     prior = table.sensitive_frequencies()
     positive = prior > 0
-    gains = (_frequencies(index)[:, positive] - prior[positive]) / prior[positive]
+    gains = (_frequencies(groups)[:, positive] - prior[positive]) / prior[positive]
     failing = gains.max(axis=1, initial=0.0) > beta
-    return _report("beta-likeness", {"beta": beta}, table, index, failing)
+    return _report("beta-likeness", {"beta": beta}, table, groups, failing)
 
 
 # --------------------------------------------------------------------------- #
@@ -193,7 +195,7 @@ def beta_likeness_report(
 def small_count_report(
     table: Table,
     k: int,
-    groups: GroupIndex | None = None,
+    groups: GroupCounts | None = None,
 ) -> CriterionReport:
     """Audit small-count privacy: every non-zero (group, SA value) count is >= k.
 
@@ -205,7 +207,7 @@ def small_count_report(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    index = groups if groups is not None else personal_groups(table)
-    counts = index.groups.counts
-    failing = ((counts > 0) & (counts < k)).any(axis=1)
-    return _report("small-count", {"k": float(k)}, table, index, failing)
+    if groups is None:
+        groups = personal_groups(table)
+    failing = ((groups.counts > 0) & (groups.counts < k)).any(axis=1)
+    return _report("small-count", {"k": float(k)}, table, groups, failing)

@@ -14,7 +14,7 @@ one sensitive attribute ``SA`` (Section 3.1).  This package provides:
 
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
-from repro.dataset.groups import GroupCounts, GroupIndex, PersonalGroup
+from repro.dataset.groups import GroupCounts
 from repro.dataset.groups import aggregate_group, personal_groups
 from repro.dataset.adult import generate_adult
 from repro.dataset.census import generate_census
@@ -25,8 +25,6 @@ __all__ = [
     "Schema",
     "Table",
     "GroupCounts",
-    "GroupIndex",
-    "PersonalGroup",
     "personal_groups",
     "aggregate_group",
     "generate_adult",

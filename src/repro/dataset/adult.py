@@ -173,17 +173,19 @@ def generate_adult(
         When true (default), the personal group of Example 1 is planted with
         exactly 501 records, 420 of them ``>50K``, so the disclosure
         experiment of Table 1 reproduces the paper's confidence of 83.83 %.
+        A table of at most 501 records has no room for anything else, so it
+        is sampled as if this were false.
     """
     if n_records <= 0:
         raise ValueError("n_records must be positive")
     rng = default_rng(seed)
     schema = adult_schema()
 
+    plant = plant_example_group and n_records > EXAMPLE_GROUP_SIZE
     planted = 0
     rows: list[np.ndarray] = []
-    if plant_example_group:
-        planted = min(EXAMPLE_GROUP_SIZE, n_records)
-        high = min(EXAMPLE_GROUP_HIGH_INCOME, planted)
+    if plant:
+        planted, high = EXAMPLE_GROUP_SIZE, EXAMPLE_GROUP_HIGH_INCOME
         education = schema.public_attribute("Education").encode(EXAMPLE_GROUP["Education"])
         occupation = schema.public_attribute("Occupation").encode(EXAMPLE_GROUP["Occupation"])
         race = schema.public_attribute("Race").encode(EXAMPLE_GROUP["Race"])
@@ -201,7 +203,7 @@ def generate_adult(
 
     remaining = n_records - planted
     if remaining > 0:
-        rows.append(_sample_background(schema, remaining, rng, exclude_example=plant_example_group))
+        rows.append(_sample_background(schema, remaining, rng, exclude_example=plant))
 
     codes = np.vstack(rows)
     rng.shuffle(codes, axis=0)

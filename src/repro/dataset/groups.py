@@ -10,17 +10,15 @@ aggregate groups.
 The audit (Corollary 4) and SPS read only each personal group's NA key and
 SA count vector, so :class:`GroupCounts` holds exactly that, as two aligned
 integer matrices; every engine (in-memory, streaming, delta) produces and
-consumes it.  :class:`GroupIndex` partitions a materialised table into its
-personal groups in a single vectorised pass — the paper's "sort by NA then
-SA" preprocessing — and adds the row order that the paper-analysis code
-reads through on-demand :class:`PersonalGroup` views.
+consumes it.  :func:`personal_groups` partitions a materialised table into
+its personal groups in a single vectorised pass — the paper's "sort by NA
+then SA" preprocessing.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -151,19 +149,22 @@ class GroupCounts:
         sensitive: np.ndarray,
         m: int,
         weights: np.ndarray | None = None,
-    ) -> tuple["GroupCounts", np.ndarray, np.ndarray]:
+    ) -> "GroupCounts":
         """Group rows of NA ``keys`` with SA codes ``sensitive`` (optionally weighted).
 
-        Returns the groups plus the row ``order`` (stable lexicographic sort
-        of the keys) and the ``bounds`` that slice it into groups: group
-        ``g`` holds rows ``order[bounds[g]:bounds[g + 1]]``.  The counts are
-        exact ``int64``: one ``bincount`` of the flat ``(group, SA)`` cells,
-        or, with ``weights``, one sum per run of equal cells.
+        The rows are sorted stably by key and each run of equal keys is one
+        group.  The counts are exact ``int64``: one ``bincount`` of the flat
+        ``(group, SA)`` cells, or, with ``weights``, one sum per run of equal
+        cells.
+
+        >>> groups = GroupCounts.tabulate(np.array([[1], [0], [1]]), np.array([0, 1, 1]), 2)
+        >>> groups.keys.tolist(), groups.counts.tolist()
+        ([[0], [1]], [[0, 1], [1, 1]])
         """
         order, starts = _sorted_runs(keys)
-        bounds = np.append(starts, len(keys))
         n_cells = starts.size * m
-        cells = np.repeat(np.arange(starts.size) * m, np.diff(bounds)) + sensitive[order]
+        sizes = np.diff(starts, append=len(keys))
+        cells = np.repeat(np.arange(starts.size) * m, sizes) + sensitive[order]
         flat: np.ndarray
         if weights is None:
             flat = np.bincount(cells, minlength=n_cells)
@@ -172,7 +173,7 @@ class GroupCounts:
             flat = np.zeros(n_cells, dtype=np.int64)
             if first.size:
                 flat[cells[by_cell[first]]] = np.add.reduceat(weights[order][by_cell], first)
-        return cls(keys[order[starts]], flat.reshape(starts.size, m)), order, bounds
+        return cls(keys[order[starts]], flat.reshape(starts.size, m))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -259,107 +260,11 @@ def group_block(keys: np.ndarray, sizes: np.ndarray, sensitive: np.ndarray) -> n
     return block
 
 
-@dataclass(frozen=True)
-class PersonalGroup:
-    """One personal group of a table: its NA key, rows and SA counts.
-
-    A view :class:`GroupIndex` builds on demand for the paper-analysis code;
-    the engines read :class:`GroupCounts` directly.
-
-    Attributes
-    ----------
-    key:
-        The integer codes of the public attributes shared by every record in
-        the group, in schema column order.
-    indices:
-        Row indices (into the owning table) of the group's records.
-    sensitive_counts:
-        Counts of each SA value inside the group, length ``m``.
-    """
-
-    key: tuple[int, ...]
-    indices: np.ndarray
-    sensitive_counts: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """``|g|``, the number of records in the group."""
-        return int(self.indices.size)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Fractional SA frequencies inside the group."""
-        total = self.sensitive_counts.sum()
-        if total == 0:
-            return np.zeros_like(self.sensitive_counts, dtype=float)
-        return self.sensitive_counts / total
-
-    @property
-    def max_frequency(self) -> float:
-        """``f`` in Equation (10): the largest SA frequency in the group."""
-        if self.size == 0:
-            return 0.0
-        return float(self.sensitive_counts.max() / self.sensitive_counts.sum())
-
-
-class GroupIndex:
-    """Partition of a table into personal groups keyed by the full NA tuple.
-
-    ``groups`` is the table's :class:`GroupCounts`; group ``g`` holds the rows
-    ``order[bounds[g]:bounds[g + 1]]``.
-    """
-
-    def __init__(self, table: Table) -> None:
-        self._table = table
-        self.groups, self.order, self.bounds = GroupCounts.tabulate(
-            table.public_codes, table.sensitive_codes, table.schema.sensitive_domain_size
-        )
-
-    # ------------------------------------------------------------------ #
-    @property
-    def table(self) -> Table:
-        """The table this index was built over."""
-        return self._table
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-    def _view(self, position: int, key: tuple[int, ...]) -> PersonalGroup:
-        return PersonalGroup(
-            key=key,
-            indices=self.order[self.bounds[position] : self.bounds[position + 1]],
-            sensitive_counts=self.groups.counts[position],
-        )
-
-    def __iter__(self) -> Iterator[PersonalGroup]:
-        for position, key in enumerate(self.groups.keys.tolist()):
-            yield self._view(position, tuple(key))
-
-    def __contains__(self, key: tuple[int, ...]) -> bool:
-        return self.get(key) is not None
-
-    def get(self, key: Sequence[int]) -> PersonalGroup | None:
-        """Return the personal group with the given NA key, or ``None``."""
-        codes = tuple(int(k) for k in key)
-        if len(codes) != self.groups.keys.shape[1]:
-            return None
-        matches = np.flatnonzero((self.groups.keys == codes).all(axis=1))
-        return self._view(int(matches[0]), codes) if matches.size else None
-
-    def sizes(self) -> np.ndarray:
-        """Array of group sizes ``|g|`` in iteration order."""
-        return np.diff(self.bounds)
-
-    def average_group_size(self) -> float:
-        """``|D| / |G|`` as reported in Tables 4 and 5."""
-        if len(self) == 0:
-            return 0.0
-        return len(self._table) / len(self)
-
-
-def personal_groups(table: Table) -> GroupIndex:
-    """Build the :class:`GroupIndex` of all personal groups of ``table``."""
-    return GroupIndex(table)
+def personal_groups(table: Table) -> GroupCounts:
+    """The :class:`GroupCounts` of all personal groups of ``table``."""
+    return GroupCounts.tabulate(
+        table.public_codes, table.sensitive_codes, table.schema.sensitive_domain_size
+    )
 
 
 def aggregate_group(table: Table, conditions: Mapping[str, str]) -> np.ndarray:

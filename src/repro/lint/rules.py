@@ -630,12 +630,12 @@ class DeltaDeterminismRule(Rule):
     The whole point of :mod:`repro.delta` is that an append costs work
     proportional to the appended rows and the dirty chunks — the state's
     stored :class:`~repro.dataset.groups.GroupCounts` replace a re-read of
-    the base.  Calling
-    :func:`repro.dataset.groups.personal_groups` (or constructing a
-    :class:`~repro.dataset.groups.GroupIndex`) inside a delta-engine module
-    reintroduces the full-table pass the subsystem exists to avoid, and
-    worse, does so silently: the output bytes stay identical, so only the
-    wall-clock betrays the regression.  Feed an
+    the base.  Calling :func:`repro.dataset.groups.personal_groups` (or
+    :meth:`~repro.dataset.groups.GroupCounts.tabulate`, the row-level index
+    under it) inside a delta-engine module reintroduces the full-table pass
+    the subsystem exists to avoid, and worse, does so silently: the output
+    bytes stay identical, so only the wall-clock betrays the regression.
+    Feed an
     :class:`~repro.stream.index.IncrementalGroupIndex` the *appended rows
     only* and merge its groups into the stored ``GroupCounts``.
     """
@@ -644,11 +644,11 @@ class DeltaDeterminismRule(Rule):
     name = "delta-determinism"
     description = (
         "delta-engine modules must not rebuild a group index over the full "
-        "table (personal_groups/GroupIndex); index appended rows only and "
+        "table (personal_groups/tabulate); index appended rows only and "
         "merge into the stored GroupCounts"
     )
 
-    _FORBIDDEN = frozenset({"personal_groups", "GroupIndex"})
+    _FORBIDDEN = frozenset({"personal_groups", "tabulate"})
 
     def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
         if module.name != "repro.delta" and not module.name.startswith("repro.delta."):

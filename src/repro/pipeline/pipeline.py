@@ -34,7 +34,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stream.report import StreamReport
 
-from repro.dataset.groups import GroupIndex, personal_groups
+from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
 from repro.generalization.merging import GeneralizationResult, apply_merges
 from repro.obs.metrics import PUBLISH_RUNS, ROWS_PUBLISHED
@@ -74,7 +74,7 @@ class PublishPipeline:
         self._params: dict[str, Any] = dict(params)
         self._rng: int | np.random.Generator | None = None
         self._chunk_size = DEFAULT_CHUNK_SIZE
-        self._groups: GroupIndex | None = None
+        self._groups: GroupCounts | None = None
         self._generalization: GeneralizationResult | None = None
         self._audit = True
         self._workers = 1
@@ -115,8 +115,8 @@ class PublishPipeline:
         self._workers = int(workers)
         return self
 
-    def with_groups(self, groups: GroupIndex) -> "PublishPipeline":
-        """Reuse a pre-built personal-group index of the *prepared* table."""
+    def with_groups(self, groups: GroupCounts) -> "PublishPipeline":
+        """Reuse the personal groups of the *prepared* table, built already."""
         self._groups = groups
         return self
 
@@ -183,14 +183,13 @@ class PublishPipeline:
             cached = self._groups is not None
             needs_groups = not strategy.streams_rows or (self._audit and strategy.audits)
             with span("group_index", kind="stage", cached=cached) as sp:
-                index = self._groups
-                if index is None and needs_groups:
-                    index = personal_groups(indexed)
+                groups = self._groups
+                if groups is None and needs_groups:
+                    groups = personal_groups(indexed)
             timings["group_index"] = sp.duration
 
             staged = _publish_stages(
-                strategy, resolved, indexed.schema,
-                None if index is None else index.groups, len(table),
+                strategy, resolved, indexed.schema, groups, len(table),
                 _TableSink, timings,
                 seed=seed, chunk_size=self._chunk_size, workers=self._workers,
                 audit=self._audit,
@@ -240,7 +239,7 @@ def publish(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
     audit: bool = True,
-    groups: GroupIndex | None = None,
+    groups: GroupCounts | None = None,
     generalization: GeneralizationResult | None = None,
     **params: Any,
 ) -> "PublishReport | StreamReport":

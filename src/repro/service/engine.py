@@ -33,6 +33,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.cache import ResponseCache
     from repro.store import StoreTransaction
@@ -420,13 +422,13 @@ class AnonymizationService:
                 .with_workers(spec.max_workers)
             )
             if strategy.generalizes:
-                generalization, index, index_seconds, cached = entry.generalized(
+                generalization, groups, index_seconds, cached = entry.generalized(
                     resolved.get("significance", DEFAULT_SIGNIFICANCE)
                 )
                 pipeline.with_generalization(generalization)
             else:
-                index, index_seconds, cached = entry.groups()
-            report = pipeline.with_groups(index).run(entry.table)
+                groups, index_seconds, cached = entry.groups()
+            report = pipeline.with_groups(groups).run(entry.table)
             return job.complete(
                 len(report.published),
                 index_seconds=index_seconds,
@@ -725,8 +727,10 @@ class AnonymizationService:
     ) -> dict[str, Any]:
         """Audit a registered dataset against a ``(lambda, delta, p)`` spec.
 
-        Uses the cached group index, so repeated audits (and audits after a
-        publish) skip the group-building cost.
+        Uses the cached personal groups, so repeated audits (and audits
+        after a publish) skip the group-building cost.  The five worst
+        violations are the violating groups of largest ``|g| / s_g``, ties
+        broken towards the later group.
         """
         entry = self.datasets.get(dataset)
         spec = PrivacySpec(
@@ -735,11 +739,12 @@ class AnonymizationService:
             retention_probability=float(retention_probability),
             domain_size=entry.table.schema.sensitive_domain_size,
         )
-        index, index_seconds, cached = entry.groups()
-        audit = audit_table(entry.table, spec, groups=index)
-        worst = sorted(
-            audit.violating_groups, key=lambda a: a.size / max(a.max_group_size, 1e-12)
-        )[-5:][::-1]
+        groups, index_seconds, cached = entry.groups()
+        audit = audit_table(entry.table, spec, groups=groups)
+        violating = np.flatnonzero(~audit.private)
+        ratios = audit.sizes[violating] / np.maximum(audit.thresholds[violating], 1e-12)
+        worst = violating[np.argsort(ratios, kind="stable")[-5:][::-1]]
+        public = entry.table.schema.public
         return {
             "dataset": dataset,
             "spec": {
@@ -753,16 +758,18 @@ class AnonymizationService:
             "group_index_cached": cached,
             "worst_violations": [
                 {
-                    "key": list(a.key),
-                    "values": [
-                        attr.decode(code)
-                        for attr, code in zip(entry.table.schema.public, a.key, strict=True)
-                    ],
-                    "size": a.size,
-                    "max_group_size": float(a.max_group_size),
-                    "sampling_rate": float(a.sampling_rate),
+                    "key": key,
+                    "values": [attr.decode(code) for attr, code in zip(public, key, strict=True)],
+                    "size": size,
+                    "max_group_size": threshold,
+                    "sampling_rate": min(1.0, threshold / size),
                 }
-                for a in worst
+                for key, size, threshold in zip(
+                    audit.keys[worst].tolist(),
+                    audit.sizes[worst].tolist(),
+                    audit.thresholds[worst].tolist(),
+                    strict=True,
+                )
             ],
         }
 

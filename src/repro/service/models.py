@@ -68,7 +68,7 @@ class AuditSummary:
         """Summarise a full audit into the rates the service reports per job."""
         return cls(
             n_groups=audit.n_groups,
-            n_violating_groups=len(audit.violating_groups),
+            n_violating_groups=audit.n_violating_groups,
             group_violation_rate=float(audit.group_violation_rate),
             record_violation_rate=float(audit.record_violation_rate),
             total_records=audit.total_records,

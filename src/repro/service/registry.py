@@ -1,12 +1,12 @@
 """Dataset registry and job store, write-through over a storage connector.
 
 A dataset is registered once and then serves many publish/audit requests.
-The dominant cost of every SPS-family request is building the
-:class:`~repro.dataset.groups.GroupIndex`, so :class:`DatasetEntry` builds it
-lazily on first use and caches it (plus any chi-square generalisation of the
-table, keyed by significance level) for all subsequent jobs; the entry tracks
-cache hits/misses and build times so ``/stats`` can prove the cache is doing
-its job.
+The dominant cost of every SPS-family request is building the table's
+personal groups (a :class:`~repro.dataset.groups.GroupCounts`), so
+:class:`DatasetEntry` builds them lazily on first use and caches them (plus
+any chi-square generalisation of the table, keyed by significance level) for
+all subsequent jobs; the entry tracks cache hits/misses and build times so
+``/stats`` can prove the cache is doing its job.
 
 Both registries persist through the configured
 :class:`~repro.store.sqlite.StorageConnector` inside the mutating call, not at
@@ -33,7 +33,7 @@ import threading
 from collections.abc import Callable
 from typing import Any
 
-from repro.dataset.groups import GroupIndex, personal_groups
+from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
 from repro.generalization.merging import GeneralizationResult, generalize_table
 from repro.obs.trace import span
@@ -63,9 +63,9 @@ class DatasetEntry:
         self.name = name
         self.table = table
         self._lock = threading.Lock()
-        self._groups: GroupIndex | None = None
+        self._groups: GroupCounts | None = None
         self._generalizations: dict[float, GeneralizationResult] = {}
-        self._generalized_groups: dict[float, GroupIndex] = {}
+        self._generalized_groups: dict[float, GroupCounts] = {}
         self.group_index_seconds = 0.0
         self.group_index_hits = 0
         self.group_index_misses = 0
@@ -75,8 +75,8 @@ class DatasetEntry:
         """Number of records in the registered table."""
         return len(self.table)
 
-    def groups(self) -> tuple[GroupIndex, float, bool]:
-        """Return the personal-group index, its build time, and whether it was cached.
+    def groups(self) -> tuple[GroupCounts, float, bool]:
+        """Return the personal groups, their build time, and whether they were cached.
 
         The build time is the wall-clock cost actually paid by *this* call:
         zero on a cache hit.
@@ -92,8 +92,10 @@ class DatasetEntry:
             self.group_index_misses += 1
             return self._groups, elapsed, False
 
-    def generalized(self, significance: float) -> tuple[GeneralizationResult, GroupIndex, float, bool]:
-        """Chi-square generalised table + its group index, cached per significance."""
+    def generalized(
+        self, significance: float
+    ) -> tuple[GeneralizationResult, GroupCounts, float, bool]:
+        """Chi-square generalised table + its personal groups, cached per significance."""
         key = float(significance)
         with self._lock:
             if key in self._generalizations:
@@ -103,12 +105,12 @@ class DatasetEntry:
                 "generalize_build", kind="cache", dataset=self.name, significance=key
             ) as sp:
                 result = generalize_table(self.table, significance=key)
-                index = personal_groups(result.table)
+                groups = personal_groups(result.table)
             elapsed = sp.duration
             self._generalizations[key] = result
-            self._generalized_groups[key] = index
+            self._generalized_groups[key] = groups
             self.group_index_misses += 1
-            return result, index, elapsed, False
+            return result, groups, elapsed, False
 
     def to_json(self) -> dict[str, Any]:
         """Serialisable description of the entry (without the code matrix)."""

@@ -9,7 +9,7 @@ groups, not of the materialised table.  This package exploits that:
 * :class:`~repro.stream.index.IncrementalGroupIndex` merges per-chunk
   ``(NA key, SA value)`` counts into the exact schema and
   :class:`~repro.dataset.groups.GroupCounts` the in-memory
-  :class:`~repro.dataset.groups.GroupIndex` would produce;
+  :func:`~repro.dataset.groups.personal_groups` would produce;
 * :func:`~repro.stream.engine.stream_publish` drives the strategies' own
   chunk kernels over the finalized groups and streams the published rows to
   a CSV sink, so a dataset larger than RAM publishes with peak memory

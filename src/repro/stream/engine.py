@@ -20,7 +20,7 @@ and ``chunk_size``, the streamed output is **byte-identical** to
 consumption — for every registered strategy.  This holds because
 
 1. the incremental index finalizes to the exact schema and group order the
-   in-memory :class:`~repro.dataset.groups.GroupIndex` produces;
+   in-memory :func:`~repro.dataset.groups.personal_groups` produces;
 2. group chunks and their spawned generators are the same
    (:func:`~repro.pipeline.execution.chunk_rng`), and a kernel publishes
    the same bytes for a chunk whatever run of chunks it is handed in;

@@ -10,9 +10,9 @@ running ``(NA key, SA code, n)`` pair table by a sort of the table plus the
 chunk.  :meth:`finalize` emits the same schema
 :func:`repro.dataset.loaders.read_csv` would infer and the same
 :class:`~repro.dataset.groups.GroupCounts`
-:class:`repro.dataset.groups.GroupIndex` would build (lexicographic in the
-NA key codes), so downstream enforcement is byte-identical to the in-memory
-path.
+:func:`repro.dataset.groups.personal_groups` would build (lexicographic in
+the NA key codes), so downstream enforcement is byte-identical to the
+in-memory path.
 
 Memory is ``O(chunk_rows + P + total domain size)`` where ``P`` is the
 number of distinct ``(NA key, SA value)`` pairs — never ``O(n)`` in the
@@ -106,14 +106,14 @@ class IncrementalGroupIndex:
 
         The schema is exactly what :func:`repro.dataset.loaders.read_csv`
         infers from the same rows (sorted domains, sensitive column last);
-        the groups are exactly what :class:`repro.dataset.groups.GroupIndex`
+        the groups are exactly what :func:`repro.dataset.groups.personal_groups`
         builds over the materialised table.
         """
         if self.n_rows == 0:
             raise ValueError("cannot finalize an index that saw no rows")
         schema = self._encoder.finalize()
         pairs = self._encoder.remap(self._pairs)
-        groups, _, _ = GroupCounts.tabulate(
+        groups = GroupCounts.tabulate(
             pairs[:, :-1], pairs[:, -1], schema.sensitive_domain_size, self._pair_counts
         )
         return schema, groups

@@ -94,7 +94,7 @@ class StreamReport:
         if self.audit is not None:
             data["audit"] = {
                 "n_groups": self.audit.n_groups,
-                "n_violating_groups": len(self.audit.violating_groups),
+                "n_violating_groups": self.audit.n_violating_groups,
                 "group_violation_rate": float(self.audit.group_violation_rate),
                 "record_violation_rate": float(self.audit.record_violation_rate),
                 "is_private": self.audit.is_private,

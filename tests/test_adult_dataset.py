@@ -73,6 +73,18 @@ class TestGenerator:
         table = generate_adult(100, seed=0)
         assert len(table) == 100
 
+    @pytest.mark.parametrize("n", [300, EXAMPLE_GROUP_SIZE])
+    def test_table_too_small_for_the_example_group_is_publishable(self, n):
+        import repro
+        from repro.dataset.groups import personal_groups
+
+        table = generate_adult(n, seed=1)
+        assert table == generate_adult(n, seed=1, plant_example_group=False)
+        assert len(personal_groups(table)) >= 2
+        assert set(table.sensitive_codes.tolist()) == {0, 1}
+        report = repro.publish(table, strategy="sps", rng=1)
+        assert len(report.published) > 0
+
 
 class TestIncomeModel:
     def test_probability_in_unit_interval(self):

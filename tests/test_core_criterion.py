@@ -7,12 +7,12 @@ import pytest
 
 from repro.core.criterion import (
     PrivacySpec,
-    group_is_private,
     group_sizes_and_thresholds,
     max_group_size,
     smallest_error_bound,
     value_is_private,
 )
+from repro.core.testing import audit_groups
 from repro.dataset.groups import personal_groups
 
 
@@ -104,19 +104,22 @@ class TestValueAndGroupTests:
         with pytest.raises(ValueError):
             value_is_private(make_spec(), -1, 0.5)
 
-    def test_group_verdict_uses_max_frequency(self, small_table):
-        index = personal_groups(small_table)
-        spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=10)
-        for group in index:
-            assert group_is_private(spec, group) == value_is_private(
-                spec, group.size, group.max_frequency
-            )
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+    def test_group_verdict_is_the_scalar_test_at_max_frequency(self, skewed_binary_table, p):
+        groups = personal_groups(skewed_binary_table)
+        spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=p, domain_size=2)
+        audit = audit_groups(spec, groups, len(skewed_binary_table))
+        sizes = groups.sizes().tolist()
+        frequencies = (groups.counts.max(axis=1) / groups.sizes()).tolist()
+        expected = [value_is_private(spec, n, f) for n, f in zip(sizes, frequencies)]
+        assert audit.private.tolist() == expected
+        assert not all(expected)  # the group "a" of 400 records violates
 
     def test_small_groups_in_fixture_are_private(self, small_table):
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=10)
-        index = personal_groups(small_table)
+        audit = audit_groups(spec, personal_groups(small_table), len(small_table))
         # All fixture groups have fewer than 10 records; s_g is in the hundreds.
-        assert all(group_is_private(spec, group) for group in index)
+        assert audit.private.all()
 
     def test_violation_appears_for_large_pure_group(self, binary_schema):
         from repro.dataset.table import Table
@@ -124,8 +127,8 @@ class TestValueAndGroupTests:
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
         records = [("a", "high")] * 500
         table = Table.from_records(binary_schema, records)
-        group = next(iter(personal_groups(table)))
-        assert not group_is_private(spec, group)
+        audit = audit_groups(spec, personal_groups(table), len(table))
+        assert audit.private.tolist() == [False]
 
 
 class TestSmallestErrorBound:

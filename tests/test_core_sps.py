@@ -17,38 +17,42 @@ def binary_spec() -> PrivacySpec:
     return PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
 
 
-def _one_group(group, spec, rng):
+def _one_group(groups, position, spec, rng):
     """SPS over one personal group: its published SA codes and its record."""
-    chunk = GroupCounts(np.array([group.key]), group.sensitive_counts[None, :])
-    codes, records = sps_publish_groups(chunk, spec, rng, n_public=len(group.key))
+    chunk = groups[position : position + 1]
+    codes, records = sps_publish_groups(chunk, spec, rng, n_public=groups.keys.shape[1])
     return codes[:, -1], records.groups[0]
 
 
 class TestSpsGroup:
     def test_small_group_not_sampled(self, small_table):
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=10)
-        group = next(iter(personal_groups(small_table)))
-        codes, record = _one_group(group, spec, default_rng(0))
+        groups = personal_groups(small_table)
+        size = int(groups.sizes()[0])
+        codes, record = _one_group(groups, 0, spec, default_rng(0))
         assert not record.sampled
-        assert record.sample_size == group.size
-        assert codes.size == group.size
+        assert record.sample_size == size
+        assert codes.size == size
 
     def test_large_group_sampled_to_threshold(self, skewed_binary_table, binary_spec):
-        index = personal_groups(skewed_binary_table)
-        group = index.get([skewed_binary_table.schema.public_attribute("Group").encode("a")])
-        threshold = max_group_size(binary_spec, group.max_frequency)
-        assert group.size > threshold  # precondition for the test
-        codes, record = _one_group(group, binary_spec, default_rng(1))
+        groups = personal_groups(skewed_binary_table)
+        a = skewed_binary_table.schema.public_attribute("Group").encode("a")
+        position = int(np.flatnonzero(groups.keys[:, 0] == a)[0])
+        size = int(groups.sizes()[position])
+        threshold = max_group_size(binary_spec, float(groups.counts[position].max() / size))
+        assert size > threshold  # precondition for the test
+        codes, record = _one_group(groups, position, binary_spec, default_rng(1))
         assert record.sampled
         # The sample size equals s_g up to the stochastic rounding of each value.
         assert abs(record.sample_size - threshold) <= 2
         # Scaling restores roughly the original size.
-        assert abs(codes.size - group.size) <= record.sample_size
+        assert abs(codes.size - size) <= record.sample_size
 
     def test_published_codes_stay_in_domain(self, skewed_binary_table, binary_spec):
         rng = default_rng(3)
-        for group in personal_groups(skewed_binary_table):
-            codes, _ = _one_group(group, binary_spec, rng)
+        groups = personal_groups(skewed_binary_table)
+        for position in range(len(groups)):
+            codes, _ = _one_group(groups, position, binary_spec, rng)
             assert codes.min() >= 0 and codes.max() < 2
 
 
@@ -59,9 +63,9 @@ class TestSpsPublish:
 
     def test_public_key_structure_preserved(self, skewed_binary_table, binary_spec):
         result = sps_publish(skewed_binary_table, binary_spec, rng=0)
-        original_keys = {g.key for g in personal_groups(skewed_binary_table)}
-        published_keys = {g.key for g in personal_groups(result.published)}
-        assert published_keys == original_keys
+        original_keys = personal_groups(skewed_binary_table).keys
+        published_keys = personal_groups(result.published).keys
+        assert np.array_equal(published_keys, original_keys)
 
     def test_only_violating_groups_sampled(self, skewed_binary_table, binary_spec):
         audit = audit_table(skewed_binary_table, binary_spec)
@@ -98,18 +102,16 @@ class TestSpsPublishGroups:
     def test_chunked_union_covers_all_groups(self, skewed_binary_table, binary_spec):
         """The chunk entry point partitions cleanly: publishing the group list
         in two chunks yields exactly the per-chunk groups' records."""
-        index = personal_groups(skewed_binary_table)
-        groups = list(index)
+        groups = personal_groups(skewed_binary_table)
         n_public = len(skewed_binary_table.schema.public)
-        codes_a, records_a = sps_publish_groups(index.groups[:2], binary_spec, 1, n_public)
-        codes_b, records_b = sps_publish_groups(index.groups[2:], binary_spec, 2, n_public)
-        assert [r.key for r in records_a.groups + records_b.groups] == [g.key for g in groups]
+        codes_a, records_a = sps_publish_groups(groups[:2], binary_spec, 1, n_public)
+        codes_b, records_b = sps_publish_groups(groups[2:], binary_spec, 2, n_public)
+        assert np.array_equal(np.vstack([records_a.keys, records_b.keys]), groups.keys)
         combined = Table(skewed_binary_table.schema, np.vstack([codes_a, codes_b]))
-        published_keys = {g.key for g in personal_groups(combined)}
-        assert published_keys == {g.key for g in groups}
+        assert np.array_equal(personal_groups(combined).keys, groups.keys)
 
     def test_matches_sps_publish_for_single_chunk(self, skewed_binary_table, binary_spec):
-        groups = personal_groups(skewed_binary_table).groups
+        groups = personal_groups(skewed_binary_table)
         n_public = len(skewed_binary_table.schema.public)
         codes, records = sps_publish_groups(
             groups, binary_spec, default_rng(17), n_public
@@ -138,13 +140,13 @@ class TestTheorem4Privacy:
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
         records = [("a", "high")] * 800 + [("a", "low")] * 200
         table = Table.from_records(binary_schema, records)
-        group = next(iter(personal_groups(table)))
         for seed in range(20):
             result = sps_publish(table, spec, rng=seed)
             record = result.groups[0]
             assert record.sampled
-            # Allow the +-1 per SA value of stochastic rounding.
-            assert value_is_private(spec, record.sample_size - spec.domain_size, group.max_frequency)
+            # Allow the +-1 per SA value of stochastic rounding; the group's
+            # max frequency is 800 / 1000.
+            assert value_is_private(spec, record.sample_size - spec.domain_size, 0.8)
 
     def test_sps_widens_personal_reconstruction_error_relative_to_up(self, binary_schema):
         """The point of sampling: the personal estimate from D*_2 is noisier

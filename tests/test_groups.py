@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataset.groups import aggregate_group, personal_groups
+from repro.dataset.groups import aggregate_group, keys_sorted_unique, personal_groups
 from repro.dataset.table import Table
 
 
@@ -13,54 +13,53 @@ def _key(table, **values):
     return [schema.public_attribute(name).encode(values[name]) for name in values]
 
 
-class TestGroupIndex:
+def _position(groups, key):
+    """The row of ``groups`` whose NA key is ``key``, or ``None``."""
+    matches = np.flatnonzero((groups.keys == key).all(axis=1))
+    return int(matches[0]) if matches.size else None
+
+
+class TestPersonalGroups:
     def test_number_of_groups(self, small_table):
-        index = personal_groups(small_table)
-        assert len(index) == 3
+        groups = personal_groups(small_table)
+        assert len(groups) == 3
 
     def test_group_sizes_cover_table(self, small_table):
-        index = personal_groups(small_table)
-        assert index.sizes().sum() == len(small_table)
+        groups = personal_groups(small_table)
+        assert groups.sizes().sum() == len(small_table)
 
-    def test_group_lookup_by_values(self, small_table):
-        index = personal_groups(small_table)
-        group = index.get(_key(small_table, Gender="male", Job="eng"))
-        assert group is not None
-        assert group.size == 8
-        assert group.sensitive_counts[0] == 6
-        assert group.sensitive_counts[1] == 2
+    def test_counts_by_key(self, small_table):
+        groups = personal_groups(small_table)
+        position = _position(groups, _key(small_table, Gender="male", Job="eng"))
+        assert position is not None
+        assert groups.sizes()[position] == 8
+        assert groups.counts[position].tolist()[:2] == [6, 2]
 
-    def test_group_lookup_requires_all_public_attributes(self, small_table):
-        index = personal_groups(small_table)
-        assert index.get(_key(small_table, Job="eng")) is None
+    def test_missing_group_has_no_row(self, small_table):
+        groups = personal_groups(small_table)
+        assert _position(groups, _key(small_table, Gender="female", Job="artist")) is None
 
-    def test_missing_group_returns_none(self, small_table):
-        index = personal_groups(small_table)
-        assert index.get(_key(small_table, Gender="female", Job="artist")) is None
-
-    def test_frequencies_and_max_frequency(self, small_table):
-        index = personal_groups(small_table)
-        group = index.get(_key(small_table, Gender="male", Job="eng"))
-        assert group.frequencies[0] == pytest.approx(0.75)
-        assert group.max_frequency == pytest.approx(0.75)
-        pure = index.get(_key(small_table, Gender="male", Job="lawyer"))
-        assert pure.max_frequency == pytest.approx(1.0)
-
-    def test_average_group_size(self, small_table):
-        index = personal_groups(small_table)
-        assert index.average_group_size() == pytest.approx(len(small_table) / 3)
+    def test_max_frequencies(self, small_table):
+        groups = personal_groups(small_table)
+        frequencies = groups.counts.max(axis=1) / groups.sizes()
+        eng = _position(groups, _key(small_table, Gender="male", Job="eng"))
+        assert frequencies[eng] == pytest.approx(0.75)
+        lawyer = _position(groups, _key(small_table, Gender="male", Job="lawyer"))
+        assert frequencies[lawyer] == pytest.approx(1.0)
 
     def test_empty_table_has_no_groups(self, disease_schema):
         empty = Table.from_records(disease_schema, [])
-        index = personal_groups(empty)
-        assert len(index) == 0
-        assert index.average_group_size() == 0.0
+        groups = personal_groups(empty)
+        assert len(groups) == 0
+        assert groups.keys.shape == (0, 2) and groups.counts.shape == (0, 10)
 
-    def test_indices_point_to_matching_rows(self, small_table):
-        index = personal_groups(small_table)
-        for group in index:
-            rows = small_table.public_codes[group.indices]
-            assert np.all(rows == np.asarray(group.key))
+    def test_counts_match_the_rows_of_each_key(self, small_table):
+        groups = personal_groups(small_table)
+        assert keys_sorted_unique(groups.keys)
+        for key, counts in zip(groups.keys, groups.counts, strict=True):
+            rows = (small_table.public_codes == key).all(axis=1)
+            sensitive = small_table.sensitive_codes[rows]
+            assert np.bincount(sensitive, minlength=10).tolist() == counts.tolist()
 
 
 class TestAggregateGroup:

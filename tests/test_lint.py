@@ -333,12 +333,15 @@ def test_rpr007_flags_full_group_index_rebuild_in_delta(tmp_path):
 
 def test_rpr007_flags_group_index_construction(tmp_path):
     result = lint(tmp_path, {"delta/helpers.py": """\
-        from repro.dataset.groups import GroupIndex
+        from repro.dataset.groups import GroupCounts
 
-        def make(groups):
-            return GroupIndex(groups)
+        def make(table):
+            return GroupCounts.tabulate(
+                table.public_codes, table.sensitive_codes, table.schema.sensitive_domain_size
+            )
     """}, select=["RPR007"])
     assert codes(result) == ["RPR007"]
+    assert "tabulate" in result.findings[0].message
 
 
 def test_rpr007_allows_incremental_index_and_other_modules(tmp_path):

@@ -396,7 +396,7 @@ class TestKernels:
         kernel = StrategyKernel(strategy, table.schema, spec, resolved)
         from repro.dataset.groups import personal_groups
 
-        groups = personal_groups(table).groups[:5]
+        groups = personal_groups(table)[:5]
         direct = strategy.chunk_publisher(table.schema, spec, resolved)
         a = kernel(groups, np.random.default_rng(3))
         c = direct(groups, [np.random.default_rng(3)], np.array([0, len(groups)]))

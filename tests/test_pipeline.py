@@ -176,7 +176,7 @@ class TestPublishEntryPoint:
 
     def test_sps_report_carries_group_records(self, skewed_binary_table):
         report = publish(skewed_binary_table, strategy="sps", rng=5)
-        assert len(report.groups) == len(personal_groups(skewed_binary_table))
+        assert len(report.records) == len(personal_groups(skewed_binary_table))
         assert report.summary()["n_sampled_groups"] == report.n_sampled_groups
         assert report.sps.published is report.published
 
@@ -241,13 +241,13 @@ class TestPublishEntryPoint:
 
 class TestFluentBuilder:
     def test_chained_configuration(self, skewed_binary_table):
-        index = personal_groups(skewed_binary_table)
+        groups = personal_groups(skewed_binary_table)
         report = (
             PublishPipeline("sps", lam=0.4)
             .with_params(delta=0.2)
             .with_rng(11)
             .with_chunk_size(2)
-            .with_groups(index)
+            .with_groups(groups)
             .with_audit(False)
             .run(skewed_binary_table)
         )

@@ -293,6 +293,61 @@ class TestAuditEndpointLogic:
         assert 0.0 <= summary["group_violation_rate"] <= 1.0
         assert len(report["worst_violations"]) == summary["n_violating_groups"]
 
+    @staticmethod
+    def _tied_table():
+        """Nine violating groups: ratios |g| / s_g tie four ways, twice."""
+        from repro.dataset.schema import Attribute, Schema
+        from repro.dataset.table import Table
+
+        schema = Schema(
+            public=(Attribute("Group", tuple(f"g{i}" for i in range(10))),),
+            sensitive=Attribute("Income", ("low", "high")),
+        )
+        rows = []
+        for i in range(10):
+            size, high = (600, 600) if i < 4 else (500, 400) if i < 8 else (300, 300)
+            if i == 9:
+                size, high = 10, 5
+            rows += [(f"g{i}", "high")] * high + [(f"g{i}", "low")] * (size - high)
+        return Table.from_records(schema, rows)
+
+    @pytest.mark.parametrize("source", ["tied", "adult"])
+    def test_worst_violations_equal_the_view_based_sort(self, source):
+        from repro.core.criterion import PrivacySpec
+        from repro.core.testing import audit_table
+
+        table = self._tied_table() if source == "tied" else generate_adult(5000, seed=3)
+        svc = AnonymizationService()
+        svc.register_table("t", table)
+        report = svc.audit("t", lam=0.4, delta=0.4, retention_probability=0.5)
+
+        # The computation the arrays replaced: one GroupAudit view per
+        # violating group, sorted by |g| / s_g, the last five reversed.
+        spec = PrivacySpec(0.4, 0.4, 0.5, table.schema.sensitive_domain_size)
+        audit = audit_table(table, spec)
+        worst = sorted(
+            audit.violating_groups, key=lambda a: a.size / max(a.max_group_size, 1e-12)
+        )[-5:][::-1]
+        expected = [
+            {
+                "key": list(a.key),
+                "values": [
+                    attr.decode(code)
+                    for attr, code in zip(table.schema.public, a.key, strict=True)
+                ],
+                "size": a.size,
+                "max_group_size": float(a.max_group_size),
+                "sampling_rate": float(a.sampling_rate),
+            }
+            for a in worst
+        ]
+        assert len(audit.violating_groups) > 5
+        assert report["summary"]["n_violating_groups"] == len(audit.violating_groups)
+        assert json.dumps(report["worst_violations"]) == json.dumps(expected)
+        if source == "tied":
+            # Ties go to the later group, as the stable sort reversed leaves them.
+            assert [v["key"] for v in report["worst_violations"]] == [[3], [2], [1], [0], [7]]
+
     def test_audit_reuses_cached_index(self, service):
         service.publish("skewed", "sps", seed=1)
         report = service.audit("skewed")

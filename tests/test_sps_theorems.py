@@ -32,7 +32,7 @@ N_SEEDS = 400
 def sweep():
     """The sampled groups, their ``s_g`` and one SPS run per seed."""
     table = generate_adult()
-    groups = personal_groups(table).groups
+    groups = personal_groups(table)
     spec = PrivacySpec(
         lam=0.3, delta=0.3, retention_probability=0.5,
         domain_size=table.schema.sensitive_domain_size,

@@ -179,7 +179,7 @@ class TestIncrementalGroupIndex:
         schema, groups = index.finalize()
 
         assert schema == table.schema
-        assert groups == reference.groups
+        assert groups == reference
 
     def test_group_spanning_chunk_boundary(self):
         # Two records of the same personal group split across chunks must

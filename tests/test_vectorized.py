@@ -105,20 +105,13 @@ class TestSampleCountsVectorization:
 
 class TestGroupIndexVectorization:
     @pytest.mark.parametrize("table", [generate_adult(3000, seed=5), generate_census(4000, seed=5)])
-    def test_identical_keys_counts_indices(self, table):
+    def test_identical_keys_and_counts(self, table):
         reference = _reference_group_index(table)
-        index = personal_groups(table)
-        assert len(index) == len(reference)
-        for group in index:
-            ref_group = reference[group.key]
-            assert np.array_equal(group.indices, ref_group.indices)
-            assert np.array_equal(group.sensitive_counts, ref_group.sensitive_counts)
-            assert group.sensitive_counts.dtype == ref_group.sensitive_counts.dtype
-
-    def test_key_elements_are_python_ints(self):
-        table = generate_adult(500, seed=0)
-        group = next(iter(personal_groups(table)))
-        assert all(type(k) is int for k in group.key)
+        groups = personal_groups(table)
+        assert groups.keys.tolist() == [list(key) for key in reference]
+        assert np.array_equal(groups.counts, np.vstack(list(reference.values())))
+        assert groups.keys.dtype == groups.counts.dtype == np.int64
+        assert all(counts.dtype == np.int64 for counts in reference.values())
 
 
 class TestSPSPublishStability:
@@ -415,15 +408,11 @@ class TestGroupCountsReductions:
     ))
     def test_weighted_tabulate_sums_repeated_cells(self, rows):
         table = np.array(rows, dtype=np.int64)
-        groups, order, bounds = GroupCounts.tabulate(table[:, :2], table[:, 2], 3, table[:, 3])
+        groups = GroupCounts.tabulate(table[:, :2], table[:, 2], 3, table[:, 3])
         one_hot = [[n if code == sa else 0 for code in range(3)] for *_, sa, n in rows]
         reference = _dict_sum(zip(table[:, :2].tolist(), one_hot, strict=True), 3)
         assert groups.keys.tolist() == [list(key) for key, _ in reference]
         assert groups.counts.tolist() == [counts for _, counts in reference]
-        assert order.tolist() == sorted(range(len(rows)), key=lambda row: rows[row][:2])
-        assert np.diff(bounds).tolist() == [
-            sum(1 for row in rows if row[:2] == tuple(key)) for key, _ in reference
-        ]
 
     @settings(max_examples=80, deadline=None)
     @given(keys=st.lists(
@@ -472,7 +461,7 @@ def _encode_value_keyed(header, sensitive, groups):
         dtype=np.int64,
     )
     schema = Schema(public=attributes[:-1], sensitive=attributes[-1])
-    grouped, _, _ = GroupCounts.tabulate(
+    grouped = GroupCounts.tabulate(
         codes[:-1].T, codes[-1], schema.sensitive_domain_size, np.array(weights, dtype=np.int64)
     )
     return schema, grouped
@@ -760,7 +749,7 @@ class _ReferenceGroupIndex:
         schema = Schema(public=tuple(attributes[:-1]), sensitive=attributes[-1])
         pairs = self.remap_block(np.array(list(self._counts), dtype=np.int64))
         weights = np.fromiter(self._counts.values(), dtype=np.int64, count=len(self._counts))
-        groups, _, _ = GroupCounts.tabulate(
+        groups = GroupCounts.tabulate(
             pairs[:, :-1], pairs[:, -1], schema.sensitive_domain_size, weights
         )
         return schema, groups
@@ -883,7 +872,7 @@ class TestColumnarDecode:
         table = read_csv(io.StringIO(text, newline=""), sensitive)
         assert table == _reference_read_csv(text, sensitive)
         index, _ = _index_in_chunks(text, sensitive, 3)
-        assert (table.schema, personal_groups(table).groups) == index.finalize()
+        assert (table.schema, personal_groups(table)) == index.finalize()
 
     def test_census_read_and_index_match_references(self):
         table = generate_census(3_000, seed=4)
@@ -895,7 +884,7 @@ class TestColumnarDecode:
         assert loaded == _reference_read_csv(text, sensitive)
         assert loaded.records() == table.records()
         index, _ = _index_in_chunks(text, sensitive, 700)
-        assert index.finalize() == (loaded.schema, personal_groups(loaded).groups)
+        assert index.finalize() == (loaded.schema, personal_groups(loaded))
 
     @settings(max_examples=60, deadline=None)
     @given(keys=st.lists(st.lists(st.integers(-1, 6), min_size=3, max_size=3), max_size=50))
