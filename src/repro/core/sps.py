@@ -46,7 +46,7 @@ from repro.dataset.groups import (
     group_block,
     personal_groups,
 )
-from repro.dataset.table import Table
+from repro.dataset.table import Table, code_dtype
 from repro.perturbation.uniform import UniformPerturbation
 from repro.utils.rng import default_rng
 
@@ -78,7 +78,7 @@ class SPSRecords:
     >>> from repro.dataset.groups import GroupCounts
     >>> spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
     >>> groups = GroupCounts(np.array([[0], [1]]), np.array([[2, 1], [600, 5]]))
-    >>> codes, records = sps_publish_groups(groups, spec, 7, n_public=1)
+    >>> codes, records = sps_publish_groups(groups, spec, 7, n_public=1, dtype=np.int8)
     >>> records.sampled.tolist(), records.n_sampled_groups, records.sampled_fraction
     ([False, True], 1, 0.5)
     >>> both = SPSRecords.concat([records, records])
@@ -221,6 +221,8 @@ def sps_publish_groups(
     n_public: int,
     perturbation: UniformPerturbation | None = None,
     bounds: np.ndarray | None = None,
+    *,
+    dtype: np.dtype,
 ) -> tuple[np.ndarray, SPSRecords]:
     """Run SPS over a run of consecutive chunks of personal groups.
 
@@ -251,8 +253,9 @@ def sps_publish_groups(
     the scaling repeats -- is one array operation over the whole run.
 
     Returns the ``(n_published, n_public + 1)`` code block of the run (NA
-    key columns then the published SA column) and the run's
-    :class:`SPSRecords`, in input group order.
+    key columns then the published SA column), in ``dtype`` (a publish
+    path passes its schema's :func:`~repro.dataset.table.code_dtype`), and
+    the run's :class:`SPSRecords`, in input group order.
     """
     if not isinstance(rngs, Sequence):
         rngs = [default_rng(rngs)]
@@ -317,7 +320,7 @@ def sps_publish_groups(
         sample_sizes=sample_sizes,
         published_sizes=published_sizes,
     )
-    return group_block(groups.keys, published_sizes, codes), records
+    return group_block(groups.keys, published_sizes, codes, dtype), records
 
 
 def sps_publish(
@@ -345,5 +348,7 @@ def sps_publish(
     rng = default_rng(rng)
     if groups is None:
         groups = personal_groups(table)
-    codes, records = sps_publish_groups(groups, spec, rng, n_public=len(table.schema.public))
+    codes, records = sps_publish_groups(
+        groups, spec, rng, n_public=len(table.schema.public), dtype=code_dtype(table.schema)
+    )
     return SPSResult(published=Table(table.schema, codes), records=records, spec=spec)

@@ -245,15 +245,23 @@ def chunk_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.diff(np.concatenate(([0], np.cumsum(values)))[bounds])
 
 
-def group_block(keys: np.ndarray, sizes: np.ndarray, sensitive: np.ndarray) -> np.ndarray:
+def group_block(
+    keys: np.ndarray, sizes: np.ndarray, sensitive: np.ndarray, dtype: np.dtype
+) -> np.ndarray:
     """A published code block: each NA key repeated ``sizes`` times, then the SA codes.
 
-    >>> group_block(np.array([[4, 5], [6, 7]]), np.array([1, 2]), np.array([0, 1, 2])).tolist()
-    [[4, 5, 0], [6, 7, 1], [6, 7, 2]]
+    ``dtype`` is the block's integer dtype: a publish path passes its
+    schema's :func:`~repro.dataset.table.code_dtype`, which holds every code
+    of the schema, so the block is as narrow as a table's codes.
+
+    >>> block = group_block(np.array([[4, 5], [6, 7]]), np.array([1, 2]),
+    ...                     np.array([0, 1, 2]), np.int8)
+    >>> block.dtype, block.tolist()
+    (dtype('int8'), [[4, 5, 0], [6, 7, 1], [6, 7, 2]])
     """
     # Repeat each key row with room for its SA code: the block is the only
     # record-sized allocation.
-    rows = np.empty((len(keys), keys.shape[1] + 1), dtype=np.int64)
+    rows = np.empty((len(keys), keys.shape[1] + 1), dtype=dtype)
     rows[:, :-1] = keys
     block = np.repeat(rows, sizes, axis=0)
     block[:, -1] = sensitive

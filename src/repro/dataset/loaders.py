@@ -836,8 +836,9 @@ class CsvCodec:
     sensitive column) as one fixed-width field, padded with ``0xFF``.
     Encoding a block gathers each column's fields by the block's codes into
     one record array and deletes the pad bytes of its buffer: no per-row
-    Python.  Build one through :func:`csv_codec`, which caches it per
-    ``(schema, delimiter)``.
+    Python, and no step that holds the interpreter lock for long, so
+    threads can encode blocks side by side.  Build one through
+    :func:`csv_codec`, which caches it per ``(schema, delimiter)``.
 
     >>> from repro.dataset.schema import Attribute, Schema
     >>> schema = Schema([Attribute("City", ("Oslo", "St. Paul, MN"))],
@@ -864,6 +865,8 @@ class CsvCodec:
             for attr, end in zip(attributes, ends, strict=True)
         )
         self._fields = tuple(f"f{i}" for i in range(len(attributes)))
+        #: Each column's largest code.
+        self._max_codes = tuple(attr.size - 1 for attr in attributes)
         self._record = np.dtype(
             [(field, values.dtype) for field, values in zip(self._fields, self._columns, strict=True)]
         )
@@ -882,17 +885,29 @@ class CsvCodec:
             raise SchemaError(
                 f"record has {codes.shape[-1]} fields, expected {len(self._columns)}"
             )
+        # Checked before the gather: a negative code would index from the end.
+        self._check_domains(codes)
         records = np.empty(codes.shape[0], dtype=self._record)
-        for field, name, values, column in zip(
-            self._fields, self._names, self._columns, codes.T, strict=True
-        ):
-            # Checked before the gather: a negative code would index from the end.
-            low, high = int(column.min()), int(column.max())
-            if low < 0 or high >= len(values):
-                bad = low if low < 0 else high
-                raise SchemaError(f"code {bad} out of range for attribute {name!r}")
+        for field, values, column in zip(self._fields, self._columns, codes.T, strict=True):
             records[field] = values.take(column)
-        return records.tobytes().translate(None, _PAD)
+        # A mask compress, unlike bytes.translate, releases the interpreter lock.
+        raw = records.view(np.uint8)
+        return raw[raw != _PAD[0]].tobytes()
+
+    def _check_domains(self, codes: np.ndarray) -> None:
+        """Raise :class:`SchemaError` naming the first column with a code outside its domain."""
+        # One contiguous pass: viewed unsigned, a negative code is a huge one.
+        unsigned = codes.view(f"u{codes.dtype.itemsize}")
+        widest = int(np.iinfo(unsigned.dtype).max)
+        limits = np.array([min(code, widest) for code in self._max_codes], dtype=unsigned.dtype)
+        if not (unsigned > limits).any():
+            return
+        for name, high_code, column in zip(self._names, self._max_codes, codes.T, strict=True):
+            low, high = int(column.min()), int(column.max())
+            if low < 0 or high > high_code:
+                raise SchemaError(
+                    f"code {low if low < 0 else high} out of range for attribute {name!r}"
+                )
 
 
 def _field_table(fields: Sequence[bytes]) -> np.ndarray:

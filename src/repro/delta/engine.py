@@ -461,12 +461,12 @@ def delta_publish(
             kernel = _chunk_kernel(
                 strategy, new_schema, spec, resolved, DeltaUnsupportedError
             )
-            regen = iter_run_results(
-                merged, kernel, state.seed, state.chunk_size,
-                workers=workers, chunks=sorted(dirty),
-            )
             records: list[SPSRecords | None] = []
             writer = _CsvSink(target, new_schema, crc32=True)
+            regen = iter_run_results(
+                merged, kernel, state.seed, state.chunk_size,
+                workers=workers, chunks=sorted(dirty), codec=writer.codec, crc32=True,
+            )
             # Every clean chunk is read into, checked and written from this one buffer.
             buffer = memoryview(bytearray(max(
                 (n for i, n in enumerate(state.chunk_bytes) if i not in dirty), default=0
@@ -478,12 +478,12 @@ def delta_publish(
                     while i < n_chunks_new:
                         if i in dirty:
                             # Dirty ids run consecutively, so the next run
-                            # starts here: skip its base bytes, write its block.
-                            block, run_records, chunk_rows = next(regen)
-                            records.append(run_records)
-                            stop = i + len(chunk_rows)
+                            # starts here: skip its base bytes, write its chunks.
+                            run = next(regen)
+                            records.append(run.records)
+                            stop = i + len(run.chunk_rows)
                             base.seek(sum(state.chunk_bytes[i:stop]), os.SEEK_CUR)
-                            writer.write_run(block, chunk_rows)
+                            writer.write_run(run)
                             i = stop
                         else:
                             nbytes = state.chunk_bytes[i]

@@ -9,6 +9,7 @@ from the per-chunk generators handed in with the payload.
 
 from __future__ import annotations
 
+import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, NamedTuple
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 import numpy as np
 
 from repro.dataset.groups import GroupCounts, chunk_sums
-from repro.dataset.loaders import csv_codec, remap_columns
+from repro.dataset.loaders import CsvCodec, csv_codec, remap_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.criterion import PrivacySpec
@@ -57,12 +58,27 @@ class RunResult(NamedTuple):
     """What a run of chunks published: one block plus each chunk's row count.
 
     Chunk ``c``'s rows are ``block[offsets[c]:offsets[c + 1]]`` where
-    ``offsets`` are the running sums of ``chunk_rows`` from zero.
+    ``offsets`` are the running sums of ``chunk_rows`` from zero.  A run
+    bound for a CSV sink is rendered by the task that published it
+    (:meth:`rendered`): ``csv[c]`` is chunk ``c``'s CSV bytes and, when the
+    sink keeps a chunk index with checksums, ``crc32[c]`` their
+    :func:`zlib.crc32`.  Both are empty for a run that was not rendered.
     """
 
     block: np.ndarray
     records: "SPSRecords | None"
     chunk_rows: np.ndarray
+    csv: tuple[bytes, ...] = ()
+    crc32: tuple[int, ...] = ()
+
+    def rendered(self, codec: CsvCodec, crc32: bool) -> "RunResult":
+        """This run with each chunk's CSV bytes (and, with ``crc32``, their CRC32s)."""
+        stops = np.cumsum(self.chunk_rows).tolist()
+        csv = tuple(
+            codec.encode(self.block[start:stop])
+            for start, stop in zip([0, *stops[:-1]], stops, strict=True)
+        )
+        return self._replace(csv=csv, crc32=tuple(map(zlib.crc32, csv)) if crc32 else ())
 
 
 @dataclass

@@ -14,7 +14,9 @@ are never copied between workers and the caller.
 A task is one chunk, or on the group path (:func:`iter_run_results`) a run
 of up to :data:`RUN_CHUNKS` consecutive chunks, each with its own spawned
 generator built inside the task.  Like ``workers``, the run length is
-execution-only: the bytes depend on the seed and ``chunk_size`` alone.
+execution-only: the bytes depend on the seed and ``chunk_size`` alone.  A
+run bound for a CSV file is also rendered by its task, so the caller only
+writes bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.pipeline.execution import DEFAULT_CHUNK_SIZE, chunk_items, chunk_rng,
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataset.groups import GroupCounts
+    from repro.dataset.loaders import CsvCodec
     from repro.parallel.kernels import RunResult, StrategyKernel
 
 T = TypeVar("T")
@@ -181,6 +184,8 @@ def iter_run_results(
     *,
     workers: int = 1,
     chunks: Iterable[int] | None = None,
+    codec: "CsvCodec | None" = None,
+    crc32: bool = False,
 ) -> Iterator["RunResult"]:
     """Yield ``kernel.run(...)`` over runs of seeded chunks, in chunk order.
 
@@ -189,7 +194,9 @@ def iter_run_results(
     :data:`RUN_CHUNKS`, so each task makes one kernel call over its run,
     with chunk ``c`` drawing from ``chunk_rng(seed, c)``, built inside the
     task.  The bytes are those of one call per chunk at any run length and
-    worker count.
+    worker count.  Given the output's ``codec``, each task also renders its
+    run's chunks to CSV (:meth:`RunResult.rendered`, with their CRC32s when
+    ``crc32``), so rendering runs on the pool beside the kernels.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
@@ -207,7 +214,8 @@ def iter_run_results(
     def run_task(first: int, n: int) -> "RunResult":
         run = groups[first * chunk_size : (first + n) * chunk_size]
         bounds = np.append(np.arange(0, len(run), chunk_size), len(run))
-        return kernel.run(run, [chunk_rng(seed, first + c) for c in range(n)], bounds)
+        result = kernel.run(run, [chunk_rng(seed, first + c) for c in range(n)], bounds)
+        return result if codec is None else result.rendered(codec, crc32)
 
     yield from iter_ordered_map(run_task, runs, workers=workers, task_chunks=runs)
 

@@ -30,7 +30,7 @@ from repro.core.criterion import PrivacySpec
 from repro.core.sps import SPSRecords, sps_publish_groups
 from repro.dataset.groups import GroupCounts, expand_counts, group_block
 from repro.dataset.schema import Schema
-from repro.dataset.table import Table
+from repro.dataset.table import Table, code_dtype
 from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
 from repro.perturbation.uniform import UniformPerturbation
 from repro.pipeline.params import ParamSpec, resolve_params
@@ -75,7 +75,8 @@ class PublishStrategy:
     ...     def chunk_publisher(self, schema, spec, resolved):
     ...         def run_fn(run, rngs, bounds):
     ...             sizes, sensitive = run.sizes(), expand_counts(run.counts)
-    ...             return group_block(run.keys, sizes, sensitive), sizes, None
+    ...             block = group_block(run.keys, sizes, sensitive, code_dtype(schema))
+    ...             return block, sizes, None
     ...         return run_fn
     >>> _ = register_strategy(Identity())
     >>> table = generate_adult(500, seed=1)
@@ -260,12 +261,13 @@ class SPSStrategy(PublishStrategy):
         assert spec is not None  # spec_for always returns one for SPS
         perturbation = UniformPerturbation(spec.retention_probability, spec.domain_size)
         n_public = len(schema.public)
+        dtype = code_dtype(schema)
 
         def run_fn(
             run: GroupCounts, rngs: Sequence[np.random.Generator], bounds: np.ndarray
         ) -> tuple[np.ndarray, np.ndarray, SPSRecords]:
             block, records = sps_publish_groups(
-                run, spec, rngs, n_public, perturbation, bounds
+                run, spec, rngs, n_public, perturbation, bounds, dtype=dtype
             )
             return block, records.published_sizes, records
 
@@ -360,6 +362,7 @@ class _DPHistogramStrategy(PublishStrategy):
         resolved: Mapping[str, Any],
     ) -> GroupRunFn:
         mechanism = self._mechanism(resolved)
+        dtype = code_dtype(schema)
 
         def run_fn(
             run: GroupCounts, rngs: Sequence[np.random.Generator], bounds: np.ndarray
@@ -369,7 +372,7 @@ class _DPHistogramStrategy(PublishStrategy):
                 for rng, start, stop in zip(rngs, bounds[:-1], bounds[1:], strict=True)
             ])
             sizes = counts.sum(axis=1)
-            return group_block(run.keys, sizes, expand_counts(counts)), sizes, None
+            return group_block(run.keys, sizes, expand_counts(counts), dtype), sizes, None
 
         return run_fn
 

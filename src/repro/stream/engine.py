@@ -36,7 +36,6 @@ import os
 import secrets
 import tempfile
 import tracemalloc
-import zlib
 from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
 from types import SimpleNamespace
@@ -48,9 +47,9 @@ from repro.core.criterion import PrivacySpec
 from repro.core.sps import SPSRecords
 from repro.core.testing import PrivacyAudit, audit_groups
 from repro.dataset.groups import GroupCounts
-from repro.dataset.loaders import csv_codec, source_label
+from repro.dataset.loaders import CsvCodec, csv_codec, source_label
 from repro.dataset.schema import Schema, SchemaError
-from repro.dataset.table import Table
+from repro.dataset.table import Table, code_dtype
 from repro.generalization.chi_square import DEFAULT_SIGNIFICANCE
 from repro.generalization.merging import AttributeMerge, merge_attribute_from_counts
 from repro.obs.metrics import (
@@ -62,6 +61,7 @@ from repro.obs.metrics import (
 from repro.obs.trace import span
 from repro.parallel.kernels import (
     MissingChunkPublisher,
+    RunResult,
     StrategyKernel,
     UniformRowKernel,
 )
@@ -93,25 +93,26 @@ def _spec_for(
 class _TableSink:
     """Collect published blocks into an in-memory table (no ``output`` given)."""
 
+    #: Runs reach this sink as code blocks: nothing is rendered for it.
+    codec: CsvCodec | None = None
+    crc32 = False
+
     def __init__(self, schema: Schema) -> None:
         self._schema = schema
         self._blocks: list[np.ndarray] = []
         self.records_written = 0
 
-    def write_block(self, block: np.ndarray) -> None:
-        if block.size:
-            self._blocks.append(block)
-            self.records_written += block.shape[0]
-
-    def write_run(self, block: np.ndarray, chunk_rows: np.ndarray) -> None:
-        self.write_block(block)
+    def write_run(self, result: RunResult) -> None:
+        if result.block.size:
+            self._blocks.append(result.block)
+            self.records_written += result.block.shape[0]
 
     def close(self) -> Table:
         n_cols = len(self._schema.public) + 1
         if self._blocks:
             codes = np.vstack(self._blocks)
         else:
-            codes = np.empty((0, n_cols), dtype=np.int64)
+            codes = np.empty((0, n_cols), dtype=code_dtype(self._schema))
         return Table(self._schema, codes)
 
     def abort(self) -> None:
@@ -125,14 +126,14 @@ class _NullSink:
     bounded-memory on inputs the table-materialising sink could not hold.
     """
 
+    codec: CsvCodec | None = None
+    crc32 = False
+
     def __init__(self) -> None:
         self.records_written = 0
 
-    def write_block(self, block: np.ndarray) -> None:
-        self.records_written += block.shape[0]
-
-    def write_run(self, block: np.ndarray, chunk_rows: np.ndarray) -> None:
-        self.write_block(block)
+    def write_run(self, result: RunResult) -> None:
+        self.records_written += result.block.shape[0]
 
     def close(self) -> None:
         return None
@@ -157,9 +158,13 @@ class _CsvSink:
     With ``overwrite=True`` it is :func:`~repro.utils.files.replace_file`,
     which frees a replaced file on a background thread.
 
+    The sink renders nothing itself: the task that published a run renders
+    its chunks with :attr:`codec` (and, with :attr:`crc32`, checksums them)
+    on the worker that ran it, and :meth:`write_run` only writes the bytes.
+
     ``chunk_counts`` records the row count of every write, empty ones
     included: one entry per kernel chunk on the group path, where
-    :meth:`write_run` writes a run's block chunk by chunk.  Next to it,
+    :meth:`write_run` writes a run chunk by chunk.  Next to it,
     ``chunk_bytes`` records the UTF-8 byte length of what each write
     published and, with ``crc32``, ``chunk_crc32`` its :func:`zlib.crc32`.
     Together they are the chunk index a delta state stores: a later splice
@@ -189,27 +194,23 @@ class _CsvSink:
             # \r\n pass untranslated.
             self._handle: IO[bytes] = self._temp.open("xb")
         self._overwrite = overwrite
-        self._crc32 = crc32
-        self._codec = csv_codec(schema)
+        #: Whether runs come with each chunk's CRC32, for the chunk index.
+        self.crc32 = crc32
+        #: The codec a run bound for this sink is rendered with.
+        self.codec = csv_codec(schema)
         #: The encoded header line every output starts with.
-        self.header = self._codec.header
+        self.header = self.codec.header
         self._write(self.header)
         self.records_written = 0
         self.chunk_counts: list[int] = []
         self.chunk_bytes: list[int] = []
         self.chunk_crc32: list[int] = []
 
-    def write_block(self, block: np.ndarray) -> None:
-        """Append a published codes block through the CSV codec."""
-        data = self._codec.encode(block)
-        self.write_chunk(data, block.shape[0], zlib.crc32(data) if self._crc32 else None)
-
-    def write_run(self, block: np.ndarray, chunk_rows: np.ndarray) -> None:
-        """Append a run's block as one write per chunk of ``chunk_rows`` rows."""
-        stop = 0
-        for n_rows in chunk_rows.tolist():
-            self.write_block(block[stop : stop + n_rows])
-            stop += n_rows
+    def write_run(self, result: RunResult) -> None:
+        """Append a rendered run (:meth:`RunResult.rendered`), one write per chunk."""
+        rows = result.chunk_rows.tolist()
+        for c, (data, n_rows) in enumerate(zip(result.csv, rows, strict=True)):
+            self.write_chunk(data, n_rows, result.crc32[c] if self.crc32 else None)
 
     def write_chunk(self, data: bytes | memoryview, n_rows: int, crc32: int | None) -> None:
         """Append one chunk's published bytes, whose CRC32 the caller knows.
@@ -807,18 +808,21 @@ def _enforce_groups(
     """Drive the group-run kernel over runs of seeded chunks, in chunk order.
 
     Each scheduler task publishes a run of consecutive chunks in one kernel
-    call (:func:`~repro.parallel.scheduler.iter_run_results`); a CSV sink
-    still writes, and indexes, each chunk on its own.  With ``workers > 1`` the runs go to the
-    shared scheduler's threads, whose FIFO of futures hands blocks to the
+    call (:func:`~repro.parallel.scheduler.iter_run_results`) and, for a CSV
+    sink, renders it with the sink's codec; the sink still writes, and
+    indexes, each chunk on its own.  With ``workers > 1`` the runs go to the
+    shared scheduler's threads, whose FIFO of futures hands them to the
     sink in chunk order, so the output bytes never depend on the worker
     count or the run length.
     """
-    results = iter_run_results(groups, kernel, seed, chunk_size, workers=workers)
+    results = iter_run_results(
+        groups, kernel, seed, chunk_size, workers=workers, codec=sink.codec, crc32=sink.crc32
+    )
     done = 0
-    for block, run_records, chunk_rows in results:
-        sink.write_run(block, chunk_rows)
-        records.append(run_records)
-        done = min(done + chunk_size * len(chunk_rows), len(groups))
+    for result in results:
+        sink.write_run(result)
+        records.append(result.records)
+        done = min(done + chunk_size * len(result.chunk_rows), len(groups))
         notify({
             "phase": "enforce",
             "groups_done": done,
@@ -846,10 +850,10 @@ def _enforce_rows(
     With ``workers > 1`` the draws **stay sequential in the caller** (they
     define the byte contract and are cheap vectorised generator calls); the
     spool is partitioned block-wise across the pool, whose threads remap the
-    codes and apply the perturbation, and the ordered scheduler flushes
-    their results in spool order.  The scheduler's submission backpressure
-    caps in-flight blocks, so memory stays bounded by
-    ``O(workers * chunk_rows)``.
+    codes, apply the perturbation and, for a CSV sink, render the block, and
+    the ordered scheduler flushes their results in spool order.  The
+    scheduler's submission backpressure caps in-flight blocks, so memory
+    stays bounded by ``O(workers * chunk_rows)``.
     """
     if spec is None:  # pragma: no cover - uniform always has a spec
         raise ValueError(f"strategy {strategy.name!r} has no spec for row streaming")
@@ -861,6 +865,12 @@ def _enforce_rows(
     total = sum(spool.chunk_lengths)
 
     kernel = UniformRowKernel(remaps=spool.remaps)
+    codec = sink.codec
+
+    def publish(payload: tuple[np.ndarray, np.ndarray | None, np.ndarray]) -> RunResult:
+        block = kernel(payload)
+        result = RunResult(block, None, np.array([block.shape[0]]))
+        return result if codec is None else result.rendered(codec, sink.crc32)
 
     def payloads() -> Iterator[tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray]]]:
         # Pulled lazily by the scheduler, so the phase-two draws happen in
@@ -871,10 +881,10 @@ def _enforce_rows(
 
     done = 0
     for result in iter_ordered_map(
-        kernel, payloads(), workers=workers, n_tasks=len(spool.chunk_lengths),
+        publish, payloads(), workers=workers, n_tasks=len(spool.chunk_lengths),
     ):
-        sink.write_block(result)
-        done += result.shape[0]
+        sink.write_run(result)
+        done += result.block.shape[0]
         notify({
             "phase": "enforce",
             "rows_done": done,

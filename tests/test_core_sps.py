@@ -20,7 +20,9 @@ def binary_spec() -> PrivacySpec:
 def _one_group(groups, position, spec, rng):
     """SPS over one personal group: its published SA codes and its record."""
     chunk = groups[position : position + 1]
-    codes, records = sps_publish_groups(chunk, spec, rng, n_public=groups.keys.shape[1])
+    codes, records = sps_publish_groups(
+        chunk, spec, rng, n_public=groups.keys.shape[1], dtype=np.int64
+    )
     return codes[:, -1], records.groups[0]
 
 
@@ -104,8 +106,12 @@ class TestSpsPublishGroups:
         in two chunks yields exactly the per-chunk groups' records."""
         groups = personal_groups(skewed_binary_table)
         n_public = len(skewed_binary_table.schema.public)
-        codes_a, records_a = sps_publish_groups(groups[:2], binary_spec, 1, n_public)
-        codes_b, records_b = sps_publish_groups(groups[2:], binary_spec, 2, n_public)
+        codes_a, records_a = sps_publish_groups(
+            groups[:2], binary_spec, 1, n_public, dtype=np.int64
+        )
+        codes_b, records_b = sps_publish_groups(
+            groups[2:], binary_spec, 2, n_public, dtype=np.int64
+        )
         assert np.array_equal(np.vstack([records_a.keys, records_b.keys]), groups.keys)
         combined = Table(skewed_binary_table.schema, np.vstack([codes_a, codes_b]))
         assert np.array_equal(personal_groups(combined).keys, groups.keys)
@@ -114,7 +120,7 @@ class TestSpsPublishGroups:
         groups = personal_groups(skewed_binary_table)
         n_public = len(skewed_binary_table.schema.public)
         codes, records = sps_publish_groups(
-            groups, binary_spec, default_rng(17), n_public
+            groups, binary_spec, default_rng(17), n_public, dtype=np.int64
         )
         reference = sps_publish(skewed_binary_table, binary_spec, rng=default_rng(17))
         assert np.array_equal(codes, reference.published.codes)
@@ -122,7 +128,7 @@ class TestSpsPublishGroups:
 
     def test_empty_chunk(self, binary_spec):
         empty = GroupCounts(np.empty((0, 1)), np.empty((0, 2)))
-        codes, records = sps_publish_groups(empty, binary_spec, 0, n_public=1)
+        codes, records = sps_publish_groups(empty, binary_spec, 0, n_public=1, dtype=np.int64)
         assert codes.shape == (0, 2)
         assert len(records) == 0 and records.groups == ()
 

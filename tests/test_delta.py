@@ -745,11 +745,11 @@ class TestFaultInjection:
 
         from repro.delta import engine as engine_module
 
-        def exploding_write(self, block):
+        def exploding_write(self, run):
             raise OSError("sink write failed")
 
         monkeypatch.setattr(
-            engine_module._CsvSink, "write_block", exploding_write
+            engine_module._CsvSink, "write_run", exploding_write
         )
         with pytest.raises(OSError, match="sink write failed"):
             delta_publish(report.state, [["h", "flu"]])

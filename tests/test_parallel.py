@@ -11,6 +11,7 @@ partial-output bugfix) and the perf-gate script's comparison logic.
 """
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -23,19 +24,22 @@ import numpy as np
 import pytest
 
 import repro
-from repro.dataset.loaders import read_csv, write_csv
+from repro.core.criterion import PrivacySpec
+from repro.dataset.loaders import CsvCodec, csv_codec, read_csv, write_csv
+from repro.delta import delta_publish, publish_base
 from repro.obs import Tracer
 from repro.obs.metrics import CHUNKS_TOTAL, REGISTRY
 from repro.parallel import (
     StrategyKernel,
     iter_ordered_map,
+    iter_run_results,
     run_chunks,
 )
 from repro.parallel.kernels import UniformRowKernel, encode_block_csv
 from repro.pipeline import publish
 from repro.pipeline.execution import run_chunks_serial
 from repro.pipeline.params import ParamError
-from repro.pipeline.strategy import SPSStrategy
+from repro.pipeline.strategy import SPSStrategy, get_strategy
 from repro.service.engine import AnonymizationService
 from repro.stream import stream_publish
 
@@ -466,6 +470,120 @@ class TestKernels:
         kernel = UniformRowKernel(remaps=remaps)
         out = kernel((block, retain, replacements))
         assert out.tolist() == [[1, 1], [0, 9], [1, 0]]
+
+
+# --------------------------------------------------------------------- #
+# Rendering on the workers, from blocks in the schema's code dtype
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def encode_threads(monkeypatch):
+    """The thread of every ``CsvCodec.encode`` call made while the test runs."""
+    threads = []
+    original = CsvCodec.encode
+
+    def spy(self, block):
+        threads.append(threading.current_thread())
+        return original(self, block)
+
+    monkeypatch.setattr(CsvCodec, "encode", spy)
+    return threads
+
+
+class TestWorkerSideRendering:
+    @pytest.mark.parametrize("strategy", ["sps", "dp-laplace", "uniform"])
+    def test_no_run_is_rendered_on_the_calling_thread(
+        self, adult_csv, tmp_path, encode_threads, strategy
+    ):
+        # chunk_size 4 makes several runs of 16 chunks; chunk_rows 200 makes
+        # six spool blocks for the row path.
+        stream_publish(
+            io.StringIO(adult_csv), sensitive="Income", strategy=strategy, rng=7,
+            chunk_size=4, chunk_rows=200, workers=2, output=tmp_path / "out.csv",
+        )
+        assert len(encode_threads) > 1
+        assert threading.current_thread() not in encode_threads
+
+    def test_no_delta_run_is_rendered_on_the_calling_thread(
+        self, adult_csv, tmp_path, encode_threads
+    ):
+        source = tmp_path / "base.csv"
+        source.write_text(adult_csv, newline="")
+        report = publish_base(
+            source, sensitive="Income", strategy="dp-laplace", rng=7, chunk_size=4,
+            workers=2, output=tmp_path / "published.csv",
+        )
+        rows = list(csv.reader(io.StringIO(adult_csv)))[1:]
+        # One appended row per tenth record dirties chunks all over the table.
+        delta_publish(report.state, rows[::10], workers=2)
+        assert len(encode_threads) > 2
+        assert threading.current_thread() not in encode_threads
+
+    @pytest.mark.parametrize("strategy", ["sps", "dp-laplace", "dp-gaussian"])
+    def test_stream_output_is_identical_at_one_and_two_workers(
+        self, adult_csv, tmp_path, strategy
+    ):
+        digests = set()
+        for workers in (1, 2):
+            output = tmp_path / f"w{workers}.csv"
+            stream_publish(
+                io.StringIO(adult_csv), sensitive="Income", strategy=strategy, rng=7,
+                chunk_size=4, workers=workers, output=output,
+            )
+            digests.add(hashlib.sha256(output.read_bytes()).hexdigest())
+        assert len(digests) == 1
+
+    def test_delta_base_chunk_index_is_identical_at_one_and_two_workers(
+        self, adult_csv, tmp_path
+    ):
+        source = tmp_path / "base.csv"
+        source.write_text(adult_csv, newline="")
+        states = [
+            publish_base(
+                source, sensitive="Income", strategy="dp-laplace", rng=7, chunk_size=4,
+                workers=workers, output=tmp_path / f"w{workers}.csv",
+            ).state
+            for workers in (1, 2)
+        ]
+        assert states[0].chunk_bytes == states[1].chunk_bytes
+        assert states[0].chunk_crc32 == states[1].chunk_crc32
+        assert len(states[0].chunk_crc32) == -(-len(states[0].groups) // 4)
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
+class TestNarrowBlocks:
+    @pytest.mark.parametrize(("widest", "dtype"), [(128, np.int8), (129, np.int16)])
+    @pytest.mark.parametrize("strategy", ["sps", "dp-laplace"])
+    def test_blocks_use_the_code_dtype_and_render_like_csv_writer(
+        self, strategy, widest, dtype
+    ):
+        from repro.dataset.groups import GroupCounts
+        from repro.dataset.schema import Attribute, Schema
+        from repro.dataset.table import code_dtype
+
+        schema = Schema(
+            [Attribute("A", tuple(f"a{i}" for i in range(widest))), Attribute("B", ("x", "y"))],
+            Attribute("S", ("flu", "cold, mild", "hiv")),
+        )
+        assert code_dtype(schema) == dtype
+        # The top codes of the wide column, 127 and (at 129 values) 128,
+        # with counts large enough that every group publishes rows.
+        top = np.arange(widest - 3, widest)
+        keys = np.column_stack([np.repeat(top, 2), np.tile([0, 1], 3)])
+        groups = GroupCounts(keys, np.full((len(keys), 3), 40))
+        resolved = get_strategy(strategy).resolve({})
+        spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=3)
+        kernel = StrategyKernel(get_strategy(strategy), schema, spec, resolved)
+        codec = csv_codec(schema)
+        (result,) = iter_run_results(groups, kernel, seed=3, chunk_size=2, codec=codec)
+        assert result.block.dtype == dtype
+        assert np.unique(result.block[:, 0]).tolist() == top.tolist()
+        rendered = b"".join(result.csv)
+        assert len(result.csv) == 3
+        expected = io.StringIO()
+        csv.writer(expected).writerows(schema.decode_record(row) for row in result.block)
+        assert rendered == expected.getvalue().encode("utf-8")
 
 
 # --------------------------------------------------------------------- #

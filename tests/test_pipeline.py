@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.testing import audit_table
 from repro.dataset.groups import expand_counts, group_block, personal_groups
+from repro.dataset.table import code_dtype
 from repro.pipeline import (
     ParamError,
     ParamSpec,
@@ -305,7 +306,8 @@ class TestCustomStrategy:
                         top = np.argsort(counts)[::-1][:keep]
                         kept[row, top] = counts[top]
                     sizes = kept.sum(axis=1)
-                    return group_block(run.keys, sizes, expand_counts(kept)), sizes, None
+                    block = group_block(run.keys, sizes, expand_counts(kept), code_dtype(schema))
+                    return block, sizes, None
 
                 return run_fn
 

@@ -36,6 +36,7 @@ from repro.dataset.census import generate_census  # noqa: E402
 from repro.dataset.groups import GroupCounts  # noqa: E402
 from repro.dataset.loaders import write_csv  # noqa: E402
 from repro.dataset.schema import Attribute, Schema  # noqa: E402
+from repro.dataset.table import code_dtype  # noqa: E402
 from repro.delta import delta_publish, publish_base  # noqa: E402
 from repro.parallel.kernels import StrategyKernel  # noqa: E402
 from repro.obs import Tracer  # noqa: E402
@@ -104,14 +105,14 @@ def _kernel(name, m, spec_params):
 
 def _assert_run_equals_its_chunks(kernel, groups, bounds, seed):
     rngs = chunk_rngs(seed, len(bounds) - 1)
-    block, records, chunk_rows = kernel.run(groups, rngs, bounds)
+    block, records, chunk_rows = kernel.run(groups, rngs, bounds)[:3]
 
     alone = chunk_rngs(seed, len(bounds) - 1)
     chunks = [
         kernel(groups[start:stop], rng)
         for start, stop, rng in zip(bounds[:-1], bounds[1:], alone, strict=True)
     ]
-    assert block.dtype == np.int64
+    assert block.dtype == code_dtype(kernel.schema)
     assert np.array_equal(block, np.concatenate([chunk for chunk, _ in chunks]))
     assert chunk_rows.tolist() == [len(chunk) for chunk, _ in chunks]
     if records is None:

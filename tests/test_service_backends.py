@@ -6,6 +6,7 @@ import pytest
 from repro.core.criterion import PrivacySpec
 from repro.core.testing import audit_table
 from repro.dataset.groups import expand_counts, group_block, personal_groups
+from repro.dataset.table import code_dtype
 from repro.pipeline import register_strategy, unregister_strategy
 from repro.pipeline.strategy import PublishStrategy
 from repro.service.engine import AnonymizationService, backend_defaults
@@ -42,7 +43,8 @@ class TestRegistry:
             def chunk_publisher(self, schema, spec, resolved):
                 def run_fn(run, rngs, bounds):
                     sizes, sensitive = run.sizes(), expand_counts(run.counts)
-                    return group_block(run.keys, sizes, sensitive), sizes, None
+                    block = group_block(run.keys, sizes, sensitive, code_dtype(schema))
+                    return block, sizes, None
 
                 return run_fn
 

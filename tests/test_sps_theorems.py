@@ -42,7 +42,9 @@ def sweep():
     chunk = GroupCounts(groups.keys[sampled], groups.counts[sampled])
     sample_totals, published_counts = [], []
     for seed in range(N_SEEDS):
-        codes, records = sps_publish_groups(chunk, spec, seed, n_public=chunk.keys.shape[1])
+        codes, records = sps_publish_groups(
+            chunk, spec, seed, n_public=chunk.keys.shape[1], dtype=np.int64
+        )
         sample_totals.append(int(records.sample_sizes.sum()))
         published_counts.append(np.bincount(codes[:, -1], minlength=spec.domain_size))
     return {

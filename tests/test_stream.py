@@ -646,14 +646,16 @@ class TestCsvSinkChecksums:
     def test_crc32_only_when_asked(self, tmp_path):
         import zlib
 
+        from repro.parallel.kernels import RunResult
         from repro.stream.engine import _CsvSink
 
         table = repro.generate_adult(50, seed=2)
         block = table.codes[:20]
         plain = _CsvSink(tmp_path / "plain.csv", table.schema)
         kept = _CsvSink(tmp_path / "kept.csv", table.schema, crc32=True)
+        run = RunResult(block, None, np.array([len(block)])).rendered(plain.codec, crc32=True)
         for sink in (plain, kept):
-            sink.write_block(block)
+            sink.write_run(run)
             sink.close()
         data = (tmp_path / "kept.csv").read_bytes()[len(kept.header):]
         assert plain.chunk_crc32 == []

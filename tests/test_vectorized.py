@@ -47,7 +47,7 @@ from repro.dataset.census import generate_census
 from repro.dataset.groups import personal_groups
 from repro.dataset.loaders import read_csv, write_csv
 from repro.dataset.schema import Attribute, Schema
-from repro.dataset.table import Table
+from repro.dataset.table import Table, code_dtype
 from repro.perturbation.uniform import perturb_table
 from repro.pipeline.strategy import get_strategy
 from repro.reconstruction.iterative import iterative_bayes_frequencies
@@ -339,7 +339,7 @@ class TestColumnarAudit:
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
         audit = audit_groups(spec, empty, 0)
         assert audit.n_groups == 0 and audit.is_private and audit.groups == ()
-        codes, records = sps_publish_groups(empty, spec, 0, n_public=2)
+        codes, records = sps_publish_groups(empty, spec, 0, n_public=2, dtype=np.int64)
         assert codes.shape == (0, 3) and len(records) == 0 and records.groups == ()
 
 
@@ -617,7 +617,9 @@ def _assert_sps_kernel_matches_loop(groups, spec, seed):
     expected_rng = np.random.default_rng(seed)
     expected_codes, expected_records = _reference_sps_chunk(groups, spec, expected_rng)
     rng = np.random.default_rng(seed)
-    codes, records = sps_publish_groups(groups, spec, rng, n_public=groups.keys.shape[1])
+    codes, records = sps_publish_groups(
+        groups, spec, rng, n_public=groups.keys.shape[1], dtype=np.int64
+    )
     assert codes.dtype == np.int64 and np.array_equal(codes, expected_codes)
     assert records.groups == expected_records
     assert rng.bit_generator.state == expected_rng.bit_generator.state
@@ -679,7 +681,7 @@ class TestSPSKernel:
     def test_count_width_must_match_the_spec(self):
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=3)
         with pytest.raises(ValueError, match="width"):
-            sps_publish_groups(_chunk([[1, 2]]), spec, 0, n_public=1)
+            sps_publish_groups(_chunk([[1, 2]]), spec, 0, n_public=1, dtype=np.int64)
 
 
 class TestDPKernels:
@@ -696,7 +698,7 @@ class TestDPKernels:
         expected = _reference_dp_chunk(strategy._mechanism(resolved), groups, expected_rng)
         rng = np.random.default_rng(seed)
         codes, sizes, records = kernel(groups, [rng], np.array([0, len(groups)]))
-        assert codes.dtype == np.int64 and np.array_equal(codes, expected)
+        assert codes.dtype == code_dtype(schema) and np.array_equal(codes, expected)
         assert sizes.sum() == len(codes)
         assert records is None
         assert rng.bit_generator.state == expected_rng.bit_generator.state
