@@ -29,7 +29,7 @@ from repro.core.criterion import (
     max_group_size,
     value_is_private,
 )
-from repro.core.testing import GroupAudit, PrivacyAudit, audit_table
+from repro.core.testing import PrivacyAudit, audit_table
 from repro.core.sps import SPSRecords, SPSResult, sps_publish
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "PrivacySpec",
     "max_group_size",
     "value_is_private",
-    "GroupAudit",
     "PrivacyAudit",
     "audit_table",
     "SPSRecords",

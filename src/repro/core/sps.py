@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -51,18 +50,6 @@ from repro.perturbation.uniform import UniformPerturbation
 from repro.utils.rng import default_rng
 
 
-@dataclass(frozen=True)
-class GroupPublication:
-    """What SPS did to one personal group (a view of one :class:`SPSRecords` row)."""
-
-    key: tuple[int, ...]
-    original_size: int
-    max_group_size: float
-    sampled: bool
-    sample_size: int
-    published_size: int
-
-
 @dataclass(frozen=True, eq=False)
 class SPSRecords:
     """What SPS did to every personal group of a publish, as aligned arrays.
@@ -70,8 +57,7 @@ class SPSRecords:
     Row ``g`` holds group ``g``'s NA key (``keys``, ``G x k``), ``|g|``
     (``sizes``), ``s_g`` (``thresholds``), whether it was ``sampled``
     (``|g| > s_g``), the sample size ``|g1|`` and the published size.
-    :meth:`concat` joins the records of consecutive chunks; ``groups``
-    builds the per-group :class:`GroupPublication` views on first use.
+    :meth:`concat` joins the records of consecutive chunks.
 
     >>> import numpy as np
     >>> from repro.core.criterion import PrivacySpec
@@ -84,8 +70,8 @@ class SPSRecords:
     >>> both = SPSRecords.concat([records, records])
     >>> len(both), int(both.published_sizes.sum()) == 2 * len(codes)
     (4, True)
-    >>> both.groups[2].key, both.groups[2].original_size
-    ((0,), 3)
+    >>> both.keys[2].tolist(), int(both.sizes[2]), int(both.published_sizes[2])
+    ([0], 3, 3)
     """
 
     keys: np.ndarray
@@ -97,15 +83,6 @@ class SPSRecords:
 
     def __len__(self) -> int:
         return int(self.sizes.size)
-
-    @classmethod
-    def empty(cls, n_public: int) -> "SPSRecords":
-        """Records of no groups, for keys of width ``n_public``."""
-        none = np.empty(0, dtype=np.int64)
-        return cls(
-            np.empty((0, n_public), dtype=np.int64), none, none.astype(float),
-            none.astype(bool), none, none,
-        )
 
     @classmethod
     def concat(cls, parts: Iterable["SPSRecords | None"]) -> "SPSRecords | None":
@@ -130,19 +107,6 @@ class SPSRecords:
             return 0.0
         return self.n_sampled_groups / len(self)
 
-    @cached_property
-    def groups(self) -> tuple[GroupPublication, ...]:
-        """Per-group :class:`GroupPublication` views, in group order."""
-        columns = (
-            map(tuple, self.keys.tolist()),
-            self.sizes.tolist(),
-            self.thresholds.tolist(),
-            self.sampled.tolist(),
-            self.sample_sizes.tolist(),
-            self.published_sizes.tolist(),
-        )
-        return tuple(GroupPublication(*row) for row in zip(*columns, strict=True))
-
 
 @dataclass(frozen=True)
 class SPSResult:
@@ -151,11 +115,6 @@ class SPSResult:
     published: Table
     records: SPSRecords
     spec: PrivacySpec
-
-    @property
-    def groups(self) -> tuple[GroupPublication, ...]:
-        """Per-group views of :attr:`records`."""
-        return self.records.groups
 
     @property
     def n_sampled_groups(self) -> int:

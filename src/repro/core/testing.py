@@ -14,30 +14,13 @@ the ``s_g`` thresholds, in one pass over the personal groups of a table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Any
 
 import numpy as np
 
 from repro.core.criterion import PrivacySpec, max_group_size
 from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
-
-
-@dataclass(frozen=True)
-class GroupAudit:
-    """The audit verdict for one personal group."""
-
-    key: tuple[int, ...]
-    size: int
-    max_group_size: float
-    is_private: bool
-
-    @property
-    def sampling_rate(self) -> float:
-        """``tau = s_g / |g|`` — the sampling rate SPS would apply (capped at 1)."""
-        if self.size == 0:
-            return 1.0
-        return min(1.0, self.max_group_size / self.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,26 +37,6 @@ class PrivacyAudit:
     thresholds: np.ndarray
     private: np.ndarray
     total_records: int
-
-    def _views(self, positions: np.ndarray) -> tuple[GroupAudit, ...]:
-        keys = self.keys[positions].tolist()
-        sizes = self.sizes[positions].tolist()
-        thresholds = self.thresholds[positions].tolist()
-        private = self.private[positions].tolist()
-        return tuple(
-            GroupAudit(tuple(key), size, threshold, verdict)
-            for key, size, threshold, verdict in zip(keys, sizes, thresholds, private, strict=True)
-        )
-
-    @cached_property
-    def groups(self) -> tuple[GroupAudit, ...]:
-        """Per-group audit views, in group order."""
-        return self._views(np.arange(self.n_groups))
-
-    @cached_property
-    def violating_groups(self) -> tuple[GroupAudit, ...]:
-        """Audits of the groups that violate the criterion."""
-        return self._views(np.flatnonzero(~self.private))
 
     @property
     def n_groups(self) -> int:
@@ -103,6 +66,16 @@ class PrivacyAudit:
     def is_private(self) -> bool:
         """Whether every personal group satisfies the criterion."""
         return bool(self.private.all())
+
+    def summary(self) -> dict[str, Any]:
+        """The JSON-compatible digest every report and the service print."""
+        return {
+            "n_groups": self.n_groups,
+            "n_violating_groups": self.n_violating_groups,
+            "group_violation_rate": float(self.group_violation_rate),
+            "record_violation_rate": float(self.record_violation_rate),
+            "is_private": self.is_private,
+        }
 
 
 def audit_groups(spec: PrivacySpec, groups: GroupCounts, total_records: int) -> PrivacyAudit:

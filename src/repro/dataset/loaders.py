@@ -23,7 +23,7 @@ from typing import IO, cast
 import numpy as np
 
 from repro.dataset.schema import Attribute, Schema, SchemaError
-from repro.dataset.table import Table
+from repro.dataset.table import Table, check_domains
 
 #: Records per column chunk when :func:`read_csv` decodes a source.
 READ_CHUNK_ROWS = 32_768
@@ -856,7 +856,7 @@ class CsvCodec:
             delimiter.join(_quote_field(attr.name, delimiter) for attr in attributes)
             + "\r\n"
         ).encode("utf-8")
-        self._names = tuple(attr.name for attr in attributes)
+        self._schema = schema
         ends = [delimiter] * (len(attributes) - 1) + ["\r\n"]
         self._columns = tuple(
             _field_table(
@@ -865,8 +865,6 @@ class CsvCodec:
             for attr, end in zip(attributes, ends, strict=True)
         )
         self._fields = tuple(f"f{i}" for i in range(len(attributes)))
-        #: Each column's largest code.
-        self._max_codes = tuple(attr.size - 1 for attr in attributes)
         self._record = np.dtype(
             [(field, values.dtype) for field, values in zip(self._fields, self._columns, strict=True)]
         )
@@ -886,28 +884,13 @@ class CsvCodec:
                 f"record has {codes.shape[-1]} fields, expected {len(self._columns)}"
             )
         # Checked before the gather: a negative code would index from the end.
-        self._check_domains(codes)
+        check_domains(self._schema, codes)
         records = np.empty(codes.shape[0], dtype=self._record)
         for field, values, column in zip(self._fields, self._columns, codes.T, strict=True):
             records[field] = values.take(column)
         # A mask compress, unlike bytes.translate, releases the interpreter lock.
         raw = records.view(np.uint8)
         return raw[raw != _PAD[0]].tobytes()
-
-    def _check_domains(self, codes: np.ndarray) -> None:
-        """Raise :class:`SchemaError` naming the first column with a code outside its domain."""
-        # One contiguous pass: viewed unsigned, a negative code is a huge one.
-        unsigned = codes.view(f"u{codes.dtype.itemsize}")
-        widest = int(np.iinfo(unsigned.dtype).max)
-        limits = np.array([min(code, widest) for code in self._max_codes], dtype=unsigned.dtype)
-        if not (unsigned > limits).any():
-            return
-        for name, high_code, column in zip(self._names, self._max_codes, codes.T, strict=True):
-            low, high = int(column.min()), int(column.max())
-            if low < 0 or high > high_code:
-                raise SchemaError(
-                    f"code {low if low < 0 else high} out of range for attribute {name!r}"
-                )
 
 
 def _field_table(fields: Sequence[bytes]) -> np.ndarray:

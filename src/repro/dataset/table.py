@@ -35,6 +35,36 @@ def code_dtype(schema: Schema) -> np.dtype:
     return np.min_scalar_type(-max(widest, 1))
 
 
+def check_domains(schema: Schema, codes: np.ndarray) -> None:
+    """Raise :class:`SchemaError` naming the first attribute with a code outside its domain.
+
+    ``codes`` holds one column per attribute of ``schema`` (public, then
+    sensitive), in any integer dtype.  The check is one pass over the codes
+    viewed unsigned, where a negative code is larger than any
+    non-negative one its dtype holds.
+
+    >>> from repro.dataset.schema import Attribute, Schema
+    >>> schema = Schema([Attribute("City", ("Oslo", "Rome"))], Attribute("Disease", ("Flu",)))
+    >>> check_domains(schema, np.array([[1, 0]], dtype=np.int8))
+    >>> check_domains(schema, np.array([[1, -1]], dtype=np.int8))
+    Traceback (most recent call last):
+    ...
+    repro.dataset.schema.SchemaError: code -1 out of range for attribute 'Disease'
+    """
+    attributes = (*schema.public, schema.sensitive)
+    widest = int(np.iinfo(codes.dtype).max)
+    unsigned = codes.view(codes.dtype.str.replace("i", "u"))
+    limits = np.array([min(attr.size - 1, widest) for attr in attributes], dtype=unsigned.dtype)
+    if not (unsigned > limits).any():
+        return
+    for attr, column in zip(attributes, codes.T, strict=True):
+        low, high = int(column.min()), int(column.max())
+        if low < 0 or high >= attr.size:
+            raise SchemaError(
+                f"code {low if low < 0 else high} out of range for attribute {attr.name!r}"
+            )
+
+
 class Table:
     """A data set with public attributes ``NA`` and one sensitive attribute ``SA``.
 
@@ -68,23 +98,9 @@ class Table:
             raise SchemaError(
                 f"codes has {arr.shape[1]} columns, schema expects {expected_cols}"
             )
-        self._validate_domains(schema, arr)
+        check_domains(schema, arr)
         self._codes = arr.astype(code_dtype(schema))
         self._codes.setflags(write=False)
-
-    @staticmethod
-    def _validate_domains(schema: Schema, arr: np.ndarray) -> None:
-        if arr.size == 0:
-            return
-        if arr.min() < 0:
-            raise SchemaError("negative attribute code")
-        sizes = [attr.size for attr in schema.public] + [schema.sensitive.size]
-        maxima = arr.max(axis=0)
-        for column, (size, observed) in enumerate(zip(sizes, maxima, strict=True)):
-            if observed >= size:
-                raise SchemaError(
-                    f"column {column} contains code {int(observed)} outside domain of size {size}"
-                )
 
     # ------------------------------------------------------------------ #
     # Constructors

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.criterion import PrivacySpec
-from repro.core.sps import GroupPublication, SPSRecords
+from repro.core.sps import SPSRecords
 from repro.core.testing import PrivacyAudit
 from repro.dataset.schema import Schema
 from repro.delta.state import DeltaState
@@ -57,11 +57,6 @@ class DeltaReport:
     state: DeltaState | None = None
 
     @property
-    def groups(self) -> tuple[GroupPublication, ...]:
-        """Per-group views of :attr:`records`, built on first use (empty without records)."""
-        return () if self.records is None else self.records.groups
-
-    @property
     def dirty_fraction(self) -> float:
         """Fraction of chunks that had to be regenerated."""
         if self.n_chunks == 0:
@@ -75,14 +70,6 @@ class DeltaReport:
 
     def summary(self) -> dict[str, Any]:
         """JSON-ready digest (what the ``repro-delta`` CLI prints)."""
-        audit: dict[str, Any] | None = None
-        if self.audit is not None:
-            audit = {
-                "n_groups": self.audit.n_groups,
-                "group_violation_rate": self.audit.group_violation_rate,
-                "record_violation_rate": self.audit.record_violation_rate,
-                "is_private": self.audit.is_private,
-            }
         return {
             "mode": self.mode,
             "strategy": self.strategy,
@@ -99,7 +86,7 @@ class DeltaReport:
             "n_chunks_dirty": self.n_chunks_dirty,
             "dirty_fraction": self.dirty_fraction,
             "published_records": self.published_records,
-            "audit": audit,
+            "audit": None if self.audit is None else self.audit.summary(),
             "timings": dict(self.timings),
             "total_seconds": self.total_seconds,
             "output": self.output,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.criterion import PrivacySpec
-from repro.core.sps import GroupPublication, SPSRecords, SPSResult
+from repro.core.sps import SPSRecords
 from repro.core.testing import PrivacyAudit
 from repro.dataset.table import Table
 from repro.generalization.merging import GeneralizationResult
@@ -44,8 +44,7 @@ class PublishReport:
         The pre-publication audit of ``prepared``, when the audit stage ran.
     records:
         The SPS bookkeeping of every group as :class:`~repro.core.sps.SPSRecords`
-        arrays (``None`` for non-SPS strategies); ``groups`` holds its
-        per-group views.
+        arrays (``None`` for non-SPS strategies).
     metadata:
         Strategy-specific extras (mechanism scales, sampling stats, merged
         domain sizes, ...).
@@ -70,11 +69,6 @@ class PublishReport:
     group_index_cached: bool = False
 
     @property
-    def groups(self) -> tuple[GroupPublication, ...]:
-        """Per-group views of :attr:`records`, built on first use (empty without records)."""
-        return () if self.records is None else self.records.groups
-
-    @property
     def n_sampled_groups(self) -> int:
         """How many groups SPS actually sampled (``|g| > s_g``)."""
         return 0 if self.records is None else self.records.n_sampled_groups
@@ -89,23 +83,6 @@ class PublishReport:
         """Total wall-clock time across all recorded stages."""
         return float(sum(self.timings.values()))
 
-    @property
-    def sps(self) -> SPSResult:
-        """The run repackaged as a legacy :class:`~repro.core.sps.SPSResult`.
-
-        Only meaningful for SPS-family strategies (those with a spec and
-        per-group records).
-        """
-        if self.spec is None:
-            raise ValueError(
-                f"strategy {self.strategy!r} has no privacy spec; "
-                "there is no SPS view of this report"
-            )
-        records = self.records
-        if records is None:
-            records = SPSRecords.empty(len(self.published.schema.public))
-        return SPSResult(published=self.published, records=records, spec=self.spec)
-
     def summary(self) -> dict[str, Any]:
         """A compact JSON-compatible digest (for logs and service responses)."""
         data: dict[str, Any] = {
@@ -118,13 +95,7 @@ class PublishReport:
             "metadata": dict(self.metadata),
         }
         if self.audit is not None:
-            data["audit"] = {
-                "n_groups": self.audit.n_groups,
-                "n_violating_groups": self.audit.n_violating_groups,
-                "group_violation_rate": float(self.audit.group_violation_rate),
-                "record_violation_rate": float(self.audit.record_violation_rate),
-                "is_private": self.audit.is_private,
-            }
+            data["audit"] = self.audit.summary()
         if self.records:
             data["n_sampled_groups"] = self.n_sampled_groups
             data["sampled_fraction"] = self.sampled_fraction

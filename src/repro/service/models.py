@@ -66,24 +66,10 @@ class AuditSummary:
     @classmethod
     def from_audit(cls, audit: PrivacyAudit) -> "AuditSummary":
         """Summarise a full audit into the rates the service reports per job."""
-        return cls(
-            n_groups=audit.n_groups,
-            n_violating_groups=audit.n_violating_groups,
-            group_violation_rate=float(audit.group_violation_rate),
-            record_violation_rate=float(audit.record_violation_rate),
-            total_records=audit.total_records,
-            is_private=audit.is_private,
-        )
+        return cls(**audit.summary(), total_records=audit.total_records)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "n_groups": self.n_groups,
-            "n_violating_groups": self.n_violating_groups,
-            "group_violation_rate": self.group_violation_rate,
-            "record_violation_rate": self.record_violation_rate,
-            "total_records": self.total_records,
-            "is_private": self.is_private,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "AuditSummary":

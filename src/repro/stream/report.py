@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.criterion import PrivacySpec
-from repro.core.sps import GroupPublication, SPSRecords
+from repro.core.sps import SPSRecords
 from repro.core.testing import PrivacyAudit
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
@@ -55,11 +55,6 @@ class StreamReport:
     peak_tracked_bytes: int | None = None
 
     @property
-    def groups(self) -> tuple[GroupPublication, ...]:
-        """Per-group views of :attr:`records`, built on first use (empty without records)."""
-        return () if self.records is None else self.records.groups
-
-    @property
     def n_sampled_groups(self) -> int:
         """How many groups SPS actually sampled (``|g| > s_g``)."""
         return 0 if self.records is None else self.records.n_sampled_groups
@@ -92,13 +87,7 @@ class StreamReport:
             "metadata": dict(self.metadata),
         }
         if self.audit is not None:
-            data["audit"] = {
-                "n_groups": self.audit.n_groups,
-                "n_violating_groups": self.audit.n_violating_groups,
-                "group_violation_rate": float(self.audit.group_violation_rate),
-                "record_violation_rate": float(self.audit.record_violation_rate),
-                "is_private": self.audit.is_private,
-            }
+            data["audit"] = self.audit.summary()
         if self.records:
             data["n_sampled_groups"] = self.n_sampled_groups
             data["sampled_fraction"] = self.sampled_fraction

@@ -10,6 +10,7 @@ from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
 from repro.reconstruction.mle import mle_frequencies
 from repro.utils.rng import default_rng
+from sps_records import assert_records_equal
 
 
 @pytest.fixture()
@@ -18,12 +19,12 @@ def binary_spec() -> PrivacySpec:
 
 
 def _one_group(groups, position, spec, rng):
-    """SPS over one personal group: its published SA codes and its record."""
+    """SPS over one personal group: its published SA codes and its one-row records."""
     chunk = groups[position : position + 1]
     codes, records = sps_publish_groups(
         chunk, spec, rng, n_public=groups.keys.shape[1], dtype=np.int64
     )
-    return codes[:, -1], records.groups[0]
+    return codes[:, -1], records
 
 
 class TestSpsGroup:
@@ -31,9 +32,9 @@ class TestSpsGroup:
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=10)
         groups = personal_groups(small_table)
         size = int(groups.sizes()[0])
-        codes, record = _one_group(groups, 0, spec, default_rng(0))
-        assert not record.sampled
-        assert record.sample_size == size
+        codes, records = _one_group(groups, 0, spec, default_rng(0))
+        assert records.sampled.tolist() == [False]
+        assert records.sample_sizes.tolist() == [size]
         assert codes.size == size
 
     def test_large_group_sampled_to_threshold(self, skewed_binary_table, binary_spec):
@@ -43,12 +44,13 @@ class TestSpsGroup:
         size = int(groups.sizes()[position])
         threshold = max_group_size(binary_spec, float(groups.counts[position].max() / size))
         assert size > threshold  # precondition for the test
-        codes, record = _one_group(groups, position, binary_spec, default_rng(1))
-        assert record.sampled
+        codes, records = _one_group(groups, position, binary_spec, default_rng(1))
+        assert records.sampled.tolist() == [True]
         # The sample size equals s_g up to the stochastic rounding of each value.
-        assert abs(record.sample_size - threshold) <= 2
+        sample_size = int(records.sample_sizes[0])
+        assert abs(sample_size - threshold) <= 2
         # Scaling restores roughly the original size.
-        assert abs(codes.size - size) <= record.sample_size
+        assert abs(codes.size - size) <= sample_size
 
     def test_published_codes_stay_in_domain(self, skewed_binary_table, binary_spec):
         rng = default_rng(3)
@@ -72,10 +74,10 @@ class TestSpsPublish:
     def test_only_violating_groups_sampled(self, skewed_binary_table, binary_spec):
         audit = audit_table(skewed_binary_table, binary_spec)
         result = sps_publish(skewed_binary_table, binary_spec, rng=0)
-        expected_sampled = {a.key for a in audit.violating_groups}
-        actual_sampled = {g.key for g in result.groups if g.sampled}
-        assert actual_sampled == expected_sampled
-        assert result.n_sampled_groups == len(expected_sampled)
+        expected_sampled = audit.keys[~audit.private]
+        np.testing.assert_array_equal(result.records.keys[result.records.sampled], expected_sampled)
+        np.testing.assert_array_equal(result.records.keys, audit.keys)
+        assert result.n_sampled_groups == len(expected_sampled) > 0
 
     def test_domain_mismatch_rejected(self, small_table, binary_spec):
         with pytest.raises(ValueError):
@@ -97,7 +99,7 @@ class TestSpsPublish:
         empty = Table.from_records(binary_schema, [])
         result = sps_publish(empty, binary_spec, rng=0)
         assert len(result.published) == 0
-        assert result.groups == ()
+        assert len(result.records) == 0 and result.records.keys.shape == (0, 1)
 
 
 class TestSpsPublishGroups:
@@ -124,13 +126,13 @@ class TestSpsPublishGroups:
         )
         reference = sps_publish(skewed_binary_table, binary_spec, rng=default_rng(17))
         assert np.array_equal(codes, reference.published.codes)
-        assert records.groups == reference.groups
+        assert_records_equal(records, reference.records)
 
     def test_empty_chunk(self, binary_spec):
         empty = GroupCounts(np.empty((0, 1)), np.empty((0, 2)))
         codes, records = sps_publish_groups(empty, binary_spec, 0, n_public=1, dtype=np.int64)
         assert codes.shape == (0, 2)
-        assert len(records) == 0 and records.groups == ()
+        assert len(records) == 0 and records.keys.shape == (0, 1)
 
 
 class TestTheorem4Privacy:
@@ -148,11 +150,11 @@ class TestTheorem4Privacy:
         table = Table.from_records(binary_schema, records)
         for seed in range(20):
             result = sps_publish(table, spec, rng=seed)
-            record = result.groups[0]
-            assert record.sampled
+            assert result.records.sampled.tolist() == [True]
             # Allow the +-1 per SA value of stochastic rounding; the group's
             # max frequency is 800 / 1000.
-            assert value_is_private(spec, record.sample_size - spec.domain_size, 0.8)
+            sample_size = int(result.records.sample_sizes[0])
+            assert value_is_private(spec, sample_size - spec.domain_size, 0.8)
 
     def test_sps_widens_personal_reconstruction_error_relative_to_up(self, binary_schema):
         """The point of sampling: the personal estimate from D*_2 is noisier

@@ -1,5 +1,6 @@
 """Tests for data-set level privacy auditing (v_g / v_r)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.violation import violation_report
@@ -33,7 +34,7 @@ class TestAuditTable:
         assert 0 < audit.group_violation_rate < 1
         # The biggest group (400 records, f = 0.8) violates, so v_r > v_g.
         assert audit.record_violation_rate > audit.group_violation_rate
-        covered = sum(v.size for v in audit.violating_groups)
+        covered = int(audit.sizes[~audit.private].sum())
         assert audit.record_violation_rate == pytest.approx(covered / len(skewed_binary_table))
 
     def test_reusing_group_index_gives_same_result(self, skewed_binary_table, binary_spec):
@@ -50,19 +51,22 @@ class TestAuditTable:
         assert audit.n_groups == 0
 
 
-class TestGroupAudit:
+class TestSamplingRates:
+    """``tau = min(1, s_g / |g|)``: the rate SPS samples each audited group at."""
+
     def test_sampling_rate_capped_at_one(self, small_table):
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=10)
-        for audit in audit_table(small_table, spec).groups:
-            assert audit.sampling_rate == 1.0
+        audit = audit_table(small_table, spec)
+        assert audit.n_groups == 3
+        assert np.minimum(1.0, audit.thresholds / audit.sizes).tolist() == [1.0] * 3
 
     def test_sampling_rate_below_one_for_violating_group(self, skewed_binary_table, binary_spec):
-        audits = audit_table(skewed_binary_table, binary_spec).groups
-        violating = [a for a in audits if not a.is_private]
-        assert violating
-        for audit in violating:
-            assert 0 < audit.sampling_rate < 1
-            assert audit.max_group_size < audit.size
+        audit = audit_table(skewed_binary_table, binary_spec)
+        violating = ~audit.private
+        assert violating.any()
+        rates = np.minimum(1.0, audit.thresholds / audit.sizes)[violating]
+        assert ((0 < rates) & (rates < 1)).all()
+        assert (audit.thresholds[violating] < audit.sizes[violating]).all()
 
 
 class TestViolationReport:
@@ -76,7 +80,7 @@ class TestViolationReport:
     def test_report_can_reuse_audit(self, skewed_binary_table, binary_spec):
         audit = audit_table(skewed_binary_table, binary_spec)
         report = violation_report(skewed_binary_table, binary_spec, audit=audit)
-        assert report.violating_groups == len(audit.violating_groups)
+        assert report.violating_groups == audit.n_violating_groups == int((~audit.private).sum())
 
     def test_rates_move_with_lambda(self, skewed_binary_table):
         # Equation (9): a larger lambda shrinks the admissible group size s_g,

@@ -149,5 +149,5 @@ class TestComparison:
         from repro.core.testing import audit_table
 
         audit = audit_table(table, spec)
-        violating_keys = {a.key for a in audit.violating_groups}
+        violating_keys = set(map(tuple, audit.keys[~audit.private].tolist()))
         assert group_a_key not in violating_keys

@@ -173,6 +173,16 @@ class TestCodecExamples:
         with pytest.raises(SchemaError, match="code -1 out of range for attribute 'Note'"):
             csv_codec(schema).encode(codes)
 
+    def test_negative_narrow_code_raises_below_a_wider_domain(self):
+        # Zip has 300 values, more than int8 holds: viewed unsigned, -1 is
+        # 255, which a limit clipped to the unsigned maximum would let through.
+        schema = Schema(
+            [Attribute("Zip", tuple(map(str, range(300))))], Attribute("Disease", ("a", "b"))
+        )
+        codes = np.array([[0, 0], [-1, 1]], dtype=np.int8)
+        with pytest.raises(SchemaError, match="code -1 out of range for attribute 'Zip'"):
+            csv_codec(schema).encode(codes)
+
     def test_codec_is_built_once_per_schema_and_delimiter(self, schema):
         assert csv_codec(schema, ";") is csv_codec(schema, ";")
         assert csv_codec(schema, ";") is not csv_codec(schema, ",")

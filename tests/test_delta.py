@@ -938,6 +938,44 @@ class TestPublishWiring:
             )
 
 
+def test_audit_block_is_the_same_on_every_path(tmp_path):
+    """``repro.publish``, ``stream_publish`` and a delta base print one audit block."""
+    from repro.dataset.census import generate_census
+    from repro.dataset.loaders import read_csv, write_csv
+    from repro.service.models import AuditSummary
+
+    table = generate_census(3_000, seed=4)
+    source = tmp_path / "census.csv"
+    write_csv(table, source)
+    sensitive = table.schema.sensitive_name
+    # A spec under which 13 of the 2,800 groups violate, so no count is zero.
+    params = {"lam": 0.7, "delta": 0.7, "retention_probability": 0.9}
+    in_memory = repro.publish(
+        read_csv(source, sensitive=sensitive), strategy="sps", rng=SEED, **params
+    )
+    streamed = stream_publish(source, sensitive=sensitive, strategy="sps", rng=SEED, **params)
+    base = publish_base(
+        source, sensitive=sensitive, output=tmp_path / "out.csv", strategy="sps", rng=SEED,
+        **params,
+    )
+    block = in_memory.summary()["audit"]
+    assert block == {
+        "n_groups": 2800,
+        "n_violating_groups": 13,
+        "group_violation_rate": 13 / 2800,
+        "record_violation_rate": in_memory.audit.record_violation_rate,
+        "is_private": False,
+    }
+    assert 0 < block["record_violation_rate"] < 1
+    for report in (streamed, base):
+        audit = report.summary()["audit"]
+        assert audit == block
+        assert [type(value) for value in audit.values()] == [int, int, float, float, bool]
+    summary = AuditSummary.from_audit(base.audit).to_json()
+    assert summary == {**block, "total_records": 3_000}
+    assert AuditSummary.from_json(json.loads(json.dumps(summary))).to_json() == summary
+
+
 # --------------------------------------------------------------------- #
 # Service layer: delta datasets as jobs
 # --------------------------------------------------------------------- #

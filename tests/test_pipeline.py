@@ -179,10 +179,11 @@ class TestPublishEntryPoint:
         report = publish(skewed_binary_table, strategy="sps", rng=5)
         assert len(report.records) == len(personal_groups(skewed_binary_table))
         assert report.summary()["n_sampled_groups"] == report.n_sampled_groups
-        assert report.sps.published is report.published
+        assert int(report.records.published_sizes.sum()) == len(report.published)
+        assert report.spec.domain_size == skewed_binary_table.schema.sensitive_domain_size
 
     def test_counts_come_from_the_record_arrays(self, skewed_binary_table, tmp_path):
-        """summary() and job metadata read the arrays, never the per-group views."""
+        """summary() and job metadata count from the record arrays."""
         from repro.dataset.loaders import write_csv
         from repro.service.engine import _report_metadata
         from repro.stream import stream_publish
@@ -194,21 +195,20 @@ class TestPublishEntryPoint:
         ]
         for report in reports:
             summary, metadata = report.summary(), _report_metadata(report)
-            assert "groups" not in vars(report.records)  # views never built
             n_sampled = int(report.records.sampled.sum())
             assert summary["n_sampled_groups"] == metadata["n_sampled_groups"] == n_sampled
             assert metadata["n_groups"] == len(report.records) == 3
-            assert report.n_sampled_groups == sum(g.sampled for g in report.groups)
+            assert report.n_sampled_groups == n_sampled == report.audit.n_violating_groups
 
     def test_generalize_strategy_reports_domains(self, skewed_binary_table):
         report = publish(skewed_binary_table, strategy="generalize+sps", rng=6)
         assert report.generalization is not None
         assert report.metadata["generalized_domains"]["Group"]["before"] == 3
 
-    def test_dp_report_has_no_sps_view(self, skewed_binary_table):
+    def test_dp_report_has_no_spec_or_records(self, skewed_binary_table):
         report = publish(skewed_binary_table, strategy="dp-laplace", rng=5)
-        with pytest.raises(ValueError, match="no privacy spec"):
-            report.sps
+        assert report.spec is None and report.records is None
+        assert "n_sampled_groups" not in report.summary()
         assert report.summary()["strategy"] == "dp-laplace"
 
     def test_generalization_rejected_for_non_generalizing_strategy(

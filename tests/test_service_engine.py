@@ -312,7 +312,7 @@ class TestAuditEndpointLogic:
         return Table.from_records(schema, rows)
 
     @pytest.mark.parametrize("source", ["tied", "adult"])
-    def test_worst_violations_equal_the_view_based_sort(self, source):
+    def test_worst_violations_equal_a_plain_sort(self, source):
         from repro.core.criterion import PrivacySpec
         from repro.core.testing import audit_table
 
@@ -321,28 +321,34 @@ class TestAuditEndpointLogic:
         svc.register_table("t", table)
         report = svc.audit("t", lam=0.4, delta=0.4, retention_probability=0.5)
 
-        # The computation the arrays replaced: one GroupAudit view per
-        # violating group, sorted by |g| / s_g, the last five reversed.
+        # An independent reference: (key, |g|, s_g) of every violating group
+        # as plain Python tuples, sorted by |g| / s_g, the last five reversed.
         spec = PrivacySpec(0.4, 0.4, 0.5, table.schema.sensitive_domain_size)
         audit = audit_table(table, spec)
-        worst = sorted(
-            audit.violating_groups, key=lambda a: a.size / max(a.max_group_size, 1e-12)
-        )[-5:][::-1]
+        violating = [
+            (tuple(key), size, threshold)
+            for key, size, threshold, private in zip(
+                audit.keys.tolist(), audit.sizes.tolist(), audit.thresholds.tolist(),
+                audit.private.tolist(), strict=True,
+            )
+            if not private
+        ]
+        worst = sorted(violating, key=lambda g: g[1] / max(g[2], 1e-12))[-5:][::-1]
         expected = [
             {
-                "key": list(a.key),
+                "key": list(key),
                 "values": [
                     attr.decode(code)
-                    for attr, code in zip(table.schema.public, a.key, strict=True)
+                    for attr, code in zip(table.schema.public, key, strict=True)
                 ],
-                "size": a.size,
-                "max_group_size": float(a.max_group_size),
-                "sampling_rate": float(a.sampling_rate),
+                "size": size,
+                "max_group_size": float(threshold),
+                "sampling_rate": float(min(1.0, threshold / size)),
             }
-            for a in worst
+            for key, size, threshold in worst
         ]
-        assert len(audit.violating_groups) > 5
-        assert report["summary"]["n_violating_groups"] == len(audit.violating_groups)
+        assert len(violating) > 5
+        assert report["summary"]["n_violating_groups"] == len(violating)
         assert json.dumps(report["worst_violations"]) == json.dumps(expected)
         if source == "tied":
             # Ties go to the later group, as the stable sort reversed leaves them.

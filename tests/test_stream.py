@@ -24,6 +24,7 @@ from repro.stream import (
     stream_publish,
 )
 from repro.stream.cli import main as stream_cli_main
+from sps_records import assert_records_equal
 
 
 def _csv_text(table):
@@ -262,7 +263,12 @@ class TestByteIdentity:
         assert streamed.audit.n_groups == in_memory.audit.n_groups
         assert streamed.audit.group_violation_rate == in_memory.audit.group_violation_rate
         assert streamed.audit.record_violation_rate == in_memory.audit.record_violation_rate
-        assert streamed.groups == in_memory.groups  # GroupPublication bookkeeping
+        assert streamed.audit.summary() == in_memory.audit.summary()
+        for column in ("keys", "sizes", "thresholds", "private"):
+            np.testing.assert_array_equal(
+                getattr(streamed.audit, column), getattr(in_memory.audit, column)
+            )
+        assert_records_equal(streamed.records, in_memory.records)
 
     def test_generalize_metadata_matches_in_memory(self, adult_csv):
         table = read_csv(io.StringIO(adult_csv), sensitive="Income")

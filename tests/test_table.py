@@ -50,6 +50,19 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Table(disease_schema, codes)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    @pytest.mark.parametrize("column,name", [(0, "Gender"), (1, "Job"), (2, "Disease")])
+    def test_code_outside_domain_names_the_attribute(self, disease_schema, dtype, column, name):
+        size = (2, 3, 10)[column]
+        for bad in (-1, size):
+            codes = np.zeros((4, 3), dtype=dtype)
+            codes[2, column] = bad
+            with pytest.raises(SchemaError, match=f"code {bad} out of range for attribute '{name}'"):
+                Table(disease_schema, codes)
+        codes = np.zeros((4, 3), dtype=dtype)
+        codes[2, column] = size - 1
+        assert Table(disease_schema, codes).codes[2, column] == size - 1
+
 
 class TestAccessorsAndCounting:
     def test_match_public_single_condition(self, small_table):

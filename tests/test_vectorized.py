@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 
 from repro.bench.micro import _reference_group_index, _reference_sample_counts
 from repro.core.criterion import PrivacySpec, max_group_size, value_is_private
-from repro.core.sps import GroupPublication, _sample_counts, sps_publish, sps_publish_groups
+from repro.core.sps import _sample_counts, sps_publish, sps_publish_groups
 from repro.core.testing import audit_groups
 from repro.dataset.groups import GroupCounts, _row_codes, _sorted_runs, keys_sorted_unique
 from repro.delta.engine import _dirty_chunks, _locate, _merge
@@ -58,6 +58,7 @@ from repro.reconstruction.mle import (
     reconstruct_counts,
 )
 from repro.stream import ChunkedReader, IncrementalGroupIndex
+from sps_records import assert_records_equal, record_rows
 
 
 def _reference_sample_rows(counts, rates, rng):
@@ -121,7 +122,7 @@ class TestSPSPublishStability:
         first = sps_publish(table, spec, rng=7)
         second = sps_publish(table, spec, rng=7)
         assert np.array_equal(first.published.codes, second.published.codes)
-        assert first.groups == second.groups
+        assert_records_equal(first.records, second.records)
 
 
 class TestBatchedMLE:
@@ -303,7 +304,10 @@ def _assert_audit_matches_reference(spec, groups):
     # s_g bit-identical (float ==, infinities included), same verdicts.
     assert audit.thresholds.tolist() == [threshold for _, threshold, _ in reference]
     assert audit.private.tolist() == [verdict for _, _, verdict in reference]
-    assert [(a.key, a.size, a.max_group_size, a.is_private) for a in audit.groups] == [
+    assert list(zip(
+        map(tuple, audit.keys.tolist()), audit.sizes.tolist(), audit.thresholds.tolist(),
+        audit.private.tolist(), strict=True,
+    )) == [
         (tuple(key), size, threshold, verdict)
         for key, (size, threshold, verdict) in zip(groups.keys.tolist(), reference, strict=True)
     ]
@@ -338,9 +342,9 @@ class TestColumnarAudit:
         assert len(empty) == 0 and empty.keys.shape == (0, 2) and empty.counts.shape == (0, 2)
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
         audit = audit_groups(spec, empty, 0)
-        assert audit.n_groups == 0 and audit.is_private and audit.groups == ()
+        assert audit.n_groups == 0 and audit.is_private and audit.keys.shape == (0, 2)
         codes, records = sps_publish_groups(empty, spec, 0, n_public=2, dtype=np.int64)
-        assert codes.shape == (0, 3) and len(records) == 0 and records.groups == ()
+        assert codes.shape == (0, 3) and len(records) == 0 and records.keys.shape == (0, 2)
 
 
 class TestColumnarGeneralize:
@@ -596,10 +600,8 @@ def _reference_sps_chunk(groups, spec, rng):
                 for _ in range(floor + (rng.random() < ratio - floor))
             ]
         blocks.append(_keyed(key, np.array(published, dtype=np.int64)))
-        records.append(GroupPublication(key=tuple(key), original_size=size,
-                                        max_group_size=threshold, sampled=sampled,
-                                        sample_size=len(codes), published_size=len(published)))
-    return _stack(blocks, groups.keys.shape[1] + 1), tuple(records)
+        records.append((tuple(key), size, threshold, sampled, len(codes), len(published)))
+    return _stack(blocks, groups.keys.shape[1] + 1), records
 
 
 def _reference_dp_chunk(mechanism, groups, rng):
@@ -621,7 +623,7 @@ def _assert_sps_kernel_matches_loop(groups, spec, seed):
         groups, spec, rng, n_public=groups.keys.shape[1], dtype=np.int64
     )
     assert codes.dtype == np.int64 and np.array_equal(codes, expected_codes)
-    assert records.groups == expected_records
+    assert record_rows(records) == expected_records
     assert rng.bit_generator.state == expected_rng.bit_generator.state
     return records
 
