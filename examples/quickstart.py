@@ -63,7 +63,7 @@ def main() -> None:
     biggest = int(sizes.argmax())
     records = report.records
     print(f"largest personal group: {sizes[biggest]} records "
-          f"(top income share {groups.counts[biggest].max() / sizes[biggest]:.2f}), "
+          f"(top income share {groups.max_counts()[biggest] / sizes[biggest]:.2f}), "
           f"sampled down to {records.sample_sizes[biggest]} independent perturbations "
           f"(s_g = {records.thresholds[biggest]:.0f})")
 

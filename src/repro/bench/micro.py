@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.sps import _sample_counts
 from repro.dataset.adult import generate_adult
-from repro.dataset.groups import personal_groups
+from repro.dataset.groups import GroupCounts, personal_groups
 from repro.dataset.table import Table
 from repro.reconstruction.iterative import iterative_bayes_frequencies
 from repro.reconstruction.mle import mle_frequencies_clipped
@@ -104,6 +104,8 @@ def _sps_pair(seed: int, n_groups: int) -> _Pair:
     count_rows = rng.integers(0, 40, size=(n_groups, 64)).astype(np.int64)
     rates = rng.random(n_groups)
     draw_seed = int(rng.integers(0, 2**31))
+    groups = GroupCounts.from_dense(np.arange(n_groups)[:, None], count_rows)
+    cell_rates = np.repeat(rates, np.diff(groups.offsets))
 
     def reference() -> np.ndarray:
         draw_rng = default_rng(draw_seed)
@@ -114,9 +116,10 @@ def _sps_pair(seed: int, n_groups: int) -> _Pair:
 
     def vectorized() -> np.ndarray:
         draw_rng = default_rng(draw_seed)
-        return _sample_counts(
-            count_rows, rates, lambda per_row: draw_rng.random(int(per_row.sum()))
+        sample = _sample_counts(
+            groups.n, cell_rates, lambda draw: draw_rng.random(int(draw.sum()))
         )
+        return GroupCounts(groups.keys, groups.offsets, groups.codes, sample, groups.m).dense()
 
     return reference, vectorized
 
@@ -125,7 +128,7 @@ def _group_index_pair(seed: int, rows: int) -> _Pair:
     table = generate_adult(rows, seed=seed)
     return (
         lambda: np.vstack(list(_reference_group_index(table).values())),
-        lambda: personal_groups(table).counts,
+        lambda: personal_groups(table).dense(),
     )
 
 

@@ -516,7 +516,7 @@ def violation_rates_by_bound(adult_size: int, seed: int) -> dict[str, float]:
     spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
     groups = personal_groups(table)
     sizes = groups.sizes()
-    frequencies = groups.counts.max(axis=1) / sizes
+    frequencies = groups.max_counts() / sizes
 
     rates = {}
     chernoff_audit = audit_table(table, spec, groups)

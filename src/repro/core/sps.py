@@ -19,14 +19,17 @@ holds because only ``|g1| ~ s_g`` independent coin tosses were performed
 (Theorem 4); utility holds because sampling and scaling both preserve SA
 frequencies in expectation (Theorem 5).  Neither depends on the order of the
 coin tosses, so :func:`sps_publish_groups` runs the algorithm as the paper's
-one sort and one scan over a *run* of consecutive chunks of groups.  Each
-chunk keeps its own spawned generator, which makes at most one draw per
-phase, in phase order: sampling ``random(F_c)``, retention ``random(N_c)``,
-replacement ``integers(0, m, N_c)`` and scaling ``random(K_c)``.  Only those
-four draws are split by chunk; the audit, sampling, code expansion,
-retain/replace choice and scaling are each one array operation over the
-run, never one per group or per chunk.  A chunk's bytes are therefore the
-same whatever run it is in.
+one sort and one scan over a *run* of consecutive chunks of groups, reading
+only each group's non-zero cells.  Each chunk keeps its own spawned
+generator, which makes at most one draw per phase, in phase order: sampling
+``random(F_c)``, retention ``random(N_c)``, replacement
+``integers(0, m, N_c)`` and scaling ``random(K_c)``.  Only those four draws
+are split by chunk; the audit, sampling, code expansion, retain/replace
+choice and scaling are each one array operation over the run, never one per
+group or per chunk.  A chunk's bytes are therefore the
+same whatever run it is in.  A run that carries the stage audit's ``s_g``
+(:meth:`~repro.dataset.groups.GroupCounts.with_thresholds`) is not audited
+again.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from repro.core.testing import audit_groups
 from repro.dataset.groups import (
     GroupCounts,
     chunk_sums,
-    expand_counts,
     group_block,
     personal_groups,
+    segment_max,
 )
 from repro.dataset.table import Table, code_dtype
 from repro.perturbation.uniform import UniformPerturbation
@@ -63,7 +66,7 @@ class SPSRecords:
     >>> from repro.core.criterion import PrivacySpec
     >>> from repro.dataset.groups import GroupCounts
     >>> spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
-    >>> groups = GroupCounts(np.array([[0], [1]]), np.array([[2, 1], [600, 5]]))
+    >>> groups = GroupCounts.from_dense(np.array([[0], [1]]), np.array([[2, 1], [600, 5]]))
     >>> codes, records = sps_publish_groups(groups, spec, 7, n_public=1, dtype=np.int8)
     >>> records.sampled.tolist(), records.n_sampled_groups, records.sampled_fraction
     ([False, True], 1, 0.5)
@@ -148,29 +151,29 @@ def _uniform(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _sample_counts(
-    counts: np.ndarray, rates: np.ndarray, uniforms: Callable[[np.ndarray], np.ndarray]
+    n: np.ndarray, rates: np.ndarray, uniforms: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """Frequency-preserving sample sizes of a ``G x m`` count matrix (phase 1).
+    """Frequency-preserving sample sizes of the cells ``n`` (phase 1).
 
     All records of a personal group sharing the same SA value are identical,
     so sampling reduces to choosing how many copies of each value to keep:
     ``floor(count * tau)`` plus one more with probability equal to the
-    fractional part, ``tau = rates[g]`` for row ``g``.  ``uniforms(per_row)``
-    returns one uniform per entry with a non-zero fractional part, given how
-    many each row has, row-major (group order, then SA code).  numpy
-    generators fill array draws from the same stream as repeated scalar
-    draws, so this equals stochastic rounding of one entry at a time, row by
-    row, for any seed.
+    fractional part, ``tau = rates[c]`` for cell ``c`` (its group's rate).
+    ``uniforms(draw)`` returns one uniform per cell where ``draw`` is set
+    (a non-zero fractional part), in cell order: group order, then SA code
+    — the row-major order of a count matrix, whose zero entries never
+    draw.  numpy generators fill array draws from the same stream as
+    repeated scalar draws, so this equals stochastic rounding of one cell at
+    a time, for any seed.
     """
-    scaled = counts * rates[:, None]
+    scaled = n * rates
     floors = np.floor(scaled)
     fractions = scaled - floors
     sampled = floors.astype(np.int64)
-    # counts == 0 entries have a zero fractional part and never draw.
     draw = fractions > 0
     if draw.any():
-        sampled[draw] += uniforms(draw.sum(axis=1)) < fractions[draw]
-    return np.minimum(sampled, counts)
+        sampled[draw] += uniforms(draw) < fractions[draw]
+    return np.minimum(sampled, n)
 
 
 def sps_publish_groups(
@@ -196,10 +199,10 @@ def sps_publish_groups(
     Each chunk's generator makes at most one draw per phase, in this order:
 
     1. ``random(F_c)``: the sampling step's stochastic rounding, over the
-       ``F_c`` non-integer entries of ``counts * s_g / |g|`` of the chunk's
-       sampled groups, row-major.  A sample that rounds to zero
-       (``s_g < 1``) keeps one record of the group's dominant value and
-       draws nothing more;
+       ``F_c`` non-integer cells of ``n * s_g / |g|`` of the chunk's
+       sampled groups, in (group, SA code) order.  A sample that rounds to
+       zero (``s_g < 1``) keeps one record of the group's dominant value
+       (its first maximal cell) and draws nothing more;
     2. ``random(N_c)``: retain or replace, one uniform per perturbed record
        of the chunk (``|g1|`` per sampled group, ``|g|`` per other group),
        in group order;
@@ -209,7 +212,9 @@ def sps_publish_groups(
 
     A draw of zero values is not made.  Everything else -- ``s_g`` (the
     audit's Equation 10), the code expansion, the retain/replace choice and
-    the scaling repeats -- is one array operation over the whole run.
+    the scaling repeats -- is one array operation over the whole run.  The
+    ``s_g`` are the run's ``thresholds`` when it carries them (the stage
+    audit's), and are computed here only when it does not.
 
     Returns the ``(n_published, n_public + 1)`` code block of the run (NA
     key columns then the published SA column), in ``dtype`` (a publish
@@ -224,28 +229,44 @@ def sps_publish_groups(
         raise ValueError("a run needs one generator per chunk")
     if perturbation is None:
         perturbation = UniformPerturbation(spec.retention_probability, spec.domain_size)
-    if groups.counts.shape[1] != spec.domain_size or groups.keys.shape[1] != n_public:
+    if groups.m != spec.domain_size or groups.keys.shape[1] != n_public:
         raise ValueError("the chunk's count or key width does not match the spec or n_public")
-    audit = audit_groups(spec, groups, 0)
-    sizes, sampled = audit.sizes, ~audit.private
-    sample_counts = groups.counts
+    sizes = groups.sizes()
+    thresholds = groups.thresholds
+    if thresholds is None:
+        thresholds = audit_groups(spec, groups, 0).thresholds
+    sampled = sizes > thresholds
+    sample_n = groups.n
     sample_sizes = sizes.copy()
     if sampled.any():
-        counts = groups.counts[sampled]
+        cells_per_group = np.diff(groups.offsets)
+        per_group = cells_per_group[sampled]
+        cells = np.flatnonzero(np.repeat(sampled, cells_per_group))
+        n = groups.n[cells]
 
-        def uniforms(per_row: np.ndarray) -> np.ndarray:
-            per_group = np.zeros(len(groups), dtype=np.int64)
-            per_group[sampled] = per_row
-            return _chunk_draws(rngs, chunk_sums(per_group, bounds), _uniform)
+        def uniforms(draw: np.ndarray) -> np.ndarray:
+            per_cell = np.zeros(len(groups.n), dtype=np.int64)
+            per_cell[cells[draw]] = 1
+            return _chunk_draws(rngs, chunk_sums(per_cell, groups.offsets[bounds]), _uniform)
 
-        sample = _sample_counts(counts, audit.thresholds[sampled] / sizes[sampled], uniforms)
-        # s_g < 1: keep one record of the dominant value, so the group is not
-        # silently deleted from the published data.
-        empty = np.flatnonzero(sample.sum(axis=1) == 0)
-        sample[empty, counts[empty].argmax(axis=1)] = 1
-        sample_counts = groups.counts.copy()
-        sample_counts[sampled] = sample
-        sample_sizes[sampled] = sample.sum(axis=1)
+        rates = np.repeat(thresholds[sampled] / sizes[sampled], per_group)
+        sample = _sample_counts(n, rates, uniforms)
+        bounds_in_sample = np.concatenate(([0], np.cumsum(per_group)))
+        totals = chunk_sums(sample, bounds_in_sample)
+        emptied = totals == 0
+        if emptied.any():
+            # s_g < 1: keep one record of the dominant value, so the group is
+            # not silently deleted from the published data.  Its first
+            # maximal cell is the dense argmax: codes ascend within a group.
+            owner = np.repeat(np.arange(totals.size), per_group)
+            dominant = n == segment_max(n, bounds_in_sample)[owner]
+            hits = np.flatnonzero(dominant & emptied[owner])
+            _, first = np.unique(owner[hits], return_index=True)
+            sample[hits[first]] = 1
+            totals[emptied] = 1
+        sample_n = groups.n.copy()
+        sample_n[cells] = sample
+        sample_sizes[sampled] = totals
     n = int(sample_sizes.sum())
     per_chunk = chunk_sums(sample_sizes, bounds)
     retain = _chunk_draws(rngs, per_chunk, _uniform) < perturbation.retention_probability
@@ -253,7 +274,7 @@ def sps_publish_groups(
     replacements = _chunk_draws(
         rngs, per_chunk, lambda rng, size: rng.integers(0, m, size), np.int64
     )
-    codes = np.where(retain, expand_counts(sample_counts), replacements)
+    codes = np.where(retain, np.repeat(groups.codes, sample_n), replacements)
     published_sizes = sample_sizes.copy()
     if sampled.any():
         # Scaling, over the sampled groups' records only (all others publish
@@ -274,7 +295,7 @@ def sps_publish_groups(
     records = SPSRecords(
         keys=groups.keys,
         sizes=sizes,
-        thresholds=audit.thresholds,
+        thresholds=thresholds,
         sampled=sampled,
         sample_sizes=sample_sizes,
         published_sizes=published_sizes,

@@ -79,7 +79,7 @@ class PrivacyAudit:
 
 
 def audit_groups(spec: PrivacySpec, groups: GroupCounts, total_records: int) -> PrivacyAudit:
-    """Audit every group of ``groups`` against ``spec``: Equation (10) over the counts.
+    """Audit every group of ``groups`` against ``spec``: Equation (10) over the cells.
 
     The one audit: :func:`audit_table`, the streaming engine and the delta
     engine all call it, whatever produced their groups.  A group is private
@@ -87,7 +87,7 @@ def audit_groups(spec: PrivacySpec, groups: GroupCounts, total_records: int) -> 
     ``s_g = inf``.
     """
     sizes = groups.sizes()
-    frequencies = groups.counts.max(axis=1, initial=0) / np.maximum(sizes, 1)
+    frequencies = groups.max_counts() / np.maximum(sizes, 1)
     # Equation (10) once per distinct frequency, through the scalar form
     # itself: libm's pow(x, 2) and numpy's x * x differ in the last bit for
     # a small share of inputs, and s_g also drives SPS's sampling rate.

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dataset.groups import GroupCounts, personal_groups
+from repro.dataset.groups import GroupCounts, chunk_sums, personal_groups
 from repro.dataset.table import Table
 
 
@@ -86,7 +86,7 @@ def _report(
 
 def _frequencies(groups: GroupCounts) -> np.ndarray:
     """Each group's SA frequency vector, one row per group."""
-    return groups.counts / groups.counts.sum(axis=1, keepdims=True)
+    return groups.dense() / groups.sizes()[:, None]
 
 
 # --------------------------------------------------------------------------- #
@@ -123,7 +123,7 @@ def l_diversity_report(
     if groups is None:
         groups = personal_groups(table)
     if variant == "distinct":
-        failing = (groups.counts > 0).sum(axis=1) < l
+        failing = np.diff(groups.offsets) < l
     else:
         failing = np.array([_entropy(row) < math.log(l) for row in _frequencies(groups)], dtype=bool)
     return _report(f"{variant}-l-diversity", {"l": float(l)}, table, groups, failing)
@@ -209,5 +209,5 @@ def small_count_report(
         raise ValueError("k must be at least 1")
     if groups is None:
         groups = personal_groups(table)
-    failing = ((groups.counts > 0) & (groups.counts < k)).any(axis=1)
+    failing = chunk_sums(groups.n < k, groups.offsets) > 0
     return _report("small-count", {"k": float(k)}, table, groups, failing)

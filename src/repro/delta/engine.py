@@ -62,7 +62,14 @@ from repro.obs.trace import span
 from repro.parallel.scheduler import iter_run_results
 from repro.pipeline.execution import DEFAULT_CHUNK_ROWS, DEFAULT_CHUNK_SIZE
 from repro.pipeline.strategy import PublishStrategy, get_strategy
-from repro.stream.engine import _chunk_kernel, _CsvSink, _index_source, _run, _spec_for
+from repro.stream.engine import (
+    _audited,
+    _chunk_kernel,
+    _CsvSink,
+    _index_source,
+    _run,
+    _spec_for,
+)
 from repro.stream.reader import ChunkedReader
 
 _log = logging.getLogger("repro.delta")
@@ -237,9 +244,10 @@ def _merge(
     group its position in the merged groups and whether it is new there.
     Both sides' codes are mapped onto the union's domains with
     ``np.searchsorted``; one ``searchsorted`` of the appended keys' row codes
-    into the base's then places every appended group.  Groups that exist
-    are summed in place, new ones go in with one ``np.insert``: the only
-    new ``G x m`` matrix, and no sort of the base.
+    into the base's then places every appended group.  The cells merge the
+    same way, as ``(merged group, SA code)`` codes: cells that exist are
+    summed, new ones go in with ``np.insert``, and nothing of the base is
+    sorted.
     """
     pairs = list(zip(
         (*base_schema.public, base_schema.sensitive),
@@ -261,25 +269,31 @@ def _merge(
             [code_map[column] for code_map, column in zip(key_maps, groups.keys.T, strict=True)],
             axis=1,
         )
-        counts = groups.counts
-        if schema.sensitive != union.sensitive:
-            counts = np.zeros((len(groups), union.sensitive_domain_size), dtype=np.int64)
-            counts[:, sa_map] = groups.counts
-        return GroupCounts(keys, counts)
+        codes = groups.codes if schema.sensitive == union.sensitive else sa_map[groups.codes]
+        return GroupCounts(keys, groups.offsets, codes, groups.n, union.sensitive_domain_size)
 
     base, appended = onto(base_schema, base), onto(appended_schema, appended)
     at, found = _locate(base.keys, appended.keys, [attr.size for attr in union.public])
     new = ~found
     # Each appended group's merged position: its insertion point in the base
-    # plus the new groups inserted ahead of it.
+    # plus the new groups inserted ahead of it; each base group's, its index
+    # plus the new groups inserted at or before it.
     positions = at + np.cumsum(new) - new
-    if new.any():
-        keys = np.insert(base.keys, at[new], appended.keys[new], axis=0)
-        counts = np.insert(base.counts, at[new], appended.counts[new], axis=0)
-    else:
-        keys, counts = base.keys, base.counts.copy()
-    counts[positions[found]] += appended.counts[found]
-    return union, GroupCounts(keys, counts), positions, new
+    shifted = np.arange(len(base)) + np.searchsorted(at[new], np.arange(len(base)), side="right")
+    keys = np.insert(base.keys, at[new], appended.keys[new], axis=0)
+    m = union.sensitive_domain_size
+    # Both cell lists are sorted and unique by (merged group, SA code).
+    base_cells = np.repeat(shifted, np.diff(base.offsets)) * m + base.codes
+    added_cells = np.repeat(positions, np.diff(appended.offsets)) * m + appended.codes
+    cell_at, cell_found = _search(base_cells, added_cells)
+    summed = base.n.copy()
+    summed[cell_at[cell_found]] += appended.n[cell_found]
+    cell_new = ~cell_found
+    cells = np.insert(base_cells, cell_at[cell_new], added_cells[cell_new])
+    n = np.insert(summed, cell_at[cell_new], appended.n[cell_new])
+    cell_groups, codes = np.divmod(cells, m)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(cell_groups, minlength=len(keys)))))
+    return union, GroupCounts(keys, offsets, codes, n, m), positions, new
 
 
 def _locate(
@@ -296,9 +310,14 @@ def _locate(
     if key_codes is None or probe_codes is None:
         _, ranks = np.unique(np.concatenate((keys, probes)), axis=0, return_inverse=True)
         key_codes, probe_codes = ranks[: len(keys)], ranks[len(keys) :]
-    at = np.searchsorted(key_codes, probe_codes)
-    found = at < len(key_codes)
-    found[found] = key_codes[at[found]] == probe_codes[found]
+    return _search(key_codes, probe_codes)
+
+
+def _search(values: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``probes``' insertion point in the sorted ``values``, and whether it is there."""
+    at = np.searchsorted(values, probes)
+    found = at < len(values)
+    found[found] = values[at[found]] == probes[found]
     return at, found
 
 
@@ -464,7 +483,7 @@ def delta_publish(
             records: list[SPSRecords | None] = []
             writer = _CsvSink(target, new_schema, crc32=True)
             regen = iter_run_results(
-                merged, kernel, state.seed, state.chunk_size,
+                _audited(merged, privacy_audit), kernel, state.seed, state.chunk_size,
                 workers=workers, chunks=sorted(dirty), codec=writer.codec, crc32=True,
             )
             # Every clean chunk is read into, checked and written from this one buffer.

@@ -19,8 +19,8 @@ to by another — the ``repro-delta`` CLI round-trips it through a file and
 the service persists it per dataset through a storage connector
 (:class:`DeltaStateStore`), so a restarted service resumes appending where
 it left off.  The document stores the groups column-wise: each column's
-sorted domain once, one key-code list per public column and the non-zero
-counts as ``(group, SA code, n)`` lists.
+sorted domain once, one key-code list per public column and the groups'
+cells as ``(group, SA code, n)`` lists.
 
 ``state_version`` 3 (8.0.0) has the layout of version 2 and marks the
 draw layout its published chunks were made with: SPS draws once per phase
@@ -72,15 +72,14 @@ class StaleDeltaStateError(ValueError):
 
 
 def _columnar_groups(schema: Schema, groups: GroupCounts) -> dict[str, Any]:
-    """The groups as column lists: domains, key codes and non-zero counts."""
-    group, code = np.nonzero(groups.counts)
+    """The groups as column lists: domains, key codes and cells."""
     return {
         "domains": [list(attr.values) for attr in (*schema.public, schema.sensitive)],
         "keys": groups.keys.T.tolist(),
         "counts": {
-            "group": group.tolist(),
-            "code": code.tolist(),
-            "n": groups.counts[group, code].tolist(),
+            "group": groups.cell_groups().tolist(),
+            "code": groups.codes.tolist(),
+            "n": groups.n.tolist(),
         },
     }
 
@@ -116,10 +115,9 @@ def _decode_columnar(
     n_groups, m = int(group.max()) + 1, schema.sensitive_domain_size
     if group.min() < 0 or code.min() < 0 or code.max() >= m or n.min() <= 0:
         raise _corrupt("a count lies outside the groups or the sensitive domain")
-    if (np.diff(group * m + code) <= 0).any() or not np.bincount(group).all():
+    per_group = np.bincount(group)
+    if (np.diff(group * m + code) <= 0).any() or not per_group.all():
         raise _corrupt("the counts are not one sorted entry per non-empty cell")
-    matrix = np.zeros((n_groups, m), dtype=np.int64)
-    matrix[group, code] = n
 
     keys = np.array(data["keys"], dtype=np.int64)
     if keys.shape != (len(schema.public), n_groups):
@@ -129,7 +127,7 @@ def _decode_columnar(
         raise _corrupt("a key code lies outside its column's domain")
     if not keys_sorted_unique(keys.T):
         raise _corrupt("the group keys are not unique and sorted")
-    return schema, GroupCounts(keys.T, matrix)
+    return schema, GroupCounts(keys.T, np.concatenate(([0], np.cumsum(per_group))), code, n, m)
 
 
 @dataclass(frozen=True)

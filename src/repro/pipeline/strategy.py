@@ -74,7 +74,7 @@ class PublishStrategy:
     ...
     ...     def chunk_publisher(self, schema, spec, resolved):
     ...         def run_fn(run, rngs, bounds):
-    ...             sizes, sensitive = run.sizes(), expand_counts(run.counts)
+    ...             sizes, sensitive = run.sizes(), run.expand()
     ...             block = group_block(run.keys, sizes, sensitive, code_dtype(schema))
     ...             return block, sizes, None
     ...         return run_fn
@@ -333,12 +333,13 @@ class _DPHistogramStrategy(PublishStrategy):
     NA key structure is preserved exactly (as the paper's model requires);
     only the per-group SA histograms are privatised.
 
-    The kernel draws each chunk's noise in one call over its ``G x m`` count
-    matrix from the chunk's generator: numpy fills an array draw from the
-    same stream as consecutive per-group draws, so the bytes are those of a
-    per-group loop.  Rounding and clamping stay per chunk too, so a run
-    holds no float copy of its counts; the expansion and the block are one
-    array pass over the run.
+    The kernel draws each chunk's noise in one call over its dense
+    ``G x m`` count matrix (:meth:`~repro.dataset.groups.GroupCounts.dense`,
+    zeros included) from the chunk's generator: numpy fills an array draw
+    from the same stream as consecutive per-group draws, so the bytes are
+    those of a per-group loop.  Densifying, rounding and clamping stay per
+    chunk, so a run holds no dense or float copy of all its counts; the
+    expansion and the block are one array pass over the run.
     """
 
     audits = False
@@ -368,7 +369,7 @@ class _DPHistogramStrategy(PublishStrategy):
             run: GroupCounts, rngs: Sequence[np.random.Generator], bounds: np.ndarray
         ) -> tuple[np.ndarray, np.ndarray, None]:
             counts = np.concatenate([
-                _noisy_counts(mechanism, run.counts[start:stop], rng)
+                _noisy_counts(mechanism, run[start:stop].dense(), rng)
                 for rng, start, stop in zip(rngs, bounds[:-1], bounds[1:], strict=True)
             ])
             sizes = counts.sum(axis=1)

@@ -705,8 +705,9 @@ def _publish_stages(
     ``rows`` (a :class:`_RowSpool` or :class:`_TableRows`), and ``groups``
     may then be ``None`` when the audit does not run.  Blocks go to
     ``open_sink(prepared schema)``: aborted if enforcing fails, returned
-    open otherwise.  Books ``generalize``, ``audit`` and ``enforce`` in
-    ``timings``.
+    open otherwise.  The kernel's runs carry the audit's ``s_g``, so SPS
+    does not audit them again.  Books ``generalize``, ``audit`` and
+    ``enforce`` in ``timings``.
     """
     # generalize: chi-square merging decided from the group counts.
     with span("generalize", kind="stage", ran=strategy.generalizes) as sp:
@@ -759,7 +760,8 @@ def _publish_stages(
                 assert groups is not None
                 kernel = _chunk_kernel(strategy, schema, spec, resolved, unsupported)
                 _enforce_groups(
-                    kernel, groups, seed, chunk_size, workers, sink, records, notify
+                    kernel, _audited(groups, privacy_audit), seed, chunk_size, workers,
+                    sink, records, notify,
                 )
         except BaseException:
             sink.abort()
@@ -769,6 +771,11 @@ def _publish_stages(
         schema, groups, merges, spec, privacy_audit, SPSRecords.concat(records),
         metadata, sink,
     )
+
+
+def _audited(groups: GroupCounts, audit: PrivacyAudit | None) -> GroupCounts:
+    """``groups`` carrying the stage audit's ``s_g``, when the audit ran."""
+    return groups if audit is None else groups.with_thresholds(audit.thresholds)
 
 
 def _chunk_kernel(

@@ -45,7 +45,7 @@ class IncrementalGroupIndex:
     >>> index.update(ColumnChunk([["Oslo", "Bergen"], ["Flu", "Flu"]]))
     >>> index.update(ColumnChunk([["Oslo"], ["Cold"]]))
     >>> schema, groups = index.finalize()
-    >>> groups.keys.tolist(), groups.counts.tolist()
+    >>> groups.keys.tolist(), groups.dense().tolist()
     ([[0], [1]], [[0, 1], [1, 1]])
     >>> schema.public[0].values, index.n_rows, index.n_pairs
     (('Bergen', 'Oslo'), 3, 3)

@@ -110,7 +110,7 @@ class TestValueAndGroupTests:
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=p, domain_size=2)
         audit = audit_groups(spec, groups, len(skewed_binary_table))
         sizes = groups.sizes().tolist()
-        frequencies = (groups.counts.max(axis=1) / groups.sizes()).tolist()
+        frequencies = (groups.dense().max(axis=1) / groups.sizes()).tolist()
         expected = [value_is_private(spec, n, f) for n, f in zip(sizes, frequencies)]
         assert audit.private.tolist() == expected
         assert not all(expected)  # the group "a" of 400 records violates

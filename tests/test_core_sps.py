@@ -1,13 +1,20 @@
 """Tests for the Sampling-Perturbing-Scaling algorithm (Section 5)."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro
+from repro.core import testing
 from repro.core.criterion import PrivacySpec, max_group_size
 from repro.core.sps import sps_publish, sps_publish_groups
 from repro.core.testing import audit_table
+from repro.dataset.census import generate_census
 from repro.dataset.groups import GroupCounts, personal_groups
+from repro.dataset.loaders import write_csv
 from repro.dataset.table import Table
+from repro.delta import delta_publish, publish_base
 from repro.reconstruction.mle import mle_frequencies
 from repro.utils.rng import default_rng
 from sps_records import assert_records_equal
@@ -42,7 +49,7 @@ class TestSpsGroup:
         a = skewed_binary_table.schema.public_attribute("Group").encode("a")
         position = int(np.flatnonzero(groups.keys[:, 0] == a)[0])
         size = int(groups.sizes()[position])
-        threshold = max_group_size(binary_spec, float(groups.counts[position].max() / size))
+        threshold = max_group_size(binary_spec, float(groups.dense()[position].max() / size))
         assert size > threshold  # precondition for the test
         codes, records = _one_group(groups, position, binary_spec, default_rng(1))
         assert records.sampled.tolist() == [True]
@@ -129,7 +136,7 @@ class TestSpsPublishGroups:
         assert_records_equal(records, reference.records)
 
     def test_empty_chunk(self, binary_spec):
-        empty = GroupCounts(np.empty((0, 1)), np.empty((0, 2)))
+        empty = GroupCounts.from_dense(np.empty((0, 1)), np.empty((0, 2)))
         codes, records = sps_publish_groups(empty, binary_spec, 0, n_public=1, dtype=np.int64)
         assert codes.shape == (0, 2)
         assert len(records) == 0 and records.keys.shape == (0, 1)
@@ -189,3 +196,71 @@ class TestTheorem5Utility:
             result = sps_publish(table, spec, rng=seed)
             estimates.append(mle_frequencies(result.published.sensitive_counts(), 0.5)[1])
         assert float(np.mean(estimates)) == pytest.approx(true_high, abs=0.03)
+
+
+#: A spec under which most census groups are sampled.
+SAMPLING = {"lam": 0.7, "delta": 0.7, "retention_probability": 0.9}
+
+
+@pytest.fixture
+def audit_calls(monkeypatch):
+    """Every ``audit_groups`` call, through whichever module binds the name."""
+    original = testing.audit_groups
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "audit_groups", None) is original:
+            monkeypatch.setattr(module, "audit_groups", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def census():
+    """A census sample of ~2,800 groups: 44 chunks of 64, so three runs."""
+    return generate_census(3000, seed=2)
+
+
+class TestOneAuditPerPublish:
+    """The stage audit's ``s_g`` reach the SPS kernel: one audit per publish, on every path."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_memory(self, census, audit_calls, workers):
+        report = repro.publish(
+            census, strategy="sps", rng=5, chunk_size=64, workers=workers, **SAMPLING
+        )
+        assert report.records.n_sampled_groups > 0
+        assert audit_calls == [report.audit.n_groups]
+        # With the stage off the kernel audits its runs itself: same bytes.
+        unaudited = repro.publish(
+            census, strategy="sps", rng=5, chunk_size=64, workers=workers, audit=False,
+            **SAMPLING,
+        )
+        assert unaudited.audit is None and unaudited.published == report.published
+
+    def test_stream_publish(self, census, audit_calls, tmp_path):
+        source = tmp_path / "census.csv"
+        write_csv(census, source)
+        report = repro.stream_publish(
+            source, sensitive=census.schema.sensitive_name, strategy="sps", rng=5,
+            chunk_size=64, workers=2, output=tmp_path / "published.csv", **SAMPLING,
+        )
+        assert report.records.n_sampled_groups > 0
+        assert audit_calls == [report.audit.n_groups]
+
+    def test_delta_append(self, census, audit_calls, tmp_path):
+        rows = [list(record) for record in census.records()]
+        base = tmp_path / "base.csv"
+        write_csv(Table.from_records(census.schema, rows[:-20]), base)
+        report = publish_base(
+            base, sensitive=census.schema.sensitive_name, output=tmp_path / "published.csv",
+            strategy="sps", rng=5, chunk_size=64, **SAMPLING,
+        )
+        assert len(audit_calls) == 1
+        audit_calls.clear()
+        appended = delta_publish(report.state, rows[-20:])
+        assert appended.records.n_sampled_groups > 0
+        assert audit_calls == [appended.audit.n_groups]

@@ -344,6 +344,40 @@ class TestStatesBefore800:
         assert published.read_bytes() == (STATE_4_0_0 / "published_sps.csv").read_bytes()
 
 
+#: ``publish_base`` output of release 20.0.0, whose groups were a dense
+#: count matrix, over the 4.0.0 ``base.csv`` (seed 11, chunk_size 4): an sps
+#: base at (0.7, 0.7, 0.9), where 13 of its 14 groups are sampled, and a
+#: dp-laplace base.  Both are ``state_version`` 3 documents.
+STATE_20_0_0 = Path(__file__).parent / "data" / "delta_state_20_0_0"
+
+
+class TestStatesFrom2000:
+    @pytest.mark.parametrize("strategy", ["sps", "dp-laplace"])
+    def test_state_resaves_unchanged_and_appends_like_a_full_publish(self, tmp_path, strategy):
+        path = STATE_20_0_0 / f"state_{strategy}.json"
+        state = DeltaState.load(path)
+        resaved = tmp_path / "resaved.json"
+        state.save(resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+        published = tmp_path / "published.csv"
+        published.write_bytes((STATE_20_0_0 / f"published_{strategy}.csv").read_bytes())
+        # One row lands in an existing group, one opens a new group.
+        appended = [["athens", "clerk", "flu"], ["oslo", "clerk", "cold"]]
+        report = delta_publish(dataclasses.replace(state, output=str(published)), appended)
+        assert report.mode == "delta" and report.n_chunks_dirty < report.n_chunks
+
+        header, rows = _base_rows()
+        full_csv = tmp_path / "full.csv"
+        _write_csv(full_csv, header, rows + appended)
+        expected = tmp_path / "expected.csv"
+        stream_publish(
+            full_csv, sensitive=state.sensitive, strategy=strategy, rng=state.seed,
+            chunk_size=state.chunk_size, output=expected, **state.params,
+        )
+        assert published.read_bytes() == expected.read_bytes()
+
+
 # --------------------------------------------------------------------- #
 # Dirty-chunk resolution and the loud full fallback
 # --------------------------------------------------------------------- #

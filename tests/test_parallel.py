@@ -566,7 +566,7 @@ class TestNarrowBlocks:
         # with counts large enough that every group publishes rows.
         top = np.arange(widest - 3, widest)
         keys = np.column_stack([np.repeat(top, 2), np.tile([0, 1], 3)])
-        groups = GroupCounts(keys, np.full((len(keys), 3), 40))
+        groups = GroupCounts.from_dense(keys, np.full((len(keys), 3), 40))
         resolved = get_strategy(strategy).resolve({})
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=3)
         kernel = StrategyKernel(get_strategy(strategy), schema, spec, resolved)

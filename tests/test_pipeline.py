@@ -301,8 +301,8 @@ class TestCustomStrategy:
                 assert isinstance(keep, int)  # typed specs preserve int
 
                 def run_fn(run, rngs, bounds):
-                    kept = np.zeros_like(run.counts)
-                    for row, counts in enumerate(run.counts):
+                    kept = np.zeros_like(run.dense())
+                    for row, counts in enumerate(run.dense()):
                         top = np.argsort(counts)[::-1][:keep]
                         kept[row, top] = counts[top]
                     sizes = kept.sum(axis=1)

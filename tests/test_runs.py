@@ -90,7 +90,7 @@ def group_runs(draw):
             50, 2000, size=large.size
         )
     keys = np.stack([np.arange(n_groups) // 7, np.arange(n_groups) % 7], axis=1)
-    return GroupCounts(keys, counts), bounds, m
+    return GroupCounts.from_dense(keys, counts), bounds, m
 
 
 def _kernel(name, m, spec_params):
@@ -143,7 +143,7 @@ class TestRunEqualsChunks:
         # Chunk 0 is all zeros (no draw but phases 2-3 of nothing), chunk 1
         # has s_g < 1 everywhere, chunk 2 is short.
         counts = np.array([[0, 0], [0, 0], [5, 0], [0, 9], [4, 1], [6, 0], [3, 3]])
-        groups = GroupCounts(np.arange(14).reshape(7, 2), counts)
+        groups = GroupCounts.from_dense(np.arange(14).reshape(7, 2), counts)
         bounds = np.array([0, 2, 4, 6, 7])
         records = _assert_run_equals_its_chunks(
             _kernel("sps", 2, (2.0, 0.99, 0.8)), groups, bounds, 5
@@ -153,7 +153,7 @@ class TestRunEqualsChunks:
 
     def test_a_run_needs_one_generator_per_chunk(self):
         kernel = _kernel("sps", 2, SPECS[0])
-        groups = GroupCounts(np.zeros((3, 2)), np.ones((3, 2)))
+        groups = GroupCounts.from_dense(np.zeros((3, 2)), np.ones((3, 2)))
         with pytest.raises(ValueError, match="one generator per chunk"):
             kernel.run(groups, chunk_rngs(1, 1), np.array([0, 1, 3]))
 
@@ -164,7 +164,7 @@ class TestRunEqualsChunks:
         monkeypatch.setattr(scheduler, "RUN_CHUNKS", 2)
         source = np.random.default_rng(8)
         keys = np.stack([np.arange(30) // 7, np.arange(30) % 7], axis=1)
-        groups = GroupCounts(keys, source.integers(0, 9, size=(30, 3)))
+        groups = GroupCounts.from_dense(keys, source.integers(0, 9, size=(30, 3)))
         kernel = _kernel("sps", 3, SPECS[0])
         selected = [0, 1, 2, 5, 6, 9]
         with Tracer() as tracer:

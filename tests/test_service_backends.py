@@ -42,7 +42,7 @@ class TestRegistry:
 
             def chunk_publisher(self, schema, spec, resolved):
                 def run_fn(run, rngs, bounds):
-                    sizes, sensitive = run.sizes(), expand_counts(run.counts)
+                    sizes, sensitive = run.sizes(), expand_counts(run.dense())
                     block = group_block(run.keys, sizes, sensitive, code_dtype(schema))
                     return block, sizes, None
 

@@ -39,7 +39,7 @@ def sweep():
     )
     audit = audit_groups(spec, groups, len(table))
     sampled = ~audit.private
-    chunk = GroupCounts(groups.keys[sampled], groups.counts[sampled])
+    chunk = GroupCounts.from_dense(groups.keys[sampled], groups.dense()[sampled])
     sample_totals, published_counts = [], []
     for seed in range(N_SEEDS):
         codes, records = sps_publish_groups(
@@ -80,4 +80,4 @@ def test_theorem_5_reconstructed_counts_are_unbiased(sweep):
     reconstructed = reconstruct_counts(
         sweep["published_counts"], sweep["spec"].retention_probability
     )
-    _within_three_standard_errors(reconstructed, sweep["chunk"].counts.sum(axis=0))
+    _within_three_standard_errors(reconstructed, sweep["chunk"].dense().sum(axis=0))

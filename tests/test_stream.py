@@ -193,7 +193,7 @@ class TestIncrementalGroupIndex:
         assert reader.chunks_read == 2  # the group really did span chunks
         _, groups = index.finalize()
         assert len(groups) == 1
-        assert groups.counts.tolist() == [[1, 2]]  # Cold, Flu sorted
+        assert groups.dense().tolist() == [[1, 2]]  # Cold, Flu sorted
 
     def test_finalize_requires_rows(self):
         with pytest.raises(ValueError, match="no rows"):

@@ -69,9 +69,15 @@ def _reference_sample_rows(counts, rates, rng):
     ).reshape(counts.shape)
 
 
-def _uniforms(rng):
-    """``_sample_counts``'s uniform source for a single chunk: one draw from ``rng``."""
-    return lambda per_row: rng.random(int(per_row.sum()))
+def _sample_matrix(counts, rates, rng):
+    """``_sample_counts`` over a count matrix's cells, one draw from ``rng``, as a matrix."""
+    groups = GroupCounts.from_dense(np.empty((len(counts), 0)), counts)
+    sample = _sample_counts(
+        groups.n,
+        np.repeat(rates, np.diff(groups.offsets)),
+        lambda draw: rng.random(int(draw.sum())),
+    )
+    return GroupCounts(groups.keys, groups.offsets, groups.codes, sample, groups.m).dense()
 
 
 class TestSampleCountsVectorization:
@@ -83,7 +89,7 @@ class TestSampleCountsVectorization:
             rates = master.random(n_groups)
             seed = int(master.integers(0, 2**31))
             expected = _reference_sample_rows(counts, rates, np.random.default_rng(seed))
-            actual = _sample_counts(counts, rates, _uniforms(np.random.default_rng(seed)))
+            actual = _sample_matrix(counts, rates, np.random.default_rng(seed))
             assert np.array_equal(expected, actual)
             assert actual.dtype == expected.dtype
 
@@ -94,12 +100,12 @@ class TestSampleCountsVectorization:
         ref_rng = np.random.default_rng(42)
         vec_rng = np.random.default_rng(42)
         _reference_sample_rows(counts, rates, ref_rng)
-        _sample_counts(counts, rates, _uniforms(vec_rng))
+        _sample_matrix(counts, rates, vec_rng)
         assert ref_rng.random() == vec_rng.random()
 
     def test_never_exceeds_counts_and_preserves_zeroes(self):
         counts = np.array([[0, 1, 100, 0, 7]], dtype=np.int64)
-        sampled = _sample_counts(counts, np.array([0.9]), _uniforms(np.random.default_rng(1)))
+        sampled = _sample_matrix(counts, np.array([0.9]), np.random.default_rng(1))
         assert (sampled <= counts).all()
         assert sampled[0, 0] == 0 and sampled[0, 3] == 0
 
@@ -110,8 +116,8 @@ class TestGroupIndexVectorization:
         reference = _reference_group_index(table)
         groups = personal_groups(table)
         assert groups.keys.tolist() == [list(key) for key in reference]
-        assert np.array_equal(groups.counts, np.vstack(list(reference.values())))
-        assert groups.keys.dtype == groups.counts.dtype == np.int64
+        assert np.array_equal(groups.dense(), np.vstack(list(reference.values())))
+        assert groups.keys.dtype == groups.dense().dtype == np.int64
         assert all(counts.dtype == np.int64 for counts in reference.values())
 
 
@@ -218,7 +224,7 @@ MAX_CODE = 3  # public codes are drawn from 0..MAX_CODE
 def _reference_audit(spec, groups):
     """The per-group ``audit_group`` loop: (|g|, s_g, verdict) per group."""
     verdicts = []
-    for counts in groups.counts:
+    for counts in groups.dense():
         size = int(counts.sum())
         frequency = float(counts.max() / counts.sum()) if size else 0.0
         verdicts.append(
@@ -230,7 +236,7 @@ def _reference_audit(spec, groups):
 def _reference_conditional_sa_counts(groups, column, m):
     """``conditional_sa_counts``: SA vectors summed per observed value of ``column``."""
     counts = {}
-    for key, vector in zip(groups.keys.tolist(), groups.counts, strict=True):
+    for key, vector in zip(groups.keys.tolist(), groups.dense(), strict=True):
         value = key[column]
         if value not in counts:
             counts[value] = np.zeros(m, dtype=np.int64)
@@ -241,7 +247,7 @@ def _reference_conditional_sa_counts(groups, column, m):
 def _reference_apply_code_maps(groups, code_maps):
     """``apply_code_maps``: re-key every group, merge collisions, sort by key."""
     merged = {}
-    for key, vector in zip(groups.keys.tolist(), groups.counts, strict=True):
+    for key, vector in zip(groups.keys.tolist(), groups.dense(), strict=True):
         mapped = tuple(int(code_maps[i][code]) for i, code in enumerate(key))
         merged[mapped] = merged[mapped] + vector if mapped in merged else vector.copy()
     return sorted(merged.items())
@@ -281,7 +287,7 @@ def group_counts(draw, k=2, max_count=40):
         st.lists(st.integers(0, max_count), min_size=m, max_size=m).filter(any),
         min_size=len(keys), max_size=len(keys),
     ))
-    return GroupCounts(
+    return GroupCounts.from_dense(
         np.array(keys, dtype=np.int64).reshape(len(keys), k),
         np.array(rows, dtype=np.int64).reshape(len(keys), m),
     )
@@ -298,7 +304,7 @@ def specs(m):
 
 
 def _assert_audit_matches_reference(spec, groups):
-    audit = audit_groups(spec, groups, int(groups.counts.sum()))
+    audit = audit_groups(spec, groups, int(groups.dense().sum()))
     reference = _reference_audit(spec, groups)
     assert audit.sizes.tolist() == [size for size, _, _ in reference]
     # s_g bit-identical (float ==, infinities included), same verdicts.
@@ -319,7 +325,7 @@ class TestColumnarAudit:
     @given(data=st.data())
     def test_matches_per_group_loop(self, data):
         groups = data.draw(group_counts())
-        spec = data.draw(specs(groups.counts.shape[1]))
+        spec = data.draw(specs(groups.dense().shape[1]))
         _assert_audit_matches_reference(spec, groups)
 
     def test_boundary_sizes_and_zero_sa_column(self):
@@ -329,7 +335,7 @@ class TestColumnarAudit:
         counts = np.array(
             [[a, n - a, 0] for n in range(1, 251) for a in range(n + 1)], dtype=np.int64
         )
-        groups = GroupCounts(np.arange(len(counts)).reshape(-1, 1), counts)
+        groups = GroupCounts.from_dense(np.arange(len(counts)).reshape(-1, 1), counts)
         audit = _assert_audit_matches_reference(spec, groups)
         floors = np.floor(audit.thresholds)
         assert (audit.sizes == floors).any() and (audit.sizes == floors + 1).any()
@@ -337,9 +343,9 @@ class TestColumnarAudit:
         assert not audit.private[audit.sizes == floors + 1].any()
 
     def test_empty_chunk_slice(self):
-        groups = GroupCounts(np.array([[0, 1], [2, 0]]), np.array([[3, 1], [0, 2]]))
+        groups = GroupCounts.from_dense(np.array([[0, 1], [2, 0]]), np.array([[3, 1], [0, 2]]))
         empty = groups[1:1]
-        assert len(empty) == 0 and empty.keys.shape == (0, 2) and empty.counts.shape == (0, 2)
+        assert len(empty) == 0 and empty.keys.shape == (0, 2) and empty.dense().shape == (0, 2)
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
         audit = audit_groups(spec, empty, 0)
         assert audit.n_groups == 0 and audit.is_private and audit.keys.shape == (0, 2)
@@ -351,7 +357,7 @@ class TestColumnarGeneralize:
     @settings(max_examples=60, deadline=None)
     @given(groups=group_counts())
     def test_column_totals_match_conditional_sa_counts(self, groups):
-        m = groups.counts.shape[1]
+        m = groups.dense().shape[1]
         for column in range(groups.keys.shape[1]):
             totals = groups.column_totals(column)
             reference = _reference_conditional_sa_counts(groups, column, m)
@@ -369,7 +375,7 @@ class TestColumnarGeneralize:
         recoded = groups.recode([np.array(code_map) for code_map in code_maps])
         reference = _reference_apply_code_maps(groups, code_maps)
         assert recoded.keys.tolist() == [list(key) for key, _ in reference]
-        assert recoded.counts.tolist() == [vector.tolist() for _, vector in reference]
+        assert recoded.dense().tolist() == [vector.tolist() for _, vector in reference]
 
 
 def _dict_sum(entries, m):
@@ -395,7 +401,7 @@ class TestGroupCountsReductions:
         )
         parts = data.draw(st.lists(st.lists(entry, max_size=8), min_size=1, max_size=3))
         aggregated = GroupCounts.aggregate(*(
-            GroupCounts(
+            GroupCounts.from_dense(
                 np.array([key for key, _ in part], dtype=np.int64).reshape(len(part), 2),
                 np.array([counts for _, counts in part], dtype=np.int64).reshape(len(part), m),
             )
@@ -403,7 +409,7 @@ class TestGroupCountsReductions:
         ))
         reference = _dict_sum([entry for part in parts for entry in part], m)
         assert aggregated.keys.tolist() == [list(key) for key, _ in reference]
-        assert aggregated.counts.tolist() == [counts for _, counts in reference]
+        assert aggregated.dense().tolist() == [counts for _, counts in reference]
 
     @settings(max_examples=80, deadline=None)
     @given(rows=st.lists(
@@ -416,7 +422,7 @@ class TestGroupCountsReductions:
         one_hot = [[n if code == sa else 0 for code in range(3)] for *_, sa, n in rows]
         reference = _dict_sum(zip(table[:, :2].tolist(), one_hot, strict=True), 3)
         assert groups.keys.tolist() == [list(key) for key, _ in reference]
-        assert groups.counts.tolist() == [counts for _, counts in reference]
+        assert groups.dense().tolist() == [counts for _, counts in reference]
 
     @settings(max_examples=80, deadline=None)
     @given(keys=st.lists(
@@ -479,7 +485,7 @@ def _decoded(schema, groups):
             tuple(attr.values[code] for attr, code in zip(schema.public, key)),
             {sensitive[code]: n for code, n in enumerate(counts) if n},
         )
-        for key, counts in zip(groups.keys.tolist(), groups.counts.tolist())
+        for key, counts in zip(groups.keys.tolist(), groups.dense().tolist())
     )
 
 
@@ -558,7 +564,7 @@ def _reference_sps_chunk(groups, spec, rng):
     p, m = spec.retention_probability, spec.domain_size
     plans = []  # (key, counts, size, threshold, sampled, sample counts)
     # Phase 1: sampling, one draw per non-integer entry, row-major.
-    for key, counts in zip(groups.keys.tolist(), groups.counts.tolist(), strict=True):
+    for key, counts in zip(groups.keys.tolist(), groups.dense().tolist(), strict=True):
         size = sum(counts)
         threshold = max_group_size(spec, max(counts) / size)
         if size <= threshold:
@@ -606,9 +612,9 @@ def _reference_sps_chunk(groups, spec, rng):
 
 def _reference_dp_chunk(mechanism, groups, rng):
     """One ``add_noise`` call per group, the DP kernel's former loop."""
-    m = groups.counts.shape[1]
+    m = groups.dense().shape[1]
     blocks = []
-    for key, counts in zip(groups.keys.tolist(), groups.counts, strict=True):
+    for key, counts in zip(groups.keys.tolist(), groups.dense(), strict=True):
         noisy = np.asarray(mechanism.add_noise(counts.astype(float), rng))
         published = np.maximum(0, np.rint(noisy)).astype(np.int64)
         blocks.append(_keyed(key, np.repeat(np.arange(m, dtype=np.int64), published)))
@@ -631,7 +637,7 @@ def _assert_sps_kernel_matches_loop(groups, spec, seed):
 def _chunk(rows, k=1):
     counts = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
     keys = np.arange(len(rows) * k, dtype=np.int64).reshape(len(rows), k)
-    return GroupCounts(keys, counts)
+    return GroupCounts.from_dense(keys, counts)
 
 
 def _schema(k, m):
@@ -647,7 +653,7 @@ class TestSPSKernel:
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_matches_four_phase_loop(self, data, seed):
         groups = data.draw(group_counts(max_count=400))
-        spec = data.draw(specs(groups.counts.shape[1]))
+        spec = data.draw(specs(groups.dense().shape[1]))
         _assert_sps_kernel_matches_loop(groups, spec, seed)
 
     def test_sampled_groups_with_zero_sa_columns(self):
@@ -676,7 +682,7 @@ class TestSPSKernel:
 
     def test_empty_chunk(self):
         spec = PrivacySpec(lam=0.3, delta=0.3, retention_probability=0.5, domain_size=2)
-        empty = GroupCounts(np.empty((0, 2)), np.empty((0, 2)))
+        empty = GroupCounts.from_dense(np.empty((0, 2)), np.empty((0, 2)))
         records = _assert_sps_kernel_matches_loop(empty, spec, 5)
         assert len(records) == 0 and records.n_sampled_groups == 0
 
@@ -694,7 +700,7 @@ class TestDPKernels:
         groups = data.draw(group_counts())
         strategy = get_strategy(name)
         resolved = strategy.resolve({"epsilon": epsilon})
-        schema = _schema(groups.keys.shape[1], groups.counts.shape[1])
+        schema = _schema(groups.keys.shape[1], groups.dense().shape[1])
         kernel = strategy.chunk_publisher(schema, None, resolved)
         expected_rng = np.random.default_rng(seed)
         expected = _reference_dp_chunk(strategy._mechanism(resolved), groups, expected_rng)
