@@ -225,6 +225,153 @@ class _FieldSpans:
         return values[inverse].tolist()
 
 
+def _key_words(keys: np.ndarray) -> list[np.ndarray]:
+    """The 64-bit words of field keys (``uint64``, or ``V{8k}`` of ``k`` words), one array each."""
+    if keys.dtype == np.uint64:
+        return [keys]
+    words = keys.view(np.uint64).reshape(len(keys), -1)
+    return [words[:, w] for w in range(words.shape[1])]
+
+
+@functools.lru_cache(maxsize=64)
+def _hash_multipliers(attempt: int, n_words: int) -> np.ndarray:
+    """Odd 64-bit multipliers, one per key word, for the ``attempt``-th hash tried.
+
+    Fixed constants: the splitmix64 sequence from the attempt number.
+    """
+    state, multipliers = attempt * n_words, []
+    for _ in range(n_words):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        multipliers.append((z ^ (z >> 31)) | 1)
+    return np.array(multipliers, dtype=np.uint64)
+
+
+def _hash_words(words: list[np.ndarray], attempt: int = 0) -> np.ndarray:
+    """A multiplicative hash of each key: the sum of its words times odd multipliers, mod 2^64."""
+    multipliers = _hash_multipliers(attempt, len(words))
+    hashed = words[0] * multipliers[0]
+    for word, multiplier in zip(words[1:], multipliers[1:], strict=True):
+        hashed += word * multiplier
+    return hashed
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows where each distinct key of ``keys`` first shows, in row order, and each row's index among them.
+
+    One unstable sort of the keys, or, for keys of several words, of their
+    hashes, checked against the keys (a hash collision falls back to an
+    exact sort of the keys).
+
+    >>> first, inverse = _first_seen(np.array([7, 3, 7, 5, 3], dtype=np.uint64))
+    >>> first.tolist(), inverse.tolist()
+    ([0, 1, 3], [0, 1, 0, 2, 1])
+    """
+    exact = keys.dtype == np.uint64
+    sortable = keys if exact else _hash_words(_key_words(keys))
+    order = np.argsort(sortable)
+    ordered = sortable[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    first = np.minimum.reduceat(order, starts)
+    seen = np.argsort(first)
+    # Each run's index in first-seen order, spread over the run's rows.
+    rank = np.empty(len(starts), dtype=np.int64)
+    rank[seen] = np.arange(len(starts))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.repeat(rank, np.diff(starts, append=len(keys)))
+    first = first[seen]
+    if not exact and np.any(keys[first][inverse] != keys):
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        seen = np.argsort(first)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[seen] = np.arange(len(first))
+        first, inverse = first[seen], rank[inverse]
+    return first, inverse
+
+
+class _KeyTable:
+    """A column's known field keys of one dtype and their codes, hashed for lookup.
+
+    Open addressing with linear probing: each key sits in the first free
+    slot from the top bits of its hash on, in a power-of-two array of slots
+    at most a quarter full, so a lookup is a few gathers and compares per
+    key with no sort or binary search.  Of a few hashes, the one that puts
+    the most keys in their own slot is kept.  ``bound`` exceeds every code
+    in the table.  A table is never changed in place; :meth:`extended`
+    builds a new one, so a lookup on another thread reads a consistent one.
+    """
+
+    __slots__ = ("keys", "codes", "bound", "_attempt", "_shift", "_slot_words", "_slot_codes", "_probes")
+
+    #: Hashes tried for a table of at most this many keys (one above it).
+    _TRY_KEYS = 1024
+    _ATTEMPTS = 8
+
+    def __init__(self, keys: np.ndarray, codes: np.ndarray, bound: int) -> None:
+        self.keys, self.codes, self.bound = keys, codes, bound
+        words = _key_words(keys)
+        n = len(keys)
+        bits = max(4, (4 * n - 1).bit_length())
+        self._shift = np.uint64(64 - bits)
+        attempts = self._ATTEMPTS if n <= self._TRY_KEYS else 1
+        homes = [(_hash_words(words, a) >> self._shift).astype(np.intp) for a in range(attempts)]
+        distinct = [len(np.unique(home)) for home in homes]
+        self._attempt = int(np.argmax(distinct))
+        slots = homes[self._attempt]
+        mask = (1 << bits) - 1
+        self._slot_codes = np.full(1 << bits, -1, dtype=np.int64)
+        self._slot_words = [np.zeros(1 << bits, dtype=np.uint64) for _ in words]
+        self._probes = 0
+        waiting = np.arange(n)
+        while True:
+            # Every waiting key bids for its slot; one bidder per free slot
+            # takes it and the rest move on to the next slot.
+            free = self._slot_codes[slots[waiting]] < 0
+            _, first = np.unique(slots[waiting[free]], return_index=True)
+            placed = waiting[free][first]
+            self._slot_codes[slots[placed]] = codes[placed]
+            for slot_word, word in zip(self._slot_words, words, strict=True):
+                slot_word[slots[placed]] = word[placed]
+            unplaced = np.ones(len(waiting), dtype=bool)
+            unplaced[np.flatnonzero(free)[first]] = False
+            waiting = waiting[unplaced]
+            if not len(waiting):
+                break
+            slots[waiting] = (slots[waiting] + 1) & mask
+            self._probes += 1
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The code of each of ``keys``, or -1 for a key the table does not hold."""
+        words = _key_words(keys)
+        slots = (_hash_words(words, self._attempt) >> self._shift).astype(np.intp)
+        codes = self._slot_codes[slots]
+        match = codes >= 0
+        for slot_word, word in zip(self._slot_words, words, strict=True):
+            match &= slot_word[slots] == word
+        if self._probes:
+            # A key found no match in an occupied slot: it may sit further on.
+            mask = len(self._slot_codes) - 1
+            waiting = np.flatnonzero(~match & (codes >= 0))
+            for _ in range(self._probes):
+                if not len(waiting):
+                    break
+                slots[waiting] = (slots[waiting] + 1) & mask
+                found = self._slot_codes[slots[waiting]]
+                hit = found >= 0
+                for slot_word, word in zip(self._slot_words, words, strict=True):
+                    hit &= slot_word[slots[waiting]] == word[waiting]
+                codes[waiting[hit]] = found[hit]
+                match[waiting[hit]] = True
+                waiting = waiting[~hit & (found >= 0)]
+        codes[~match] = -1
+        return codes
+
+    def extended(self, keys: np.ndarray, codes: np.ndarray, bound: int) -> "_KeyTable":
+        """A table also holding ``keys`` (none of them held yet) with ``codes``."""
+        return _KeyTable(np.concatenate((self.keys, keys)), np.concatenate((self.codes, codes)), bound)
+
+
 def _transpose_into(
     columns: list[list[str]], rows: Sequence[Sequence[str]], picks: Sequence[int]
 ) -> None:
@@ -249,6 +396,48 @@ def remap_columns(block: np.ndarray, remaps: Sequence[np.ndarray]) -> np.ndarray
     return remapped
 
 
+class KeyLookup:
+    """A chunk's provisional codes as far as a snapshot of the key tables gives them.
+
+    :meth:`ColumnEncoder.lookup` builds it and :meth:`ColumnEncoder.resolve`
+    completes it.  ``block`` holds each field the snapshot knew under its
+    code.  A field it missed holds a placeholder: ``base`` (a bound on every
+    code the snapshot held) plus the index of its key among the column's
+    distinct missed keys.  Distinct values keep distinct placeholders, so a
+    table of distinct rows reduced over ``block`` stays distinct once
+    :meth:`translate` swaps its placeholders for codes.  A chunk of string
+    columns (one the csv parser decoded) is not looked up: ``block`` is
+    ``None`` and :meth:`ColumnEncoder.resolve` encodes it whole.
+    """
+
+    __slots__ = ("chunk", "block", "misses", "codes")
+
+    def __init__(
+        self,
+        chunk: ColumnChunk,
+        block: np.ndarray | None,
+        misses: list[tuple[np.dtype, int, np.ndarray, np.ndarray] | None],
+    ) -> None:
+        self.chunk = chunk
+        self.block = block
+        #: Per column: ``None``, or the missed keys' dtype, ``base``, the
+        #: distinct missed keys in first-seen order and the row each first
+        #: shows in.
+        self.misses = misses
+        #: Per column, once resolved: ``None``, or ``base`` and the code of
+        #: each distinct missed key.
+        self.codes: list[tuple[int, np.ndarray] | None] = [None] * len(misses)
+
+    def translate(self, rows: np.ndarray) -> None:
+        """Swap the placeholders in ``rows`` (columns as in ``block``) for their codes, in place."""
+        for j, resolved in enumerate(self.codes):
+            if resolved is not None:
+                base, codes = resolved
+                column = rows[:, j]
+                missed = column >= base
+                column[missed] = codes[column[missed] - base]
+
+
 class ColumnEncoder:
     """Encode column chunks against one first-seen codebook per column.
 
@@ -257,6 +446,14 @@ class ColumnEncoder:
     per-record Python step.  :meth:`finalize` infers the schema (sorted
     domains, sensitive column last) and the provisional→final code tables,
     so a result never depends on how the records were chunked.
+
+    :meth:`encode` is two steps, which a caller may also take apart so a
+    thread pool does most of the work.  :meth:`lookup` gathers a byte-level
+    chunk's keys and looks them up in a snapshot of the key tables: it
+    changes nothing, so it may run on any thread, for several chunks at
+    once.  :meth:`resolve` codes the keys the snapshot missed against the
+    codebooks: it runs on one thread, once per chunk and in chunk order, so
+    first-seen codes never depend on which lookup finished first.
 
     >>> encoder = ColumnEncoder(["City"], "Disease")
     >>> encoder.encode(ColumnChunk([["Oslo", "Bergen"], ["Flu", "Flu"]])).tolist()
@@ -269,27 +466,77 @@ class ColumnEncoder:
     def __init__(self, public_names: Sequence[str], sensitive: str) -> None:
         self._names = [str(name) for name in public_names] + [str(sensitive)]
         self._books: list[dict[str, int]] = [{} for _ in self._names]
-        # Per column and key dtype: a sorted key table and the codes its keys
-        # have in the book -- a cache of the book for byte-level chunks.
-        self._tables: list[dict[np.dtype, tuple[np.ndarray, np.ndarray]]] = [
+        # Per column and key dtype: the keys seen and their codes in the
+        # book -- a cache of the book for byte-level chunks.
+        self._tables: list[dict[np.dtype, _KeyTable]] = [
             {} for _ in self._names
         ]
         self._remaps: tuple[np.ndarray, ...] | None = None
 
     def encode(self, chunk: ColumnChunk) -> np.ndarray:
         """The chunk as a ``(len(chunk), width)`` int64 block of provisional codes."""
+        return self.resolve(self.lookup(chunk))
+
+    def lookup(self, chunk: ColumnChunk) -> KeyLookup:
+        """Look a byte-level chunk's keys up in the key tables as they are now.
+
+        Safe on any thread while :meth:`resolve` runs on another.
+        """
         width = len(self._books)
         spans = chunk._spans
         n_fields = len(chunk.columns) if spans is None else spans.width
         if n_fields != width:
             raise ValueError(f"record has {n_fields} fields, expected {width}")
-        n = len(chunk)
-        block = np.empty((n, width), dtype=np.int64)
-        if spans is not None:
-            for j in range(width):
-                block[:, j] = self._encode_keys(j, spans)
-            return block
-        for j, (book, column) in enumerate(zip(self._books, chunk.columns, strict=True)):
+        if spans is None:
+            return KeyLookup(chunk, None, [None] * width)
+        # Column-major, so each column is written and read contiguously.
+        block = np.empty((len(chunk), width), dtype=np.int64, order="F")
+        misses = [self._lookup_keys(j, spans, block[:, j]) for j in range(width)]
+        return KeyLookup(chunk, block, misses)
+
+    def _lookup_keys(
+        self, j: int, spans: "_FieldSpans", out: np.ndarray
+    ) -> tuple[np.dtype, int, np.ndarray, np.ndarray] | None:
+        """Column ``j``'s keys looked up in its key table, codes or placeholders into ``out``.
+
+        ``None`` when the table knew every key; otherwise the
+        :attr:`KeyLookup.misses` entry :meth:`resolve` codes the rest from.
+        """
+        keys = spans.keys(j)
+        table = self._tables[j].get(keys.dtype)
+        if table is None:
+            first, out[:] = _first_seen(keys)
+            return keys.dtype, 0, keys[first], first
+        out[:] = table.lookup(keys)
+        missed = np.flatnonzero(out < 0)
+        if not len(missed):
+            return None
+        first, inverse = _first_seen(keys[missed])
+        out[missed] = table.bound + inverse
+        return keys.dtype, table.bound, keys[missed[first]], missed[first]
+
+    def resolve(self, lookup: KeyLookup) -> np.ndarray:
+        """The looked-up chunk as a ``(len(chunk), width)`` int64 block of provisional codes.
+
+        Codes the keys the lookup's snapshot missed, against the key tables
+        and books as they are now, so call it once per chunk, in chunk order.
+        """
+        if lookup.block is None:
+            return self._encode_columns(lookup.chunk.columns)
+        spans = lookup.chunk._spans
+        assert spans is not None
+        for j, miss in enumerate(lookup.misses):
+            if miss is not None:
+                dtype, base, new_keys, rows = miss
+                lookup.codes[j] = (base, self._code_keys(j, spans, dtype, new_keys, rows))
+        lookup.translate(lookup.block)
+        return lookup.block
+
+    def _encode_columns(self, columns: Sequence[Sequence[str]]) -> np.ndarray:
+        """String columns as a block of provisional codes, each through its book."""
+        n = len(columns[0]) if columns else 0
+        block = np.empty((n, len(self._books)), dtype=np.int64)
+        for j, (book, column) in enumerate(zip(self._books, columns, strict=True)):
             try:
                 block[:, j] = np.fromiter(map(book.__getitem__, column), np.int64, count=n)
             except KeyError:
@@ -300,40 +547,30 @@ class ColumnEncoder:
                 block[:, j] = np.fromiter(map(book.__getitem__, column), np.int64, count=n)
         return block
 
-    def _encode_keys(self, j: int, spans: "_FieldSpans") -> np.ndarray:
-        """Column ``j`` of a byte-level chunk: its keys looked up in the key table.
+    def _code_keys(
+        self, j: int, spans: "_FieldSpans", dtype: np.dtype, new_keys: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """The codes of column ``j``'s distinct keys ``new_keys``, first shown in increasing ``rows``.
 
-        Only keys the table misses are decoded, in first-seen order, and
-        looked up in (or added to) the book, so the codes are exactly those
-        the string path gives the same values.
+        Keys the key table holds by now are coded from it.  Only the rest
+        are decoded, in first-seen order, and looked up in (or added to) the
+        book, so the codes are exactly those the string path gives the same
+        values.
         """
-        keys = spans.keys(j)
-        table = self._tables[j].get(keys.dtype)
-        if table is not None:
-            known, codes = table
-            at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-            hit = known[at] == keys
-            if hit.all():
-                return codes[at]
-            missed = np.flatnonzero(~hit)
-        else:
-            known, codes = keys[:0], np.empty(0, dtype=np.int64)
-            missed = np.arange(len(keys))
-        new_keys, first = np.unique(keys[missed], return_index=True)
-        rows = missed[first]
-        seen = np.argsort(rows)
-        values = spans.texts(j, rows[seen])
+        table = self._tables[j].get(dtype)
+        codes = np.full(len(new_keys), -1, dtype=np.int64) if table is None else table.lookup(new_keys)
+        missing = np.flatnonzero(codes < 0)
+        if not len(missing):
+            return codes
+        values = spans.texts(j, rows[missing])
         book = self._books[j]
         # A value may be in the book under a key of another dtype already.
         new = list(itertools.filterfalse(book.__contains__, values))
         book.update(zip(new, range(len(book), len(book) + len(new)), strict=True))
-        new_codes = np.empty(len(new_keys), dtype=np.int64)
-        new_codes[seen] = np.fromiter(map(book.__getitem__, values), np.int64, count=len(values))
-        # ``new_keys`` come sorted: merge them in, with no sort of the whole table.
-        at = np.searchsorted(known, new_keys)
-        known, codes = np.insert(known, at, new_keys), np.insert(codes, at, new_codes)
-        self._tables[j][keys.dtype] = (known, codes)
-        return codes[np.searchsorted(known, keys)]
+        codes[missing] = np.fromiter(map(book.__getitem__, values), np.int64, count=len(values))
+        args = (new_keys[missing], codes[missing], len(book))
+        self._tables[j][dtype] = _KeyTable(*args) if table is None else table.extended(*args)
+        return codes
 
     @property
     def remaps(self) -> tuple[np.ndarray, ...]:

@@ -198,6 +198,7 @@ def _read_appended(
     appended: Any,
     delimiter: str,
     notify: ProgressCallback,
+    workers: int,
 ) -> tuple[Schema, GroupCounts, int]:
     """Index the appended rows (only them): their schema, groups and row count.
 
@@ -225,7 +226,7 @@ def _read_appended(
             state.sensitive, chunk_rows=state.chunk_rows,
         )
     index, _, _ = _index_source(
-        reader, notify, phase="append_read", header=state.header
+        reader, notify, phase="append_read", header=state.header, workers=workers
     )
     appended_schema, appended_groups = index.finalize()
     return appended_schema, appended_groups, index.n_rows
@@ -432,7 +433,7 @@ def delta_publish(
 
         with span("append_read", kind="stage") as sp:
             appended_schema, appended_groups, rows_appended = _read_appended(
-                state, appended, delimiter, notify
+                state, appended, delimiter, notify, workers
             )
         timings["append_read"] = sp.duration
 

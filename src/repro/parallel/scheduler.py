@@ -28,7 +28,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
@@ -122,44 +122,55 @@ def iter_ordered_map(
     workers: int = 1,
     n_tasks: int | None = None,
     task_chunks: Sequence[tuple[int, int]] | None = None,
+    max_inflight: int | None = None,
+    record: bool = True,
 ) -> Iterator[R]:
     """Apply ``fn(*payload)`` to every payload; yield results **in payload order**.
 
     The parallel primitive everything else builds on.  ``payloads`` may be a
     lazy iterator: at most ``2 * workers + 2`` tasks (``workers + 1`` runs
-    of chunks) are submitted and not yet yielded at once, so a
-    bounded-memory producer (e.g. the streaming engine's row spool) stays
-    bounded through the pool.  It runs inline when ``workers <= 1`` or
-    ``n_tasks <= 1``, on ``workers`` threads otherwise.  ``task_chunks``
+    of chunks, or ``max_inflight`` tasks when given) are submitted and not
+    yet yielded at once, so a bounded-memory producer (e.g. the streaming
+    engine's row spool) stays bounded through the pool.  It runs inline when
+    ``workers <= 1`` or there is at most one task (``n_tasks``, or else the
+    payloads are peeked), on ``workers`` threads otherwise.  ``task_chunks``
     gives each task's ``(first_chunk, n_chunks)`` (task ``i`` is chunk ``i``
     by default; it also sets ``n_tasks``): the chunk counter counts chunks
-    and each task's span names them.  A worker exception propagates to the
-    caller when its task's turn comes, after every earlier result; the pool
-    is shut down (pending work cancelled) on any failure or early consumer
-    exit.
+    and each task's span names them.  With ``record=False`` the tasks are
+    not chunks of a publish, and neither a span nor a chunk count is
+    recorded for them.  A worker exception propagates to the caller when its
+    task's turn comes, after every earlier result; the pool is shut down
+    (pending work cancelled) on any failure or early consumer exit.
     """
     # With a tracer active, each task is timed inside its worker and the
     # finished span records are merged here in task order (deterministic
     # trace structure at any worker count — only the timing values move).
-    tracer = current_tracer()
+    tracer = current_tracer() if record else None
     exec_fn: Callable[..., Any] = _TimedKernel(fn) if tracer is not None else fn
     if task_chunks is not None:
         n_tasks = len(task_chunks)
+    iterator = iter(payloads)
+    if n_tasks is None and workers > 1:
+        head = list(islice(iterator, 2))
+        n_tasks = None if len(head) > 1 else len(head)
+        iterator = chain(head, iterator)
 
     def emit(item: Any, index: int, backend: str) -> Any:
+        if not record:
+            return item
         first, n = (index, 1) if task_chunks is None else task_chunks[index]
         return _emit_task(tracer, item, first, n, backend, workers)
 
     if workers <= 1 or (n_tasks is not None and n_tasks <= 1):
-        for index, payload in enumerate(payloads):
+        for index, payload in enumerate(iterator):
             yield emit(exec_fn(*payload), index, "serial")
         return
 
-    # A run task's result is a whole run's block: keep every worker busy
-    # plus one result ready, not a second round of runs.
-    max_inflight = 2 * workers + 2 if task_chunks is None else workers + 1
+    if max_inflight is None:
+        # A run task's result is a whole run's block: keep every worker busy
+        # plus one result ready, not a second round of runs.
+        max_inflight = 2 * workers + 2 if task_chunks is None else workers + 1
     executor = ThreadPoolExecutor(max_workers=workers)
-    iterator = iter(payloads)
     futures: deque[Future[Any]] = deque()
     try:
         index = 0

@@ -32,6 +32,7 @@ consumption — for every registered strategy.  This holds because
 from __future__ import annotations
 
 import inspect
+import itertools
 import os
 import secrets
 import tempfile
@@ -480,6 +481,7 @@ def _index_source(
     phase: str = "read",
     header: Sequence[str] | None = None,
     spool_rows: bool = False,
+    workers: int = 1,
 ) -> tuple[IncrementalGroupIndex, _RowSpool | None, float]:
     """One bounded-memory pass indexing every chunk of ``reader``, in order.
 
@@ -490,39 +492,45 @@ def _index_source(
     :class:`_RowSpool`, which is closed here if the read fails.  Returns the
     index, the spool (or ``None``) and the seconds spent writing the spool,
     so the read timing stays pure parse+index work.
+
+    The caller's thread splits the source into chunks.  At ``workers > 1``
+    each chunk's key lookup and pair reduction
+    (:meth:`IncrementalGroupIndex.prepare`) run on the pool, at most
+    ``workers + 1`` chunks ahead, while the caller splits the next chunk;
+    the caller then absorbs the results in chunk order.  A one-chunk source
+    runs inline.  The index, the spooled codes, the progress events and
+    every error are the same at any ``workers``.
     """
-    index: IncrementalGroupIndex | None = None
     spool: _RowSpool | None = None
     spool_seconds = 0.0
+    chunks = reader.chunks()
     try:
-        for chunk in reader.chunks():
-            if index is None:
-                if header is not None and reader.header != list(header):
-                    raise SchemaError(
-                        f"{reader.label}: header {reader.header} does not match "
-                        f"the published dataset's header {list(header)}"
-                    )
-                public_names = reader.public_names or []
-                index = IncrementalGroupIndex(public_names, reader.sensitive)
-                if spool_rows:
-                    spool = _RowSpool(len(public_names) + 1)
+        first = next(chunks, None)
+        assert first is not None  # reader raises on empty input
+        if header is not None and reader.header != list(header):
+            raise SchemaError(
+                f"{reader.label}: header {reader.header} does not match "
+                f"the published dataset's header {list(header)}"
+            )
+        public_names = reader.public_names or []
+        index = IncrementalGroupIndex(public_names, reader.sensitive)
+        if spool_rows:
+            spool = _RowSpool(len(public_names) + 1)
+        payloads = ((chunk,) for chunk in itertools.chain([first], chunks))
+        prepared = iter_ordered_map(
+            index.prepare, payloads, workers=workers, max_inflight=workers + 1, record=False
+        )
+        for n_chunks, item in enumerate(prepared, start=1):
+            encoded = index.absorb(item)
             if spool is not None:
-                encoded = index.update_encoded(chunk)
                 with span("spool", kind="io") as spool_sp:
                     spool.append(encoded)
                 spool_seconds += spool_sp.duration
-            else:
-                index.update(chunk)
-            notify({
-                "phase": phase,
-                "rows_read": reader.rows_read,
-                "chunks_read": reader.chunks_read,
-            })
+            notify({"phase": phase, "rows_read": index.n_rows, "chunks_read": n_chunks})
     except BaseException:
         if spool is not None:
             spool.close()
         raise
-    assert index is not None  # reader raises on empty input
     return index, spool, spool_seconds
 
 
@@ -585,9 +593,12 @@ def _run(
                     source, sensitive, chunk_rows=chunk_rows, delimiter=delimiter
                 )
                 index, spool, spool_seconds = _index_source(
-                    reader, notify, spool_rows=strategy.streams_rows
+                    reader, notify, spool_rows=strategy.streams_rows, workers=workers
                 )
-                sp.set(rows=reader.rows_read, chunks=reader.chunks_read)
+                sp.set(
+                    rows=reader.rows_read, chunks=reader.chunks_read,
+                    pairs_sorted=index.pairs_sorted,
+                )
             timings["read"] = max(0.0, sp.duration - spool_seconds)
             timings["spool"] = spool_seconds
 

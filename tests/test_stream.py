@@ -9,6 +9,7 @@ every registered strategy, at any ``chunk_rows``.  Pinned here the same way
 
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -158,6 +159,42 @@ class TestReaderErrorContract:
             "name(s) ['City']; every column needs its own name"
         )
         assert sizes == []
+
+
+class TestPoolReadErrors:
+    """A read on the pool fails as the inline read does, and leaves no thread behind."""
+
+    @staticmethod
+    def _failure(path, workers):
+        baseline = threading.active_count()
+        with pytest.raises((SchemaError, UnicodeDecodeError)) as raised:
+            stream_publish(
+                path, sensitive="Disease", strategy="dp-laplace", rng=1,
+                chunk_rows=10, workers=workers, output=path.with_suffix(".out.csv"),
+            )
+        assert threading.active_count() == baseline
+        assert not path.with_suffix(".out.csv").exists()
+        return type(raised.value), str(raised.value)
+
+    def test_ragged_row_in_a_late_chunk_names_its_line(self, tmp_path):
+        lines = [f"C{i % 7},D{i % 3}\n".encode() for i in range(60)]
+        lines[44] = b"only-one-field\n"  # line 46: chunk 4 (the fifth)
+        path = tmp_path / "ragged.csv"
+        path.write_bytes(b"City,Disease\n" + b"".join(lines))
+        failures = {workers: self._failure(path, workers) for workers in (1, 2)}
+        assert failures[1] == failures[2] == (
+            SchemaError, f"{path}, line 46: row has 1 fields but the header has 2"
+        )
+
+    def test_invalid_utf8_in_a_late_chunk_names_its_line(self, tmp_path):
+        lines = [f"C{i % 7},D{i % 3}\n".encode() for i in range(60)]
+        lines[37] = b"C\xff,D1\n"  # line 39: chunk 3 (the fourth)
+        path = tmp_path / "bad-utf8.csv"
+        path.write_bytes(b"City,Disease\n" + b"".join(lines))
+        failures = {workers: self._failure(path, workers) for workers in (1, 2)}
+        assert failures[1] == failures[2]
+        assert failures[2][0] is UnicodeDecodeError
+        assert f"({path}, line 39)" in failures[2][1]
 
 
 # --------------------------------------------------------------------- #
