@@ -225,153 +225,6 @@ class _FieldSpans:
         return values[inverse].tolist()
 
 
-def _key_words(keys: np.ndarray) -> list[np.ndarray]:
-    """The 64-bit words of field keys (``uint64``, or ``V{8k}`` of ``k`` words), one array each."""
-    if keys.dtype == np.uint64:
-        return [keys]
-    words = keys.view(np.uint64).reshape(len(keys), -1)
-    return [words[:, w] for w in range(words.shape[1])]
-
-
-@functools.lru_cache(maxsize=64)
-def _hash_multipliers(attempt: int, n_words: int) -> np.ndarray:
-    """Odd 64-bit multipliers, one per key word, for the ``attempt``-th hash tried.
-
-    Fixed constants: the splitmix64 sequence from the attempt number.
-    """
-    state, multipliers = attempt * n_words, []
-    for _ in range(n_words):
-        state = (state + 0x9E3779B97F4A7C15) % 2**64
-        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
-        multipliers.append((z ^ (z >> 31)) | 1)
-    return np.array(multipliers, dtype=np.uint64)
-
-
-def _hash_words(words: list[np.ndarray], attempt: int = 0) -> np.ndarray:
-    """A multiplicative hash of each key: the sum of its words times odd multipliers, mod 2^64."""
-    multipliers = _hash_multipliers(attempt, len(words))
-    hashed = words[0] * multipliers[0]
-    for word, multiplier in zip(words[1:], multipliers[1:], strict=True):
-        hashed += word * multiplier
-    return hashed
-
-
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows where each distinct key of ``keys`` first shows, in row order, and each row's index among them.
-
-    One unstable sort of the keys, or, for keys of several words, of their
-    hashes, checked against the keys (a hash collision falls back to an
-    exact sort of the keys).
-
-    >>> first, inverse = _first_seen(np.array([7, 3, 7, 5, 3], dtype=np.uint64))
-    >>> first.tolist(), inverse.tolist()
-    ([0, 1, 3], [0, 1, 0, 2, 1])
-    """
-    exact = keys.dtype == np.uint64
-    sortable = keys if exact else _hash_words(_key_words(keys))
-    order = np.argsort(sortable)
-    ordered = sortable[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    first = np.minimum.reduceat(order, starts)
-    seen = np.argsort(first)
-    # Each run's index in first-seen order, spread over the run's rows.
-    rank = np.empty(len(starts), dtype=np.int64)
-    rank[seen] = np.arange(len(starts))
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.repeat(rank, np.diff(starts, append=len(keys)))
-    first = first[seen]
-    if not exact and np.any(keys[first][inverse] != keys):
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        seen = np.argsort(first)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[seen] = np.arange(len(first))
-        first, inverse = first[seen], rank[inverse]
-    return first, inverse
-
-
-class _KeyTable:
-    """A column's known field keys of one dtype and their codes, hashed for lookup.
-
-    Open addressing with linear probing: each key sits in the first free
-    slot from the top bits of its hash on, in a power-of-two array of slots
-    at most a quarter full, so a lookup is a few gathers and compares per
-    key with no sort or binary search.  Of a few hashes, the one that puts
-    the most keys in their own slot is kept.  ``bound`` exceeds every code
-    in the table.  A table is never changed in place; :meth:`extended`
-    builds a new one, so a lookup on another thread reads a consistent one.
-    """
-
-    __slots__ = ("keys", "codes", "bound", "_attempt", "_shift", "_slot_words", "_slot_codes", "_probes")
-
-    #: Hashes tried for a table of at most this many keys (one above it).
-    _TRY_KEYS = 1024
-    _ATTEMPTS = 8
-
-    def __init__(self, keys: np.ndarray, codes: np.ndarray, bound: int) -> None:
-        self.keys, self.codes, self.bound = keys, codes, bound
-        words = _key_words(keys)
-        n = len(keys)
-        bits = max(4, (4 * n - 1).bit_length())
-        self._shift = np.uint64(64 - bits)
-        attempts = self._ATTEMPTS if n <= self._TRY_KEYS else 1
-        homes = [(_hash_words(words, a) >> self._shift).astype(np.intp) for a in range(attempts)]
-        distinct = [len(np.unique(home)) for home in homes]
-        self._attempt = int(np.argmax(distinct))
-        slots = homes[self._attempt]
-        mask = (1 << bits) - 1
-        self._slot_codes = np.full(1 << bits, -1, dtype=np.int64)
-        self._slot_words = [np.zeros(1 << bits, dtype=np.uint64) for _ in words]
-        self._probes = 0
-        waiting = np.arange(n)
-        while True:
-            # Every waiting key bids for its slot; one bidder per free slot
-            # takes it and the rest move on to the next slot.
-            free = self._slot_codes[slots[waiting]] < 0
-            _, first = np.unique(slots[waiting[free]], return_index=True)
-            placed = waiting[free][first]
-            self._slot_codes[slots[placed]] = codes[placed]
-            for slot_word, word in zip(self._slot_words, words, strict=True):
-                slot_word[slots[placed]] = word[placed]
-            unplaced = np.ones(len(waiting), dtype=bool)
-            unplaced[np.flatnonzero(free)[first]] = False
-            waiting = waiting[unplaced]
-            if not len(waiting):
-                break
-            slots[waiting] = (slots[waiting] + 1) & mask
-            self._probes += 1
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The code of each of ``keys``, or -1 for a key the table does not hold."""
-        words = _key_words(keys)
-        slots = (_hash_words(words, self._attempt) >> self._shift).astype(np.intp)
-        codes = self._slot_codes[slots]
-        match = codes >= 0
-        for slot_word, word in zip(self._slot_words, words, strict=True):
-            match &= slot_word[slots] == word
-        if self._probes:
-            # A key found no match in an occupied slot: it may sit further on.
-            mask = len(self._slot_codes) - 1
-            waiting = np.flatnonzero(~match & (codes >= 0))
-            for _ in range(self._probes):
-                if not len(waiting):
-                    break
-                slots[waiting] = (slots[waiting] + 1) & mask
-                found = self._slot_codes[slots[waiting]]
-                hit = found >= 0
-                for slot_word, word in zip(self._slot_words, words, strict=True):
-                    hit &= slot_word[slots[waiting]] == word[waiting]
-                codes[waiting[hit]] = found[hit]
-                match[waiting[hit]] = True
-                waiting = waiting[~hit & (found >= 0)]
-        codes[~match] = -1
-        return codes
-
-    def extended(self, keys: np.ndarray, codes: np.ndarray, bound: int) -> "_KeyTable":
-        """A table also holding ``keys`` (none of them held yet) with ``codes``."""
-        return _KeyTable(np.concatenate((self.keys, keys)), np.concatenate((self.codes, codes)), bound)
-
-
 def _transpose_into(
     columns: list[list[str]], rows: Sequence[Sequence[str]], picks: Sequence[int]
 ) -> None:
@@ -421,8 +274,8 @@ class KeyLookup:
         self.chunk = chunk
         self.block = block
         #: Per column: ``None``, or the missed keys' dtype, ``base``, the
-        #: distinct missed keys in first-seen order and the row each first
-        #: shows in.
+        #: distinct missed keys (sorted, each at its placeholder's index)
+        #: and the row each first shows in.
         self.misses = misses
         #: Per column, once resolved: ``None``, or ``base`` and the code of
         #: each distinct missed key.
@@ -466,9 +319,11 @@ class ColumnEncoder:
     def __init__(self, public_names: Sequence[str], sensitive: str) -> None:
         self._names = [str(name) for name in public_names] + [str(sensitive)]
         self._books: list[dict[str, int]] = [{} for _ in self._names]
-        # Per column and key dtype: the keys seen and their codes in the
-        # book -- a cache of the book for byte-level chunks.
-        self._tables: list[dict[np.dtype, _KeyTable]] = [
+        # Per column and key dtype: a sorted key table, the codes its keys
+        # have in the book and a bound on those codes -- a cache of the book
+        # for byte-level chunks.  A table is replaced, never changed in
+        # place, so a lookup on another thread reads a consistent one.
+        self._tables: list[dict[np.dtype, tuple[np.ndarray, np.ndarray, int]]] = [
             {} for _ in self._names
         ]
         self._remaps: tuple[np.ndarray, ...] | None = None
@@ -505,15 +360,19 @@ class ColumnEncoder:
         keys = spans.keys(j)
         table = self._tables[j].get(keys.dtype)
         if table is None:
-            first, out[:] = _first_seen(keys)
-            return keys.dtype, 0, keys[first], first
-        out[:] = table.lookup(keys)
-        missed = np.flatnonzero(out < 0)
-        if not len(missed):
+            new_keys, first, out[:] = np.unique(keys, return_index=True, return_inverse=True)
+            return keys.dtype, 0, new_keys, first
+        known, codes, bound = table
+        at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        hit = known[at] == keys
+        if hit.all():
+            out[:] = codes[at]
             return None
-        first, inverse = _first_seen(keys[missed])
-        out[missed] = table.bound + inverse
-        return keys.dtype, table.bound, keys[missed[first]], missed[first]
+        missed = np.flatnonzero(~hit)
+        new_keys, first, inverse = np.unique(keys[missed], return_index=True, return_inverse=True)
+        out[:] = codes[at]
+        out[missed] = bound + inverse
+        return keys.dtype, bound, new_keys, missed[first]
 
     def resolve(self, lookup: KeyLookup) -> np.ndarray:
         """The looked-up chunk as a ``(len(chunk), width)`` int64 block of provisional codes.
@@ -550,7 +409,7 @@ class ColumnEncoder:
     def _code_keys(
         self, j: int, spans: "_FieldSpans", dtype: np.dtype, new_keys: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
-        """The codes of column ``j``'s distinct keys ``new_keys``, first shown in increasing ``rows``.
+        """The codes of column ``j``'s sorted distinct keys ``new_keys``, each first shown in ``rows``.
 
         Keys the key table holds by now are coded from it.  Only the rest
         are decoded, in first-seen order, and looked up in (or added to) the
@@ -558,19 +417,29 @@ class ColumnEncoder:
         values.
         """
         table = self._tables[j].get(dtype)
-        codes = np.full(len(new_keys), -1, dtype=np.int64) if table is None else table.lookup(new_keys)
-        missing = np.flatnonzero(codes < 0)
+        if table is None:
+            known, codes = new_keys[:0], np.empty(0, dtype=np.int64)
+            new_codes = np.full(len(new_keys), -1, dtype=np.int64)
+        else:
+            known, codes, _ = table
+            at = np.minimum(np.searchsorted(known, new_keys), len(known) - 1)
+            new_codes = np.where(known[at] == new_keys, codes[at], -1)
+        missing = np.flatnonzero(new_codes < 0)
         if not len(missing):
-            return codes
-        values = spans.texts(j, rows[missing])
+            return new_codes
+        seen = np.argsort(rows[missing])
+        values = spans.texts(j, rows[missing[seen]])
         book = self._books[j]
         # A value may be in the book under a key of another dtype already.
         new = list(itertools.filterfalse(book.__contains__, values))
         book.update(zip(new, range(len(book), len(book) + len(new)), strict=True))
-        codes[missing] = np.fromiter(map(book.__getitem__, values), np.int64, count=len(values))
-        args = (new_keys[missing], codes[missing], len(book))
-        self._tables[j][dtype] = _KeyTable(*args) if table is None else table.extended(*args)
-        return codes
+        new_codes[missing[seen]] = np.fromiter(map(book.__getitem__, values), np.int64, count=len(values))
+        # The missing keys come sorted: merge them in, with no sort of the whole table.
+        at = np.searchsorted(known, new_keys[missing])
+        known = np.insert(known, at, new_keys[missing])
+        codes = np.insert(codes, at, new_codes[missing])
+        self._tables[j][dtype] = (known, codes, len(book))
+        return new_codes
 
     @property
     def remaps(self) -> tuple[np.ndarray, ...]:

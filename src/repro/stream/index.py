@@ -34,7 +34,6 @@ from repro.dataset.groups import (
     _decode_row_codes,
     _key_radices,
     _row_codes,
-    _run_starts,
     _sorted_runs,
     _summed_cells,
 )
@@ -49,44 +48,19 @@ PairTable = tuple[np.ndarray, np.ndarray]
 def _distinct_rows(rows: np.ndarray, weights: np.ndarray | None = None) -> PairTable:
     """The distinct rows of non-empty ``rows`` (as columns) and how many rows (or how much weight) each has.
 
-    Each row's codes, and its weight, are packed into the bits of one
-    ``int64``, so one ``np.sort`` brings equal rows together and shifts
-    take the codes apart again.  Rows too wide to pack take one sort of
-    their mixed-radix codes, or a lexsort of the columns.  ``rows`` reads
-    fastest as the transpose of contiguous columns.
+    One sort of the rows' mixed-radix codes, or a lexsort of the columns
+    when those codes would overflow ``int64``.  ``rows`` reads fastest as
+    the transpose of contiguous columns.
     """
-    bits = [int(column.max()).bit_length() for column in rows.T]
-    weight_bits = 0 if weights is None else int(weights.max()).bit_length()
-    if sum(bits) + weight_bits > 63:
-        radices = _key_radices(rows)
-        codes = None if radices is None else _row_codes(rows, radices)
-        if codes is not None:
-            assert radices is not None
-            cells, counts = _summed_cells(codes, weights)
-            return _decode_row_codes(cells, radices).T, counts
-        order, starts = _sorted_runs(rows)
-        ordered = np.ones(len(rows), dtype=np.int64) if weights is None else weights[order]
-        return np.ascontiguousarray(rows[order[starts]].T), np.add.reduceat(ordered, starts)
-    packed = np.zeros(len(rows), dtype=np.int64)
-    for column, width in zip(rows.T, bits, strict=True):
-        packed <<= width
-        packed |= column
-    if weights is not None:
-        packed <<= weight_bits
-        packed |= weights
-    packed.sort()
-    cells = packed >> weight_bits
-    starts = _run_starts(cells)
-    if weights is None:
-        counts = np.diff(starts, append=len(cells))
-    else:
-        counts = np.add.reduceat(packed & ((1 << weight_bits) - 1), starts)
-    cells = cells[starts]
-    columns = np.empty((len(bits), len(cells)), dtype=np.int64)
-    for j in range(len(bits) - 1, -1, -1):
-        np.bitwise_and(cells, (1 << bits[j]) - 1, out=columns[j])
-        cells >>= bits[j]
-    return columns, counts
+    radices = _key_radices(rows)
+    codes = None if radices is None else _row_codes(rows, radices)
+    if codes is not None:
+        assert radices is not None
+        cells, counts = _summed_cells(codes, weights)
+        return _decode_row_codes(cells, radices).T, counts
+    order, starts = _sorted_runs(rows)
+    ordered = np.ones(len(rows), dtype=np.int64) if weights is None else weights[order]
+    return np.ascontiguousarray(rows[order[starts]].T), np.add.reduceat(ordered, starts)
 
 
 class IncrementalGroupIndex:
