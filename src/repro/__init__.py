@@ -79,7 +79,7 @@ from repro.delta import (
 from repro.queries.workload import WorkloadConfig, generate_workload
 from repro.queries.count_query import CountQuery, answer_on_perturbed, answer_on_raw
 
-__version__ = "21.1.0"
+__version__ = "21.2.0"
 
 __all__ = [
     "PrivacySpec",

@@ -36,11 +36,15 @@ back to regenerating all chunks — loudly, via a warning log and
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import logging
 import os
+import threading
 import zlib
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import closing
+from functools import partial
 from pathlib import Path
 from typing import IO, Any, cast
 
@@ -244,11 +248,12 @@ def _merge(
     publish of all rows infers), the merged groups, and for each appended
     group its position in the merged groups and whether it is new there.
     Both sides' codes are mapped onto the union's domains with
-    ``np.searchsorted``; one ``searchsorted`` of the appended keys' row codes
-    into the base's then places every appended group.  The cells merge the
-    same way, as ``(merged group, SA code)`` codes: cells that exist are
-    summed, new ones go in with ``np.insert``, and nothing of the base is
-    sorted.
+    ``np.searchsorted``, except in a column whose domain already is the
+    union's, which keeps its codes; one ``searchsorted`` of the appended
+    keys' row codes into the base's then places every appended group.  The
+    cells merge the same way, as ``(merged group, SA code)`` codes: cells
+    that exist are summed, new ones go in with ``np.insert``, and nothing
+    of the base is sorted or, without new groups or cells, copied.
     """
     pairs = list(zip(
         (*base_schema.public, base_schema.sensitive),
@@ -256,22 +261,30 @@ def _merge(
         strict=True,
     ))
     domains = [np.array(sorted({*a.values, *b.values}), dtype=object) for a, b in pairs]
-    attributes = [Attribute(a.name, tuple(d)) for (a, _), d in zip(pairs, domains, strict=True)]
+    attributes = [
+        a if a.size == len(d) else Attribute(a.name, tuple(d))
+        for (a, _), d in zip(pairs, domains, strict=True)
+    ]
     union = Schema(public=attributes[:-1], sensitive=attributes[-1])
+    m = union.sensitive_domain_size
 
     def onto(schema: Schema, groups: GroupCounts) -> GroupCounts:
-        # Both domains are sorted, so the maps are increasing: keys stay
-        # unique and sorted without a re-sort.
+        # The union holds a column's own values, so the same size means the
+        # same domain.  Both domains are sorted, so the other maps are
+        # increasing: keys stay unique and sorted without a re-sort.
         *key_maps, sa_map = (
-            np.searchsorted(domain, np.array(attr.values, dtype=object))
+            None if attr.size == len(domain)
+            else np.searchsorted(domain, np.array(attr.values, dtype=object))
             for attr, domain in zip((*schema.public, schema.sensitive), domains, strict=True)
         )
-        keys = np.stack(
-            [code_map[column] for code_map, column in zip(key_maps, groups.keys.T, strict=True)],
-            axis=1,
-        )
-        codes = groups.codes if schema.sensitive == union.sensitive else sa_map[groups.codes]
-        return GroupCounts(keys, groups.offsets, codes, groups.n, union.sensitive_domain_size)
+        keys = groups.keys
+        if any(code_map is not None for code_map in key_maps):
+            keys = np.stack([
+                column if code_map is None else code_map[column]
+                for code_map, column in zip(key_maps, keys.T, strict=True)
+            ], axis=1)
+        codes = groups.codes if sa_map is None else sa_map[groups.codes]
+        return GroupCounts(keys, groups.offsets, codes, groups.n, m)
 
     base, appended = onto(base_schema, base), onto(appended_schema, appended)
     at, found = _locate(base.keys, appended.keys, [attr.size for attr in union.public])
@@ -281,8 +294,7 @@ def _merge(
     # plus the new groups inserted at or before it.
     positions = at + np.cumsum(new) - new
     shifted = np.arange(len(base)) + np.searchsorted(at[new], np.arange(len(base)), side="right")
-    keys = np.insert(base.keys, at[new], appended.keys[new], axis=0)
-    m = union.sensitive_domain_size
+    keys = np.insert(base.keys, at[new], appended.keys[new], axis=0) if new.any() else base.keys
     # Both cell lists are sorted and unique by (merged group, SA code).
     base_cells = np.repeat(shifted, np.diff(base.offsets)) * m + base.codes
     added_cells = np.repeat(positions, np.diff(appended.offsets)) * m + appended.codes
@@ -290,6 +302,9 @@ def _merge(
     summed = base.n.copy()
     summed[cell_at[cell_found]] += appended.n[cell_found]
     cell_new = ~cell_found
+    if not cell_new.any():
+        # No new cell means no new group: the base's cell layout stands.
+        return union, GroupCounts(keys, base.offsets, base.codes, summed, m), positions, new
     cells = np.insert(base_cells, cell_at[cell_new], added_cells[cell_new])
     n = np.insert(summed, cell_at[cell_new], appended.n[cell_new])
     cell_groups, codes = np.divmod(cells, m)
@@ -349,9 +364,9 @@ def _tampered(path: Path, detail: str) -> ValueError:
 def _check_base(base: IO[bytes], path: Path, header: bytes, chunk_bytes: int) -> None:
     """Check the published base's total size and header bytes.
 
-    Leaves ``base`` positioned at the first chunk.  Together with the CRC32
-    of each clean chunk the splice copies, this refuses a base file that was
-    truncated, extended or edited since its delta state recorded it.
+    Together with the CRC32 of each clean chunk the splice copies, this
+    refuses a base file that was truncated, extended or edited since its
+    delta state recorded it.
     """
     expected = len(header) + chunk_bytes
     size = os.fstat(base.fileno()).st_size
@@ -359,6 +374,82 @@ def _check_base(base: IO[bytes], path: Path, header: bytes, chunk_bytes: int) ->
         raise _tampered(path, f"has {size} bytes, the delta state records {expected}")
     if base.read(len(header)) != header:
         raise _tampered(path, "has a header the delta state does not record")
+
+
+def _copy_clean(
+    base: int,
+    path: Path,
+    state: DeltaState,
+    starts: Sequence[int],
+    first: int,
+    stop: int,
+    out: int,
+    at: int,
+) -> None:
+    """Copy the base's clean chunks ``first..stop`` to ``out`` from offset ``at``.
+
+    The caller copies the first half of the chunks and one helper thread
+    the second, each with :func:`_copy_chunks`.  The copy is I/O and CRC32
+    work, which releases the GIL, so it takes the helper whatever the
+    ``workers`` of the append.  A failure on the helper reaches the caller
+    as it was raised, and the helper is joined before this returns or
+    raises, so it never writes to a descriptor its caller has closed.
+    """
+    shift = at - starts[first]
+    mid = first + (stop - first + 1) // 2
+    if mid == stop:
+        _copy_chunks(base, path, state, starts, first, stop, out, shift)
+        return
+    failure: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            _copy_chunks(base, path, state, starts, mid, stop, out, shift)
+        except BaseException as exc:  # re-raised on the caller's thread below
+            failure.append(exc)
+
+    thread = threading.Thread(target=helper, name="repro-splice-copy")
+    thread.start()
+    try:
+        _copy_chunks(base, path, state, starts, first, mid, out, shift)
+    finally:
+        thread.join()
+    if failure:
+        raise failure[0]
+
+
+def _copy_chunks(
+    base: int,
+    path: Path,
+    state: DeltaState,
+    starts: Sequence[int],
+    first: int,
+    stop: int,
+    out: int,
+    shift: int,
+) -> None:
+    """Copy chunks ``first..stop`` of the base to ``out``, each ``shift`` bytes on, CRC-checked.
+
+    Each chunk is read with ``os.preadv`` into one chunk-sized buffer,
+    checked against its recorded CRC32 and written with ``os.pwrite``: all
+    three release the GIL, and no file position is shared, so two threads
+    can copy side by side.  A short read (a base truncated since
+    :func:`_check_base`) fails the check like an edit does.  No ``mmap``:
+    a mapped base truncated under it would kill the process with
+    ``SIGBUS`` instead of raising.
+    """
+    buffer = memoryview(bytearray(max(state.chunk_bytes[first:stop])))
+    for i in range(first, stop):
+        nbytes = state.chunk_bytes[i]
+        data = buffer[:nbytes]
+        if (
+            os.preadv(base, [data], starts[i]) != nbytes
+            or zlib.crc32(data) != state.chunk_crc32[i]
+        ):
+            raise _tampered(path, f"chunk {i} fails its CRC32 check")
+        at, written = starts[i] + shift, 0
+        while written < nbytes:
+            written += os.pwrite(out, data[written:], at + written)
 
 
 def delta_publish(
@@ -392,6 +483,11 @@ def delta_publish(
     workers:
         Fan dirty-chunk regeneration out over this many threads through the
         shared scheduler; byte-identity is preserved at any worker count.
+        The copy of the clean chunks does not count against it: the caller
+        and always one helper thread each copy half of every span of clean
+        chunks, whose reads, CRC32s and writes release the GIL.  The base
+        is read, never mapped, so a base truncated mid-copy raises the
+        "modified outside the delta engine" error instead of ``SIGBUS``.
     audit:
         Re-audit from the merged counts (no row re-read — ``O(groups)``).
     delimiter:
@@ -483,38 +579,39 @@ def delta_publish(
             )
             records: list[SPSRecords | None] = []
             writer = _CsvSink(target, new_schema, crc32=True)
+            dirty_ids = sorted(dirty)
             regen = iter_run_results(
                 _audited(merged, privacy_audit), kernel, state.seed, state.chunk_size,
-                workers=workers, chunks=sorted(dirty), codec=writer.codec, crc32=True,
+                workers=workers, chunks=dirty_ids, codec=writer.codec, crc32=True,
             )
-            # Every clean chunk is read into, checked and written from this one buffer.
-            buffer = memoryview(bytearray(max(
-                (n for i, n in enumerate(state.chunk_bytes) if i not in dirty), default=0
-            )))
+            # Where each base chunk starts in the published base.
+            starts = list(itertools.accumulate(state.chunk_bytes, initial=len(writer.header)))
             try:
                 with closing(regen), base_path.open("rb") as base:
-                    _check_base(base, base_path, writer.header, sum(state.chunk_bytes))
+                    _check_base(base, base_path, writer.header, starts[-1] - starts[0])
                     i = 0
                     while i < n_chunks_new:
                         if i in dirty:
                             # Dirty ids run consecutively, so the next run
-                            # starts here: skip its base bytes, write its chunks.
+                            # starts here: write its chunks at this offset.
                             run = next(regen)
                             records.append(run.records)
-                            stop = i + len(run.chunk_rows)
-                            base.seek(sum(state.chunk_bytes[i:stop]), os.SEEK_CUR)
                             writer.write_run(run)
-                            i = stop
+                            i += len(run.chunk_rows)
                         else:
-                            nbytes = state.chunk_bytes[i]
-                            data = buffer[:nbytes]
-                            crc32 = state.chunk_crc32[i]
-                            if base.readinto(data) != nbytes or zlib.crc32(data) != crc32:
-                                raise _tampered(
-                                    base_path, f"chunk {i} fails its CRC32 check"
-                                )
-                            writer.write_chunk(data, state.chunk_row_counts[i], crc32)
-                            i += 1
+                            # Clean chunks exist only below the base's chunk
+                            # count: an insertion dirties every chunk after it.
+                            later = bisect.bisect(dirty_ids, i)
+                            stop = dirty_ids[later] if later < len(dirty_ids) else n_chunks_new
+                            writer.copy_chunks(
+                                state.chunk_row_counts[i:stop],
+                                state.chunk_bytes[i:stop],
+                                state.chunk_crc32[i:stop],
+                                partial(
+                                    _copy_clean, base.fileno(), base_path, state, starts, i, stop
+                                ),
+                            )
+                            i = stop
                         notify({
                             "phase": "splice",
                             "chunks_done": i,

@@ -169,8 +169,9 @@ class _CsvSink:
     ``chunk_bytes`` records the UTF-8 byte length of what each write
     published and, with ``crc32``, ``chunk_crc32`` its :func:`zlib.crc32`.
     Together they are the chunk index a delta state stores: a later splice
-    copies a clean chunk as a verified byte range of the published file.
-    Only the delta paths keep that index, so only they pay for the CRCs.
+    copies a clean chunk as a verified byte range of the published file
+    (:meth:`copy_chunks`).  Only the delta paths keep that index, so only
+    they pay for the CRCs.
     """
 
     def __init__(
@@ -201,6 +202,8 @@ class _CsvSink:
         self.codec = csv_codec(schema)
         #: The encoded header line every output starts with.
         self.header = self.codec.header
+        # Bytes written so far: the offset the next write lands at.
+        self._offset = 0
         self._write(self.header)
         self.records_written = 0
         self.chunk_counts: list[int] = []
@@ -209,24 +212,42 @@ class _CsvSink:
 
     def write_run(self, result: RunResult) -> None:
         """Append a rendered run (:meth:`RunResult.rendered`), one write per chunk."""
-        rows = result.chunk_rows.tolist()
-        for c, (data, n_rows) in enumerate(zip(result.csv, rows, strict=True)):
-            self.write_chunk(data, n_rows, result.crc32[c] if self.crc32 else None)
+        for data in result.csv:
+            self._write(data)
+        sizes = [len(data) for data in result.csv]
+        self._index(result.chunk_rows.tolist(), sizes, result.crc32 if self.crc32 else ())
 
-    def write_chunk(self, data: bytes | memoryview, n_rows: int, crc32: int | None) -> None:
-        """Append one chunk's published bytes, whose CRC32 the caller knows.
+    def copy_chunks(
+        self,
+        rows: Sequence[int],
+        sizes: Sequence[int],
+        crc32: Sequence[int],
+        copy: Callable[[int, int], None],
+    ) -> None:
+        """Append chunks whose bytes ``copy(fd, offset)`` writes positionally.
 
-        The delta splice copies a clean chunk this way, after checking
-        ``crc32`` against the range it read from the published base.
+        ``copy`` gets this sink's file descriptor and the offset the chunks
+        start at, and must have written all ``sum(sizes)`` bytes from there
+        (``os.pwrite``, on any thread) by the time it returns.  The caller
+        knows each chunk's row count, byte length and CRC32: the delta
+        splice copies clean chunks this way, each checked against the range
+        it read from the published base.  Only a path output has a
+        descriptor to copy into.
         """
-        self._write(data)
-        self.records_written += n_rows
-        self.chunk_counts.append(n_rows)
-        self.chunk_bytes.append(len(data))
-        if crc32 is not None:
-            self.chunk_crc32.append(crc32)
+        copy(self._handle.fileno(), self._offset)
+        self._offset += sum(sizes)
+        # Flushes what was buffered ahead of the copied range, then moves past it.
+        self._handle.seek(self._offset)
+        self._index(rows, sizes, crc32)
+
+    def _index(self, rows: Sequence[int], sizes: Sequence[int], crc32: Sequence[int]) -> None:
+        self.records_written += sum(rows)
+        self.chunk_counts.extend(rows)
+        self.chunk_bytes.extend(sizes)
+        self.chunk_crc32.extend(crc32)
 
     def _write(self, data: bytes | memoryview) -> None:
+        self._offset += len(data)
         if self._text is not None:
             self._text.write(str(data, "utf-8"))
         else:

@@ -826,6 +826,111 @@ class TestFaultInjection:
 
 
 # --------------------------------------------------------------------- #
+# Split copy: clean chunks copied by the caller and one helper thread
+# --------------------------------------------------------------------- #
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestSplitCopy:
+    """A clean span is split by chunk count: the helper copies its second half."""
+
+    def _dp_base(self, tmp_path, cities="abcdefgh"):
+        """A dp-laplace base, one group (city) per chunk: (state, base rows, published path)."""
+        base_csv = tmp_path / "base.csv"
+        rows = _tiny_rows(cities, ["flu", "cold"])
+        _write_csv(base_csv, _TINY_HEADER, rows)
+        report = publish_base(
+            base_csv, sensitive="Disease", output=tmp_path / "out.csv",
+            strategy="dp-laplace", rng=1, chunk_size=1,
+        )
+        return report.state, rows, Path(report.state.output)
+
+    def test_edit_in_last_clean_chunk_refused_with_its_number(self, tmp_path, workers):
+        state, _, published = self._dp_base(tmp_path)
+        original = published.read_bytes()
+        # Appending to "a" dirties chunk 0 only, so chunks 1-7 are one clean
+        # span and chunk 7, the file's last rows, is in the helper's half.
+        last = original.rindex(b"\r\n", 0, len(original) - 2) + 2
+        assert original[last:].startswith(b"h,")
+        forged = original[:last] + b"H" + original[last + 1:]
+        published.write_bytes(forged)
+        with pytest.raises(ValueError, match="chunk 7 fails its CRC32 check"):
+            delta_publish(state, [["a", "flu"]], workers=workers)
+        assert published.read_bytes() == forged
+        assert _no_temp_leftovers(tmp_path)
+
+    def test_base_truncated_after_its_size_check_refused(self, tmp_path, workers, monkeypatch):
+        from repro.delta import engine as engine_module
+
+        state, _, published = self._dp_base(tmp_path)
+        checked = engine_module._check_base
+
+        def check_then_truncate(base, path, header, chunk_bytes):
+            checked(base, path, header, chunk_bytes)
+            os.truncate(path, path.stat().st_size - 3)
+
+        monkeypatch.setattr(engine_module, "_check_base", check_then_truncate)
+        with pytest.raises(ValueError, match="chunk 7 fails its CRC32 check"):
+            delta_publish(state, [["a", "flu"]], workers=workers)
+        assert _no_temp_leftovers(tmp_path)
+
+    def test_helper_write_failure_leaves_no_temp_file_or_descriptor(
+        self, tmp_path, workers, monkeypatch
+    ):
+        import threading
+
+        from repro.utils.files import RELEASER
+
+        state, _, published = self._dp_base(tmp_path)
+        base_bytes = published.read_bytes()
+        real_pwrite = os.pwrite
+        helper_writes = []
+
+        def pwrite(fd, data, offset):
+            if threading.current_thread().name == "repro-splice-copy":
+                helper_writes.append(offset)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_pwrite(fd, data, offset)
+
+        RELEASER.join()
+        before = _open_fds()
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        with pytest.raises(OSError, match="No space left"):
+            delta_publish(state, [["a", "flu"]], workers=workers)
+        monkeypatch.undo()
+        assert helper_writes
+        assert _open_fds() == before
+        assert published.read_bytes() == base_bytes
+        assert _no_temp_leftovers(tmp_path)
+
+    def test_chunk_index_after_split_copies_equals_a_full_base(self, tmp_path, workers):
+        state, rows, published = self._dp_base(tmp_path, cities="abcdefghijkl")
+        # Dirties chunks 2, 6 and 10: clean spans [0, 2), [3, 6), [7, 10), [11].
+        appended = [["c", "flu"], ["g", "cold"], ["k", "flu"]]
+        events = []
+        successor = delta_publish(
+            state, appended, workers=workers, progress=events.append
+        ).state
+        full_csv = tmp_path / "full.csv"
+        _write_csv(full_csv, _TINY_HEADER, rows + appended)
+        full = publish_base(
+            full_csv, sensitive="Disease", output=tmp_path / "full_out.csv",
+            strategy="dp-laplace", rng=1, chunk_size=1,
+        ).state
+        assert successor.chunk_row_counts == full.chunk_row_counts
+        assert successor.chunk_bytes == full.chunk_bytes
+        assert successor.chunk_crc32 == full.chunk_crc32
+        assert published.read_bytes() == (tmp_path / "full_out.csv").read_bytes()
+        done = [event["chunks_done"] for event in events if event["phase"] == "splice"]
+        assert done == sorted(done) and done[-1] == 12
+        assert all(event["n_chunks"] == 12 for event in events if event["phase"] == "splice")
+
+
+# --------------------------------------------------------------------- #
 # Base publish observability: one stream run under the delta labels
 # --------------------------------------------------------------------- #
 
